@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: test lint lint-cold bench bench-smoke report figures clean
+.PHONY: test lint lint-cold bench bench-smoke perf perf-ab report figures clean
 
 # Tier-1 suite (the gate every PR must keep green).
 test:
@@ -31,6 +31,17 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 \
 		$(PYTHON) -m pytest benchmarks/test_perf_regression.py -q -s
+
+# The repo benchmark (BENCHMARK.json): four workloads, end-to-end and
+# per-layer metrics, ~4 min.  See benchmarks/perf/README.md.
+perf:
+	python3 benchmarks/perf/run.py
+
+# Verdicts for result set B against base A (files written by
+# `benchmarks/perf/run.py --runs 10 --trace 0 --out FILE`):
+#   make perf-ab A=benchmarks/perf/out/A.jsonl B=benchmarks/perf/out/B.jsonl
+perf-ab:
+	python3 benchmarks/perf/compare.py $(A) $(B)
 
 # Record a short scenario and render the HTML run report.
 report:

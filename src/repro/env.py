@@ -136,11 +136,6 @@ _declare(
     "...) or a numeric level.",
 )
 _declare(
-    "REPRO_PACKET_FREELIST", "bool", True,
-    "Packet free-list recycling in the simulator hot path; disable "
-    "(`0`/`off`) when debugging object identity. Read at import time.",
-)
-_declare(
     "REPRO_BATCHED_MONITOR", "bool", True,
     "Vectorized monitoring data plane (`--batched-monitor`); results "
     "are bit-identical either way, the scalar path is just slower.",

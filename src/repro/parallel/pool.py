@@ -80,7 +80,6 @@ PROPAGATED_ENV: Tuple[str, ...] = (
     "REPRO_RECORD",
     "REPRO_RECORD_BUDGET",
     "REPRO_LOG_LEVEL",
-    "REPRO_PACKET_FREELIST",
     "REPRO_BATCHED_MONITOR",
     "REPRO_HYBRID_ENGINE",
     "REPRO_LANES_MIN_QPS",

@@ -39,6 +39,8 @@ import numpy as np
 from repro.simulator.engine import EventHandle, Simulator
 from repro.simulator.units import kb, mbps, us
 
+_DISARMED = float("inf")
+
 
 @dataclass
 class DcqcnParams:
@@ -145,8 +147,12 @@ class DcqcnRp:
         self._last_cut_time = -float("inf")
         self._cnp_seen_since_alpha_timer = False
 
-        self._alpha_timer: Optional[EventHandle] = None
-        self._increase_timer: Optional[EventHandle] = None
+        # Timer deadlines (inf = disarmed).  A tick acts only when the
+        # clock equals its deadline, so stopping or re-arming cancels
+        # nothing: the superseded tick fires as a no-op.  Ticks of QPs
+        # that share an exact deadline ride one engine event.
+        self._alpha_deadline = _DISARMED
+        self._increase_deadline = _DISARMED
         self._active = False
 
         # Counters for diagnostics / tests.
@@ -163,18 +169,14 @@ class DcqcnRp:
         if self._active:
             return
         self._active = True
-        self._arm_alpha_timer()
-        self._arm_increase_timer()
+        params = self.params_ref()
+        self._arm_alpha_timer(params)
+        self._arm_increase_timer(params)
 
     def stop(self) -> None:
-        """Cancel timers when the flow finishes."""
+        """Disarm timers when the flow finishes."""
         self._active = False
-        if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
-            self._alpha_timer = None
-        if self._increase_timer is not None:
-            self._increase_timer.cancel()
-            self._increase_timer = None
+        self._alpha_deadline = self._increase_deadline = _DISARMED
 
     @property
     def active(self) -> bool:
@@ -216,7 +218,7 @@ class DcqcnRp:
         self._byte_stage = 0
         self._time_stage = 0
         self._increase_iter = 0
-        self._arm_increase_timer()
+        self._arm_increase_timer(params)
         if self.on_rate_change is not None:
             self.on_rate_change()
 
@@ -224,20 +226,19 @@ class DcqcnRp:
     # Alpha decay timer
     # ------------------------------------------------------------------
 
-    def _arm_alpha_timer(self) -> None:
-        if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
-        params = self.params_ref()
-        self._alpha_timer = self.sim.schedule(params.dce_tcp_rtt, self._alpha_tick)
+    def _arm_alpha_timer(self, params: DcqcnParams) -> None:
+        sim = self.sim
+        self._alpha_deadline = deadline = sim.now + params.dce_tcp_rtt
+        sim.coalesce_at(deadline, self._alpha_tick)
 
     def _alpha_tick(self) -> None:
-        if not self._active:
+        if self.sim.now != self._alpha_deadline:
             return
+        params = self.params_ref()
         if not self._cnp_seen_since_alpha_timer:
-            g = self.params_ref().dce_tcp_g
-            self.alpha = (1.0 - g) * self.alpha
+            self.alpha = (1.0 - params.dce_tcp_g) * self.alpha
         self._cnp_seen_since_alpha_timer = False
-        self._arm_alpha_timer()
+        self._arm_alpha_timer(params)
 
     # ------------------------------------------------------------------
     # Rate increase: byte counter and timer stages
@@ -254,20 +255,18 @@ class DcqcnRp:
             self._byte_stage += 1
             self._increase_event(params)
 
-    def _arm_increase_timer(self) -> None:
-        if self._increase_timer is not None:
-            self._increase_timer.cancel()
-        params = self.params_ref()
-        self._increase_timer = self.sim.schedule(
-            params.rpg_time_reset, self._increase_tick
-        )
+    def _arm_increase_timer(self, params: DcqcnParams) -> None:
+        sim = self.sim
+        self._increase_deadline = deadline = sim.now + params.rpg_time_reset
+        sim.coalesce_at(deadline, self._increase_tick)
 
     def _increase_tick(self) -> None:
-        if not self._active:
+        if self.sim.now != self._increase_deadline:
             return
+        params = self.params_ref()
         self._time_stage += 1
-        self._increase_event(self.params_ref())
-        self._arm_increase_timer()
+        self._increase_event(params)
+        self._arm_increase_timer(params)
 
     def _increase_event(self, params: DcqcnParams) -> None:
         """One fast-recovery / additive / hyper increase step."""

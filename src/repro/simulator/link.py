@@ -29,7 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Link:
-    """Unidirectional link descriptor plus delivery helper."""
+    """Unidirectional link descriptor and transfer counters.
+
+    The egress on the sending side owns the serialization loop and,
+    when a packet's last bit leaves, counts it here and posts its
+    arrival at ``dst`` one ``prop_delay`` later.
+    """
 
     __slots__ = (
         "sim",
@@ -41,9 +46,7 @@ class Link:
         "prop_delay",
         "tx_bytes",
         "tx_packets",
-        "_bits_per_rate",
-        "_schedule",
-        "_dst_receive",
+        "sec_per_byte",
     )
 
     def __init__(
@@ -69,25 +72,8 @@ class Link:
         self.prop_delay = prop_delay
         self.tx_bytes = 0
         self.tx_packets = 0
-        # Hot-path caches: the per-packet delivery path runs once per
-        # packet per hop, so precompute the serialization divisor and
-        # bind the scheduler / receiver methods once.  ``dst`` never
-        # changes after construction.
-        self._bits_per_rate = 8.0 / rate_bps
-        self._schedule = sim.schedule
-        self._dst_receive = dst.receive
-
-    def serialization_delay(self, packet: Packet) -> float:
-        return packet.wire_size * self._bits_per_rate
-
-    def deliver(self, packet: Packet) -> None:
-        """Schedule arrival at the far end after the propagation delay.
-
-        Called by the egress side at the instant serialization ends.
-        """
-        self.tx_bytes += packet.wire_size
-        self.tx_packets += 1
-        self._schedule(self.prop_delay, self._dst_receive, packet, self.dst_port)
+        # Serialization delay of a packet is ``wire_size * sec_per_byte``.
+        self.sec_per_byte = 8.0 / rate_bps
 
     def reset(self) -> None:
         """Zero the transfer counters (warm-rebuild path)."""
@@ -170,11 +156,10 @@ class QueuedEgress:
         self.pause = PauseState(sim)
         # Running maxima/counters for stats.
         self.max_data_queue_bytes = 0
-        # Bound-method caches for the serialization loop (one schedule
-        # plus one deliver per packet through this port).
-        self._schedule = sim.schedule
-        self._deliver = link.deliver
-        self._ser_delay = link.serialization_delay
+        # Bound once: the serialization loop posts two events per
+        # packet through this port, and ``link.dst`` never changes.
+        self._post = sim.post
+        self._dst_receive = link.dst.receive
 
     # -- queue state -------------------------------------------------
 
@@ -203,24 +188,28 @@ class QueuedEgress:
 
     # -- serialization loop -------------------------------------------
 
-    def _pick(self) -> Optional[Packet]:
+    def _start_next(self) -> None:
         if self.control_queue:
-            return self.control_queue.popleft()
-        if self.data_queue and not self.pause.paused:
+            packet = self.control_queue.popleft()
+        elif self.data_queue and not self.pause.paused:
             packet = self.data_queue.popleft()
             self.data_queue_bytes -= packet.wire_size
-            return packet
-        return None
-
-    def _start_next(self) -> None:
-        packet = self._pick()
-        if packet is None:
+        else:
             return
         self.busy = True
-        self._schedule(self._ser_delay(packet), self._finish, packet)
+        self._post(packet.wire_size * self.link.sec_per_byte, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:
-        self._deliver(packet)
+        """Last bit on the wire: count, propagate, free buffer, go on.
+
+        The three scheduling steps keep this order — arrival event,
+        then whatever ``on_dequeue`` signals (PFC), then the next
+        serialization — because it fixes their ``seq`` tie-break.
+        """
+        link = self.link
+        link.tx_bytes += packet.wire_size
+        link.tx_packets += 1
+        self._post(link.prop_delay, self._dst_receive, packet, link.dst_port)
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
         self.busy = False

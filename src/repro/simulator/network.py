@@ -104,7 +104,7 @@ class Network:
             host.on_rtt_sample = self.stats.record_rtt
 
         if self.config.probing_enabled:
-            self.sim.schedule(self.config.probe_interval, self._probe_tick)
+            self.sim.post(self.config.probe_interval, self._probe_tick)
 
     # ------------------------------------------------------------------
     # Construction
@@ -267,7 +267,7 @@ class Network:
             host.on_rtt_sample = self.stats.record_rtt
 
         if cfg.probing_enabled:
-            self.sim.schedule(cfg.probe_interval, self._probe_tick)
+            self.sim.post(cfg.probe_interval, self._probe_tick)
 
     # ------------------------------------------------------------------
     # Flows
@@ -288,7 +288,7 @@ class Network:
         self._next_flow_id += 1
         self.flows[flow.flow_id] = flow
         self.active_flows[flow.flow_id] = flow
-        self.sim.at(start_time, self._start_flow, flow)
+        self.sim.post_at(start_time, self._start_flow, flow)
         return flow
 
     def _start_flow(self, flow: Flow) -> None:
@@ -360,7 +360,7 @@ class Network:
             if peer >= host.host_id:
                 peer += 1
             host.send_probe(peer)
-        self.sim.schedule(self.config.probe_interval, self._probe_tick)
+        self.sim.post(self.config.probe_interval, self._probe_tick)
 
     # ------------------------------------------------------------------
     # Execution and global accounting

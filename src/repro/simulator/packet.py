@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from enum import IntEnum
 
-from repro import env
 from repro.simulator.units import CONTROL_PACKET_BYTES, HEADER_BYTES
 
 INITIAL_TTL = 64
@@ -26,11 +25,9 @@ INITIAL_TTL = 64
 #: them cuts a measurable slice of allocator work out of the hot path.
 #: The pool only ever yields a packet whose every field has been
 #: re-initialised, so recycled packets are indistinguishable from fresh
-#: ones (including a fresh ``pkt_id``).  Disable with
-#: ``REPRO_PACKET_FREELIST=0`` when debugging object identity.
+#: ones (including a fresh ``pkt_id``).
 _FREELIST: list = []
 _FREELIST_MAX = 8192
-_FREELIST_ENABLED = env.get("REPRO_PACKET_FREELIST")
 
 
 def freelist_occupancy() -> int:
@@ -47,6 +44,12 @@ class PacketKind(IntEnum):
     PROBE_ACK = 3
     ACK = 4  # per-packet delay feedback (Swift-style CC only)
 
+
+# Enum member lookup (``PacketKind.DATA``) costs several times a
+# global load, so per-packet code compares against module constants.
+_DATA = PacketKind.DATA
+_CNP = PacketKind.CNP
+_CONTROL_KINDS = (PacketKind.CNP, PacketKind.PROBE_ACK, PacketKind.ACK)
 
 _packet_ids = itertools.count()
 
@@ -76,11 +79,17 @@ class Packet:
         Time the packet left the source NIC (probe RTT measurement).
     last:
         True for the final packet of a flow (completion detection).
+    is_control:
+        The packet rides the unpausable strict-priority queue.  CNPs,
+        ACKs and probe replies use that lossless high-priority class;
+        PROBE packets deliberately share the *data* class so measured
+        RTT reflects data-path queueing and PFC pauses.
     """
 
     __slots__ = (
         "pkt_id",
         "kind",
+        "is_control",
         "flow_id",
         "src",
         "dst",
@@ -110,12 +119,13 @@ class Packet:
     ):
         self.pkt_id = next(_packet_ids)
         self.kind = kind
+        self.is_control = kind in _CONTROL_KINDS
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
         self.seq = seq
         self.payload = payload
-        if kind == PacketKind.DATA:
+        if kind == _DATA:
             self.wire_size = payload + HEADER_BYTES
         else:
             self.wire_size = CONTROL_PACKET_BYTES
@@ -140,21 +150,9 @@ class Packet:
         object can be handed out again by :func:`data_packet` with all
         fields re-initialised.  Idempotent.
         """
-        if self._pooled or not _FREELIST_ENABLED:
-            return
-        if len(_FREELIST) < _FREELIST_MAX:
+        if not self._pooled and len(_FREELIST) < _FREELIST_MAX:
             self._pooled = True
             _FREELIST.append(self)
-
-    @property
-    def is_control(self) -> bool:
-        """Control packets use the unpausable strict-priority queue.
-
-        CNPs, ACKs and probe replies ride the lossless high-priority
-        class; PROBE packets deliberately share the *data* class so
-        measured RTT reflects data-path queueing and PFC pauses.
-        """
-        return self.kind in (PacketKind.CNP, PacketKind.PROBE_ACK, PacketKind.ACK)
 
     def hops_taken(self) -> int:
         """Switch hops traversed so far (TTL decrements)."""
@@ -174,7 +172,8 @@ def data_packet(
     if _FREELIST:
         packet = _FREELIST.pop()
         packet.pkt_id = next(_packet_ids)
-        packet.kind = PacketKind.DATA
+        packet.kind = _DATA
+        packet.is_control = False
         packet.flow_id = flow_id
         packet.src = src
         packet.dst = dst
@@ -190,9 +189,7 @@ def data_packet(
         packet.probe_hops = 0
         packet._pooled = False
         return packet
-    return Packet(
-        PacketKind.DATA, flow_id, src, dst, payload=payload, seq=seq, last=last
-    )
+    return Packet(_DATA, flow_id, src, dst, payload=payload, seq=seq, last=last)
 
 
 def cnp_packet(flow_id: int, src: int, dst: int) -> Packet:
@@ -200,4 +197,4 @@ def cnp_packet(flow_id: int, src: int, dst: int) -> Packet:
 
     ``src`` is the NP (receiver of the marked data), ``dst`` the RP.
     """
-    return Packet(PacketKind.CNP, flow_id, src, dst)
+    return Packet(_CNP, flow_id, src, dst)

@@ -47,6 +47,8 @@ _OBS_FULL_FLUSHES = get_registry().counter(
     "Observation-buffer flushes forced by the ring buffer filling",
 )
 
+_DATA = PacketKind.DATA  # module constant: enum member lookup is slow
+
 #: Default observation buffer flush threshold (packets). 4096 packets is
 #: ~6 MB of 1500 B traffic — far more than one 1 ms monitor interval
 #: moves through a scaled-down ToR, so in steady state the buffer
@@ -138,7 +140,7 @@ class Switch:
     def attach_link(self, link: Link) -> int:
         """Add an egress link; returns the new port index."""
         port = len(self.egress)
-        self.egress.append(QueuedEgress(self.sim, link, self._on_dequeue))
+        self.egress.append(QueuedEgress(self.sim, link, self._account))
         self.ingress_bytes[port] = 0
         self._upstream_paused[port] = False
         return port
@@ -188,47 +190,54 @@ class Switch:
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Ingress processing: measure, route, admit, mark, enqueue."""
+        """Ingress processing: measure, route, admit, mark, enqueue, PFC."""
         self.rx_packets += 1
         packet.ttl -= 1
         if packet.ttl <= 0:
             self._drop(packet)
             return
 
-        if packet.kind == PacketKind.DATA and self.measurement is not None:
+        is_data = packet.kind == _DATA
+        if is_data and self.measurement is not None:
             self._observe(packet)
 
-        out_port = self._route(packet)
-        egress = self.egress[out_port]
+        ports = self.forward_table.get(packet.dst)
+        if ports is None:
+            raise KeyError(
+                f"{self.name}: no route to host {packet.dst} "
+                f"(packet {packet!r})"
+            )
+        if len(ports) == 1:
+            egress = self.egress[ports[0]]
+        else:
+            # ECMP: deterministic per-flow hash so a flow never reorders.
+            h = (packet.flow_id * 2654435761 + packet.src * 40503 + packet.dst) & 0xFFFFFFFF
+            egress = self.egress[ports[h % len(ports)]]
 
         # Shared-buffer admission.
-        if self.occupied_bytes + packet.wire_size > self.config.buffer_bytes:
+        config = self.config
+        size = packet.wire_size
+        if self.occupied_bytes + size > config.buffer_bytes:
             self._drop(packet)
             return
-        self.occupied_bytes += packet.wire_size
         packet.ingress_port = in_port
-        self.ingress_bytes[in_port] += packet.wire_size
 
         # ECN marking against the egress data-queue depth (CP role).
-        if (
-            self.config.ecn_enabled
-            and packet.kind == PacketKind.DATA
-        ):
+        if is_data and config.ecn_enabled:
             # virtual_bytes is the fluid plane's published load (hybrid
             # engine); 0 in off/lanes modes, so the depth — and every
             # downstream RNG draw — is unchanged there.
-            prob = ecn_mark_probability(
-                egress.data_queue_bytes + egress.virtual_bytes, self.params
-            )
-            if prob > 0.0 and self._rng.random() < prob:
-                packet.ecn = True
-                self.ecn_marked_packets += 1
+            depth = egress.data_queue_bytes + egress.virtual_bytes
+            params = self.params
+            if depth > params.k_min:  # at or below k_min the curve is 0
+                prob = ecn_mark_probability(depth, params)
+                if prob > 0.0 and self._rng.random() < prob:
+                    packet.ecn = True
+                    self.ecn_marked_packets += 1
             self.data_packets_forwarded += 1
 
         egress.enqueue(packet)
-
-        if self.config.pfc_enabled:
-            self._pfc_check_ingress(in_port)
+        self._account(packet, 1)
 
     def _observe(self, packet: Packet) -> None:
         if self.dedup_marking:
@@ -299,59 +308,48 @@ class Switch:
         _OBS_FLUSHES.inc()
         return n
 
-    def _route(self, packet: Packet) -> int:
-        ports = self.forward_table.get(packet.dst)
-        if ports is None:
-            raise KeyError(
-                f"{self.name}: no route to host {packet.dst} "
-                f"(packet {packet!r})"
-            )
-        if len(ports) == 1:
-            return ports[0]
-        # ECMP: deterministic per-flow hash so a flow never reorders.
-        h = (packet.flow_id * 2654435761 + packet.src * 40503 + packet.dst) & 0xFFFFFFFF
-        return ports[h % len(ports)]
-
     def _drop(self, packet: Packet) -> None:
         self.dropped_packets += 1
         self.dropped_bytes += packet.wire_size
         packet.release()
 
-    def _on_dequeue(self, packet: Packet) -> None:
-        """Egress serialization finished: release buffer, maybe XON."""
-        self.occupied_bytes -= packet.wire_size
-        in_port = packet.ingress_port
-        self.ingress_bytes[in_port] -= packet.wire_size
-        if self.config.pfc_enabled:
-            self._pfc_check_ingress(in_port)
-
     # ------------------------------------------------------------------
-    # PFC (per-ingress-port dynamic threshold)
+    # Buffer accounting and PFC (per-ingress-port dynamic threshold)
     # ------------------------------------------------------------------
 
-    def _dt_threshold(self) -> float:
-        free = self.config.buffer_bytes - self.occupied_bytes
-        return self.config.pfc_alpha * max(free, 0)
+    def _account(self, packet: Packet, sign: int = -1) -> None:
+        """Charge or release a packet's bytes, then run the PFC check.
 
-    def _pfc_check_ingress(self, port: int) -> None:
+        ``sign=+1`` on admission; the default ``-1`` is the egress
+        dequeue callback (serialization finished).  Either way the
+        packet's ingress port is then held against the dynamic
+        threshold: XOFF its upstream peer above ``pfc_alpha x free
+        buffer``, XON once it is back under half of that.
+        """
+        delta = sign * packet.wire_size
+        port = packet.ingress_port
+        self.occupied_bytes += delta
+        self.ingress_bytes[port] = buffered = self.ingress_bytes[port] + delta
+        config = self.config
         peer = self.ingress_peer.get(port)
-        if peer is None:
+        if peer is None or not config.pfc_enabled:
             return
-        threshold = self._dt_threshold()
-        buffered = self.ingress_bytes[port]
-        if not self._upstream_paused[port] and buffered > threshold:
-            self._send_pfc(port, paused=True)
-        elif self._upstream_paused[port] and buffered <= threshold / 2.0:
-            self._send_pfc(port, paused=False)
+        free = config.buffer_bytes - self.occupied_bytes
+        threshold = config.pfc_alpha * free if free > 0 else 0.0
+        if self._upstream_paused[port]:
+            if buffered <= threshold / 2.0:
+                self._send_pfc(peer, port, paused=False)
+        elif buffered > threshold:
+            self._send_pfc(peer, port, paused=True)
 
-    def _send_pfc(self, port: int, paused: bool) -> None:
-        peer_egress, prop_delay = self.ingress_peer[port]
+    def _send_pfc(self, peer: Tuple[object, float], port: int, paused: bool) -> None:
+        peer_egress, prop_delay = peer
         self._upstream_paused[port] = paused
         if paused:
             self.pfc_pauses_sent += 1
         # PFC frames are tiny and ride the highest priority; model them
         # as a pure propagation-delay signal.
-        self.sim.schedule(prop_delay, peer_egress.set_paused, paused)
+        self.sim.post(prop_delay, peer_egress.set_paused, paused)
 
     # ------------------------------------------------------------------
     # Introspection

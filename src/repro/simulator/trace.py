@@ -64,7 +64,7 @@ class FabricTracer:
         if self._running:
             return
         self._running = True
-        self.network.sim.schedule(self.period, self._tick)
+        self.network.sim.post(self.period, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -90,7 +90,7 @@ class FabricTracer:
                     self.rate_samples.append(
                         RateSample(now, host.host_id, flow_id, qp.rp.rc)
                     )
-        self.network.sim.schedule(self.period, self._tick)
+        self.network.sim.post(self.period, self._tick)
 
     # -- analysis helpers -------------------------------------------------
 

@@ -74,7 +74,7 @@ class LlmTrainingWorkload:
             raise ValueError("need at least two workers")
         self._network = network
         network.on_flow_complete(self._on_complete)
-        network.sim.at(self.start, self._start_round)
+        network.sim.post_at(self.start, self._start_round)
 
     def stop(self) -> None:
         """Stop launching new rounds (in-flight flows still finish)."""
@@ -112,7 +112,7 @@ class LlmTrainingWorkload:
             RoundRecord(self._round_index, self._round_start, now)
         )
         self._round_index += 1
-        self._network.sim.schedule(self.off_period, self._start_round)
+        self._network.sim.post(self.off_period, self._start_round)
 
     # -- reporting ---------------------------------------------------------
 

@@ -241,6 +241,60 @@ def test_stop_cancels_timers(sim, params):
     assert rp.cnps_received == 0
 
 
+def test_self_rearming_ticks_leave_no_phantom_cancellations(sim, params):
+    """Regression: re-arming used to cancel the handle that had just
+    fired, so 50 alpha ticks left ``cancelled_pending == 49`` on an
+    otherwise clean heap and every later schedule() ran a pointless
+    compaction check (369 heap rebuilds per all-to-all run).
+    """
+    rp = make_rp(sim, params)
+    rp.start()
+    sim.run_until(params.dce_tcp_rtt * 50.5)
+    assert sim.cancelled_pending == 0
+    assert sim.compactions == 0
+    rp.stop()
+    sim.run()
+    assert sim.pending_events == 0
+
+
+def test_timers_with_a_shared_deadline_share_one_event(sim, params):
+    rps = [make_rp(sim, params) for _ in range(16)]
+    for rp in rps:
+        rp.start()
+    # 16 QPs x 2 timers, but only two distinct deadlines.
+    assert sim.pending_events == 2
+    for rp in rps:
+        rp.on_cnp()
+    sim.run_until(params.dce_tcp_rtt * 3.5)
+    assert len({rp.alpha for rp in rps}) == 1          # all ticked alike
+    assert sim.events_dispatched == 3                   # one per deadline
+
+
+def test_rate_cut_supersedes_the_pending_increase_tick(sim, params):
+    rp = make_rp(sim, params)
+    rp.start()
+    sim.run_until(params.rpg_time_reset * 0.5)
+    rp.on_cnp()                       # cut: increase timer restarts now
+    sim.run_until(params.rpg_time_reset * 1.25)
+    assert rp.increase_events == 0    # the original deadline is stale
+    sim.run_until(params.rpg_time_reset * 1.75)
+    assert rp.increase_events == 1    # fires one full period after the cut
+
+
+def test_restart_after_stop_ignores_ticks_from_the_first_life(sim, params):
+    rp = make_rp(sim, params)
+    rp.start()
+    sim.run_until(params.dce_tcp_rtt * 0.5)
+    rp.stop()
+    rp.start()                        # new deadlines, half a period later
+    rp.on_cnp()
+    alpha = rp.alpha
+    sim.run_until(params.dce_tcp_rtt * 1.25)   # first life's tick: stale
+    assert rp.alpha == alpha
+    sim.run_until(params.dce_tcp_rtt * 2.75)   # CNP-seen tick, then a decay
+    assert rp.alpha < alpha
+
+
 def test_cut_resets_increase_stages(sim, params):
     rp = make_rp(sim, params)
     rp.start()

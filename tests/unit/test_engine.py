@@ -410,3 +410,275 @@ def test_reset_rejects_running_simulator(sim):
 
     sim.schedule(0.5, try_reset)
     sim.run()
+
+
+# ---------------------------------------------------------------------------
+# Handle-free events, coalesced deadlines, detached handles
+# ---------------------------------------------------------------------------
+
+
+def test_post_and_schedule_share_one_fifo_order(sim):
+    """post/post_at/schedule/at all draw from the same seq counter."""
+    fired = []
+    sim.post(1.0, fired.append, "post")
+    sim.schedule(1.0, fired.append, "schedule")
+    sim.post_at(1.0, fired.append, "post_at")
+    sim.at(1.0, fired.append, "at")
+    sim.run()
+    assert fired == ["post", "schedule", "post_at", "at"]
+
+
+def test_post_rejects_the_past(sim):
+    sim.run_until(1.0)
+    with pytest.raises(SimulationError):
+        sim.post(-1e-9, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_at(0.5, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.coalesce_at(0.5, lambda: None)
+
+
+def test_coalesce_at_shares_one_event_per_exact_deadline(sim):
+    fired = []
+    sim.coalesce_at(1.0, lambda: fired.append("a"))
+    sim.post_at(1.0, fired.append, "between")
+    sim.coalesce_at(1.0, lambda: fired.append("b"))   # joins a's entry
+    sim.coalesce_at(2.0, lambda: fired.append("c"))
+    assert sim.pending_events == 3
+    sim.run()
+    # b rides a's entry, so it runs ahead of the same-time event that
+    # was scheduled before it; members keep their arrival order.
+    assert fired == ["a", "b", "between", "c"]
+    assert sim.events_dispatched == 3
+
+
+def test_coalesce_at_rearm_for_same_instant_starts_a_new_batch(sim):
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.coalesce_at(1.0, lambda: fired.append("again"))
+
+    sim.coalesce_at(1.0, first)
+    sim.post_at(1.0, fired.append, "other")
+    sim.run()
+    assert fired == ["first", "other", "again"]
+
+
+def test_late_cancel_of_a_fired_handle_is_a_noop(sim):
+    """Regression: a self-re-arming timer that cancels the handle that
+    just fired (the old ``DcqcnRp._arm_*_timer`` pattern) used to bump
+    ``cancelled_pending`` once per tick for an entry no longer in the
+    heap — 50 ticks left 49 phantom cancellations on an empty heap and
+    sent every later ``schedule()`` into a pointless compaction check.
+    """
+    state = {"handle": None, "ticks": 0}
+
+    def tick():
+        state["ticks"] += 1
+        state["handle"].cancel()          # already fired: must not count
+        if state["ticks"] < 50:
+            state["handle"] = sim.schedule(1e-6, tick)
+
+    state["handle"] = sim.schedule(1e-6, tick)
+    sim.run()
+    assert state["ticks"] == 50
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
+    assert sim.compactions == 0
+    assert not state["handle"].cancelled
+
+
+def test_reset_detaches_outstanding_handles(sim):
+    handle = sim.schedule(1.0, lambda: None)
+    sim.reset()
+    handle.cancel()                       # entry is gone: must not count
+    assert sim.cancelled_pending == 0
+    sim.coalesce_at(1.0, lambda: None)
+    sim.reset()
+    fired = []
+    sim.coalesce_at(1.0, lambda: fired.append("fresh"))
+    sim.run()
+    assert fired == ["fresh"]             # no stale batch survived reset
+
+
+# -- model-based property test ----------------------------------------------
+
+
+class _ReferenceCalendar:
+    """Sorted-list oracle for the engine's ``(time, seq)`` contract."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []     # (time, seq, key); key: tag or ("batch", time)
+        self.batches = {}     # time -> [tag, ...]
+
+    def push(self, time, key):
+        self.entries.append((time, self.seq, key))
+        self.seq += 1
+
+    def coalesce(self, time, tag):
+        if time in self.batches:
+            self.batches[time].append(tag)
+        else:
+            self.batches[time] = [tag]
+            self.push(time, ("batch", time))
+
+    def cancel(self, tag):
+        self.entries = [e for e in self.entries if e[2] != tag]
+
+    def pop_due(self, end_time):
+        """Tags run by the next entry due by ``end_time`` (None if none)."""
+        if not self.entries or min(self.entries)[0] > end_time:
+            return None
+        entry = min(self.entries)
+        self.entries.remove(entry)
+        self.now, _, key = entry
+        return self.batches.pop(key[1]) if isinstance(key, tuple) else [key]
+
+
+_TIMES = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["schedule", "at", "post", "post_at", "coalesce"]),
+            _TIMES,
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("run_until"), _TIMES),
+        st.tuples(st.just("step"), st.just(0.0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _cancelled_in_heap(sim):
+    return sum(1 for e in sim._heap if e[4] is not None and e[4].cancelled)
+
+
+def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
+    """Run an op program; returns the ``(time, tag)`` dispatch sequence.
+
+    ``drain="oracle"`` single-steps the engine in lock-step with the
+    sorted-list oracle and checks every dispatch against it; the other
+    drains (``step``/``run``/``run_until``) use the engine natively.
+    Every third event re-arms itself once when it fires and every
+    fourth cancels some handle (late, if that one already fired), so
+    scheduling and cancellation also happen mid-dispatch.  The
+    ``cancelled_pending`` invariant is asserted after every op and
+    inside every callback.
+    """
+    from repro.simulator import engine as engine_module
+
+    sim = Simulator()
+    ref = _ReferenceCalendar() if drain == "oracle" else None
+    fired, handles = [], {}
+    tags = iter(range(10_000))
+
+    def invariant():
+        assert sim.cancelled_pending == _cancelled_in_heap(sim)
+
+    def add(kind, time, nested=False):
+        tag = next(tags)
+        time = max(time, sim.now)
+        delay = time - sim.now
+
+        def fn():
+            fired.append((sim.now, tag))
+            invariant()
+            if not nested and tag % 3 == 0:
+                add("schedule" if tag % 2 else "coalesce", sim.now + 0.25, True)
+            if tag % 4 == 0:
+                cancel(tag)
+
+        if kind == "schedule":
+            handles[tag] = sim.schedule(delay, fn)
+        elif kind == "at":
+            handles[tag] = sim.at(time, fn)
+        elif kind == "post":
+            sim.post(delay, fn)
+        elif kind == "post_at":
+            sim.post_at(time, fn)
+        else:
+            sim.coalesce_at(time, fn)
+        if ref is not None:
+            if kind == "coalesce":
+                ref.coalesce(time, tag)
+            else:
+                ref.push(sim.now + delay if kind in ("schedule", "post") else time, tag)
+
+    def cancel(index):
+        if handles:
+            tag = sorted(handles)[index % len(handles)]
+            handles[tag].cancel()
+            if ref is not None:
+                ref.cancel(tag)
+
+    def lockstep(end_time, max_events=-1):
+        while max_events != 0:
+            # Popped before the engine steps, so a nested cancel of the
+            # event now firing finds nothing pending in the oracle either.
+            due = ref.pop_due(end_time)
+            if due is None:
+                break
+            start = len(fired)
+            assert sim.step() is True
+            assert fired[start:] == [(ref.now, tag) for tag in due]
+            max_events -= 1
+
+    engine_module._COMPACT_MIN_CANCELLED, saved = (
+        compact_min, engine_module._COMPACT_MIN_CANCELLED,
+    )
+    try:
+        for kind, arg in ops:
+            if kind == "cancel":
+                cancel(arg)
+            elif kind == "run_until":
+                end = max(arg, sim.now)
+                if ref is not None:
+                    lockstep(end)
+                    assert sim.run_until(end) == 0   # nothing else was due
+                else:
+                    sim.run_until(end)
+            elif kind == "step":
+                lockstep(float("inf"), 1) if ref is not None else sim.step()
+            else:
+                add(kind, arg)
+            invariant()
+        if drain == "oracle":
+            lockstep(float("inf"))
+            assert sim.step() is False
+        elif drain == "step":
+            while sim.step():
+                invariant()
+        elif drain == "run":
+            sim.run()
+        else:
+            sim.run_until(1e9)
+    finally:
+        engine_module._COMPACT_MIN_CANCELLED = saved
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
+    return fired
+
+
+@given(ops=_OPS)
+def test_dispatch_matches_sorted_list_model(ops):
+    """Property: whatever mix of schedule/at/post/post_at/coalesce_at,
+    cancel (early and late), step and run_until a program makes — also
+    from inside callbacks — the engine dispatches exactly what a sorted
+    ``(time, seq)`` list would, and ``cancelled_pending`` always equals
+    the number of cancelled entries actually parked in the heap.
+    """
+    _execute(ops, "oracle")
+
+
+@given(ops=_OPS)
+def test_step_run_run_until_agree_with_and_without_compaction(ops):
+    reference = _execute(ops, "oracle")
+    for drain in ("step", "run", "run_until"):
+        for compact_min in (0, _COMPACT_MIN_CANCELLED):
+            assert _execute(ops, drain, compact_min) == reference

@@ -23,7 +23,7 @@ def test_every_runtime_variable_is_declared():
     declared = set(env.REGISTRY)
     assert {
         "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_TRACE_RUN",
-        "REPRO_LOG_LEVEL", "REPRO_PACKET_FREELIST", "REPRO_BATCHED_MONITOR",
+        "REPRO_LOG_LEVEL", "REPRO_BATCHED_MONITOR",
         "REPRO_BENCH_JSON", "REPRO_BENCH_SMOKE", "REPRO_BENCH_STRICT",
     } <= declared
     for var in env.describe():

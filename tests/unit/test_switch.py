@@ -77,20 +77,38 @@ def test_ttl_expiry_drops(sim):
     assert not sinks[1].arrivals
 
 
+def _egress_port_taken(switch, sinks, sim, packet):
+    """Which egress port ``receive`` forwards ``packet`` to."""
+    before = [len(sink.arrivals) for sink in sinks]
+    switch.receive(packet, 0)
+    sim.run()
+    (port,) = [
+        i for i, sink in enumerate(sinks) if len(sink.arrivals) > before[i]
+    ]
+    return port
+
+
 def test_ecmp_is_deterministic_per_flow(sim):
-    switch, _ = make_switch(sim, n_ports=4)
+    switch, sinks = make_switch(sim, n_ports=4)
     switch.set_forwarding(9, [0, 1, 2, 3])
-    first = switch._route(data_packet(5, 0, 9, payload=1, seq=0, last=False))
-    for seq in range(10):
-        pkt = data_packet(5, 0, 9, payload=1, seq=seq, last=False)
-        assert switch._route(pkt) == first
+    ports = {
+        _egress_port_taken(
+            switch, sinks, sim,
+            data_packet(5, 0, 9, payload=1, seq=seq, last=False),
+        )
+        for seq in range(10)
+    }
+    assert len(ports) == 1  # one flow, one path: never reordered
 
 
 def test_ecmp_spreads_flows(sim):
-    switch, _ = make_switch(sim, n_ports=4)
+    switch, sinks = make_switch(sim, n_ports=4)
     switch.set_forwarding(9, [0, 1, 2, 3])
     ports = {
-        switch._route(data_packet(fid, 0, 9, payload=1, seq=0, last=False))
+        _egress_port_taken(
+            switch, sinks, sim,
+            data_packet(fid, 0, 9, payload=1, seq=0, last=False),
+        )
         for fid in range(64)
     }
     assert len(ports) == 4  # all uplinks used across many flows
@@ -213,13 +231,36 @@ def test_pfc_disabled_sends_no_pauses(sim):
     assert switch.pfc_pauses_sent == 0
 
 
-def test_dt_threshold_shrinks_with_occupancy(sim):
+def _pauses_after_one_packet(sim, occupied):
+    """XOFFs sent for one 1000 B arrival into a 100 KB, alpha=1/2 switch."""
     switch, _ = make_switch(sim, buffer_bytes=kb(100.0), pfc_alpha=0.5)
-    empty_threshold = switch._dt_threshold()
-    switch.occupied_bytes = kb(60.0)
-    assert switch._dt_threshold() < empty_threshold
-    switch.occupied_bytes = kb(200.0)  # over-full: threshold floors at 0
-    assert switch._dt_threshold() == 0.0
+    switch.set_forwarding(9, [1])
+    upstream = QueuedEgress(sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6))
+    switch.set_ingress_peer(0, upstream, 1e-6)
+    switch.egress[1].set_paused(True)
+    switch.occupied_bytes = occupied
+    switch.receive(data_packet(1, 0, 9, payload=938, seq=0, last=False), 0)
+    return switch.pfc_pauses_sent
+
+
+def test_dt_threshold_shrinks_with_occupancy(sim):
+    # Empty buffer: threshold 0.5 x 99 KB, one packet is far below it.
+    assert _pauses_after_one_packet(sim, 0) == 0
+    # 98.5 KB occupied: threshold 0.5 x 500 B < the 1000 B just buffered.
+    assert _pauses_after_one_packet(sim, kb(98.5)) == 1
+
+
+def test_dt_threshold_floors_at_zero_when_overfull(sim):
+    switch, _ = make_switch(sim, buffer_bytes=kb(100.0), pfc_alpha=0.5)
+    upstream = QueuedEgress(sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6))
+    switch.set_ingress_peer(0, upstream, 1e-6)
+    packet = data_packet(1, 0, 9, payload=938, seq=0, last=False)
+    packet.ingress_port = 0
+    switch.occupied_bytes = kb(200.0)  # over-full: threshold is 0, not < 0
+    switch.ingress_bytes[0] = packet.wire_size
+    switch._upstream_paused[0] = True
+    switch._account(packet)            # dequeue: port 0 drains to 0 bytes
+    assert not switch._upstream_paused[0]  # 0 buffered <= 0/2: XON
 
 
 def test_total_paused_time_aggregates_ports(sim):
