@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
-DATE := $(shell date +%Y%m%d)
 
-.PHONY: test lint lint-cold bench bench-smoke perf perf-ab report figures clean
+.PHONY: test lint lint-cold perf perf-ab report figures clean
 
 # Tier-1 suite (the gate every PR must keep green).
 test:
@@ -19,18 +18,6 @@ lint:
 
 lint-cold:
 	$(PYTHON) -m tools.replint src --no-cache
-
-# Full perf regression bench; archives machine-readable results as
-# BENCH_<date>.json next to the human-readable results/ text files.
-bench:
-	REPRO_BENCH_JSON=BENCH_$(DATE).json \
-		$(PYTHON) -m pytest benchmarks/test_perf_regression.py -q -s
-	@echo "wrote BENCH_$(DATE).json"
-
-# Seconds-long variant for CI smoke runs (no timing assertions).
-bench-smoke:
-	REPRO_BENCH_SMOKE=1 \
-		$(PYTHON) -m pytest benchmarks/test_perf_regression.py -q -s
 
 # The repo benchmark (BENCHMARK.json): four workloads, end-to-end and
 # per-layer metrics, ~4 min.  See benchmarks/perf/README.md.

@@ -13,7 +13,6 @@
     python -m repro telemetry --validate t.jsonl # schema-check every line
     python -m repro run --record r.json ...      # flight-record a run
     python -m repro report r.json --out r.html   # render the run report
-    python -m repro bench trend                  # deltas across BENCH_*.json
     python -m repro env                          # list REPRO_* variables
     python -m repro env --markdown               # README env-var table
 
@@ -93,11 +92,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strategy",
-        choices=["auto", "process", "thread", "inline"],
+        choices=["auto", "process", "inline"],
         default=None,
         help="parallel eval strategy: auto measures per-task cost and "
              "picks, process = persistent worker pool with "
-             "shared-memory transport, thread, inline; results are "
+             "shared-memory transport, inline; results are "
              "digest-identical across strategies (default: "
              "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
     )
@@ -122,24 +121,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "(inspect with `python -m pstats PATH`)",
     )
     parser.add_argument(
-        "--batched-monitor",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="vectorized monitoring data plane: buffer sketch "
-             "observations and process them in batches "
-             "(default: REPRO_BATCHED_MONITOR env, on when unset; "
-             "results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--hybrid-engine",
-        choices=["off", "lanes", "hybrid"],
+        choices=["off", "hybrid"],
         default=None,
         metavar="MODE",
-        help="hybrid flow/packet engine: off = pure DES, lanes = "
-             "vectorized DCQCN timer lanes (bit-identical, faster), "
-             "hybrid = fluid fast path for elephant flows (fastest, "
-             "approximate) (default: REPRO_HYBRID_ENGINE env, off "
-             "when unset)",
+        help="hybrid flow/packet engine: off = pure DES, hybrid = "
+             "fluid fast path for elephant flows (faster, approximate) "
+             "(default: REPRO_HYBRID_ENGINE env, off when unset)",
     )
 
 
@@ -508,27 +496,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import glob
-
-    from repro.telemetry import report as report_mod
-
-    paths = args.files or sorted(glob.glob("BENCH_*.json"))
-    if not paths:
-        echo("no BENCH_*.json snapshots found; run `make bench` to create one")
-        return 0
-    try:
-        trend = report_mod.bench_trend(paths, threshold=args.threshold)
-    except OSError as exc:
-        _log.error("cannot read bench snapshot: %s", exc)
-        return 2
-    except ValueError as exc:
-        _log.error("cannot parse bench snapshot: %s", exc)
-        return 2
-    echo(report_mod.format_trend(trend))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -737,43 +704,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.set_defaults(func=cmd_report)
 
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark-history tooling"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-    trend_parser = bench_sub.add_parser(
-        "trend",
-        help="per-metric deltas and regressions across committed "
-             "BENCH_*.json snapshots",
-    )
-    trend_parser.add_argument(
-        "files", nargs="*",
-        help="bench snapshots, oldest first "
-             "(default: sorted BENCH_*.json glob in the working directory)",
-    )
-    trend_parser.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="fractional worsening vs the previous snapshot that counts "
-             "as a regression (default: 0.10)",
-    )
-    trend_parser.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    batched = getattr(args, "batched_monitor", None)
-    if batched is not None:
-        # Export before the executor exists so pool workers inherit it.
-        from repro import env
-        from repro.monitor.agent import BATCHED_MONITOR_ENV
-
-        env.export_env(BATCHED_MONITOR_ENV, batched)
     engine_mode = getattr(args, "hybrid_engine", None)
     if engine_mode is not None:
-        # Same contract as --batched-monitor: exported before any pool
-        # spawns so workers build their fabrics in the same mode.
+        # Exported before any pool spawns so workers build their
+        # fabrics in the same mode.
         from repro import env
         from repro.simulator.hybrid import HYBRID_ENGINE_ENV
 

@@ -16,7 +16,7 @@ proposal order — preserving the exact Metropolis semantics of
 Determinism: loops are stepped in sorted-tenant order, each annealer
 owns a ``random.Random(rng_seed + tenant)``, and evaluations are pure
 functions of their tasks, so the retuned parameters are digest-stable
-across executor strategies (inline, threads, sharded pool).
+across executor strategies (inline, sharded pool).
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ class ParaleonSystem:
         sketch_config: Optional[ElasticSketchConfig] = None,
         netflow_config: Optional[NetFlowConfig] = None,
         name: Optional[str] = None,
-        batched_monitor: Optional[bool] = None,
     ):
         self.config = config or ParaleonConfig()
         self.initial_params = initial_params or default_params()
@@ -72,8 +71,6 @@ class ParaleonSystem:
         self.sketch_config = sketch_config
         self.netflow_config = netflow_config
         self.name = name or "Paraleon"
-        #: None → resolve REPRO_BATCHED_MONITOR at agent construction.
-        self.batched_monitor = batched_monitor
 
         rng = random.Random(self.config.seed)
         if annealer == "improved":
@@ -121,7 +118,6 @@ class ParaleonSystem:
                         tau=self.config.tau,
                         delta=self.config.delta,
                         dedup_marking=self.dedup_marking,
-                        batched=self.batched_monitor,
                     )
                 )
             elif self.monitor is MonitorKind.NAIVE_SKETCH:

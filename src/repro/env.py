@@ -5,9 +5,9 @@ name, type, default, and a docstring — and every runtime read or write
 of the process environment goes through this module.  That buys three
 things the previous scattered ``os.environ.get`` calls could not:
 
-* **One parsing convention.**  Booleans accept ``0/false/no/off``
-  (case-insensitive) as false everywhere, instead of three site-local
-  dialects; disable-able paths accept ``0``/``off``/empty uniformly.
+* **One parsing convention.**  Disable-able paths accept
+  ``0``/``off``/empty uniformly; integers clamp to >= 1 and reject
+  non-numeric text with a ``ValueError`` naming the variable.
 * **A self-documenting surface.**  ``python -m repro env`` lists every
   variable with its type, default, and current value;
   ``python -m repro env --markdown`` emits the README table, so docs
@@ -28,9 +28,6 @@ import os  # the one module allowed to touch os.environ (replint RL004)
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-#: Strings read as boolean false (case-insensitive, stripped).
-_FALSE_WORDS = ("0", "false", "no", "off")
-
 #: Strings that disable an optional-path variable.
 _PATH_OFF = ("", "0", "off")
 
@@ -40,7 +37,7 @@ class EnvVar:
     """Declaration of one environment variable."""
 
     name: str
-    kind: str  # "str" | "int" | "bool" | "path"
+    kind: str  # "str" | "int" | "path"
     default: Any
     doc: str
 
@@ -48,11 +45,6 @@ class EnvVar:
         """Parsed value of ``raw``; ``None``/empty falls to the default."""
         if raw is None:
             return self.default
-        if self.kind == "bool":
-            text = raw.strip().lower()
-            if not text:
-                return self.default
-            return text not in _FALSE_WORDS
         if self.kind == "int":
             text = raw.strip()
             if not text:
@@ -60,7 +52,9 @@ class EnvVar:
             try:
                 return max(1, int(text))
             except ValueError:
-                return self.default
+                raise ValueError(
+                    f"{self.name} must be an integer, got {raw!r}"
+                ) from None
         if self.kind == "path":
             if raw.strip().lower() in _PATH_OFF:
                 return None
@@ -93,7 +87,7 @@ _declare(
     "REPRO_EXECUTOR_STRATEGY", "str", "auto",
     "Parallel eval strategy (`--strategy`): `auto` estimates per-task "
     "cost online and picks, `process` = persistent worker pool with "
-    "shared-memory transport, `thread`, `inline`. Results are "
+    "shared-memory transport, `inline`. Results are "
     "digest-identical across strategies.",
 )
 _declare(
@@ -136,26 +130,10 @@ _declare(
     "...) or a numeric level.",
 )
 _declare(
-    "REPRO_BATCHED_MONITOR", "bool", True,
-    "Vectorized monitoring data plane (`--batched-monitor`); results "
-    "are bit-identical either way, the scalar path is just slower.",
-)
-_declare(
     "REPRO_HYBRID_ENGINE", "str", "off",
     "Hybrid flow/packet engine mode (`--hybrid-engine`): `off` = pure "
-    "DES (digest-identical to the seed), `lanes` = vectorized DCQCN "
-    "timer lanes (bit-identical, faster), `hybrid` = fluid fast path "
-    "for elephants (fastest, approximate).",
-)
-_declare(
-    "REPRO_LANES_MIN_QPS", "int", 256,
-    "Expected-QP floor for `--hybrid-engine lanes`: scenarios whose "
-    "concurrent QP population is below this fall back to the scalar "
-    "`off` path (the lane bank's batch arithmetic loses on tiny "
-    "populations; the `hybrid_engine` bench showed `lanes` losing to "
-    "`off` at 240 QPs, hence the floor sits above that). "
-    "Digest-identical either way; the decision is recorded as an "
-    "`engine.lanes_fallback` trace event.",
+    "DES (digest-identical to the seed), `hybrid` = fluid fast path "
+    "for elephants (faster, approximate).",
 )
 _declare(
     "REPRO_CP_SHARDS", "int", 4,
@@ -173,21 +151,6 @@ _declare(
     "Tenant count for the sharded control plane; racks are assigned "
     "round-robin (rack % tenants), and each tenant gets an "
     "independent KL trigger and tuning loop.",
-)
-_declare(
-    "REPRO_BENCH_JSON", "path", None,
-    "Write machine-readable perf-bench results to this path "
-    "(`make bench` sets it to `BENCH_<date>.json`).",
-)
-_declare(
-    "REPRO_BENCH_SMOKE", "bool", False,
-    "Shrink the perf benchmarks to smoke size (CI shared runners); "
-    "timing assertions are skipped.",
-)
-_declare(
-    "REPRO_BENCH_STRICT", "bool", False,
-    "Turn perf-bench baseline comparisons into hard assertions "
-    "(the local regression gate).",
 )
 
 
@@ -222,11 +185,9 @@ def export_env(name: str, value: Any) -> None:
 
     The registry is also the chokepoint for *writes*: values exported
     here are inherited by pool workers spawned afterwards (how
-    ``--trace`` and ``--batched-monitor`` propagate).
+    ``--trace`` and ``--hybrid-engine`` propagate).
     """
     _lookup(name)
-    if isinstance(value, bool):
-        value = "1" if value else "0"
     os.environ[name] = str(value)
 
 
@@ -249,8 +210,6 @@ def describe() -> Iterator[EnvVar]:
 def _default_text(var: EnvVar) -> str:
     if var.default is None:
         return "unset"
-    if var.kind == "bool":
-        return "on" if var.default else "off"
     return f"`{var.default}`"
 
 

@@ -18,7 +18,6 @@ from repro.monitor.agent import (
     LocalReport,
     NetFlowAgent,
     NaiveSketchAgent,
-    batched_monitor_default,
 )
 from repro.monitor.aggregate import FsdAggregator
 
@@ -27,7 +26,6 @@ __all__ = [
     "FlowStateEntry",
     "SlidingWindowClassifier",
     "ColumnarSlidingWindowClassifier",
-    "batched_monitor_default",
     "FlowSizeDistribution",
     "kl_divergence",
     "SwitchAgent",

@@ -19,33 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import env
 from repro.monitor.fsd import FlowSizeDistribution
 from repro.monitor.states import (
     ColumnarSlidingWindowClassifier,
     SingleIntervalClassifier,
-    SlidingWindowClassifier,
 )
 from repro.telemetry import trace
 from repro.simulator.switch import Switch
 from repro.simulator.units import mb
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from repro.sketch.netflow import NetFlowConfig, NetFlowMonitor
-
-#: Environment switch for the vectorized monitoring data plane.  Unset
-#: or truthy → batched; "0"/"false"/"no"/"off" → scalar per-packet path.
-BATCHED_MONITOR_ENV = "REPRO_BATCHED_MONITOR"
-
-
-def batched_monitor_default() -> bool:
-    """Resolve the process-wide default monitoring mode.
-
-    Read at agent construction time (not import time) so tests and the
-    CLI can flip the mode per run, and so pool workers inheriting the
-    environment resolve the same mode as the parent.
-    """
-    return env.get(BATCHED_MONITOR_ENV)
-
 
 @dataclass
 class LocalReport:
@@ -55,7 +38,6 @@ class LocalReport:
     fsd: FlowSizeDistribution
     tracked_flows: int
     interval_bytes: int
-    batched: bool = False
 
     def payload_bytes(self) -> int:
         """Approximate on-the-wire size (Table IV accounting).
@@ -80,7 +62,6 @@ def _trace_report(report: LocalReport) -> LocalReport:
                 "interval_bytes": report.interval_bytes,
                 "payload_bytes": report.payload_bytes(),
                 "total_flows": report.fsd.total_flows,
-                "batched": report.batched,
             },
         )
     return report
@@ -89,12 +70,14 @@ def _trace_report(report: LocalReport) -> LocalReport:
 class SwitchAgent:
     """Paraleon agent: Elastic Sketch + sliding-window ternary states.
 
-    With ``batched=True`` (the default, via ``REPRO_BATCHED_MONITOR``)
-    the whole interval runs columnar: the switch rings observations
+    The whole interval runs columnar: the switch rings observations
     into a preallocated buffer, the sketch is read and reset as flat
     arrays, flow states advance with masked numpy ops, and the FSD is
-    summed by the same kernel the scalar path uses — so both modes
-    yield bit-identical reports and run digests.
+    summed by the same kernel the scalar reference pieces
+    (``ElasticSketch.read_and_reset`` → ``SlidingWindowClassifier`` →
+    ``FlowSizeDistribution.from_entries``) use, so reports and run
+    digests are bit-identical to that reference
+    (``test_reports_bit_identical_across_modes``).
     """
 
     def __init__(
@@ -104,49 +87,34 @@ class SwitchAgent:
         tau: int = mb(1.0),
         delta: int = 3,
         dedup_marking: bool = True,
-        batched: Optional[bool] = None,
     ):
         self.switch = switch
         self.sketch = ElasticSketch(
             sketch_config
             or ElasticSketchConfig(seed=switch.switch_id)
         )
-        self.batched = batched_monitor_default() if batched is None else batched
-        if self.batched:
-            self.classifier = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
-        else:
-            self.classifier = SlidingWindowClassifier(tau=tau, delta=delta)
+        self.classifier = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
         self.tau = tau
         switch.measurement = self.sketch
         switch.dedup_marking = dedup_marking
-        if self.batched:
-            switch.enable_batched_observation()
+        switch.enable_batched_observation()
         self.reports_made = 0
 
     def collect(self, now: float) -> LocalReport:
         """One monitor interval: read+reset sketch, update states."""
         self.reports_made += 1
-        if self.batched:
-            self.switch.flush_observations()
-            flow_ids, interval_vals = self.sketch.read_and_reset_arrays()
-            self.classifier.update_arrays(flow_ids, interval_vals)
-            ids, cum, codes = self.classifier.snapshot_columns()
-            fsd = FlowSizeDistribution.from_columns(ids, cum, codes, tau=self.tau)
-            total_bytes = int(interval_vals.sum()) if interval_vals.size else 0
-        else:
-            interval_bytes = self.sketch.read_and_reset()
-            self.classifier.update(interval_bytes)
-            fsd = FlowSizeDistribution.from_entries(
-                self.classifier.flows.values(), tau=self.tau
-            )
-            total_bytes = sum(interval_bytes.values())
+        self.switch.flush_observations()
+        flow_ids, interval_vals = self.sketch.read_and_reset_arrays()
+        self.classifier.update_arrays(flow_ids, interval_vals)
+        ids, cum, codes = self.classifier.snapshot_columns()
+        fsd = FlowSizeDistribution.from_columns(ids, cum, codes, tau=self.tau)
+        total_bytes = int(interval_vals.sum()) if interval_vals.size else 0
         return _trace_report(
             LocalReport(
                 switch_name=self.switch.name,
                 fsd=fsd,
                 tracked_flows=len(self.classifier),
                 interval_bytes=total_bytes,
-                batched=self.batched,
             )
         )
 

@@ -38,7 +38,6 @@ from repro.parallel.tasks import (
     ScenarioSpec,
     derive_task_seed,
     evaluate_task,
-    expected_qp_count,
     extract_schedule,
     make_abort_check,
     scheduled_interval_count,
@@ -55,7 +54,6 @@ __all__ = [
     "close_shared_pool",
     "derive_task_seed",
     "evaluate_task",
-    "expected_qp_count",
     "extract_schedule",
     "get_shared_pool",
     "make_abort_check",

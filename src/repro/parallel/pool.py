@@ -33,7 +33,7 @@ alive across calls:
   fingerprint changes.
 
 The pool is strategy-agnostic plumbing: chunking, retry policy and the
-thread/process/inline choice live in
+process/inline choice live in
 :class:`repro.parallel.executor.SweepExecutor`.
 """
 
@@ -80,9 +80,7 @@ PROPAGATED_ENV: Tuple[str, ...] = (
     "REPRO_RECORD",
     "REPRO_RECORD_BUDGET",
     "REPRO_LOG_LEVEL",
-    "REPRO_BATCHED_MONITOR",
     "REPRO_HYBRID_ENGINE",
-    "REPRO_LANES_MIN_QPS",
 )
 
 #: Env knob sizing each worker's shared-memory result slot.

@@ -105,9 +105,6 @@ def offline_grid_search_parallel(
                     -i,
                 ),
             )
-            # engine_mode=None honours a session-wide `lanes` setting
-            # (bit-identical to `off`), so the confirmation stays full
-            # fidelity either way.
             confirm = executor.map(
                 [
                     EvalTask(

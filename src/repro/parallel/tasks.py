@@ -115,13 +115,12 @@ class EvalTask:
     #: Fraction of the scheduled intervals that must elapse before the
     #: abort rule may fire (warm-up guard against noisy early intervals).
     abort_after_frac: float = 0.5
-    #: Hybrid-engine mode for this evaluation (``off`` / ``lanes`` /
-    #: ``hybrid``); ``None`` resolves ``REPRO_HYBRID_ENGINE`` at network
+    #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``);
+    #: ``None`` resolves ``REPRO_HYBRID_ENGINE`` at network
     #: construction.  Lives on the task, not the scenario spec, so
     #: scenario fingerprints — and therefore cache keys and warm-start
-    #: identities — are unchanged for the default modes (``off`` and
-    #: ``lanes`` are digest-identical, so they legitimately share cache
-    #: entries; ``hybrid`` results are never cached).
+    #: identities — do not depend on it (``hybrid`` results are never
+    #: cached).
     engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -283,43 +282,6 @@ def extract_schedule(spec: ScenarioSpec) -> Optional[Schedule]:
     ]
 
 
-def expected_qp_count(
-    spec: ScenarioSpec, schedule: Optional[Schedule] = None
-) -> Optional[int]:
-    """Estimated concurrent QP (flow) population of one evaluation.
-
-    Used to decide whether the vectorized lane bank is worth engaging
-    (:func:`repro.simulator.hybrid.lanes_floor`).  A precomputed
-    schedule gives the exact flow count; fan-out workloads are
-    estimated from their worker count; open-loop arrival workloads
-    return None (population unknown, keep the requested mode).
-    """
-    if schedule is not None:
-        return len(schedule)
-    if spec.workload in ("alltoall", "llm"):
-        return spec.n_workers * max(1, spec.n_workers - 1)
-    if spec.workload == "incast":
-        return spec.n_workers
-    return None
-
-
-def warm_engine_mode(
-    spec: ScenarioSpec, schedule: Optional[Schedule]
-) -> str:
-    """Engine mode a warm fabric for ``spec`` should be built with.
-
-    Matches what :func:`evaluate_task` resolves for tasks that do not
-    pin ``engine_mode`` — including the lanes→off QP floor — so warm
-    networks survive the mode-mismatch guard instead of being rebuilt
-    on every task.
-    """
-    from repro.simulator.hybrid import lanes_floor, resolve_hybrid_mode
-
-    return lanes_floor(
-        resolve_hybrid_mode(None), expected_qp_count(spec, schedule)
-    )
-
-
 def build_scenario(
     spec: ScenarioSpec,
     seed: int,
@@ -442,16 +404,11 @@ def evaluate_task(
     """
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.scenarios import make_tuner
-    from repro.simulator.hybrid import lanes_floor, resolve_hybrid_mode
+    from repro.simulator.hybrid import resolve_hybrid_mode
 
     spec = task.scenario
     stop_when = None
     mode = resolve_hybrid_mode(task.engine_mode)
-    if task.engine_mode is None:
-        # The QP floor only overrides the *environment* default: a task
-        # that pins its engine mode (fidelity rungs, gating tests) said
-        # exactly what it wants and gets it.
-        mode = lanes_floor(mode, expected_qp_count(spec, schedule))
     if network is not None and network.hybrid_mode != mode:
         # Warm fabrics are keyed by scenario fingerprint only; a task
         # asking for a different engine mode (e.g. a hybrid screening

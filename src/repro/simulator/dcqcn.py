@@ -32,11 +32,9 @@ tuner can swap one object per device and affect all three roles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-import numpy as np
-
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.units import kb, mbps, us
 
 _DISARMED = float("inf")
@@ -284,417 +282,6 @@ class DcqcnRp:
         self.rc = max(self.rc, params.rpg_min_rate)
         if self.on_rate_change is not None:
             self.on_rate_change()
-
-
-class DcqcnLaneBank:
-    """Vectorized RP timer plane: all QPs' timers in numpy lanes.
-
-    The scalar :class:`DcqcnRp` schedules two engine events per QP per
-    timer period (alpha decay at ``dce_tcp_rtt``, rate increase at
-    ``rpg_time_reset``) plus one cancel-and-rearm per rate cut — the
-    dominant event population on a busy host.  The bank keeps the same
-    state in float64/int64 arrays, one lane per QP, and schedules a
-    *single* engine event at the minimum pending deadline; every lane
-    whose deadline equals that exact float advances in one array step.
-
-    Bit-identity contract (the ``lanes`` gating mode): every arithmetic
-    operation below is the same IEEE-double expression the scalar class
-    evaluates, element-wise, and coalesced same-time ticks only touch
-    per-lane state, so lane-mode runs produce byte-identical digests.
-    Parameters are read through each lane's ``params_ref`` at tick time,
-    exactly like the scalar timers, so controller dispatches take effect
-    immediately.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 16):
-        self.sim = sim
-        self._cap = max(4, capacity)
-        n = self._cap
-        self.rc = np.zeros(n)
-        self.rt = np.zeros(n)
-        self.alpha = np.zeros(n)
-        self.line_rate = np.zeros(n)
-        self.byte_counter = np.zeros(n, dtype=np.int64)
-        self.byte_stage = np.zeros(n, dtype=np.int64)
-        self.time_stage = np.zeros(n, dtype=np.int64)
-        self.incr_iter = np.zeros(n, dtype=np.int64)
-        self.last_cut = np.full(n, -np.inf)
-        self.cnp_seen = np.zeros(n, dtype=bool)
-        self.active = np.zeros(n, dtype=bool)
-        # inf = timer disarmed; the engine event sits at the global min.
-        self.alpha_deadline = np.full(n, np.inf)
-        self.incr_deadline = np.full(n, np.inf)
-        self.cnps_received = np.zeros(n, dtype=np.int64)
-        self.rate_cuts = np.zeros(n, dtype=np.int64)
-        self.increase_events = np.zeros(n, dtype=np.int64)
-        self.params_ref: List[Optional[Callable[[], DcqcnParams]]] = [None] * n
-        self.on_rate_change: List[Optional[Callable[[], None]]] = [None] * n
-        self._free: List[int] = list(range(n - 1, -1, -1))
-        self._n = 0                      # high-water mark of lanes in use
-        self._event: Optional[EventHandle] = None
-        # Diagnostics: coalesced ticks vs lanes advanced.
-        self.ticks = 0
-        self.lanes_fired = 0
-
-    # -- lane lifecycle -------------------------------------------------
-
-    def _grow(self) -> None:
-        old = self._cap
-        new = old * 2
-        for name in (
-            "rc", "rt", "alpha", "line_rate", "byte_counter", "byte_stage",
-            "time_stage", "incr_iter", "last_cut", "cnp_seen", "active",
-            "alpha_deadline", "incr_deadline", "cnps_received", "rate_cuts",
-            "increase_events",
-        ):
-            arr = getattr(self, name)
-            fill = np.inf if name in ("alpha_deadline", "incr_deadline") else (
-                -np.inf if name == "last_cut" else 0
-            )
-            grown = np.full(new, fill, dtype=arr.dtype)
-            grown[:old] = arr
-            setattr(self, name, grown)
-        self.params_ref.extend([None] * old)
-        self.on_rate_change.extend([None] * old)
-        self._free.extend(range(new - 1, old - 1, -1))
-        self._cap = new
-
-    def new_rp(
-        self,
-        line_rate_bps: float,
-        params_ref: Callable[[], DcqcnParams],
-        on_rate_change: Optional[Callable[[], None]] = None,
-    ) -> "LanedDcqcnRp":
-        """Allocate a lane initialized exactly like ``DcqcnRp.__init__``."""
-        if not self._free:
-            self._grow()
-        i = self._free.pop()
-        self._n = max(self._n, i + 1)
-        params = params_ref()
-        self.rc[i] = line_rate_bps
-        self.rt[i] = line_rate_bps
-        self.alpha[i] = params.initial_alpha
-        self.line_rate[i] = line_rate_bps
-        self.byte_counter[i] = 0
-        self.byte_stage[i] = 0
-        self.time_stage[i] = 0
-        self.incr_iter[i] = 0
-        self.last_cut[i] = -np.inf
-        self.cnp_seen[i] = False
-        self.active[i] = False
-        self.alpha_deadline[i] = np.inf
-        self.incr_deadline[i] = np.inf
-        self.cnps_received[i] = 0
-        self.rate_cuts[i] = 0
-        self.increase_events[i] = 0
-        self.params_ref[i] = params_ref
-        self.on_rate_change[i] = on_rate_change
-        return LanedDcqcnRp(self, i)
-
-    def start(self, i: int) -> None:
-        if self.active[i]:
-            return
-        self.active[i] = True
-        params = self.params_ref[i]()
-        now = self.sim.now
-        self.alpha_deadline[i] = now + params.dce_tcp_rtt
-        self.incr_deadline[i] = now + params.rpg_time_reset
-        self._refresh_event()
-
-    def stop(self, i: int) -> None:
-        self.active[i] = False
-        self.alpha_deadline[i] = np.inf
-        self.incr_deadline[i] = np.inf
-        self._free.append(i)
-        self.params_ref[i] = None
-        self.on_rate_change[i] = None
-
-    # -- per-packet paths (scalar, one lane) ----------------------------
-
-    def on_cnp(self, i: int) -> None:
-        if not self.active[i]:
-            return
-        params = self.params_ref[i]()
-        g = params.dce_tcp_g
-        self.alpha[i] = (1.0 - g) * self.alpha[i] + g
-        self.cnp_seen[i] = True
-        self.cnps_received[i] += 1
-        now = self.sim.now
-        if now - self.last_cut[i] >= params.rate_reduce_monitor_period:
-            self._cut_rate(i, params, now)
-            self.last_cut[i] = now
-
-    def _cut_rate(self, i: int, params: DcqcnParams, now: float) -> None:
-        rc = self.rc[i]
-        self.rt[i] = rc
-        factor = max(1.0 - self.alpha[i] / 2.0, 1.0 - params.min_dec_fac)
-        self.rc[i] = max(rc * factor, params.rpg_min_rate)
-        self.rate_cuts[i] += 1
-        self.byte_counter[i] = 0
-        self.byte_stage[i] = 0
-        self.time_stage[i] = 0
-        self.incr_iter[i] = 0
-        self.incr_deadline[i] = now + params.rpg_time_reset
-        self._refresh_event()
-        callback = self.on_rate_change[i]
-        if callback is not None:
-            callback()
-
-    def on_packet_sent(self, i: int, wire_bytes: int) -> None:
-        if not self.active[i]:
-            return
-        counter = int(self.byte_counter[i]) + wire_bytes
-        params = self.params_ref[i]()
-        reset = params.rpg_byte_reset
-        while counter >= reset:
-            counter -= reset
-            self.byte_stage[i] += 1
-            self._increase_event_scalar(i, params)
-        self.byte_counter[i] = counter
-
-    def _increase_event_scalar(self, i: int, params: DcqcnParams) -> None:
-        self.increase_events[i] += 1
-        threshold = params.rpg_threshold
-        byte_stage = self.byte_stage[i]
-        time_stage = self.time_stage[i]
-        rt = self.rt[i]
-        if max(byte_stage, time_stage) < threshold:
-            pass  # fast recovery: rt unchanged
-        elif min(byte_stage, time_stage) < threshold:
-            rt = rt + params.rpg_ai_rate
-        else:
-            self.incr_iter[i] += 1
-            rt = rt + self.incr_iter[i] * params.rpg_hai_rate
-        line = self.line_rate[i]
-        rt = min(rt, line)
-        rc = min((self.rc[i] + rt) / 2.0, line)
-        rc = max(rc, params.rpg_min_rate)
-        self.rt[i] = rt
-        self.rc[i] = rc
-        callback = self.on_rate_change[i]
-        if callback is not None:
-            callback()
-
-    # -- coalesced timer plane ------------------------------------------
-
-    def _refresh_event(self) -> None:
-        """Keep one engine event pending at the minimum deadline."""
-        n = self._n
-        if n == 0:
-            next_t = np.inf
-        else:
-            next_t = min(
-                self.alpha_deadline[:n].min(), self.incr_deadline[:n].min()
-            )
-        event = self._event
-        if next_t == np.inf:
-            if event is not None:
-                event.cancel()
-                self._event = None
-            return
-        if event is not None:
-            if event.time <= next_t:
-                return  # fires at/before the min; spurious wakes re-arm
-            event.cancel()
-        self._event = self.sim.at(float(next_t), self._tick)
-
-    def _tick(self) -> None:
-        self._event = None
-        now = self.sim.now
-        n = self._n
-        self.ticks += 1
-        alpha_fired = np.flatnonzero(self.alpha_deadline[:n] == now)
-        incr_fired = np.flatnonzero(self.incr_deadline[:n] == now)
-        # Alpha before increase: the two planes touch disjoint state
-        # (alpha/cnp flag vs rc/rt/stages), so same-time order between
-        # them — and among coalesced lanes — cannot change the outcome.
-        if alpha_fired.size:
-            self._alpha_fire(alpha_fired, now)
-        if incr_fired.size:
-            self._incr_fire(incr_fired, now)
-        self.lanes_fired += int(alpha_fired.size + incr_fired.size)
-        self._refresh_event()
-
-    def _gather(self, idx: np.ndarray, names: tuple) -> List[np.ndarray]:
-        """Live per-lane parameter columns for the fired lanes."""
-        refs = self.params_ref
-        cols = [np.empty(idx.size) for _ in names]
-        for k, i in enumerate(idx):
-            params = refs[i]()
-            for c, name in enumerate(names):
-                cols[c][k] = getattr(params, name)
-        return cols
-
-    def _alpha_fire(self, idx: np.ndarray, now: float) -> None:
-        if idx.size == 1:
-            # Scalar fast path: staggered start times make one-lane
-            # ticks the common case, where array temporaries cost more
-            # than the work.  Same IEEE-double expressions as below.
-            i = int(idx[0])
-            params = self.params_ref[i]()
-            if not self.cnp_seen[i]:
-                self.alpha[i] = (1.0 - params.dce_tcp_g) * self.alpha[i]
-            self.cnp_seen[i] = False
-            self.alpha_deadline[i] = now + params.dce_tcp_rtt
-            return
-        g, period = self._gather(idx, ("dce_tcp_g", "dce_tcp_rtt"))
-        alpha = self.alpha[idx]
-        quiet = ~self.cnp_seen[idx]
-        # Same expression as the scalar `_alpha_tick`, element-wise.
-        self.alpha[idx] = np.where(quiet, (1.0 - g) * alpha, alpha)
-        self.cnp_seen[idx] = False
-        self.alpha_deadline[idx] = now + period
-
-    def _incr_fire(self, idx: np.ndarray, now: float) -> None:
-        if idx.size == 1:
-            # Scalar fast path; mirrors `_increase_event_scalar` plus
-            # the timer re-arm, exactly like `DcqcnRp._increase_tick`.
-            i = int(idx[0])
-            params = self.params_ref[i]()
-            self.time_stage[i] += 1
-            self._increase_event_scalar(i, params)
-            self.incr_deadline[i] = now + params.rpg_time_reset
-            return
-        ai, hai, threshold, period, line_min = self._gather(
-            idx,
-            (
-                "rpg_ai_rate", "rpg_hai_rate", "rpg_threshold",
-                "rpg_time_reset", "rpg_min_rate",
-            ),
-        )
-        self.time_stage[idx] += 1
-        self.increase_events[idx] += 1
-        byte_stage = self.byte_stage[idx]
-        time_stage = self.time_stage[idx]
-        hi = np.maximum(byte_stage, time_stage)
-        lo = np.minimum(byte_stage, time_stage)
-        additive = (hi >= threshold) & (lo < threshold)
-        hyper = lo >= threshold
-        rt = self.rt[idx]
-        # x + 0.0 == x for the positive rates involved, so masked adds
-        # are bit-identical to the scalar branchy version.
-        rt = rt + np.where(additive, ai, 0.0)
-        incr_iter = self.incr_iter[idx] + hyper
-        rt = rt + np.where(hyper, incr_iter * hai, 0.0)
-        line = self.line_rate[idx]
-        rt = np.minimum(rt, line)
-        rc = np.minimum((self.rc[idx] + rt) / 2.0, line)
-        rc = np.maximum(rc, line_min)
-        self.incr_iter[idx] = incr_iter
-        self.rt[idx] = rt
-        self.rc[idx] = rc
-        self.incr_deadline[idx] = now + period
-        callbacks = self.on_rate_change
-        for i in idx:
-            callback = callbacks[i]
-            if callback is not None:
-                callback()
-
-    def qp_sample(self) -> dict:
-        """Aggregate rate/alpha/CNP state over active lanes (read-only).
-
-        One masked numpy reduction per field — the flight recorder's
-        vectorized alternative to walking every host's QP table.
-        """
-        n = self._n
-        mask = self.active[:n]
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            return {
-                "n": 0, "rate_sum": 0.0, "rate_min": 0.0,
-                "alpha_sum": 0.0, "alpha_max": 0.0, "cnps": 0,
-            }
-        rc = self.rc[:n][mask]
-        alpha = self.alpha[:n][mask]
-        return {
-            "n": count,
-            "rate_sum": float(rc.sum()),
-            "rate_min": float(rc.min()),
-            "alpha_sum": float(alpha.sum()),
-            "alpha_max": float(alpha.max()),
-            "cnps": int(self.cnps_received[:n][mask].sum()),
-        }
-
-    def reset(self) -> None:
-        """Drop every lane and the pending tick (warm-rebuild path)."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        self.active[:] = False
-        self.alpha_deadline[:] = np.inf
-        self.incr_deadline[:] = np.inf
-        self.params_ref = [None] * self._cap
-        self.on_rate_change = [None] * self._cap
-        self._free = list(range(self._cap - 1, -1, -1))
-        self._n = 0
-        self.ticks = 0
-        self.lanes_fired = 0
-
-
-class LanedDcqcnRp:
-    """``DcqcnRp``-compatible view over one :class:`DcqcnLaneBank` lane.
-
-    Hosts hand these to :class:`~repro.simulator.host.SenderQp` in
-    ``lanes``/``hybrid`` engine modes; the per-packet interface is
-    identical to the scalar class, only timer bookkeeping moves into
-    the bank's coalesced event.
-    """
-
-    __slots__ = ("bank", "lane")
-
-    def __init__(self, bank: DcqcnLaneBank, lane: int):
-        self.bank = bank
-        self.lane = lane
-
-    # -- rate state -----------------------------------------------------
-
-    @property
-    def rc(self) -> float:
-        return float(self.bank.rc[self.lane])
-
-    @property
-    def rt(self) -> float:
-        return float(self.bank.rt[self.lane])
-
-    @property
-    def alpha(self) -> float:
-        return float(self.bank.alpha[self.lane])
-
-    @property
-    def active(self) -> bool:
-        return bool(self.bank.active[self.lane])
-
-    # -- counters (diagnostics / tests) ---------------------------------
-
-    @property
-    def cnps_received(self) -> int:
-        return int(self.bank.cnps_received[self.lane])
-
-    @property
-    def rate_cuts(self) -> int:
-        return int(self.bank.rate_cuts[self.lane])
-
-    @property
-    def increase_events(self) -> int:
-        return int(self.bank.increase_events[self.lane])
-
-    # -- lifecycle / events ---------------------------------------------
-
-    def start(self) -> None:
-        self.bank.start(self.lane)
-
-    def stop(self) -> None:
-        if self.bank.active[self.lane]:
-            self.bank.stop(self.lane)
-
-    def on_ack(self, delay: float, hops: int = 0) -> None:
-        """ECN-driven like the scalar RP; delay feedback is a no-op."""
-
-    def on_cnp(self) -> None:
-        self.bank.on_cnp(self.lane)
-
-    def on_packet_sent(self, wire_bytes: int) -> None:
-        self.bank.on_packet_sent(self.lane, wire_bytes)
 
 
 def ecn_mark_probability(queue_bytes: int, params: DcqcnParams) -> float:

@@ -218,12 +218,6 @@ class Host:
         self.egress: Optional[HostEgress] = None
         self.line_rate = 0.0
 
-        # Vectorized RP lane bank (hybrid-engine `lanes`/`hybrid`
-        # modes).  Installed by the Network; when set, DCQCN QPs draw
-        # their reaction point from the bank instead of allocating a
-        # scalar DcqcnRp with its own timer events.
-        self.lane_bank = None
-
         # Notification Point state: flow id -> last CNP emission time.
         self._np_last_cnp: Dict[int, float] = {}
 
@@ -282,8 +276,6 @@ class Host:
 
             swift_params = self.swift_params or SwiftParams()
             rp = SwiftCc(self.sim, self.line_rate, lambda: swift_params)
-        elif self.lane_bank is not None:
-            rp = self.lane_bank.new_rp(self.line_rate, lambda: self.params)
         else:
             rp = DcqcnRp(self.sim, self.line_rate, lambda: self.params)
         rp.start()

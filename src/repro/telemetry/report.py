@@ -8,20 +8,14 @@ evaluation style: an FCT CDF by flow-size class (Fig. 7), queue-depth
 and DCQCN rate/alpha time series, PFC pause events, and the utility
 breakdown into its O_TP / O_RTT / O_PFC terms — plus, optionally, the
 trace layer's per-span self-time table.
-
-Also home to :func:`bench_trend`, the analysis behind
-``python -m repro bench trend``: it walks the committed ``BENCH_*.json``
-history and reports per-metric deltas and regressions across PRs.
 """
 
 from __future__ import annotations
 
 import html as _html
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import trace
-from .tables import format_table
 
 _PALETTE = ("#2563eb", "#dc2626", "#059669", "#d97706", "#7c3aed", "#0891b2")
 
@@ -457,133 +451,3 @@ def render(recording: Dict[str, Any], fmt: str = "html",
         if fmt == "html":
             return render_html(recording, trace_summary=trace_summary, top=top)
         return render_markdown(recording, trace_summary=trace_summary, top=top)
-
-
-# ---------------------------------------------------------------------------
-# Bench history trend (`python -m repro bench trend`)
-# ---------------------------------------------------------------------------
-
-#: Metric-name fragments that mean "higher is better" / "lower is better".
-_HIGHER_BETTER = ("per_sec", "pps", "speedup", "hit_rate", "ratio")
-_LOWER_BETTER = ("wall_s", "seconds", "_s",)
-
-
-def _direction(metric: str) -> int:
-    """+1 higher-is-better, -1 lower-is-better, 0 unknown."""
-    for frag in _HIGHER_BETTER:
-        if frag in metric:
-            return 1
-    for frag in _LOWER_BETTER:
-        if metric.endswith(frag):
-            return -1
-    return 0
-
-
-def bench_trend(paths: Sequence[str], threshold: float = 0.10) -> Dict[str, Any]:
-    """Per-metric deltas across a series of ``BENCH_*.json`` snapshots.
-
-    ``paths`` must be ordered oldest-first (the sorted ``BENCH_*.json``
-    glob is, thanks to the date suffix).  A metric regresses when the
-    newest snapshot is worse than the previous one by more than
-    ``threshold`` (fractionally) in its known-better direction;
-    direction-unknown metrics are reported but never flagged.
-    """
-    loaded = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded.append((path, json.load(fh)))
-    metrics: List[Dict[str, Any]] = []
-    regressions = 0
-    if len(loaded) >= 2:
-        names = set()
-        for _, snap in loaded:
-            for bench, values in snap.items():
-                if not isinstance(values, dict):
-                    continue
-                for key, value in values.items():
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        continue
-                    names.add((bench, key))
-        for bench, key in sorted(names):
-            name = f"{bench}.{key}"
-            values = []
-            for _, snap in loaded:
-                value = snap.get(bench, {}).get(key)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    value = None
-                values.append(value)
-            present = [v for v in values if v is not None]
-            if len(present) < 2:
-                continue
-            last, prev = present[-1], present[-2]
-            delta = (last - prev) / abs(prev) if prev else 0.0
-            direction = _direction(name)
-            regressed = bool(
-                direction and prev
-                and (-direction * delta) > threshold
-            )
-            if regressed:
-                regressions += 1
-            metrics.append(
-                {
-                    "metric": name,
-                    "first": present[0],
-                    "prev": prev,
-                    "last": last,
-                    "delta": delta,
-                    "direction": direction,
-                    "regressed": regressed,
-                }
-            )
-    trend = {
-        "snapshots": [path for path, _ in loaded],
-        "metrics": metrics,
-        "regressions": regressions,
-        "threshold": threshold,
-    }
-    if trace.active:
-        trace.event(
-            "bench.trend",
-            {
-                "snapshots": len(loaded),
-                "metrics": len(metrics),
-                "regressions": regressions,
-            },
-        )
-    return trend
-
-
-def format_trend(trend: Dict[str, Any]) -> str:
-    """Monospace rendering of a :func:`bench_trend` result."""
-    snapshots = trend["snapshots"]
-    if len(snapshots) < 2:
-        return (
-            f"{len(snapshots)} bench snapshot(s) found; need at least two "
-            "to compute a trend."
-        )
-    arrows = {1: "higher-better", -1: "lower-better", 0: "-"}
-    rows = [
-        (
-            m["metric"],
-            f"{m['first']:.4g}",
-            f"{m['prev']:.4g}",
-            f"{m['last']:.4g}",
-            f"{m['delta']:+.1%}",
-            arrows[m["direction"]],
-            "REGRESSED" if m["regressed"] else "",
-        )
-        for m in trend["metrics"]
-    ]
-    table = format_table(
-        ("metric", "first", "prev", "last", "delta", "direction", "flag"),
-        rows,
-        title=f"bench trend over {len(snapshots)} snapshots "
-              f"({snapshots[0]} .. {snapshots[-1]})",
-    )
-    tail = (
-        f"\n{trend['regressions']} metric(s) regressed more than "
-        f"{trend['threshold']:.0%} vs the previous snapshot."
-        if trend["regressions"]
-        else "\nno regressions beyond threshold."
-    )
-    return table + tail

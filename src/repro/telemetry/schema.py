@@ -50,7 +50,7 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     # monitor plane
     "monitor.report": (
         "switch", "tracked_flows", "interval_bytes", "payload_bytes",
-        "total_flows", "batched",
+        "total_flows",
     ),
     "monitor.fsd_upload": (
         "t", "agents", "payload_bytes", "total_flows", "elephant_fraction",
@@ -73,7 +73,6 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     ),
     # hybrid flow/packet engine: one per fluid sync point
     "engine.hybrid": ("t", "fluid_flows", "fluid_bytes", "virtual_queue_max"),
-    "engine.lanes_fallback": ("expected_qps", "threshold"),
     # evaluation fabric
     "cache.lookup": ("hit", "scenario", "seed"),
     "executor.retry": ("positions", "timeout"),
@@ -87,7 +86,6 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     ),
     # flight recorder / run reports
     "record.snapshot": ("samples", "seen", "stride", "flows", "budget"),
-    "bench.trend": ("snapshots", "metrics", "regressions"),
     # sharded control plane: one per monitor interval / trigger check
     "controlplane.interval": (
         "interval", "agents", "tracked_flows", "elephant_fraction",

@@ -96,8 +96,22 @@ def test_run_rejects_unknown_scheme():
         build_parser().parse_args(["run", "--scheme", "warpdrive"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--hybrid-engine", "lanes"],
+        ["sweep", "--strategy", "thread"],
+        ["run", "--batched-monitor"],
+        ["bench", "trend"],
+    ],
+)
+def test_parser_rejects_the_removed_surface(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
 # ---------------------------------------------------------------------------
-# Flight recorder / run report / bench trend
+# Flight recorder / run report
 # ---------------------------------------------------------------------------
 
 
@@ -155,20 +169,3 @@ def test_telemetry_empty_trace_is_graceful(capsys, tmp_path):
 
 def test_telemetry_validate_missing_still_fails(tmp_path):
     assert main(["telemetry", "--validate", str(tmp_path / "nope.jsonl")]) == 2
-
-
-def test_bench_trend_no_snapshots_is_graceful(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "trend"]) == 0
-    assert "no BENCH_*.json snapshots" in capsys.readouterr().out
-
-
-def test_bench_trend_over_explicit_files(capsys, tmp_path):
-    import json as _json
-    a, b = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
-    a.write_text(_json.dumps({"engine": {"events_per_sec": 1000.0}}))
-    b.write_text(_json.dumps({"engine": {"events_per_sec": 400.0}}))
-    assert main(["bench", "trend", str(a), str(b)]) == 0
-    out = capsys.readouterr().out
-    assert "engine.events_per_sec" in out
-    assert "REGRESSED" in out

@@ -23,12 +23,11 @@ def test_every_runtime_variable_is_declared():
     declared = set(env.REGISTRY)
     assert {
         "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_TRACE_RUN",
-        "REPRO_LOG_LEVEL", "REPRO_BATCHED_MONITOR",
-        "REPRO_BENCH_JSON", "REPRO_BENCH_SMOKE", "REPRO_BENCH_STRICT",
+        "REPRO_LOG_LEVEL", "REPRO_HYBRID_ENGINE",
     } <= declared
     for var in env.describe():
         assert var.name.startswith("REPRO_")
-        assert var.kind in ("str", "int", "bool", "path")
+        assert var.kind in ("str", "int", "path")
         assert var.doc
 
 
@@ -48,28 +47,16 @@ def test_unknown_variable_raises():
 # ---------------------------------------------------------------------------
 
 
-def test_bool_parsing_accepts_the_usual_words(monkeypatch):
-    for off in ("0", "false", "no", "off", "FALSE", " Off "):
-        monkeypatch.setenv("REPRO_BATCHED_MONITOR", off)
-        assert env.get("REPRO_BATCHED_MONITOR") is False
-    for on in ("1", "true", "yes", "on", "anything"):
-        monkeypatch.setenv("REPRO_BATCHED_MONITOR", on)
-        assert env.get("REPRO_BATCHED_MONITOR") is True
-    monkeypatch.delenv("REPRO_BATCHED_MONITOR", raising=False)
-    assert env.get("REPRO_BATCHED_MONITOR") is True  # declared default
-    monkeypatch.setenv("REPRO_BATCHED_MONITOR", "")
-    assert env.get("REPRO_BATCHED_MONITOR") is True  # empty -> default
-
-
 def test_int_parsing_clamps_and_falls_back(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "4")
     assert env.get("REPRO_JOBS") == 4
     monkeypatch.setenv("REPRO_JOBS", "0")
     assert env.get("REPRO_JOBS") == 1  # clamped, matches old max(1, ...)
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert env.get("REPRO_JOBS") is None  # default: resolver uses cpu count
+    monkeypatch.setenv("REPRO_JOBS", "four")
+    with pytest.raises(ValueError, match="REPRO_JOBS.*'four'"):
+        env.get("REPRO_JOBS")  # garbage fails loudly, never the default
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert env.get("REPRO_JOBS") is None
+    assert env.get("REPRO_JOBS") is None  # resolver uses cpu count
 
 
 def test_path_parsing_disable_sentinels(monkeypatch):
@@ -88,12 +75,9 @@ def test_path_parsing_disable_sentinels(monkeypatch):
 
 
 def test_consumers_resolve_through_the_registry(monkeypatch):
-    from repro.monitor.agent import batched_monitor_default
     from repro.parallel.executor import resolve_jobs
     from repro.tuning.eval_cache import default_cache
 
-    monkeypatch.setenv("REPRO_BATCHED_MONITOR", "off")
-    assert batched_monitor_default() is False
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert resolve_jobs() == 3
@@ -110,14 +94,12 @@ def test_consumers_resolve_through_the_registry(monkeypatch):
 
 
 def test_export_env_roundtrip(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCHED_MONITOR", raising=False)
-    env.export_env("REPRO_BATCHED_MONITOR", False)
-    assert env.raw("REPRO_BATCHED_MONITOR") == "0"
-    assert env.get("REPRO_BATCHED_MONITOR") is False
-    env.export_env("REPRO_BATCHED_MONITOR", True)
-    assert env.raw("REPRO_BATCHED_MONITOR") == "1"
-    env.clear_env("REPRO_BATCHED_MONITOR")
-    assert env.raw("REPRO_BATCHED_MONITOR") is None
+    monkeypatch.delenv("REPRO_RECORD_BUDGET", raising=False)
+    env.export_env("REPRO_RECORD_BUDGET", 64)
+    assert env.raw("REPRO_RECORD_BUDGET") == "64"
+    assert env.get("REPRO_RECORD_BUDGET") == 64
+    env.clear_env("REPRO_RECORD_BUDGET")
+    assert env.raw("REPRO_RECORD_BUDGET") is None
 
 
 # ---------------------------------------------------------------------------

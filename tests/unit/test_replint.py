@@ -1229,7 +1229,4 @@ def test_recorder_and_report_names_in_catalog():
     assert EVENT_ATTRS["record.snapshot"] == (
         "samples", "seen", "stride", "flows", "budget"
     )
-    assert EVENT_ATTRS["bench.trend"] == (
-        "snapshots", "metrics", "regressions"
-    )
     assert SPAN_ATTRS["report.render"] == ("source", "format")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.telemetry import report
@@ -111,74 +109,3 @@ def test_empty_recording_renders_without_samples():
     rec["flows_total"] = 0
     html = report.render_html(rec)
     assert "no samples" in html
-
-
-# ---------------------------------------------------------------------------
-# Bench trend
-# ---------------------------------------------------------------------------
-
-
-def _write_snapshot(path, engine_rate, scenario_wall):
-    path.write_text(json.dumps({
-        "engine": {"events_per_sec": engine_rate, "smoke": False},
-        "scenario": {"wall_s": scenario_wall},
-    }))
-
-
-def test_bench_trend_flags_regressions(tmp_path):
-    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
-    _write_snapshot(a, engine_rate=1000.0, scenario_wall=1.0)
-    # Engine rate halves (higher-better: regressed); wall doubles
-    # (lower-better: regressed).
-    _write_snapshot(b, engine_rate=500.0, scenario_wall=2.0)
-
-    trend = report.bench_trend([str(a), str(b)], threshold=0.10)
-    by_name = {m["metric"]: m for m in trend["metrics"]}
-
-    engine = by_name["engine.events_per_sec"]
-    assert engine["direction"] == 1
-    assert engine["delta"] == pytest.approx(-0.5)
-    assert engine["regressed"]
-
-    wall = by_name["scenario.wall_s"]
-    assert wall["direction"] == -1
-    assert wall["delta"] == pytest.approx(1.0)
-    assert wall["regressed"]
-
-    # Booleans are not metrics.
-    assert "engine.smoke" not in by_name
-    assert trend["regressions"] == 2
-
-
-def test_bench_trend_improvement_not_flagged(tmp_path):
-    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
-    _write_snapshot(a, engine_rate=1000.0, scenario_wall=2.0)
-    _write_snapshot(b, engine_rate=2000.0, scenario_wall=1.0)
-    trend = report.bench_trend([str(a), str(b)])
-    assert trend["regressions"] == 0
-    assert all(not m["regressed"] for m in trend["metrics"])
-
-
-def test_bench_trend_within_threshold_not_flagged(tmp_path):
-    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
-    _write_snapshot(a, engine_rate=1000.0, scenario_wall=1.0)
-    _write_snapshot(b, engine_rate=950.0, scenario_wall=1.05)
-    trend = report.bench_trend([str(a), str(b)], threshold=0.10)
-    assert trend["regressions"] == 0
-
-
-def test_format_trend_single_snapshot_message(tmp_path):
-    a = tmp_path / "BENCH_1.json"
-    _write_snapshot(a, engine_rate=1000.0, scenario_wall=1.0)
-    trend = report.bench_trend([str(a)])
-    text = report.format_trend(trend)
-    assert "need at least two" in text
-
-
-def test_format_trend_renders_table(tmp_path):
-    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
-    _write_snapshot(a, engine_rate=1000.0, scenario_wall=1.0)
-    _write_snapshot(b, engine_rate=500.0, scenario_wall=1.0)
-    text = report.format_trend(report.bench_trend([str(a), str(b)]))
-    assert "engine.events_per_sec" in text
-    assert "REGRESSED" in text
