@@ -59,6 +59,29 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _add_executor(parser: argparse.ArgumentParser) -> None:
+    """The eval-fabric flags :func:`_make_executor` reads."""
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=None, metavar="N",
+        help="worker processes for independent runs "
+             "(default: REPRO_JOBS env, then CPU count)",
+    )
+    parser.add_argument(
+        "--strategy",
+        choices=["auto", "process", "inline"],
+        default=None,
+        help="parallel eval strategy: auto measures per-task cost and "
+             "picks, process = persistent worker pool with "
+             "shared-memory transport, inline; results are "
+             "digest-identical across strategies (default: "
+             "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the persistent evaluation cache (.repro_cache/)",
+    )
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
@@ -85,25 +108,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--monitor-interval-ms", type=float, default=1.0,
         help="monitor interval in milliseconds (default: 1.0)",
     )
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="worker processes for independent runs "
-             "(default: REPRO_JOBS env, then CPU count)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=["auto", "process", "inline"],
-        default=None,
-        help="parallel eval strategy: auto measures per-task cost and "
-             "picks, process = persistent worker pool with "
-             "shared-memory transport, inline; results are "
-             "digest-identical across strategies (default: "
-             "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent evaluation cache (.repro_cache/)",
-    )
+    _add_executor(parser)
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="append a structured JSONL trace of this run to PATH "
@@ -318,14 +323,8 @@ def cmd_controlplane(args) -> int:
         traffic=traffic,
         intervals=args.intervals,
         theta=args.theta,
-        strategy=args.strategy,
-        jobs=args.jobs or 2,
     )
-    executor = SweepExecutor(
-        jobs=args.jobs,
-        cache=default_cache(enabled=not args.no_cache),
-        strategy="process" if args.strategy == "pool" else "inline",
-    )
+    executor, _cache = _make_executor(args)
     t0 = time.perf_counter()
     result = ControlPlaneService(config, executor=executor).run()
     wall = time.perf_counter() - t0
@@ -333,7 +332,6 @@ def cmd_controlplane(args) -> int:
          f"{topology.agents_per_shard} agents = {topology.n_agents} ToRs, "
          f"{topology.n_racks} racks, {topology.n_pods} pods, "
          f"{topology.n_tenants} tenants")
-    echo(f"strategy        : {config.strategy}")
     echo(f"intervals       : {args.intervals} ({wall:.2f} s wall)")
     triggers = [t for o in result.outcomes for t in o.triggers]
     echo(f"triggers fired  : "
@@ -593,17 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", type=float, default=0.01,
         help="per-tenant KL trigger threshold (default: 0.01)",
     )
-    cp_parser.add_argument(
-        "--strategy", choices=["inline", "pool"], default="inline",
-        help="shard collection: inline in-process, or one chunk per "
-             "shard on the persistent worker pool; results are "
-             "digest-identical (default: inline)",
-    )
-    cp_parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="pool workers for --strategy pool and the tuning loops "
-             "(default: REPRO_JOBS env, then CPU count)",
-    )
+    _add_executor(cp_parser)
     cp_parser.add_argument(
         "--shift-tenant", type=int, default=0,
         help="tenant whose traffic matrix shifts mid-run (default: 0)",
@@ -620,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp_parser.add_argument(
         "--no-shift", action="store_true",
         help="run a quiet day: no traffic shift, no triggers",
-    )
-    cp_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent evaluation cache (.repro_cache/)",
     )
     cp_parser.add_argument(
         "--out", default=None, metavar="PATH",

@@ -1,10 +1,10 @@
 """Sharded many-ToR control plane: hierarchical FSD aggregation.
 
 Scales the single-controller loop of :mod:`repro.core.controller` to
-1000+ simulated ToR agents: agents are sharded across persistent
-worker processes, their FSDs aggregate rack → pod → global with the
-TOS-dedup invariant verified at every tier, per-tenant KL triggers
-watch per-tenant FSD partitions, and multiple SA tuning loops
+1000+ simulated ToR agents: one vectorised pass collects every agent's
+FSD row per interval, the rows aggregate rack → pod → global with the
+TOS-dedup invariant verified per shard and per tier, per-tenant KL
+triggers watch per-tenant FSD partitions, and multiple SA tuning loops
 multiplex over one shared evaluation executor.  See DESIGN.md §14.
 """
 
@@ -21,7 +21,7 @@ from repro.controlplane.service import (
     ControlPlaneService,
     run_day_in_the_life,
 )
-from repro.controlplane.shards import ShardBatch, ShardTask
+from repro.controlplane.shards import RangeCollector, ShardBatch
 from repro.controlplane.tenants import TenantTrigger, TenantTriggerBank
 from repro.controlplane.topology import ShardTopology
 from repro.controlplane.traffic import TenantProfile, TrafficConfig, TrafficShift
@@ -33,8 +33,8 @@ __all__ = [
     "DedupViolation",
     "HierarchicalAggregator",
     "MultiplexedTuner",
+    "RangeCollector",
     "ShardBatch",
-    "ShardTask",
     "ShardTopology",
     "TenantProfile",
     "TenantRetune",

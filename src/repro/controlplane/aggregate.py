@@ -70,6 +70,9 @@ def fsd_digest(fsd: FlowSizeDistribution) -> str:
 
 def _ordered_sum(values: np.ndarray) -> float:
     """Sequential float sum in array order — merge_distributions' order."""
+    # Must stay a plain left-to-right add: builtin sum() is Neumaier-
+    # compensated from CPython 3.12 and np.sum adds pairwise, so either
+    # would change fsd_digest — the first only on newer interpreters.
     total = 0.0
     for value in values.tolist():
         total += value

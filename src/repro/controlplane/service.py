@@ -3,11 +3,10 @@
 One :class:`ControlPlaneService` run simulates ``intervals`` monitor
 intervals over ``n_shards × agents_per_shard`` ToR agents:
 
-1. **Collect** — one :class:`~repro.controlplane.shards.ShardTask` per
-   shard produces the shard's columnar batch, either inline or on the
-   persistent :class:`~repro.parallel.pool.WorkerPool` (strategy
-   ``pool``); failed chunks are retried inline and stolen chunks are
-   evaluated in-parent, both bit-identical by construction.
+1. **Collect** — one vectorised pass of the run's
+   :class:`~repro.controlplane.shards.RangeCollector` (built once, at
+   the start of the run) over every agent yields one columnar batch
+   per shard.
 2. **Aggregate** — the batches reduce rack → pod → global through the
    :class:`~repro.controlplane.aggregate.HierarchicalAggregator`, with
    the dedup invariant verified and the global FSD digest recorded.
@@ -39,12 +38,11 @@ from repro.controlplane.aggregate import (
     fsd_digest,
 )
 from repro.controlplane.loops import MultiplexedTuner, TenantRetune
-from repro.controlplane.shards import ShardBatch, ShardTask
+from repro.controlplane.shards import RangeCollector
 from repro.controlplane.tenants import TenantTrigger, TenantTriggerBank
 from repro.controlplane.topology import ShardTopology
 from repro.controlplane.traffic import TrafficConfig
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.pool import get_shared_pool
 from repro.parallel.tasks import ScenarioSpec
 from repro.rpc.protocol import (
     AggregateReport,
@@ -78,16 +76,6 @@ _INTERVALS = get_registry().counter(
 )
 
 
-def _collect_inline(tasks: List[ShardTask], state: dict) -> List[ShardBatch]:
-    """Evaluate shard tasks in-process (also the steal/retry path)."""
-    return [task.run_in_worker(state) for task in tasks]
-
-
-def _steal_eval(tasks: list) -> list:
-    """Top-level steal hook for the pool (fork/pickle safe)."""
-    return [task.run_in_worker({}) for task in tasks]
-
-
 @dataclass(frozen=True)
 class ControlPlaneConfig:
     """One day-in-the-life run, fully deterministic."""
@@ -96,10 +84,6 @@ class ControlPlaneConfig:
     traffic: TrafficConfig = TrafficConfig()
     intervals: int = 6
     theta: float = 0.01
-    #: ``inline`` runs shard collection in-process; ``pool`` dispatches
-    #: one chunk per shard to the shared persistent worker pool.
-    strategy: str = "inline"
-    jobs: int = 2
     #: Frozen evaluation scenario the per-tenant SA loops tune against.
     scenario: ScenarioSpec = ScenarioSpec(
         workload="alltoall",
@@ -119,8 +103,6 @@ class ControlPlaneConfig:
     def __post_init__(self) -> None:
         if self.intervals < 1:
             raise ValueError("need at least one interval")
-        if self.strategy not in ("inline", "pool"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -147,8 +129,6 @@ class ControlPlaneResult:
     rack_pod_bytes: int = 0
     pod_global_bytes: int = 0
     param_update_bytes: int = 0
-    stolen_chunks: int = 0
-    retried_chunks: int = 0
 
     def result_digest(self) -> str:
         """Stable digest over every decision the run made."""
@@ -177,7 +157,6 @@ class ControlPlaneResult:
             "pods": topo.n_pods,
             "tenants": topo.n_tenants,
             "intervals": len(self.outcomes),
-            "strategy": self.config.strategy,
             "agent_rack_bytes": self.agent_rack_bytes,
             "rack_pod_bytes": self.rack_pod_bytes,
             "pod_global_bytes": self.pod_global_bytes,
@@ -222,7 +201,6 @@ class ControlPlaneService:
             batch_size=config.batch_size,
             schedule=config.schedule,
         )
-        self._inline_state: dict = {}
         self._report_sizes = self._wire_sizes()
 
     def _wire_sizes(self) -> Tuple[int, int, int]:
@@ -253,35 +231,6 @@ class ControlPlaneService:
         )
         return switch, aggregate, update
 
-    # -- collection ------------------------------------------------------
-
-    def _collect(
-        self, interval: int, result: ControlPlaneResult
-    ) -> List[ShardBatch]:
-        topo, traffic = self.config.topology, self.config.traffic
-        tasks = [
-            ShardTask(shard_id, interval, topo, traffic)
-            for shard_id in range(topo.n_shards)
-        ]
-        if self.config.strategy == "inline":
-            return _collect_inline(tasks, self._inline_state)
-        pool = get_shared_pool(self.config.jobs)
-        chunks = [((interval, task.shard_id), [task]) for task in tasks]
-        completed, failed, stolen = pool.run(
-            chunks, steal_eval=_steal_eval
-        )
-        result.stolen_chunks += len(stolen)
-        batches: Dict[int, ShardBatch] = {}
-        for chunk_id, (chunk_results, snapshot) in completed.items():
-            if snapshot is not None:
-                get_registry().merge_snapshot(snapshot)
-            batches[chunk_id[1]] = chunk_results[0]
-        for chunk_id, _reason in failed:
-            shard_id = chunk_id[1]
-            result.retried_chunks += 1
-            batches[shard_id] = tasks[shard_id].run_in_worker({})
-        return [batches[shard_id] for shard_id in range(topo.n_shards)]
-
     # -- the day in the life ---------------------------------------------
 
     def run(self) -> ControlPlaneResult:
@@ -296,11 +245,13 @@ class ControlPlaneService:
                 "agents": topo.n_agents,
                 "tenants": topo.n_tenants,
                 "intervals": config.intervals,
-                "strategy": config.strategy,
             },
         ):
+            # Built inside the span: hoisting the run constants is part
+            # of what collection costs, and is traced as such.
+            collector = RangeCollector(topo, config.traffic)
             for interval in range(config.intervals):
-                batches = self._collect(interval, result)
+                batches = collector.collect(interval)
                 self.aggregator.begin_interval(interval)
                 for batch in batches:
                     self.aggregator.ingest(batch)

@@ -1,40 +1,41 @@
-"""Shard agents: per-worker ToR batches in columnar form.
+"""Collection: per-agent FSD rows for a contiguous agent range.
 
-One :class:`ShardTask` stands for "run every ToR agent of one shard
-for one monitor interval".  It is the unit the control-plane service
-dispatches to the persistent :class:`~repro.parallel.pool.WorkerPool`
-(via the generic ``run_in_worker`` protocol in
-:mod:`repro.parallel.worker`), and the result it ships back — a
-:class:`ShardBatch` — is already *rack-tier compressed*: per-agent
-histogram rows, elephant/mice weight lanes and tracked-flow counts as
-flat numpy arrays, not per-report Python objects.  That columnar form
-is what rides the pool's shared-memory result slots efficiently and
-what the hierarchical aggregator reduces with ``np.add.reduceat``.
+One :class:`RangeCollector` stands for "run every ToR agent of
+``[agent_lo, agent_hi)`` for one monitor interval" as a single
+vectorised pass: the traffic source's columns for the whole range
+(:class:`~repro.controlplane.traffic.SlotColumns`), two row sums and
+one ``bincount``.  What it hands the hierarchical aggregator is already
+*rack-tier compressed* — per-agent histogram rows, elephant/mice
+weight lanes and tracked-flow counts as flat numpy arrays, not
+per-report Python objects.
+
+Shards are the **dedup partition**, not a dispatch unit: the range's
+rows are cut into one :class:`ShardBatch` per shard (views, no copies),
+each claiming the flow-id range its agents own, so the aggregator's
+double-report and disjoint-flow-id checks see exactly what per-shard
+uploads would show them.  Why collection is one in-process pass and
+not per-shard work for the pool: DESIGN.md §14.
 
 Bit-compatibility contract: for every agent the weight lanes and
 histogram row equal exactly what :meth:`repro.monitor.fsd.
-FlowSizeDistribution.from_columns` computes from the same columns —
-same likelihood expression, same dtypes, same ``np.sum`` over the same
-contiguous slice — so a flat :func:`~repro.monitor.fsd.
+FlowSizeDistribution.from_columns` computes from that agent's slice of
+:func:`~repro.controlplane.traffic.flow_columns` — same likelihood
+expression, same dtypes, same pairwise summation over the same
+contiguous operands — so a flat :func:`~repro.monitor.fsd.
 merge_distributions` over per-agent FSD objects and the hierarchical
-tier reduction land on bit-identical global distributions (the bench
-gate).
-
-Worker-side persistent state: ``run_in_worker`` receives the worker's
-local state dict and memoizes each shard's derived index arrays
-(agent ids, tenant assignment) across intervals.  The memo is a pure
-cache — recomputation yields identical batches — so work stealing and
-worker respawns cannot change results.
+tier reduction land on bit-identical global distributions.
+:func:`shard_columns` is that per-agent reference path's entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.controlplane.topology import ShardTopology
-from repro.controlplane.traffic import TrafficConfig, flow_columns
+from repro.controlplane.traffic import SlotColumns, TrafficConfig, flow_columns
 from repro.monitor.fsd import HISTOGRAM_BUCKETS
 
 
@@ -75,123 +76,82 @@ def shard_columns(
     return flow_columns(traffic, agent_ids, tenants, interval)
 
 
-def batch_from_columns(
-    topology: ShardTopology,
-    traffic: TrafficConfig,
-    shard_id: int,
-    interval: int,
-    flow_ids: np.ndarray,
-    cum: np.ndarray,
-    codes: np.ndarray,
-) -> ShardBatch:
-    """Reduce one shard's columns to its per-agent rack-tier rows."""
-    from repro.monitor.states import CODE_ELEPHANT, CODE_MICE
+class RangeCollector:
+    """Collects agents ``[agent_lo, agent_hi)`` in one vectorised pass.
 
-    lo, hi = topology.shard_bounds(shard_id)
-    n_agents = hi - lo
-    per = traffic.flows_per_agent
-    tau = int(traffic.tau)
-    cum = np.asarray(cum, dtype=np.int64)
+    Built once per ``(topology, traffic, range)``; :meth:`collect` may
+    then be called for any interval, in any order.  The range need not
+    be shard- or rack-aligned: a shard it covers partly yields a batch
+    for the covered agents only.
+    """
 
-    # The exact likelihood expression of FlowSizeDistribution.
-    # from_columns, evaluated over the whole shard at once; per-agent
-    # np.sum over contiguous slices reproduces its weights bit-for-bit.
-    likelihood = np.where(
-        codes == CODE_ELEPHANT,
-        1.0,
-        np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, cum / tau)),
-    )
-    complement = 1.0 - likelihood
-    elephant = np.empty(n_agents)
-    mice = np.empty(n_agents)
-    for i in range(n_agents):
-        sl = slice(i * per, (i + 1) * per)
-        elephant[i] = float(np.sum(likelihood[sl]))
-        mice[i] = float(np.sum(complement[sl]))
-
-    # from_columns' log2 bucketing, batched over all agents: one
-    # bincount on (agent row × bucket) flattened indices.
-    buckets = np.zeros(cum.size, dtype=np.int64)
-    positive = cum >= 1
-    if positive.any():
-        buckets[positive] = np.minimum(
-            np.log2(cum[positive].astype(np.float64)).astype(np.int64),
-            HISTOGRAM_BUCKETS - 1,
-        )
-    rows = np.repeat(np.arange(n_agents, dtype=np.int64), per)
-    hist = (
-        np.bincount(
-            rows * HISTOGRAM_BUCKETS + buckets,
-            minlength=n_agents * HISTOGRAM_BUCKETS,
-        )
-        .reshape(n_agents, HISTOGRAM_BUCKETS)
-        .astype(float)
-    )
-    tracked = np.full(n_agents, per, dtype=np.int64)
-    return ShardBatch(
-        shard_id=shard_id,
-        interval=interval,
-        agent_lo=lo,
-        agent_hi=hi,
-        hist=hist,
-        elephant=elephant,
-        mice=mice,
-        tracked=tracked,
-        flow_id_lo=int(flow_ids.min()),
-        flow_id_hi=int(flow_ids.max()) + 1,
-    )
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Pool-dispatchable unit: one shard, one monitor interval."""
-
-    shard_id: int
-    interval: int
-    topology: ShardTopology
-    traffic: TrafficConfig
-
-    def run_in_worker(self, state: dict) -> ShardBatch:
-        """Evaluate in a pool worker (or inline with ``state={}``).
-
-        ``state`` is the worker's process-local dict; the shard's
-        derived index arrays are memoized there across intervals.
-        """
-        cache = state.setdefault("controlplane", {})
-        runtime = cache.get(self.shard_id)
-        if (
-            runtime is None
-            or runtime["topology"] != self.topology
-            or runtime["traffic"] != self.traffic
-        ):
-            lo, hi = self.topology.shard_bounds(self.shard_id)
-            agent_ids = np.arange(lo, hi, dtype=np.int64)
-            tenants = np.fromiter(
-                (self.topology.tenant_of_agent(int(a)) for a in agent_ids),
-                dtype=np.int64,
-                count=agent_ids.size,
+    def __init__(
+        self,
+        topology: ShardTopology,
+        traffic: TrafficConfig,
+        agent_lo: int = 0,
+        agent_hi: Optional[int] = None,
+    ):
+        if agent_hi is None:
+            agent_hi = topology.n_agents
+        if not 0 <= agent_lo < agent_hi <= topology.n_agents:
+            raise ValueError(
+                f"agent range [{agent_lo}, {agent_hi}) outside "
+                f"[0, {topology.n_agents})"
             )
-            runtime = {
-                "topology": self.topology,
-                "traffic": self.traffic,
-                "agent_ids": agent_ids,
-                "tenants": tenants,
-                "intervals_served": 0,
-            }
-            cache[self.shard_id] = runtime
-        runtime["intervals_served"] += 1
-        flow_ids, cum, codes = flow_columns(
-            self.traffic,
-            runtime["agent_ids"],
-            runtime["tenants"],
-            self.interval,
+        self.agent_lo, self.agent_hi = agent_lo, agent_hi
+        n = agent_hi - agent_lo
+        self._slots = SlotColumns(
+            traffic,
+            agent_lo,
+            agent_hi,
+            topology.tenant_of_agent(np.arange(agent_lo, agent_hi)),
         )
-        return batch_from_columns(
-            self.topology,
-            self.traffic,
-            self.shard_id,
-            self.interval,
-            flow_ids,
-            cum,
-            codes,
+        self._row_offsets = (np.arange(n) * HISTOGRAM_BUCKETS)[:, None]
+        self._tracked = np.full(n, traffic.flows_per_agent, dtype=np.int64)
+        # (shard, first row, end row, flow_id_lo, flow_id_hi): the dedup
+        # ranges come from the flow-id column itself, not from slot
+        # arithmetic, so a generator that broke disjointness would show.
+        per_shard = topology.agents_per_shard
+        self._shards = []
+        for shard in range(agent_lo // per_shard, (agent_hi - 1) // per_shard + 1):
+            lo = max(agent_lo, shard * per_shard) - agent_lo
+            hi = min(agent_hi, (shard + 1) * per_shard) - agent_lo
+            ids = self._slots.flow_ids[lo:hi]
+            self._shards.append(
+                (shard, lo, hi, int(ids.min()), int(ids.max()) + 1)
+            )
+
+    def collect(self, interval: int) -> List[ShardBatch]:
+        """One :class:`ShardBatch` per shard the range touches."""
+        likelihood, buckets = self._slots.at(interval)
+        n = self.agent_hi - self.agent_lo
+        # Row sums, not np.add.reduceat: a contiguous-row sum is
+        # pairwise like from_columns' np.sum over the agent's slice,
+        # reduceat adds left to right and drifts in the last bits.
+        elephant = likelihood.sum(axis=1)
+        mice = (1.0 - likelihood).sum(axis=1)
+        # from_columns' bincount, batched: (agent row × bucket) indices.
+        hist = (
+            np.bincount(
+                (self._row_offsets + buckets).ravel(),
+                minlength=n * HISTOGRAM_BUCKETS,
+            )
+            .reshape(n, HISTOGRAM_BUCKETS)
+            .astype(float)
         )
+        return [
+            ShardBatch(
+                shard_id=shard,
+                interval=interval,
+                agent_lo=self.agent_lo + lo,
+                agent_hi=self.agent_lo + hi,
+                hist=hist[lo:hi],
+                elephant=elephant[lo:hi],
+                mice=mice[lo:hi],
+                tracked=self._tracked[lo:hi],
+                flow_id_lo=flow_id_lo,
+                flow_id_hi=flow_id_hi,
+            )
+            for shard, lo, hi, flow_id_lo, flow_id_hi in self._shards
+        ]

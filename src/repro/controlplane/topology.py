@@ -94,7 +94,8 @@ class ShardTopology:
     def tenant_of_rack(self, rack_id: int) -> int:
         return rack_id % self.n_tenants
 
-    def tenant_of_agent(self, agent_id: int) -> int:
+    def tenant_of_agent(self, agent_id):
+        """Tenant of one agent id, or elementwise of an array of them."""
         return self.tenant_of_rack(self.rack_of(agent_id))
 
     # -- tier index arrays (reduceat boundaries) -------------------------

@@ -29,6 +29,13 @@ sit between the old and new thresholds:
 A :class:`TrafficShift` rewrites one tenant's profile from a given
 interval on — the "traffic matrix changed" event that must fire that
 tenant's KL trigger and nobody else's.
+
+Two readers of the same generator: :func:`flow_columns` materializes
+the raw ``(flow_ids, cum, codes)`` columns of any agent block and is
+the reference the tests compare against; :class:`SlotColumns` is what
+the control plane runs per interval — it computes everything the
+generator defines as a function of ``(seed, slot)`` once per run and
+leaves only the threshold compares and selects to the interval.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.monitor.fsd import HISTOGRAM_BUCKETS
+from repro.monitor.states import CODE_ELEPHANT, CODE_MICE, CODE_PE
 from repro.simulator.units import mb
 
 #: splitmix64 constants (Steele et al.; the standard finalizer).
@@ -58,6 +67,32 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _unit(x: np.ndarray) -> np.ndarray:
     """Map uint64 words to uniform float64 in [0, 1)."""
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def _slot_uniforms(seed: int, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(u_class, u_size)`` of global flow slots (uint64).
+
+    One scalar stream key per seed; per-flow words mix in the global
+    slot, so values never depend on sharding or call order.  The
+    interval deliberately does NOT enter the mix: a slot's uniforms
+    are fixed for the whole run and the interval acts only through
+    the profile *thresholds*.  An unshifted tenant therefore
+    reproduces its distribution exactly (KL = 0) — the trigger fires
+    on real traffic-matrix shifts, never on resampling noise.
+    """
+    with np.errstate(over="ignore"):
+        key = _mix64(np.uint64(seed) * _SM_M1 + _SM_GAMMA)
+        base = _mix64(slots * _SM_GAMMA + key)
+        return _unit(base), _unit(_mix64(base + _SM_M2))
+
+
+def _class_size(u_size: np.ndarray, tau: int, code: int) -> np.ndarray:
+    """Cumulative bytes each slot carries when its class is ``code``."""
+    if code == CODE_ELEPHANT:
+        return tau + (u_size * (15 * tau)).astype(np.int64)
+    if code == CODE_PE:
+        return tau // 2 + (u_size * (tau // 2 - 1)).astype(np.int64)
+    return 64 + (u_size * (tau // 16)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -121,29 +156,14 @@ def flow_columns(
     rows ``[i*F, (i+1)*F)`` — which is what lets per-agent reductions
     run on contiguous slices.
     """
-    from repro.monitor.states import CODE_ELEPHANT, CODE_MICE, CODE_PE
-
     n_agents = int(agent_ids.size)
     per = config.flows_per_agent
-    n = n_agents * per
     slots = (
         np.repeat(agent_ids.astype(np.uint64), per) * np.uint64(per)
         + np.tile(np.arange(per, dtype=np.uint64), n_agents)
     )
-    # One scalar stream key per seed; per-flow words mix in the global
-    # slot, so values never depend on sharding or call order.  The
-    # interval deliberately does NOT enter the mix: a slot's uniforms
-    # are fixed for the whole run and the interval acts only through
-    # the profile *thresholds* below.  An unshifted tenant therefore
-    # reproduces its distribution exactly (KL = 0) — the trigger fires
-    # on real traffic-matrix shifts, never on resampling noise.
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(config.seed) * _SM_M1 + _SM_GAMMA)
-        base = _mix64(slots * _SM_GAMMA + key)
-        u_class = _unit(base)
-        u_size = _unit(_mix64(base + _SM_M2))
+    u_class, u_size = _slot_uniforms(config.seed, slots)
 
-    tau = int(config.tau)
     p_e = np.empty(n_agents)
     p_pe = np.empty(n_agents)
     for i, tenant in enumerate(tenants.tolist()):
@@ -158,14 +178,94 @@ def flow_columns(
     codes = np.where(
         is_elephant, CODE_ELEPHANT, np.where(is_pe, CODE_PE, CODE_MICE)
     ).astype(np.int8)
+    tau = int(config.tau)
     cum = np.where(
         is_elephant,
-        tau + (u_size * (15 * tau)).astype(np.int64),
+        _class_size(u_size, tau, CODE_ELEPHANT),
         np.where(
             is_pe,
-            tau // 2 + (u_size * (tau // 2 - 1)).astype(np.int64),
-            64 + (u_size * (tau // 16)).astype(np.int64),
+            _class_size(u_size, tau, CODE_PE),
+            _class_size(u_size, tau, CODE_MICE),
         ),
-    ).astype(np.int64)
+    )
     flow_ids = slots.astype(np.int64) + 1
     return flow_ids, cum, codes
+
+
+def _log2_buckets(cum: np.ndarray) -> np.ndarray:
+    """``FlowSizeDistribution.from_columns``' histogram bucket per flow.
+
+    int8: a bucket is < 31.  Sizes below one byte land in bucket 0
+    there, which is what clamping them to 1 before the log does here.
+    """
+    return np.minimum(
+        np.log2(np.maximum(cum, 1)).astype(np.int8), HISTOGRAM_BUCKETS - 1
+    )
+
+
+class SlotColumns:
+    """The flow slots of agents ``[agent_lo, agent_hi)``, run constants hoisted.
+
+    The generator is counter-based: a slot's uniforms, and with them
+    the size, log2 bucket and PE likelihood it *would* have in each of
+    the three classes, are a function of ``(seed, slot)`` only.  They
+    are computed here once; an interval chooses among them with two
+    threshold compares.  Nothing else may be hoisted — in particular no
+    finished column is memoised by profile, because a real fabric's
+    columns change every interval and only what the generator defines
+    as run-constant is constant.
+
+    All arrays are ``(agents, flows_per_agent)``: row ``i`` is agent
+    ``agent_lo + i``'s slice of what :func:`flow_columns` returns.
+    """
+
+    def __init__(
+        self,
+        config: TrafficConfig,
+        agent_lo: int,
+        agent_hi: int,
+        tenants: np.ndarray,
+    ):
+        per = config.flows_per_agent
+        shape = (agent_hi - agent_lo, per)
+        tau = int(config.tau)
+        slots = np.arange(agent_lo * per, agent_hi * per, dtype=np.uint64)
+        u_class, u_size = _slot_uniforms(config.seed, slots)
+        self.config = config
+        self.tenants = tenants
+        self._n_tenants = int(tenants.max()) + 1
+        self.flow_ids = (slots.astype(np.int64) + 1).reshape(shape)
+        self._u_class = u_class.reshape(shape)
+        # from_columns' likelihood of a PE flow; elephants are 1.0 and
+        # mice 0.0 whatever their size.
+        self._pe_likelihood = np.minimum(
+            1.0, _class_size(u_size, tau, CODE_PE) / tau
+        ).reshape(shape)
+        # Buckets as the mice column plus the step a slot takes when it
+        # turns PE or elephant; see at().  One class at a time, so one
+        # int64 size column is alive at once, not three.
+        mice, pe, elephant = (
+            _log2_buckets(_class_size(u_size, tau, code)).reshape(shape)
+            for code in (CODE_MICE, CODE_PE, CODE_ELEPHANT)
+        )
+        self._buckets = (mice, pe - mice, elephant - mice)
+
+    def at(self, interval: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(elephant likelihood, histogram bucket)`` of every slot."""
+        profiles = [
+            self.config.profile_at(tenant, interval)
+            for tenant in range(self._n_tenants)
+        ]
+        p_e = np.array([p.elephant_fraction for p in profiles])[self.tenants]
+        p_pe = np.array([p.pe_fraction for p in profiles])[self.tenants]
+        is_elephant = self._u_class < p_e[:, None]
+        is_pe = ~is_elephant & (self._u_class < (p_e + p_pe)[:, None])
+        # The class selects, written as arithmetic on the 0/1 masks: at
+        # most one mask is set per slot and x*1, x*0, x+0 are exact, so
+        # this equals the nested np.where of flow_columns/from_columns
+        # bit for bit, and vectorises where np.where does not (>5x).
+        mice, pe_step, elephant_step = self._buckets
+        return (
+            is_elephant + is_pe * self._pe_likelihood,
+            mice + is_pe * pe_step + is_elephant * elephant_step,
+        )

@@ -138,8 +138,7 @@ _declare(
 _declare(
     "REPRO_CP_SHARDS", "int", 4,
     "Sharded control plane (`repro controlplane`): number of agent "
-    "shards; with strategy `pool` each shard's ToR batch is evaluated "
-    "as one chunk on the persistent worker pool.",
+    "shards, the partition the flow-dedup check runs over.",
 )
 _declare(
     "REPRO_CP_AGENTS_PER_SHARD", "int", 32,

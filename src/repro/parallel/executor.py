@@ -38,7 +38,7 @@ Design points:
   before dispatch and stored after; only misses touch a pool.
 
 ``jobs`` resolution order: explicit argument, then the ``REPRO_JOBS``
-environment variable, then ``os.cpu_count()``.  ``jobs=1`` runs
+environment variable, then the usable core count.  ``jobs=1`` runs
 everything in-process (no pool, no pickling) which is also the
 fallback wherever a pool cannot be spawned.
 """
@@ -46,11 +46,10 @@ fallback wherever a pool cannot be spawned.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
-from repro.parallel.pool import WorkerPool, get_shared_pool
+from repro.parallel.pool import WorkerPool, get_shared_pool, usable_cores
 from repro.parallel.tasks import EvalResult, EvalTask
 from repro.parallel.worker import WarmCache, evaluate_warm
 from repro.telemetry import trace
@@ -86,14 +85,14 @@ _TARGET_CHUNK_S = 0.2
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit > ``REPRO_JOBS`` env > cpu count.
+    """Worker count: explicit > ``REPRO_JOBS`` env > usable cores.
 
-    Every source is clamped to ``os.cpu_count()``: evaluation workers
-    are CPU-bound, so oversubscribing the machine only adds context
-    switching.  An effective count of 1 makes :meth:`SweepExecutor.map`
-    fall back to serial in-process execution.
+    Every source is clamped to :func:`~repro.parallel.pool.usable_cores`:
+    evaluation workers are CPU-bound, so oversubscribing the machine
+    only adds context switching.  An effective count of 1 makes
+    :meth:`SweepExecutor.map` fall back to serial in-process execution.
     """
-    cpus = os.cpu_count() or 1
+    cpus = usable_cores()
     if jobs is not None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")

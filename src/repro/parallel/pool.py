@@ -20,12 +20,16 @@ alive across calls:
   pipe pickling transparently.  Slots are parent-owned, so unlink
   happens exactly once at :meth:`WorkerPool.close`.
 * **Work stealing** — dispatch is parent-driven, one chunk in flight
-  per worker.  While all workers are busy and chunks are still queued,
-  the parent reclaims chunks from the *tail* of the queue and runs
-  them in-process (``steal_eval``), so one slow candidate cannot
-  serialize the batch behind it.  Evaluations are deterministic, so a
-  stolen chunk's results are identical to what the worker would have
-  produced.
+  per worker.  While all workers are busy, chunks are still queued
+  *and the parent has a core to run on* (fewer busy workers than
+  :func:`usable_cores`), the parent reclaims chunks from the *tail* of
+  the queue and runs them in-process (``steal_eval``), so one slow
+  candidate cannot serialize the batch behind it.  With every core
+  already running a worker a steal only oversubscribes — three
+  CPU-bound processes on two cores stretched each evaluation from ~50
+  to 80–100 ms — so the parent stays out.  Evaluations are
+  deterministic, so a stolen chunk's results are identical to what the
+  worker would have produced.
 * **Environment propagation** — workers must agree with the parent on
   the ``REPRO_*`` state they inherited at fork (trace run id, recorder
   path, engine mode, ...).  The pool fingerprints
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import pickle
 import time
 from collections import deque
@@ -92,6 +97,13 @@ _POLL_S = 0.05
 
 #: Seconds to wait for a worker to exit cleanly before terminating it.
 _JOIN_S = 1.0
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, else the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _env_fingerprint() -> Tuple[Optional[str], ...]:
@@ -318,7 +330,13 @@ class WorkerPool:
             ready = mp_connection.wait(list(busy), timeout=_POLL_S)
             if not ready:
                 self._expire(busy, idle, task_timeout, failed)
-                if busy and pending and steal_eval is not None:
+                # Steal only onto a core no busy worker occupies.
+                if (
+                    busy
+                    and pending
+                    and steal_eval is not None
+                    and len(busy) < usable_cores()
+                ):
                     self._steal(pending, completed, stolen, steal_eval)
                 continue
             for conn in ready:

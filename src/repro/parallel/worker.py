@@ -96,23 +96,6 @@ def evaluate_warm(task: EvalTask, warm: WarmCache) -> EvalResult:
     return evaluate_task(task, schedule, network=network)
 
 
-def run_task(task, warm: WarmCache, state: dict):
-    """Dispatch one pool task: EvalTask or anything with ``run_in_worker``.
-
-    The pool is duck-typed: a task that defines ``run_in_worker(state)``
-    (e.g. a control-plane :class:`~repro.controlplane.shards.ShardTask`)
-    runs through that hook with the worker's process-local ``state``
-    dict; everything else is an :class:`EvalTask` served from the warm
-    fabric cache.  ``state`` must be used only as a pure cache so that
-    inline recomputation (work stealing, crashed-worker retry) yields
-    identical results.
-    """
-    runner = getattr(task, "run_in_worker", None)
-    if runner is not None:
-        return runner(state)
-    return evaluate_warm(task, warm)
-
-
 def _worker_main(
     worker_id: int,
     conn,
@@ -131,9 +114,6 @@ def _worker_main(
         except (ImportError, OSError, ValueError):
             slot = None  # pipe fallback, decided per reply below
     warm = WarmCache()
-    # Process-local scratch for duck-typed tasks (pure cache only; see
-    # run_task).  Kept a local, not a module global, for fork safety.
-    state: dict = {}
     # A forked sibling inherits our parent-side pipe end, so a dead
     # parent does not reliably EOF the pipe.  Waiting on the parent's
     # sentinel alongside the pipe catches that case: if the parent dies
@@ -155,7 +135,7 @@ def _worker_main(
             _, chunk_id, tasks = message
             if _CRASH_HOOK is not None:
                 _CRASH_HOOK(chunk_id, tasks)
-            results = [run_task(task, warm, state) for task in tasks]
+            results = [evaluate_warm(task, warm) for task in tasks]
             payload = pickle.dumps(
                 (results, get_registry().snapshot(reset=True)),
                 protocol=pickle.HIGHEST_PROTOCOL,

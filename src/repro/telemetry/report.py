@@ -309,7 +309,7 @@ def _control_plane_section(snap: Dict[str, Any]) -> str:
         '<section id="control-plane"><h2>Control-plane message bytes</h2>'
         f"<p>{cp.get('shards')} shards &times; "
         f"{(agents // cp.get('shards')) if cp.get('shards') else 0} agents, "
-        f"{cp.get('tenants')} tenants, strategy {cp.get('strategy')}</p>"
+        f"{cp.get('tenants')} tenants</p>"
         f"{tier_table}{table4}<h2>Per-tenant retunes</h2>{retune_table}"
         "</section>"
     )
@@ -415,8 +415,7 @@ def render_markdown(recording: Dict[str, Any],
         lines.append(
             f"- topology: {cp.get('shards')} shards, {cp.get('agents')} "
             f"agents, {cp.get('tenants')} tenants "
-            f"({cp.get('intervals')} intervals, "
-            f"strategy {cp.get('strategy')})"
+            f"({cp.get('intervals')} intervals)"
         )
         lines.append("| tier | total bytes |")
         lines.append("| --- | --- |")

@@ -105,7 +105,7 @@ SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
     "sweep.grid": ("points", "fidelity"),
     "sa.search": ("batch_size", "fidelity"),
     "report.render": ("source", "format"),
-    "controlplane.run": ("shards", "agents", "tenants", "intervals", "strategy"),
+    "controlplane.run": ("shards", "agents", "tenants", "intervals"),
 }
 
 _ENVELOPE_KEYS = ("ts", "run", "pid", "kind", "name", "attrs")

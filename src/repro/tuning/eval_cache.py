@@ -23,6 +23,7 @@ and the CLI surface them.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from dataclasses import fields
@@ -144,28 +145,43 @@ class EvalCache:
 
     # -- persistence -----------------------------------------------------
 
+    @staticmethod
+    def _read(source: Path) -> Dict[str, dict]:
+        """Entries on disk; a missing or corrupt file is simply cold."""
+        try:
+            data = json.loads(source.read_text())
+        except (OSError, ValueError):
+            return {}
+        return data if isinstance(data, dict) else {}
+
     def load(self, path: Optional[os.PathLike] = None) -> int:
         """Merge entries from disk; returns the number loaded."""
         source = Path(path) if path is not None else self.path
         if source is None:
             raise ValueError("no cache path configured")
-        try:
-            data = json.loads(source.read_text())
-        except (OSError, ValueError):
-            return 0  # missing or corrupt cache files are simply cold
-        if not isinstance(data, dict):
-            return 0
+        data = self._read(source)
         self._store.update(data)
         return len(data)
 
     def save(self, path: Optional[os.PathLike] = None) -> None:
+        """Write the union of this cache and what is on disk.
+
+        Concurrent savers serialise on an exclusive lock (a sidecar
+        file: the target itself is replaced, so its inode cannot carry
+        one) and each folds in what the others wrote instead of
+        overwriting it.  Evaluations are pure, so equal keys hold equal
+        payloads and the union needs no conflict rule.
+        """
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("no cache path configured")
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._store))
-        tmp.replace(target)
+        with open(target.with_name(target.name + ".lock"), "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            merged = {**self._read(target), **self._store}
+            tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(merged))
+            tmp.replace(target)
 
 
 def default_cache(enabled: bool = True) -> Optional[EvalCache]:

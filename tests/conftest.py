@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.simulator.dcqcn import DcqcnParams
@@ -40,3 +42,20 @@ def tiny_network(tiny_spec) -> Network:
 @pytest.fixture
 def params() -> DcqcnParams:
     return DcqcnParams()
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(n)``: the process may run on ``n`` cores, as the OS tells it.
+
+    Patched at the OS call rather than at ``usable_cores`` so that both
+    its importers — ``resolve_jobs``' clamp and the pool's steal rule —
+    see the same machine.
+    """
+
+    def pretend(n: int) -> None:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda _pid: range(n), raising=False
+        )
+
+    return pretend

@@ -1,10 +1,9 @@
 """Day-in-the-life integration tests for the sharded control plane.
 
-A mid-run traffic shift must flow end-to-end: shard collection →
+A mid-run traffic shift must flow end-to-end: collection →
 hierarchical aggregation → the shifted tenant's KL trigger →
 a multiplexed SA retune → dispatched parameter updates — and the whole
-run must be digest-stable across collection strategies (inline vs the
-sharded worker pool).
+run must reproduce digest for digest.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.tuning.annealing import AnnealingSchedule
 SHIFT_INTERVAL = 2
 
 
-def small_config(strategy: str = "inline") -> ControlPlaneConfig:
+def small_config() -> ControlPlaneConfig:
     """2 shards x 16 agents, tenant 0 shifts at interval 2."""
     topology = ShardTopology(
         n_shards=2, agents_per_shard=16, agents_per_rack=8,
@@ -48,8 +47,6 @@ def small_config(strategy: str = "inline") -> ControlPlaneConfig:
         topology=topology,
         traffic=traffic,
         intervals=5,
-        strategy=strategy,
-        jobs=2,
         scenario=ScenarioSpec(
             workload="alltoall", duration=0.02, n_workers=4,
             stop_on_completion=True,
@@ -136,13 +133,3 @@ class TestDayInTheLife:
         assert snap["retunes"][0]["tenant"] == 0
         assert snap["per_switch_report_bytes"] > 0
         assert snap["digest"] == day.result_digest()
-
-
-class TestStrategyEquivalence:
-    def test_pool_strategy_matches_inline(self, day):
-        """Sharded pool collection reproduces the inline digest."""
-        pooled = run_day_in_the_life(small_config("pool"), executor())
-        assert pooled.result_digest() == day.result_digest()
-        assert [o.digest for o in pooled.outcomes] == [
-            o.digest for o in day.outcomes
-        ]

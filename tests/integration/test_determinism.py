@@ -46,11 +46,11 @@ def test_different_seed_changes_the_run():
     )
 
 
-def test_pool_worker_matches_in_process(monkeypatch):
+def test_pool_worker_matches_in_process(cores):
     """A real subprocess evaluation equals the in-process one."""
     import os
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
 
     tasks = [
         EvalTask(scenario=SPEC, seed=SPEC.seed, params=default_params(), index=0),

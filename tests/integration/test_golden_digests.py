@@ -11,18 +11,35 @@ The all-to-all cases are the tie-heavy ones: every flow starts at the
 same instant on a symmetric fabric, so hundreds of events share exact
 float timestamps and only the ``(time, seq)`` order separates them.
 
-If a pin moves, the simulator's dynamics changed.  Re-record only for
-a deliberate model change, never for a performance one.
+The control-plane pins at the bottom do the same for the `cp-day`
+workload of the repo benchmark: values recorded at commit 2f0cd24,
+before collection became one range kernel.
+
+If a pin moves, the simulator's dynamics (or the synthetic traffic
+source, or the FSD summation order) changed.  Re-record only for a
+deliberate model change, never for a performance one.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.controlplane import (
+    ControlPlaneConfig,
+    ControlPlaneService,
+    HierarchicalAggregator,
+    RangeCollector,
+    ShardTopology,
+    TenantProfile,
+    TrafficConfig,
+    TrafficShift,
+)
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import install_influx, make_network, make_tuner
+from repro.parallel import ScenarioSpec, SweepExecutor
 from repro.parallel.tasks import fct_digest, interval_digest
 from repro.simulator.units import mb
+from repro.tuning.annealing import AnnealingSchedule
 from repro.tuning.parameters import default_params
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
@@ -96,3 +113,80 @@ def test_paraleon_influx_matches_recorded_digests():
         "dropped": 0,
         "flows": 36,
     }
+
+
+# ---------------------------------------------------------------------------
+# Control plane: the cp-day workload
+# ---------------------------------------------------------------------------
+
+
+def _cp_day(seed: int, quick: bool) -> ControlPlaneConfig:
+    """The config ``benchmarks/perf/bodies.py::CpDay`` builds."""
+    return ControlPlaneConfig(
+        topology=(
+            ShardTopology(n_shards=4, agents_per_shard=8, agents_per_rack=8, racks_per_pod=2)
+            if quick
+            else ShardTopology(n_shards=32, agents_per_shard=32, agents_per_rack=16, racks_per_pod=4)
+        ),
+        traffic=TrafficConfig(
+            seed=seed,
+            shifts=(TrafficShift(0, 2 if quick else 8, TenantProfile(0.40, 0.10)),),
+        ),
+        intervals=6 if quick else 24,
+        scenario=ScenarioSpec(
+            workload="alltoall",
+            duration=0.003 if quick else 0.02,
+            n_workers=4,
+            stop_on_completion=True,
+            seed=seed,
+            workload_seed=seed,
+        ),
+        batch_size=4,
+        schedule=(
+            AnnealingSchedule(initial_temp=90.0, final_temp=50.0, cooling_rate=0.6, iterations_per_temp=2)
+            if quick
+            else AnnealingSchedule(iterations_per_temp=2)
+        ),
+    )
+
+
+#: seed -> global FSD digest[:16] before the shift (interval 0) and at
+#: it (interval 8), 1024 agents.  The full days these belong to have
+#: result_digest[:16] 663d11a4963b2926 / 00cadb32e56208b7 /
+#: 5353989e74c32534 and retune utilities 0.9079868343082783 /
+#: 0.8955579042568751 / 0.900403975376822 (trigger 8, finished 14, 29
+#: evaluations each) — 2.5 s of DES apiece, so checked by hand, not here.
+CP_DAY_INTERVAL_PINS = {
+    1: ("11fdbd3a083bd5b3", "3c733e01f7bb69f6"),
+    2: ("fda0317e13b7bd15", "9dbf91d75cd57019"),
+    3: ("434730dbc87d6e76", "f3960eb5d51f0000"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CP_DAY_INTERVAL_PINS))
+def test_cp_day_interval_digests_match_recorded(seed):
+    config = _cp_day(seed, quick=False)
+    collector = RangeCollector(config.topology, config.traffic)
+    aggregator = HierarchicalAggregator(config.topology)
+    digests = []
+    for interval in (0, 8):
+        aggregator.begin_interval(interval)
+        for batch in collector.collect(interval):
+            aggregator.ingest(batch)
+        digests.append(aggregator.aggregate().digest[:16])
+    assert tuple(digests) == CP_DAY_INTERVAL_PINS[seed]
+
+
+def test_cp_day_quick_result_digest_matches_recorded():
+    """Every decision of a whole day, at the benchmark's ``--quick`` sizes."""
+    result = ControlPlaneService(
+        _cp_day(1, quick=True), SweepExecutor(jobs=1)
+    ).run()
+    assert result.result_digest()[:16] == "57dd88da892f312d"
+    assert [o.digest[:16] for o in result.outcomes] == (
+        ["1a7113d5513a0e6a"] * 2 + ["26d716a8f6bf03c2"] * 4
+    )
+    (retune,) = result.retunes
+    assert (retune.trigger_interval, retune.finished_interval) == (2, 2)
+    assert retune.evaluations == 5
+    assert retune.utility == 0.9103726732670067

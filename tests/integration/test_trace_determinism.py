@@ -70,10 +70,8 @@ def test_scheme_run_digests_unaffected_by_tracing(tmp_path):
     assert "engine.interval" in names
 
 
-def test_fork_merge_through_executor_pool(tmp_path, monkeypatch):
-    import os
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_fork_merge_through_executor_pool(tmp_path, cores):
+    cores(8)
     spec = _spec()
     tasks = [
         EvalTask(scenario=spec, seed=seed, index=i, params=default_params())

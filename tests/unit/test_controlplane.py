@@ -1,19 +1,24 @@
 """Unit tests for the sharded control plane (repro.controlplane).
 
 Covers the tentpole invariants: topology placement arithmetic, the
-counter-based traffic source's location independence, hierarchical-
-vs-flat bit-identity (global and per-tenant), dedup violations, and
-per-tenant KL trigger independence.
+counter-based traffic source's location independence, the range
+collection kernel against the per-agent ``flow_columns`` →
+``from_columns`` oracle, hierarchical-vs-flat bit-identity (global and
+per-tenant), dedup violations, and per-tenant KL trigger independence.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controlplane import (
     DedupViolation,
     HierarchicalAggregator,
+    RangeCollector,
     ShardTopology,
     TenantProfile,
     TenantTriggerBank,
@@ -22,13 +27,14 @@ from repro.controlplane import (
     flat_global_fsd,
     fsd_digest,
 )
-from repro.controlplane.aggregate import flat_tenant_fsds
-from repro.controlplane.shards import (
-    ShardTask,
-    batch_from_columns,
-    shard_columns,
+from repro.controlplane.aggregate import (
+    _ordered_sum,
+    flat_agent_fsds,
+    flat_tenant_fsds,
 )
+from repro.controlplane.shards import shard_columns
 from repro.controlplane.traffic import flow_columns
+from repro.monitor.fsd import FlowSizeDistribution, merge_distributions
 
 
 def small_topology(**overrides):
@@ -38,6 +44,29 @@ def small_topology(**overrides):
     )
     kwargs.update(overrides)
     return ShardTopology(**kwargs)
+
+
+def collect_rows(topo, traffic, interval, cuts=()):
+    """Per-agent ``(hist, elephant, mice)`` rows, collected range by range.
+
+    ``cuts`` splits the fabric into contiguous agent ranges, one
+    collector each; ``()`` is the whole fabric in one pass.
+    """
+    edges = [0, *cuts, topo.n_agents]
+    batches = [
+        batch
+        for lo, hi in zip(edges, edges[1:])
+        for batch in RangeCollector(topo, traffic, lo, hi).collect(interval)
+    ]
+    return tuple(
+        np.concatenate([getattr(batch, lane) for batch in batches])
+        for lane in ("hist", "elephant", "mice")
+    )
+
+
+#: Range splits of the 64-agent fabric: shard-aligned, rack-straddling,
+#: and single-agent ranges at either end.
+SPLITS = [(16, 32, 48), (5, 23, 41), (1,), (63,), tuple(range(1, 64))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +151,11 @@ class TestTraffic:
             sl = slice(i * per, (i + 1) * per)
             for whole, part in zip(block, solo):
                 np.testing.assert_array_equal(whole[sl], part)
+        # The collection kernel: one pass over the fabric vs any split.
+        whole = collect_rows(topo, traffic, interval=0)
+        for cuts in SPLITS:
+            for a, b in zip(whole, collect_rows(topo, traffic, 0, cuts)):
+                np.testing.assert_array_equal(a, b)
 
     def test_flow_ids_disjoint_across_agents(self):
         topo = small_topology()
@@ -141,6 +175,11 @@ class TestTraffic:
         later = shard_columns(topo, traffic, 0, interval=5)
         for a, b in zip(first, later):
             np.testing.assert_array_equal(a, b)
+        collector = RangeCollector(topo, traffic, 3, 29)
+        for a, b in zip(collector.collect(0), collector.collect(5)):
+            np.testing.assert_array_equal(a.hist, b.hist)
+            np.testing.assert_array_equal(a.elephant, b.elephant)
+            np.testing.assert_array_equal(a.mice, b.mice)
 
     def test_shift_applies_from_its_interval_on(self):
         shifted = TenantProfile(elephant_fraction=0.5, pe_fraction=0.1)
@@ -184,13 +223,8 @@ class TestTraffic:
 def run_hierarchical(topo, traffic, interval):
     agg = HierarchicalAggregator(topo)
     agg.begin_interval(interval)
-    for shard in range(topo.n_shards):
-        flow_ids, cum, codes = shard_columns(topo, traffic, shard, interval)
-        agg.ingest(
-            batch_from_columns(
-                topo, traffic, shard, interval, flow_ids, cum, codes
-            )
-        )
+    for batch in RangeCollector(topo, traffic).collect(interval):
+        agg.ingest(batch)
     return agg.aggregate()
 
 
@@ -231,8 +265,7 @@ class TestHierarchicalAggregation:
         traffic = TrafficConfig(flows_per_agent=8)
         agg = HierarchicalAggregator(topo)
         agg.begin_interval(0)
-        flow_ids, cum, codes = shard_columns(topo, traffic, 0, 0)
-        batch = batch_from_columns(topo, traffic, 0, 0, flow_ids, cum, codes)
+        batch = RangeCollector(topo, traffic).collect(0)[0]
         agg.ingest(batch)
         with pytest.raises(DedupViolation):
             agg.ingest(batch)
@@ -242,12 +275,8 @@ class TestHierarchicalAggregation:
         traffic = TrafficConfig(flows_per_agent=8)
         agg = HierarchicalAggregator(topo)
         agg.begin_interval(0)
-        for shard in range(topo.n_shards):
-            flow_ids, cum, codes = shard_columns(topo, traffic, shard, 0)
-            batch = batch_from_columns(
-                topo, traffic, shard, 0, flow_ids, cum, codes
-            )
-            if shard == 1:
+        for batch in RangeCollector(topo, traffic).collect(0):
+            if batch.shard_id == 1:
                 # Forge shard 1's claimed range into shard 0's: the
                 # TOS-dedup analogue of two switches tagging one flow.
                 batch = replace(batch, flow_id_lo=1, flow_id_hi=2)
@@ -260,38 +289,115 @@ class TestHierarchicalAggregation:
         traffic = TrafficConfig(flows_per_agent=8)
         agg = HierarchicalAggregator(topo)
         agg.begin_interval(0)
-        flow_ids, cum, codes = shard_columns(topo, traffic, 0, 0)
-        agg.ingest(batch_from_columns(topo, traffic, 0, 0, flow_ids, cum, codes))
+        agg.ingest(RangeCollector(topo, traffic).collect(0)[0])
         with pytest.raises(ValueError, match="missing"):
             agg.aggregate()
 
-    def test_shard_task_matches_direct_computation(self):
-        """run_in_worker (with a memoizing state dict) == direct path."""
+    def test_partial_range_batches_aggregate_like_whole_shards(self):
+        """Ranges that cut through shards still pass dedup, same digest."""
         topo = small_topology()
-        traffic = TrafficConfig(flows_per_agent=16)
-        state = {}
-        for interval in (0, 1):
-            for shard in range(topo.n_shards):
-                task = ShardTask(
-                    shard_id=shard, interval=interval,
-                    topology=topo, traffic=traffic,
+        traffic = TrafficConfig(flows_per_agent=32)
+        agg = HierarchicalAggregator(topo)
+        agg.begin_interval(0)
+        for lo, hi in ((0, 5), (5, 41), (41, 64)):
+            for batch in RangeCollector(topo, traffic, lo, hi).collect(0):
+                agg.ingest(batch)
+        assert agg.aggregate().digest == run_hierarchical(topo, traffic, 0).digest
+
+    def test_weight_lanes_sum_left_to_right(self):
+        """The global weight is merge_distributions' sum, not a better one.
+
+        A PE-heavy lane is all fractions, so the summation order shows:
+        the exactly rounded sum (``math.fsum``; builtin ``sum`` is
+        compensated from CPython 3.12) differs from the left-to-right
+        add the flat merge performs, and the digest pins the latter.
+        """
+        topo = small_topology()
+        traffic = TrafficConfig(
+            flows_per_agent=64, profiles=(TenantProfile(0.02, 0.90),)
+        )
+        _, elephant, mice = collect_rows(topo, traffic, 0)
+        flat = merge_distributions(flat_agent_fsds(topo, traffic, 0))
+        assert _ordered_sum(elephant) == flat.elephant_weight
+        assert _ordered_sum(mice) == flat.mice_weight
+        assert _ordered_sum(elephant) != math.fsum(elephant)
+
+
+# ---------------------------------------------------------------------------
+# The range collection kernel against the per-agent oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def profiles(draw):
+    elephant = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]) | st.floats(0.0, 1.0))
+    return TenantProfile(elephant, draw(st.floats(0.0, 1.0)) * (1.0 - elephant))
+
+
+class TestRangeCollector:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_from_columns_on_each_agents_slice(self, data):
+        """Kernel row == from_columns(flow_columns slice), bit for bit."""
+        per = data.draw(st.sampled_from([1, 7, 64, 127, 128, 129, 300]))
+        n_tenants = data.draw(st.integers(1, 3))
+        # 30 agents: shards of 10, racks of 3, pods of 5 racks — no
+        # boundary of one tier lines up with another's.
+        topo = ShardTopology(
+            n_shards=3, agents_per_shard=10, agents_per_rack=3,
+            racks_per_pod=5, n_tenants=n_tenants,
+        )
+        lo = data.draw(st.integers(0, topo.n_agents - 1))
+        hi = data.draw(st.integers(lo + 1, topo.n_agents))
+        traffic = TrafficConfig(
+            seed=data.draw(st.integers(0, 2**63 - 1)),
+            flows_per_agent=per,
+            tau=data.draw(st.sampled_from([4096, 100_000, 1_000_000])),
+            profiles=tuple(data.draw(st.lists(profiles(), min_size=1, max_size=3))),
+            shifts=tuple(
+                TrafficShift(
+                    tenant=data.draw(st.integers(0, n_tenants - 1)),
+                    interval=data.draw(st.integers(1, 6)),
+                    profile=data.draw(profiles()),
                 )
-                via_worker = task.run_in_worker(state)
-                flow_ids, cum, codes = shard_columns(
-                    topo, traffic, shard, interval
-                )
-                direct = batch_from_columns(
-                    topo, traffic, shard, interval, flow_ids, cum, codes
-                )
-                np.testing.assert_array_equal(via_worker.hist, direct.hist)
-                np.testing.assert_array_equal(
-                    via_worker.elephant, direct.elephant
-                )
-                np.testing.assert_array_equal(via_worker.mice, direct.mice)
-                assert via_worker.flow_id_lo == direct.flow_id_lo
-                assert via_worker.flow_id_hi == direct.flow_id_hi
-        # The memo actually persisted across calls.
-        assert state["controlplane"][0]["intervals_served"] == 2
+                for _ in range(data.draw(st.integers(0, 3)))
+            ),
+        )
+        collector = RangeCollector(topo, traffic, lo, hi)
+        agent_ids = np.arange(lo, hi, dtype=np.int64)
+        tenants = np.array(
+            [topo.tenant_of_agent(int(a)) for a in agent_ids], dtype=np.int64
+        )
+        for interval in data.draw(
+            st.lists(st.integers(0, 8), min_size=1, max_size=3)
+        ):
+            ids, cum, codes = flow_columns(traffic, agent_ids, tenants, interval)
+            batches = collector.collect(interval)
+            # The batches tile the range, one per shard it touches.
+            assert batches[0].agent_lo == lo and batches[-1].agent_hi == hi
+            for batch, following in zip(batches, batches[1:]):
+                assert batch.agent_hi == following.agent_lo
+            for batch in batches:
+                shard_lo, shard_hi = topo.shard_bounds(batch.shard_id)
+                assert shard_lo <= batch.agent_lo < batch.agent_hi <= shard_hi
+                rows = slice((batch.agent_lo - lo) * per, (batch.agent_hi - lo) * per)
+                assert batch.flow_id_lo == ids[rows].min()
+                assert batch.flow_id_hi == ids[rows].max() + 1
+                assert batch.tracked.tolist() == [per] * batch.n_agents
+                for i in range(batch.n_agents):
+                    sl = slice(rows.start + i * per, rows.start + (i + 1) * per)
+                    fsd = FlowSizeDistribution.from_columns(
+                        ids[sl], cum[sl], codes[sl], tau=traffic.tau
+                    )
+                    assert batch.elephant[i] == fsd.elephant_weight
+                    assert batch.mice[i] == fsd.mice_weight
+                    assert tuple(batch.hist[i].tolist()) == fsd.histogram
+
+    def test_range_outside_the_fabric_rejected(self):
+        topo = small_topology()
+        for lo, hi in ((-1, 4), (4, 4), (9, 3), (0, topo.n_agents + 1)):
+            with pytest.raises(ValueError):
+                RangeCollector(topo, TrafficConfig(), lo, hi)
 
 
 # ---------------------------------------------------------------------------

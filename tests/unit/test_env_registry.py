@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import os
-
 import pytest
 
 from repro import env
@@ -74,11 +72,11 @@ def test_path_parsing_disable_sentinels(monkeypatch):
     assert env.get("REPRO_EVAL_CACHE") is None
 
 
-def test_consumers_resolve_through_the_registry(monkeypatch):
+def test_consumers_resolve_through_the_registry(monkeypatch, cores):
     from repro.parallel.executor import resolve_jobs
     from repro.tuning.eval_cache import default_cache
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert resolve_jobs() == 3
     monkeypatch.setenv("REPRO_EVAL_CACHE", "0")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -104,6 +105,66 @@ def test_load_tolerates_missing_and_corrupt_files(tmp_path):
     assert cache.load(bad) == 0
     bad.write_text(json.dumps([1, 2, 3]))  # wrong shape
     assert cache.load(bad) == 0
+
+
+def test_concurrent_savers_keep_each_others_entries(tmp_path):
+    path = tmp_path / "cache.json"
+    first, second = EvalCache(path=path), EvalCache(path=path)
+    params = default_params()
+    first.put("fp", 1, params, {"utility": 0.1})
+    second.put("fp", 2, params, {"utility": 0.2})
+    first.save()
+    second.save()  # used to overwrite the file with its own store only
+
+    merged = EvalCache(path=path)
+    assert len(merged) == 2
+    assert merged.get("fp", 1, params) == {"utility": 0.1}
+    assert merged.get("fp", 2, params) == {"utility": 0.2}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cache.json", "cache.json.lock"
+    ]
+
+
+def _save_own_keys(path, writer: int, saves: int) -> None:
+    cache = EvalCache(path=None)
+    for i in range(saves):
+        cache.put("fp", writer * saves + i, default_params(), {"utility": 0.5})
+        cache.save(path)
+
+
+def test_racing_savers_lose_nothing(tmp_path):
+    """More writers than cores, every save racing the others' saves."""
+    path = tmp_path / "cache.json"
+    writers, saves = 6, 5
+    procs = [
+        multiprocessing.Process(target=_save_own_keys, args=(path, w, saves))
+        for w in range(writers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(30)
+        assert proc.exitcode == 0
+    assert len(EvalCache(path=path)) == writers * saves
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_truncated_file_loads_cold_and_next_save_repairs_it(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = EvalCache(path=path)
+    params = default_params()
+    cache.put("fp", 1, params, {"utility": 0.42})
+    cache.save()
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])  # a writer died mid-JSON
+
+    cold = EvalCache(path=path)
+    assert len(cold) == 0
+    cold.put("fp", 2, params, {"utility": 0.5})
+    cold.save()
+    assert json.loads(path.read_text()) == {
+        cold.key("fp", 2, params): {"utility": 0.5}
+    }
 
 
 def test_memory_only_cache_refuses_persistence():

@@ -110,8 +110,8 @@ def test_build_scenario_rejects_unknown_workload():
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_jobs_priority(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_resolve_jobs_priority(monkeypatch, cores):
+    cores(8)
     assert resolve_jobs(3) == 3
     with pytest.raises(ValueError):
         resolve_jobs(0)
@@ -122,15 +122,17 @@ def test_resolve_jobs_priority(monkeypatch):
         resolve_jobs()  # no silent fall-through to the cpu count
 
 
-def test_resolve_jobs_clamps_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_resolve_jobs_clamps_to_cpu_count(monkeypatch, cores):
+    cores(4)
     # Oversubscription is clamped from every source.
     assert resolve_jobs(64) == 4
     monkeypatch.setenv("REPRO_JOBS", "64")
     assert resolve_jobs() == 4
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert resolve_jobs() == 4
-    # cpu_count() may be None on exotic platforms: fall back to serial.
+    # No affinity mask (macOS) and cpu_count() None (exotic platforms):
+    # fall back to serial.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_jobs() == 1
     assert resolve_jobs(3) == 1
@@ -147,8 +149,8 @@ def test_serial_map_preserves_order_and_indices():
     assert all(r.events > 0 for r in results)
 
 
-def test_pool_map_identical_to_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_pool_map_identical_to_serial(cores):
+    cores(8)
     tasks = _tasks(3)
     serial = SweepExecutor(jobs=1).map(tasks)
     pooled = SweepExecutor(jobs=2).map(tasks)
@@ -188,7 +190,7 @@ def _broken_pool(*args, **kwargs):
     raise OSError("no forks today")
 
 
-def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path):
+def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, cores):
     """A total pool failure retries chunk by chunk, not in one lump.
 
     Regression test for the old catastrophic-failure path, which
@@ -199,7 +201,7 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path):
     import repro.parallel.executor as executor_mod
     from repro.telemetry import trace
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
     tasks = _tasks(4)
     expected = SweepExecutor(jobs=1).map(tasks)
 
@@ -229,18 +231,18 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path):
     ]
 
 
-def test_retries_disabled_raises(monkeypatch):
+def test_retries_disabled_raises(monkeypatch, cores):
     import repro.parallel.executor as executor_mod
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
     monkeypatch.setattr(executor_mod, "get_shared_pool", _broken_pool)
     ex = SweepExecutor(jobs=2, strategy="process", max_retries=0)
     with pytest.raises(RuntimeError):
         ex.map(_tasks(2))
 
 
-def test_strategies_are_digest_identical(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_strategies_are_digest_identical(cores):
+    cores(8)
     tasks = _tasks(3)
     inline = SweepExecutor(jobs=1, strategy="inline").map(tasks)
     ex = SweepExecutor(jobs=2, strategy="process", private_pool=True)
@@ -271,8 +273,8 @@ def test_resolve_strategy_sources(monkeypatch):
         resolve_strategy()
 
 
-def test_auto_strategy_picks_by_cost(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_auto_strategy_picks_by_cost(cores):
+    cores(8)
     ex = SweepExecutor(jobs=2, strategy="auto")
     fp = TINY.fingerprint()
     tasks = _tasks(3)
@@ -288,8 +290,8 @@ def test_auto_strategy_picks_by_cost(monkeypatch):
     assert ex._resolve_map_strategy(tasks, [0], {})[0] == "inline"
 
 
-def test_auto_probe_seeds_cost_ema(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_auto_probe_seeds_cost_ema(cores):
+    cores(8)
     ex = SweepExecutor(jobs=2, strategy="auto")
     assert ex._cost_ema == {}
     tasks = _tasks(3)

@@ -23,6 +23,7 @@ from repro.parallel import (
     evaluate_task,
     get_shared_pool,
 )
+from repro.parallel import pool as pool_mod
 from repro.parallel import worker as worker_mod
 from repro.telemetry.registry import get_registry
 from repro.tuning.parameters import default_params
@@ -160,12 +161,11 @@ def test_oversized_payloads_fall_back_to_pipe():
 # ---------------------------------------------------------------------------
 
 
-def test_parent_steals_queued_chunks_from_one_busy_worker():
-    # One worker, four chunks of a non-trivial scenario: while the
-    # worker grinds chunk 0, the parent must reclaim queued chunks.
+def _one_worker_four_chunks(monkeypatch, cores):
+    """``(completed, stolen)`` of one such run on a ``cores``-core machine."""
+    monkeypatch.setattr(pool_mod, "usable_cores", lambda: cores)
     spec = ScenarioSpec(workload="hadoop", scale="small", duration=0.02)
     tasks = _tasks(4, spec)
-    before = _counter("repro_executor_steals_total")
     pool = WorkerPool(1)
     try:
         completed, failed, stolen = pool.run(
@@ -175,12 +175,31 @@ def test_parent_steals_queued_chunks_from_one_busy_worker():
         pool.close()
     assert failed == []
     assert len(completed) == 4
-    assert stolen, "parent never stole despite a single busy worker"
-    assert _counter("repro_executor_steals_total") - before == len(stolen)
     inline = [evaluate_task(t) for t in tasks]
     for chunk_id, (results, _metrics) in completed.items():
         for pos, result in zip(chunk_id, results):
             assert result.fct_digest == inline[pos].fct_digest
+    return completed, stolen
+
+
+def test_parent_steals_queued_chunks_from_one_busy_worker(monkeypatch):
+    # One worker on two cores, four chunks of a non-trivial scenario:
+    # while the worker grinds chunk 0, the parent has a core to itself
+    # and must reclaim queued chunks.
+    before = _counter("repro_executor_steals_total")
+    _, stolen = _one_worker_four_chunks(monkeypatch, cores=2)
+    assert stolen, "parent never stole despite a single busy worker"
+    assert _counter("repro_executor_steals_total") - before == len(stolen)
+
+
+def test_parent_does_not_steal_without_a_spare_core(monkeypatch):
+    # The same queue on one core: the busy worker already occupies it,
+    # so a steal would only oversubscribe.  The worker completes all four.
+    before = _counter("repro_executor_steals_total")
+    completed, stolen = _one_worker_four_chunks(monkeypatch, cores=1)
+    assert stolen == []
+    assert _counter("repro_executor_steals_total") == before
+    assert all(metrics is not None for _, metrics in completed.values())
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +219,7 @@ def _crash_once(sentinel: str):
 
 @fork_only
 def test_crashed_worker_chunk_is_retried_with_identical_digests(
-    monkeypatch, tmp_path
+    monkeypatch, tmp_path, cores
 ):
     """Kill a persistent worker mid-chunk; results must not notice.
 
@@ -211,7 +230,7 @@ def test_crashed_worker_chunk_is_retried_with_identical_digests(
     lost chunk in-process at original granularity, and produce results
     and metric totals identical to an inline run.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
     tasks = _tasks(4)
     inline = SweepExecutor(jobs=1, strategy="inline").map(tasks)
 

@@ -3,9 +3,8 @@
 RL005 flags module-level mutable containers in ``repro/parallel/``;
 this pass follows the call graph instead of the package boundary.  It
 computes the closure of code reachable from the worker child entry
-points (``_worker_main`` plus every duck-typed ``run_in_worker``
-dispatch target, from ``layers.toml [forkreach]``) and flags, inside
-that closure:
+points (``layers.toml [forkreach]``: today ``_worker_main`` alone) and
+flags, inside that closure:
 
 * any **write/mutation** of a module-level mutable container — after
   fork that state diverges per process, and the parent never sees it;
