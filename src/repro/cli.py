@@ -71,9 +71,8 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
         choices=["auto", "process", "inline"],
         default=None,
         help="parallel eval strategy: auto measures per-task cost and "
-             "picks, process = persistent worker pool with "
-             "shared-memory transport, inline; results are "
-             "digest-identical across strategies (default: "
+             "picks, process = persistent worker pool, inline; "
+             "results are digest-identical across strategies (default: "
              "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
     )
     parser.add_argument(
@@ -555,24 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
         "controlplane",
         help="run the sharded many-ToR control plane 'day in the life'",
     )
-    from repro import env as env_registry
-
     cp_parser.add_argument(
-        "--shards", type=_positive_int,
-        default=env_registry.get("REPRO_CP_SHARDS"),
-        help="agent shards (default: REPRO_CP_SHARDS env, 4 when unset)",
+        "--shards", type=_positive_int, default=4,
+        help="agent shards (default: 4)",
     )
     cp_parser.add_argument(
-        "--agents-per-shard", type=_positive_int,
-        default=env_registry.get("REPRO_CP_AGENTS_PER_SHARD"),
-        help="simulated ToR agents per shard "
-             "(default: REPRO_CP_AGENTS_PER_SHARD env, 32 when unset)",
+        "--agents-per-shard", type=_positive_int, default=32,
+        help="simulated ToR agents per shard (default: 32)",
     )
     cp_parser.add_argument(
-        "--tenants", type=_positive_int,
-        default=env_registry.get("REPRO_CP_TENANTS"),
-        help="tenant count; racks are assigned round-robin "
-             "(default: REPRO_CP_TENANTS env, 2 when unset)",
+        "--tenants", type=_positive_int, default=2,
+        help="tenant count; racks are assigned round-robin (default: 2)",
     )
     cp_parser.add_argument(
         "--agents-per-rack", type=_positive_int, default=16,

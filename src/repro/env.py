@@ -86,14 +86,8 @@ _declare(
 _declare(
     "REPRO_EXECUTOR_STRATEGY", "str", "auto",
     "Parallel eval strategy (`--strategy`): `auto` estimates per-task "
-    "cost online and picks, `process` = persistent worker pool with "
-    "shared-memory transport, `inline`. Results are "
-    "digest-identical across strategies.",
-)
-_declare(
-    "REPRO_SHM_SLOT_BYTES", "int", 1 << 20,
-    "Size of each pool worker's shared-memory result slot, in bytes; "
-    "chunk payloads larger than the slot fall back to pipe transport.",
+    "cost online and picks, `process` = persistent worker pool, "
+    "`inline`. Results are digest-identical across strategies.",
 )
 _declare(
     "REPRO_EVAL_CACHE", "path", str(os.path.join(".repro_cache", "eval_cache.json")),
@@ -127,29 +121,13 @@ _declare(
 _declare(
     "REPRO_LOG_LEVEL", "str", "WARNING",
     "Level for the `repro.*` stderr logger: a name (`DEBUG`, `INFO`, "
-    "...) or a numeric level.",
+    "...) or a numeric level; anything else raises `ValueError`.",
 )
 _declare(
     "REPRO_HYBRID_ENGINE", "str", "off",
     "Hybrid flow/packet engine mode (`--hybrid-engine`): `off` = pure "
     "DES (digest-identical to the seed), `hybrid` = fluid fast path "
     "for elephants (faster, approximate).",
-)
-_declare(
-    "REPRO_CP_SHARDS", "int", 4,
-    "Sharded control plane (`repro controlplane`): number of agent "
-    "shards, the partition the flow-dedup check runs over.",
-)
-_declare(
-    "REPRO_CP_AGENTS_PER_SHARD", "int", 32,
-    "Simulated ToR agents per control-plane shard; total agents = "
-    "shards x agents-per-shard, and must fill whole racks.",
-)
-_declare(
-    "REPRO_CP_TENANTS", "int", 2,
-    "Tenant count for the sharded control plane; racks are assigned "
-    "round-robin (rack % tenants), and each tenant gets an "
-    "independent KL trigger and tuning loop.",
 )
 
 

@@ -7,7 +7,7 @@ SA ablations (Fig. 12).  This package fans them out:
 * :class:`~repro.parallel.tasks.ScenarioSpec` / ``EvalTask`` /
   ``EvalResult`` — the picklable task protocol.
 * :class:`~repro.parallel.executor.SweepExecutor` — ordered,
-  deterministic process-pool mapping with worker warm start, chunked
+  deterministic mapping onto a persistent process pool, with chunked
   dispatch, timeout/crash retry and eval-cache integration.
 * :func:`~repro.parallel.sa.batched_anneal` — K candidates per SA
   temperature step evaluated concurrently.
@@ -38,7 +38,6 @@ from repro.parallel.tasks import (
     ScenarioSpec,
     derive_task_seed,
     evaluate_task,
-    extract_schedule,
     make_abort_check,
     scheduled_interval_count,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "close_shared_pool",
     "derive_task_seed",
     "evaluate_task",
-    "extract_schedule",
     "get_shared_pool",
     "make_abort_check",
     "offline_grid_search_parallel",

@@ -18,9 +18,9 @@ Design points:
   any task cost (DESIGN.md §13).
 * **Persistent process pool** — the ``process`` path dispatches to the
   process-wide :func:`~repro.parallel.pool.get_shared_pool`, whose
-  workers are forked once and keep their warm fabrics across sweeps
+  workers are forked once and serve every later sweep
   (``private_pool=True`` gives an executor its own crew instead).
-  Results return via shared-memory slots; straggler chunks are
+  Results return over each worker's pipe; straggler chunks are
   work-stolen back into the parent.  See :mod:`repro.parallel.pool`.
 * **Adaptive chunking** — chunk size targets ~0.2 s of estimated work
   per chunk, clamped so every worker sees at least two chunks (load
@@ -50,8 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
 from repro.parallel.pool import WorkerPool, get_shared_pool, usable_cores
-from repro.parallel.tasks import EvalResult, EvalTask
-from repro.parallel.worker import WarmCache, evaluate_warm
+from repro.parallel.tasks import EvalResult, EvalTask, evaluate_task
 from repro.telemetry import trace
 from repro.telemetry.log import get_logger
 from repro.telemetry.registry import get_registry
@@ -142,8 +141,6 @@ class SweepExecutor:
         self.last_retried_chunks = 0
         self.last_stolen_chunks = 0
         self.last_strategy: Optional[str] = None
-        # In-process warm fabrics (parent inline path / stolen chunks).
-        self._warm = WarmCache()
         # Per-scenario EMA of task wall seconds, feeding `auto`.
         self._cost_ema: Dict[str, float] = {}
         self._pool: Optional[WorkerPool] = None
@@ -310,8 +307,8 @@ class SweepExecutor:
         )
 
     def _evaluate_inline(self, task: EvalTask) -> EvalResult:
-        """Warm in-parent evaluation; feeds the cost EMA, no cache put."""
-        result = evaluate_warm(task, self._warm)
+        """In-parent evaluation; feeds the cost EMA, no cache put."""
+        result = evaluate_task(task)
         self._note_cost(task.scenario.fingerprint(), result.wall_time)
         return result
 

@@ -1,24 +1,16 @@
-"""Persistent, core-aware worker pool with shared-memory transport.
+"""Persistent, core-aware worker pool.
 
 The old executor built a fresh ``ProcessPoolExecutor`` per ``map()``
-call, so every sweep paid interpreter spawn, module import and warm
-fabric construction before the first useful event — on short sweeps
-that overhead ate the entire parallel speedup (BENCH recorded
-``sweep.speedup = 1.03``).  :class:`WorkerPool` keeps its workers
-alive across calls:
+call, so every sweep paid interpreter spawn and module import before
+the first useful event — on short sweeps that overhead ate the entire
+parallel speedup (BENCH recorded ``sweep.speedup = 1.03``).
+:class:`WorkerPool` keeps its workers alive across calls:
 
 * **Persistent workers** — forked once (:func:`repro.parallel.worker.
   _worker_main`), each initializes once and serves many chunks over a
-  private duplex pipe.  Dead workers are respawned lazily at the next
+  private duplex pipe, which carries both the tasks out and the
+  results back.  Dead workers are respawned lazily at the next
   :meth:`WorkerPool.run`.
-* **Shared-memory result transport** — the parent creates one
-  ``multiprocessing.shared_memory`` segment per worker (its *result
-  slot*, ``REPRO_SHM_SLOT_BYTES``).  Bulky payloads — recordings, FSD
-  histograms, interval arrays pickled inside ``EvalResult`` — are
-  written into the slot and only a compact ``("done", id, "shm",
-  nbytes)`` header crosses the pipe; oversized payloads fall back to
-  pipe pickling transparently.  Slots are parent-owned, so unlink
-  happens exactly once at :meth:`WorkerPool.close`.
 * **Work stealing** — dispatch is parent-driven, one chunk in flight
   per worker.  While all workers are busy, chunks are still queued
   *and the parent has a core to run on* (fewer busy workers than
@@ -46,7 +38,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
@@ -68,14 +59,6 @@ _WORKER_CRASHES = get_registry().counter(
     "repro_executor_worker_crashes_total",
     "Persistent pool workers that died mid-chunk",
 )
-_IPC_SHM_BYTES = get_registry().counter(
-    "repro_executor_ipc_shm_bytes_total",
-    "Result payload bytes shipped via shared-memory slots",
-)
-_IPC_PIPE_BYTES = get_registry().counter(
-    "repro_executor_ipc_pipe_bytes_total",
-    "Result payload bytes shipped via the pipe fallback",
-)
 
 #: Environment variables forked workers must agree with the parent on;
 #: a change respawns the pool (see :meth:`WorkerPool.refresh`).
@@ -87,9 +70,6 @@ PROPAGATED_ENV: Tuple[str, ...] = (
     "REPRO_LOG_LEVEL",
     "REPRO_HYBRID_ENGINE",
 )
-
-#: Env knob sizing each worker's shared-memory result slot.
-SHM_SLOT_ENV = "REPRO_SHM_SLOT_BYTES"
 
 #: Seconds between result polls; doubles as the straggler threshold —
 #: a parent that has polled once without progress starts stealing.
@@ -113,13 +93,12 @@ def _env_fingerprint() -> Tuple[Optional[str], ...]:
 class _Worker:
     """Parent-side handle for one pool process."""
 
-    __slots__ = ("wid", "process", "conn", "slot", "chunk", "started", "dead")
+    __slots__ = ("wid", "process", "conn", "chunk", "started", "dead")
 
-    def __init__(self, wid, process, conn, slot):
+    def __init__(self, wid, process, conn):
         self.wid = wid
         self.process = process
         self.conn = conn
-        self.slot = slot  # SharedMemory or None (pipe-only transport)
         self.chunk = None  # (chunk_id, tasks) in flight
         self.started = 0.0  # perf_counter at dispatch
         self.dead = False  # pipe broke; process may not be reaped yet
@@ -139,57 +118,34 @@ class _Worker:
 class WorkerPool:
     """A fixed crew of persistent evaluation workers.
 
-    ``run()`` may be called any number of times; workers (and their
-    warm fabric caches) survive between calls.  ``close()`` tears the
-    crew down and releases the shared-memory slots.
+    ``run()`` may be called any number of times; workers survive
+    between calls.  ``close()`` tears the crew down.
     """
 
-    def __init__(self, jobs: int, slot_bytes: Optional[int] = None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.slot_bytes = (
-            slot_bytes if slot_bytes is not None else env.get(SHM_SLOT_ENV)
-        )
         self.closed = False
         self._ctx = multiprocessing.get_context()
         self._env_fp = _env_fingerprint()
         self._workers: List[_Worker] = [
-            self._spawn(wid, self._make_slot()) for wid in range(jobs)
+            self._spawn(wid) for wid in range(jobs)
         ]
 
     # -- lifecycle ------------------------------------------------------
 
-    def _make_slot(self):
-        try:
-            from multiprocessing import shared_memory
-
-            return shared_memory.SharedMemory(
-                create=True, size=self.slot_bytes
-            )
-        except (ImportError, OSError, ValueError):
-            _log.warning(
-                "shared-memory slot unavailable; falling back to pipe "
-                "transport"
-            )
-            return None
-
-    def _spawn(self, wid: int, slot) -> _Worker:
+    def _spawn(self, wid: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                wid,
-                child_conn,
-                slot.name if slot is not None else None,
-                self.slot_bytes,
-            ),
+            args=(child_conn,),
             name=f"repro-eval-{wid}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        return _Worker(wid, process, parent_conn, slot)
+        return _Worker(wid, process, parent_conn)
 
     def _stop_worker(self, worker: _Worker) -> None:
         if worker.process is not None and worker.process.is_alive():
@@ -212,9 +168,7 @@ class WorkerPool:
         Called at the top of every :meth:`run`, so a crash or an
         env-visible reconfiguration (``trace.configure`` exporting
         ``REPRO_TRACE_RUN``, a recorder attach, an engine-mode switch)
-        between sweeps is healed before dispatch.  Slots are reused
-        across respawns — they are parent-owned and content-free
-        between chunks.
+        between sweeps is healed before dispatch.
         """
         fp = _env_fingerprint()
         if fp != self._env_fp:
@@ -222,33 +176,25 @@ class WorkerPool:
             for worker in self._workers:
                 self._stop_worker(worker)
             self._workers = [
-                self._spawn(worker.wid, worker.slot)
-                for worker in self._workers
+                self._spawn(worker.wid) for worker in self._workers
             ]
             return
         for i, worker in enumerate(self._workers):
             if not worker.alive:
                 self._stop_worker(worker)  # reap + close stale conn
-                self._workers[i] = self._spawn(worker.wid, worker.slot)
+                self._workers[i] = self._spawn(worker.wid)
 
     def worker_pids(self) -> List[int]:
         """PIDs of live workers (diagnostics and tests)."""
         return [w.process.pid for w in self._workers if w.alive]
 
     def close(self) -> None:
-        """Stop every worker and release the shared-memory slots."""
+        """Stop every worker."""
         if self.closed:
             return
         self.closed = True
         for worker in self._workers:
             self._stop_worker(worker)
-        for worker in self._workers:
-            if worker.slot is not None:
-                worker.slot.close()
-                try:
-                    worker.slot.unlink()
-                except OSError:
-                    _log.debug("slot for worker %d already gone", worker.wid)
         self._workers = []
 
     # -- dispatch -------------------------------------------------------
@@ -354,14 +300,8 @@ class WorkerPool:
                     worker.dead = True
                     worker.process.join(_JOIN_S)  # reap the corpse
                     continue  # refresh() respawns it on the next run()
-                _, done_id, transport, data = message
-                if transport == "shm":
-                    _IPC_SHM_BYTES.inc(data)
-                    payload = bytes(worker.slot.buf[:data])
-                else:
-                    _IPC_PIPE_BYTES.inc(len(data))
-                    payload = data
-                completed[done_id] = pickle.loads(payload)
+                _, done_id, payload = message
+                completed[done_id] = payload
                 worker.chunk = None
                 idle.append(worker)
         return completed, failed, stolen
@@ -410,7 +350,7 @@ def get_shared_pool(jobs: int) -> WorkerPool:
     """Process-wide pool, grown (never shrunk) to ``jobs`` workers.
 
     Persistence is the point: ``batched_anneal`` calls ``map()``
-    hundreds of times and must not pay spawn + warm-build per batch.
+    hundreds of times and must not pay process spawn per batch.
     A smaller request reuses the bigger pool — per-call dispatch width
     is capped via ``run(max_workers=...)`` instead.
     """

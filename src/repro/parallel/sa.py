@@ -79,8 +79,8 @@ def batched_anneal(
 
     The default executor dispatches to the process-wide persistent
     :func:`~repro.parallel.pool.get_shared_pool`, so the hundreds of
-    small batches an SA search issues reuse one warm worker crew
-    instead of paying spawn + warm-build per batch; ``strategy``
+    small batches an SA search issues reuse one worker crew instead
+    of paying process spawn per batch; ``strategy``
     forwards to :class:`SweepExecutor` (``auto`` when unset).
     """
     if batch_size < 1:

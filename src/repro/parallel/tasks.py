@@ -6,7 +6,7 @@ picklable dataclass:
 * :class:`ScenarioSpec` — a *description* of one experiment scenario
   (fabric scale, workload, duration, weights).  Workers rebuild the
   live ``Network``/workload from the spec; the spec's
-  :meth:`~ScenarioSpec.fingerprint` is the cache/warm-start identity.
+  :meth:`~ScenarioSpec.fingerprint` is the cache identity.
 * :class:`EvalTask` — one unit of work: a scenario plus either a
   frozen :class:`~repro.simulator.dcqcn.DcqcnParams` (evaluated under
   a ``StaticTuner``) or a scheme name from
@@ -118,9 +118,8 @@ class EvalTask:
     #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``);
     #: ``None`` resolves ``REPRO_HYBRID_ENGINE`` at network
     #: construction.  Lives on the task, not the scenario spec, so
-    #: scenario fingerprints — and therefore cache keys and warm-start
-    #: identities — do not depend on it (``hybrid`` results are never
-    #: cached).
+    #: scenario fingerprints — and therefore cache keys — do not
+    #: depend on it (``hybrid`` results are never cached).
     engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -258,42 +257,15 @@ def derive_task_seed(base_seed: int, index: int) -> int:
 # Scenario construction and evaluation
 # ---------------------------------------------------------------------------
 
-#: Static flow schedule: (src, dst, size, start_time, tag) tuples.
-Schedule = List[Tuple[int, int, int, float, str]]
-
-
-def extract_schedule(spec: ScenarioSpec) -> Optional[Schedule]:
-    """Precompute the flow arrival schedule for *static* workloads.
-
-    Hadoop and one-shot alltoall pre-schedule every arrival at install
-    time, so the schedule can be generated once per worker and replayed
-    into each fresh fabric — the pool's warm start.  Reactive workloads
-    (llm, influx) schedule future flows from completion callbacks and
-    return None (rebuilt per evaluation).
-    """
-    if spec.workload not in ("hadoop", "alltoall", "incast"):
-        return None
-    if spec.workload == "alltoall" and spec.stop_on_completion:
-        return None  # stop_when needs the live workload object
-    network, _workload, _stop = build_scenario(spec, spec.seed)
-    return [
-        (f.src, f.dst, f.size, f.start_time, f.tag)
-        for f in network.flows.values()
-    ]
-
-
 def build_scenario(
     spec: ScenarioSpec,
     seed: int,
-    schedule: Optional[Schedule] = None,
     engine_mode: Optional[str] = None,
 ):
     """Fresh ``(network, workload, stop_when)`` for one evaluation.
 
-    ``schedule`` (from :func:`extract_schedule`) replays a precomputed
-    arrival list instead of re-sampling the workload; flow ids and
-    event ordering are identical either way.  ``engine_mode`` selects
-    the hybrid flow/packet engine (``None`` resolves the env default).
+    ``engine_mode`` selects the hybrid flow/packet engine (``None``
+    resolves the env default).
     """
     # Imported here: experiments.scenarios pulls in the full scheme
     # registry, which itself imports tuning modules.
@@ -307,12 +279,6 @@ def build_scenario(
 
     network = make_network(spec.scale, seed=seed, engine_mode=engine_mode)
     stop_when = None
-
-    if schedule is not None:
-        for src, dst, size, start, tag in schedule:
-            network.add_flow(src, dst, size, start, tag=tag)
-        return network, None, None
-
     if spec.workload == "hadoop":
         workload = install_hadoop(
             network,
@@ -385,46 +351,20 @@ def make_abort_check(task: EvalTask):
     return abort_check
 
 
-def evaluate_task(
-    task: EvalTask,
-    schedule: Optional[Schedule] = None,
-    network=None,
-) -> EvalResult:
-    """Run one task to completion and summarize it.
+def evaluate_task(task: EvalTask) -> EvalResult:
+    """Build the task's scenario afresh, run it to completion, summarize.
 
     Pure in ``task`` (given a fixed code version): calling it twice, in
     any process, yields identical digests.
-
-    ``network`` (optional) is a warm fabric built earlier from the same
-    scenario spec: it is :meth:`~repro.simulator.network.Network.reset`
-    and the precomputed ``schedule`` replayed into it, skipping
-    topology construction entirely.  Only valid together with a
-    ``schedule`` (static workloads); the reset path is digest-identical
-    to a fresh build.
     """
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.scenarios import make_tuner
     from repro.simulator.hybrid import resolve_hybrid_mode
 
     spec = task.scenario
-    stop_when = None
-    mode = resolve_hybrid_mode(task.engine_mode)
-    if network is not None and network.hybrid_mode != mode:
-        # Warm fabrics are keyed by scenario fingerprint only; a task
-        # asking for a different engine mode (e.g. a hybrid screening
-        # rung feeding a full-DES confirmation) must not inherit one
-        # built for another mode.
-        network = None
-    if network is not None:
-        if schedule is None:
-            raise ValueError("warm network reuse requires a precomputed schedule")
-        network.reset(task.seed)
-        for src, dst, size, start, tag in schedule:
-            network.add_flow(src, dst, size, start, tag=tag)
-    else:
-        network, _workload, stop_when = build_scenario(
-            spec, task.seed, schedule, engine_mode=mode
-        )
+    network, _workload, stop_when = build_scenario(
+        spec, task.seed, engine_mode=resolve_hybrid_mode(task.engine_mode)
+    )
     if task.params is not None:
         tuner = StaticTuner(task.params, "sweep-point")
     else:

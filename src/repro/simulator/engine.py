@@ -302,30 +302,6 @@ class Simulator:
             self._events_dispatched += dispatched
         return dispatched
 
-    def reset(self) -> None:
-        """Return the engine to its just-constructed state.
-
-        Part of the warm-rebuild path: a worker that evaluates many
-        candidates on the same scenario resets the engine (and the
-        network on top of it) instead of constructing new objects.
-        The event sequence counter restarts from zero so tie-breaking
-        among same-time events — and therefore dispatch order — is
-        identical to a freshly built simulator.
-        """
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        self.now = 0.0
-        for entry in self._heap:
-            if entry[4] is not None:
-                entry[4].sim = None  # handles that outlive the reset are inert
-        self._heap.clear()
-        self._batches.clear()
-        self._seq = itertools.count()
-        self._next_seq = self._seq.__next__
-        self._events_dispatched = 0
-        self._cancelled = 0
-        self._compactions = 0
-
     def _maybe_compact(self) -> None:
         """Rebuild the heap in place once cancelled entries dominate."""
         heap = self._heap

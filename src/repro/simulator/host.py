@@ -154,22 +154,6 @@ class HostEgress:
         flow.bytes_sent += payload
         return packet
 
-    def reset(self) -> None:
-        """Drop all QPs, queued control traffic and pacing state."""
-        for packet in self.control:
-            packet.release()
-        self.control.clear()
-        for qp in self.qps.values():
-            qp.rp.stop()
-        self.qps.clear()
-        self.busy = False
-        if self._wake is not None:
-            self._wake.cancel()
-            self._wake = None
-        self.pause.reset()
-        self.data_tx_bytes = 0
-        self.link.reset()
-
     def _finish(self, packet: Packet, qp: Optional[SenderQp], start: float) -> None:
         """Last bit on the wire: count, propagate, pace the QP, go on."""
         link = self.link
@@ -242,22 +226,6 @@ class Host:
         self.egress = HostEgress(self.sim, link, self.config.mtu)
         self.line_rate = link.rate_bps
         return 0
-
-    def reset(self, params: DcqcnParams) -> None:
-        """Return the host to its just-built state (warm-rebuild path).
-
-        ``params`` replaces the installed parameter object — the
-        network passes a fresh copy of its configured default, undoing
-        whatever the previous evaluation's tuner dispatched.
-        """
-        self.params = params
-        self._np_last_cnp.clear()
-        self.rx_bytes = 0
-        self.rx_data_packets = 0
-        self.cnps_sent = 0
-        self.probes_sent = 0
-        if self.egress is not None:
-            self.egress.reset()
 
     # ------------------------------------------------------------------
     # Sending

@@ -586,46 +586,3 @@ class FluidFlowLanes:
             )
             self._probe_cache[(src, dst)] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    # Warm rebuild
-    # ------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop all lanes and published load (warm-rebuild path)."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        for e in self._edges:
-            e.vq = 0.0
-            e.egress.virtual_bytes = 0
-        self._flows = []
-        for name in (
-            "rc", "rt", "alpha", "byte_stage", "time_stage", "incr_iter",
-            "line_rate", "_wire_f", "_sent_f",
-        ):
-            setattr(self, name, np.zeros(0))
-        self._wire_int = []
-        self._sent_int = []
-        self._edges = []
-        self._edge_of = {}
-        self._flow_edges = []
-        self._topo_dirty = True
-        self._probe_cache = {}
-        self._cap = np.zeros(0)
-        self._markable = np.zeros(0, dtype=bool)
-        self._buffer_cap = np.zeros(0)
-        self._vq = np.zeros(0)
-        self._size_arr = np.zeros(0)
-        self._mark_key = None
-        self._mark_cols = None
-        self._cols_key = None
-        self._cols = None
-        self._last_sync = 0.0
-        self._last_probe = 0.0
-        self._probe_rng = random.Random(
-            (self.network.config.seed << 8) ^ 0x9E3779B1
-        )
-        self.syncs = 0
-        self.fluid_flows_total = 0
-        self.fluid_bytes_total = 0

@@ -75,11 +75,6 @@ class Link:
         # Serialization delay of a packet is ``wire_size * sec_per_byte``.
         self.sec_per_byte = 8.0 / rate_bps
 
-    def reset(self) -> None:
-        """Zero the transfer counters (warm-rebuild path)."""
-        self.tx_bytes = 0
-        self.tx_packets = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, {self.rate_bps / 1e9:.1f}Gbps, {self.prop_delay * 1e6:.1f}us)"
 
@@ -119,13 +114,6 @@ class PauseState:
         if self.paused:
             total += self.sim.now - self._paused_since
         return total
-
-    def reset(self) -> None:
-        """Forget all pause history (warm-rebuild path)."""
-        self.paused = False
-        self._paused_since = 0.0
-        self.total_paused_time = 0.0
-        self.pause_events = 0
 
 
 class QueuedEgress:
@@ -214,23 +202,3 @@ class QueuedEgress:
             self.on_dequeue(packet)
         self.busy = False
         self._start_next()
-
-    def reset(self) -> None:
-        """Drop queued packets and all accounting (warm-rebuild path).
-
-        Queued packets go back to the free-list; in-flight
-        serialization events belong to the engine heap, which the
-        owning network resets in the same pass.
-        """
-        for packet in self.control_queue:
-            packet.release()
-        for packet in self.data_queue:
-            packet.release()
-        self.control_queue.clear()
-        self.data_queue.clear()
-        self.data_queue_bytes = 0
-        self.virtual_bytes = 0
-        self.busy = False
-        self.max_data_queue_bytes = 0
-        self.pause.reset()
-        self.link.reset()

@@ -216,53 +216,6 @@ class Network:
                 spine.set_forwarding(h, [self._spine_tor_port[(s, spec.tor_of(h))]])
 
     # ------------------------------------------------------------------
-    # Warm rebuild
-    # ------------------------------------------------------------------
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Return the fabric to its just-built state without rebuilding.
-
-        Topology construction (device graphs, link wiring, forwarding
-        tables) dominates per-evaluation setup cost; everything else is
-        counters and per-run state.  ``reset`` clears the latter and
-        keeps the former, so a worker evaluating many candidates on the
-        same scenario pays construction once.
-
-        Determinism contract: a reset network followed by the same
-        schedule of ``add_flow`` calls produces byte-identical flow
-        records and interval digests to a freshly constructed one.
-        Device resets run *before* the engine reset so event-handle
-        cancellations keep the engine's bookkeeping consistent; the
-        engine then restarts its sequence counter from zero, which
-        restores identical tie-breaking among same-time events.
-        """
-        if seed is not None:
-            self.config.seed = seed
-        cfg = self.config
-        # Devices first (cancelling their pending timers), engine second.
-        for host in self.hosts:
-            host.reset(cfg.params.copy())
-        for switch in self.switches:
-            switch.reset(cfg.params.copy(), seed=cfg.seed)
-        if self.fluid_lanes is not None:
-            self.fluid_lanes.reset()
-        self.sim.reset()
-        self._rng = random.Random(cfg.seed)
-
-        self.flows.clear()
-        self.active_flows.clear()
-        self.records.clear()
-        self._next_flow_id = 0
-        self._completion_callbacks.clear()
-
-        self.stats = StatsCollector(self)
-        for host in self.hosts:
-            host.on_rtt_sample = self.stats.record_rtt
-
-        if cfg.probing_enabled:
-            self.sim.post(cfg.probe_interval, self._probe_tick)
-
-    # ------------------------------------------------------------------
     # Flows
     # ------------------------------------------------------------------
 

@@ -154,37 +154,6 @@ class Switch:
             raise ValueError(f"no egress ports toward host {dst_host}")
         self.forward_table[dst_host] = list(ports)
 
-    def reset(self, params: DcqcnParams, seed: int = 0) -> None:
-        """Return the switch to its just-built state (warm-rebuild path).
-
-        Re-seeds the marking RNG with the same derivation used at
-        construction so a reset switch draws the identical random
-        sequence as a freshly built one — required for digest-identical
-        re-evaluation.  Wiring (egress list, forwarding, ingress peers)
-        is topology state and survives untouched.
-        """
-        self.params = params
-        self._rng = random.Random((seed << 16) ^ self.switch_id ^ 0x5A17C4)
-        for egress in self.egress:
-            egress.reset()
-        self.occupied_bytes = 0
-        for port in self.ingress_bytes:
-            self.ingress_bytes[port] = 0
-        for port in self._upstream_paused:
-            self._upstream_paused[port] = False
-        self.measurement = None
-        self.dedup_marking = True
-        self._obs_flow.clear()
-        self._obs_bytes.clear()
-        self._obs_batched = False
-        self.obs_flushes = 0
-        self.rx_packets = 0
-        self.dropped_packets = 0
-        self.dropped_bytes = 0
-        self.ecn_marked_packets = 0
-        self.data_packets_forwarded = 0
-        self.pfc_pauses_sent = 0
-
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------

@@ -63,13 +63,26 @@ def _configure_root() -> None:
 
 
 def level_from_env(default: int = logging.WARNING) -> int:
-    """Resolve ``REPRO_LOG_LEVEL`` (name or number) to a logging level."""
+    """Resolve ``REPRO_LOG_LEVEL`` (name or number) to a logging level.
+
+    Empty or unset means ``default``; anything that is neither a
+    decimal number nor a ``logging`` level name raises ``ValueError``.
+    """
     raw = env.raw("REPRO_LOG_LEVEL") or ""
-    if not raw:
+    text = raw.strip()
+    if not text:
         return default
-    if raw.isdigit():
-        return int(raw)
-    return getattr(logging, raw.upper(), default)
+    if text.isdigit():
+        return int(text)
+    # getLevelName maps a registered name to its number and anything
+    # else to a "Level ..." string (getLevelNamesMapping is 3.11+).
+    level = logging.getLevelName(text.upper())
+    if not isinstance(level, int):
+        raise ValueError(
+            f"REPRO_LOG_LEVEL must be a logging level name or number, "
+            f"got {raw!r}"
+        )
+    return level
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:

@@ -19,9 +19,7 @@ import pytest
 from repro.parallel.tasks import (
     EvalTask,
     ScenarioSpec,
-    build_scenario,
     evaluate_task,
-    extract_schedule,
 )
 from repro.simulator.units import mb, ms
 from repro.telemetry import trace
@@ -111,23 +109,6 @@ def test_hybrid_results_are_never_cached():
             engine_mode=mode,
         )
         assert task.cacheable is cacheable
-
-
-def test_warm_network_of_wrong_mode_is_rebuilt():
-    """A warm fabric built for one mode never serves another."""
-    spec = _incast_spec(duration=0.01)
-    schedule = extract_schedule(spec)
-    assert schedule is not None  # incast is a static workload
-    warm, _, _ = build_scenario(spec, spec.seed, [], engine_mode="off")
-    assert warm.hybrid_mode == "off"
-    task = EvalTask(
-        scenario=spec, seed=spec.seed, params=default_params(),
-        engine_mode="hybrid",
-    )
-    via_warm = evaluate_task(task, schedule, network=warm)
-    fresh = evaluate_task(task, schedule)
-    assert via_warm.fct_digest == fresh.fct_digest
-    assert via_warm.interval_digest == fresh.interval_digest
 
 
 def test_hybrid_sync_points_emit_schema_valid_trace(tmp_path):

@@ -1,27 +1,21 @@
 """Multi-fidelity evaluation: determinism and equivalence guarantees.
 
-Three contracts from DESIGN.md's "Multi-fidelity evaluation":
+Two contracts from DESIGN.md's "Multi-fidelity evaluation":
 
 * the full-fidelity path is byte-identical with and without a
   :class:`~repro.tuning.fidelity.FidelityConfig` attached;
 * early abort never perturbs runs that complete (the abort check is
   read-only until it fires), and abort decisions themselves are
-  deterministic;
-* the warm reset-and-replay evaluation path produces the same digests
-  as a cold build.
+  deterministic.
 """
 
 import random
-
-import pytest
 
 from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import (
     EvalTask,
     ScenarioSpec,
-    build_scenario,
     evaluate_task,
-    extract_schedule,
 )
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
 from repro.tuning.fidelity import FidelityConfig
@@ -152,29 +146,3 @@ def test_grid_sweep_screen_mode_keeps_des_best():
     assert [(r.utility, r.fidelity) for r in results2] == [
         (r.utility, r.fidelity) for r in results
     ]
-
-
-# -- warm reset-and-replay ----------------------------------------------
-
-
-def test_warm_network_reuse_matches_cold_build():
-    schedule = extract_schedule(SPEC)
-    assert schedule is not None
-    network, _, _ = build_scenario(SPEC, SPEC.seed, [])
-
-    params_a = default_params()
-    params_b = default_params().copy(k_min=40_000, k_max=160_000, p_max=0.05)
-    for params in (params_a, params_b, params_a):
-        task = EvalTask(scenario=SPEC, seed=SPEC.seed, params=params)
-        cold = evaluate_task(task)
-        warm = evaluate_task(task, schedule=schedule, network=network)
-        assert warm.fct_digest == cold.fct_digest
-        assert warm.interval_digest == cold.interval_digest
-        assert warm.utilities == cold.utilities
-
-
-def test_warm_network_requires_schedule():
-    network, _, _ = build_scenario(SPEC, SPEC.seed, [])
-    task = EvalTask(scenario=SPEC, seed=SPEC.seed, params=default_params())
-    with pytest.raises(ValueError):
-        evaluate_task(task, network=network)

@@ -367,52 +367,6 @@ def test_run_matches_run_until_under_cancellation(delays, cancel_mod):
 
 
 # ---------------------------------------------------------------------------
-# reset(): warm-rebuild support
-# ---------------------------------------------------------------------------
-
-
-def test_reset_restores_pristine_state(sim):
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None).cancel()
-    sim.run_until(1.5)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
-    assert sim.cancelled_pending == 0
-    assert sim.events_dispatched == 0
-    assert sim.compactions == 0
-
-
-def test_reset_restarts_sequence_counter(sim):
-    """Tie-break order after reset must match a fresh simulator, or
-    warm-rebuilt evaluations would diverge from cold ones.
-    """
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.reset()
-    fired = []
-    for tag in ("a", "b", "c"):
-        sim.at(1.0, fired.append, tag)
-    sim.run()
-    assert fired == ["a", "b", "c"]
-    fresh = Simulator()
-    fresh_fired = []
-    for tag in ("a", "b", "c"):
-        fresh.at(1.0, fresh_fired.append, tag)
-    fresh.run()
-    assert fired == fresh_fired
-
-
-def test_reset_rejects_running_simulator(sim):
-    def try_reset():
-        with pytest.raises(SimulationError):
-            sim.reset()
-
-    sim.schedule(0.5, try_reset)
-    sim.run()
-
-
-# ---------------------------------------------------------------------------
 # Handle-free events, coalesced deadlines, detached handles
 # ---------------------------------------------------------------------------
 
@@ -487,19 +441,6 @@ def test_late_cancel_of_a_fired_handle_is_a_noop(sim):
     assert sim.cancelled_pending == 0
     assert sim.compactions == 0
     assert not state["handle"].cancelled
-
-
-def test_reset_detaches_outstanding_handles(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    sim.reset()
-    handle.cancel()                       # entry is gone: must not count
-    assert sim.cancelled_pending == 0
-    sim.coalesce_at(1.0, lambda: None)
-    sim.reset()
-    fired = []
-    sim.coalesce_at(1.0, lambda: fired.append("fresh"))
-    sim.run()
-    assert fired == ["fresh"]             # no stale batch survived reset
 
 
 # -- model-based property test ----------------------------------------------

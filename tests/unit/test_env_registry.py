@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import pytest
 
 from repro import env
 from repro.cli import main
+from repro.telemetry.log import level_from_env
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -18,11 +20,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_every_runtime_variable_is_declared():
-    declared = set(env.REGISTRY)
-    assert {
-        "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_TRACE_RUN",
-        "REPRO_LOG_LEVEL", "REPRO_HYBRID_ENGINE",
-    } <= declared
+    assert set(env.REGISTRY) == {
+        "REPRO_JOBS", "REPRO_EXECUTOR_STRATEGY", "REPRO_EVAL_CACHE",
+        "REPRO_TRACE", "REPRO_TRACE_RUN", "REPRO_RECORD",
+        "REPRO_RECORD_BUDGET", "REPRO_LOG_LEVEL", "REPRO_HYBRID_ENGINE",
+    }
     for var in env.describe():
         assert var.name.startswith("REPRO_")
         assert var.kind in ("str", "int", "path")
@@ -55,6 +57,15 @@ def test_int_parsing_clamps_and_falls_back(monkeypatch):
         env.get("REPRO_JOBS")  # garbage fails loudly, never the default
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert env.get("REPRO_JOBS") is None  # resolver uses cpu count
+    monkeypatch.setenv("REPRO_LOG_LEVEL", "verbose")
+    with pytest.raises(ValueError, match="REPRO_LOG_LEVEL.*'verbose'"):
+        level_from_env()  # not a level name: loud, never WARNING
+    monkeypatch.setenv("REPRO_LOG_LEVEL", "info")
+    assert level_from_env() == logging.INFO
+    monkeypatch.setenv("REPRO_LOG_LEVEL", "15")
+    assert level_from_env() == 15
+    monkeypatch.setenv("REPRO_LOG_LEVEL", "")
+    assert level_from_env() == logging.WARNING
 
 
 def test_path_parsing_disable_sentinels(monkeypatch):

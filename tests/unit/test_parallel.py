@@ -18,7 +18,6 @@ from repro.parallel import (
     batched_anneal,
     derive_task_seed,
     evaluate_task,
-    extract_schedule,
     resolve_jobs,
 )
 from repro.parallel.tasks import build_scenario
@@ -79,23 +78,6 @@ def test_evaluate_task_is_deterministic():
     assert a.fct_digest == b.fct_digest
     assert a.interval_digest == b.interval_digest
     assert a.utilities == b.utilities
-
-
-def test_schedule_replay_matches_live_workload():
-    """Warm-start replay must reproduce the sampled workload exactly."""
-    schedule = extract_schedule(TINY)
-    assert schedule, "hadoop schedules are static and extractable"
-    task = _tasks(1)[0]
-    live = evaluate_task(task)
-    warm = evaluate_task(task, schedule)
-    assert live.fct_digest == warm.fct_digest
-    assert live.interval_digest == warm.interval_digest
-
-
-def test_reactive_workloads_have_no_static_schedule():
-    assert extract_schedule(
-        ScenarioSpec(workload="llm", scale="small", duration=0.004)
-    ) is None
 
 
 def test_build_scenario_rejects_unknown_workload():

@@ -2,7 +2,7 @@
 
 Everything here runs real forked workers on a tiny scenario; the
 digest-identity contract (pool == inline, bit for bit) is what makes
-crash/steal/transport variations invisible to results.  Tests that
+crash/steal variations invisible to results.  Tests that
 inject worker behaviour rely on the Linux fork start method — a forked
 child inherits monkeypatched module state — and are skipped elsewhere.
 """
@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.parallel import (
     EvalTask,
     ScenarioSpec,
@@ -121,39 +126,50 @@ def test_pool_rejects_bad_sizes_and_reuse_after_close():
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
+# Teardown
 # ---------------------------------------------------------------------------
 
+_TEARDOWN_SCRIPT = textwrap.dedent(
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
 
-def test_results_ship_via_shared_memory_by_default():
-    before = _counter("repro_executor_ipc_shm_bytes_total")
+    from repro.parallel import EvalTask, ScenarioSpec, WorkerPool, evaluate_task
+    from repro.tuning.parameters import default_params
+
+    spec = ScenarioSpec(workload="hadoop", scale="small", duration=0.004)
+    tasks = [EvalTask(scenario=spec, seed=spec.seed, params=default_params())]
+    inline = [evaluate_task(t) for t in tasks]
     pool = WorkerPool(1)
-    try:
-        completed, failed, _ = pool.run(_chunks(_tasks(2), 2))
-    finally:
-        pool.close()
-    assert failed == []
-    assert len(completed) == 1
-    assert _counter("repro_executor_ipc_shm_bytes_total") > before
+    pids = set(pool.worker_pids())
+    completed, failed, stolen = pool.run([((0,), tasks)])
+    pool.close()
+    assert pids and failed == [] and stolen == [], (pids, failed, stolen)
+    ((results, _metrics),) = completed.values()
+    assert [r.fct_digest for r in results] == [r.fct_digest for r in inline]
+    alive = {child.pid for child in multiprocessing.active_children()}
+    assert not alive & pids, alive & pids
+    assert resource_tracker._resource_tracker._pid is None, "tracker started"
+    print("clean")
+    """
+)
 
 
-def test_oversized_payloads_fall_back_to_pipe():
-    before_pipe = _counter("repro_executor_ipc_pipe_bytes_total")
-    before_shm = _counter("repro_executor_ipc_shm_bytes_total")
-    # A 64-byte slot cannot hold any pickled EvalResult.
-    pool = WorkerPool(1, slot_bytes=64)
-    try:
-        completed, failed, _ = pool.run(_chunks(_tasks(2), 2))
-    finally:
-        pool.close()
-    assert failed == []
-    inline = [evaluate_task(t) for t in _tasks(2)]
-    (results, _metrics), = completed.values()
-    assert [r.fct_digest for r in results] == [
-        r.fct_digest for r in inline
-    ]
-    assert _counter("repro_executor_ipc_pipe_bytes_total") > before_pipe
-    assert _counter("repro_executor_ipc_shm_bytes_total") == before_shm
+def test_closed_pool_leaves_no_process_behind():
+    """Results ride the pipe, so a pool starts no resource tracker and
+    ``close()`` leaves neither workers nor helpers running.  A fresh
+    interpreter, so no earlier test can have started a tracker."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEARDOWN_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "clean"
 
 
 # ---------------------------------------------------------------------------

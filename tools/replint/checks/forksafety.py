@@ -11,8 +11,9 @@ Two failure families the pool surface invites:
   module-scope ``dict``/``list``/``set`` in ``repro/parallel/`` is
   *per-process* after fork; code that reads it in the parent after
   workers mutate it sees stale data.  Deliberate worker-globals (the
-  warm-start slots) are ``None``-initialised and escape the literal
-  heuristic; anything container-valued needs a pragma with a rationale.
+  crash-injection hook, the shared-pool handle) are ``None``-initialised
+  and escape the literal heuristic; anything container-valued needs a
+  pragma with a rationale.
 
 RL010 (fork-reachability) is the interprocedural upgrade of the second
 family: it follows the call graph from the worker entry points instead

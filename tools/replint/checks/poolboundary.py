@@ -1,8 +1,9 @@
 """RL007 pool-boundary: all process-fabric construction in one place.
 
 The parallel fabric owns worker lifecycle (fork-time registry reset,
-env-fingerprint respawn, warm caches) and shared-memory hygiene
-(parent-owned slots, exactly-once unlink).  A stray
+env-fingerprint respawn, teardown).  A shared-memory segment is a
+parent-owned OS resource that needs an exactly-once unlink and starts
+``multiprocessing``'s resource tracker, so the fabric uses none.  A stray
 ``ProcessPoolExecutor`` or ``shared_memory.SharedMemory`` constructed
 elsewhere silently re-introduces the per-sweep spawn cost the pool
 exists to amortize — and double-counts metrics, because only

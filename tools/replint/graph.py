@@ -87,7 +87,7 @@ class _FactsVisitor(ast.NodeVisitor):
         self.refs: Dict[str, List] = {}
         self.global_reads: Dict[str, List] = {}
         self.global_writes: Dict[str, List] = {}
-        self._scope: List[str] = []  # e.g. ["WarmCache", "lookup"]
+        self._scope: List[str] = []  # e.g. ["SweepExecutor", "map"]
         self._class: List[str] = []
 
     # -- scope bookkeeping ------------------------------------------------
