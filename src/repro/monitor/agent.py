@@ -70,9 +70,10 @@ def _trace_report(report: LocalReport) -> LocalReport:
 class SwitchAgent:
     """Paraleon agent: Elastic Sketch + sliding-window ternary states.
 
-    The whole interval runs columnar: the switch rings observations
-    into a preallocated buffer, the sketch is read and reset as flat
-    arrays, flow states advance with masked numpy ops, and the FSD is
+    The whole interval runs columnar: the switch buffers observations
+    and flushes them through the sketch's batch kernel, the sketch is
+    read and reset as flat arrays, flow states advance with masked
+    numpy ops, and the FSD is
     summed by the same kernel the scalar reference pieces
     (``ElasticSketch.read_and_reset`` → ``SlidingWindowClassifier`` →
     ``FlowSizeDistribution.from_entries``) use, so reports and run

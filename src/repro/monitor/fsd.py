@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,59 @@ def _bucket_index(nbytes: int) -> int:
     return min(int(math.log2(nbytes)), HISTOGRAM_BUCKETS - 1)
 
 
+class FlowStates(Mapping):
+    """Per-flow ternary states of an FSD, held as two columns.
+
+    A monitor interval only reduces the columns (weights, histogram),
+    so the flow-id → :class:`TernaryState` dict that accuracy checks
+    look flows up in is built on first access, not per report.  Later
+    rows win on a repeated id, as successive ``dict.update`` calls
+    would.  Compares equal to any mapping with the same items.
+    """
+
+    __slots__ = ("ids", "codes", "_table")
+
+    def __init__(
+        self, ids: Optional[np.ndarray] = None, codes: Optional[np.ndarray] = None
+    ):
+        self.ids = np.zeros(0, dtype=np.int64) if ids is None else ids
+        self.codes = np.zeros(0, dtype=np.int8) if codes is None else codes
+        self._table: Optional[Dict[int, TernaryState]] = None
+
+    @classmethod
+    def of(cls, states: Mapping[int, TernaryState]) -> "FlowStates":
+        """Columns for any state mapping (a plain dict is converted)."""
+        if isinstance(states, cls):
+            return states
+        ids = np.fromiter(states.keys(), dtype=np.int64, count=len(states))
+        codes = np.fromiter(
+            (CODE_OF_STATE[state] for state in states.values()),
+            dtype=np.int8,
+            count=len(states),
+        )
+        return cls(ids, codes)
+
+    def _lookup(self) -> Dict[int, TernaryState]:
+        if self._table is None:
+            self._table = {
+                fid: STATE_OF_CODE[code]
+                for fid, code in zip(self.ids.tolist(), self.codes.tolist())
+            }
+        return self._table
+
+    def __getitem__(self, flow_id: int) -> TernaryState:
+        return self._lookup()[flow_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self._lookup())
+
+    def __repr__(self) -> str:
+        return f"FlowStates({self._lookup()!r})"
+
+
 @dataclass
 class FlowSizeDistribution:
     """Network-wide (or per-switch) traffic mix for one interval."""
@@ -54,7 +107,7 @@ class FlowSizeDistribution:
     histogram: Tuple[float, ...] = field(
         default_factory=lambda: tuple([0.0] * HISTOGRAM_BUCKETS)
     )
-    flow_states: Dict[int, TernaryState] = field(default_factory=dict)
+    flow_states: Mapping[int, TernaryState] = field(default_factory=FlowStates)
     #: Memoized ``(histogram, epsilon, result)`` of the last
     #: :meth:`normalized_histogram` call.  The controller normalizes
     #: the same interval's histogram repeatedly (KL against previous,
@@ -103,15 +156,11 @@ class FlowSizeDistribution:
                 HISTOGRAM_BUCKETS - 1,
             )
         histogram = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS).astype(float)
-        states = {
-            int(fid): STATE_OF_CODE[int(code)]
-            for fid, code in zip(ids.tolist(), codes.tolist())
-        }
         return cls(
             elephant_weight=float(np.sum(likelihood)),
             mice_weight=float(np.sum(1.0 - likelihood)),
             histogram=tuple(histogram.tolist()),
-            flow_states=states,
+            flow_states=FlowStates(ids, codes),
         )
 
     @classmethod
@@ -251,12 +300,16 @@ def merge_distributions(
     parts = list(parts)
     elephant = 0.0
     mice = 0.0
-    states: Dict[int, TernaryState] = {}
     for part in parts:
         elephant += part.elephant_weight
         mice += part.mice_weight
-        states.update(part.flow_states)
+    states = FlowStates()
     if parts:
+        columns = [FlowStates.of(part.flow_states) for part in parts]
+        states = FlowStates(
+            np.concatenate([c.ids for c in columns]),
+            np.concatenate([c.codes for c in columns]),
+        )
         # Bucket counts are small integers in float form, so the
         # vectorized column sum is exact and order-independent.
         summed = np.sum(

@@ -161,76 +161,43 @@ class ColumnarSlidingWindowClassifier:
     """Struct-of-arrays twin of :class:`SlidingWindowClassifier`.
 
     Holds the flow table as parallel numpy columns (id, Φ, streaks,
-    state code, sliding window) keyed by an id→row dict with a free
-    list, so a monitor interval is a handful of masked array ops
-    instead of a Python loop over dataclasses.  Semantics are exactly
-    the scalar classifier's: same admission rule (new flows only when
-    they moved bytes this interval, in mapping order), same streak and
-    expiry arithmetic, same ``Φ ≥ τ`` / ``active ≥ δ`` transitions.
-    :meth:`snapshot_columns` emits rows in tracking-insertion order —
-    the same order the scalar ``flows`` dict iterates — so downstream
+    state code, sliding window) whose row order *is* the tracking
+    order: admitted flows are appended, expired ones compressed out.
+    A monitor interval is then a fixed sequence of array ops with no
+    per-flow Python: tracked ids are found with one ``searchsorted``
+    over an argsort of the table, and new flows are admitted as one
+    masked append in input order.  Semantics are exactly the scalar
+    classifier's: same admission rule (new flows only when they moved
+    bytes this interval, in mapping order), same streak and expiry
+    arithmetic, same ``Φ ≥ τ`` / ``active ≥ δ`` transitions.  Because
+    rows iterate in the order the scalar ``flows`` dict does, downstream
     float reductions (FSD weights) see identical operand sequences and
     produce bit-identical results.
     """
 
-    _GROW_FACTOR = 2
+    #: Per-row columns, extended together on admission and compressed
+    #: together on expiry.
+    _COLUMNS = ("_flow_id", "_cum", "_active", "_idle", "_seen", "_state", "_window")
 
-    def __init__(self, tau: int = mb(1.0), delta: int = 3, capacity: int = 256):
+    def __init__(self, tau: int = mb(1.0), delta: int = 3):
         if tau <= 0:
             raise ValueError("tau must be positive")
         if delta < 1:
             raise ValueError("delta must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.tau = tau
         self.delta = delta
         self.expired_total = 0
-        self._capacity = capacity
-        self._flow_id = np.full(capacity, -1, dtype=np.int64)
-        self._cum = np.zeros(capacity, dtype=np.int64)
-        self._active = np.zeros(capacity, dtype=np.int64)
-        self._idle = np.zeros(capacity, dtype=np.int64)
-        self._seen = np.zeros(capacity, dtype=np.int64)
-        self._state = np.zeros(capacity, dtype=np.int8)
-        self._seq = np.zeros(capacity, dtype=np.int64)
-        self._window = np.zeros((capacity, delta), dtype=np.int64)
-        self._row_of: Dict[int, int] = {}
-        # Pop order makes rows fill 0, 1, 2, ... — not semantically
-        # required (snapshots sort by seq) but keeps layouts reproducible.
-        self._free = list(range(capacity - 1, -1, -1))
-        self._next_seq = 0
-
-    # -- row management --------------------------------------------------
-
-    def _grow(self) -> None:
-        old = self._capacity
-        new = old * self._GROW_FACTOR
-        for name in ("_flow_id", "_cum", "_active", "_idle", "_seen", "_state", "_seq"):
-            col = getattr(self, name)
-            grown = np.full(new, -1, dtype=col.dtype) if name == "_flow_id" else np.zeros(new, dtype=col.dtype)
-            grown[:old] = col
-            setattr(self, name, grown)
-        window = np.zeros((new, self.delta), dtype=np.int64)
-        window[:old] = self._window
-        self._window = window
-        self._free.extend(range(new - 1, old - 1, -1))
-        self._capacity = new
-
-    def _alloc_row(self, flow_id: int) -> int:
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self._flow_id[row] = flow_id
-        self._cum[row] = 0
-        self._active[row] = 0
-        self._idle[row] = 0
-        self._seen[row] = 0
-        self._state[row] = CODE_MICE
-        self._seq[row] = self._next_seq
-        self._next_seq += 1
-        self._window[row, :] = 0
-        self._row_of[flow_id] = row
-        return row
+        self._flow_id = np.zeros(0, dtype=np.int64)
+        self._cum = np.zeros(0, dtype=np.int64)
+        self._active = np.zeros(0, dtype=np.int64)
+        self._idle = np.zeros(0, dtype=np.int64)
+        self._seen = np.zeros(0, dtype=np.int64)
+        self._state = np.zeros(0, dtype=np.int8)
+        # Sliding windows share one ring: every tracked row advances
+        # every interval, so the newest byte count of every row sits
+        # in column ``_slot``.
+        self._window = np.zeros((0, delta), dtype=np.int64)
+        self._slot = delta - 1
 
     # -- interval update -------------------------------------------------
 
@@ -243,49 +210,57 @@ class ColumnarSlidingWindowClassifier:
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
         vals = np.asarray(interval_bytes, dtype=np.int64)
-        row_of = self._row_of
-        # Admission in mapping order, mirroring the scalar dict walk.
-        for flow_id, nbytes in zip(ids.tolist(), vals.tolist()):
-            if nbytes > 0 and flow_id not in row_of:
-                self._alloc_row(flow_id)
+        table = self._flow_id
+        tracked = table.size
 
-        occ = np.flatnonzero(self._flow_id >= 0)
-        if occ.size == 0:
+        # Which input flows already hold a row, and which one.
+        row = np.zeros(ids.size, dtype=np.int64)
+        found = np.zeros(ids.size, dtype=bool)
+        if tracked and ids.size:
+            # (searchsorted's own ``sorter=`` is several times slower
+            # than searching a sorted copy.)
+            sorter = np.argsort(table)
+            slot = np.searchsorted(table[sorter], ids)
+            row = sorter[np.minimum(slot, tracked - 1)]
+            found = table[row] == ids
+        # Admission appends new movers in input order, as the scalar
+        # classifier's dict walk does; zero-byte strangers get no row.
+        admit = ~found & (vals > 0)
+        fresh = int(np.count_nonzero(admit))
+        if tracked + fresh == 0:
             return
+        if fresh:
+            for name in self._COLUMNS:
+                column = getattr(self, name)
+                blank = np.zeros((fresh,) + column.shape[1:], dtype=column.dtype)
+                setattr(self, name, np.concatenate((column, blank)))
+            self._flow_id[tracked:] = ids[admit]
 
-        # Scatter this interval's bytes onto tracked rows; untracked
-        # zero-byte flows in the input never get a row (scalar rule).
-        per_row = np.zeros(self._capacity, dtype=np.int64)
-        rows = np.fromiter(
-            (row_of.get(fid, -1) for fid in ids.tolist()), dtype=np.int64, count=ids.size
-        )
-        tracked = rows >= 0
-        per_row[rows[tracked]] = vals[tracked]
-
-        nb = per_row[occ]
-        self._seen[occ] += 1
-        self._cum[occ] += nb
-        self._window[occ, (self._seen[occ] - 1) % self.delta] = nb
+        nb = np.zeros(tracked + fresh, dtype=np.int64)
+        nb[row[found]] = vals[found]
+        nb[tracked:] = vals[admit]
+        # Columns are replaced, never written in place, so the arrays a
+        # snapshot handed out stay valid after later intervals.
+        self._seen = self._seen + 1
+        self._cum = self._cum + nb
+        self._slot = (self._slot + 1) % self.delta
+        self._window[:, self._slot] = nb
 
         was_active = nb > 0
-        self._active[occ] = np.where(was_active, self._active[occ] + 1, 0)
-        self._idle[occ] = np.where(was_active, 0, self._idle[occ] + 1)
-
-        expiring = ~was_active & (self._idle[occ] >= self.delta)
-        survivors = occ[~expiring]
-        self._state[survivors] = np.where(
-            self._cum[survivors] >= self.tau,
+        self._active = np.where(was_active, self._active + 1, 0)
+        self._idle = np.where(was_active, 0, self._idle + 1)
+        self._state = np.where(
+            self._cum >= self.tau,
             CODE_ELEPHANT,
-            np.where(self._active[survivors] >= self.delta, CODE_PE, CODE_MICE),
+            np.where(self._active >= self.delta, CODE_PE, CODE_MICE),
         ).astype(np.int8)
 
-        dead = occ[expiring]
-        if dead.size:
-            for row in dead.tolist():
-                del row_of[int(self._flow_id[row])]
-                self._flow_id[row] = -1
-            self._free.extend(dead.tolist())
-            self.expired_total += int(dead.size)
+        expiring = self._idle >= self.delta
+        if expiring.any():
+            keep = ~expiring
+            for name in self._COLUMNS:
+                setattr(self, name, getattr(self, name)[keep])
+            self.expired_total += int(np.count_nonzero(expiring))
 
     def update(self, interval_bytes: Mapping[int, int]) -> None:
         """Mapping-based convenience wrapper (tests / ablations)."""
@@ -295,24 +270,24 @@ class ColumnarSlidingWindowClassifier:
 
     # -- snapshots -------------------------------------------------------
 
-    def _ordered_rows(self) -> np.ndarray:
-        occ = np.flatnonzero(self._flow_id >= 0)
-        return occ[np.argsort(self._seq[occ], kind="stable")]
-
     def snapshot_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flow_ids, cumulative_bytes, state_codes) in tracking order."""
-        rows = self._ordered_rows()
-        return self._flow_id[rows], self._cum[rows], self._state[rows]
+        """(flow_ids, cumulative_bytes, state_codes) in tracking order.
+
+        The table's own columns, not copies: :meth:`update_arrays`
+        replaces them rather than writing into them.
+        """
+        return self._flow_id, self._cum, self._state
 
     def entries(self) -> Dict[int, FlowStateEntry]:
         """Materialize scalar-style entries (test / ablation path only)."""
         out: Dict[int, FlowStateEntry] = {}
-        for row in self._ordered_rows().tolist():
+        for row in range(self._flow_id.size):
             seen = int(self._seen[row])
             length = min(seen, self.delta)
             window: Deque[int] = deque()
             for i in range(length):
-                window.append(int(self._window[row, (seen - length + i) % self.delta]))
+                slot = (self._slot - length + 1 + i) % self.delta
+                window.append(int(self._window[row, slot]))
             out[int(self._flow_id[row])] = FlowStateEntry(
                 flow_id=int(self._flow_id[row]),
                 state=STATE_OF_CODE[int(self._state[row])],
@@ -329,26 +304,25 @@ class ColumnarSlidingWindowClassifier:
         return self.entries()
 
     def state_counts(self) -> Dict[TernaryState, int]:
-        occ = self._flow_id >= 0
         return {
-            state: int(np.count_nonzero(occ & (self._state == code)))
+            state: int(np.count_nonzero(self._state == code))
             for code, state in STATE_OF_CODE.items()
         }
 
     def elephant_weight(self) -> float:
-        rows = self._ordered_rows()
-        codes = self._state[rows]
+        codes = self._state
         likelihood = np.where(
             codes == CODE_ELEPHANT,
             1.0,
-            np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, self._cum[rows] / self.tau)),
+            np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, self._cum / self.tau)),
         )
         # Sequential sum in tracking order — bit-identical to the scalar
         # classifier's generator sum over the same operand sequence.
         return float(sum(likelihood.tolist()))
 
     def __len__(self) -> int:
-        return len(self._row_of)
+        return self._flow_id.size
+
 
 
 class SingleIntervalClassifier:

@@ -23,21 +23,30 @@ Layout: the Heavy Part is **columnar** — four parallel numpy arrays
 (``flow_id``, ``vote+``, ``vote-``, ``flag``) instead of an array of
 bucket objects.  The per-packet scalar :meth:`insert` indexes the
 columns directly; the batched :meth:`insert_batch` used by the switch
-observation buffer runs a two-phase kernel:
+observation buffer is one order-exact array kernel with no per-packet
+Python:
 
-1. **fast path** — packets whose bucket already holds their own flow,
-   in a batch where *no other flow* touches that bucket, only ever add
-   to ``vote+``.  Those additions commute exactly (int64), so they are
-   applied as one grouped scatter-add (``np.add.at``).
-2. **slow path** — every packet aimed at a bucket that is empty, holds
-   a different flow, or is contested within the batch replays through
-   the scalar rule *in original arrival order*, so ostracism decisions
-   and eviction counts are bit-identical to sequential insertion.  The
-   Light-Part inserts the slow path emits are themselves batched at the
-   end (count-min addition commutes exactly too).
+1. a stable sort groups the batch by bucket, arrival order kept inside
+   each group, and an empty bucket seats the first packet aimed at it;
+2. a **round** advances every bucket at once to its first ostracism:
+   one prefix sum over the round's packets, rebased per bucket onto
+   its registers, gives the running ``vote+``/``vote-`` after each
+   packet, so the scalar test ``vote- >= λ·vote+`` is evaluated for
+   every colliding packet in one vectorized compare.  Colliders
+   before a bucket's stop spill to the Light Part; at the stop the
+   resident spills and the challenger is seated, flag raised;
+3. the packets behind each stop form the next round, so a batch takes
+   at most one round more than the longest ostracism chain in any one
+   bucket (``repro_sketch_batch_rounds_total``) — one or two on the
+   ``monitor-stream`` workload.
 
-A hypothesis property test drives random and ostracism-heavy
-adversarial streams through both paths and asserts state equality.
+Integer prefix sums are exact and the comparison is the scalar rule's
+own ``int64 >= float64`` test, so every register, eviction count and
+Light-Part counter is bit-identical to sequential :meth:`insert`
+calls; the Light Part takes all spills as one batch because count-min
+addition commutes exactly.  Hypothesis property tests drive random,
+ostracism-heavy and deep-chain streams through both and assert state
+equality.
 """
 
 from __future__ import annotations
@@ -55,14 +64,18 @@ _BATCH_PACKETS = get_registry().counter(
     "repro_sketch_batch_packets_total",
     "Packets inserted through ElasticSketch.insert_batch",
 )
-_BATCH_FAST = get_registry().counter(
-    "repro_sketch_batch_fastpath_total",
-    "Batch packets handled by the vectorized resident-hit fast path",
+_BATCH_ROUNDS = get_registry().counter(
+    "repro_sketch_batch_rounds_total",
+    "Rounds run by the ElasticSketch.insert_batch kernel",
 )
-_BATCH_SLOW = get_registry().counter(
-    "repro_sketch_batch_slowpath_total",
-    "Batch packets replayed through the scalar collision fallback",
-)
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where each run of equal keys starts in a grouped array."""
+    change = np.empty(keys.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,9 @@ class ElasticSketch:
         self._n_buckets = n
         self._bucket_seed = self.config.seed ^ 0x4EA71
         self._lambda = self.config.ostracism_lambda
+        # Narrowest dtype holding a bucket index: numpy's stable argsort
+        # is a radix sort for 8/16-bit keys.
+        self._bucket_dtype = np.min_scalar_type(n - 1)
         #: Lifetime eviction count (diagnostics; survives resets).
         self.evictions = 0
         #: Evictions since the last :meth:`reset` (per monitor interval).
@@ -120,22 +136,17 @@ class ElasticSketch:
     # ------------------------------------------------------------------
 
     def insert(self, flow_id: int, nbytes: int) -> None:
-        """Record ``nbytes`` of flow ``flow_id`` (one per-packet call)."""
+        """Record ``nbytes`` of flow ``flow_id`` (one per-packet call).
+
+        The scalar bucket rule; :meth:`insert_batch` is defined as
+        equal to a sequence of these.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if flow_id < 0:
             raise ValueError("flow_id must be >= 0")
         self.total_bytes += nbytes
         index = hash32(flow_id, self._bucket_seed) % self._n_buckets
-        self._insert_at(index, flow_id, nbytes, self._light.insert)
-
-    def _insert_at(self, index, flow_id, nbytes, light_insert) -> None:
-        """The scalar bucket rule, shared by insert and the slow path.
-
-        ``light_insert`` receives any Light-Part traffic the rule
-        emits: the real ``CountMinSketch.insert`` on the per-packet
-        path, a deferred-batch collector on the slow path.
-        """
         fids = self._flow_id
         pos = self._pos
         resident = fids[index]
@@ -158,7 +169,7 @@ class ElasticSketch:
         if positive > 0 and neg[index] >= self._lambda * positive:
             # Ostracism: flush the resident to the Light Part and seat
             # the challenger with its flag raised.
-            light_insert(int(resident), int(positive))
+            self._light.insert(int(resident), int(positive))
             fids[index] = flow_id
             pos[index] = nbytes
             neg[index] = 0
@@ -166,7 +177,7 @@ class ElasticSketch:
             self.evictions += 1
             self.interval_evictions += 1
         else:
-            light_insert(flow_id, nbytes)
+            self._light.insert(flow_id, nbytes)
 
     # ``observe`` is the MeasurementPoint interface used by switches.
     observe = insert
@@ -175,13 +186,15 @@ class ElasticSketch:
         """Insert a packet batch, bit-identical to sequential inserts.
 
         ``flow_ids`` / ``nbytes`` are positionally aligned vectors in
-        arrival order.  See the module docstring for the two-phase
-        fast/slow split; the telemetry counters
-        ``repro_sketch_batch_{fastpath,slowpath}_total`` record how the
-        split worked out.
+        arrival order.  See the module docstring for the round kernel;
+        ``repro_sketch_batch_rounds_total`` counts its rounds.
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
         vals = np.asarray(nbytes, dtype=np.int64)
+        if ids.shape != vals.shape:
+            raise ValueError(
+                f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
+            )
         if ids.size == 0:
             return
         if vals.min() < 0:
@@ -189,97 +202,94 @@ class ElasticSketch:
         if ids.min() < 0:
             raise ValueError("flow_id must be >= 0")
         self.total_bytes += int(vals.sum())
-
-        index = hash32_array(ids, self._bucket_seed) % self._n_buckets
-        clean = self._flow_id[index] == ids
-        slow_positions = np.flatnonzero(~clean)
-        if slow_positions.size:
-            # A bucket is fast-path only while *every* packet aimed at
-            # it this batch hits its resident; one contested packet
-            # sends the whole bucket through the ordered scalar replay.
-            contested = np.zeros(self._n_buckets, dtype=bool)
-            contested[index[slow_positions]] = True
-            fast = clean & ~contested[index]
-        else:
-            fast = clean
-
-        n_fast = int(np.count_nonzero(fast))
         _BATCH_PACKETS.inc(ids.size)
-        _BATCH_FAST.inc(n_fast)
-        _BATCH_SLOW.inc(ids.size - n_fast)
 
-        if n_fast:
-            # Resident-hit additions commute exactly in int64: a
-            # grouped scatter-add equals per-packet sequential adds.
-            np.add.at(self._pos, index[fast], vals[fast])
+        # Group the batch by bucket, arrival order kept inside each
+        # group (a stable radix sort on the narrow bucket dtype).
+        bucket = hash32_array(ids, self._bucket_seed) % self._n_buckets
+        order = np.argsort(bucket.astype(self._bucket_dtype), kind="stable")
+        bucket, ids, vals = bucket[order], ids[order], vals[order]
+        fids, pos, neg, flag = self._flow_id, self._pos, self._neg, self._flag
 
-        if n_fast != ids.size:
-            slow = np.flatnonzero(~fast)
-            slow_buckets = index[slow]
-            # Hoist the contested buckets' registers into plain Python
-            # ints once, replay the scalar rule on those (dict lookups
-            # and int arithmetic, no per-packet numpy item access), and
-            # scatter the final registers back.  Fast and slow bucket
-            # sets are disjoint — one contested packet drags its whole
-            # bucket here — so the ordering vs the scatter-add above is
-            # immaterial.
-            touched = np.unique(slow_buckets)
-            state = {
-                bucket: [fid, pos, neg, flag]
-                for bucket, fid, pos, neg, flag in zip(
-                    touched.tolist(),
-                    self._flow_id[touched].tolist(),
-                    self._pos[touched].tolist(),
-                    self._neg[touched].tolist(),
-                    self._flag[touched].tolist(),
-                )
-            }
-            lam = self._lambda
-            evicted = 0
-            # Divert the scalar rule's Light-Part traffic into a local
-            # batch: CM addition commutes, so deferring it is exact.
-            pending_keys: list = []
-            pending_vals: list = []
-            push_key = pending_keys.append
-            push_val = pending_vals.append
-            for bucket, fid, val in zip(
-                slow_buckets.tolist(), ids[slow].tolist(), vals[slow].tolist()
-            ):
-                row = state[bucket]
-                resident = row[0]
-                if resident < 0:
-                    row[0] = fid
-                    row[1] = val
-                    row[2] = 0
-                    row[3] = False
-                elif resident == fid:
-                    row[1] += val
-                else:
-                    row[2] += val
-                    positive = row[1]
-                    if positive > 0 and row[2] >= lam * positive:
-                        push_key(resident)
-                        push_val(positive)
-                        row[0] = fid
-                        row[1] = val
-                        row[2] = 0
-                        row[3] = True
-                        evicted += 1
-                    else:
-                        push_key(fid)
-                        push_val(val)
-            replayed = [state[b] for b in touched.tolist()]
-            self._flow_id[touched] = [r[0] for r in replayed]
-            self._pos[touched] = [r[1] for r in replayed]
-            self._neg[touched] = [r[2] for r in replayed]
-            self._flag[touched] = [r[3] for r in replayed]
-            self.evictions += evicted
-            self.interval_evictions += evicted
-            if pending_keys:
-                self._light.insert_batch(
-                    np.asarray(pending_keys, dtype=np.int64),
-                    np.asarray(pending_vals, dtype=np.int64),
-                )
+        # An empty bucket seats the first packet aimed at it.
+        heads = _starts(bucket)
+        seated = heads[fids[bucket[heads]] < 0]
+        into = bucket[seated]
+        fids[into] = ids[seated]
+        pos[into] = vals[seated]
+        neg[into] = 0
+        flag[into] = False
+        live = np.ones(ids.size, dtype=bool)
+        live[seated] = False
+        live = np.flatnonzero(live)
+
+        lam = self._lambda
+        # Per-bucket scratch: each round's prefix-sum rebase and stop.
+        base_up = np.empty(self._n_buckets, dtype=np.int64)
+        base_down = np.empty(self._n_buckets, dtype=np.int64)
+        stop = np.empty(self._n_buckets, dtype=np.int64)
+        spill_keys = []
+        spill_vals = []
+        evicted = 0
+        rounds = 0
+        while live.size:
+            # One round: every bucket with packets left runs up to (and
+            # including) its first ostracism, all buckets at once.
+            rounds += 1
+            b = bucket[live]
+            f = ids[live]
+            v = vals[live]
+            hit = f == fids[b]
+            up = v * hit
+            # Running vote+/vote- after each packet: one prefix sum over
+            # the round, rebased per bucket onto its registers.
+            up_sum = np.cumsum(up)
+            down_sum = np.cumsum(v) - up_sum
+            first = _starts(b)
+            bf = b[first]
+            base_up[bf] = pos[bf] - up_sum[first] + up[first]
+            base_down[bf] = neg[bf] - down_sum[first] + (v[first] - up[first])
+            # Only a colliding packet can ostracize; test just those.
+            miss = np.flatnonzero(~hit)
+            bm = b[miss]
+            vote_up = up_sum[miss] + base_up[bm]
+            vote_down = down_sum[miss] + base_down[bm]
+            at = np.flatnonzero((vote_up > 0) & (vote_down >= lam * vote_up))
+            at = at[_starts(bm[at])]   # the first per bucket
+
+            # Each bucket stops at its first ostracism (or runs out);
+            # colliders before the stop spill to the Light Part.
+            evict = bm[at]
+            stop[bf] = live.size
+            stop[evict] = miss[at]
+            spill = miss[miss < stop[bm]]
+            spill_keys.append(f[spill])
+            spill_vals.append(v[spill])
+            last = np.append(first[1:], live.size) - 1
+            pos[bf] = up_sum[last] + base_up[bf]
+            neg[bf] = down_sum[last] + base_down[bf]
+            if not at.size:
+                break
+            # Ostracism: the resident's vote+ spills to the Light Part
+            # and the challenger takes the bucket with its flag raised.
+            spill_keys.append(fids[evict])
+            spill_vals.append(vote_up[at])
+            fids[evict] = f[miss[at]]
+            pos[evict] = v[miss[at]]
+            neg[evict] = 0
+            flag[evict] = True
+            evicted += at.size
+            live = live[np.arange(live.size) > stop[b]]
+
+        self.evictions += evicted
+        self.interval_evictions += evicted
+        _BATCH_ROUNDS.inc(rounds)
+        if spill_keys:
+            # Count-min addition commutes exactly, so the Light Part
+            # takes every round's spill as one batch.
+            self._light.insert_batch(
+                np.concatenate(spill_keys), np.concatenate(spill_vals)
+            )
 
     # ``observe_batch`` is the batched MeasurementPoint interface the
     # switch observation buffer flushes into.

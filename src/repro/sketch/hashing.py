@@ -57,11 +57,16 @@ def hash32_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     overflow-free).  Element-wise bit-identical to the scalar function.
     """
     derived = np.uint64(_fmix32(seed * 0x9E3779B9 + 0x165667B1))
-    h = (np.asarray(keys).astype(np.uint64) ^ derived) & _U64_MASK32
+    # In place on one fresh uint64 copy: no temporary per step.
+    h = np.asarray(keys).astype(np.uint64)
+    h ^= derived
+    h &= _U64_MASK32
     h ^= h >> np.uint64(16)
-    h = (h * np.uint64(0x85EBCA6B)) & _U64_MASK32
+    h *= np.uint64(0x85EBCA6B)
+    h &= _U64_MASK32
     h ^= h >> np.uint64(13)
-    h = (h * np.uint64(0xC2B2AE35)) & _U64_MASK32
+    h *= np.uint64(0xC2B2AE35)
+    h &= _U64_MASK32
     h ^= h >> np.uint64(16)
     return h.astype(np.int64)
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.monitor.fsd import (
     FlowSizeDistribution,
+    FlowStates,
     HISTOGRAM_BUCKETS,
     kl_divergence,
     merge_distributions,
@@ -122,6 +126,33 @@ def test_merge_disjoint_parts():
     assert merged.total_flows == pytest.approx(3.0)
     assert merged.elephant_weight == pytest.approx(1.0)
     assert set(merged.flow_states) == {1, 2, 3}
+
+
+def test_flow_states_columns_behave_as_the_dict():
+    states = FlowStates(
+        np.asarray([7, 3, 9], dtype=np.int64), np.asarray([2, 0, 1], dtype=np.int8)
+    )
+    expected = {
+        7: TernaryState.ELEPHANT,
+        3: TernaryState.MICE,
+        9: TernaryState.POTENTIAL_ELEPHANT,
+    }
+    assert states == expected and expected == states
+    assert list(states) == [7, 3, 9]
+    assert states.get(4) is None and len(states) == 3
+    assert pickle.loads(pickle.dumps(states)) == expected
+    assert FlowStates.of(expected) == states
+    assert FlowStates() == {}
+
+
+def test_merge_later_part_wins_a_repeated_flow():
+    """Columnar merge keeps ``dict.update`` semantics when parts overlap."""
+    a = FlowSizeDistribution.from_sizes({1: 100, 2: 2 * MB})
+    b = FlowSizeDistribution.from_sizes({1: 2 * MB, 3: 100})
+    merged = merge_distributions([a, b])
+    assert list(merged.flow_states) == [1, 2, 3]
+    assert merged.flow_states[1] is TernaryState.ELEPHANT
+    assert merged.flow_states == {**a.flow_states, **b.flow_states}
 
 
 def test_merge_overlap_double_counts():

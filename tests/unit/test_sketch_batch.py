@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from repro.sketch.hashing import hash32, hash32_array
+from repro.telemetry.registry import get_registry
 
 
 def elastic_state(sketch: ElasticSketch) -> tuple:
@@ -160,6 +161,62 @@ def test_elastic_batch_ostracism_adversarial(stream, chunk_sizes):
     assert batched.read_heavy() == sequential.read_heavy()
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    stream=st.lists(
+        # Ids far past 2**32 and counts past 2**31 reach the hash and the
+        # int64-vs-float64 ostracism compare with wide operands.
+        st.tuples(
+            st.integers(min_value=0, max_value=2**40),
+            st.integers(min_value=0, max_value=2**31),
+        ),
+        min_size=1,
+        max_size=120,
+    ),
+    chunk_sizes=_chunking,
+    ostracism_lambda=st.sampled_from([0.5, 1.0, 8.0]),
+)
+def test_elastic_batch_wide_ids_and_counts(stream, chunk_sizes, ostracism_lambda):
+    sequential, batched = _run_both(
+        stream, chunk_sizes, heavy_buckets=4, ostracism_lambda=ostracism_lambda
+    )
+    assert elastic_state(batched) == elastic_state(sequential)
+
+
+def _rounds() -> float:
+    return get_registry().snapshot()["counters"]["repro_sketch_batch_rounds_total"]
+
+
+def test_elastic_batch_ostracism_chain_takes_one_round_per_link():
+    """Each packet ostracizes the one before it: a three-link chain in
+    one bucket needs three rounds and ends where sequential insertion
+    does."""
+    stream = [(1, 100), (2, 100), (3, 100), (4, 100)]
+    sequential, batched = _run_both([], [], heavy_buckets=1, ostracism_lambda=1.0)
+    for flow, nbytes in stream:
+        sequential.insert(flow, nbytes)
+    before = _rounds()
+    batched.insert_batch(
+        np.asarray([f for f, _ in stream]), np.asarray([v for _, v in stream])
+    )
+    assert _rounds() - before == 3
+    assert batched.evictions == sequential.evictions == 3
+    assert elastic_state(batched) == elastic_state(sequential)
+
+
+def test_elastic_batch_zero_vote_resident_and_exact_threshold():
+    """A resident seated with 0 bytes cannot be ostracized, and
+    ``vote- == λ·vote+`` exactly is enough to evict."""
+    stream = [(1, 0), (2, 500), (2, 500), (1, 10), (3, 80), (4, 5), (3, 1), (5, 643)]
+    sequential, batched = _run_both(stream, [len(stream)], heavy_buckets=1)
+    assert elastic_state(batched) == elastic_state(sequential)
+    # Flow 1 survives 1000 B of votes at vote+ 0, then falls to flow 3
+    # at vote- 1080 >= 8 * 10; flow 3 falls to flow 5 at vote- 5 + 643,
+    # exactly 8 * 81.
+    assert sequential.evictions == 2
+    assert batched.read_heavy() == sequential.read_heavy()
+
+
 def test_elastic_batch_read_arrays_match_dict():
     sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=16, seed=5))
     rng = np.random.default_rng(9)
@@ -176,6 +233,8 @@ def test_elastic_batch_rejects_bad_input():
         sketch.insert_batch(np.asarray([1]), np.asarray([-1]))
     with pytest.raises(ValueError):
         sketch.insert_batch(np.asarray([-1]), np.asarray([1]))
+    with pytest.raises(ValueError, match="shape"):
+        sketch.insert_batch(np.asarray([1, 2]), np.asarray([1, 2, 3]))
     # Empty batches are a no-op, not an error.
     sketch.insert_batch(np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
     assert sketch.total_bytes == 0

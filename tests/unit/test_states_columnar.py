@@ -64,7 +64,7 @@ def _assert_equivalent(scalar, columnar):
 @given(intervals=_intervals, tau=st.integers(min_value=1_000, max_value=1_000_000))
 def test_columnar_matches_scalar_over_random_intervals(intervals, tau):
     scalar = SlidingWindowClassifier(tau=tau, delta=3)
-    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=3, capacity=2)
+    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=3)
     for pairs in intervals:
         mapping = _as_mapping(pairs)
         scalar.update(mapping)
@@ -97,6 +97,45 @@ def test_columnar_fsd_bit_identical(intervals, delta):
         assert via_columns.flow_states == via_entries.flow_states
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    intervals=st.lists(
+        # Wide, unsorted ids in bulk: admissions, updates and expiries
+        # of many flows land in the same interval.
+        st.dictionaries(
+            st.integers(min_value=0, max_value=2**40),
+            st.integers(min_value=0, max_value=3_000_000),
+            max_size=60,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    delta=st.integers(min_value=1, max_value=4),
+)
+def test_columnar_matches_scalar_with_bulk_wide_ids(intervals, delta):
+    tau = 1_000_000
+    scalar = SlidingWindowClassifier(tau=tau, delta=delta)
+    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
+    for mapping in intervals:
+        scalar.update(mapping)
+        columnar.update(mapping)
+        _assert_equivalent(scalar, columnar)
+
+
+def test_snapshot_survives_later_intervals():
+    """``snapshot_columns`` hands out the table's own arrays; later
+    intervals must replace them, not write into them."""
+    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=2)
+    columnar.update({1: 100, 2: 2_000})
+    ids, cum, codes = columnar.snapshot_columns()
+    frozen = (ids.tolist(), cum.tolist(), codes.tolist())
+    columnar.update({1: 900, 3: 5})
+    columnar.update({})
+    columnar.update({})
+    assert (ids.tolist(), cum.tolist(), codes.tolist()) == frozen
+    assert len(columnar) == 0
+
+
 def test_histogram_bucketing_boundaries():
     """Power-of-two and near-boundary sizes bucket identically both ways."""
     tau = 1 << 40  # keep everything PE/M so cumulative bytes drive buckets
@@ -113,7 +152,7 @@ def test_histogram_bucketing_boundaries():
 
 def test_expired_flow_reenters_at_end_of_tracking_order():
     scalar = SlidingWindowClassifier(tau=10_000, delta=2)
-    columnar = ColumnarSlidingWindowClassifier(tau=10_000, delta=2, capacity=2)
+    columnar = ColumnarSlidingWindowClassifier(tau=10_000, delta=2)
     for clf in (scalar, columnar):
         clf.update({1: 100, 2: 100})
         clf.update({2: 100})   # flow 1 idle
@@ -126,14 +165,14 @@ def test_expired_flow_reenters_at_end_of_tracking_order():
 
 
 def test_columnar_growth_preserves_state():
-    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=3, capacity=1)
+    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=3)
     scalar = SlidingWindowClassifier(tau=1_000, delta=3)
     for interval in range(4):
         mapping = {flow: 10 * (flow + 1) for flow in range(interval + 2)}
         columnar.update(mapping)
         scalar.update(mapping)
-    _assert_equivalent(scalar, columnar)
-    assert columnar._capacity >= 5
+        _assert_equivalent(scalar, columnar)
+    assert len(columnar) == 5
 
 
 def test_columnar_validation():
@@ -141,5 +180,3 @@ def test_columnar_validation():
         ColumnarSlidingWindowClassifier(tau=0)
     with pytest.raises(ValueError):
         ColumnarSlidingWindowClassifier(delta=0)
-    with pytest.raises(ValueError):
-        ColumnarSlidingWindowClassifier(capacity=0)
