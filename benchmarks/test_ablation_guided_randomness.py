@@ -20,7 +20,7 @@ import random
 from conftest import emit
 
 from repro.core import ParaleonConfig, ParaleonSystem
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import make_network
 from repro.simulator.units import ms

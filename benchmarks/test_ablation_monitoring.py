@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.scenarios import make_network
 from repro.monitor.agent import NaiveSketchAgent, SwitchAgent
 from repro.monitor.aggregate import FsdAggregator

@@ -24,7 +24,7 @@ from repro.core import (
     ParaleonConfig,
     ParaleonSystem,
 )
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.topology import ClosSpec

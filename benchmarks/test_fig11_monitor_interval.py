@@ -15,7 +15,7 @@ from __future__ import annotations
 from conftest import emit, run_scheme
 
 from repro.experiments.fct import FctStats
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.monitor.agent import NaiveSketchAgent, SwitchAgent
 from repro.monitor.aggregate import FsdAggregator
 from repro.experiments.scenarios import make_network

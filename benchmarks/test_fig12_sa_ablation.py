@@ -15,7 +15,7 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.core import ParaleonConfig, ParaleonSystem
-from repro.experiments.report import format_series, format_table
+from repro.telemetry.tables import format_series, format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import make_network
 from repro.simulator.units import mb, ms

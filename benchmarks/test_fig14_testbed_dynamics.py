@@ -16,7 +16,7 @@ from __future__ import annotations
 from conftest import emit, run_scheme
 
 from repro.experiments.fct import average_slowdown, slowdown_records
-from repro.experiments.report import format_series, format_table
+from repro.telemetry.tables import format_series, format_table
 from repro.experiments.scenarios import install_testbed_dynamics
 
 SCHEMES = ["default", "expert", "paraleon-tp"]

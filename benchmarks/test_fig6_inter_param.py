@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.switch import SwitchConfig

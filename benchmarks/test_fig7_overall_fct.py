@@ -21,7 +21,7 @@ from __future__ import annotations
 from conftest import emit, run_scheme
 
 from repro.experiments.fct import FctStats, fct_cdf, percentile
-from repro.experiments.report import format_series, format_table
+from repro.telemetry.tables import format_series, format_table
 from repro.experiments.scenarios import MAIN_SCHEMES
 from repro.simulator.units import mb, ms
 from repro.workloads import FbHadoopWorkload, LlmTrainingWorkload

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from conftest import emit, run_scheme
 
-from repro.experiments.report import format_series, format_table
+from repro.telemetry.tables import format_series, format_table
 from repro.experiments.scenarios import MAIN_SCHEMES, install_influx
 
 # LLM training is the background workload, so Paraleon runs with the

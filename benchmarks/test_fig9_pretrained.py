@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from conftest import emit, run_scheme
 
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.scenarios import install_influx
 from repro.tuning.utility import THROUGHPUT_SENSITIVE_WEIGHTS
 from test_fig8_influx import INFLUX_END, INFLUX_START, RUN_TIME, install, phase_means

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import make_network, make_tuner
 from repro.simulator.units import mb, ms

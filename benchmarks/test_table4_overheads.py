@@ -22,7 +22,7 @@ from conftest import emit
 
 from repro.core.config import ParaleonConfig
 from repro.core.controller import ParaleonController
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.monitor.agent import SwitchAgent
 from repro.monitor.aggregate import FsdAggregator
 from repro.monitor.states import SlidingWindowClassifier

@@ -41,7 +41,7 @@ import time
 from typing import List, Optional
 
 from repro.experiments.fct import FctStats
-from repro.experiments.report import format_table
+from repro.telemetry.tables import format_table
 from repro.experiments.scenarios import SCHEME_FACTORIES, SPECS, make_tuner
 from repro.parallel import EvalTask, ScenarioSpec, SweepExecutor
 from repro.simulator.units import ms

@@ -5,13 +5,15 @@ interval), each tenant gets its own tuning process — its own
 :class:`~repro.tuning.annealing.ImprovedAnnealer` walking its own
 frozen evaluation scenario — but all of them share one
 :class:`~repro.parallel.executor.SweepExecutor` and its
-content-addressed eval cache.  Per control-plane interval the
-:class:`MultiplexedTuner` collects every active loop's proposal batch,
-dispatches the union as a *single* ``executor.map`` call (so the
-worker crew interleaves candidates from all tenants instead of
-serializing loop by loop), then feeds each loop back its own slice in
-proposal order — preserving the exact Metropolis semantics of
-:func:`repro.parallel.sa.batched_anneal` per loop.
+content-addressed eval cache.  A trigger starts the tenant's walk
+with :func:`~repro.parallel.sa.begin_loop` (one ``executor.map`` of
+the initial parameters); per control-plane interval the
+:class:`MultiplexedTuner` advances every active walk with one
+:func:`~repro.parallel.sa.step_loops` call — the same step
+:func:`~repro.parallel.sa.batched_anneal` loops over — so the union
+of all tenants' batches goes out as a *single* ``executor.map`` and
+each tenant ends exactly where ``batched_anneal`` would on its own
+scenario, RNG and bias.
 
 Determinism: loops are stepped in sorted-tenant order, each annealer
 owns a ``random.Random(rng_seed + tenant)``, and evaluations are pure
@@ -21,12 +23,14 @@ across executor strategies (inline, sharded pool).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitor.fsd import FlowSizeDistribution
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.tasks import EvalTask, ScenarioSpec
+from repro.parallel.sa import SaLoop, begin_loop, step_loops
+from repro.parallel.tasks import ScenarioSpec
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
 from repro.telemetry.registry import get_registry
@@ -52,26 +56,6 @@ class TenantRetune:
     batches: int
 
 
-class _TenantLoop:
-    """One tenant's in-flight SA process (annealer + frozen scenario)."""
-
-    def __init__(
-        self,
-        tenant: int,
-        scenario: ScenarioSpec,
-        annealer: ImprovedAnnealer,
-        tp_bias: Tuple[bool, float],
-        trigger_interval: int,
-    ):
-        self.tenant = tenant
-        self.scenario = scenario
-        self.annealer = annealer
-        self.tp_bias = tp_bias
-        self.trigger_interval = trigger_interval
-        self.evaluations = 0
-        self.batches = 0
-
-
 class MultiplexedTuner:
     """Concurrent per-tenant tuning loops over one shared executor."""
 
@@ -92,7 +76,8 @@ class MultiplexedTuner:
         self.schedule = schedule or AnnealingSchedule()
         self.rng_seed = rng_seed
         self.initial_params = initial_params or default_params()
-        self._loops: Dict[int, _TenantLoop] = {}
+        # tenant -> (trigger interval, its in-flight SA walk)
+        self._loops: Dict[int, Tuple[int, SaLoop]] = {}
         self.finished: List[TenantRetune] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -124,29 +109,19 @@ class MultiplexedTuner:
         """
         if tenant in self._loops:
             return False
-        import random
-
-        scenario = self.tenant_scenario(tenant)
         annealer = ImprovedAnnealer(
             default_space(),
             self.schedule,
             rng=random.Random(self.rng_seed + tenant),
         )
-        seed_result = self.executor.map(
-            [
-                EvalTask(
-                    scenario=scenario,
-                    seed=scenario.seed,
-                    params=self.initial_params,
-                )
-            ]
-        )[0]
-        annealer.begin(self.initial_params, seed_result.utility)
-        loop = _TenantLoop(
-            tenant, scenario, annealer, fsd.dominant(), interval
+        loop = begin_loop(
+            annealer,
+            self.tenant_scenario(tenant),
+            self.initial_params,
+            self.executor,
+            tp_bias=fsd.dominant(),
         )
-        loop.evaluations = 1
-        self._loops[tenant] = loop
+        self._loops[tenant] = (interval, loop)
         return True
 
     # -- one control-plane interval -------------------------------------
@@ -160,55 +135,38 @@ class MultiplexedTuner:
         order = self.active_tenants
         if not order:
             return []
-        proposals: List[Tuple[_TenantLoop, List[DcqcnParams]]] = []
-        tasks: List[EvalTask] = []
-        for tenant in order:
-            loop = self._loops[tenant]
-            candidates = loop.annealer.propose_batch(
-                self.batch_size, loop.tp_bias
-            )
-            proposals.append((loop, candidates))
-            tasks.extend(
-                EvalTask(
-                    scenario=loop.scenario,
-                    seed=loop.scenario.seed,
-                    params=candidate,
-                    index=len(tasks) + i,
-                )
-                for i, candidate in enumerate(candidates)
-            )
-        results = self.executor.map(tasks)
+        step_loops(
+            [self._loops[tenant][1] for tenant in order],
+            self.executor,
+            self.batch_size,
+        )
         done: List[TenantRetune] = []
-        offset = 0
-        for loop, candidates in proposals:
-            batch = results[offset : offset + len(candidates)]
-            offset += len(candidates)
-            loop.annealer.feedback_batch([r.utility for r in batch])
-            loop.evaluations += len(batch)
-            loop.batches += 1
-            if not loop.annealer.running:
-                state = loop.annealer.state
-                retune = TenantRetune(
-                    tenant=loop.tenant,
-                    trigger_interval=loop.trigger_interval,
-                    finished_interval=interval,
-                    params=state.best_solution,
-                    utility=state.best_util,
-                    evaluations=loop.evaluations,
-                    batches=loop.batches,
+        for tenant in order:
+            trigger_interval, loop = self._loops[tenant]
+            if loop.annealer.running:
+                continue
+            state = loop.annealer.state
+            retune = TenantRetune(
+                tenant=tenant,
+                trigger_interval=trigger_interval,
+                finished_interval=interval,
+                params=state.best_solution,
+                utility=state.best_util,
+                evaluations=loop.evaluations,
+                batches=loop.batches,
+            )
+            _RETUNES.inc()
+            if trace.active:
+                trace.event(
+                    "controlplane.retune",
+                    {
+                        "tenant": tenant,
+                        "params": state.best_solution.as_dict(),
+                        "utility": state.best_util,
+                        "evaluations": loop.evaluations,
+                    },
                 )
-                _RETUNES.inc()
-                if trace.active:
-                    trace.event(
-                        "controlplane.retune",
-                        {
-                            "tenant": loop.tenant,
-                            "params": state.best_solution.as_dict(),
-                            "utility": state.best_util,
-                            "evaluations": loop.evaluations,
-                        },
-                    )
-                done.append(retune)
-                self.finished.append(retune)
-                del self._loops[loop.tenant]
+            done.append(retune)
+            self.finished.append(retune)
+            del self._loops[tenant]
         return done

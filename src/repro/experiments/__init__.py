@@ -1,5 +1,5 @@
-"""Experiment harness: scenario builders, the interval runner, FCT
-statistics and table/series reporting used by every benchmark."""
+"""Experiment harness: scenario builders, the interval runner and FCT
+statistics used by every benchmark."""
 
 from repro.experiments.runner import ExperimentRunner, ExperimentResult
 from repro.experiments.persistence import (

@@ -9,8 +9,10 @@ SA ablations (Fig. 12).  This package fans them out:
 * :class:`~repro.parallel.executor.SweepExecutor` — ordered,
   deterministic mapping onto a persistent process pool, with chunked
   dispatch, timeout/crash retry and eval-cache integration.
-* :func:`~repro.parallel.sa.batched_anneal` — K candidates per SA
-  temperature step evaluated concurrently.
+* :mod:`~repro.parallel.sa` — the one SA driver:
+  :func:`~repro.parallel.sa.step_loops` evaluates K candidates per
+  step for any number of walks in one map;
+  :func:`~repro.parallel.sa.batched_anneal` runs one walk to the end.
 * :mod:`~repro.parallel.sweeps` — the sweep drivers
   (:func:`offline_grid_search_parallel`, :func:`run_parameter_sweep`,
   :func:`run_scheme_sweep`).

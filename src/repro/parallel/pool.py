@@ -349,8 +349,10 @@ _ATEXIT_REGISTERED = False
 def get_shared_pool(jobs: int) -> WorkerPool:
     """Process-wide pool, grown (never shrunk) to ``jobs`` workers.
 
-    Persistence is the point: ``batched_anneal`` calls ``map()``
-    hundreds of times and must not pay process spawn per batch.
+    Persistence is the point: the SA driver
+    (:func:`~repro.parallel.sa.step_loops`, behind ``batched_anneal``
+    and the control plane's retunes) calls ``map()`` once per batch,
+    hundreds of times, and must not pay process spawn per batch.
     A smaller request reuses the bigger pool — per-call dispatch width
     is capped via ``run(max_workers=...)`` instead.
     """

@@ -1,15 +1,23 @@
-"""Batched simulated annealing over the parallel fabric.
+"""Batched simulated annealing over the parallel fabric: the one SA driver.
 
 The paper's tuning process evaluates one SA candidate per monitor
 interval *in situ* — on the live network.  The offline variant (used
-by the Fig. 12-style ablations and by pretraining) instead evaluates
-candidates on a *frozen* scenario, which makes the evaluations
-independent and therefore parallelizable: per temperature step the
-annealer proposes K candidates from the current solution, the
-executor evaluates them concurrently (dodging the cache for points SA
-already visited), and the Metropolis accept/reject is then applied
-**in proposal order**, so the guided-randomness and relaxed-schedule
-semantics of Algorithm 1 are preserved (see DESIGN.md, "Batched SA").
+by the Fig. 12-style ablations, by pretraining and by the control
+plane's per-tenant retunes) instead evaluates candidates on a *frozen*
+scenario, which makes the evaluations independent and therefore
+parallelizable: per step the annealer proposes K candidates from the
+current solution, the executor evaluates them concurrently (dodging
+the cache for points SA already visited), and the Metropolis
+accept/reject is then applied **in proposal order**, so the
+guided-randomness and relaxed-schedule semantics of Algorithm 1 are
+preserved (see DESIGN.md, "Batched SA").
+
+:func:`step_loops` is that step, for any number of independent walks
+(:class:`SaLoop`) at once: it proposes for every loop, screens, makes
+one union ``executor.map`` call and feeds each loop back its own slice.
+:func:`batched_anneal` runs one loop to the end of its schedule;
+:class:`~repro.controlplane.loops.MultiplexedTuner` steps every active
+tenant's loop once per control-plane interval.
 
 Multi-fidelity search (``fidelity`` argument) layers two accelerations
 on top without touching the full-fidelity semantics:
@@ -30,10 +38,10 @@ search is byte-identical to the pre-multi-fidelity implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.tasks import EvalTask, ScenarioSpec, evaluate_task
+from repro.parallel.tasks import EvalTask, ScenarioSpec
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
 from repro.tuning.annealing import _AnnealerBase
@@ -56,6 +64,133 @@ class BatchedAnnealResult:
     aborted: int = 0              # DES runs abandoned by early abort
 
 
+@dataclass
+class SaLoop:
+    """One SA walk on a frozen scenario, as :func:`step_loops` drives it.
+
+    ``tp_bias`` plays the role of the measured FSD (frozen for the
+    whole walk, as the scenario is frozen too); ``screen`` is set for
+    the ``screen`` and ``surrogate`` fidelities.
+    """
+
+    annealer: _AnnealerBase
+    scenario: ScenarioSpec
+    tp_bias: Optional[Tuple[bool, float]] = None
+    screen: Optional[SurrogateScreen] = None
+    evaluations: int = 0          # full-fidelity (DES) evaluations
+    batches: int = 0
+    cache_hits: int = 0
+    surrogate_scored: int = 0
+    screened_out: int = 0
+    aborted: int = 0
+
+
+def _task(scenario: ScenarioSpec, params: DcqcnParams, **kwargs) -> EvalTask:
+    return EvalTask(scenario=scenario, seed=scenario.seed, params=params, **kwargs)
+
+
+def begin_loop(
+    annealer: _AnnealerBase,
+    scenario: ScenarioSpec,
+    initial: DcqcnParams,
+    executor: SweepExecutor,
+    tp_bias: Optional[Tuple[bool, float]] = None,
+    screen: Optional[SurrogateScreen] = None,
+) -> SaLoop:
+    """Measure ``initial`` with one ``executor.map`` and start a walk there."""
+    seed_result = executor.map([_task(scenario, initial)])[0]
+    loop = SaLoop(annealer, scenario, tp_bias, screen, evaluations=1)
+    if screen is not None:
+        screen.observe(screen.score([initial])[0], seed_result.utility)
+        loop.surrogate_scored = 1
+    annealer.begin(initial, seed_result.utility)
+    return loop
+
+
+def step_loops(
+    loops: Sequence[SaLoop],
+    executor: SweepExecutor,
+    batch_size: int,
+    fidelity: FidelityConfig = FidelityConfig(),
+) -> None:
+    """Advance every loop by one batch: propose → screen → map → feedback.
+
+    Every loop proposes (and, with a screen, prunes) its batch; the DES
+    candidates of all loops go out as **one** ``executor.map`` call, so
+    the worker crew interleaves walks instead of serializing them; each
+    loop is then fed back its own slice in proposal order, in list
+    order.  Loops are independent (own annealer, RNG and scenario), so
+    a loop steps exactly as it would alone.
+    """
+    surrogate = fidelity.mode == "surrogate"
+    plans = []
+    tasks: List[EvalTask] = []
+    for loop in loops:
+        candidates = loop.annealer.propose_batch(
+            fidelity.proposals_for(batch_size), loop.tp_bias
+        )
+        keep: Sequence[int] = range(len(candidates))
+        scores: Optional[List[float]] = None
+        if surrogate:
+            # Fluid-only batch: no DES dispatch at all; the walk runs
+            # on calibrated surrogate scores.
+            scores = loop.screen.score(candidates)
+            survivors = []
+        elif fidelity.mode == "screen":
+            keep, scores = loop.screen.select(candidates, batch_size)
+            loop.screened_out += len(candidates) - len(keep)
+            survivors = loop.annealer.screen_batch(keep)
+        else:
+            survivors = candidates
+        if scores is not None:
+            loop.surrogate_scored += len(candidates)
+        threshold = fidelity.abort_threshold(loop.annealer.state.best_util)
+        start = len(tasks)
+        tasks.extend(
+            _task(
+                loop.scenario,
+                candidate,
+                index=start + i,
+                abort_threshold=threshold,
+                abort_after_frac=fidelity.abort_after_frac,
+            )
+            for i, candidate in enumerate(survivors)
+        )
+        plans.append((loop, len(candidates), keep, scores, start, len(tasks)))
+
+    results = executor.map(tasks) if tasks else []
+    for loop, proposed, keep, scores, start, stop in plans:
+        mine = results[start:stop]
+        if loop.screen is not None:
+            for idx, result in zip(keep, mine):
+                if not result.aborted:
+                    loop.screen.observe(scores[idx], result.utility)
+        if surrogate:
+            utilities = [loop.screen.calibration.apply(s) for s in scores]
+        else:
+            utilities = [r.utility for r in mine]
+        loop.annealer.feedback_batch(utilities)
+        aborted = sum(r.aborted for r in mine)
+        hits = sum(r.from_cache for r in mine)
+        loop.evaluations += len(mine)
+        loop.aborted += aborted
+        loop.cache_hits += hits
+        loop.batches += 1
+        if trace.active and mine:
+            trace.event(
+                "sa.batch",
+                {
+                    "batch": loop.batches,
+                    "size": len(mine),
+                    "proposed": proposed,
+                    "aborted": aborted,
+                    "cache_hits": hits,
+                    "temperature": loop.annealer.state.temperature,
+                    "best_utility": loop.annealer.state.best_util,
+                },
+            )
+
+
 def batched_anneal(
     scenario: ScenarioSpec,
     annealer: _AnnealerBase,
@@ -71,11 +206,12 @@ def batched_anneal(
 
     ``annealer`` may be an :class:`~repro.tuning.annealing.
     ImprovedAnnealer` or ``NaiveAnnealer``; its schedule decides when
-    the process ends.  ``tp_bias`` plays the role of the measured FSD
-    (frozen for the whole search, as the scenario is frozen too).
-    ``fidelity`` selects the evaluation policy; see the module
-    docstring.  ``batch_size`` is always the number of *full*
-    evaluations per batch — screening proposes more and prunes down.
+    the process ends.  ``tp_bias`` plays the role of the measured FSD.
+    ``fidelity`` selects the evaluation policy (``full``, ``screen`` or
+    ``surrogate``; ``hybrid`` is a grid-sweep rung and is rejected);
+    see the module docstring.  ``batch_size`` is always the number of
+    *full* evaluations per batch — screening proposes more and prunes
+    down.
 
     The default executor dispatches to the process-wide persistent
     :func:`~repro.parallel.pool.get_shared_pool`, so the hundreds of
@@ -86,113 +222,42 @@ def batched_anneal(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     fidelity = fidelity or FidelityConfig()
+    if fidelity.mode == "hybrid":
+        raise ValueError(
+            "fidelity mode 'hybrid' is a grid-sweep rung "
+            "(offline_grid_search_parallel), not an SA search fidelity"
+        )
     executor = executor or SweepExecutor(strategy=strategy)
     screen = (
         SurrogateScreen(scenario, fidelity)
         if fidelity.mode in ("screen", "surrogate")
         else None
     )
-
-    seed_result = evaluate_task(
-        EvalTask(scenario=scenario, seed=scenario.seed, params=initial)
-    )
-    if screen is not None:
-        seed_fluid = screen.score([initial])[0]
-        screen.observe(seed_fluid, seed_result.utility)
-    annealer.begin(initial, seed_result.utility)
-
-    evaluations = 1
-    batches = 0
-    cache_hits = 0
-    surrogate_scored = 1 if screen is not None else 0
-    screened_out = 0
-    aborted = 0
+    loop = begin_loop(annealer, scenario, initial, executor, tp_bias, screen)
     with trace.span(
         "sa.search", {"batch_size": batch_size, "fidelity": fidelity.mode}
     ):
         while annealer.running and (
-            max_batches is None or batches < max_batches
+            max_batches is None or loop.batches < max_batches
         ):
-            candidates = annealer.propose_batch(
-                fidelity.proposals_for(batch_size), tp_bias
-            )
-            if fidelity.mode == "surrogate":
-                # Fluid-only batch: no DES dispatch at all; the walk
-                # runs on calibrated surrogate scores.
-                scores = screen.score(candidates)
-                surrogate_scored += len(candidates)
-                annealer.feedback_batch(
-                    [screen.calibration.apply(s) for s in scores]
-                )
-                batches += 1
-                continue
+            step_loops([loop], executor, batch_size, fidelity)
 
-            scores: Optional[List[float]] = None
-            if fidelity.mode == "screen":
-                survivor_idx, scores = screen.select(candidates, batch_size)
-                surrogate_scored += len(candidates)
-                screened_out += len(candidates) - len(survivor_idx)
-                survivors = annealer.screen_batch(survivor_idx)
-            else:
-                survivor_idx = list(range(len(candidates)))
-                survivors = candidates
-
-            threshold = fidelity.abort_threshold(annealer.state.best_util)
-            tasks = [
-                EvalTask(
-                    scenario=scenario,
-                    seed=scenario.seed,
-                    params=c,
-                    index=i,
-                    abort_threshold=threshold,
-                    abort_after_frac=fidelity.abort_after_frac,
-                )
-                for i, c in enumerate(survivors)
-            ]
-            results = executor.map(tasks)
-            for idx, result in zip(survivor_idx, results):
-                if result.aborted:
-                    aborted += 1
-                elif screen is not None:
-                    screen.observe(scores[idx], result.utility)
-            annealer.feedback_batch([r.utility for r in results])
-            evaluations += len(results)
-            cache_hits += executor.last_cache_hits
-            batches += 1
-            if trace.active:
-                trace.event(
-                    "sa.batch",
-                    {
-                        "batch": batches,
-                        "size": len(results),
-                        "proposed": len(candidates),
-                        "aborted": sum(1 for r in results if r.aborted),
-                        "cache_hits": executor.last_cache_hits,
-                        "temperature": annealer.state.temperature,
-                        "best_utility": annealer.state.best_util,
-                    },
-                )
-
-    state = annealer.state
-    best_params = state.best_solution
-    best_utility = state.best_util
+    best_params = annealer.state.best_solution
+    best_utility = annealer.state.best_util
     if fidelity.mode == "surrogate":
         # The walk ran on surrogate scores; confirm the winner with one
         # full-fidelity run so the reported utility is a measurement.
-        confirm = evaluate_task(
-            EvalTask(scenario=scenario, seed=scenario.seed, params=best_params)
-        )
-        evaluations += 1
-        best_utility = confirm.utility
+        best_utility = executor.map([_task(scenario, best_params)])[0].utility
+        loop.evaluations += 1
     return BatchedAnnealResult(
         best_params=best_params,
         best_utility=best_utility,
-        evaluations=evaluations,
-        batches=batches,
-        cache_hits=cache_hits,
+        evaluations=loop.evaluations,
+        batches=loop.batches,
+        cache_hits=loop.cache_hits,
         utility_trace=list(annealer.utility_trace),
         fidelity_mode=fidelity.mode,
-        surrogate_scored=surrogate_scored,
-        screened_out=screened_out,
-        aborted=aborted,
+        surrogate_scored=loop.surrogate_scored,
+        screened_out=loop.screened_out,
+        aborted=loop.aborted,
     )

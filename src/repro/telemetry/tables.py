@@ -1,10 +1,10 @@
 """Monospace table and series rendering primitives.
 
 Shared by the trace summariser (:mod:`repro.telemetry.summary`), the
-run-report renderer and the benchmark output helpers in
-:mod:`repro.experiments.report`.  Lives in the telemetry layer — the
-lowest consumer — so nothing below the experiments layer has to
-import upward just to print a table.
+run-report renderer, the CLI and the benchmark modules, so
+`pytest benchmarks/ -s` reads like the evaluation section.  Lives in
+the telemetry layer — the lowest consumer — so nothing below the
+experiments layer has to import upward just to print a table.
 """
 
 from __future__ import annotations

@@ -128,8 +128,8 @@ class _AnnealerBase:
         # accept-everything walk of a literal [0, 1] reading.
         self.temperature_scale = temperature_scale
         self.state: Optional[SaState] = None
-        self._pending: Optional[DcqcnParams] = None
-        self._pending_batch: Optional[list] = None
+        # Candidates proposed and awaiting feedback, in proposal order.
+        self._pending: Optional[list] = None
         self.utility_trace: list = []
 
     # -- lifecycle -----------------------------------------------------
@@ -145,7 +145,6 @@ class _AnnealerBase:
             temperature=self.schedule.initial_temp,
         )
         self._pending = None
-        self._pending_batch = None
         self.utility_trace = []
         _SA_PROCESSES.inc()
         if trace.active:
@@ -183,28 +182,20 @@ class _AnnealerBase:
         """Generate the next candidate ``P_m`` (Algorithm 1 lines 14-22).
 
         ``tp_bias`` is ``(dominant_is_elephant, µ)`` from the measured
-        flow size distribution; ignored by unguided annealers.
+        flow size distribution; ignored by unguided annealers.  The
+        ``k=1`` form of :meth:`propose_batch`.
         """
-        if self.state is None:
-            raise RuntimeError("annealer has not been started")
-        if self._pending_batch is not None:
-            raise RuntimeError("a batch proposal is awaiting feedback_batch()")
-        tp_probability = self._tp_probability(tp_bias)
-        # "With high temperature at the beginning, SA can explore and
-        # mutate new attempts in more random directions and steps": the
-        # step range shrinks as the temperature cools, so a freshly
-        # (re)started process adapts in big moves while a nearly
-        # converged one fine-tunes.
-        temp_factor = self._step_temperature_factor()
-        low, high = self.step_scale_range
-        candidate = self.space.mutate(
-            self.state.current_solution,
-            self.rng,
-            tp_probability,
-            (low * temp_factor, high * temp_factor),
-        )
-        self._pending = candidate
-        return candidate
+        return self.propose_batch(1, tp_bias)[0]
+
+    def feedback(self, new_util: float, terms: Optional[dict] = None) -> None:
+        """Report the measured utility of the last proposal.
+
+        The ``k=1`` form of :meth:`feedback_batch`.  ``terms`` is the
+        optional ``O_TP/O_RTT/O_PFC`` breakdown of ``new_util``; it is
+        recorded in the ``sa.step`` trace record and does not affect
+        the search.
+        """
+        self._settle([new_util], [terms])
 
     def _step_temperature_factor(self) -> float:
         ratio = self.state.temperature / self.schedule.initial_temp
@@ -217,58 +208,6 @@ class _AnnealerBase:
         mu = min(max(mu, 0.0), 1.0)
         exploit = min(mu, self.eta)
         return exploit if dominant_is_elephant else 1.0 - exploit
-
-    def feedback(self, new_util: float, terms: Optional[dict] = None) -> None:
-        """Report the measured utility of the last proposal.
-
-        Runs the Metropolis acceptance (Algorithm 1 lines 6-13) and
-        advances the iteration/temperature counters.  ``terms`` is the
-        optional ``O_TP/O_RTT/O_PFC`` breakdown of ``new_util``; it is
-        recorded in the ``sa.step`` trace record and does not affect
-        the search.
-        """
-        if self.state is None:
-            raise RuntimeError("annealer has not been started")
-        if self._pending is None:
-            raise RuntimeError("feedback() called before propose()")
-        state = self.state
-        candidate = self._pending
-        state.total_feedbacks += 1
-        self.utility_trace.append(new_util)
-
-        delta = new_util - state.current_util
-        temp = state.temperature * self.temperature_scale
-        accepted = delta > 0 or math.exp(delta / temp) > self.rng.random()
-        if accepted:
-            state.current_util = new_util
-            state.current_solution = candidate
-        if state.current_util > state.best_util:
-            state.best_util = state.current_util
-            state.best_solution = state.current_solution
-        self._pending = None
-
-        _SA_STEPS.inc()
-        if accepted:
-            _SA_ACCEPTS.inc()
-        if trace.active:
-            trace.event(
-                "sa.step",
-                {
-                    "temperature": state.temperature,
-                    "iteration": state.iteration,
-                    "feedbacks": state.total_feedbacks,
-                    "params": candidate.as_dict(),
-                    "utility": new_util,
-                    "accepted": accepted,
-                    "best_utility": state.best_util,
-                    "terms": terms or {},
-                },
-            )
-
-        state.iteration += 1
-        if state.iteration >= self.schedule.iterations_per_temp:
-            state.iteration = 0
-            state.temperature *= self.schedule.cooling_rate
 
     # -- batched candidates (parallel evaluation fabric) ----------------
 
@@ -283,16 +222,20 @@ class _AnnealerBase:
         Metropolis rule to each measured utility **in proposal order**,
         so acceptance, best-tracking and the temperature schedule
         behave exactly as if the candidates had been played serially.
-        With ``k=1`` this is bit-for-bit identical to
-        :meth:`propose` / :meth:`feedback`.
+        :meth:`propose` / :meth:`feedback` are the ``k=1`` case.
         """
         if k < 1:
             raise ValueError("batch size must be >= 1")
         if self.state is None:
             raise RuntimeError("annealer has not been started")
-        if self._pending is not None or self._pending_batch is not None:
+        if self._pending is not None:
             raise RuntimeError("a proposal is already awaiting feedback")
         tp_probability = self._tp_probability(tp_bias)
+        # "With high temperature at the beginning, SA can explore and
+        # mutate new attempts in more random directions and steps": the
+        # step range shrinks as the temperature cools, so a freshly
+        # (re)started process adapts in big moves while a nearly
+        # converged one fine-tunes.
         temp_factor = self._step_temperature_factor()
         low, high = self.step_scale_range
         base = self.state.current_solution
@@ -305,7 +248,7 @@ class _AnnealerBase:
             )
             for _ in range(k)
         ]
-        self._pending_batch = batch
+        self._pending = batch
         return list(batch)
 
     def screen_batch(self, keep_indices: list) -> list:
@@ -323,9 +266,9 @@ class _AnnealerBase:
         Returns the surviving candidates, positionally aligned with the
         utilities that :meth:`feedback_batch` will expect.
         """
-        if self._pending_batch is None:
+        if self._pending is None:
             raise RuntimeError("screen_batch() called before propose_batch()")
-        batch = self._pending_batch
+        batch = self._pending
         indices = list(keep_indices)
         if not indices:
             raise ValueError("screen_batch() must keep at least one candidate")
@@ -336,22 +279,66 @@ class _AnnealerBase:
                 f"keep_indices out of range for batch of {len(batch)}"
             )
         survivors = [batch[i] for i in indices]
-        self._pending_batch = survivors
+        self._pending = survivors
         return list(survivors)
 
     def feedback_batch(self, utilities: list) -> None:
         """Accept/reject a batch of measured utilities, in order."""
-        if self._pending_batch is None:
-            raise RuntimeError("feedback_batch() called before propose_batch()")
-        batch = self._pending_batch
+        self._settle(utilities, [None] * len(utilities))
+
+    def _settle(self, utilities: list, terms: list) -> None:
+        """Metropolis acceptance (Algorithm 1 lines 6-13) per utility.
+
+        Advances the iteration/temperature counters once per candidate
+        of the pending batch, in proposal order.
+        """
+        if self.state is None:
+            raise RuntimeError("annealer has not been started")
+        if self._pending is None:
+            raise RuntimeError("feedback called before a proposal")
+        batch = self._pending
         if len(utilities) != len(batch):
             raise ValueError(
                 f"got {len(utilities)} utilities for {len(batch)} candidates"
             )
-        self._pending_batch = None
-        for candidate, util in zip(batch, utilities):
-            self._pending = candidate
-            self.feedback(util)
+        self._pending = None
+        state = self.state
+        for candidate, new_util, parts in zip(batch, utilities, terms):
+            state.total_feedbacks += 1
+            self.utility_trace.append(new_util)
+
+            delta = new_util - state.current_util
+            temp = state.temperature * self.temperature_scale
+            accepted = delta > 0 or math.exp(delta / temp) > self.rng.random()
+            if accepted:
+                state.current_util = new_util
+                state.current_solution = candidate
+            if state.current_util > state.best_util:
+                state.best_util = state.current_util
+                state.best_solution = state.current_solution
+
+            _SA_STEPS.inc()
+            if accepted:
+                _SA_ACCEPTS.inc()
+            if trace.active:
+                trace.event(
+                    "sa.step",
+                    {
+                        "temperature": state.temperature,
+                        "iteration": state.iteration,
+                        "feedbacks": state.total_feedbacks,
+                        "params": candidate.as_dict(),
+                        "utility": new_util,
+                        "accepted": accepted,
+                        "best_utility": state.best_util,
+                        "terms": parts or {},
+                    },
+                )
+
+            state.iteration += 1
+            if state.iteration >= self.schedule.iterations_per_temp:
+                state.iteration = 0
+                state.temperature *= self.schedule.cooling_rate
 
 
 class ImprovedAnnealer(_AnnealerBase):

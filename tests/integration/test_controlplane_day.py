@@ -8,18 +8,23 @@ run must reproduce digest for digest.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.controlplane import (
     ControlPlaneConfig,
+    MultiplexedTuner,
     ShardTopology,
     TenantProfile,
     TrafficConfig,
     TrafficShift,
     run_day_in_the_life,
 )
-from repro.parallel import ScenarioSpec, SweepExecutor
-from repro.tuning.annealing import AnnealingSchedule
+from repro.monitor.fsd import FlowSizeDistribution
+from repro.parallel import ScenarioSpec, SweepExecutor, batched_anneal
+from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
+from repro.tuning.parameters import default_space
 
 
 SHIFT_INTERVAL = 2
@@ -133,3 +138,66 @@ class TestDayInTheLife:
         assert snap["retunes"][0]["tenant"] == 0
         assert snap["per_switch_report_bytes"] > 0
         assert snap["digest"] == day.result_digest()
+
+
+def test_concurrent_retunes_match_batched_anneal():
+    """Two tenants triggered in one interval share one union map per
+    interval, and each ends exactly where ``batched_anneal`` ends on
+    that tenant's scenario, RNG and bias."""
+    schedule = AnnealingSchedule(
+        initial_temp=90.0, final_temp=50.0,
+        cooling_rate=0.6, iterations_per_temp=2,
+    )
+    # Hadoop, not the day's all-to-all: every all-to-all candidate
+    # scores the same utility, so a walk there never leaves its start
+    # and cannot tell one tenant's feedback from another's.
+    scenario = ScenarioSpec(workload="hadoop", duration=0.01)
+    fsds = {
+        0: FlowSizeDistribution(elephant_weight=3.0, mice_weight=1.0),
+        1: FlowSizeDistribution(elephant_weight=1.0, mice_weight=9.0),
+    }
+    shared = executor()
+    map_sizes = []
+    inner_map = shared.map
+
+    def counting_map(tasks):
+        map_sizes.append(len(tasks))
+        return inner_map(tasks)
+
+    shared.map = counting_map
+    tuner = MultiplexedTuner(
+        scenario, executor=shared, batch_size=3, schedule=schedule
+    )
+    for tenant, fsd in fsds.items():
+        assert tuner.trigger(tenant, 0, fsd)
+    interval = 0
+    while tuner.active_tenants:
+        tuner.step(interval)
+        interval += 1
+    # One seed map per trigger, then one union map per interval.
+    assert map_sizes == [1, 1, 6, 6]
+
+    retunes = {r.tenant: r for r in tuner.finished}
+    assert sorted(retunes) == [0, 1]
+    assert retunes[0].utility != retunes[1].utility
+    for tenant, fsd in fsds.items():
+        alone = batched_anneal(
+            tuner.tenant_scenario(tenant),
+            ImprovedAnnealer(
+                default_space(),
+                schedule,
+                rng=random.Random(tuner.rng_seed + tenant),
+            ),
+            tuner.initial_params,
+            batch_size=3,
+            executor=executor(),
+            tp_bias=fsd.dominant(),
+        )
+        retune = retunes[tenant]
+        assert (alone.evaluations, alone.batches) == (7, 2)
+        assert retune.params.as_dict() == alone.best_params.as_dict()
+        assert retune.utility == alone.best_utility
+        assert (retune.evaluations, retune.batches) == (
+            alone.evaluations,
+            alone.batches,
+        )

@@ -15,12 +15,20 @@ The control-plane pins at the bottom do the same for the `cp-day`
 workload of the repo benchmark: values recorded at commit 2f0cd24,
 before collection became one range kernel.
 
+The batched-SA pins in between fix the offline SA driver
+(``batched_anneal``) at three fidelities: values recorded at commit
+02c573c, before it and the control plane's per-tenant retunes shared
+one step function.
+
 If a pin moves, the simulator's dynamics (or the synthetic traffic
 source, or the FSD summation order) changed.  Re-record only for a
 deliberate model change, never for a performance one.
 """
 
 from __future__ import annotations
+
+import hashlib
+import random
 
 import pytest
 
@@ -37,10 +45,12 @@ from repro.controlplane import (
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import install_influx, make_network, make_tuner
 from repro.parallel import ScenarioSpec, SweepExecutor
+from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import fct_digest, interval_digest
 from repro.simulator.units import mb
-from repro.tuning.annealing import AnnealingSchedule
-from repro.tuning.parameters import default_params
+from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
+from repro.tuning.fidelity import FidelityConfig
+from repro.tuning.parameters import default_params, default_space
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
 
@@ -113,6 +123,91 @@ def test_paraleon_influx_matches_recorded_digests():
         "dropped": 0,
         "flows": 36,
     }
+
+
+# ---------------------------------------------------------------------------
+# Batched SA: the offline driver
+# ---------------------------------------------------------------------------
+
+
+def _params_digest(params) -> str:
+    canonical = repr(sorted(params.as_dict().items()))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+#: fidelity -> (best params digest, best utility, evaluations, batches,
+#: utility_trace).  The surrogate walk runs on calibrated fluid scores,
+#: so its trace is not DES utilities and its one extra evaluation is
+#: the confirmation of the winner.
+BATCHED_ANNEAL_PINS = {
+    FidelityConfig(): (
+        "a33e61878fb4bfdc",
+        0.8309996374631787,
+        7,
+        3,
+        [
+            0.8284559243327798,
+            0.8273923892552233,
+            0.820220772880343,
+            0.8207045778787838,
+            0.7368761313276881,
+            0.7601891267181077,
+        ],
+    ),
+    FidelityConfig(mode="screen", early_abort=True): (
+        "4cd50a583aeda98a",
+        0.8365058577799674,
+        7,
+        3,
+        [
+            0.8230576171872785,
+            0.8326627672254375,
+            0.8365058577799674,
+            0.8334589442150501,
+            0.8337788839187592,
+            0.8322489229100778,
+        ],
+    ),
+    FidelityConfig(mode="surrogate"): (
+        "a33e61878fb4bfdc",
+        0.8309996374631787,
+        2,
+        3,
+        [
+            0.8250547758184733,
+            0.8200651957465225,
+            0.8250266157357504,
+            0.7932439525773964,
+            0.7469328203104454,
+            0.8042932539016883,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fidelity", list(BATCHED_ANNEAL_PINS), ids=lambda f: f.mode
+)
+def test_batched_anneal_matches_recorded(fidelity):
+    result = batched_anneal(
+        ScenarioSpec(workload="hadoop", scale="small", duration=0.01, seed=1),
+        ImprovedAnnealer(
+            default_space(),
+            AnnealingSchedule(90.0, 40.0, 0.85, 4),
+            rng=random.Random(7),
+        ),
+        default_params(),
+        batch_size=2,
+        max_batches=3,
+        fidelity=fidelity,
+    )
+    assert (
+        _params_digest(result.best_params),
+        result.best_utility,
+        result.evaluations,
+        result.batches,
+        result.utility_trace,
+    ) == BATCHED_ANNEAL_PINS[fidelity]
 
 
 # ---------------------------------------------------------------------------

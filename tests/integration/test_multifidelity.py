@@ -11,6 +11,8 @@ Two contracts from DESIGN.md's "Multi-fidelity evaluation":
 
 import random
 
+import pytest
+
 from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import (
     EvalTask,
@@ -125,6 +127,20 @@ def test_screened_anneal_is_repeatable():
     assert runs[0].aborted == runs[1].aborted
     assert runs[0].screened_out == runs[1].screened_out
     assert runs[0].surrogate_scored > runs[0].evaluations
+
+
+def test_hybrid_anneal_is_rejected():
+    """Hybrid is a grid-sweep rung; an SA search must not quietly run
+    it on the full DES and report it as hybrid."""
+    with pytest.raises(ValueError, match="hybrid"):
+        batched_anneal(
+            SPEC,
+            _annealer(),
+            default_params(),
+            batch_size=2,
+            max_batches=1,
+            fidelity=FidelityConfig(mode="hybrid"),
+        )
 
 
 def test_grid_sweep_screen_mode_keeps_des_best():

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments.report import format_series, format_table, improvement
+from repro.telemetry.tables import format_series, format_table
 
 
 def test_format_table_alignment():
@@ -32,13 +30,6 @@ def test_format_series_subsamples():
     out = format_series("tp", pairs, max_points=10)
     assert out.startswith("tp [t,y]:")
     assert out.count("(") <= 12
-
-
-def test_improvement_sign():
-    assert improvement(new=0.5, old=1.0) == pytest.approx(50.0)
-    assert improvement(new=2.0, old=1.0) == pytest.approx(-100.0)
-    with pytest.raises(ValueError):
-        improvement(1.0, 0.0)
 
 
 def test_number_formatting():
