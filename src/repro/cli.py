@@ -67,15 +67,6 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
              "(default: REPRO_JOBS env, then CPU count)",
     )
     parser.add_argument(
-        "--strategy",
-        choices=["auto", "process", "inline"],
-        default=None,
-        help="parallel eval strategy: auto measures per-task cost and "
-             "picks, process = persistent worker pool, inline; "
-             "results are digest-identical across strategies (default: "
-             "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent evaluation cache (.repro_cache/)",
     )
@@ -124,14 +115,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="capture a cProfile of this command to PATH "
              "(inspect with `python -m pstats PATH`)",
     )
+
+
+def _add_engine_mode(parser: argparse.ArgumentParser) -> None:
+    """``--hybrid-engine``: the engine mode of the tasks a command builds."""
     parser.add_argument(
         "--hybrid-engine",
         choices=["off", "hybrid"],
-        default=None,
+        default="off",
         metavar="MODE",
         help="hybrid flow/packet engine: off = pure DES, hybrid = "
-             "fluid fast path for elephant flows (faster, approximate) "
-             "(default: REPRO_HYBRID_ENGINE env, off when unset)",
+             "fluid fast path for elephant flows (faster, approximate; "
+             "never cached) (default: off)",
     )
 
 
@@ -149,12 +144,9 @@ def _make_spec(args) -> ScenarioSpec:
 
 
 def _make_executor(args) -> tuple:
-    """``(executor, cache)`` honoring ``--jobs``/``--strategy``/``--no-cache``."""
+    """``(executor, cache)`` honoring ``--jobs``/``--no-cache``."""
     cache: Optional[EvalCache] = default_cache(enabled=not args.no_cache)
-    executor = SweepExecutor(
-        jobs=args.jobs, cache=cache, strategy=args.strategy
-    )
-    return executor, cache
+    return SweepExecutor(jobs=args.jobs, cache=cache), cache
 
 
 def cmd_list_schemes(_args) -> int:
@@ -167,9 +159,11 @@ def cmd_list_schemes(_args) -> int:
 def cmd_run(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
-    result = executor.map(
-        [EvalTask(scenario=spec, seed=args.seed, scheme=args.scheme)]
-    )[0]
+    task = EvalTask(
+        scenario=spec, seed=args.seed, scheme=args.scheme,
+        engine_mode=args.hybrid_engine,
+    )
+    result = executor.map([task])[0]
     fabric = SPECS[args.scale]
     echo(f"scheme          : {make_tuner(args.scheme).name}")
     echo(f"fabric          : {args.scale} ({fabric.n_hosts} hosts)")
@@ -198,7 +192,10 @@ def cmd_compare(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
     tasks = [
-        EvalTask(scenario=spec, seed=args.seed, scheme=scheme, index=i)
+        EvalTask(
+            scenario=spec, seed=args.seed, scheme=scheme, index=i,
+            engine_mode=args.hybrid_engine,
+        )
         for i, scheme in enumerate(schemes)
     ]
     results = executor.map(tasks)
@@ -252,10 +249,7 @@ def cmd_sweep(args) -> int:
          f"(DES {des_points}, aborted {aborted}, hybrid {hybrid}, "
          f"fluid {len(results) - des_points - aborted - hybrid})")
     echo(f"jobs            : {executor.jobs}")
-    echo(f"strategy        : {executor.strategy}"
-         + (f" -> {executor.last_strategy}"
-            if executor.last_strategy
-            and executor.last_strategy != executor.strategy else ""))
+    echo(f"strategy        : {executor.last_strategy}")
     echo(f"wall time       : {wall:.2f} s")
     if cache is not None:
         stats = cache.stats()
@@ -296,33 +290,32 @@ def cmd_controlplane(args) -> int:
             racks_per_pod=args.racks_per_pod,
             n_tenants=args.tenants,
         )
-    except ValueError as exc:
-        _log.error("bad topology: %s", exc)
-        return 2
-    shifts = ()
-    if not args.no_shift:
-        shift_interval = (
-            args.shift_interval
-            if args.shift_interval is not None
-            else max(1, args.intervals // 3)
-        )
-        shifts = (
-            TrafficShift(
-                tenant=args.shift_tenant,
-                interval=shift_interval,
-                profile=TenantProfile(
-                    elephant_fraction=args.shift_elephant,
-                    pe_fraction=0.10,
+        shifts = ()
+        if not args.no_shift:
+            shift_interval = (
+                args.shift_interval
+                if args.shift_interval is not None
+                else max(1, args.intervals // 3)
+            )
+            shifts = (
+                TrafficShift(
+                    tenant=args.shift_tenant,
+                    interval=shift_interval,
+                    profile=TenantProfile(
+                        elephant_fraction=args.shift_elephant,
+                        pe_fraction=0.10,
+                    ),
                 ),
-            ),
+            )
+        config = ControlPlaneConfig(
+            topology=topology,
+            traffic=TrafficConfig(seed=args.seed, shifts=shifts),
+            intervals=args.intervals,
+            theta=args.theta,
         )
-    traffic = TrafficConfig(seed=args.seed, shifts=shifts)
-    config = ControlPlaneConfig(
-        topology=topology,
-        traffic=traffic,
-        intervals=args.intervals,
-        theta=args.theta,
-    )
+    except ValueError as exc:
+        _log.error("bad control-plane day: %s", exc)
+        return 2
     executor, _cache = _make_executor(args)
     t0 = time.perf_counter()
     result = ControlPlaneService(config, executor=executor).run()
@@ -509,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", default="paraleon", choices=sorted(SCHEME_FACTORIES)
     )
     _add_common(run_parser)
+    _add_engine_mode(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     cmp_parser = sub.add_parser("compare", help="run several schemes")
@@ -517,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme list",
     )
     _add_common(cmp_parser)
+    _add_engine_mode(cmp_parser)
     cmp_parser.set_defaults(func=cmd_compare)
 
     sweep_parser = sub.add_parser(
@@ -586,11 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor(cp_parser)
     cp_parser.add_argument(
         "--shift-tenant", type=int, default=0,
-        help="tenant whose traffic matrix shifts mid-run (default: 0)",
+        help="tenant whose traffic matrix shifts mid-run, in "
+             "[0, tenants) (default: 0)",
     )
     cp_parser.add_argument(
         "--shift-interval", type=int, default=None,
-        help="interval the shift lands on (default: intervals // 3)",
+        help="interval the shift lands on, in [1, intervals): interval 0 "
+             "has no earlier FSD to diverge from (default: intervals // 3)",
     )
     cp_parser.add_argument(
         "--shift-elephant", type=float, default=0.40,
@@ -685,14 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    engine_mode = getattr(args, "hybrid_engine", None)
-    if engine_mode is not None:
-        # Exported before any pool spawns so workers build their
-        # fabrics in the same mode.
-        from repro import env
-        from repro.simulator.hybrid import HYBRID_ENGINE_ENV
-
-        env.export_env(HYBRID_ENGINE_ENV, engine_mode)
     traced_here = bool(getattr(args, "trace", None))
     if traced_here:
         trace.configure(args.trace)

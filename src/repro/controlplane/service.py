@@ -103,6 +103,20 @@ class ControlPlaneConfig:
     def __post_init__(self) -> None:
         if self.intervals < 1:
             raise ValueError("need at least one interval")
+        for shift in self.traffic.shifts:
+            # A shift outside the run, or one at interval 0 (no earlier
+            # FSD to diverge from), could never fire a trigger: reject
+            # it instead of running a quiet day nobody asked for.
+            if not 0 <= shift.tenant < self.topology.n_tenants:
+                raise ValueError(
+                    f"shift tenant {shift.tenant} is outside "
+                    f"[0, {self.topology.n_tenants})"
+                )
+            if not 1 <= shift.interval < self.intervals:
+                raise ValueError(
+                    f"shift interval {shift.interval} is outside "
+                    f"[1, {self.intervals})"
+                )
 
 
 @dataclass

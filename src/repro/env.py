@@ -84,12 +84,6 @@ _declare(
     "CPU count is the fallback. Values < 1 clamp to 1.",
 )
 _declare(
-    "REPRO_EXECUTOR_STRATEGY", "str", "auto",
-    "Parallel eval strategy (`--strategy`): `auto` estimates per-task "
-    "cost online and picks, `process` = persistent worker pool, "
-    "`inline`. Results are digest-identical across strategies.",
-)
-_declare(
     "REPRO_EVAL_CACHE", "path", str(os.path.join(".repro_cache", "eval_cache.json")),
     "Evaluation-cache JSON path; `0`/`off`/empty disables the cache "
     "(like `--no-cache`).",
@@ -122,12 +116,6 @@ _declare(
     "REPRO_LOG_LEVEL", "str", "WARNING",
     "Level for the `repro.*` stderr logger: a name (`DEBUG`, `INFO`, "
     "...) or a numeric level; anything else raises `ValueError`.",
-)
-_declare(
-    "REPRO_HYBRID_ENGINE", "str", "off",
-    "Hybrid flow/packet engine mode (`--hybrid-engine`): `off` = pure "
-    "DES (digest-identical to the seed), `hybrid` = fluid fast path "
-    "for elephants (faster, approximate).",
 )
 
 
@@ -162,7 +150,7 @@ def export_env(name: str, value: Any) -> None:
 
     The registry is also the chokepoint for *writes*: values exported
     here are inherited by pool workers spawned afterwards (how
-    ``--trace`` and ``--hybrid-engine`` propagate).
+    ``--trace`` and ``--record`` propagate).
     """
     _lookup(name)
     os.environ[name] = str(value)

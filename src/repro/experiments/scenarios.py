@@ -53,7 +53,7 @@ def make_network(
     """A fresh fabric of the requested scale class.
 
     ``engine_mode`` picks the hybrid flow/packet engine (``off`` /
-    ``hybrid``); ``None`` defers to ``REPRO_HYBRID_ENGINE``.
+    ``hybrid``); ``None`` means ``off``.
     """
     spec = SPECS[scale]
     if params is not None:

@@ -7,38 +7,30 @@ SA ablations (Fig. 12).  This package fans them out:
 * :class:`~repro.parallel.tasks.ScenarioSpec` / ``EvalTask`` /
   ``EvalResult`` — the picklable task protocol.
 * :class:`~repro.parallel.executor.SweepExecutor` — ordered,
-  deterministic mapping onto a persistent process pool, with chunked
-  dispatch, timeout/crash retry and eval-cache integration.
+  deterministic mapping onto a persistent process pool (or inline,
+  by one measured cost rule), with chunked dispatch, crash retry and
+  eval-cache integration.  It takes only ``jobs`` and a cache: an
+  evaluation is configured by its task, never by the environment.
 * :mod:`~repro.parallel.sa` — the one SA driver:
   :func:`~repro.parallel.sa.step_loops` evaluates K candidates per
   step for any number of walks in one map;
   :func:`~repro.parallel.sa.batched_anneal` runs one walk to the end.
-* :mod:`~repro.parallel.sweeps` — the sweep drivers
-  (:func:`offline_grid_search_parallel`, :func:`run_parameter_sweep`,
-  :func:`run_scheme_sweep`).
+* :mod:`~repro.parallel.sweeps` — the grid-sweep driver
+  (:func:`offline_grid_search_parallel`).
 """
 
-from repro.parallel.executor import (
-    SweepExecutor,
-    resolve_jobs,
-    resolve_strategy,
-)
+from repro.parallel.executor import SweepExecutor, resolve_jobs
 from repro.parallel.pool import (
     WorkerPool,
     close_shared_pool,
     get_shared_pool,
 )
 from repro.parallel.sa import BatchedAnnealResult, batched_anneal
-from repro.parallel.sweeps import (
-    offline_grid_search_parallel,
-    run_parameter_sweep,
-    run_scheme_sweep,
-)
+from repro.parallel.sweeps import offline_grid_search_parallel
 from repro.parallel.tasks import (
     EvalResult,
     EvalTask,
     ScenarioSpec,
-    derive_task_seed,
     evaluate_task,
     make_abort_check,
     scheduled_interval_count,
@@ -53,14 +45,10 @@ __all__ = [
     "WorkerPool",
     "batched_anneal",
     "close_shared_pool",
-    "derive_task_seed",
     "evaluate_task",
     "get_shared_pool",
     "make_abort_check",
     "offline_grid_search_parallel",
     "resolve_jobs",
-    "resolve_strategy",
-    "run_parameter_sweep",
-    "run_scheme_sweep",
     "scheduled_interval_count",
 ]

@@ -1,41 +1,44 @@
-"""Core-aware sweep execution: adaptive strategy, caching, retries.
+"""Core-aware sweep execution: one dispatch policy, caching, retries.
 
 :class:`SweepExecutor` maps a list of :class:`~repro.parallel.tasks.
-EvalTask` onto an execution strategy and returns results **in task
-order** — the contract every consumer (grid search, batched SA, figure
-sweeps) relies on to stay byte-compatible with serial execution.
+EvalTask` onto the fabric and returns results **in task order** — the
+contract every consumer (grid search, the SA driver, the control
+plane's retunes) relies on to stay byte-compatible with serial
+execution.  An evaluation is configured by its task alone: the
+executor takes only ``jobs`` and an optional cache, and nothing it
+decides can change a digest.
 
 Design points:
 
-* **Strategy selection** (``--strategy auto|process|inline``,
-  ``REPRO_EXECUTOR_STRATEGY``) — ``auto`` estimates per-task wall time
-  from an online EMA keyed by scenario fingerprint (probing one task
-  inline for never-seen scenarios) and dispatches accordingly: tasks
-  cheaper than the IPC round trip run inline, everything else goes to
-  the persistent process pool.  Every strategy is digest-identical —
-  evaluations are pure.  There is no thread strategy: the DES is pure
-  Python under the GIL, and threads never beat both alternatives at
-  any task cost (DESIGN.md §13).
-* **Persistent process pool** — the ``process`` path dispatches to the
-  process-wide :func:`~repro.parallel.pool.get_shared_pool`, whose
-  workers are forked once and serve every later sweep
-  (``private_pool=True`` gives an executor its own crew instead).
-  Results return over each worker's pipe; straggler chunks are
-  work-stolen back into the parent.  See :mod:`repro.parallel.pool`.
-* **Adaptive chunking** — chunk size targets ~0.2 s of estimated work
-  per chunk, clamped so every worker sees at least two chunks (load
-  balance and stealing need slack); with no cost estimate the old
-  ``ceil(n / (jobs * 4))`` rule applies.  An explicit ``chunk_size``
-  always wins.
-* **Per-chunk retry** — a chunk that times out, dies with its worker,
-  or never reaches a pool (spawn failure) is re-evaluated *in-process
-  at its original granularity*: one ``executor.retry`` event and one
+* **One dispatch policy** — per ``map()`` call the executor runs the
+  misses inline when ``jobs == 1``, when one task is pending, or when
+  the online per-scenario cost EMA (seeded by evaluating one task
+  inline for a never-seen scenario) says a task costs less than
+  ``_INLINE_COST_S``; otherwise it dispatches to the persistent
+  process pool.  :attr:`SweepExecutor.last_strategy` reports the
+  choice.  Evaluations are pure, so the choice is digest-neutral.
+  There is no thread band: the DES is pure Python under the GIL, and
+  threads never beat both alternatives at any task cost (DESIGN.md
+  §13).
+* **Persistent process pool** — dispatch goes to the process-wide
+  :func:`~repro.parallel.pool.get_shared_pool`, whose workers are
+  forked once and serve every later sweep.  Results return over each
+  worker's pipe; straggler chunks are work-stolen back into the
+  parent.  See :mod:`repro.parallel.pool`.
+* **Adaptive chunking** — chunk size targets ``_TARGET_CHUNK_S`` of
+  estimated work per chunk, clamped so every worker sees at least two
+  chunks (load balance and stealing need slack); with no cost
+  estimate the ``ceil(n / (jobs * 4))`` rule applies.
+* **Per-chunk retry** — a chunk that dies with its worker or never
+  reaches a pool (spawn failure) is re-evaluated *in-process at its
+  original granularity*: one ``executor.retry`` event and one
   retried-chunks increment per failed chunk, never one giant lumped
   chunk.  Evaluations are deterministic, so retry results are
   identical to what the worker would have produced.
 * **Evaluation cache** — with an :class:`~repro.tuning.eval_cache.
-  EvalCache` attached, cacheable tasks (frozen params) are looked up
-  before dispatch and stored after; only misses touch a pool.
+  EvalCache` attached, cacheable tasks (frozen params, engine off) are
+  looked up before dispatch and stored after; only misses touch a
+  pool.
 
 ``jobs`` resolution order: explicit argument, then the ``REPRO_JOBS``
 environment variable, then the usable core count.  ``jobs=1`` runs
@@ -49,7 +52,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
-from repro.parallel.pool import WorkerPool, get_shared_pool, usable_cores
+from repro.parallel.pool import get_shared_pool, usable_cores
 from repro.parallel.tasks import EvalResult, EvalTask, evaluate_task
 from repro.telemetry import trace
 from repro.telemetry.log import get_logger
@@ -62,25 +65,19 @@ _RETRIED_CHUNKS = get_registry().counter(
     "repro_executor_retried_chunks_total",
     "Chunks re-evaluated in-process after a pool failure",
 )
-_TIMEOUTS = get_registry().counter(
-    "repro_executor_timeouts_total", "Chunks that hit the task timeout"
-)
 _POOL_TASKS = get_registry().counter(
     "repro_executor_pool_tasks_total", "Tasks dispatched past the cache"
 )
 
-#: Env knob / CLI flag selecting the execution strategy.
-EXECUTOR_STRATEGY_ENV = "REPRO_EXECUTOR_STRATEGY"
-
-#: Recognized strategies.  ``auto`` picks between the other two.
-STRATEGIES = ("auto", "process", "inline")
-
-#: ``auto`` cost cutoff (estimated seconds per task): below it,
-#: dispatch overhead loses to just evaluating; above, processes.
+#: Cost cutoff (estimated seconds per task): below it, dispatch
+#: overhead loses to just evaluating; above, processes.
 _INLINE_COST_S = 0.002
 
 #: Adaptive chunking aims for this much estimated work per chunk.
 _TARGET_CHUNK_S = 0.2
+
+#: Flight recordings kept per ``map()`` call (best-K by utility).
+_KEEP_RECORDINGS = 3
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -102,17 +99,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return cpus
 
 
-def resolve_strategy(strategy: Optional[str] = None) -> str:
-    """Effective strategy: explicit argument beats the environment."""
-    if strategy is None:
-        strategy = env.get(EXECUTOR_STRATEGY_ENV)
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-        )
-    return strategy
-
-
 class SweepExecutor:
     """Maps evaluation tasks over the parallel fabric, in order."""
 
@@ -120,30 +106,17 @@ class SweepExecutor:
         self,
         jobs: Optional[int] = None,
         cache: Optional[EvalCache] = None,
-        chunk_size: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 1,
-        keep_recordings: int = 3,
-        strategy: Optional[str] = None,
-        private_pool: bool = False,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.chunk_size = chunk_size
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.keep_recordings = keep_recordings
-        self.strategy = resolve_strategy(strategy)
-        self.private_pool = private_pool
         # Diagnostics from the last map() call.
         self.last_cache_hits = 0
         self.last_pool_tasks = 0
         self.last_retried_chunks = 0
         self.last_stolen_chunks = 0
         self.last_strategy: Optional[str] = None
-        # Per-scenario EMA of task wall seconds, feeding `auto`.
+        # Per-scenario EMA of task wall seconds, feeding the policy.
         self._cost_ema: Dict[str, float] = {}
-        self._pool: Optional[WorkerPool] = None
 
     # -- public API -----------------------------------------------------
 
@@ -176,7 +149,7 @@ class SweepExecutor:
         self.last_pool_tasks = len(pending)
         _POOL_TASKS.inc(len(pending))
 
-        # 2. Pick a strategy (may probe one task inline) and chunking.
+        # 2. Pick inline or pool (may probe one task inline) and chunking.
         strategy, est_cost = self._resolve_map_strategy(
             tasks, pending, results
         )
@@ -211,13 +184,7 @@ class SweepExecutor:
         self._prune_recordings(results)
         return [results[pos] for pos in range(len(tasks))]
 
-    def close(self) -> None:
-        """Tear down a private pool (the shared pool outlives us)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    # -- strategy selection ---------------------------------------------
+    # -- dispatch policy ------------------------------------------------
 
     def _resolve_map_strategy(
         self,
@@ -225,9 +192,9 @@ class SweepExecutor:
         pending: List[int],
         results: Dict[int, EvalResult],
     ) -> Tuple[str, Optional[float]]:
-        """(strategy, estimated cost) for this call.
+        """(``"inline"`` or ``"process"``, estimated cost) for this call.
 
-        ``auto`` reads the wall-time EMA of the dominant scenario; a
+        Reads the wall-time EMA of the dominant scenario; a
         never-measured scenario is probed by evaluating one pending
         task inline (``pending`` shrinks accordingly), which doubles as
         useful work.
@@ -235,24 +202,18 @@ class SweepExecutor:
         if not pending:
             return "inline", None
         fp = tasks[pending[0]].scenario.fingerprint()
-        if self.strategy == "inline" or self.jobs <= 1 or len(pending) <= 1:
-            return "inline", self._cost_ema.get(fp)
-        if self.strategy != "auto":
-            return self.strategy, self._cost_ema.get(fp)
         cost = self._cost_ema.get(fp)
+        if self.jobs <= 1 or len(pending) <= 1:
+            return "inline", cost
         if cost is None:
             probe = pending.pop(0)
             results[probe] = self._evaluate_with_cache(tasks[probe])
-            cost = self._cost_ema.get(fp)
-        if not pending or cost is None:
-            return "inline", cost
-        if cost < _INLINE_COST_S:
+            cost = self._cost_ema[fp]
+        if not pending or cost < _INLINE_COST_S:
             return "inline", cost
         return "process", cost
 
     def _chunk_for(self, n_pending: int, est_cost: Optional[float]) -> int:
-        if self.chunk_size:
-            return self.chunk_size
         if n_pending <= 0:
             return 1
         if est_cost:
@@ -279,10 +240,10 @@ class SweepExecutor:
         utility wins, and the task index breaks ties deterministically.
         """
         carriers = [r for r in results.values() if r.recording is not None]
-        if len(carriers) <= self.keep_recordings:
+        if len(carriers) <= _KEEP_RECORDINGS:
             return
         carriers.sort(key=lambda r: (r.aborted, -r.utility, r.index))
-        for result in carriers[self.keep_recordings:]:
+        for result in carriers[_KEEP_RECORDINGS:]:
             result.recording = None
 
     def _cache_get(self, task: EvalTask) -> Optional[dict]:
@@ -317,14 +278,7 @@ class SweepExecutor:
         self._cache_put(task, result)
         return result
 
-    # -- process strategy -----------------------------------------------
-
-    def _acquire_pool(self) -> WorkerPool:
-        if self.private_pool:
-            if self._pool is None or self._pool.closed:
-                self._pool = WorkerPool(self.jobs)
-            return self._pool
-        return get_shared_pool(self.jobs)
+    # -- process dispatch -----------------------------------------------
 
     def _steal_chunk(self, chunk_tasks: List[EvalTask]) -> List[EvalResult]:
         """In-parent evaluation of a work-stolen straggler chunk."""
@@ -343,10 +297,9 @@ class SweepExecutor:
         ]
         chunk_items = [(c, [tasks[pos] for pos in c]) for c in chunks]
         try:
-            pool = self._acquire_pool()
+            pool = get_shared_pool(self.jobs)
             completed, failed, stolen = pool.run(
                 chunk_items,
-                task_timeout=self.task_timeout,
                 max_workers=self.jobs,
                 steal_eval=self._steal_chunk,
             )
@@ -371,28 +324,13 @@ class SweepExecutor:
         for chunk_id, reason in failed:
             self.last_retried_chunks += 1
             _RETRIED_CHUNKS.inc()
-            if reason == "timeout":
-                _TIMEOUTS.inc()
-            if self.max_retries < 1:
-                raise RuntimeError(
-                    f"sweep chunk failed and retries are disabled: "
-                    f"{list(chunk_id)}"
-                )
             _log.warning(
-                "chunk %s %s; re-evaluating in-process",
+                "chunk %s lost to a pool %s; re-evaluating in-process",
                 list(chunk_id),
-                "timed out"
-                if reason == "timeout"
-                else "failed with the pool",
+                reason,
             )
             if trace.active:
-                trace.event(
-                    "executor.retry",
-                    {
-                        "positions": list(chunk_id),
-                        "timeout": reason == "timeout",
-                    },
-                )
+                trace.event("executor.retry", {"positions": list(chunk_id)})
             for pos in chunk_id:
                 if pos not in results:
                     results[pos] = self._evaluate_with_cache(tasks[pos])

@@ -23,12 +23,16 @@ parallel speedup (BENCH recorded ``sweep.speedup = 1.03``).
   deterministic, so a stolen chunk's results are identical to what the
   worker would have produced.
 * **Environment propagation** — workers must agree with the parent on
-  the ``REPRO_*`` state they inherited at fork (trace run id, recorder
-  path, engine mode, ...).  The pool fingerprints
-  :data:`PROPAGATED_ENV` at spawn and respawns every worker when the
-  fingerprint changes.
+  the telemetry ``REPRO_*`` state they inherited at fork (trace path
+  and run id, recorder path and budget, log level).  The pool
+  fingerprints :data:`PROPAGATED_ENV` at spawn and respawns every
+  worker when the fingerprint changes.  Nothing that shapes a result
+  travels this way: what an evaluation computes rides on its task.
+* **Crash detection** — a worker that dies mid-chunk shows up as pipe
+  EOF, and a worker whose parent dies exits on the parent-process
+  sentinel; there is no wall-clock timeout.
 
-The pool is strategy-agnostic plumbing: chunking, retry policy and the
+The pool is policy-free plumbing: chunking, retry and the
 process/inline choice live in
 :class:`repro.parallel.executor.SweepExecutor`.
 """
@@ -38,7 +42,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import time
 from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -68,7 +71,6 @@ PROPAGATED_ENV: Tuple[str, ...] = (
     "REPRO_RECORD",
     "REPRO_RECORD_BUDGET",
     "REPRO_LOG_LEVEL",
-    "REPRO_HYBRID_ENGINE",
 )
 
 #: Seconds between result polls; doubles as the straggler threshold —
@@ -93,14 +95,13 @@ def _env_fingerprint() -> Tuple[Optional[str], ...]:
 class _Worker:
     """Parent-side handle for one pool process."""
 
-    __slots__ = ("wid", "process", "conn", "chunk", "started", "dead")
+    __slots__ = ("wid", "process", "conn", "chunk", "dead")
 
     def __init__(self, wid, process, conn):
         self.wid = wid
         self.process = process
         self.conn = conn
         self.chunk = None  # (chunk_id, tasks) in flight
-        self.started = 0.0  # perf_counter at dispatch
         self.dead = False  # pipe broke; process may not be reaped yet
 
     @property
@@ -167,7 +168,7 @@ class WorkerPool:
 
         Called at the top of every :meth:`run`, so a crash or an
         env-visible reconfiguration (``trace.configure`` exporting
-        ``REPRO_TRACE_RUN``, a recorder attach, an engine-mode switch)
+        ``REPRO_TRACE_RUN``, a recorder attach, a log-level change)
         between sweeps is healed before dispatch.
         """
         fp = _env_fingerprint()
@@ -202,7 +203,6 @@ class WorkerPool:
     def run(
         self,
         chunks: Sequence[Tuple[Any, Sequence]],
-        task_timeout: Optional[float] = None,
         max_workers: Optional[int] = None,
         steal_eval: Optional[Callable[[list], list]] = None,
     ):
@@ -213,8 +213,8 @@ class WorkerPool:
         * ``completed`` — ``{chunk_id: (results, metrics_snapshot)}``;
           the snapshot is ``None`` for stolen chunks (their metrics
           landed directly in the parent registry).
-        * ``failed`` — ``[(chunk_id, reason)]`` with reason ``"crash"``,
-          ``"timeout"`` or ``"spawn"``; the caller retries these.
+        * ``failed`` — ``[(chunk_id, reason)]`` with reason ``"crash"``
+          or ``"spawn"``; the caller retries these.
         * ``stolen`` — chunk_ids the parent reclaimed and evaluated via
           ``steal_eval``.
 
@@ -261,7 +261,6 @@ class WorkerPool:
                     pending.appendleft((chunk_id, chunk_tasks))
                     continue
                 worker.chunk = (chunk_id, chunk_tasks)
-                worker.started = time.perf_counter()
                 busy[worker.conn] = worker
             if not busy:
                 if pending and steal_eval is not None:
@@ -275,7 +274,6 @@ class WorkerPool:
                 break
             ready = mp_connection.wait(list(busy), timeout=_POLL_S)
             if not ready:
-                self._expire(busy, idle, task_timeout, failed)
                 # Steal only onto a core no busy worker occupies.
                 if (
                     busy
@@ -317,27 +315,6 @@ class WorkerPool:
             )
         completed[chunk_id] = (steal_eval(chunk_tasks), None)
         stolen.append(chunk_id)
-
-    def _expire(self, busy, idle, task_timeout, failed) -> None:
-        """Kill workers whose in-flight chunk exceeded the timeout."""
-        if not task_timeout:
-            return
-        now = time.perf_counter()
-        expired = [
-            worker
-            for worker in busy.values()
-            if now - worker.started > task_timeout
-        ]
-        for worker in expired:
-            del busy[worker.conn]
-            _log.warning(
-                "pool worker %d exceeded task timeout; terminating",
-                worker.wid,
-            )
-            failed.append((worker.chunk[0], "timeout"))
-            worker.chunk = None
-            worker.dead = True
-            worker.process.terminate()
 
 
 # Process-wide shared pool (None-initialised: per-process after fork by

@@ -200,7 +200,6 @@ def batched_anneal(
     tp_bias: Optional[Tuple[bool, float]] = None,
     max_batches: Optional[int] = None,
     fidelity: Optional[FidelityConfig] = None,
-    strategy: Optional[str] = None,
 ) -> BatchedAnnealResult:
     """Run one full SA tuning process with K-way concurrent evaluation.
 
@@ -216,8 +215,7 @@ def batched_anneal(
     The default executor dispatches to the process-wide persistent
     :func:`~repro.parallel.pool.get_shared_pool`, so the hundreds of
     small batches an SA search issues reuse one worker crew instead
-    of paying process spawn per batch; ``strategy``
-    forwards to :class:`SweepExecutor` (``auto`` when unset).
+    of paying process spawn per batch.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -227,7 +225,7 @@ def batched_anneal(
             "fidelity mode 'hybrid' is a grid-sweep rung "
             "(offline_grid_search_parallel), not an SA search fidelity"
         )
-    executor = executor or SweepExecutor(strategy=strategy)
+    executor = executor or SweepExecutor()
     screen = (
         SurrogateScreen(scenario, fidelity)
         if fidelity.mode in ("screen", "surrogate")

@@ -1,17 +1,14 @@
-"""Parallel sweep drivers: grids, parameter sets and scheme panels.
+"""The parallel grid-sweep driver.
 
-These helpers used to live beside their result types (``tuning.grid``)
-and the benchmark harness (``experiments.runner``), which forced both
-of those lower layers to lazily import the parallel fabric — exactly
-the upward edges RL008 forbids.  They are *drivers*: they own an
-executor, fan tasks out over the pool, and hand back the lower
-layers' own result types, so they belong up here in the parallel
+:func:`offline_grid_search_parallel` is the multi-fidelity grid sweep
+(fluid screen / hybrid rung / full DES with early abort) behind
+``python -m repro sweep``.  It used to live beside its result type
+(``tuning.grid``), which forced that lower layer to lazily import the
+parallel fabric — exactly the upward edge RL008 forbids.  It is a
+*driver*: it fans tasks out through a caller's
+:class:`~repro.parallel.executor.SweepExecutor` and hands back the
+lower layer's own result types, so it belongs up here in the parallel
 layer where the dependency arrow points down.
-
-* :func:`offline_grid_search_parallel` — the multi-fidelity grid sweep
-  (fluid screen / hybrid rung / full DES with early abort).
-* :func:`run_parameter_sweep` — frozen parameter sets on one scenario.
-* :func:`run_scheme_sweep` — named tuning schemes over seeds.
 """
 
 from __future__ import annotations
@@ -29,21 +26,17 @@ from repro.tuning.grid import DEFAULT_GRID, GridPointResult, expand_grid
 def offline_grid_search_parallel(
     scenario,
     grid: Optional[Dict[str, Sequence[float]]] = None,
-    jobs: Optional[int] = None,
-    cache=None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
     skip_intervals: int = 0,
-    fidelity=None,
-    strategy: Optional[str] = None,
+    fidelity: Optional[FidelityConfig] = None,
 ) -> Tuple[GridPointResult, List[GridPointResult]]:
     """Offline sweep over a :class:`~repro.parallel.tasks.ScenarioSpec`.
 
-    Same contract as :func:`~repro.tuning.grid.offline_grid_search` —
-    ``(best, results)`` with results in grid order — but each point is
-    a self-contained :class:`~repro.parallel.tasks.EvalTask`, so the
-    sweep fans out over a process pool and reuses the evaluation cache
-    across repeated sweeps.  With ``jobs=1`` the results are
-    identical, just serial.
+    Returns ``(best, results)`` with results in grid order.  Each point
+    is a self-contained :class:`~repro.parallel.tasks.EvalTask`, so the
+    sweep fans out over ``executor`` (default: ``SweepExecutor()``, no
+    cache) and reuses its evaluation cache across repeated sweeps; the
+    results do not depend on the executor's ``jobs``.
 
     ``fidelity`` (a :class:`~repro.tuning.fidelity.FidelityConfig`)
     optionally thins the sweep: in ``screen`` mode the fluid surrogate
@@ -55,9 +48,7 @@ def offline_grid_search_parallel(
     measured (completely) by the DES.
     """
     points = expand_grid(grid or DEFAULT_GRID)
-    executor = executor or SweepExecutor(
-        jobs=jobs, cache=cache, strategy=strategy
-    )
+    executor = executor or SweepExecutor()
     fidelity = fidelity or FidelityConfig()
 
     with trace.span(
@@ -204,55 +195,3 @@ def offline_grid_search_parallel(
             (r for r in results if r.fidelity == "des"), key=lambda r: r.utility
         )
         return best, results
-
-
-def run_parameter_sweep(
-    scenario,
-    param_sets,
-    jobs=None,
-    cache=None,
-    executor=None,
-):
-    """Evaluate many frozen parameter sets on one scenario, in order.
-
-    ``scenario`` is a :class:`~repro.parallel.tasks.ScenarioSpec`;
-    returns one :class:`~repro.parallel.tasks.EvalResult` per entry of
-    ``param_sets``, positionally aligned.  With ``jobs > 1`` the points
-    run on a process pool; results are identical to serial execution.
-    """
-    executor = executor or SweepExecutor(jobs=jobs, cache=cache)
-    tasks = [
-        EvalTask(scenario=scenario, seed=scenario.seed, params=p, index=i)
-        for i, p in enumerate(param_sets)
-    ]
-    return executor.map(tasks)
-
-
-def run_scheme_sweep(
-    scenario,
-    schemes,
-    seeds=None,
-    jobs=None,
-    executor=None,
-):
-    """Evaluate named tuning schemes, optionally over several seeds.
-
-    Returns ``{scheme: [EvalResult, ...]}`` with one result per seed
-    (default: the scenario's own seed), ordered like ``seeds``.
-    Scheme runs are stateful (the tuner adapts online) so they bypass
-    the evaluation cache, but still parallelize.
-    """
-    executor = executor or SweepExecutor(jobs=jobs)
-    seeds = list(seeds) if seeds is not None else [scenario.seed]
-    schemes = list(schemes)
-    tasks = [
-        EvalTask(scenario=scenario, seed=seed, scheme=scheme, index=i)
-        for i, (scheme, seed) in enumerate(
-            (s, seed) for s in schemes for seed in seeds
-        )
-    ]
-    results = executor.map(tasks)
-    grouped = {}
-    for task, result in zip(tasks, results):
-        grouped.setdefault(task.scheme, []).append(result)
-    return grouped

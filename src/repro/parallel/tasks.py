@@ -10,7 +10,9 @@ picklable dataclass:
 * :class:`EvalTask` — one unit of work: a scenario plus either a
   frozen :class:`~repro.simulator.dcqcn.DcqcnParams` (evaluated under
   a ``StaticTuner``) or a scheme name from
-  ``repro.experiments.scenarios.SCHEME_FACTORIES``.
+  ``repro.experiments.scenarios.SCHEME_FACTORIES``.  The task is the
+  whole configuration of its evaluation — engine mode and abort rule
+  included — so no environment variable can change its result.
 * :class:`EvalResult` — the outcome, including SHA-256 digests of the
   FCT records and interval stats so determinism across workers is
   checkable byte-for-byte.
@@ -116,9 +118,9 @@ class EvalTask:
     #: abort rule may fire (warm-up guard against noisy early intervals).
     abort_after_frac: float = 0.5
     #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``);
-    #: ``None`` resolves ``REPRO_HYBRID_ENGINE`` at network
-    #: construction.  Lives on the task, not the scenario spec, so
-    #: scenario fingerprints — and therefore cache keys — do not
+    #: ``None`` means ``off``.  It travels with the task to whichever
+    #: process evaluates it.  Lives on the task, not the scenario spec,
+    #: so scenario fingerprints — and therefore cache keys — do not
     #: depend on it (``hybrid`` results are never cached).
     engine_mode: Optional[str] = None
 
@@ -137,11 +139,7 @@ class EvalTask:
         later full-fidelity lookups (same poisoning rule as aborted
         runs).
         """
-        if self.params is None:
-            return False
-        from repro.simulator.hybrid import resolve_hybrid_mode
-
-        return resolve_hybrid_mode(self.engine_mode) != "hybrid"
+        return self.params is not None and self.engine_mode != "hybrid"
 
 
 @dataclass
@@ -243,16 +241,6 @@ def interval_digest(intervals: List[IntervalStats]) -> str:
     return h.hexdigest()
 
 
-def derive_task_seed(base_seed: int, index: int) -> int:
-    """Deterministic, process-independent per-task seed.
-
-    Hash-based (not ``hash()``, which is salted per process) so a task
-    list built in the parent and a retry built in a worker agree.
-    """
-    digest = hashlib.sha256(f"{base_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # Scenario construction and evaluation
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def build_scenario(
     """Fresh ``(network, workload, stop_when)`` for one evaluation.
 
     ``engine_mode`` selects the hybrid flow/packet engine (``None``
-    resolves the env default).
+    means ``off``).
     """
     # Imported here: experiments.scenarios pulls in the full scheme
     # registry, which itself imports tuning modules.
@@ -359,11 +347,10 @@ def evaluate_task(task: EvalTask) -> EvalResult:
     """
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.scenarios import make_tuner
-    from repro.simulator.hybrid import resolve_hybrid_mode
 
     spec = task.scenario
     network, _workload, stop_when = build_scenario(
-        spec, task.seed, engine_mode=resolve_hybrid_mode(task.engine_mode)
+        spec, task.seed, engine_mode=task.engine_mode
     )
     if task.params is not None:
         tuner = StaticTuner(task.params, "sweep-point")

@@ -8,7 +8,9 @@ integrates (:func:`repro.simulator.fluid.fluid_rate_step`), while
 mice, queue occupancy, ECN marking of packet traffic, and PFC stay at
 packet level.
 
-Engine modes (``REPRO_HYBRID_ENGINE`` / ``--hybrid-engine``):
+Engine modes are an argument of each build — ``NetworkConfig.
+hybrid_engine``, ``EvalTask.engine_mode``, ``--hybrid-engine`` on
+``run``/``compare`` — never process state; unset means ``off``:
 
 * ``off`` — pure DES.  Digest-identical to the seed behaviour; the
   default, and what Tier-1 and the eval cache run against.
@@ -44,7 +46,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro import env
 from repro.simulator.engine import EventHandle
 from repro.simulator.fluid import (
     DEFAULT_DT,
@@ -59,17 +60,14 @@ from repro.telemetry import trace
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.network import Network
 
-#: Environment knob / CLI flag selecting the engine mode.
-HYBRID_ENGINE_ENV = "REPRO_HYBRID_ENGINE"
-
 #: Recognized engine modes, least to most approximate.
 HYBRID_MODES = ("off", "hybrid")
 
 
 def resolve_hybrid_mode(mode: Optional[str] = None) -> str:
-    """Effective engine mode: explicit argument beats the environment."""
+    """The validated engine mode; unset means ``off``."""
     if mode is None:
-        mode = env.get(HYBRID_ENGINE_ENV)
+        return "off"
     if mode not in HYBRID_MODES:
         raise ValueError(
             f"hybrid engine mode must be one of {HYBRID_MODES}, got {mode!r}"

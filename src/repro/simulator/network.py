@@ -5,7 +5,10 @@ switches from a :class:`~repro.simulator.topology.ClosSpec`, wires the
 bidirectional links (including the reverse-direction PFC peering),
 installs forwarding tables, runs the RTT prober, tracks flows from
 start to completion, and exposes the parameter-dispatch operations the
-tuners use (:meth:`set_all_params`, :meth:`set_switch_ecn`).
+tuners use (:meth:`set_all_params`, :meth:`set_switch_ecn`).  A fabric
+is configured by its :class:`NetworkConfig` alone — including the
+engine mode (``hybrid_engine``), which no environment variable can
+change behind the caller's back.
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ class NetworkConfig:
     # Paraleon) or "swift" (delay-based, Section VI related work).
     cc: str = "dcqcn"
     swift_params: object = None
-    # Hybrid engine mode ("off" | "hybrid"); None resolves
-    # REPRO_HYBRID_ENGINE at construction time.  Only meaningful for
-    # cc="dcqcn" — other controllers silently run pure DES.
+    # Hybrid engine mode ("off" | "hybrid"); None means "off".  Only
+    # meaningful for cc="dcqcn" — other controllers run pure DES.
     hybrid_engine: Optional[str] = None
 
 

@@ -75,7 +75,7 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     "engine.hybrid": ("t", "fluid_flows", "fluid_bytes", "virtual_queue_max"),
     # evaluation fabric
     "cache.lookup": ("hit", "scenario", "seed"),
-    "executor.retry": ("positions", "timeout"),
+    "executor.retry": ("positions",),
     "executor.strategy": ("strategy", "tasks", "jobs", "est_cost_ms", "chunk"),
     "executor.steal": ("positions", "remaining"),
     # multi-fidelity evaluation

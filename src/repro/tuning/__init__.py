@@ -16,11 +16,7 @@ from repro.tuning.annealing import (
     SaState,
 )
 from repro.tuning.search import Tuner, StaticTuner
-from repro.tuning.grid import (
-    GridSearchTuner,
-    expand_grid,
-    offline_grid_search,
-)
+from repro.tuning.grid import GridSearchTuner, expand_grid
 from repro.tuning.eval_cache import EvalCache, default_cache, quantize_params
 from repro.tuning.fidelity import (
     FidelityConfig,
@@ -46,7 +42,6 @@ __all__ = [
     "StaticTuner",
     "GridSearchTuner",
     "expand_grid",
-    "offline_grid_search",
     "EvalCache",
     "default_cache",
     "quantize_params",

@@ -6,7 +6,10 @@ combinations, but it fails to output timely results."  This module
 makes that claim measurable: a coarse grid over the most influential
 knobs, each point evaluated for one measurement window on a *frozen*
 copy of the scenario — the offline procedure an operator (or an
-AutoML pipeline) would run overnight.
+AutoML pipeline) would run overnight.  That sweep runs through the
+evaluation fabric (:func:`repro.parallel.sweeps.
+offline_grid_search_parallel`, ``python -m repro sweep``); this module
+holds the grid and its result type.
 
 :class:`GridSearchTuner` plugs into the common Tuner interface so the
 harness can also run it *online* — where it simply steps through its
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.network import Network
@@ -134,22 +137,3 @@ class GridSearchTuner:
         if not self.results:
             raise ValueError("no grid points evaluated yet")
         return max(self.results, key=lambda r: r.utility)
-
-
-def offline_grid_search(
-    scenario_factory: Callable[[DcqcnParams], float],
-    grid: Optional[Dict[str, Sequence[float]]] = None,
-) -> Tuple[GridPointResult, List[GridPointResult]]:
-    """Classic offline sweep: evaluate every point on a fresh scenario.
-
-    ``scenario_factory(params)`` must build the scenario, run it, and
-    return the achieved utility — each call is one full experiment, so
-    the cost is ``len(grid)`` runs (hours on a real cluster; the bench
-    measures it in simulator wall-time).
-    """
-    points = expand_grid(grid or DEFAULT_GRID)
-    results = [
-        GridPointResult(params, scenario_factory(params)) for params in points
-    ]
-    best = max(results, key=lambda r: r.utility)
-    return best, results

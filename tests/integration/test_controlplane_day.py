@@ -65,7 +65,7 @@ def small_config() -> ControlPlaneConfig:
 
 
 def executor() -> SweepExecutor:
-    return SweepExecutor(jobs=1, cache=None, strategy="inline")
+    return SweepExecutor(jobs=1, cache=None)
 
 
 @pytest.fixture(scope="module")

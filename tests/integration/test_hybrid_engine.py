@@ -13,9 +13,13 @@ Two modes, two promises (DESIGN.md §11):
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+import repro.parallel.executor as executor_mod
+from repro.parallel import SweepExecutor
+from repro.parallel.pool import PROPAGATED_ENV
 from repro.parallel.tasks import (
     EvalTask,
     ScenarioSpec,
@@ -55,9 +59,8 @@ def _run(mode, spec=None):
     return evaluate_task(task)
 
 
-def test_off_mode_is_digest_identical_to_the_default_build(monkeypatch):
-    monkeypatch.delenv("REPRO_HYBRID_ENGINE", raising=False)
-    seed_result = _run(None)      # env unset -> the seed's pure DES
+def test_off_mode_is_digest_identical_to_the_default_build():
+    seed_result = _run(None)      # unset -> the seed's pure DES
     off_result = _run("off")
     assert off_result.fct_digest == seed_result.fct_digest
     assert off_result.interval_digest == seed_result.interval_digest
@@ -91,14 +94,12 @@ def test_hybrid_collapses_events_on_saturated_alltoall():
     assert events["hybrid"] < events["off"] / 10
 
 
-def test_removed_lanes_mode_is_rejected(monkeypatch):
+def test_removed_lanes_mode_is_rejected():
     from repro.simulator.hybrid import resolve_hybrid_mode
 
     with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
         resolve_hybrid_mode("lanes")
-    monkeypatch.setenv("REPRO_HYBRID_ENGINE", "lanes")
-    with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
-        resolve_hybrid_mode()
+    assert resolve_hybrid_mode(None) == "off"
 
 
 def test_hybrid_results_are_never_cached():
@@ -123,3 +124,36 @@ def test_hybrid_sync_points_emit_schema_valid_trace(tmp_path):
     names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
     assert "engine.hybrid" in names
     assert n_records == len(names)
+
+
+def test_engine_mode_reaches_pool_workers_on_the_task(monkeypatch, cores):
+    """The mode rides on the task: pool == inline with no env to carry it."""
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    # Only telemetry state crosses to workers through the environment.
+    assert set(PROPAGATED_ENV) <= {
+        "REPRO_TRACE", "REPRO_TRACE_RUN", "REPRO_RECORD",
+        "REPRO_RECORD_BUDGET", "REPRO_LOG_LEVEL",
+    }
+    cores(8)
+    spec = _incast_spec(duration=0.01)
+    tasks = [
+        EvalTask(
+            scenario=spec, seed=seed, params=default_params(), index=i,
+            engine_mode="hybrid",
+        )
+        for i, seed in enumerate((3, 4, 5))
+    ]
+    inline = SweepExecutor(jobs=1).map(tasks)
+    # Every measured cost clears a zero cut-over: after the probe, the
+    # two remaining tasks go to two workers.
+    monkeypatch.setattr(executor_mod, "_INLINE_COST_S", 0)
+    ex = SweepExecutor(jobs=2)
+    pooled = ex.map(tasks)
+    assert ex.last_strategy == "process"
+    assert all(r.worker_pid != os.getpid() for r in pooled[1:])
+    assert not [n for n in os.environ if n.startswith("REPRO_")]
+    assert [r.fct_digest for r in pooled] == [r.fct_digest for r in inline]
+    assert [r.interval_digest for r in pooled] == [
+        r.interval_digest for r in inline
+    ]

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.parallel.executor import SweepExecutor
 from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import (
     EvalTask,
@@ -147,7 +148,7 @@ def test_grid_sweep_screen_mode_keeps_des_best():
     grid = {"k_min": (10_000.0, 40_000.0), "p_max": (0.05, 0.5)}
     fidelity = FidelityConfig(mode="screen", screen_ratio=2.0)
     best, results = offline_grid_search_parallel(
-        SPEC, grid, jobs=1, fidelity=fidelity
+        SPEC, grid, executor=SweepExecutor(jobs=1), fidelity=fidelity
     )
     assert best.fidelity == "des"
     assert len(results) == 4
@@ -157,7 +158,7 @@ def test_grid_sweep_screen_mode_keeps_des_best():
     assert best.utility == max(r.utility for r in des)
     # Repeatable end to end.
     best2, results2 = offline_grid_search_parallel(
-        SPEC, grid, jobs=1, fidelity=fidelity
+        SPEC, grid, executor=SweepExecutor(jobs=1), fidelity=fidelity
     )
     assert [(r.utility, r.fidelity) for r in results2] == [
         (r.utility, r.fidelity) for r in results

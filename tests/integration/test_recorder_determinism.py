@@ -1,18 +1,19 @@
 """The flight recorder must observe, never perturb.
 
-Digest identity (recorder on vs off) is asserted under both
-``REPRO_HYBRID_ENGINE`` modes — sampling happens at monitor-interval
-boundaries, reads network state, and never draws randomness or
-schedules events, so the engine cannot tell whether it is being
-recorded.  The second half exercises the fork-merge recording
-protocol: pool workers inherit ``REPRO_RECORD``, attach snapshots to
-their results, and ``SweepExecutor`` prunes all but the best-K.
+Digest identity (recorder on vs off) is asserted under both engine
+modes — sampling happens at monitor-interval boundaries, reads network
+state, and never draws randomness or schedules events, so the engine
+cannot tell whether it is being recorded.  The second half exercises
+the fork-merge recording protocol: pool workers inherit
+``REPRO_RECORD``, attach snapshots to their results, and
+``SweepExecutor`` prunes all but the best-K.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.parallel.executor as executor_mod
 from repro.parallel import EvalTask, ScenarioSpec, SweepExecutor
 from repro.parallel.tasks import evaluate_task
 from repro.simulator.units import kb, ms
@@ -81,7 +82,8 @@ def _grid(n: int):
     return points
 
 
-def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path):
+def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path, monkeypatch):
+    monkeypatch.setattr(executor_mod, "_KEEP_RECORDINGS", 2)
     spec = _spec()
     tasks = [
         EvalTask(scenario=spec, seed=spec.seed, params=p, index=i)
@@ -91,8 +93,9 @@ def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path):
     # configure() exports REPRO_RECORD, so forked workers auto-join.
     recorder.configure(str(tmp_path / "sweep.json"))
     try:
-        ex = SweepExecutor(jobs=2, cache=None, chunk_size=2,
-                           keep_recordings=2)
+        ex = SweepExecutor(jobs=2, cache=None)
+        # A known 0.1 s task: no probe, the pool, two tasks per chunk.
+        ex._cost_ema[spec.fingerprint()] = 0.1
         results = ex.map(tasks)
     finally:
         recorder.disable()
@@ -111,7 +114,8 @@ def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path):
         assert snap["meta"]["n_hosts"] > 0
 
 
-def test_serial_executor_prunes_recordings_too(tmp_path):
+def test_serial_executor_prunes_recordings_too(tmp_path, monkeypatch):
+    monkeypatch.setattr(executor_mod, "_KEEP_RECORDINGS", 1)
     spec = _spec()
     tasks = [
         EvalTask(scenario=spec, seed=spec.seed, params=p, index=i)
@@ -119,7 +123,7 @@ def test_serial_executor_prunes_recordings_too(tmp_path):
     ]
     recorder.configure(str(tmp_path / "serial.json"), export_env=False)
     try:
-        results = SweepExecutor(jobs=1, cache=None, keep_recordings=1).map(tasks)
+        results = SweepExecutor(jobs=1, cache=None).map(tasks)
     finally:
         recorder.disable(clear_env=False)
     assert sum(r.recording is not None for r in results) == 1

@@ -81,7 +81,9 @@ def test_fork_merge_through_executor_pool(tmp_path, cores):
     registry = get_registry()
     registry.reset()
     trace.configure(tmp_path / "pool.jsonl", run_id="pool")
-    executor = SweepExecutor(jobs=2, cache=None, chunk_size=2)
+    executor = SweepExecutor(jobs=2, cache=None)
+    # A known 0.1 s task: no probe, so every task runs in a worker.
+    executor._cost_ema[spec.fingerprint()] = 0.1
     results = executor.map(tasks)
     trace.disable()
 

@@ -103,6 +103,9 @@ def test_run_rejects_unknown_scheme():
         ["sweep", "--strategy", "thread"],
         ["run", "--batched-monitor"],
         ["bench", "trend"],
+        ["sweep", "--strategy", "auto"],
+        ["controlplane", "--strategy", "inline"],
+        ["sweep", "--hybrid-engine", "hybrid"],
     ],
 )
 def test_parser_rejects_the_removed_surface(argv):
@@ -142,6 +145,50 @@ def test_run_record_leaves_no_env_behind(tmp_path):
         "--jobs", "1", "--no-cache", "--record", str(tmp_path / "r.json"),
     ]) == 0
     assert "REPRO_RECORD" not in os.environ
+
+
+def test_hybrid_engine_flag_leaves_no_env_behind(monkeypatch):
+    """``--hybrid-engine`` configures the command's own tasks, not the
+    process: later fabrics still build in the default ``off`` mode."""
+    import os
+
+    from repro.experiments.scenarios import make_network
+
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    assert main([
+        "run", "--workload", "incast", "--scale", "small",
+        "--duration", "0.004", "--jobs", "1", "--no-cache",
+        "--hybrid-engine", "hybrid",
+    ]) == 0
+    assert [n for n in os.environ if n.startswith("REPRO_")] == []
+    assert make_network("small", seed=1).hybrid_mode == "off"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tenants", "2", "--shift-tenant", "5"],
+        ["--shift-tenant", "-1"],
+        ["--intervals", "5", "--shift-interval", "9"],
+        ["--shift-interval", "-1"],
+        ["--shift-interval", "0"],
+        ["--shift-elephant", "1.7"],
+        ["--shift-elephant", "0.95"],
+    ],
+)
+def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
+    """A shift outside the run (or at interval 0, with nothing earlier
+    to diverge from) would pass as a quiet day; a bad shifted profile
+    used to end in a traceback.  Both are usage errors."""
+    argv = [
+        "controlplane", "--shards", "1", "--agents-per-shard", "64",
+        "--jobs", "1", "--no-cache",
+    ]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert "bad " in captured.err
+    assert "triggers fired" not in captured.out
 
 
 def test_report_missing_recording_is_graceful(capsys, tmp_path):

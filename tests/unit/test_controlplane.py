@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import (
+    ControlPlaneConfig,
     DedupViolation,
     HierarchicalAggregator,
     RangeCollector,
@@ -490,3 +491,16 @@ class TestTenantTriggers:
         result = run_hierarchical(topo, traffic, 0)
         with pytest.raises(ValueError):
             bank.observe(0, result.tenant_fsds[:1])
+
+    @pytest.mark.parametrize(
+        "tenant, interval",
+        [(2, 2), (-1, 2), (0, 0), (0, -1), (0, 6), (0, 9)],
+    )
+    def test_shift_that_can_never_fire_rejected(self, tenant, interval):
+        """Tenant outside the fabric, or interval outside [1, intervals):
+        the day would silently run without the shift it was asked for."""
+        traffic = self.shifted_traffic(tenant=tenant, interval=interval)
+        with pytest.raises(ValueError, match="shift"):
+            ControlPlaneConfig(
+                topology=small_topology(), traffic=traffic, intervals=6
+            )

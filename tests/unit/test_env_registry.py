@@ -21,9 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def test_every_runtime_variable_is_declared():
     assert set(env.REGISTRY) == {
-        "REPRO_JOBS", "REPRO_EXECUTOR_STRATEGY", "REPRO_EVAL_CACHE",
-        "REPRO_TRACE", "REPRO_TRACE_RUN", "REPRO_RECORD",
-        "REPRO_RECORD_BUDGET", "REPRO_LOG_LEVEL", "REPRO_HYBRID_ENGINE",
+        "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_TRACE_RUN",
+        "REPRO_RECORD", "REPRO_RECORD_BUDGET", "REPRO_LOG_LEVEL",
     }
     for var in env.describe():
         assert var.name.startswith("REPRO_")

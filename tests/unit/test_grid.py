@@ -6,12 +6,7 @@ import pytest
 
 from repro.simulator.stats import IntervalStats
 from repro.simulator.units import ms
-from repro.tuning.grid import (
-    DEFAULT_GRID,
-    GridSearchTuner,
-    expand_grid,
-    offline_grid_search,
-)
+from repro.tuning.grid import DEFAULT_GRID, GridSearchTuner, expand_grid
 
 
 def stats(t, tp=0.5, rtt=0.8):
@@ -76,18 +71,6 @@ def test_best_requires_results():
         tuner.best()
 
 
-def test_offline_grid_search_finds_planted_optimum():
-    # Utility peaks at p_max == 0.2 by construction.
-    def scenario(params):
-        return 1.0 - abs(params.p_max - 0.2)
-
-    best, results = offline_grid_search(
-        scenario, grid={"p_max": (0.05, 0.2, 0.5)}
-    )
-    assert best.params.p_max == pytest.approx(0.2)
-    assert len(results) == 3
-
-
 def test_resweep_mode(tiny_network):
     tuner = GridSearchTuner(grid={"p_max": (0.05, 0.5)}, resweep=True)
     tuner.attach(tiny_network)
@@ -98,13 +81,17 @@ def test_resweep_mode(tiny_network):
 
 def test_offline_grid_search_parallel_matches_serial():
     """Same grid through the parallel fabric: same order, same best."""
-    from repro.parallel import ScenarioSpec
+    from repro.parallel import ScenarioSpec, SweepExecutor
     from repro.parallel.sweeps import offline_grid_search_parallel
 
     spec = ScenarioSpec(workload="hadoop", scale="small", duration=0.004)
     grid = {"p_max": (0.05, 0.2, 0.5)}
-    best_1, results_1 = offline_grid_search_parallel(spec, grid, jobs=1)
-    best_2, results_2 = offline_grid_search_parallel(spec, grid, jobs=2)
+    best_1, results_1 = offline_grid_search_parallel(
+        spec, grid, executor=SweepExecutor(jobs=1)
+    )
+    best_2, results_2 = offline_grid_search_parallel(
+        spec, grid, executor=SweepExecutor(jobs=2)
+    )
     assert len(results_1) == len(results_2) == 3
     assert [r.utility for r in results_1] == [r.utility for r in results_2]
     assert [r.params.as_dict() for r in results_1] == [

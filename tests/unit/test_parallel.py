@@ -16,7 +16,6 @@ from repro.parallel import (
     ScenarioSpec,
     SweepExecutor,
     batched_anneal,
-    derive_task_seed,
     evaluate_task,
     resolve_jobs,
 )
@@ -61,14 +60,6 @@ def test_fingerprint_tracks_fields():
     assert TINY.fingerprint() == TINY.fingerprint()
     other = ScenarioSpec(workload="hadoop", scale="small", duration=0.005)
     assert TINY.fingerprint() != other.fingerprint()
-
-
-def test_derive_task_seed_deterministic_and_spread():
-    seeds = [derive_task_seed(1, i) for i in range(50)]
-    assert seeds == [derive_task_seed(1, i) for i in range(50)]
-    assert len(set(seeds)) == 50
-    assert all(0 <= s < 2**31 for s in seeds)
-    assert derive_task_seed(1, 0) != derive_task_seed(2, 0)
 
 
 def test_evaluate_task_is_deterministic():
@@ -191,11 +182,13 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, core
     trace_path = tmp_path / "retry.jsonl"
     trace.configure(str(trace_path), export_env=False)
     try:
-        ex = SweepExecutor(jobs=2, strategy="process", chunk_size=1)
+        ex = SweepExecutor(jobs=2)
+        # A known 1 s task: no probe, the pool, one task per chunk.
+        ex._cost_ema[TINY.fingerprint()] = 1.0
         results = ex.map(tasks)
     finally:
         trace.disable(clear_env=False)
-    # One retry per original chunk: chunk_size=1 over 4 tasks -> 4.
+    # One retry per original chunk: 4 chunks of one task -> 4.
     assert ex.last_retried_chunks == 4
     assert [r.fct_digest for r in results] == [
         r.fct_digest for r in expected
@@ -213,25 +206,17 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, core
     ]
 
 
-def test_retries_disabled_raises(monkeypatch, cores):
+def test_strategies_are_digest_identical(monkeypatch, cores):
     import repro.parallel.executor as executor_mod
 
     cores(8)
-    monkeypatch.setattr(executor_mod, "get_shared_pool", _broken_pool)
-    ex = SweepExecutor(jobs=2, strategy="process", max_retries=0)
-    with pytest.raises(RuntimeError):
-        ex.map(_tasks(2))
-
-
-def test_strategies_are_digest_identical(cores):
-    cores(8)
     tasks = _tasks(3)
-    inline = SweepExecutor(jobs=1, strategy="inline").map(tasks)
-    ex = SweepExecutor(jobs=2, strategy="process", private_pool=True)
-    try:
-        got = ex.map(tasks)
-    finally:
-        ex.close()
+    inline = SweepExecutor(jobs=1).map(tasks)
+    # Every measured cost clears a zero cut-over: the pool takes the
+    # tasks left after the probe.
+    monkeypatch.setattr(executor_mod, "_INLINE_COST_S", 0)
+    ex = SweepExecutor(jobs=2)
+    got = ex.map(tasks)
     assert [r.fct_digest for r in got] == [r.fct_digest for r in inline]
     assert [r.interval_digest for r in got] == [
         r.interval_digest for r in inline
@@ -239,25 +224,9 @@ def test_strategies_are_digest_identical(cores):
     assert ex.last_strategy == "process"
 
 
-def test_resolve_strategy_sources(monkeypatch):
-    from repro.parallel import resolve_strategy
-
-    assert resolve_strategy() == "auto"  # registry default
-    monkeypatch.setenv("REPRO_EXECUTOR_STRATEGY", "inline")
-    assert resolve_strategy() == "inline"
-    assert resolve_strategy("process") == "process"  # explicit wins
-    valid = r"\('auto', 'process', 'inline'\)"
-    for removed_or_unknown in ("thread", "carrier-pigeon"):
-        with pytest.raises(ValueError, match=valid):
-            resolve_strategy(removed_or_unknown)
-    monkeypatch.setenv("REPRO_EXECUTOR_STRATEGY", "thread")
-    with pytest.raises(ValueError, match=valid):
-        resolve_strategy()
-
-
 def test_auto_strategy_picks_by_cost(cores):
     cores(8)
-    ex = SweepExecutor(jobs=2, strategy="auto")
+    ex = SweepExecutor(jobs=2)
     fp = TINY.fingerprint()
     tasks = _tasks(3)
     pending = [0, 1, 2]
@@ -274,7 +243,7 @@ def test_auto_strategy_picks_by_cost(cores):
 
 def test_auto_probe_seeds_cost_ema(cores):
     cores(8)
-    ex = SweepExecutor(jobs=2, strategy="auto")
+    ex = SweepExecutor(jobs=2)
     assert ex._cost_ema == {}
     tasks = _tasks(3)
     pending = [0, 1, 2]
@@ -287,16 +256,22 @@ def test_auto_probe_seeds_cost_ema(cores):
     assert strategy in ("inline", "process")
 
 
-def test_adaptive_chunk_targets_wall_time():
-    ex = SweepExecutor(jobs=4, strategy="inline")
-    # Explicit chunk_size always wins.
-    assert SweepExecutor(jobs=4, chunk_size=7)._chunk_for(100, 0.1) == 7
+def test_adaptive_chunk_targets_wall_time(monkeypatch, cores):
+    import repro.parallel.executor as executor_mod
+
+    cores(8)
+    ex = SweepExecutor(jobs=4)
     # Cheap tasks coalesce, but never beyond 2 chunks per worker.
     assert ex._chunk_for(100, 0.001) <= max(1, 100 // (ex.jobs * 2) + 1)
     # Expensive tasks stay fine-grained for stealing.
     assert ex._chunk_for(100, 1.0) == 1
     # No estimate: the legacy jobs*4 rule.
     assert ex._chunk_for(32, None) == max(1, -(-32 // (ex.jobs * 4)))
+    # The target is work per chunk: 0.2 s of 0.1 s tasks is two of
+    # them, and a bigger target coalesces more.
+    assert ex._chunk_for(100, 0.1) == 2
+    monkeypatch.setattr(executor_mod, "_TARGET_CHUNK_S", 0.7)
+    assert ex._chunk_for(100, 0.1) == 7
 
 
 # ---------------------------------------------------------------------------

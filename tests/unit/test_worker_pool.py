@@ -248,20 +248,18 @@ def test_crashed_worker_chunk_is_retried_with_identical_digests(
     """
     cores(8)
     tasks = _tasks(4)
-    inline = SweepExecutor(jobs=1, strategy="inline").map(tasks)
+    inline = SweepExecutor(jobs=1).map(tasks)
 
     monkeypatch.setattr(
         worker_mod, "_CRASH_HOOK", _crash_once(str(tmp_path / "boom"))
     )
+    close_shared_pool()  # the next crew forks with the hook in place
     crashes_before = _counter("repro_executor_worker_crashes_total")
     evals_before = _counter("repro_evals_total")
-    ex = SweepExecutor(
-        jobs=2, strategy="process", chunk_size=1, private_pool=True
-    )
-    try:
-        results = ex.map(tasks)
-    finally:
-        ex.close()
+    ex = SweepExecutor(jobs=2)
+    # A known 1 s task: no probe, the pool, one task per chunk.
+    ex._cost_ema[TINY.fingerprint()] = 1.0
+    results = ex.map(tasks)
 
     assert (tmp_path / "boom").exists(), "crash hook never fired"
     assert ex.last_retried_chunks >= 1
