@@ -10,15 +10,23 @@ recovers slowly at default parameters, while Swift's delay target
 converges quickly — which is precisely *why* DCQCN parameter tuning
 matters so much.
 
+Each run goes through :class:`~repro.experiments.runner.ExperimentRunner`
+with the flight recorder on; the peak queue and the mean QP rate
+trajectory are read from the recording's ``switches.*.queue_bytes``
+and ``qp.rate_mean`` series (one sample per 1 ms monitor interval).
+
 Run:  python examples/swift_vs_dcqcn.py
 """
 
 from __future__ import annotations
 
+from repro.experiments.runner import ExperimentRunner
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.topology import ClosSpec
-from repro.simulator.trace import FabricTracer
 from repro.simulator.units import mb, ms
+from repro.telemetry import recorder
+from repro.tuning.parameters import default_params
+from repro.tuning.search import StaticTuner
 
 SPEC = ClosSpec(n_tor=2, n_spine=1, hosts_per_tor=4)
 SENDERS = (0, 1, 2)
@@ -28,10 +36,16 @@ FLOW_SIZE = mb(2.0)
 
 def run(cc: str) -> None:
     network = Network(NetworkConfig(spec=SPEC, cc=cc, seed=2))
-    tracer = FabricTracer(network, period=ms(1.0))
-    tracer.start()
     flows = [network.add_flow(s, RECEIVER, FLOW_SIZE, 0.0) for s in SENDERS]
-    network.run_until(ms(120.0))
+    runner = ExperimentRunner(
+        network, StaticTuner(default_params(), "default"),
+        monitor_interval=ms(1.0),
+    )
+    recorder.configure()  # no path: the snapshot comes back on the result
+    try:
+        recording = runner.run(ms(120.0)).recording
+    finally:
+        recorder.disable()
 
     print(f"\n=== {cc.upper()} ===")
     ideal = len(SENDERS) * FLOW_SIZE * 8 / SPEC.host_rate_bps * 1e3
@@ -45,15 +59,25 @@ def run(cc: str) -> None:
     print(f"  ECN marks: {network.total_ecn_marked()}, "
           f"PFC pauses: {network.total_pfc_pauses()}, "
           f"drops: {network.total_dropped_packets()}")
-    print(f"  peak queue: {tracer.max_queue_bytes() // 1000} KB")
+    peak = max(
+        max(series["queue_bytes"], default=0)
+        for series in recording["switches"].values()
+    )
+    print(f"  peak queue: {peak // 1000} KB")
 
-    # Show the rate trajectory of one flow.
-    series = tracer.rate_series(flows[0].flow_id)
-    if series:
-        points = "  ".join(
-            f"({t * 1e3:.0f}ms,{r / 1e9:.2f}G)" for t, r in series[::3][:10]
+    # Mean QP rate while any QP is active.
+    points = [
+        (t, rate)
+        for t, n, rate in zip(
+            recording["time"], recording["qp"]["n"], recording["qp"]["rate_mean"]
         )
-        print(f"  flow 0 rate trajectory: {points}")
+        if n
+    ]
+    if points:
+        shown = "  ".join(
+            f"({t * 1e3:.0f}ms,{r / 1e9:.2f}G)" for t, r in points[::3][:10]
+        )
+        print(f"  mean QP rate trajectory: {shown}")
 
 
 def main() -> None:

@@ -29,9 +29,11 @@ Output discipline (see :mod:`repro.telemetry.log`): the *product* of a
 command goes to **stdout** via :func:`~repro.telemetry.log.echo` so it
 pipes cleanly; diagnostics and usage errors go to **stderr** through
 the ``repro`` logger, leveled by ``REPRO_LOG_LEVEL``.  ``--trace PATH``
-(or ``REPRO_TRACE=PATH``) records a structured JSONL trace of the run
+(default ``REPRO_TRACE``) records a structured JSONL trace of the run
 — engine intervals, FSD uploads, KL decisions, SA steps, cache and
 executor activity — which ``python -m repro telemetry`` analyzes.
+:func:`main` is the one place telemetry is switched on and off; pool
+workers follow it through the session on each chunk message.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import argparse
 import time
 from typing import List, Optional
 
+from repro import env
 from repro.experiments.fct import FctStats
 from repro.telemetry.tables import format_table
 from repro.experiments.scenarios import SCHEME_FACTORIES, SPECS, make_tuner
@@ -101,14 +104,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_executor(parser)
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="append a structured JSONL trace of this run to PATH "
-             "(same as REPRO_TRACE=PATH)",
+        help="append a structured JSONL trace of this run to PATH, "
+             "pool workers included (default: REPRO_TRACE env)",
     )
     parser.add_argument(
         "--record", default=None, metavar="PATH",
         help="write a flight-recorder snapshot (queue depth, DCQCN "
              "rate/alpha, PFC counters, flow FCTs) to PATH; render it "
-             "with `python -m repro report` (same as REPRO_RECORD=PATH)",
+             "with `python -m repro report`; pool workers record too "
+             "and ship their snapshots back",
     )
     parser.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -456,7 +460,7 @@ def cmd_report(args) -> int:
         recording = load_snapshot(args.recording)
     except OSError as exc:
         echo(f"no recording at {args.recording} ({exc.strerror or exc}); "
-             "run with --record PATH (or REPRO_RECORD=PATH) to produce one")
+             "run with --record PATH to produce one")
         return 0
     except ValueError as exc:
         _log.error("cannot parse recording %s: %s", args.recording, exc)
@@ -604,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp_parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="append a structured JSONL trace of this run to PATH "
-             "(same as REPRO_TRACE=PATH)",
+        help="append a structured JSONL trace of this run to PATH, "
+             "pool workers included (default: REPRO_TRACE env)",
     )
     cp_parser.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -655,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "recording",
-        help="recording snapshot JSON (written by --record / REPRO_RECORD)",
+        help="recording snapshot JSON (written by --record PATH)",
     )
     report_parser.add_argument(
         "--out", default=None, metavar="PATH",
@@ -682,14 +686,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    traced_here = bool(getattr(args, "trace", None))
-    if traced_here:
-        trace.configure(args.trace)
-    # Same lifecycle as --trace: configure exports REPRO_RECORD so pool
-    # workers record too; their snapshots ride back inside EvalResult.
-    recorded_here = bool(getattr(args, "record", None))
-    if recorded_here:
-        recorder.configure(args.record)
+    trace_path = getattr(args, "trace", None) or env.get("REPRO_TRACE")
+    if trace_path:
+        trace.configure(trace_path)
+    record_path = getattr(args, "record", None)
+    if record_path:
+        recorder.configure(record_path)
     profile_path = getattr(args, "profile", None)
     try:
         if profile_path:
@@ -702,9 +704,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return status
         return args.func(args)
     finally:
-        if recorded_here:
+        if record_path:
             recorder.disable()
-        if traced_here:
+        if trace_path:
             trace.disable()
 
 

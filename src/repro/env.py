@@ -1,13 +1,14 @@
 """Central registry of ``REPRO_*`` environment variables.
 
 Every environment knob the package honours is declared **once** here —
-name, type, default, and a docstring — and every runtime read or write
-of the process environment goes through this module.  That buys three
+name, type, default, and a docstring — and every runtime read of the
+process environment goes through this module.  That buys three
 things the previous scattered ``os.environ.get`` calls could not:
 
 * **One parsing convention.**  Disable-able paths accept
-  ``0``/``off``/empty uniformly; integers clamp to >= 1 and reject
-  non-numeric text with a ``ValueError`` naming the variable.
+  ``0``/``off``/empty uniformly and reject a directory; integers clamp
+  to >= 1 and reject non-numeric text.  Either failure is a
+  ``ValueError`` naming the variable, raised before any work starts.
 * **A self-documenting surface.**  ``python -m repro env`` lists every
   variable with its type, default, and current value;
   ``python -m repro env --markdown`` emits the README table, so docs
@@ -16,10 +17,12 @@ things the previous scattered ``os.environ.get`` calls could not:
   (``tools/replint``) flags any direct ``os.environ``/``os.getenv``
   access outside this file, so new knobs cannot bypass the registry.
 
-Reads are *live*: values are parsed from ``os.environ`` at call time
-(no import-time snapshot), so tests may monkeypatch the environment
-and pool workers inherit whatever the parent exported via
-:func:`export_env` before the pool spawned.
+The module is read-only: nothing in the package writes the process
+environment, and no module configures itself from it at import time.
+Reads are *live*: values are parsed from ``os.environ`` at call time,
+so tests may monkeypatch the environment.  Telemetry reaches pool
+workers on the chunk message (:func:`repro.telemetry.session`), never
+through the environment.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class EnvVar:
         if self.kind == "path":
             if raw.strip().lower() in _PATH_OFF:
                 return None
+            if os.path.isdir(raw):
+                raise ValueError(
+                    f"{self.name} must name a file, got the directory {raw!r}"
+                )
             return raw
         if not raw:
             return self.default
@@ -90,27 +97,8 @@ _declare(
 )
 _declare(
     "REPRO_TRACE", "path", None,
-    "Append a structured JSONL trace of the run to this path (same as "
-    "`--trace PATH`); `0`/`off`/empty disables. Pool workers inherit it.",
-)
-_declare(
-    "REPRO_TRACE_RUN", "str", None,
-    "Run id joining a trace already in progress; exported by "
-    "`trace.configure` so pool workers tag records with the parent's "
-    "run id. Not normally set by hand.",
-)
-_declare(
-    "REPRO_RECORD", "path", None,
-    "Write a flight-recorder snapshot of the run (queue depth, per-QP "
-    "rate/alpha, PFC counters, flow lifecycle) to this JSON path (same "
-    "as `--record PATH`); `0`/`off`/empty disables. Pool workers "
-    "inherit it and ship recordings back with their results.",
-)
-_declare(
-    "REPRO_RECORD_BUDGET", "int", 512,
-    "Flight-recorder sample budget: when a run closes more monitor "
-    "intervals than this, retained samples are stride-decimated "
-    "deterministically so memory stays bounded at any run length.",
+    "Default of `--trace PATH`: append a structured JSONL trace of the "
+    "command to this path; `0`/`off`/empty disables.",
 )
 _declare(
     "REPRO_LOG_LEVEL", "str", "WARNING",
@@ -143,23 +131,6 @@ def raw(name: str) -> Optional[str]:
 def get(name: str) -> Any:
     """Parsed, live value of a registered variable (default if unset)."""
     return _lookup(name).parse(os.environ.get(name))
-
-
-def export_env(name: str, value: Any) -> None:
-    """Publish ``name=value`` to the process environment.
-
-    The registry is also the chokepoint for *writes*: values exported
-    here are inherited by pool workers spawned afterwards (how
-    ``--trace`` and ``--record`` propagate).
-    """
-    _lookup(name)
-    os.environ[name] = str(value)
-
-
-def clear_env(name: str) -> None:
-    """Remove a registered variable from the process environment."""
-    _lookup(name)
-    os.environ.pop(name, None)
 
 
 def describe() -> Iterator[EnvVar]:

@@ -233,10 +233,10 @@ class SweepExecutor:
     def _prune_recordings(self, results: Dict[int, EvalResult]) -> None:
         """Keep flight recordings only for the best-K candidates.
 
-        Every pool worker records when ``REPRO_RECORD`` is inherited,
-        and recordings ride back inside each ``EvalResult``; retaining
-        all of them would defeat the recorder's bounded-memory goal for
-        large sweeps.  Completed runs outrank aborted ones, higher
+        Every pool worker records while the parent's telemetry session
+        has the recorder on, and recordings ride back inside each
+        ``EvalResult``; retaining all of them would defeat the
+        recorder's bounded-memory goal for large sweeps.  Completed runs outrank aborted ones, higher
         utility wins, and the task index breaks ties deterministically.
         """
         carriers = [r for r in results.values() if r.recording is not None]

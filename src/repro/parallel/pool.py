@@ -22,12 +22,13 @@ parallel speedup (BENCH recorded ``sweep.speedup = 1.03``).
   to 80–100 ms — so the parent stays out.  Evaluations are
   deterministic, so a stolen chunk's results are identical to what the
   worker would have produced.
-* **Environment propagation** — workers must agree with the parent on
-  the telemetry ``REPRO_*`` state they inherited at fork (trace path
-  and run id, recorder path and budget, log level).  The pool
-  fingerprints :data:`PROPAGATED_ENV` at spawn and respawns every
-  worker when the fingerprint changes.  Nothing that shapes a result
-  travels this way: what an evaluation computes rides on its task.
+* **One telemetry path** — every ``("chunk", …)`` message carries the
+  parent's :class:`~repro.telemetry.Session` (trace path and run id,
+  recorder on/off, log level), captured once per :meth:`WorkerPool.run`;
+  a worker re-applies it when it changed, so a trace configured after
+  the crew spawned reaches the same workers.  Nothing that shapes a
+  result travels this way: what an evaluation computes rides on its
+  task.
 * **Crash detection** — a worker that dies mid-chunk shows up as pipe
   EOF, and a worker whose parent dies exits on the parent-process
   sentinel; there is no wall-clock timeout.
@@ -46,7 +47,7 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import env
+from repro import telemetry
 from repro.parallel.worker import _worker_main
 from repro.telemetry import trace
 from repro.telemetry.log import get_logger
@@ -63,16 +64,6 @@ _WORKER_CRASHES = get_registry().counter(
     "Persistent pool workers that died mid-chunk",
 )
 
-#: Environment variables forked workers must agree with the parent on;
-#: a change respawns the pool (see :meth:`WorkerPool.refresh`).
-PROPAGATED_ENV: Tuple[str, ...] = (
-    "REPRO_TRACE",
-    "REPRO_TRACE_RUN",
-    "REPRO_RECORD",
-    "REPRO_RECORD_BUDGET",
-    "REPRO_LOG_LEVEL",
-)
-
 #: Seconds between result polls; doubles as the straggler threshold —
 #: a parent that has polled once without progress starts stealing.
 _POLL_S = 0.05
@@ -86,10 +77,6 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _env_fingerprint() -> Tuple[Optional[str], ...]:
-    return tuple(env.raw(name) for name in PROPAGATED_ENV)
 
 
 class _Worker:
@@ -129,7 +116,6 @@ class WorkerPool:
         self.jobs = jobs
         self.closed = False
         self._ctx = multiprocessing.get_context()
-        self._env_fp = _env_fingerprint()
         self._workers: List[_Worker] = [
             self._spawn(wid) for wid in range(jobs)
         ]
@@ -164,22 +150,11 @@ class WorkerPool:
             _log.debug("worker %d conn close raced", worker.wid)
 
     def refresh(self) -> None:
-        """Respawn dead workers; restart all on a propagated-env change.
+        """Respawn dead workers.
 
-        Called at the top of every :meth:`run`, so a crash or an
-        env-visible reconfiguration (``trace.configure`` exporting
-        ``REPRO_TRACE_RUN``, a recorder attach, a log-level change)
-        between sweeps is healed before dispatch.
+        Called at the top of every :meth:`run`, so a crash between
+        sweeps is healed before dispatch.
         """
-        fp = _env_fingerprint()
-        if fp != self._env_fp:
-            self._env_fp = fp
-            for worker in self._workers:
-                self._stop_worker(worker)
-            self._workers = [
-                self._spawn(worker.wid) for worker in self._workers
-            ]
-            return
         for i, worker in enumerate(self._workers):
             if not worker.alive:
                 self._stop_worker(worker)  # reap + close stale conn
@@ -225,6 +200,7 @@ class WorkerPool:
         if self.closed:
             raise RuntimeError("WorkerPool is closed")
         self.refresh()
+        session = telemetry.session()
         limit = (
             self.jobs
             if max_workers is None
@@ -253,7 +229,9 @@ class WorkerPool:
                 worker = idle.pop()
                 chunk_id, chunk_tasks = pending.popleft()
                 try:
-                    worker.conn.send(("chunk", chunk_id, chunk_tasks))
+                    worker.conn.send(
+                        ("chunk", chunk_id, chunk_tasks, session)
+                    )
                 except (OSError, BrokenPipeError):
                     # Worker died while idle: requeue, drop the worker.
                     _WORKER_CRASHES.inc()

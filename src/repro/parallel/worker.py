@@ -9,7 +9,11 @@ fresh :func:`~repro.parallel.tasks.evaluate_task`.
 
 Message protocol (parent → worker):
 
-* ``("chunk", chunk_id, [EvalTask, ...])`` — evaluate, reply.
+* ``("chunk", chunk_id, [EvalTask, ...], session)`` — evaluate, reply.
+  ``session`` is the parent's :class:`~repro.telemetry.Session`; the
+  worker applies it whenever it differs from the last one applied, so
+  the first chunk replaces the telemetry a fork inherited (the
+  parent's trace emitter, whose pid and span counter are not ours).
 * ``("stop",)`` / pipe EOF — exit cleanly.
 
 Reply (worker → parent): ``("done", chunk_id, (results,
@@ -28,6 +32,7 @@ import multiprocessing
 from multiprocessing import connection as mp_connection
 
 from repro.parallel.tasks import evaluate_task
+from repro.telemetry import apply_session
 from repro.telemetry.registry import get_registry
 
 #: Test hook, called with ``(chunk_id, tasks)`` before a chunk is
@@ -47,6 +52,7 @@ def _worker_main(conn) -> None:
     # worker exits instead of lingering as an orphan.
     parent = multiprocessing.parent_process()
     waitables = [conn] if parent is None else [conn, parent.sentinel]
+    applied = None
     try:
         while True:
             try:
@@ -58,7 +64,10 @@ def _worker_main(conn) -> None:
                 break  # parent went away
             if message is None or message[0] == "stop":
                 break
-            _, chunk_id, tasks = message
+            _, chunk_id, tasks, session = message
+            if session != applied:
+                apply_session(session)
+                applied = session
             if _CRASH_HOOK is not None:
                 _CRASH_HOOK(chunk_id, tasks)
             results = [evaluate_task(task) for task in tasks]

@@ -15,7 +15,7 @@ Design constraints, in order:
   wall clock (replint RL002), so engine digests are identical with the
   recorder on or off in every engine mode.
 * **Bounded memory.**  Each series lives in a :class:`RingBuffer` with
-  a fixed sample budget (``REPRO_RECORD_BUDGET``).  When the budget
+  a fixed sample budget (:data:`SAMPLE_BUDGET`).  When the budget
   overflows the buffer halves itself and doubles its stride — a
   deterministic decimation that is a pure function of the number of
   samples offered, never of timing.
@@ -26,7 +26,10 @@ Design constraints, in order:
 Recordings are plain picklable dicts (:meth:`RunRecording.snapshot`),
 so they ride the existing fork-merge protocol: pool workers attach
 them to ``EvalResult`` and ``SweepExecutor`` prunes all but the
-best-K before results reach user code.
+best-K before results reach user code.  A worker learns that the run
+records from the telemetry session on its chunk message
+(:func:`repro.telemetry.apply_session`); it never needs the path,
+because only the parent writes the snapshot.
 """
 
 from __future__ import annotations
@@ -35,14 +38,13 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from .. import env
 from . import trace
 
 #: Schema version stamped into every snapshot.
 RECORDING_VERSION = 1
 
-_ENV_PATH = "REPRO_RECORD"
-_ENV_BUDGET = "REPRO_RECORD_BUDGET"
+#: Per-series sample budget of a :class:`RunRecording`.
+SAMPLE_BUDGET = 512
 
 #: Fast-path flag: ``True`` iff recording has been configured.  Hot
 #: paths test this instead of calling a function.
@@ -56,42 +58,27 @@ _record_path: Optional[str] = None
 # ---------------------------------------------------------------------------
 
 
-def configure(path: str, export_env: bool = True) -> None:
+def configure(path: Optional[str] = None) -> None:
     """Enable recording; the final snapshot is written to ``path``.
 
-    When ``export_env`` is true the path is published to the process
-    environment so pool workers spawned afterwards record too (their
-    snapshots travel back inside ``EvalResult``, they do not write
-    ``path`` themselves — only the parent process does).
+    ``path=None`` records without a destination: a pool worker's
+    snapshots travel back inside ``EvalResult``.
     """
     global active, _record_path
     _record_path = path
     active = True
-    if export_env:
-        env.export_env(_ENV_PATH, path)
 
 
-def disable(clear_env: bool = True) -> None:
+def disable() -> None:
     """Turn recording off (safe to call when already off)."""
     global active, _record_path
     active = False
     _record_path = None
-    if clear_env:
-        env.clear_env(_ENV_PATH)
-
-
-def is_enabled() -> bool:
-    return active
 
 
 def record_path() -> Optional[str]:
     """Path the final snapshot will be written to, if recording."""
     return _record_path
-
-
-def sample_budget() -> int:
-    """Per-series sample budget (``REPRO_RECORD_BUDGET``, default 512)."""
-    return int(env.get(_ENV_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +150,10 @@ class RunRecording:
     the shared time axis.
     """
 
-    def __init__(self, network: Any, budget: Optional[int] = None,
+    def __init__(self, network: Any, budget: int = SAMPLE_BUDGET,
                  weights: Optional[tuple] = None) -> None:
         self._network = network
-        self._budget = budget if budget is not None else sample_budget()
+        self._budget = budget
         self._samples = RingBuffer(self._budget)
         self.meta: Dict[str, Any] = {
             "version": RECORDING_VERSION,
@@ -285,13 +272,3 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     """Read a snapshot previously written by :func:`write_snapshot`."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _init_from_env() -> None:
-    """Join a recording already configured by a parent process."""
-    path = env.get(_ENV_PATH)
-    if path:
-        configure(path, export_env=False)
-
-
-_init_from_env()

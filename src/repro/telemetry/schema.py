@@ -13,14 +13,15 @@ Every line of a trace file is one JSON object.  Common envelope::
 
 Spans additionally carry::
 
-    span    str     unique span id ("<pid hex>.<seq>")
+    span    str     span id ("<pid hex>.<seq>"), unique in the file
     dur     float   >= 0 seconds
 
 The **catalog** maps known record names to the attr keys they must
 carry; unknown names are structurally validated only (forward
 compatible: new instrumentation does not break old analyzers).
 :func:`validate_record` returns a list of problems (empty = valid) and
-:func:`validate_file` walks a whole JSONL file — the CI gate and the
+:func:`validate_file` walks a whole JSONL file, also reporting a span
+id that occurs twice — the CI gate and the
 ``python -m repro telemetry --validate`` path.
 """
 
@@ -165,18 +166,10 @@ def validate_record(record: Any) -> List[str]:
     return problems
 
 
-def validate_line(line: str) -> List[str]:
-    """Validate one raw JSONL line."""
-    try:
-        record = json.loads(line)
-    except ValueError as exc:
-        return [f"not valid JSON: {exc}"]
-    return validate_record(record)
-
-
 def validate_file(path) -> Tuple[int, List[Tuple[int, str]]]:
     """``(n_records, [(lineno, problem), ...])`` for a whole trace."""
     problems: List[Tuple[int, str]] = []
+    first_line: Dict[str, int] = {}  # span id -> line it first appeared
     count = 0
     with open(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,6 +177,18 @@ def validate_file(path) -> Tuple[int, List[Tuple[int, str]]]:
             if not line:
                 continue
             count += 1
-            for problem in validate_line(line):
-                problems.append((lineno, problem))
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                problems.append((lineno, f"not valid JSON: {exc}"))
+                continue
+            problems.extend((lineno, p) for p in validate_record(record))
+            span_id = record.get("span") if isinstance(record, dict) else None
+            if not isinstance(span_id, str):
+                continue
+            first = first_line.setdefault(span_id, lineno)
+            if first != lineno:
+                problems.append(
+                    (lineno, f"span id {span_id!r} repeats line {first}")
+                )
     return count, problems

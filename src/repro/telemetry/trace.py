@@ -16,10 +16,12 @@ Two record kinds:
 
 The emitter is **off by default** and the hot path pays one module-
 attribute read plus a branch when disabled: call sites guard with
-``if trace.active:``.  Enable with the ``REPRO_TRACE=path`` environment
-variable (inherited by pool workers) or programmatically/CLI via
-:func:`configure` (which also exports the env var so workers inherit
-the destination and run id).
+``if trace.active:``.  Enable with :func:`configure` (the CLI's
+``--trace PATH``, whose default is ``REPRO_TRACE``).  Pool workers
+join through :func:`repro.telemetry.apply_session`, which opens each
+worker its own emitter on the parent's file and run id: its own pid,
+a fresh span counter and an empty span stack, so span ids stay unique
+across processes.
 
 Record schema lives in :mod:`repro.telemetry.schema`; analysis in
 :mod:`repro.telemetry.summary`.
@@ -37,14 +39,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
-from repro import env
-
 #: Fast-path flag. Instrumentation sites read this before building any
 #: attribute dict, so a disabled trace costs one attribute load + jump.
 active: bool = False
-
-_ENV_PATH = "REPRO_TRACE"
-_ENV_RUN = "REPRO_TRACE_RUN"
 
 
 class TraceEmitter:
@@ -139,42 +136,26 @@ _emitter: Optional[TraceEmitter] = None
 # ---------------------------------------------------------------------------
 
 
-def configure(
-    path: os.PathLike,
-    run_id: Optional[str] = None,
-    export_env: bool = True,
-) -> TraceEmitter:
-    """Enable tracing to ``path``; returns the active emitter.
+def configure(path: os.PathLike, run_id: Optional[str] = None) -> TraceEmitter:
+    """Enable tracing to ``path`` under ``run_id``; returns the emitter.
 
-    ``export_env=True`` (default) publishes ``REPRO_TRACE`` /
-    ``REPRO_TRACE_RUN`` so pool workers spawned later join the same
-    trace file under the same run id.
+    Replaces (and closes) any emitter this process already had.
     """
     global _emitter, active
     if _emitter is not None:
         _emitter.close()
     _emitter = TraceEmitter(path, run_id=run_id)
     active = True
-    if export_env:
-        env.export_env(_ENV_PATH, _emitter.path)
-        env.export_env(_ENV_RUN, _emitter.run_id)
     return _emitter
 
 
-def disable(clear_env: bool = True) -> None:
-    """Stop tracing, close the file, and (by default) clear the env."""
+def disable() -> None:
+    """Stop tracing and close the file (safe when already off)."""
     global _emitter, active
     if _emitter is not None:
         _emitter.close()
     _emitter = None
     active = False
-    if clear_env:
-        env.clear_env(_ENV_PATH)
-        env.clear_env(_ENV_RUN)
-
-
-def is_enabled() -> bool:
-    return active
 
 
 def current_run_id() -> Optional[str]:
@@ -203,14 +184,3 @@ def span(
         return
     with em.span(name, attrs) as span_id:
         yield span_id
-
-
-def _init_from_env() -> None:
-    """Join a trace announced by the environment (pool workers)."""
-    path = env.get(_ENV_PATH)
-    if path is None:
-        return
-    configure(path, run_id=env.get(_ENV_RUN), export_env=False)
-
-
-_init_from_env()

@@ -4,9 +4,9 @@ Digest identity (recorder on vs off) is asserted under both engine
 modes — sampling happens at monitor-interval boundaries, reads network
 state, and never draws randomness or schedules events, so the engine
 cannot tell whether it is being recorded.  The second half exercises
-the fork-merge recording protocol: pool workers inherit
-``REPRO_RECORD``, attach snapshots to their results, and
-``SweepExecutor`` prunes all but the best-K.
+the fork-merge recording protocol: pool workers learn from the
+telemetry session on each chunk that the run records, attach snapshots
+to their results, and ``SweepExecutor`` prunes all but the best-K.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ def test_digests_identical_with_recorder_on_vs_off(tmp_path, mode):
 
     baseline = evaluate_task(task)
 
-    recorder.configure(str(tmp_path / f"{mode}.json"), export_env=False)
+    recorder.configure(str(tmp_path / f"{mode}.json"))
     recorded = evaluate_task(task)
-    recorder.disable(clear_env=False)
+    recorder.disable()
 
     again = evaluate_task(task)
 
@@ -64,10 +64,10 @@ def test_digests_identical_with_recorder_on_vs_off(tmp_path, mode):
 
 def test_recording_snapshots_deterministic(tmp_path):
     task = EvalTask(scenario=_spec(), seed=3, params=default_params())
-    recorder.configure(str(tmp_path / "a.json"), export_env=False)
+    recorder.configure(str(tmp_path / "a.json"))
     first = evaluate_task(task)
     second = evaluate_task(task)
-    recorder.disable(clear_env=False)
+    recorder.disable()
     assert first.recording == second.recording
 
 
@@ -90,7 +90,7 @@ def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path, monkeypatch):
         for i, p in enumerate(_grid(6))
     ]
 
-    # configure() exports REPRO_RECORD, so forked workers auto-join.
+    # The session on each chunk turns recording on in the workers.
     recorder.configure(str(tmp_path / "sweep.json"))
     try:
         ex = SweepExecutor(jobs=2, cache=None)
@@ -121,9 +121,9 @@ def test_serial_executor_prunes_recordings_too(tmp_path, monkeypatch):
         EvalTask(scenario=spec, seed=spec.seed, params=p, index=i)
         for i, p in enumerate(_grid(4))
     ]
-    recorder.configure(str(tmp_path / "serial.json"), export_env=False)
+    recorder.configure(str(tmp_path / "serial.json"))
     try:
         results = SweepExecutor(jobs=1, cache=None).map(tasks)
     finally:
-        recorder.disable(clear_env=False)
+        recorder.disable()
     assert sum(r.recording is not None for r in results) == 1

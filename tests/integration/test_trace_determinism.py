@@ -2,10 +2,14 @@
 
 Also exercises the fork-merge half of the telemetry contract through a
 real ``SweepExecutor`` pool: worker registries ride back with chunk
-results and fold into the parent's process-global registry.
+results and fold into the parent's process-global registry, and each
+worker traces under its own pid with span ids no other process uses.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.parallel.tasks import evaluate_task
 from repro.telemetry import trace
 from repro.telemetry.registry import get_registry
 from repro.telemetry.schema import validate_file
+from repro.telemetry.summary import TraceSummary
 from repro.tuning import default_params
 
 
@@ -97,10 +102,27 @@ def test_fork_merge_through_executor_pool(tmp_path, cores):
     # Pool bookkeeping counted on the parent side.
     assert snap["counters"]["repro_executor_pool_tasks_total"] >= 4.0
 
-    # Workers joined the parent's trace file via the exported env.
-    count, problems = validate_file(tmp_path / "pool.jsonl")
+    # Workers joined the parent's trace file through the session on
+    # their chunk messages (a schema-valid file also has no repeated
+    # span id).
+    path = tmp_path / "pool.jsonl"
+    count, problems = validate_file(path)
     assert problems == []
     assert count > 0
+
+    # ... each under its own pid, with span ids no other process used.
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    worker_pids = {r.worker_pid for r in results} - {os.getpid()}
+    assert worker_pids
+    assert worker_pids <= {r["pid"] for r in records}
+    span_ids = [r["span"] for r in records if r["kind"] == "span"]
+    assert len(span_ids) == len(set(span_ids))
+    summary = TraceSummary.from_file(path)
+    assert summary.pids >= 2
+    # eval.task has no child spans: all of its time is self time.
+    task_spans = summary.spans["eval.task"]
+    assert task_spans.count == 4
+    assert task_spans.self_time == pytest.approx(task_spans.total)
 
     # Pool results are deterministic per seed regardless of worker pid.
     direct = evaluate_task(tasks[0])

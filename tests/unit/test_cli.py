@@ -137,14 +137,34 @@ def test_run_record_then_report_end_to_end(capsys, tmp_path):
         assert f'id="{section_id}"' in html
 
 
-def test_run_record_leaves_no_env_behind(tmp_path):
+def test_run_record_leaves_no_env_behind(tmp_path, monkeypatch):
     import os
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
     assert main([
         "run", "--scheme", "default", "--workload", "hadoop",
         "--scale", "small", "--duration", "0.004", "--seed", "3",
         "--jobs", "1", "--no-cache", "--record", str(tmp_path / "r.json"),
+        "--trace", str(tmp_path / "t.jsonl"),
     ]) == 0
-    assert "REPRO_RECORD" not in os.environ
+    assert not [n for n in os.environ if n.startswith("REPRO_")]
+
+
+def test_repro_trace_is_the_default_of_trace(tmp_path, monkeypatch):
+    from repro.telemetry import trace
+    from repro.telemetry.schema import validate_file
+
+    path = tmp_path / "env.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    assert not trace.active  # importing the package configured nothing
+    assert main([
+        "run", "--scheme", "default", "--workload", "hadoop",
+        "--scale", "small", "--duration", "0.004", "--seed", "3",
+        "--jobs", "1", "--no-cache",
+    ]) == 0
+    assert not trace.active
+    count, problems = validate_file(path)
+    assert count > 0 and problems == []
 
 
 def test_hybrid_engine_flag_leaves_no_env_behind(monkeypatch):

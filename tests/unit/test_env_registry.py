@@ -1,4 +1,4 @@
-"""repro.env: parsing semantics, write chokepoint, and docs generation."""
+"""repro.env: parsing semantics, the read-only registry, and docs generation."""
 
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def test_every_runtime_variable_is_declared():
     assert set(env.REGISTRY) == {
-        "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_TRACE_RUN",
-        "REPRO_RECORD", "REPRO_RECORD_BUDGET", "REPRO_LOG_LEVEL",
+        "REPRO_JOBS", "REPRO_EVAL_CACHE", "REPRO_TRACE", "REPRO_LOG_LEVEL",
     }
+    # Read-only: nothing in the package writes the environment.
+    assert not hasattr(env, "export_env") and not hasattr(env, "clear_env")
     for var in env.describe():
         assert var.name.startswith("REPRO_")
         assert var.kind in ("str", "int", "path")
@@ -35,10 +36,6 @@ def test_unknown_variable_raises():
         env.get("REPRO_NOPE")
     with pytest.raises(KeyError):
         env.raw("REPRO_NOPE")
-    with pytest.raises(KeyError):
-        env.export_env("REPRO_NOPE", "1")
-    with pytest.raises(KeyError):
-        env.clear_env("REPRO_NOPE")
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +43,7 @@ def test_unknown_variable_raises():
 # ---------------------------------------------------------------------------
 
 
-def test_int_parsing_clamps_and_falls_back(monkeypatch):
+def test_int_parsing_clamps_and_falls_back(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_JOBS", "4")
     assert env.get("REPRO_JOBS") == 4
     monkeypatch.setenv("REPRO_JOBS", "0")
@@ -65,6 +62,17 @@ def test_int_parsing_clamps_and_falls_back(monkeypatch):
     assert level_from_env() == 15
     monkeypatch.setenv("REPRO_LOG_LEVEL", "")
     assert level_from_env() == logging.WARNING
+    # A path variable naming a directory fails at parse time, naming
+    # the variable -- before any evaluation runs or any file is opened.
+    for name in ("REPRO_TRACE", "REPRO_EVAL_CACHE"):
+        monkeypatch.setenv(name, str(tmp_path))
+        with pytest.raises(ValueError, match=f"{name}.*directory"):
+            env.get(name)
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path))
+    with pytest.raises(ValueError, match="REPRO_EVAL_CACHE"):
+        main(["sweep", "--scale", "small", "--duration", "0.004"])
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp"))
 
 
 def test_path_parsing_disable_sentinels(monkeypatch):
@@ -94,20 +102,6 @@ def test_consumers_resolve_through_the_registry(monkeypatch, cores):
     monkeypatch.setenv("REPRO_EVAL_CACHE", "custom.json")
     cache = default_cache()
     assert cache is not None and str(cache.path) == "custom.json"
-
-
-# ---------------------------------------------------------------------------
-# Writes
-# ---------------------------------------------------------------------------
-
-
-def test_export_env_roundtrip(monkeypatch):
-    monkeypatch.delenv("REPRO_RECORD_BUDGET", raising=False)
-    env.export_env("REPRO_RECORD_BUDGET", 64)
-    assert env.raw("REPRO_RECORD_BUDGET") == "64"
-    assert env.get("REPRO_RECORD_BUDGET") == 64
-    env.clear_env("REPRO_RECORD_BUDGET")
-    assert env.raw("REPRO_RECORD_BUDGET") is None
 
 
 # ---------------------------------------------------------------------------

@@ -180,14 +180,14 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, core
 
     monkeypatch.setattr(executor_mod, "get_shared_pool", _broken_pool)
     trace_path = tmp_path / "retry.jsonl"
-    trace.configure(str(trace_path), export_env=False)
+    trace.configure(str(trace_path))
     try:
         ex = SweepExecutor(jobs=2)
         # A known 1 s task: no probe, the pool, one task per chunk.
         ex._cost_ema[TINY.fingerprint()] = 1.0
         results = ex.map(tasks)
     finally:
-        trace.disable(clear_env=False)
+        trace.disable()
     # One retry per original chunk: 4 chunks of one task -> 4.
     assert ex.last_retried_chunks == 4
     assert [r.fct_digest for r in results] == [

@@ -4,7 +4,7 @@ The load-bearing property is the RingBuffer decimation invariant: the
 retained set is a pure function of the number of samples offered —
 ``rows == [i for i in range(n) if i % stride == 0]`` — and its size is
 bounded by the budget for any run length.  Everything else (snapshot
-shape, env round-trip, persistence) is plumbing around that.
+shape, session round-trip, persistence) is plumbing around that.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.units import kb, mb, ms
 from repro.telemetry import recorder
@@ -78,7 +79,7 @@ def test_ring_buffer_admit_skips_decimated_indices():
 
 
 # ---------------------------------------------------------------------------
-# Module-level configure / disable / env round-trip
+# Module-level configure / disable / session round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -86,35 +87,43 @@ def test_configure_disable_round_trip(tmp_path):
     path = str(tmp_path / "rec.json")
     assert not recorder.active
     recorder.configure(path)
-    assert recorder.active and recorder.is_enabled()
+    assert recorder.active
     assert recorder.record_path() == path
-    assert os.environ.get("REPRO_RECORD") == path
     recorder.disable()
     assert not recorder.active
     assert recorder.record_path() is None
-    assert "REPRO_RECORD" not in os.environ
 
 
-def test_init_from_env_joins_parent_recording(tmp_path, monkeypatch):
-    path = str(tmp_path / "child.json")
-    monkeypatch.setenv("REPRO_RECORD", path)
-    recorder._init_from_env()
+def test_apply_session_turns_recording_on_without_a_path(tmp_path):
+    recorder.configure(str(tmp_path / "parent.json"))
+    session = telemetry.session()
+    assert session.record is True
+    recorder.disable()
+    # A worker records; only the parent knows (and writes) the path.
+    telemetry.apply_session(session)
     assert recorder.active
-    assert recorder.record_path() == path
+    assert recorder.record_path() is None
+    telemetry.apply_session(telemetry.Session(
+        trace_path=None, run_id=None, record=False,
+        log_level=session.log_level,
+    ))
+    assert not recorder.active
 
 
 def test_configure_without_export_keeps_env_clean(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_RECORD", raising=False)
-    recorder.configure(str(tmp_path / "rec.json"), export_env=False)
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    recorder.configure(str(tmp_path / "rec.json"))
     assert recorder.active
-    assert "REPRO_RECORD" not in os.environ
+    assert not [n for n in os.environ if n.startswith("REPRO_")]
 
 
-def test_sample_budget_defaults_and_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_RECORD_BUDGET", raising=False)
-    assert recorder.sample_budget() == 512
-    monkeypatch.setenv("REPRO_RECORD_BUDGET", "16")
-    assert recorder.sample_budget() == 16
+def test_run_recording_budget_is_a_constant(monkeypatch):
+    monkeypatch.setenv("REPRO_RECORD_BUDGET", "16")  # the budget reads no env
+    net = Network(NetworkConfig(seed=1))
+    rec = RunRecording(net)
+    assert recorder.SAMPLE_BUDGET == 512
+    assert rec.snapshot()["meta"]["budget"] == 512
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +231,7 @@ def test_write_and_load_snapshot_round_trip(tmp_path, tiny_spec):
 
 def test_write_snapshot_uses_configured_path(tmp_path):
     path = str(tmp_path / "rec.json")
-    recorder.configure(path, export_env=False)
+    recorder.configure(path)
     recorder.write_snapshot({"meta": {}})
     assert json.loads(open(path).read()) == {"meta": {}}
 

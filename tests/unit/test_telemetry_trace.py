@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import telemetry
 from repro.telemetry import trace
 from repro.telemetry.schema import validate_file, validate_record
 from repro.tuning import ParameterSpace, default_params
@@ -15,7 +16,7 @@ from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
 
 @pytest.fixture(autouse=True)
 def _clean_trace():
-    """Never leak an enabled emitter (or REPRO_TRACE env) across tests."""
+    """Never leak an enabled emitter across tests."""
     trace.disable()
     yield
     trace.disable()
@@ -32,7 +33,6 @@ def _records(path):
 
 
 def test_disabled_by_default_and_noop(tmp_path):
-    assert not trace.is_enabled()
     assert not trace.active
     trace.event("sa.step", {"accepted": True})   # must not raise
     with trace.span("eval.task") as span_id:
@@ -41,41 +41,52 @@ def test_disabled_by_default_and_noop(tmp_path):
     assert trace.current_run_id() is None
 
 
-def test_configure_enables_and_exports_env(tmp_path):
+def test_configure_enables_and_disable_closes(tmp_path):
     path = tmp_path / "t.jsonl"
     emitter = trace.configure(path, run_id="runA")
     try:
-        assert trace.active and trace.is_enabled()
+        assert trace.active
         assert trace.current_run_id() == "runA"
         assert trace.trace_path() == path
-        assert os.environ["REPRO_TRACE"] == str(path)
-        assert os.environ["REPRO_TRACE_RUN"] == "runA"
     finally:
         trace.disable()
     assert not trace.active
-    assert "REPRO_TRACE" not in os.environ
-    assert "REPRO_TRACE_RUN" not in os.environ
+    assert trace.trace_path() is None
     assert emitter.path == path
 
 
-def test_configure_without_env_export(tmp_path):
-    trace.configure(tmp_path / "t.jsonl", export_env=False)
-    assert "REPRO_TRACE" not in os.environ
+def test_configure_without_env_export(tmp_path, monkeypatch):
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    trace.configure(tmp_path / "t.jsonl", run_id="runA")
+    assert not [n for n in os.environ if n.startswith("REPRO_")]
 
 
-def test_init_from_env_joins_announced_trace(tmp_path):
+def test_apply_session_opens_the_workers_own_emitter(tmp_path):
+    """A session applied in a worker joins the parent's file and run id
+    under this process's pid with a fresh span counter and stack."""
     path = tmp_path / "worker.jsonl"
-    os.environ["REPRO_TRACE"] = str(path)
-    os.environ["REPRO_TRACE_RUN"] = "parent-run"
+    inherited = trace.configure(path, run_id="parent-run")
+    # What a fork inherits: the parent's pid, counter and open span.
+    inherited._pid = os.getpid() + 1
+    next(inherited._span_ids)
+    inherited._stack().append("parent.1")
     try:
-        trace._init_from_env()
-        assert trace.active
-        assert trace.current_run_id() == "parent-run"
-        trace.event("cache.lookup", {"hit": True})
+        session = telemetry.session()
+        assert session.trace_path == str(path)
+        assert session.run_id == "parent-run"
+        telemetry.apply_session(session)
+        with trace.span("eval.task", {
+            "seed": 1, "kind": "params", "index": 0, "scenario": "s",
+        }):
+            pass
     finally:
         trace.disable()
     [record] = _records(path)
     assert record["run"] == "parent-run"
+    assert record["pid"] == os.getpid()
+    assert record["span"] == f"{os.getpid():x}.1"
+    assert record["parent"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +239,11 @@ def test_validate_file_reports_line_numbers(tmp_path):
         "ts": 0.0, "run": "r", "pid": 1, "kind": "event",
         "name": "x", "parent": None, "attrs": {},
     }
-    path.write_text(json.dumps(good) + "\nnot json\n")
+    span = dict(good, kind="span", span="1.1", dur=0.0)
+    lines = [json.dumps(good), "not json", json.dumps(span), json.dumps(span)]
+    path.write_text("\n".join(lines) + "\n")
     count, problems = validate_file(path)
-    assert count == 2
-    assert len(problems) == 1
-    assert problems[0][0] == 2
+    assert count == 4
+    assert [lineno for lineno, _ in problems] == [2, 4]
+    # Span ids are unique per file: a repeat names its first line.
+    assert problems[1] == (4, "span id '1.1' repeats line 3")

@@ -9,6 +9,7 @@ child inherits monkeypatched module state — and are skipped elsewhere.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -30,6 +31,7 @@ from repro.parallel import (
 )
 from repro.parallel import pool as pool_mod
 from repro.parallel import worker as worker_mod
+from repro.telemetry import recorder, trace
 from repro.telemetry.registry import get_registry
 from repro.tuning.parameters import default_params
 
@@ -37,7 +39,7 @@ TINY = ScenarioSpec(workload="hadoop", scale="small", duration=0.004)
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="crash/env injection relies on fork inheritance",
+    reason="crash injection relies on fork inheritance",
 )
 
 
@@ -301,25 +303,45 @@ def test_pool_respawns_crashed_workers_between_runs(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Environment propagation and the shared pool
+# Telemetry propagation and the shared pool
 # ---------------------------------------------------------------------------
 
 
-@fork_only
-def test_env_change_respawns_workers(monkeypatch):
-    tasks = _tasks(1)
-    pool = WorkerPool(1)
+def test_trace_configured_after_spawn_reaches_same_workers(tmp_path):
+    """The session rides every chunk message: switching telemetry on
+    after the crew spawned needs no respawn, and switching it off
+    reaches the workers the same way."""
+    tasks = _tasks(2)
+    path = tmp_path / "late.jsonl"
+    pool = WorkerPool(2)
     try:
-        pool.run(_chunks(tasks))
         pids_before = set(pool.worker_pids())
-        # Any PROPAGATED_ENV change must rotate the crew (digest-neutral
-        # knob chosen so results stay comparable).
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "ERROR")
-        pool.run(_chunks(tasks))
+        completed, _, _ = pool.run(_chunks(tasks))
+        assert all(
+            r.recording is None for rs, _ in completed.values() for r in rs
+        )
+        trace.configure(path, run_id="late")
+        recorder.configure()
+        try:
+            completed, _, _ = pool.run(_chunks(tasks))
+        finally:
+            recorder.disable()
+            trace.disable()
+        assert all(
+            r.recording is not None for rs, _ in completed.values() for r in rs
+        )
+        written = path.read_text()
+        pool.run(_chunks(tasks))  # off again: the workers stop writing
         pids_after = set(pool.worker_pids())
     finally:
         pool.close()
-    assert pids_before.isdisjoint(pids_after)
+    assert pids_before == pids_after
+    assert path.read_text() == written
+    records = [json.loads(line) for line in written.splitlines()]
+    spans = [r for r in records if r["name"] == "eval.task"]
+    assert len(spans) == 2
+    assert {r["pid"] for r in spans} == pids_before
+    assert {r["run"] for r in records} == {"late"}
 
 
 def test_get_shared_pool_reuses_and_grows():
