@@ -121,19 +121,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_mode(parser: argparse.ArgumentParser) -> None:
-    """``--hybrid-engine``: the engine mode of the tasks a command builds."""
-    parser.add_argument(
-        "--hybrid-engine",
-        choices=["off", "hybrid"],
-        default="off",
-        metavar="MODE",
-        help="hybrid flow/packet engine: off = pure DES, hybrid = "
-             "fluid fast path for elephant flows (faster, approximate; "
-             "never cached) (default: off)",
-    )
-
-
 def _make_spec(args) -> ScenarioSpec:
     """The CLI scenario as a picklable spec (same knobs as before)."""
     return ScenarioSpec(
@@ -163,10 +150,7 @@ def cmd_list_schemes(_args) -> int:
 def cmd_run(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
-    task = EvalTask(
-        scenario=spec, seed=args.seed, scheme=args.scheme,
-        engine_mode=args.hybrid_engine,
-    )
+    task = EvalTask(scenario=spec, seed=args.seed, scheme=args.scheme)
     result = executor.map([task])[0]
     fabric = SPECS[args.scale]
     echo(f"scheme          : {make_tuner(args.scheme).name}")
@@ -196,10 +180,7 @@ def cmd_compare(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
     tasks = [
-        EvalTask(
-            scenario=spec, seed=args.seed, scheme=scheme, index=i,
-            engine_mode=args.hybrid_engine,
-        )
+        EvalTask(scenario=spec, seed=args.seed, scheme=scheme, index=i)
         for i, scheme in enumerate(schemes)
     ]
     results = executor.map(tasks)
@@ -226,16 +207,24 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     from repro.parallel.sweeps import offline_grid_search_parallel
-    from repro.tuning.fidelity import FidelityConfig
+    from repro.tuning.fidelity import FidelityConfig, SurrogateScreen
     from repro.tuning.grid import DEFAULT_GRID
 
     spec = _make_spec(args)
+    try:
+        fidelity = FidelityConfig(
+            mode=args.fidelity,
+            screen_ratio=args.screen_ratio,
+            early_abort=args.early_abort,
+        )
+        if fidelity.mode != "full":
+            # Fails on a workload the fluid model cannot score, before
+            # the sweep runs any DES point.
+            SurrogateScreen(spec, fidelity)
+    except ValueError as exc:
+        _log.error("bad sweep: %s", exc)
+        return 2
     executor, cache = _make_executor(args)
-    fidelity = FidelityConfig(
-        mode=args.fidelity,
-        screen_ratio=args.screen_ratio,
-        early_abort=args.early_abort,
-    )
     t0 = time.perf_counter()
     best, results = offline_grid_search_parallel(
         spec,
@@ -247,11 +236,10 @@ def cmd_sweep(args) -> int:
     wall = time.perf_counter() - t0
     des_points = sum(1 for r in results if r.fidelity == "des")
     aborted = sum(1 for r in results if r.fidelity == "aborted")
-    hybrid = sum(1 for r in results if r.fidelity == "hybrid")
     echo(f"grid points     : {len(results)}")
     echo(f"fidelity        : {fidelity.mode} "
-         f"(DES {des_points}, aborted {aborted}, hybrid {hybrid}, "
-         f"fluid {len(results) - des_points - aborted - hybrid})")
+         f"(DES {des_points}, aborted {aborted}, "
+         f"fluid {len(results) - des_points - aborted})")
     echo(f"jobs            : {executor.jobs}")
     echo(f"strategy        : {executor.last_strategy}")
     echo(f"wall time       : {wall:.2f} s")
@@ -506,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", default="paraleon", choices=sorted(SCHEME_FACTORIES)
     )
     _add_common(run_parser)
-    _add_engine_mode(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     cmp_parser = sub.add_parser("compare", help="run several schemes")
@@ -515,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme list",
     )
     _add_common(cmp_parser)
-    _add_engine_mode(cmp_parser)
     cmp_parser.set_defaults(func=cmd_compare)
 
     sweep_parser = sub.add_parser(
@@ -523,13 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--fidelity",
-        choices=("full", "hybrid", "screen", "surrogate"),
+        choices=("full", "screen", "surrogate"),
         default="full",
-        help="evaluation fidelity: full DES for every point, hybrid "
-        "flow/packet engine for every point with a full-DES "
-        "confirmation of the winner, fluid-model screening (top "
-        "1/ratio of points run the DES), or surrogate scoring with a "
-        "single DES confirmation (default: full)",
+        help="evaluation fidelity: full DES for every point, fluid-model "
+        "screening (top 1/ratio of points run the DES), or surrogate "
+        "scoring with a single DES confirmation (default: full)",
     )
     sweep_parser.add_argument(
         "--screen-ratio", type=float, default=3.0,

@@ -48,20 +48,13 @@ def make_network(
     scale: str = "medium",
     seed: int = 1,
     params: Optional[DcqcnParams] = None,
-    engine_mode: Optional[str] = None,
 ) -> Network:
-    """A fresh fabric of the requested scale class.
-
-    ``engine_mode`` picks the hybrid flow/packet engine (``off`` /
-    ``hybrid``); ``None`` means ``off``.
-    """
+    """A fresh fabric of the requested scale class."""
     spec = SPECS[scale]
     if params is not None:
-        config = NetworkConfig(
-            spec=spec, seed=seed, params=params, hybrid_engine=engine_mode
-        )
+        config = NetworkConfig(spec=spec, seed=seed, params=params)
     else:
-        config = NetworkConfig(spec=spec, seed=seed, hybrid_engine=engine_mode)
+        config = NetworkConfig(spec=spec, seed=seed)
     return Network(config)
 
 

@@ -207,10 +207,9 @@ def batched_anneal(
     ImprovedAnnealer` or ``NaiveAnnealer``; its schedule decides when
     the process ends.  ``tp_bias`` plays the role of the measured FSD.
     ``fidelity`` selects the evaluation policy (``full``, ``screen`` or
-    ``surrogate``; ``hybrid`` is a grid-sweep rung and is rejected);
-    see the module docstring.  ``batch_size`` is always the number of
-    *full* evaluations per batch — screening proposes more and prunes
-    down.
+    ``surrogate``); see the module docstring.  ``batch_size`` is always
+    the number of *full* evaluations per batch — screening proposes more
+    and prunes down.
 
     The default executor dispatches to the process-wide persistent
     :func:`~repro.parallel.pool.get_shared_pool`, so the hundreds of
@@ -220,11 +219,6 @@ def batched_anneal(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     fidelity = fidelity or FidelityConfig()
-    if fidelity.mode == "hybrid":
-        raise ValueError(
-            "fidelity mode 'hybrid' is a grid-sweep rung "
-            "(offline_grid_search_parallel), not an SA search fidelity"
-        )
     executor = executor or SweepExecutor()
     screen = (
         SurrogateScreen(scenario, fidelity)

@@ -1,7 +1,7 @@
 """The parallel grid-sweep driver.
 
 :func:`offline_grid_search_parallel` is the multi-fidelity grid sweep
-(fluid screen / hybrid rung / full DES with early abort) behind
+(fluid screen / full DES with early abort) behind
 ``python -m repro sweep``.  It used to live beside its result type
 (``tuning.grid``), which forced that lower layer to lazily import the
 parallel fabric — exactly the upward edge RL008 forbids.  It is a
@@ -70,57 +70,6 @@ def offline_grid_search_parallel(
             ]
             best = max(results, key=lambda r: r.utility)
             return best, results
-
-        if fidelity.mode == "hybrid":
-            # The rung between the fluid surrogate and the full DES:
-            # every point runs the hybrid flow/packet engine (fluid
-            # elephants, packet-level mice/queues/ECN), then the argmax
-            # is re-measured at full fidelity so the reported best is a
-            # real DES utility.  Hybrid results are never cached.
-            hybrid_evals = executor.map(
-                [
-                    EvalTask(
-                        scenario=scenario,
-                        seed=scenario.seed,
-                        params=p,
-                        index=i,
-                        engine_mode="hybrid",
-                    )
-                    for i, p in enumerate(points)
-                ]
-            )
-            winner = max(
-                range(len(points)),
-                key=lambda i: (
-                    hybrid_evals[i].mean_utility(skip=skip_intervals),
-                    -i,
-                ),
-            )
-            confirm = executor.map(
-                [
-                    EvalTask(
-                        scenario=scenario,
-                        seed=scenario.seed,
-                        params=points[winner],
-                        index=winner,
-                    )
-                ]
-            )[0]
-            results = [
-                GridPointResult(
-                    params,
-                    res.mean_utility(skip=skip_intervals),
-                    fidelity="hybrid",
-                    recording=res.recording,
-                )
-                for params, res in zip(points, hybrid_evals)
-            ]
-            results[winner] = GridPointResult(
-                points[winner],
-                confirm.mean_utility(skip=skip_intervals),
-                recording=confirm.recording,
-            )
-            return results[winner], results
 
         screen = (
             SurrogateScreen(scenario, fidelity)

@@ -11,8 +11,8 @@ picklable dataclass:
   frozen :class:`~repro.simulator.dcqcn.DcqcnParams` (evaluated under
   a ``StaticTuner``) or a scheme name from
   ``repro.experiments.scenarios.SCHEME_FACTORIES``.  The task is the
-  whole configuration of its evaluation — engine mode and abort rule
-  included — so no environment variable can change its result.
+  whole configuration of its evaluation — abort rule included — so no
+  environment variable can change its result.
 * :class:`EvalResult` — the outcome, including SHA-256 digests of the
   FCT records and interval stats so determinism across workers is
   checkable byte-for-byte.
@@ -117,12 +117,6 @@ class EvalTask:
     #: Fraction of the scheduled intervals that must elapse before the
     #: abort rule may fire (warm-up guard against noisy early intervals).
     abort_after_frac: float = 0.5
-    #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``);
-    #: ``None`` means ``off``.  It travels with the task to whichever
-    #: process evaluates it.  Lives on the task, not the scenario spec,
-    #: so scenario fingerprints — and therefore cache keys — do not
-    #: depend on it (``hybrid`` results are never cached).
-    engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if (self.params is None) == (self.scheme is None):
@@ -132,14 +126,8 @@ class EvalTask:
 
     @property
     def cacheable(self) -> bool:
-        """Only frozen-parameter, full-fidelity evaluations are pure.
-
-        A ``hybrid``-mode run is approximate: caching it would let a
-        fluid-model utility masquerade as a packet-level measurement in
-        later full-fidelity lookups (same poisoning rule as aborted
-        runs).
-        """
-        return self.params is not None and self.engine_mode != "hybrid"
+        """Only frozen-parameter evaluations are pure."""
+        return self.params is not None
 
 
 @dataclass
@@ -245,16 +233,8 @@ def interval_digest(intervals: List[IntervalStats]) -> str:
 # Scenario construction and evaluation
 # ---------------------------------------------------------------------------
 
-def build_scenario(
-    spec: ScenarioSpec,
-    seed: int,
-    engine_mode: Optional[str] = None,
-):
-    """Fresh ``(network, workload, stop_when)`` for one evaluation.
-
-    ``engine_mode`` selects the hybrid flow/packet engine (``None``
-    means ``off``).
-    """
+def build_scenario(spec: ScenarioSpec, seed: int):
+    """Fresh ``(network, workload, stop_when)`` for one evaluation."""
     # Imported here: experiments.scenarios pulls in the full scheme
     # registry, which itself imports tuning modules.
     from repro.experiments.scenarios import (
@@ -265,7 +245,7 @@ def build_scenario(
     )
     from repro.workloads import AllToAllOnce, IncastWorkload
 
-    network = make_network(spec.scale, seed=seed, engine_mode=engine_mode)
+    network = make_network(spec.scale, seed=seed)
     stop_when = None
     if spec.workload == "hadoop":
         workload = install_hadoop(
@@ -349,9 +329,7 @@ def evaluate_task(task: EvalTask) -> EvalResult:
     from repro.experiments.scenarios import make_tuner
 
     spec = task.scenario
-    network, _workload, stop_when = build_scenario(
-        spec, task.seed, engine_mode=task.engine_mode
-    )
+    network, _workload, stop_when = build_scenario(spec, task.seed)
     if task.params is not None:
         tuner = StaticTuner(task.params, "sweep-point")
     else:

@@ -19,7 +19,7 @@ That total order is what every ``fct_digest``/``interval_digest`` pins,
 so the four calls differ only in what they hand back:
 
 * ``schedule``/``at`` return an :class:`EventHandle` for events that
-  something may cancel (the host wake timer, the hybrid sync).
+  something may cancel (the host wake timer).
 * ``post``/``post_at`` are fire-and-forget: same ordering, no handle,
   no way to cancel.  A caller that may lose interest guards inside the
   callback instead (see the deadline guards in

@@ -180,7 +180,9 @@ def profile_for_scenario(spec) -> TrafficProfile:
                 flows[i] += max(2.0, clos.hosts_per_tor)
                 frac[i] = 1.0
     else:
-        raise ValueError(f"unknown workload {spec.workload!r}")
+        raise ValueError(
+            f"the fluid model has no profile for workload {spec.workload!r}"
+        )
 
     return TrafficProfile(
         capacity_bps=capacity,
@@ -244,11 +246,10 @@ def fluid_rate_step(
     """One Euler step of the DCQCN fluid equations (Zhu et al. §4).
 
     Advances the per-lane RP state given each lane's current ECN
-    marking probability ``mark_p``.  Shared verbatim by the candidate
-    surrogate (:class:`FluidModel`) and the hybrid engine's elephant
-    fast path (:mod:`repro.simulator.hybrid`) — the op sequence below
-    is the surrogate's reference dynamics and must not be reordered
-    (screening results are digest-compared across refactors).
+    marking probability ``mark_p``.  This is the inner loop of the
+    candidate surrogate (:class:`FluidModel`); the op sequence below is
+    its reference dynamics and must not be reordered (screening results
+    are digest-compared across refactors).
 
     Returns the updated ``(rc, rt, alpha, byte_stage, time_stage,
     incr_iter)`` arrays.
@@ -267,8 +268,8 @@ def fluid_rate_step(
     alpha = alpha + g * (1.0 - alpha) * cnp_rate * dt
     alpha = alpha - g * alpha * p_quiet * dt / t_alpha
     # minimum(maximum(...)) == clip value-for-value; the raw ufuncs
-    # skip np.clip's dispatch overhead, which dominates on the tiny
-    # lane counts the hybrid engine steps 20k times per sim-second.
+    # skip np.clip's dispatch overhead, which dominates on the few
+    # candidate lanes a screen steps thousands of times per profile.
     alpha = np.minimum(np.maximum(alpha, 0.0), 1.0)
 
     # Rate cuts: at most one per monitor period; renewal rate

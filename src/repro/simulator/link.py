@@ -136,10 +136,6 @@ class QueuedEgress:
         self.control_queue: deque[Packet] = deque()
         self.data_queue: deque[Packet] = deque()
         self.data_queue_bytes = 0
-        # Fluid-plane load published at hybrid-engine sync points; the
-        # switch adds it to the ECN marking depth.  Always 0 outside
-        # "hybrid" mode, keeping marking arithmetic byte-identical.
-        self.virtual_bytes = 0
         self.busy = False
         self.pause = PauseState(sim)
         # Running maxima/counters for stats.

@@ -6,9 +6,7 @@ bidirectional links (including the reverse-direction PFC peering),
 installs forwarding tables, runs the RTT prober, tracks flows from
 start to completion, and exposes the parameter-dispatch operations the
 tuners use (:meth:`set_all_params`, :meth:`set_switch_ecn`).  A fabric
-is configured by its :class:`NetworkConfig` alone — including the
-engine mode (``hybrid_engine``), which no environment variable can
-change behind the caller's back.
+is configured by its :class:`NetworkConfig` alone.
 """
 
 from __future__ import annotations
@@ -52,9 +50,6 @@ class NetworkConfig:
     # Paraleon) or "swift" (delay-based, Section VI related work).
     cc: str = "dcqcn"
     swift_params: object = None
-    # Hybrid engine mode ("off" | "hybrid"); None means "off".  Only
-    # meaningful for cc="dcqcn" — other controllers run pure DES.
-    hybrid_engine: Optional[str] = None
 
 
 class Network:
@@ -82,18 +77,6 @@ class Network:
         self._build_devices()
         self._build_links()
         self._build_forwarding()
-
-        # Hybrid engine wiring.  In "off" mode nothing below exists and
-        # the datapath is byte-identical to the pre-hybrid simulator.
-        from repro.simulator.hybrid import FluidFlowLanes, resolve_hybrid_mode
-
-        mode = resolve_hybrid_mode(self.config.hybrid_engine)
-        if self.config.cc != "dcqcn":
-            mode = "off"  # the fluid plane integrates DCQCN only
-        self.hybrid_mode = mode
-        self.fluid_lanes: Optional[FluidFlowLanes] = None
-        if mode == "hybrid":
-            self.fluid_lanes = FluidFlowLanes(self)
 
         self.stats = StatsCollector(self)
         for host in self.hosts:
@@ -236,17 +219,8 @@ class Network:
         self._next_flow_id += 1
         self.flows[flow.flow_id] = flow
         self.active_flows[flow.flow_id] = flow
-        self.sim.post_at(start_time, self._start_flow, flow)
+        self.sim.post_at(start_time, self.hosts[src].start_flow, flow)
         return flow
-
-    def _start_flow(self, flow: Flow) -> None:
-        if (
-            self.fluid_lanes is not None
-            and flow.size >= self.fluid_lanes.config.elephant_threshold
-        ):
-            self.fluid_lanes.add_flow(flow)
-        else:
-            self.hosts[flow.src].start_flow(flow)
 
     def on_flow_complete(self, callback: Callable[[Flow], None]) -> None:
         """Register a completion callback (used by ON-OFF workloads)."""
@@ -259,16 +233,12 @@ class Network:
         flow.bytes_received += packet.payload
         self.stats.record_flow_bytes(packet.flow_id, packet.payload)
         if flow.finish_time is None and flow.bytes_received >= flow.size:
-            self._complete_flow(flow)
-
-    def _complete_flow(self, flow: Flow) -> None:
-        """Record a finished flow; shared by packet and fluid paths."""
-        flow.finish_time = self.sim.now
-        self.active_flows.pop(flow.flow_id, None)
-        self.records.append(FlowRecord.from_flow(flow))
-        self.stats.record_flow_complete()
-        for callback in self._completion_callbacks:
-            callback(flow)
+            flow.finish_time = self.sim.now
+            self.active_flows.pop(flow.flow_id, None)
+            self.records.append(FlowRecord.from_flow(flow))
+            self.stats.record_flow_complete()
+            for callback in self._completion_callbacks:
+                callback(flow)
 
     # ------------------------------------------------------------------
     # Parameter dispatch (what the controller does over gRPC in the paper)
@@ -330,19 +300,13 @@ class Network:
         return len(self.records)
 
     def qp_sample(self) -> dict:
-        """Aggregate DCQCN state across active QPs (read-only).
-
-        The scalar per-host RPs, plus the fluid elephant lanes in
-        ``hybrid`` mode.
-        """
+        """Aggregate DCQCN state across every host's active QPs (read-only)."""
         sample = {
             "n": 0, "rate_sum": 0.0, "rate_min": 0.0,
             "alpha_sum": 0.0, "alpha_max": 0.0, "cnps": 0,
         }
-        parts = [host.qp_sample() for host in self.hosts]
-        if self.fluid_lanes is not None:
-            parts.append(self.fluid_lanes.qp_sample())
-        for part in parts:
+        for host in self.hosts:
+            part = host.qp_sample()
             if part["n"]:
                 sample["rate_min"] = (
                     min(sample["rate_min"], part["rate_min"])

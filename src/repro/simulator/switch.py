@@ -193,10 +193,7 @@ class Switch:
 
         # ECN marking against the egress data-queue depth (CP role).
         if is_data and config.ecn_enabled:
-            # virtual_bytes is the fluid plane's published load (hybrid
-            # engine); 0 in ``off`` mode, so the depth — and every
-            # downstream RNG draw — is unchanged there.
-            depth = egress.data_queue_bytes + egress.virtual_bytes
+            depth = egress.data_queue_bytes
             params = self.params
             if depth > params.k_min:  # at or below k_min the curve is 0
                 prob = ecn_mark_probability(depth, params)
@@ -334,13 +331,12 @@ class Switch:
     def telemetry_sample(self) -> dict:
         """Read-only counters for the flight recorder.
 
-        ``queue_bytes`` is the deepest egress backlog (data plus the
-        hybrid engine's virtual fluid bytes, the same depth the ECN
-        marker sees); the rest are cumulative since construction.
+        ``queue_bytes`` is the deepest egress data backlog (the depth
+        the ECN marker sees); the rest are cumulative since construction.
         """
         deepest = 0
         for egress in self.egress:
-            depth = egress.data_queue_bytes + egress.virtual_bytes
+            depth = egress.data_queue_bytes
             if depth > deepest:
                 deepest = depth
         return {

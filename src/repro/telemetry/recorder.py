@@ -3,9 +3,8 @@
 The trace layer (:mod:`repro.telemetry.trace`) answers "which code ran
 and how long did it take"; the flight recorder answers "what did the
 *network* do": per-switch egress queue depth / ECN-mark / PFC-pause
-counters, aggregate per-QP DCQCN state (rate, alpha, CNP count) from
-the scalar RPs plus, in ``hybrid`` mode, the fluid lanes, and per-flow
-lifecycle records (start, size, completion -> FCT).
+counters, aggregate per-QP DCQCN state (rate, alpha, CNP count) over
+every host's RPs, and per-flow lifecycle records (start, size, completion -> FCT).
 
 Design constraints, in order:
 
@@ -13,7 +12,7 @@ Design constraints, in order:
   interval boundaries the engine already closes; the recorder never
   draws randomness, never schedules events, and never touches the
   wall clock (replint RL002), so engine digests are identical with the
-  recorder on or off in every engine mode.
+  recorder on or off.
 * **Bounded memory.**  Each series lives in a :class:`RingBuffer` with
   a fixed sample budget (:data:`SAMPLE_BUDGET`).  When the budget
   overflows the buffer halves itself and doubles its stride — a
@@ -157,7 +156,6 @@ class RunRecording:
         self._samples = RingBuffer(self._budget)
         self.meta: Dict[str, Any] = {
             "version": RECORDING_VERSION,
-            "hybrid_mode": getattr(network, "hybrid_mode", "off"),
             "n_hosts": len(network.hosts),
             "n_switches": len(network.switches),
             "budget": self._budget,

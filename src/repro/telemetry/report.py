@@ -336,10 +336,9 @@ def render_html(recording: Dict[str, Any],
                 trace_summary: Optional[Any] = None,
                 top: int = 10) -> str:
     """A single-file HTML run report (inline CSS + SVG, no assets)."""
-    mode = (recording.get("meta") or {}).get("hybrid_mode", "off")
     body = "".join(
         [
-            f"<h1>Run report (engine mode: {_html.escape(str(mode))})</h1>",
+            "<h1>Run report</h1>",
             _meta_section(recording),
             _fct_section(recording),
             _queue_section(recording),
@@ -373,7 +372,6 @@ def render_markdown(recording: Dict[str, Any],
     lines = [
         "# Run report",
         "",
-        f"- engine mode: {meta.get('hybrid_mode', 'off')}",
         f"- hosts/switches: {meta.get('n_hosts')}/{meta.get('n_switches')}",
         f"- samples: {samples.get('kept')} kept of {samples.get('seen')} "
         f"(stride {samples.get('stride')})",

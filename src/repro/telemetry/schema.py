@@ -72,8 +72,6 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
         "batch", "size", "proposed", "aborted", "cache_hits",
         "temperature", "best_utility",
     ),
-    # hybrid flow/packet engine: one per fluid sync point
-    "engine.hybrid": ("t", "fluid_flows", "fluid_bytes", "virtual_queue_max"),
     # evaluation fabric
     "cache.lookup": ("hit", "scenario", "seed"),
     "executor.retry": ("positions",),

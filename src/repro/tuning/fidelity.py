@@ -3,16 +3,10 @@
 Offline tuning spends almost all of its wall-clock inside full
 discrete-event evaluations, most of which exist only to be rejected.
 This module packages the three fidelities the tuning loops can trade
-between:
+between, over one approximation — the fluid model:
 
 * **full** — every candidate runs the packet-level DES.  The reference
   fidelity; byte-identical to the pre-multi-fidelity behaviour.
-* **hybrid** — every candidate runs the hybrid flow/packet engine
-  (:mod:`repro.simulator.hybrid`): elephants move at fluid rates, mice
-  and queues stay packet-level.  Cheaper than the full DES, far more
-  faithful than the pure fluid surrogate; the sweep winner is
-  re-confirmed at full fidelity, so the reported best is always a real
-  DES measurement.
 * **screen** — successive halving: each batch proposes
   ``screen_ratio``× more candidates than will be fully evaluated, the
   vectorized :class:`~repro.simulator.fluid.FluidModel` scores them all
@@ -49,6 +43,7 @@ from repro.simulator.fluid import (
     FluidCalibration,
     FluidModel,
     fit_calibration,
+    profile_for_scenario,
     spearman_rank_correlation,
 )
 from repro.telemetry import trace
@@ -56,7 +51,7 @@ from repro.telemetry.registry import get_registry
 
 #: Recognized values for the ``--fidelity`` CLI flag and config field,
 #: ordered from highest fidelity to lowest.
-FIDELITY_MODES = ("full", "hybrid", "screen", "surrogate")
+FIDELITY_MODES = ("full", "screen", "surrogate")
 
 _SCREEN_BATCHES = get_registry().counter(
     "repro_fidelity_screen_batches_total",
@@ -128,12 +123,17 @@ class SurrogateScreen:
     :meth:`observe`, maintaining a running affine calibration and error
     estimate of the surrogate on exactly the region of parameter space
     the search is visiting.
+
+    The scenario's fluid profile is built here, so a workload the fluid
+    model cannot score (``incast``) raises ``ValueError`` before a
+    search spends any DES evaluation.
     """
 
     def __init__(self, scenario, config: Optional[FidelityConfig] = None):
         self.scenario = scenario
         self.config = config or FidelityConfig(mode="screen")
         self.model = FluidModel(dt=self.config.dt)
+        self.profile = profile_for_scenario(scenario)
         self._fluid_anchor: List[float] = []
         self._des_anchor: List[float] = []
         self.calibration = FluidCalibration()
@@ -142,7 +142,9 @@ class SurrogateScreen:
 
     def score(self, params: Sequence[DcqcnParams]) -> List[float]:
         """Raw (uncalibrated) fluid utilities, one per candidate."""
-        results = self.model.evaluate_batch(self.scenario, list(params))
+        results = self.model.evaluate_profile(
+            self.profile, list(params), self.scenario.utility_weights()
+        )
         _SCREEN_BATCHES.inc()
         return [r.utility for r in results]
 

@@ -65,9 +65,8 @@ class GridPointResult:
     params: DcqcnParams
     utility: float
     #: Which fidelity produced ``utility``: "des" (full simulation),
-    #: "hybrid" (hybrid flow/packet engine), "fluid" (calibrated
-    #: surrogate score), or "aborted" (DES run abandoned early;
-    #: utility is its optimistic bound).
+    #: "fluid" (calibrated surrogate score), or "aborted" (DES run
+    #: abandoned early; utility is its optimistic bound).
     fidelity: str = "des"
     #: Flight-recorder snapshot for this point, when recording was
     #: enabled and the executor kept it (best-K pruning); fluid-scored

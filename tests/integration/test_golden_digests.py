@@ -73,7 +73,7 @@ def _pins(network, result) -> dict:
 
 
 def _all_to_all(flow_size: int) -> dict:
-    network = make_network("small", seed=1, engine_mode="off")
+    network = make_network("small", seed=1)
     AllToAllOnce(n_workers=8, flow_size=flow_size).install(network)
     runner = ExperimentRunner(network, StaticTuner(default_params(), "default"))
     return _pins(network, runner.run(0.002))
@@ -111,7 +111,7 @@ def test_all_to_all_matches_recorded_digests(flow_size):
 
 
 def test_paraleon_influx_matches_recorded_digests():
-    network = make_network("small", seed=1, engine_mode="off")
+    network = make_network("small", seed=1)
     install_influx(network, influx_start=0.003, influx_duration=0.003)
     result = ExperimentRunner(network, make_tuner("paraleon")).run(0.008)
     assert _pins(network, result) == {

@@ -131,8 +131,8 @@ def test_screened_anneal_is_repeatable():
 
 
 def test_hybrid_anneal_is_rejected():
-    """Hybrid is a grid-sweep rung; an SA search must not quietly run
-    it on the full DES and report it as hybrid."""
+    """The hybrid engine is gone: its fidelity mode is refused, not
+    quietly run as the full DES."""
     with pytest.raises(ValueError, match="hybrid"):
         batched_anneal(
             SPEC,
@@ -141,6 +141,30 @@ def test_hybrid_anneal_is_rejected():
             batch_size=2,
             max_batches=1,
             fidelity=FidelityConfig(mode="hybrid"),
+        )
+
+
+class _NoDesExecutor:
+    """An executor whose every map is a test failure."""
+
+    def map(self, tasks):
+        raise AssertionError(f"{len(tasks)} DES evaluation(s) dispatched")
+
+
+@pytest.mark.parametrize("mode", ["screen", "surrogate"])
+def test_fluid_fidelity_on_incast_fails_before_any_des_run(mode):
+    """The fluid model has no incast profile: a screened search says so
+    up front instead of after spending a DES evaluation."""
+    spec = ScenarioSpec(workload="incast", scale="small", duration=0.01, seed=1)
+    fidelity = FidelityConfig(mode=mode)
+    with pytest.raises(ValueError, match="'incast'"):
+        batched_anneal(
+            spec, _annealer(), default_params(), batch_size=2,
+            executor=_NoDesExecutor(), fidelity=fidelity,
+        )
+    with pytest.raises(ValueError, match="'incast'"):
+        offline_grid_search_parallel(
+            spec, executor=_NoDesExecutor(), fidelity=fidelity
         )
 
 

@@ -106,6 +106,8 @@ def test_run_rejects_unknown_scheme():
         ["sweep", "--strategy", "auto"],
         ["controlplane", "--strategy", "inline"],
         ["sweep", "--hybrid-engine", "hybrid"],
+        ["run", "--hybrid-engine", "hybrid"],
+        ["sweep", "--fidelity", "hybrid"],
     ],
 )
 def test_parser_rejects_the_removed_surface(argv):
@@ -167,24 +169,6 @@ def test_repro_trace_is_the_default_of_trace(tmp_path, monkeypatch):
     assert count > 0 and problems == []
 
 
-def test_hybrid_engine_flag_leaves_no_env_behind(monkeypatch):
-    """``--hybrid-engine`` configures the command's own tasks, not the
-    process: later fabrics still build in the default ``off`` mode."""
-    import os
-
-    from repro.experiments.scenarios import make_network
-
-    for name in [n for n in os.environ if n.startswith("REPRO_")]:
-        monkeypatch.delenv(name)
-    assert main([
-        "run", "--workload", "incast", "--scale", "small",
-        "--duration", "0.004", "--jobs", "1", "--no-cache",
-        "--hybrid-engine", "hybrid",
-    ]) == 0
-    assert [n for n in os.environ if n.startswith("REPRO_")] == []
-    assert make_network("small", seed=1).hybrid_mode == "off"
-
-
 @pytest.mark.parametrize(
     "flags",
     [
@@ -209,6 +193,24 @@ def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
     captured = capsys.readouterr()
     assert "bad " in captured.err
     assert "triggers fired" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--screen-ratio", "0.5"],
+        ["--workload", "incast", "--fidelity", "screen"],
+    ],
+)
+def test_sweep_usage_errors_exit_2(flags, capsys):
+    """A bad screen ratio, or a screen on a workload the fluid model
+    cannot score, is a usage error: one line on stderr, no DES run."""
+    argv = ["sweep", "--scale", "small", "--duration", "0.004",
+            "--jobs", "1", "--no-cache"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert "bad sweep:" in captured.err
+    assert "grid points" not in captured.out
 
 
 def test_report_missing_recording_is_graceful(capsys, tmp_path):

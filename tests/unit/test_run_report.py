@@ -18,6 +18,8 @@ def _recording(n_flows: int = 4, n_samples: int = 5) -> dict:
         for i in range(n_flows)
     ]
     return {
+        # "hybrid_mode" is in every recording written while the
+        # simulator had a second engine; such recordings must render.
         "meta": {"version": 1, "hybrid_mode": "off", "n_hosts": 4,
                  "n_switches": 2, "budget": 512,
                  "weights": [1.0, 0.2, 0.1]},

@@ -1,7 +1,7 @@
 """RL009 determinism taint: nondeterminism must never reach a digest.
 
 The repo's core invariant is bit-identical SHA-256 run digests across
-engine modes, executor strategies and process boundaries.  This pass
+executor dispatch choices and process boundaries.  This pass
 tracks how nondeterministic values travel:
 
 * **Sources** — calls whose result varies per process/run (``id``,
