@@ -1,133 +1,29 @@
 """Extension benches: the paper's discussion/future-work directions.
 
-Not figures from the evaluation section — these exercise the two
-Section V/VI directions this reproduction implements:
+Not figures from the evaluation section — these exercise the
+Section III-C/VI directions this reproduction implements:
 
-1. **Per-cluster controllers** (Section V, "Paraleon for large-scale
-   environment"): two clusters with opposite workloads managed by
-   independent controllers end up with heterogeneous DCQCN settings
-   and beat a single homogeneous controller on the mice cluster's
-   latency without giving up the training cluster's throughput.
-2. **Delay-based CC substrate** (Section VI): the same incast under
+1. **Delay-based CC substrate** (Section VI): the same incast under
    DCQCN (default and expert settings) and a Swift-style delay-target
    controller — quantifying the untuned-DCQCN inefficiency that
    motivates the whole paper.
+2. **Exhaustive-search timeliness** (Section III-C): an 81-point grid
+   sweep against Paraleon's guided SA over one workload's lifetime.
+
+Section V's per-cluster control is the sharded control plane
+(``repro.controlplane``), exercised by the ``cp-day`` workload and
+``tests/integration/test_controlplane_day.py``.
 """
 
 from __future__ import annotations
 
 from conftest import emit
 
-from repro.core import (
-    ClusterSpec,
-    MultiClusterParaleon,
-    ParaleonConfig,
-    ParaleonSystem,
-)
 from repro.telemetry.tables import format_table
-from repro.experiments.runner import ExperimentRunner
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.topology import ClosSpec
-from repro.simulator.units import kb, mb, ms
-from repro.tuning.annealing import AnnealingSchedule
+from repro.simulator.units import mb, ms
 from repro.tuning.parameters import default_params, expert_params
-from repro.tuning.utility import (
-    DEFAULT_WEIGHTS,
-    THROUGHPUT_SENSITIVE_WEIGHTS,
-)
-from repro.workloads import LlmTrainingWorkload, SolarRpcWorkload
-
-
-def _fast_config(weights=DEFAULT_WEIGHTS):
-    return ParaleonConfig(
-        tau=kb(100.0),
-        weights=weights,
-        schedule=AnnealingSchedule(
-            initial_temp=90.0, final_temp=30.0,
-            cooling_rate=0.8, iterations_per_temp=10,
-        ),
-    )
-
-
-def _mixed_fabric(seed=9):
-    spec = ClosSpec(n_tor=4, n_spine=2, hosts_per_tor=4)
-    network = Network(NetworkConfig(spec=spec, seed=seed))
-    LlmTrainingWorkload(
-        workers=list(range(8)), flow_size=mb(2.0), off_period=ms(3.0)
-    ).install(network)
-    SolarRpcWorkload(
-        rate_per_host=3000.0, duration=0.07, hosts=list(range(8, 16)), seed=seed
-    ).install(network)
-    return network
-
-
-def _rpc_latency(result, network):
-    solar = [r for r in result.records if r.tag == "solar"]
-    return sum(r.fct for r in solar) / len(solar)
-
-
-def test_ext_multicluster_heterogeneous(benchmark):
-    outcome = {}
-
-    def experiment():
-        # Arm 1: one homogeneous controller for the whole fabric.
-        net_single = _mixed_fabric()
-        single = ParaleonSystem(config=_fast_config())
-        result_single = ExperimentRunner(
-            net_single, single, monitor_interval=ms(1.0)
-        ).run(0.08)
-        outcome["single"] = (
-            _rpc_latency(result_single, net_single),
-            result_single.mean_utility(skip=10),
-            False,
-        )
-
-        # Arm 2: per-cluster controllers with per-cluster preferences.
-        net_multi = _mixed_fabric()
-        multi = MultiClusterParaleon(
-            [
-                ClusterSpec(
-                    "training", [0, 1], weights=THROUGHPUT_SENSITIVE_WEIGHTS
-                ),
-                ClusterSpec("rpc", [2, 3], weights=DEFAULT_WEIGHTS),
-            ],
-            config=_fast_config(),
-        )
-        result_multi = ExperimentRunner(
-            net_multi, multi, monitor_interval=ms(1.0)
-        ).run(0.08)
-        outcome["multi"] = (
-            _rpc_latency(result_multi, net_multi),
-            result_multi.mean_utility(skip=10),
-            multi.settings_diverged(),
-        )
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    emit(
-        "ext_multicluster",
-        format_table(
-            ["controller layout", "RPC mean FCT (us)", "mean utility",
-             "settings diverged"],
-            [
-                ["single homogeneous", f"{outcome['single'][0] * 1e6:.1f}",
-                 f"{outcome['single'][1]:.4f}", "-"],
-                ["per-cluster", f"{outcome['multi'][0] * 1e6:.1f}",
-                 f"{outcome['multi'][1]:.4f}",
-                 str(outcome['multi'][2])],
-            ],
-            title=(
-                "Extension (Section V): per-cluster controllers on a "
-                "training+RPC fabric"
-            ),
-        ),
-    )
-
-    # The clusters genuinely run heterogeneous settings...
-    assert outcome["multi"][2]
-    # ...and the RPC cluster's latency does not regress vs one
-    # homogeneous controller trying to satisfy both at once.
-    assert outcome["multi"][0] <= outcome["single"][0] * 1.2
 
 
 def test_ext_swift_substrate(benchmark):

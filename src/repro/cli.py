@@ -39,6 +39,7 @@ workers follow it through the session on each chunk message.
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from typing import List, Optional
 
@@ -60,6 +61,13 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n
+
+
+def _positive_float(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return x
 
 
 def _add_executor(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--duration", type=float, default=0.1,
+        "--duration", type=_positive_float, default=0.1,
         help="simulated seconds to run (default: 0.1)",
     )
     parser.add_argument(
@@ -98,7 +106,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="offered load for the hadoop workload (default: 0.3)",
     )
     parser.add_argument(
-        "--monitor-interval-ms", type=float, default=1.0,
+        "--monitor-interval-ms", type=_positive_float, default=1.0,
         help="monitor interval in milliseconds (default: 1.0)",
     )
     _add_executor(parser)
@@ -207,11 +215,18 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     from repro.parallel.sweeps import offline_grid_search_parallel
+    from repro.parallel.tasks import scheduled_interval_count
     from repro.tuning.fidelity import FidelityConfig, SurrogateScreen
     from repro.tuning.grid import DEFAULT_GRID
 
     spec = _make_spec(args)
     try:
+        intervals = scheduled_interval_count(spec)
+        if args.skip >= intervals:
+            raise ValueError(
+                f"--skip {args.skip} leaves none of the scenario's "
+                f"{intervals} monitor intervals to average"
+            )
         fidelity = FidelityConfig(
             mode=args.fidelity,
             screen_ratio=args.screen_ratio,
@@ -605,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pfc-plan", help="precompute the stable PFC alpha for a fabric"
     )
     pfc_parser.add_argument("--scale", choices=sorted(SPECS), default="medium")
-    pfc_parser.add_argument("--buffer-mb", type=float, default=2.0)
+    pfc_parser.add_argument("--buffer-mb", type=_positive_float, default=2.0)
     pfc_parser.set_defaults(func=cmd_pfc_plan)
 
     env_parser = sub.add_parser(

@@ -11,13 +11,10 @@ same experiment harness as every baseline.
 from repro.core.config import ParaleonConfig
 from repro.core.controller import ParaleonController
 from repro.core.paraleon import ParaleonSystem, MonitorKind
-from repro.core.multicluster import ClusterSpec, MultiClusterParaleon
 
 __all__ = [
     "ParaleonConfig",
     "ParaleonController",
     "ParaleonSystem",
     "MonitorKind",
-    "ClusterSpec",
-    "MultiClusterParaleon",
 ]

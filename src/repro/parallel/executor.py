@@ -36,7 +36,7 @@ Design points:
   chunk.  Evaluations are deterministic, so retry results are
   identical to what the worker would have produced.
 * **Evaluation cache** — with an :class:`~repro.tuning.eval_cache.
-  EvalCache` attached, cacheable tasks (frozen params, engine off) are
+  EvalCache` attached, cacheable tasks (frozen params) are
   looked up before dispatch and stored after; only misses touch a
   pool.
 

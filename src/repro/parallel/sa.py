@@ -226,6 +226,7 @@ def batched_anneal(
         else None
     )
     loop = begin_loop(annealer, scenario, initial, executor, tp_bias, screen)
+    seed_utility = annealer.state.best_util
     with trace.span(
         "sa.search", {"batch_size": batch_size, "fidelity": fidelity.mode}
     ):
@@ -238,9 +239,12 @@ def batched_anneal(
     best_utility = annealer.state.best_util
     if fidelity.mode == "surrogate":
         # The walk ran on surrogate scores; confirm the winner with one
-        # full-fidelity run so the reported utility is a measurement.
+        # full-fidelity run so the reported utility is a measurement,
+        # and keep the seed when the winner measures below it.
         best_utility = executor.map([_task(scenario, best_params)])[0].utility
         loop.evaluations += 1
+        if best_utility < seed_utility:
+            best_params, best_utility = initial, seed_utility
     return BatchedAnnealResult(
         best_params=best_params,
         best_utility=best_utility,

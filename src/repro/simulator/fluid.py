@@ -27,9 +27,10 @@ collisions, one bottleneck instead of a fabric), but the monotone
 response to the tuned knobs — deeper ECN thresholds buy throughput and
 cost RTT, aggressive marking does the reverse, slower cuts and faster
 increases push the operating point up the queue — is preserved, which
-is all a *ranking* screen needs.  :class:`FluidCalibration` fits the
-residual against DES ground truth on a small anchor set for consumers
-that want calibrated absolute values (e.g. early-abort thresholds).
+is all a *ranking* screen needs.  :class:`FluidCalibration` is an
+affine fit of fluid scores to DES utilities on the candidates measured
+at both fidelities; the ``surrogate`` fidelity walks and reports on the
+calibrated scores.
 """
 
 from __future__ import annotations

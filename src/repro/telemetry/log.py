@@ -102,8 +102,3 @@ def set_level(level: int) -> None:
 def echo(message: object = "") -> None:
     """User-facing output on stdout (the CLI's deliverable)."""
     sys.stdout.write(f"{message}\n")
-
-
-def eecho(message: object = "") -> None:
-    """User-facing *error* output on stderr (usage errors)."""
-    sys.stderr.write(f"{message}\n")

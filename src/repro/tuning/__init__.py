@@ -21,7 +21,6 @@ from repro.tuning.eval_cache import EvalCache, default_cache, quantize_params
 from repro.tuning.fidelity import (
     FidelityConfig,
     SurrogateScreen,
-    calibrate_on_anchors,
     default_anchor_params,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "quantize_params",
     "FidelityConfig",
     "SurrogateScreen",
-    "calibrate_on_anchors",
     "default_anchor_params",
 ]

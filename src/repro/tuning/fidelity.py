@@ -14,8 +14,9 @@ between, over one approximation — the fluid model:
   surrogate only decides *which* candidates run, never what their
   utility is, so completed DES results keep their digests.
 * **surrogate** — the fluid model scores everything and only the final
-  winner is confirmed with one DES run.  Fastest, least faithful; for
-  coarse exploration of large grids.
+  winner is confirmed with one DES run (an anneal keeps its seed when
+  the winner measures lower).  Fastest, least faithful; for coarse
+  exploration of large grids.
 
 Early abort is orthogonal: with a known incumbent, a DES run whose
 best-achievable mean utility falls below ``incumbent - abort_margin``
@@ -197,32 +198,12 @@ class SurrogateScreen:
         return len(self._fluid_anchor)
 
 
-def calibrate_on_anchors(
-    scenario,
-    anchor_params: Sequence[DcqcnParams],
-    anchor_des_utilities: Sequence[float],
-    dt: float = DEFAULT_DT,
-) -> FluidCalibration:
-    """Fit the fluid surrogate to DES ground truth on an anchor set.
-
-    ``anchor_des_utilities`` are full-fidelity utilities for
-    ``anchor_params`` (typically produced once by a sweep and cached).
-    The returned calibration carries the Spearman rank agreement and
-    residual RMS — the two numbers that decide whether screening is
-    sound on this scenario at all.
-    """
-    model = FluidModel(dt=dt)
-    fluid = [r.utility for r in model.evaluate_batch(scenario, list(anchor_params))]
-    return fit_calibration(fluid, list(anchor_des_utilities))
-
-
 def default_anchor_params(base: Optional[DcqcnParams] = None) -> List[DcqcnParams]:
     """A small spread of anchor points covering the tuned space.
 
     Eight hand-picked corners/midpoints of the DCQCN knobs that the
     grid and SA searches actually move, centred on ``base`` (factory
-    defaults when omitted).  Used by the calibration harness and the
-    ranking-fidelity tests.
+    defaults when omitted).  Used by the ranking-fidelity tests.
     """
     base = base or DcqcnParams()
     return [

@@ -144,6 +144,32 @@ def test_hybrid_anneal_is_rejected():
         )
 
 
+def test_surrogate_anneal_never_returns_worse_than_its_seed():
+    """The surrogate walk's winner is DES-confirmed; when it measures
+    below the seed (as it does at annealer seed 11 here), the search
+    keeps the seed instead of reporting a loss."""
+    executor = SweepExecutor(jobs=1)
+    seed = executor.map(
+        [EvalTask(scenario=SPEC, seed=SPEC.seed, params=default_params())]
+    )[0]
+    result = batched_anneal(
+        SPEC,
+        ImprovedAnnealer(
+            default_space(),
+            AnnealingSchedule(90.0, 30.0, 0.85, 6),
+            rng=random.Random(11),
+        ),
+        default_params(),
+        batch_size=4,
+        max_batches=8,
+        executor=executor,
+        fidelity=FidelityConfig(mode="surrogate"),
+    )
+    assert result.best_utility == seed.utility
+    assert result.best_params.as_dict() == default_params().as_dict()
+    assert result.evaluations == 2   # the seed and the confirmation run
+
+
 class _NoDesExecutor:
     """An executor whose every map is a test failure."""
 

@@ -69,7 +69,7 @@ def test_sweep_command(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # keep .repro_cache out of the repo
     code = main([
         "sweep", "--workload", "hadoop", "--scale", "small",
-        "--duration", "0.004", "--jobs", "1",
+        "--duration", "0.004", "--skip", "1", "--jobs", "1",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -80,7 +80,7 @@ def test_sweep_command(capsys, tmp_path, monkeypatch):
     # Second run is served from the persisted cache.
     assert main([
         "sweep", "--workload", "hadoop", "--scale", "small",
-        "--duration", "0.004", "--jobs", "1",
+        "--duration", "0.004", "--skip", "1", "--jobs", "1",
     ]) == 0
     out = capsys.readouterr().out
     assert "81 hits" in out
@@ -200,17 +200,40 @@ def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
     [
         ["--screen-ratio", "0.5"],
         ["--workload", "incast", "--fidelity", "screen"],
+        ["--skip", "500", "--duration", "0.005"],
+        ["--skip", "4"],
     ],
 )
 def test_sweep_usage_errors_exit_2(flags, capsys):
-    """A bad screen ratio, or a screen on a workload the fluid model
-    cannot score, is a usage error: one line on stderr, no DES run."""
+    """A bad screen ratio, a screen on a workload the fluid model
+    cannot score, or a warm-up skip that leaves no interval to average
+    is a usage error: one line on stderr, no DES run."""
     argv = ["sweep", "--scale", "small", "--duration", "0.004",
-            "--jobs", "1", "--no-cache"]
+            "--skip", "1", "--jobs", "1", "--no-cache"]
     assert main(argv + flags) == 2
     captured = capsys.readouterr()
     assert "bad sweep:" in captured.err
     assert "grid points" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pfc-plan", "--buffer-mb", "0"],
+        ["run", "--duration", "0"],
+        ["run", "--monitor-interval-ms", "0"],
+        ["sweep", "--duration", "-1"],
+        ["compare", "--duration", "nan"],
+        ["run", "--duration", "inf"],
+    ],
+)
+def test_non_positive_values_exit_2(argv, capsys):
+    """A value that must be positive fails in the parser: exit 2 with
+    the offending flag named on stderr, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_report_missing_recording_is_graceful(capsys, tmp_path):

@@ -10,7 +10,6 @@ from repro.tuning.fidelity import (
     FIDELITY_MODES,
     FidelityConfig,
     SurrogateScreen,
-    calibrate_on_anchors,
     default_anchor_params,
 )
 from repro.tuning.parameters import default_params, default_space
@@ -107,16 +106,6 @@ def test_observe_updates_calibration_and_spearman():
     assert screen.calibration.offset == pytest.approx(0.1, abs=1e-9)
     assert screen.spearman == pytest.approx(1.0)
     assert screen.calibration.apply(0.6) == pytest.approx(0.4, abs=1e-9)
-
-
-def test_calibrate_on_anchors_returns_fit():
-    anchors = default_anchor_params(default_params())[:4]
-    des = [0.7, 0.8, 0.6, 0.75]
-    cal = calibrate_on_anchors(SPEC, anchors, des)
-    assert cal.n_anchors == 4
-    assert cal.residual_rms >= 0.0
-    with pytest.raises(ValueError):
-        calibrate_on_anchors(SPEC, anchors, des[:2])
 
 
 def test_default_anchor_params_are_valid_and_distinct():
