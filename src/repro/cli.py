@@ -63,10 +63,24 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 def _positive_float(value: str) -> float:
     x = float(value)
     if not 0.0 < x < math.inf:
         raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return x
+
+
+def _open_fraction(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError("must be in (0, 1)")
     return x
 
 
@@ -102,8 +116,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="simulated seconds to run (default: 0.1)",
     )
     parser.add_argument(
-        "--load", type=float, default=0.3,
-        help="offered load for the hadoop workload (default: 0.3)",
+        "--load", type=_open_fraction, default=0.3,
+        help="offered load for the hadoop workload, in (0, 1) "
+             "(default: 0.3)",
     )
     parser.add_argument(
         "--monitor-interval-ms", type=_positive_float, default=1.0,
@@ -216,7 +231,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.parallel.sweeps import offline_grid_search_parallel
     from repro.parallel.tasks import scheduled_interval_count
-    from repro.tuning.fidelity import FidelityConfig, SurrogateScreen
+    from repro.tuning.fidelity import SurrogateScreen
     from repro.tuning.grid import DEFAULT_GRID
 
     spec = _make_spec(args)
@@ -227,15 +242,10 @@ def cmd_sweep(args) -> int:
                 f"--skip {args.skip} leaves none of the scenario's "
                 f"{intervals} monitor intervals to average"
             )
-        fidelity = FidelityConfig(
-            mode=args.fidelity,
-            screen_ratio=args.screen_ratio,
-            early_abort=args.early_abort,
-        )
-        if fidelity.mode != "full":
-            # Fails on a workload the fluid model cannot score, before
-            # the sweep runs any DES point.
-            SurrogateScreen(spec, fidelity)
+        if args.screen_ratio is not None:
+            # Fails on a bad ratio or on a workload the fluid model
+            # cannot score, before the sweep runs any DES point.
+            SurrogateScreen(spec, args.screen_ratio)
     except ValueError as exc:
         _log.error("bad sweep: %s", exc)
         return 2
@@ -246,15 +256,16 @@ def cmd_sweep(args) -> int:
         DEFAULT_GRID,
         executor=executor,
         skip_intervals=args.skip,
-        fidelity=fidelity,
+        screen_ratio=args.screen_ratio,
     )
     wall = time.perf_counter() - t0
     des_points = sum(1 for r in results if r.fidelity == "des")
-    aborted = sum(1 for r in results if r.fidelity == "aborted")
+    counts = f"DES {des_points}, fluid {len(results) - des_points}"
     echo(f"grid points     : {len(results)}")
-    echo(f"fidelity        : {fidelity.mode} "
-         f"(DES {des_points}, aborted {aborted}, "
-         f"fluid {len(results) - des_points - aborted})")
+    if args.screen_ratio is None:
+        echo(f"fidelity        : full ({counts})")
+    else:
+        echo(f"fidelity        : screen (ratio {args.screen_ratio:g}, {counts})")
     echo(f"jobs            : {executor.jobs}")
     echo(f"strategy        : {executor.last_strategy}")
     echo(f"wall time       : {wall:.2f} s")
@@ -523,26 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="offline exhaustive grid search (parallel)"
     )
     sweep_parser.add_argument(
-        "--fidelity",
-        choices=("full", "screen", "surrogate"),
-        default="full",
-        help="evaluation fidelity: full DES for every point, fluid-model "
-        "screening (top 1/ratio of points run the DES), or surrogate "
-        "scoring with a single DES confirmation (default: full)",
+        "--screen-ratio", type=float, default=None, metavar="R",
+        help="screen the grid with the fluid model: only the best 1 in R "
+        "points (R finite, >= 1) runs the full simulation "
+        "(default: every point runs it)",
     )
     sweep_parser.add_argument(
-        "--screen-ratio", type=float, default=3.0,
-        help="screening keep ratio: with --fidelity screen, 1 in "
-        "SCREEN_RATIO grid points graduates to full simulation "
-        "(default: 3)",
-    )
-    sweep_parser.add_argument(
-        "--early-abort", action="store_true",
-        help="abandon full simulations whose utility bound cannot reach "
-        "the incumbent best (first completed point)",
-    )
-    sweep_parser.add_argument(
-        "--skip", type=int, default=5,
+        "--skip", type=_non_negative_int, default=5,
         help="warm-up monitor intervals excluded from the mean (default: 5)",
     )
     _add_common(sweep_parser)
@@ -647,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every record against the trace schema and exit",
     )
     tel_parser.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_positive_int, default=10,
         help="span names to show in the self-time table (default: 10)",
     )
     tel_parser.set_defaults(func=cmd_telemetry)
@@ -674,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="embed this JSONL trace's span self-time table in the report",
     )
     report_parser.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_positive_int, default=10,
         help="span names to show in the embedded self-time table "
              "(default: 10)",
     )

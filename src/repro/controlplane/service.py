@@ -29,6 +29,7 @@ runs belongs to the CLI and the benchmarks.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -103,6 +104,10 @@ class ControlPlaneConfig:
     def __post_init__(self) -> None:
         if self.intervals < 1:
             raise ValueError("need at least one interval")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(
+                f"theta must be finite and >= 0, got {self.theta!r}"
+            )
         for shift in self.traffic.shifts:
             # A shift outside the run, or one at interval 0 (no earlier
             # FSD to diverge from), could never fire a trigger: reject

@@ -16,6 +16,7 @@ per check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -49,8 +50,10 @@ class TenantTriggerBank:
     def __init__(self, n_tenants: int, theta: float = 0.01):
         if n_tenants < 1:
             raise ValueError("need at least one tenant")
-        if theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not 0.0 <= theta < math.inf:
+            # ``kl > nan`` and ``kl > inf`` are never true: such a bank
+            # could never fire.
+            raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
         self.n_tenants = n_tenants
         self.theta = theta
         self._previous: List[Optional[FlowSizeDistribution]] = (

@@ -48,8 +48,6 @@ class ExperimentResult:
     dispatches: int
     dropped_packets: int
     events: int
-    #: True when an ``abort_check`` stopped the run before ``duration``.
-    aborted: bool = False
     #: Flight-recorder snapshot (plain dict) when recording was enabled.
     recording: Optional[dict] = None
 
@@ -81,22 +79,15 @@ class ExperimentRunner:
         self.intervals: List[IntervalStats] = []
         self.utilities: List[float] = []
         self.dispatches = 0
-        self.aborted = False
         self._attached = False
         self.recording: Optional[recorder.RunRecording] = None
 
-    def run(self, duration: float, stop_when=None, abort_check=None) -> ExperimentResult:
+    def run(self, duration: float, stop_when=None) -> ExperimentResult:
         """Run ``duration`` seconds of simulated time from now.
 
         ``stop_when`` (optional zero-argument callable) is checked at
         every monitor-interval boundary; returning True ends the run
         early — used by workloads with a natural completion point.
-
-        ``abort_check`` (optional callable taking the utility list so
-        far) is consulted after each interval closes; returning True
-        abandons the run and marks the result ``aborted``.  Unlike
-        ``stop_when`` this signals that the partial result must not be
-        treated as (or cached as) a completed evaluation.
         """
         if not self._attached:
             self.tuner.attach(self.network)
@@ -137,9 +128,6 @@ class ExperimentRunner:
                     },
                 )
                 events_base = engine["events_dispatched"]
-            if abort_check is not None and abort_check(self.utilities):
-                self.aborted = True
-                break
             new_params = self.tuner.on_interval(stats)
             if new_params is not None:
                 self.network.set_all_params(new_params)
@@ -156,7 +144,6 @@ class ExperimentRunner:
             dispatches=self.dispatches,
             dropped_packets=self.network.total_dropped_packets(),
             events=self.network.sim.events_dispatched,
-            aborted=self.aborted,
             recording=(
                 self.recording.snapshot() if self.recording is not None else None
             ),

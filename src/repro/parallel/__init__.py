@@ -32,7 +32,6 @@ from repro.parallel.tasks import (
     EvalTask,
     ScenarioSpec,
     evaluate_task,
-    make_abort_check,
     scheduled_interval_count,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "close_shared_pool",
     "evaluate_task",
     "get_shared_pool",
-    "make_abort_check",
     "offline_grid_search_parallel",
     "resolve_jobs",
     "scheduled_interval_count",

@@ -236,13 +236,13 @@ class SweepExecutor:
         Every pool worker records while the parent's telemetry session
         has the recorder on, and recordings ride back inside each
         ``EvalResult``; retaining all of them would defeat the
-        recorder's bounded-memory goal for large sweeps.  Completed runs outrank aborted ones, higher
-        utility wins, and the task index breaks ties deterministically.
+        recorder's bounded-memory goal for large sweeps.  Higher utility
+        wins, and the task index breaks ties deterministically.
         """
         carriers = [r for r in results.values() if r.recording is not None]
         if len(carriers) <= _KEEP_RECORDINGS:
             return
-        carriers.sort(key=lambda r: (r.aborted, -r.utility, r.index))
+        carriers.sort(key=lambda r: (-r.utility, r.index))
         for result in carriers[_KEEP_RECORDINGS:]:
             result.recording = None
 
@@ -255,10 +255,6 @@ class SweepExecutor:
 
     def _cache_put(self, task: EvalTask, result: EvalResult) -> None:
         if self.cache is None or not task.cacheable:
-            return
-        if result.aborted:
-            # An aborted run's utility is a bound, not a measurement;
-            # caching it would poison later full-fidelity lookups.
             return
         self.cache.put(
             task.scenario.fingerprint(),

@@ -19,20 +19,13 @@ one union ``executor.map`` call and feeds each loop back its own slice.
 :class:`~repro.controlplane.loops.MultiplexedTuner` steps every active
 tenant's loop once per control-plane interval.
 
-Multi-fidelity search (``fidelity`` argument) layers two accelerations
-on top without touching the full-fidelity semantics:
-
-* **screen** — each batch proposes ``screen_ratio``× more candidates,
-  the fluid surrogate scores them all in one vectorized pass, and only
-  the top ``batch_size`` graduate to DES evaluation
-  (:meth:`~repro.tuning.annealing._AnnealerBase.screen_batch` prunes
-  the pending batch so the Metropolis walk only ever sees survivors).
-* **early abort** — DES runs carry a threshold derived from the
-  incumbent best; a run whose best-achievable mean utility drops below
-  it is abandoned mid-flight and its optimistic bound fed back instead.
-
-With ``fidelity`` left at the default (mode ``full``, abort off) the
-search is byte-identical to the pre-multi-fidelity implementation.
+The one fidelity trade (``screen_ratio`` argument) is the fluid
+screen: each batch proposes ``screen_ratio``× more candidates, the
+fluid model scores them all in one vectorized pass, and only the top
+``batch_size`` graduate to DES evaluation
+(:meth:`~repro.tuning.annealing._AnnealerBase.screen_batch` prunes the
+pending batch so the Metropolis walk only ever sees survivors).  With
+``screen_ratio=None`` every candidate runs the DES.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from repro.parallel.tasks import EvalTask, ScenarioSpec
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
 from repro.tuning.annealing import _AnnealerBase
-from repro.tuning.fidelity import FidelityConfig, SurrogateScreen
+from repro.tuning.fidelity import SurrogateScreen
 
 
 @dataclass
@@ -58,10 +51,8 @@ class BatchedAnnealResult:
     batches: int
     cache_hits: int
     utility_trace: List[float] = field(default_factory=list)
-    fidelity_mode: str = "full"
     surrogate_scored: int = 0     # candidates scored by the fluid model
     screened_out: int = 0         # candidates the screen eliminated
-    aborted: int = 0              # DES runs abandoned by early abort
 
 
 @dataclass
@@ -69,8 +60,8 @@ class SaLoop:
     """One SA walk on a frozen scenario, as :func:`step_loops` drives it.
 
     ``tp_bias`` plays the role of the measured FSD (frozen for the
-    whole walk, as the scenario is frozen too); ``screen`` is set for
-    the ``screen`` and ``surrogate`` fidelities.
+    whole walk, as the scenario is frozen too); ``screen`` is set when
+    the walk screens its batches with the fluid model.
     """
 
     annealer: _AnnealerBase
@@ -82,11 +73,10 @@ class SaLoop:
     cache_hits: int = 0
     surrogate_scored: int = 0
     screened_out: int = 0
-    aborted: int = 0
 
 
-def _task(scenario: ScenarioSpec, params: DcqcnParams, **kwargs) -> EvalTask:
-    return EvalTask(scenario=scenario, seed=scenario.seed, params=params, **kwargs)
+def _task(scenario: ScenarioSpec, params: DcqcnParams, index: int = 0) -> EvalTask:
+    return EvalTask(scenario=scenario, seed=scenario.seed, params=params, index=index)
 
 
 def begin_loop(
@@ -111,7 +101,6 @@ def step_loops(
     loops: Sequence[SaLoop],
     executor: SweepExecutor,
     batch_size: int,
-    fidelity: FidelityConfig = FidelityConfig(),
 ) -> None:
     """Advance every loop by one batch: propose → screen → map → feedback.
 
@@ -122,68 +111,48 @@ def step_loops(
     order.  Loops are independent (own annealer, RNG and scenario), so
     a loop steps exactly as it would alone.
     """
-    surrogate = fidelity.mode == "surrogate"
     plans = []
     tasks: List[EvalTask] = []
     for loop in loops:
+        screen = loop.screen
         candidates = loop.annealer.propose_batch(
-            fidelity.proposals_for(batch_size), loop.tp_bias
+            batch_size if screen is None else screen.proposals_for(batch_size),
+            loop.tp_bias,
         )
         keep: Sequence[int] = range(len(candidates))
         scores: Optional[List[float]] = None
-        if surrogate:
-            # Fluid-only batch: no DES dispatch at all; the walk runs
-            # on calibrated surrogate scores.
-            scores = loop.screen.score(candidates)
-            survivors = []
-        elif fidelity.mode == "screen":
-            keep, scores = loop.screen.select(candidates, batch_size)
+        if screen is None:
+            survivors = candidates
+        else:
+            keep, scores = screen.select(candidates, batch_size)
+            loop.surrogate_scored += len(candidates)
             loop.screened_out += len(candidates) - len(keep)
             survivors = loop.annealer.screen_batch(keep)
-        else:
-            survivors = candidates
-        if scores is not None:
-            loop.surrogate_scored += len(candidates)
-        threshold = fidelity.abort_threshold(loop.annealer.state.best_util)
         start = len(tasks)
         tasks.extend(
-            _task(
-                loop.scenario,
-                candidate,
-                index=start + i,
-                abort_threshold=threshold,
-                abort_after_frac=fidelity.abort_after_frac,
-            )
+            _task(loop.scenario, candidate, index=start + i)
             for i, candidate in enumerate(survivors)
         )
         plans.append((loop, len(candidates), keep, scores, start, len(tasks)))
 
-    results = executor.map(tasks) if tasks else []
+    results = executor.map(tasks)
     for loop, proposed, keep, scores, start, stop in plans:
         mine = results[start:stop]
-        if loop.screen is not None:
+        if scores is not None:
             for idx, result in zip(keep, mine):
-                if not result.aborted:
-                    loop.screen.observe(scores[idx], result.utility)
-        if surrogate:
-            utilities = [loop.screen.calibration.apply(s) for s in scores]
-        else:
-            utilities = [r.utility for r in mine]
-        loop.annealer.feedback_batch(utilities)
-        aborted = sum(r.aborted for r in mine)
+                loop.screen.observe(scores[idx], result.utility)
+        loop.annealer.feedback_batch([r.utility for r in mine])
         hits = sum(r.from_cache for r in mine)
         loop.evaluations += len(mine)
-        loop.aborted += aborted
         loop.cache_hits += hits
         loop.batches += 1
-        if trace.active and mine:
+        if trace.active:
             trace.event(
                 "sa.batch",
                 {
                     "batch": loop.batches,
                     "size": len(mine),
                     "proposed": proposed,
-                    "aborted": aborted,
                     "cache_hits": hits,
                     "temperature": loop.annealer.state.temperature,
                     "best_utility": loop.annealer.state.best_util,
@@ -199,17 +168,17 @@ def batched_anneal(
     executor: Optional[SweepExecutor] = None,
     tp_bias: Optional[Tuple[bool, float]] = None,
     max_batches: Optional[int] = None,
-    fidelity: Optional[FidelityConfig] = None,
+    screen_ratio: Optional[float] = None,
 ) -> BatchedAnnealResult:
     """Run one full SA tuning process with K-way concurrent evaluation.
 
     ``annealer`` may be an :class:`~repro.tuning.annealing.
     ImprovedAnnealer` or ``NaiveAnnealer``; its schedule decides when
     the process ends.  ``tp_bias`` plays the role of the measured FSD.
-    ``fidelity`` selects the evaluation policy (``full``, ``screen`` or
-    ``surrogate``); see the module docstring.  ``batch_size`` is always
-    the number of *full* evaluations per batch — screening proposes more
-    and prunes down.
+    ``screen_ratio`` turns on the fluid screen (see the module
+    docstring); ``None`` runs the DES for every candidate.
+    ``batch_size`` is always the number of DES evaluations per batch —
+    screening proposes more and prunes down.
 
     The default executor dispatches to the process-wide persistent
     :func:`~repro.parallel.pool.get_shared_pool`, so the hundreds of
@@ -218,42 +187,26 @@ def batched_anneal(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    fidelity = fidelity or FidelityConfig()
-    executor = executor or SweepExecutor()
     screen = (
-        SurrogateScreen(scenario, fidelity)
-        if fidelity.mode in ("screen", "surrogate")
-        else None
+        None if screen_ratio is None else SurrogateScreen(scenario, screen_ratio)
     )
+    executor = executor or SweepExecutor()
     loop = begin_loop(annealer, scenario, initial, executor, tp_bias, screen)
-    seed_utility = annealer.state.best_util
     with trace.span(
-        "sa.search", {"batch_size": batch_size, "fidelity": fidelity.mode}
+        "sa.search", {"batch_size": batch_size, "screen_ratio": screen_ratio}
     ):
         while annealer.running and (
             max_batches is None or loop.batches < max_batches
         ):
-            step_loops([loop], executor, batch_size, fidelity)
+            step_loops([loop], executor, batch_size)
 
-    best_params = annealer.state.best_solution
-    best_utility = annealer.state.best_util
-    if fidelity.mode == "surrogate":
-        # The walk ran on surrogate scores; confirm the winner with one
-        # full-fidelity run so the reported utility is a measurement,
-        # and keep the seed when the winner measures below it.
-        best_utility = executor.map([_task(scenario, best_params)])[0].utility
-        loop.evaluations += 1
-        if best_utility < seed_utility:
-            best_params, best_utility = initial, seed_utility
     return BatchedAnnealResult(
-        best_params=best_params,
-        best_utility=best_utility,
+        best_params=annealer.state.best_solution,
+        best_utility=annealer.state.best_util,
         evaluations=loop.evaluations,
         batches=loop.batches,
         cache_hits=loop.cache_hits,
         utility_trace=list(annealer.utility_trace),
-        fidelity_mode=fidelity.mode,
         surrogate_scored=loop.surrogate_scored,
         screened_out=loop.screened_out,
-        aborted=loop.aborted,
     )

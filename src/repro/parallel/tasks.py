@@ -11,8 +11,8 @@ picklable dataclass:
   frozen :class:`~repro.simulator.dcqcn.DcqcnParams` (evaluated under
   a ``StaticTuner``) or a scheme name from
   ``repro.experiments.scenarios.SCHEME_FACTORIES``.  The task is the
-  whole configuration of its evaluation — abort rule included — so no
-  environment variable can change its result.
+  whole configuration of its evaluation, so no environment variable
+  can change its result.
 * :class:`EvalResult` — the outcome, including SHA-256 digests of the
   FCT records and interval stats so determinism across workers is
   checkable byte-for-byte.
@@ -43,10 +43,6 @@ from repro.tuning.utility import UtilityWeights
 
 _EVALS = get_registry().counter(
     "repro_evals_total", "Scenario evaluations run to completion"
-)
-_ABORTS = get_registry().counter(
-    "repro_evals_aborted_total",
-    "Evaluations abandoned early by the utility-bound abort rule",
 )
 _TASK_SECONDS = get_registry().histogram(
     "repro_task_seconds", help="Wall-clock seconds per evaluation task"
@@ -106,23 +102,10 @@ class EvalTask:
     index: int = 0
     params: Optional[DcqcnParams] = None
     scheme: Optional[str] = None
-    #: Early-abort rule (multi-fidelity evaluation).  When set, the run
-    #: is abandoned once its best-achievable mean utility — assuming
-    #: every remaining interval scores a perfect 1.0 — falls below this
-    #: threshold.  The rule is a pure function of the task fields and
-    #: the utility stream, so whether a given task aborts is
-    #: deterministic and completed runs are byte-identical to runs with
-    #: the threshold unset.
-    abort_threshold: Optional[float] = None
-    #: Fraction of the scheduled intervals that must elapse before the
-    #: abort rule may fire (warm-up guard against noisy early intervals).
-    abort_after_frac: float = 0.5
 
     def __post_init__(self) -> None:
         if (self.params is None) == (self.scheme is None):
             raise ValueError("set exactly one of params / scheme")
-        if not 0.0 <= self.abort_after_frac <= 1.0:
-            raise ValueError("abort_after_frac must be in [0, 1]")
 
     @property
     def cacheable(self) -> bool:
@@ -148,10 +131,6 @@ class EvalResult:
     fct_digest: str
     interval_digest: str
     from_cache: bool = False
-    #: True when the early-abort rule abandoned the run; ``utility`` is
-    #: then an upper bound, not a measurement, and the result is never
-    #: cached or allowed to become an incumbent.
-    aborted: bool = False
     #: Flight-recorder snapshot (plain picklable dict) when recording
     #: was enabled in the evaluating process.  Rides the fork-merge
     #: protocol back to the parent; ``SweepExecutor`` prunes all but
@@ -292,33 +271,6 @@ def scheduled_interval_count(spec: ScenarioSpec) -> int:
     return max(1, math.ceil(spec.duration / spec.monitor_interval - 1e-9))
 
 
-def make_abort_check(task: EvalTask):
-    """Deterministic early-abort predicate for ``task``, or None.
-
-    After interval ``k`` of ``n`` with utility sum ``S``, the best
-    achievable mean utility is ``(S + (n - k)) / n`` — every remaining
-    interval scoring a perfect 1.0.  Once the warm-up fraction has
-    elapsed, a run whose bound is below ``task.abort_threshold`` cannot
-    beat the incumbent and is abandoned.  The predicate depends only on
-    the task fields and the utility stream, so abort decisions are
-    reproducible across workers and runs.
-    """
-    threshold = task.abort_threshold
-    if threshold is None:
-        return None
-    n_total = scheduled_interval_count(task.scenario)
-    min_k = max(1, math.ceil(task.abort_after_frac * n_total - 1e-9))
-
-    def abort_check(utilities: List[float]) -> bool:
-        k = len(utilities)
-        if k < min_k or k >= n_total:
-            return False
-        bound = (sum(utilities) + (n_total - k)) / n_total
-        return bound < threshold
-
-    return abort_check
-
-
 def evaluate_task(task: EvalTask) -> EvalResult:
     """Build the task's scenario afresh, run it to completion, summarize.
 
@@ -340,7 +292,6 @@ def evaluate_task(task: EvalTask) -> EvalResult:
         monitor_interval=spec.monitor_interval,
         weights=spec.utility_weights(),
     )
-    abort_check = make_abort_check(task)
     t0 = time.perf_counter()
     with trace.span(
         "eval.task",
@@ -351,34 +302,12 @@ def evaluate_task(task: EvalTask) -> EvalResult:
             "scenario": spec.fingerprint(),
         },
     ):
-        result = runner.run(
-            spec.duration, stop_when=stop_when, abort_check=abort_check
-        )
+        result = runner.run(spec.duration, stop_when=stop_when)
     wall = time.perf_counter() - t0
     _TASK_SECONDS.observe(wall)
+    _EVALS.inc()
     utilities = list(result.utilities)
-    if result.aborted:
-        _ABORTS.inc()
-        # Report the optimistic bound: the true utility of the
-        # abandoned candidate is at most this, and by construction it
-        # is below the incumbent's threshold.
-        n_total = scheduled_interval_count(spec)
-        utility_value = (sum(utilities) + (n_total - len(utilities))) / n_total
-        if trace.active:
-            trace.event(
-                "eval.abort",
-                {
-                    "index": task.index,
-                    "seed": task.seed,
-                    "intervals_run": len(utilities),
-                    "intervals_total": n_total,
-                    "bound": utility_value,
-                    "threshold": task.abort_threshold,
-                },
-            )
-    else:
-        _EVALS.inc()
-        utility_value = sum(utilities) / len(utilities) if utilities else 0.0
+    utility_value = sum(utilities) / len(utilities) if utilities else 0.0
     return EvalResult(
         index=task.index,
         seed=task.seed,
@@ -393,6 +322,5 @@ def evaluate_task(task: EvalTask) -> EvalResult:
         worker_pid=os.getpid(),
         fct_digest=fct_digest(result.records),
         interval_digest=interval_digest(result.intervals),
-        aborted=result.aborted,
         recording=result.recording,
     )

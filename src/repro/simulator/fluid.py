@@ -29,8 +29,8 @@ cost RTT, aggressive marking does the reverse, slower cuts and faster
 increases push the operating point up the queue — is preserved, which
 is all a *ranking* screen needs.  :class:`FluidCalibration` is an
 affine fit of fluid scores to DES utilities on the candidates measured
-at both fidelities; the ``surrogate`` fidelity walks and reports on the
-calibrated scores.
+at both fidelities; a screened sweep reports its screened-out points
+on the calibrated scores.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
         "accepted", "best_utility", "terms",
     ),
     "sa.batch": (
-        "batch", "size", "proposed", "aborted", "cache_hits",
+        "batch", "size", "proposed", "cache_hits",
         "temperature", "best_utility",
     ),
     # evaluation fabric
@@ -77,12 +77,8 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     "executor.retry": ("positions",),
     "executor.strategy": ("strategy", "tasks", "jobs", "est_cost_ms", "chunk"),
     "executor.steal": ("positions", "remaining"),
-    # multi-fidelity evaluation
+    # the fluid screen
     "fidelity.screen": ("proposed", "kept", "survivors", "scores"),
-    "eval.abort": (
-        "index", "seed", "intervals_run", "intervals_total", "bound",
-        "threshold",
-    ),
     # flight recorder / run reports
     "record.snapshot": ("samples", "seen", "stride", "flows", "budget"),
     # sharded control plane: one per monitor interval / trigger check
@@ -101,8 +97,8 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
 SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
     "eval.task": ("seed", "kind", "index", "scenario"),
     "executor.map": ("tasks", "jobs", "strategy"),
-    "sweep.grid": ("points", "fidelity"),
-    "sa.search": ("batch_size", "fidelity"),
+    "sweep.grid": ("points", "screen_ratio"),
+    "sa.search": ("batch_size", "screen_ratio"),
     "report.render": ("source", "format"),
     "controlplane.run": ("shards", "agents", "tenants", "intervals"),
 }

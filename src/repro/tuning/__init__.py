@@ -18,11 +18,7 @@ from repro.tuning.annealing import (
 from repro.tuning.search import Tuner, StaticTuner
 from repro.tuning.grid import GridSearchTuner, expand_grid
 from repro.tuning.eval_cache import EvalCache, default_cache, quantize_params
-from repro.tuning.fidelity import (
-    FidelityConfig,
-    SurrogateScreen,
-    default_anchor_params,
-)
+from repro.tuning.fidelity import SurrogateScreen, default_anchor_params
 
 __all__ = [
     "ParameterSpace",
@@ -44,7 +40,6 @@ __all__ = [
     "EvalCache",
     "default_cache",
     "quantize_params",
-    "FidelityConfig",
     "SurrogateScreen",
     "default_anchor_params",
 ]

@@ -1,46 +1,31 @@
-"""Multi-fidelity evaluation policy: screening, surrogate, early abort.
+"""The fluid screen: the one fidelity trade the tuning loops make.
 
 Offline tuning spends almost all of its wall-clock inside full
 discrete-event evaluations, most of which exist only to be rejected.
-This module packages the three fidelities the tuning loops can trade
-between, over one approximation — the fluid model:
+A search either runs the packet-level DES for every candidate (the
+reference, ``screen_ratio=None``) or screens: each batch proposes
+``screen_ratio``× more candidates than will be fully evaluated, the
+vectorized :class:`~repro.simulator.fluid.FluidModel` scores them all
+in-process, and only the top fraction graduates to the DES.  The fluid
+model only decides *which* candidates run, never what their utility
+is, so completed DES results keep their digests, and screening is a
+pure function of the candidate batch, so screened searches remain
+reproducible run-to-run.
 
-* **full** — every candidate runs the packet-level DES.  The reference
-  fidelity; byte-identical to the pre-multi-fidelity behaviour.
-* **screen** — successive halving: each batch proposes
-  ``screen_ratio``× more candidates than will be fully evaluated, the
-  vectorized :class:`~repro.simulator.fluid.FluidModel` scores them all
-  in-process, and only the top fraction graduates to the DES.  The
-  surrogate only decides *which* candidates run, never what their
-  utility is, so completed DES results keep their digests.
-* **surrogate** — the fluid model scores everything and only the final
-  winner is confirmed with one DES run (an anneal keeps its seed when
-  the winner measures lower).  Fastest, least faithful; for coarse
-  exploration of large grids.
-
-Early abort is orthogonal: with a known incumbent, a DES run whose
-best-achievable mean utility falls below ``incumbent - abort_margin``
-is abandoned partway (see
-:func:`repro.parallel.tasks.make_abort_check`).  Both knobs are
-deterministic — screening is a pure function of the candidate batch
-and abort decisions are a pure function of the utility stream — so
-multi-fidelity sweeps remain reproducible run-to-run.
-
-:class:`SurrogateScreen` also keeps a running calibration of the
-surrogate against every candidate that was evaluated at both
-fidelities, exposing the honest error bar
+:class:`SurrogateScreen` also keeps a running calibration of the fluid
+model against every candidate that was evaluated at both fidelities,
+exposing the honest error bar
 (:class:`~repro.simulator.fluid.FluidCalibration`) and feeding the
 ``repro_fidelity_surrogate_error`` histogram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.fluid import (
-    DEFAULT_DT,
     FluidCalibration,
     FluidModel,
     fit_calibration,
@@ -49,10 +34,6 @@ from repro.simulator.fluid import (
 )
 from repro.telemetry import trace
 from repro.telemetry.registry import get_registry
-
-#: Recognized values for the ``--fidelity`` CLI flag and config field,
-#: ordered from highest fidelity to lowest.
-FIDELITY_MODES = ("full", "screen", "surrogate")
 
 _SCREEN_BATCHES = get_registry().counter(
     "repro_fidelity_screen_batches_total",
@@ -69,52 +50,6 @@ _SURROGATE_ERROR = get_registry().histogram(
 )
 
 
-@dataclass(frozen=True)
-class FidelityConfig:
-    """How aggressively a tuning loop may trade fidelity for speed."""
-
-    mode: str = "full"
-    #: Screen proposes ``screen_ratio * K`` candidates per batch of
-    #: ``K`` DES evaluations; must be >= 1 (1.0 disables the screen).
-    screen_ratio: float = 3.0
-    #: Abandon DES runs that provably cannot reach the incumbent.
-    early_abort: bool = False
-    #: Fraction of the run that must complete before aborting.
-    abort_after_frac: float = 0.5
-    #: Slack below the incumbent a candidate may still be worth: the
-    #: abort threshold is ``incumbent - abort_margin``, keeping
-    #: near-incumbent candidates alive for the Metropolis walk.
-    abort_margin: float = 0.05
-    #: Fluid integration sub-step (part of the reproducibility config).
-    dt: float = DEFAULT_DT
-
-    def __post_init__(self) -> None:
-        if self.mode not in FIDELITY_MODES:
-            raise ValueError(
-                f"mode must be one of {FIDELITY_MODES}, got {self.mode!r}"
-            )
-        if self.screen_ratio < 1.0:
-            raise ValueError("screen_ratio must be >= 1")
-        if not 0.0 <= self.abort_after_frac <= 1.0:
-            raise ValueError("abort_after_frac must be in [0, 1]")
-        if self.abort_margin < 0.0:
-            raise ValueError("abort_margin must be >= 0")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-
-    def proposals_for(self, k: int) -> int:
-        """Batch size to propose so ``k`` survivors graduate."""
-        if self.mode != "screen":
-            return k
-        return max(k, int(round(k * self.screen_ratio)))
-
-    def abort_threshold(self, incumbent: Optional[float]) -> Optional[float]:
-        """Per-task abort threshold given the current incumbent."""
-        if not self.early_abort or incumbent is None:
-            return None
-        return incumbent - self.abort_margin
-
-
 class SurrogateScreen:
     """Fluid-model screening for one scenario.
 
@@ -125,21 +60,32 @@ class SurrogateScreen:
     estimate of the surrogate on exactly the region of parameter space
     the search is visiting.
 
-    The scenario's fluid profile is built here, so a workload the fluid
-    model cannot score (``incast``) raises ``ValueError`` before a
-    search spends any DES evaluation.
+    ``screen_ratio`` (finite, >= 1) is how many candidates the fluid
+    model scores per candidate that runs the DES.  It and the
+    scenario's fluid profile are checked here, so a bad ratio or a
+    workload the fluid model cannot score (``incast``) raises
+    ``ValueError`` before a search spends any DES evaluation.
     """
 
-    def __init__(self, scenario, config: Optional[FidelityConfig] = None):
+    def __init__(self, scenario, screen_ratio: float):
+        ratio = float(screen_ratio)
+        if not 1.0 <= ratio < math.inf:
+            raise ValueError(
+                f"screen_ratio must be finite and >= 1, got {screen_ratio!r}"
+            )
         self.scenario = scenario
-        self.config = config or FidelityConfig(mode="screen")
-        self.model = FluidModel(dt=self.config.dt)
+        self.screen_ratio = ratio
+        self.model = FluidModel()
         self.profile = profile_for_scenario(scenario)
         self._fluid_anchor: List[float] = []
         self._des_anchor: List[float] = []
         self.calibration = FluidCalibration()
 
     # -- scoring / selection --------------------------------------------
+
+    def proposals_for(self, k: int) -> int:
+        """Batch size to propose so ``k`` survivors graduate."""
+        return max(k, int(round(k * self.screen_ratio)))
 
     def score(self, params: Sequence[DcqcnParams]) -> List[float]:
         """Raw (uncalibrated) fluid utilities, one per candidate."""

@@ -64,9 +64,8 @@ def expand_grid(grid: Dict[str, Sequence[float]]) -> List[DcqcnParams]:
 class GridPointResult:
     params: DcqcnParams
     utility: float
-    #: Which fidelity produced ``utility``: "des" (full simulation),
-    #: "fluid" (calibrated surrogate score), or "aborted" (DES run
-    #: abandoned early; utility is its optimistic bound).
+    #: Which fidelity produced ``utility``: "des" (full simulation) or
+    #: "fluid" (calibrated fluid score of a screened-out point).
     fidelity: str = "des"
     #: Flight-recorder snapshot for this point, when recording was
     #: enabled and the executor kept it (best-K pruning); fluid-scored

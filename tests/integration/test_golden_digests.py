@@ -49,7 +49,6 @@ from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import fct_digest, interval_digest
 from repro.simulator.units import mb
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
-from repro.tuning.fidelity import FidelityConfig
 from repro.tuning.parameters import default_params, default_space
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
@@ -135,12 +134,10 @@ def _params_digest(params) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-#: fidelity -> (best params digest, best utility, evaluations, batches,
-#: utility_trace).  The surrogate walk runs on calibrated fluid scores,
-#: so its trace is not DES utilities and its one extra evaluation is
-#: the confirmation of the winner.
+#: screen_ratio -> (best params digest, best utility, evaluations,
+#: batches, utility_trace): full DES, then the fluid screen at ratio 3.
 BATCHED_ANNEAL_PINS = {
-    FidelityConfig(): (
+    None: (
         "a33e61878fb4bfdc",
         0.8309996374631787,
         7,
@@ -154,7 +151,7 @@ BATCHED_ANNEAL_PINS = {
             0.7601891267181077,
         ],
     ),
-    FidelityConfig(mode="screen", early_abort=True): (
+    3.0: (
         "4cd50a583aeda98a",
         0.8365058577799674,
         7,
@@ -168,27 +165,13 @@ BATCHED_ANNEAL_PINS = {
             0.8322489229100778,
         ],
     ),
-    FidelityConfig(mode="surrogate"): (
-        "a33e61878fb4bfdc",
-        0.8309996374631787,
-        2,
-        3,
-        [
-            0.8250547758184733,
-            0.8200651957465225,
-            0.8250266157357504,
-            0.7932439525773964,
-            0.7469328203104454,
-            0.8042932539016883,
-        ],
-    ),
 }
 
 
 @pytest.mark.parametrize(
-    "fidelity", list(BATCHED_ANNEAL_PINS), ids=lambda f: f.mode
+    "screen_ratio", list(BATCHED_ANNEAL_PINS), ids=("full", "screen")
 )
-def test_batched_anneal_matches_recorded(fidelity):
+def test_batched_anneal_matches_recorded(screen_ratio):
     result = batched_anneal(
         ScenarioSpec(workload="hadoop", scale="small", duration=0.01, seed=1),
         ImprovedAnnealer(
@@ -199,7 +182,7 @@ def test_batched_anneal_matches_recorded(fidelity):
         default_params(),
         batch_size=2,
         max_batches=3,
-        fidelity=fidelity,
+        screen_ratio=screen_ratio,
     )
     assert (
         _params_digest(result.best_params),
@@ -207,7 +190,7 @@ def test_batched_anneal_matches_recorded(fidelity):
         result.evaluations,
         result.batches,
         result.utility_trace,
-    ) == BATCHED_ANNEAL_PINS[fidelity]
+    ) == BATCHED_ANNEAL_PINS[screen_ratio]
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ def test_pool_workers_ship_recordings_pruned_to_best_k(tmp_path, monkeypatch):
     carriers = [r for r in results if r.recording is not None]
     assert len(carriers) == 2
 
-    # The survivors are exactly the best-2 by (aborted, -utility, index).
-    ranked = sorted(results, key=lambda r: (r.aborted, -r.utility, r.index))
+    # The survivors are exactly the best-2 by (-utility, index).
+    ranked = sorted(results, key=lambda r: (-r.utility, r.index))
     expected = {r.index for r in ranked[:2]}
     assert {r.index for r in carriers} == expected
 

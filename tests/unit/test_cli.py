@@ -108,6 +108,9 @@ def test_run_rejects_unknown_scheme():
         ["sweep", "--hybrid-engine", "hybrid"],
         ["run", "--hybrid-engine", "hybrid"],
         ["sweep", "--fidelity", "hybrid"],
+        ["sweep", "--fidelity", "screen"],
+        ["sweep", "--fidelity", "surrogate"],
+        ["sweep", "--early-abort"],
     ],
 )
 def test_parser_rejects_the_removed_surface(argv):
@@ -179,12 +182,17 @@ def test_repro_trace_is_the_default_of_trace(tmp_path, monkeypatch):
         ["--shift-interval", "0"],
         ["--shift-elephant", "1.7"],
         ["--shift-elephant", "0.95"],
+        ["--theta", "nan"],
+        ["--theta", "inf"],
+        ["--theta", "-0.01"],
     ],
 )
 def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
     """A shift outside the run (or at interval 0, with nothing earlier
-    to diverge from) would pass as a quiet day; a bad shifted profile
-    used to end in a traceback.  Both are usage errors."""
+    to diverge from) would pass as a quiet day, and so would a theta
+    no KL can exceed (``kl > nan`` is never true); a bad shifted
+    profile or a negative theta used to end in a traceback.  All are
+    usage errors."""
     argv = [
         "controlplane", "--shards", "1", "--agents-per-shard", "64",
         "--jobs", "1", "--no-cache",
@@ -199,9 +207,11 @@ def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
     "flags",
     [
         ["--screen-ratio", "0.5"],
-        ["--workload", "incast", "--fidelity", "screen"],
+        ["--workload", "incast", "--screen-ratio", "3"],
         ["--skip", "500", "--duration", "0.005"],
         ["--skip", "4"],
+        ["--screen-ratio", "nan"],
+        ["--screen-ratio", "inf"],
     ],
 )
 def test_sweep_usage_errors_exit_2(flags, capsys):
@@ -225,11 +235,18 @@ def test_sweep_usage_errors_exit_2(flags, capsys):
         ["sweep", "--duration", "-1"],
         ["compare", "--duration", "nan"],
         ["run", "--duration", "inf"],
+        ["sweep", "--skip", "-3"],
+        ["run", "--load", "nan"],
+        ["compare", "--load", "-0.5"],
+        ["sweep", "--load", "1"],
+        ["telemetry", "--top", "0", "t.jsonl"],
+        ["report", "--top", "-3", "r.json"],
     ],
 )
 def test_non_positive_values_exit_2(argv, capsys):
-    """A value that must be positive fails in the parser: exit 2 with
-    the offending flag named on stderr, no traceback."""
+    """A value out of its range (a non-positive duration or top count,
+    a negative skip, a load outside (0, 1)) fails in the parser: exit
+    2 with the offending flag named on stderr, no traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

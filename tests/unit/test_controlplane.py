@@ -504,3 +504,12 @@ class TestTenantTriggers:
             ControlPlaneConfig(
                 topology=small_topology(), traffic=traffic, intervals=6
             )
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -0.01])
+    def test_theta_no_trigger_can_cross_rejected(self, theta):
+        """``kl > nan`` and ``kl > inf`` are never true: a bank (or a
+        day) with such a theta could never fire."""
+        with pytest.raises(ValueError, match="theta"):
+            TenantTriggerBank(2, theta=theta)
+        with pytest.raises(ValueError, match="theta"):
+            ControlPlaneConfig(topology=small_topology(), theta=theta)

@@ -1,76 +1,66 @@
-"""Multi-fidelity policy objects: config, screen, and batch pruning."""
+"""The fluid screen: ratio validation, selection, and batch pruning."""
 
+import inspect
+import math
 import random
 
 import pytest
 
+from repro.parallel.sa import batched_anneal
+from repro.parallel.sweeps import offline_grid_search_parallel
 from repro.parallel.tasks import ScenarioSpec
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
-from repro.tuning.fidelity import (
-    FIDELITY_MODES,
-    FidelityConfig,
-    SurrogateScreen,
-    default_anchor_params,
-)
+from repro.tuning.fidelity import SurrogateScreen, default_anchor_params
 from repro.tuning.parameters import default_params, default_space
 
 SPEC = ScenarioSpec(workload="hadoop", scale="small", duration=0.01, seed=1)
 
 
-# -- FidelityConfig ------------------------------------------------------
+# -- screen_ratio --------------------------------------------------------
 
 
 def test_config_defaults_are_full_fidelity():
-    cfg = FidelityConfig()
-    assert cfg.mode == "full"
-    assert not cfg.early_abort
-    assert cfg.proposals_for(5) == 5
-    assert cfg.abort_threshold(0.9) is None
+    """Both search drivers run the DES for every candidate unless a
+    screen ratio is passed."""
+    for driver in (batched_anneal, offline_grid_search_parallel):
+        default = inspect.signature(driver).parameters["screen_ratio"].default
+        assert default is None
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "fluid-only"},
         {"screen_ratio": 0.5},
-        {"abort_after_frac": -0.1},
-        {"abort_after_frac": 1.5},
-        {"abort_margin": -0.01},
-        {"dt": 0.0},
+        {"screen_ratio": 0.0},
+        {"screen_ratio": -3.0},
+        {"screen_ratio": math.nan},
+        {"screen_ratio": math.inf},
+        {"screen_ratio": "screen"},
     ],
 )
 def test_config_rejects_invalid_fields(kwargs):
-    with pytest.raises(ValueError):
-        FidelityConfig(**kwargs)
+    with pytest.raises(ValueError, match="screen_ratio|could not convert"):
+        SurrogateScreen(SPEC, **kwargs)
 
 
 def test_config_modes_are_recognized():
-    for mode in FIDELITY_MODES:
-        assert FidelityConfig(mode=mode).mode == mode
+    """Any finite ratio >= 1 is a screen; 1 keeps every candidate."""
+    for ratio in (1.0, 1.4, 3.0, 3):
+        assert SurrogateScreen(SPEC, ratio).screen_ratio == float(ratio)
 
 
 def test_proposals_for_scales_only_in_screen_mode():
-    assert FidelityConfig(mode="screen", screen_ratio=3.0).proposals_for(4) == 12
-    assert FidelityConfig(mode="screen", screen_ratio=1.0).proposals_for(4) == 4
+    assert SurrogateScreen(SPEC, 3.0).proposals_for(4) == 12
+    assert SurrogateScreen(SPEC, 1.0).proposals_for(4) == 4
     # Rounds to nearest, never below k.
-    assert FidelityConfig(mode="screen", screen_ratio=1.4).proposals_for(2) == 3
-    assert FidelityConfig(mode="surrogate", screen_ratio=3.0).proposals_for(4) == 4
-    assert FidelityConfig(mode="full", screen_ratio=3.0).proposals_for(4) == 4
-
-
-def test_abort_threshold_tracks_incumbent():
-    cfg = FidelityConfig(early_abort=True, abort_margin=0.05)
-    assert cfg.abort_threshold(None) is None
-    assert cfg.abort_threshold(0.8) == pytest.approx(0.75)
-    off = FidelityConfig(early_abort=False)
-    assert off.abort_threshold(0.8) is None
+    assert SurrogateScreen(SPEC, 1.4).proposals_for(2) == 3
 
 
 # -- SurrogateScreen -----------------------------------------------------
 
 
 def test_select_is_deterministic_and_sorted():
-    screen = SurrogateScreen(SPEC)
+    screen = SurrogateScreen(SPEC, 3.0)
     anchors = default_anchor_params(default_params())
     first = screen.select(anchors, 3)
     second = screen.select(anchors, 3)
@@ -87,7 +77,7 @@ def test_select_is_deterministic_and_sorted():
 
 
 def test_select_clamps_keep_and_rejects_zero():
-    screen = SurrogateScreen(SPEC)
+    screen = SurrogateScreen(SPEC, 3.0)
     anchors = default_anchor_params(default_params())[:4]
     survivors, _ = screen.select(anchors, 100)
     assert survivors == [0, 1, 2, 3]
@@ -96,7 +86,7 @@ def test_select_clamps_keep_and_rejects_zero():
 
 
 def test_observe_updates_calibration_and_spearman():
-    screen = SurrogateScreen(SPEC)
+    screen = SurrogateScreen(SPEC, 3.0)
     assert screen.n_observed == 0
     # Feed a perfectly affine fluid->DES relationship.
     for fluid in (0.2, 0.4, 0.6, 0.8):
