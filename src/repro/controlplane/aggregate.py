@@ -12,7 +12,7 @@ reduce with ``np.add.reduceat`` over contiguous rack/pod ranges.
 
 Bit-identity contract (the bench gate):
 
-* **Histograms** are small integer counts stored in float64 — sums are
+* **Size-bucket counts** are small integers stored in float64 — sums are
   exact at every tier, so rack → pod → global reduceat equals the flat
   one-shot column sum bit-for-bit regardless of grouping.
 * **Weights** are fractional (PE likelihood ``cum/tau``), so float

@@ -33,14 +33,8 @@ from repro.parallel.sa import SaLoop, begin_loop, step_loops
 from repro.parallel.tasks import ScenarioSpec
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
 from repro.tuning.parameters import default_params, default_space
-
-_RETUNES = get_registry().counter(
-    "repro_controlplane_retunes_total",
-    "Per-tenant SA tuning processes run to completion",
-)
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,6 @@ class MultiplexedTuner:
                 evaluations=loop.evaluations,
                 batches=loop.batches,
             )
-            _RETUNES.inc()
             if trace.active:
                 trace.event(
                     "controlplane.retune",

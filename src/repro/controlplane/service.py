@@ -52,29 +52,7 @@ from repro.rpc.protocol import (
     message_wire_size,
 )
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
 from repro.tuning.annealing import AnnealingSchedule
-
-_AGENT_RACK_BYTES = get_registry().counter(
-    "repro_controlplane_agent_rack_bytes_total",
-    "Control-plane bytes, agent -> rack aggregator tier",
-)
-_RACK_POD_BYTES = get_registry().counter(
-    "repro_controlplane_rack_pod_bytes_total",
-    "Control-plane bytes, rack -> pod aggregator tier",
-)
-_POD_GLOBAL_BYTES = get_registry().counter(
-    "repro_controlplane_pod_global_bytes_total",
-    "Control-plane bytes, pod -> global controller tier",
-)
-_PARAM_BYTES = get_registry().counter(
-    "repro_controlplane_param_update_bytes_total",
-    "Control-plane bytes, dispatched parameter updates",
-)
-_INTERVALS = get_registry().counter(
-    "repro_controlplane_intervals_total",
-    "Control-plane monitor intervals processed",
-)
 
 
 @dataclass(frozen=True)
@@ -275,14 +253,10 @@ class ControlPlaneService:
                 for batch in batches:
                     self.aggregator.ingest(batch)
                 agg: AggregationResult = self.aggregator.aggregate()
-                _INTERVALS.inc()
 
                 agent_rack = topo.n_agents * switch_size
                 rack_pod = topo.n_racks * aggregate_size
                 pod_global = topo.n_pods * aggregate_size
-                _AGENT_RACK_BYTES.inc(agent_rack)
-                _RACK_POD_BYTES.inc(rack_pod)
-                _POD_GLOBAL_BYTES.inc(pod_global)
                 result.agent_rack_bytes += agent_rack
                 result.rack_pod_bytes += rack_pod
                 result.pod_global_bytes += pod_global
@@ -322,7 +296,6 @@ class ControlPlaneService:
                         topo.tenant_agent_index(retune.tenant).size
                         * update_size
                     )
-                    _PARAM_BYTES.inc(dispatched)
                     result.param_update_bytes += dispatched
                 result.retunes.extend(finished)
                 tenant_kls = {t: 0.0 for t in range(topo.n_tenants)}

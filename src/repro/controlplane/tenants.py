@@ -22,16 +22,6 @@ from typing import List, Optional, Tuple
 
 from repro.monitor.fsd import FlowSizeDistribution, kl_divergence
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
-
-_TENANT_KL_CHECKS = get_registry().counter(
-    "repro_controlplane_tenant_kl_checks_total",
-    "Per-tenant KL trigger evaluations at the global controller",
-)
-_TENANT_KL_TRIGGERS = get_registry().counter(
-    "repro_controlplane_tenant_kl_triggers_total",
-    "Per-tenant tuning triggers fired",
-)
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,6 @@ class TenantTriggerBank:
         for tenant, current in enumerate(tenant_fsds):
             previous = self._previous[tenant]
             if previous is not None:
-                _TENANT_KL_CHECKS.inc()
                 kl = kl_divergence(current, previous)
                 triggered = kl > self.theta
                 if trace.active:
@@ -96,7 +85,6 @@ class TenantTriggerBank:
                         },
                     )
                 if triggered:
-                    _TENANT_KL_TRIGGERS.inc()
                     fired.append(
                         TenantTrigger(
                             tenant=tenant,

@@ -30,16 +30,8 @@ from repro.monitor.fsd import FlowSizeDistribution
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.stats import IntervalStats
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
 from repro.tuning.annealing import _AnnealerBase
 from repro.tuning.utility import utility, utility_components
-
-_KL_CHECKS = get_registry().counter(
-    "repro_kl_checks_total", "KL trigger evaluations at the controller"
-)
-_KL_TRIGGERS = get_registry().counter(
-    "repro_kl_triggers_total", "Tuning processes started or restarted by KL"
-)
 
 
 @dataclass
@@ -91,7 +83,6 @@ class ParaleonController:
         measured_utility = utility(stats, self.config.weights)
         dispatched: Optional[DcqcnParams] = None
 
-        _KL_CHECKS.inc()
         if trace.active:
             trace.event(
                 "controller.kl",
@@ -127,7 +118,6 @@ class ParaleonController:
                 self.annealer.begin(self.deployed, measured_utility)
                 self._process_dominant = dominant
                 self.tuning_processes_restarted += 1
-                _KL_TRIGGERS.inc()
             dispatched = self._next_proposal(fsd)
         elif self.annealer.state is not None and self.annealer.done:
             # Tuning just finished: lock in the best setting found.
@@ -142,7 +132,6 @@ class ParaleonController:
             self.annealer.begin(self.deployed, measured_utility)
             self._process_dominant = self._dominant_of(fsd)
             self.tuning_processes_started += 1
-            _KL_TRIGGERS.inc()
             dispatched = self._next_proposal(fsd)
         elif self.aggregator is None:
             # "No FSD" operation: without a flow size distribution

@@ -20,21 +20,8 @@ from repro.simulator.packet import freelist_occupancy
 from repro.simulator.stats import IntervalStats
 from repro.simulator.units import ms
 from repro.telemetry import recorder, trace
-from repro.telemetry.registry import UNIT_INTERVAL_BUCKETS, get_registry
 from repro.tuning.search import Tuner
 from repro.tuning.utility import UtilityWeights, DEFAULT_WEIGHTS, utility
-
-_INTERVALS = get_registry().counter(
-    "repro_intervals_total", "Monitor intervals closed"
-)
-_DISPATCHES = get_registry().counter(
-    "repro_dispatches_total", "Parameter dispatches to the fabric"
-)
-_UTILITY_HIST = get_registry().histogram(
-    "repro_interval_utility",
-    UNIT_INTERVAL_BUCKETS,
-    "Per-interval utility U (Equation 1)",
-)
 
 
 @dataclass
@@ -109,8 +96,6 @@ class ExperimentRunner:
             self.intervals.append(stats)
             measured = utility(stats, self.weights)
             self.utilities.append(measured)
-            _INTERVALS.inc()
-            _UTILITY_HIST.observe(measured)
             if self.recording is not None:
                 self.recording.sample(stats, measured)
             if trace.active:
@@ -132,7 +117,6 @@ class ExperimentRunner:
             if new_params is not None:
                 self.network.set_all_params(new_params)
                 self.dispatches += 1
-                _DISPATCHES.inc()
         return self.result()
 
     def result(self) -> ExperimentResult:

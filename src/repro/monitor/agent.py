@@ -42,7 +42,7 @@ class LocalReport:
     def payload_bytes(self) -> int:
         """Approximate on-the-wire size (Table IV accounting).
 
-        Histogram bins (4 B each) + elephant/mice weights (2 × 8 B) +
+        FSD size bins (4 B each) + elephant/mice weights (2 × 8 B) +
         header; per-flow state records are summarized, not shipped —
         matching the paper's ~520 B switch→controller transfer.  The
         bin count follows the FSD actually carried, so distributions

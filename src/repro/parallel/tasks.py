@@ -44,9 +44,6 @@ from repro.tuning.utility import UtilityWeights
 _EVALS = get_registry().counter(
     "repro_evals_total", "Scenario evaluations run to completion"
 )
-_TASK_SECONDS = get_registry().histogram(
-    "repro_task_seconds", help="Wall-clock seconds per evaluation task"
-)
 
 
 @dataclass(frozen=True)
@@ -304,7 +301,6 @@ def evaluate_task(task: EvalTask) -> EvalResult:
     ):
         result = runner.run(spec.duration, stop_when=stop_when)
     wall = time.perf_counter() - t0
-    _TASK_SECONDS.observe(wall)
     _EVALS.inc()
     utilities = list(result.utilities)
     utility_value = sum(utilities) / len(utilities) if utilities else 0.0

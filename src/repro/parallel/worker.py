@@ -1,7 +1,7 @@
 """Persistent pool worker: the child half of :mod:`repro.parallel.pool`.
 
 A worker process is forked once per pool lifetime, not once per sweep.
-It initializes once — imports and a zeroed telemetry registry — and
+It initializes once — imports and zeroed telemetry counters — and
 then serves chunks over its duplex pipe until told to stop, which is
 what amortizes the spawn + import cost the old per-sweep
 ``ProcessPoolExecutor`` paid on every ``map()``.  Every task is a
@@ -19,11 +19,11 @@ Message protocol (parent → worker):
 Reply (worker → parent): ``("done", chunk_id, (results,
 registry_snapshot))`` over the same pipe.
 
-The registry snapshot rides with every chunk and is reset on capture,
-so each chunk's metric delta is merged into the parent exactly once —
-the same fork-merge contract the old pool honoured.  The registry is
-also reset at worker startup: a fork inherits whatever totals the
-parent had accumulated, and shipping those back would double-count.
+The registry snapshot (``{"counters": {...}}``) rides with every
+chunk and is reset on capture, so each chunk's counter delta is added
+into the parent exactly once.  The registry is also reset at worker startup: a fork
+inherits whatever totals the parent had accumulated, and shipping
+those back would double-count.
 """
 
 from __future__ import annotations

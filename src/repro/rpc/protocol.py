@@ -21,14 +21,16 @@ gRPC-over-TCP without the codegen.
 
 Malformed input raises typed :class:`ProtocolError` subclasses —
 truncated frames, header/payload length mismatches, oversized length
-prefixes, unknown type tags and undersized payloads each have their
-own class, so transports can account for them individually instead of
+prefixes, unknown type tags and undersized payloads (or a parameter
+update carrying a non-finite or negative value) each have their own
+class, so transports can account for them individually instead of
 swallowing a generic ``ValueError``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import List, Tuple, Union
@@ -173,6 +175,19 @@ class ParamUpdate:
     @classmethod
     def unpack(cls, payload: bytes) -> "ParamUpdate":
         values = _PARAM_STRUCT.unpack(payload)
+        # The timestamp (simulation time) and every DCQCN knob are
+        # finite and >= 0; an agent must never apply (or crash
+        # rounding) anything else.
+        bad = [
+            name
+            for name, value in zip(("timestamp",) + _PARAM_FIELDS, values)
+            if not 0.0 <= value < math.inf
+        ]
+        if bad:
+            raise PayloadError(
+                f"PARAM_UPDATE carries a non-finite or negative "
+                f"{', '.join(bad)}"
+            )
         timestamp = values[0]
         raw = dict(zip(_PARAM_FIELDS, values[1:]))
         # Integral knobs round-trip through float32; restore them.

@@ -31,7 +31,7 @@ _FREELIST_MAX = 8192
 
 
 def freelist_occupancy() -> int:
-    """Packets currently parked in the free-list (telemetry gauge)."""
+    """Packets currently parked in the free-list (``engine.interval``)."""
     return len(_FREELIST)
 
 

@@ -36,16 +36,6 @@ from repro.simulator.engine import Simulator
 from repro.simulator.link import Link, QueuedEgress
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.units import mb
-from repro.telemetry.registry import get_registry
-
-_OBS_FLUSHES = get_registry().counter(
-    "repro_monitor_flushes_total",
-    "Observation-buffer flushes into a batched measurement point",
-)
-_OBS_FULL_FLUSHES = get_registry().counter(
-    "repro_monitor_flushes_full_total",
-    "Observation-buffer flushes forced by the ring buffer filling",
-)
 
 _DATA = PacketKind.DATA  # module constant: enum member lookup is slow
 
@@ -218,7 +208,6 @@ class Switch:
             buffered.append(packet.flow_id)
             self._obs_bytes.append(packet.wire_size)
             if len(buffered) >= self._obs_capacity:
-                _OBS_FULL_FLUSHES.inc()
                 self.flush_observations()
         else:
             self.measurement.observe(packet.flow_id, packet.wire_size)
@@ -271,7 +260,6 @@ class Switch:
         self._obs_bytes.clear()
         self.measurement.observe_batch(flows, nbytes)
         self.obs_flushes += 1
-        _OBS_FLUSHES.inc()
         return n
 
     def _drop(self, packet: Packet) -> None:

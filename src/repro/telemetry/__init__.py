@@ -2,10 +2,10 @@
 
 Small, dependency-free pieces behind one switch per process:
 
-* :mod:`repro.telemetry.registry` — process-local metrics registry
-  (counters / gauges / fixed-bucket histograms) with Prometheus-text
-  and JSON exporters, and a snapshot/merge protocol so pool workers
-  fold their metrics into the parent;
+* :mod:`repro.telemetry.registry` — process-local counters, only the
+  nine something reads (the perf bench and the tests), with a
+  snapshot/merge protocol so pool workers add their counts into the
+  parent; every other count lives on a result object and in the trace;
 * :mod:`repro.telemetry.trace` — append-only JSONL span/event
   emitter, off unless ``--trace`` (default ``REPRO_TRACE``) is given;
   the disabled hot path is one branch;
@@ -26,7 +26,7 @@ a worker calls :func:`apply_session` when it differs from the one it
 last applied.  Nothing telemetry-related crosses processes through the
 environment, and no module configures itself at import time.
 
-See README.md "Observability" for the metric-name catalog and record
+See README.md "Observability" for the counter list and record
 schema.
 """
 
@@ -37,8 +37,6 @@ from repro.telemetry import recorder, trace
 from repro.telemetry.log import echo, get_logger, set_level
 from repro.telemetry.registry import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
 )
@@ -87,8 +85,6 @@ def apply_session(value: Session) -> None:
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Session",
     "TraceSummary",

@@ -267,6 +267,16 @@ def write_snapshot(recording: Dict[str, Any], path: Optional[str] = None) -> str
 
 
 def load_snapshot(path: str) -> Dict[str, Any]:
-    """Read a snapshot previously written by :func:`write_snapshot`."""
+    """Read a snapshot previously written by :func:`write_snapshot`.
+
+    Raises ``ValueError`` unless the file is a JSON object with an
+    object ``meta`` (every recording has one), so valid JSON that is
+    not a recording fails like a corrupt file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        snap = json.load(fh)
+    if not isinstance(snap, dict) or not isinstance(snap.get("meta"), dict):
+        raise ValueError(
+            "not a recording: expected a JSON object with an object 'meta'"
+        )
+    return snap

@@ -1,35 +1,26 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local counters, fork-mergeable across pool workers.
 
-Zero dependencies, thread-aware, and — the property the parallel
-fabric needs — *fork-mergeable*: a worker process accumulates into its
-own process-global registry, ships a plain-dict :meth:`MetricsRegistry.
-snapshot` back with its results, and the parent folds it in with
-:meth:`MetricsRegistry.merge_snapshot`.  Merge semantics are the usual
-ones for distributed scrape aggregation:
+Counters only, and only the nine something reads: the sketch packet
+and round counts, SA steps and accepts, evaluations, and the executor's
+pool tasks, retried chunks, steals and worker crashes.  Every other
+count the loop produces already lives on a result object and in the
+JSONL trace; a new metric lands here only together with its first
+reader.
 
-* counters add;
-* histograms add bucket-wise (bounds must match);
-* gauges take the maximum (a gauge is a level, not a flow; max is the
-  only order-free combinator that never *undercounts* a high-water
-  mark such as heap size or freelist occupancy).
-
-Metric names follow Prometheus conventions (``repro_*_total`` for
-counters, base units in seconds/bytes) and both a Prometheus text
-exposition (:meth:`MetricsRegistry.to_prometheus`) and a JSON dump
-(:meth:`MetricsRegistry.to_json`) are built in, so a sweep can be
-scraped or archived without any client library.
+A pool worker accumulates into its own process-global registry, ships
+a plain-dict :meth:`MetricsRegistry.snapshot` back with its results,
+and the parent adds it in with :meth:`MetricsRegistry.merge_snapshot`,
+so a count totals across processes.
 
 Mutation on the hot path is lock-free on CPython (a counter ``inc`` is
 a single float add under the GIL); the registry lock only guards
-metric *creation*, snapshotting and merging, which are rare.
+counter *creation*, snapshotting and merging, which are rare.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 
 class Counter:
@@ -52,246 +43,51 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Instantaneous level (heap size, occupancy, temperature)."""
-
-    __slots__ = ("name", "help", "_value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-#: Default latency bucket bounds in seconds (upper-inclusive, like
-#: Prometheus ``le``); an overflow (+Inf) bucket is implicit.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0
-)
-
-#: Bucket bounds for quantities already normalized to [0, 1].
-UNIT_INTERVAL_BUCKETS: Tuple[float, ...] = (
-    0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
-)
-
-
-class Histogram:
-    """Fixed-bound histogram with Prometheus ``le`` semantics.
-
-    ``bounds`` are strictly increasing upper bounds; an observation
-    ``v`` lands in the first bucket whose bound satisfies ``v <= bound``
-    (bound-equal values are *included*), or in the implicit overflow
-    bucket past the last bound.  Bucket counts are stored
-    non-cumulative; exporters cumulate on the way out.
-    """
-
-    __slots__ = ("name", "help", "bounds", "counts", "sum", "count")
-
-    def __init__(self, name: str, bounds: Sequence[float], help: str = ""):
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self.name = name
-        self.help = help
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1: overflow (+Inf)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def bucket_counts(self) -> List[int]:
-        """Non-cumulative per-bucket counts (last entry is +Inf)."""
-        return list(self.counts)
-
-    def cumulative(self) -> List[int]:
-        """Cumulative counts, one per bound plus +Inf — ``le`` style."""
-        out: List[int] = []
-        running = 0
-        for c in self.counts:
-            running += c
-            out.append(running)
-        return out
-
-
 class MetricsRegistry:
-    """Name-addressed collection of metrics for one process."""
+    """Name-addressed collection of counters for one process."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    # -- creation / lookup ---------------------------------------------
 
     def counter(self, name: str, help: str = "") -> Counter:
         with self._lock:
             metric = self._counters.get(name)
             if metric is None:
-                self._check_free(name, self._counters)
                 metric = self._counters[name] = Counter(name, help)
             return metric
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                self._check_free(name, self._gauges)
-                metric = self._gauges[name] = Gauge(name, help)
-            return metric
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        help: str = "",
-    ) -> Histogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                self._check_free(name, self._histograms)
-                metric = self._histograms[name] = Histogram(name, bounds, help)
-            elif metric.bounds != tuple(float(b) for b in bounds):
-                raise ValueError(
-                    f"histogram {name!r} already registered with different "
-                    f"bounds"
-                )
-            return metric
-
-    def _check_free(self, name: str, own: dict) -> None:
-        for family in (self._counters, self._gauges, self._histograms):
-            if family is not own and name in family:
-                raise ValueError(
-                    f"metric name {name!r} already registered as a "
-                    f"different type"
-                )
 
     # -- snapshot / merge (the fork protocol) ---------------------------
 
     def snapshot(self, reset: bool = False) -> dict:
-        """Plain-dict dump of every metric (JSON- and pickle-safe).
+        """``{"counters": {name: value}}`` (JSON- and pickle-safe).
 
         ``reset=True`` zeroes the registry atomically with the read —
         a pool worker calls this once per chunk so each chunk's delta
         is merged into the parent exactly once.
         """
         with self._lock:
-            snap = {
-                "counters": {n: c.value for n, c in self._counters.items()},
-                "gauges": {n: g.value for n, g in self._gauges.items()},
-                "histograms": {
-                    n: {
-                        "bounds": list(h.bounds),
-                        "counts": list(h.counts),
-                        "sum": h.sum,
-                        "count": h.count,
-                    }
-                    for n, h in self._histograms.items()
-                },
-            }
+            snap = {"counters": {n: c.value for n, c in self._counters.items()}}
             if reset:
                 for c in self._counters.values():
                     c._value = 0.0
-                for g in self._gauges.values():
-                    g._value = 0.0
-                for h in self._histograms.values():
-                    h.counts = [0] * (len(h.bounds) + 1)
-                    h.sum = 0.0
-                    h.count = 0
             return snap
 
     def merge_snapshot(self, snap: Optional[dict]) -> None:
-        """Fold a child snapshot into this registry (see module doc)."""
+        """Add a child snapshot's counters into this registry."""
         if not snap:
             return
         for name, value in snap.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            if value > gauge.value:
-                gauge.set(value)
-        for name, data in snap.get("histograms", {}).items():
-            hist = self.histogram(name, data["bounds"])
-            with self._lock:
-                if list(hist.bounds) != list(data["bounds"]):
-                    raise ValueError(
-                        f"cannot merge histogram {name!r}: bound mismatch"
-                    )
-                counts = data["counts"]
-                for i, c in enumerate(counts):
-                    hist.counts[i] += c
-                hist.sum += data["sum"]
-                hist.count += data["count"]
-
-    # -- exporters -------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format, version 0.0.4."""
-        lines: List[str] = []
-        with self._lock:
-            for name in sorted(self._counters):
-                c = self._counters[name]
-                if c.help:
-                    lines.append(f"# HELP {name} {c.help}")
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {_fmt_value(c.value)}")
-            for name in sorted(self._gauges):
-                g = self._gauges[name]
-                if g.help:
-                    lines.append(f"# HELP {name} {g.help}")
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {_fmt_value(g.value)}")
-            for name in sorted(self._histograms):
-                h = self._histograms[name]
-                if h.help:
-                    lines.append(f"# HELP {name} {h.help}")
-                lines.append(f"# TYPE {name} histogram")
-                cumulative = h.cumulative()
-                for bound, count in zip(h.bounds, cumulative):
-                    lines.append(
-                        f'{name}_bucket{{le="{_fmt_value(bound)}"}} {count}'
-                    )
-                lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative[-1]}')
-                lines.append(f"{name}_sum {_fmt_value(h.sum)}")
-                lines.append(f"{name}_count {h.count}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def reset(self) -> None:
-        """Zero every registered metric in place (tests, fresh runs).
+        """Zero every registered counter in place (tests, fresh runs).
 
-        Metrics stay registered: instrumentation sites hold module-level
-        references to the metric objects, so dropping them would orphan
+        Counters stay registered: instrumentation sites hold module-level
+        references to the counter objects, so dropping them would orphan
         every call site. Zeroing preserves those references.
         """
         self.snapshot(reset=True)
-
-
-def _fmt_value(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 #: The process-global registry every instrumentation site uses.

@@ -43,9 +43,6 @@ _SA_STEPS = get_registry().counter(
 _SA_ACCEPTS = get_registry().counter(
     "repro_sa_accepts_total", "SA steps whose candidate was accepted"
 )
-_SA_PROCESSES = get_registry().counter(
-    "repro_sa_processes_total", "SA tuning processes started"
-)
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,6 @@ class _AnnealerBase:
         )
         self._pending = None
         self.utility_trace = []
-        _SA_PROCESSES.inc()
         if trace.active:
             trace.event(
                 "sa.begin",

@@ -33,14 +33,6 @@ from typing import Dict, Optional
 from repro import env
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
-
-_CACHE_HITS = get_registry().counter(
-    "repro_cache_hits_total", "Eval-cache lookups served from cache"
-)
-_CACHE_MISSES = get_registry().counter(
-    "repro_cache_misses_total", "Eval-cache lookups that missed"
-)
 
 #: Default on-disk location (override per-instance or with
 #: ``REPRO_EVAL_CACHE``; ``--no-cache`` in the CLI disables entirely).
@@ -103,10 +95,8 @@ class EvalCache:
         hit = payload is not None
         if hit:
             self.hits += 1
-            _CACHE_HITS.inc()
         else:
             self.misses += 1
-            _CACHE_MISSES.inc()
         if trace.active:
             trace.event(
                 "cache.lookup", {"hit": hit, "scenario": scenario_fp, "seed": seed}

@@ -15,8 +15,8 @@ reproducible run-to-run.
 :class:`SurrogateScreen` also keeps a running calibration of the fluid
 model against every candidate that was evaluated at both fidelities,
 exposing the honest error bar
-(:class:`~repro.simulator.fluid.FluidCalibration`) and feeding the
-``repro_fidelity_surrogate_error`` histogram.
+(:class:`~repro.simulator.fluid.FluidCalibration`: ``residual_rms``)
+and the rank agreement :attr:`SurrogateScreen.spearman`.
 """
 
 from __future__ import annotations
@@ -33,21 +33,6 @@ from repro.simulator.fluid import (
     spearman_rank_correlation,
 )
 from repro.telemetry import trace
-from repro.telemetry.registry import get_registry
-
-_SCREEN_BATCHES = get_registry().counter(
-    "repro_fidelity_screen_batches_total",
-    "Candidate batches scored by the fluid surrogate",
-)
-_SCREENED_OUT = get_registry().counter(
-    "repro_fidelity_screened_out_total",
-    "Candidates eliminated by the surrogate screen (never ran the DES)",
-)
-_SURROGATE_ERROR = get_registry().histogram(
-    "repro_fidelity_surrogate_error",
-    (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5),
-    "abs(calibrated fluid utility - DES utility) on dual-fidelity points",
-)
 
 
 class SurrogateScreen:
@@ -92,7 +77,6 @@ class SurrogateScreen:
         results = self.model.evaluate_profile(
             self.profile, list(params), self.scenario.utility_weights()
         )
-        _SCREEN_BATCHES.inc()
         return [r.utility for r in results]
 
     def select(
@@ -111,7 +95,6 @@ class SurrogateScreen:
         keep = min(keep, len(scores))
         ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         survivors = sorted(ranked[:keep])
-        _SCREENED_OUT.inc(len(scores) - keep)
         if trace.active:
             trace.event(
                 "fidelity.screen",
@@ -128,8 +111,6 @@ class SurrogateScreen:
 
     def observe(self, fluid_utility: float, des_utility: float) -> None:
         """Record one candidate measured at both fidelities."""
-        error = abs(self.calibration.apply(fluid_utility) - des_utility)
-        _SURROGATE_ERROR.observe(error)
         self._fluid_anchor.append(fluid_utility)
         self._des_anchor.append(des_utility)
         self.calibration = fit_calibration(self._fluid_anchor, self._des_anchor)

@@ -98,7 +98,6 @@ def test_fork_merge_through_executor_pool(tmp_path, cores):
     snap = registry.snapshot()
     # Worker-side counters merged into the parent exactly once.
     assert snap["counters"]["repro_evals_total"] == 4.0
-    assert snap["histograms"]["repro_task_seconds"]["count"] == 4
     # Pool bookkeeping counted on the parent side.
     assert snap["counters"]["repro_executor_pool_tasks_total"] >= 4.0
 

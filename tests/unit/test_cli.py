@@ -264,6 +264,20 @@ def test_report_corrupt_recording_fails(tmp_path):
     assert main(["report", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", '{"meta": 3}', "{}"])
+def test_report_on_json_that_is_not_a_recording_exits_2(
+    content, capsys, tmp_path
+):
+    """Valid JSON without a recording's object ``meta`` used to end in a
+    traceback (a list, a scalar ``meta``) or a page full of ``None``
+    (``{}``); it is a usage error like a corrupt file."""
+    path = tmp_path / "other.json"
+    path.write_text(content)
+    assert main(["report", str(path), "--out", str(tmp_path / "r.html")]) == 2
+    assert "cannot parse recording" in capsys.readouterr().err
+    assert not (tmp_path / "r.html").exists()
+
+
 def test_telemetry_missing_trace_is_graceful(capsys, tmp_path):
     assert main(["telemetry", str(tmp_path / "nope.jsonl")]) == 0
     assert "nothing to report" in capsys.readouterr().out

@@ -9,7 +9,9 @@ swallowing a generic ``ValueError``.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
+from dataclasses import fields
 
 import pytest
 
@@ -32,11 +34,40 @@ from repro.rpc.protocol import (
     message_wire_size,
 )
 from repro.rpc.transport import AgentClient, ControllerServer
+from repro.simulator.dcqcn import DcqcnParams
 from repro.tuning.parameters import default_params
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def _param_update_frame(name: str, value: float) -> bytes:
+    """A well-framed ``PARAM_UPDATE`` whose field ``name`` is ``value``."""
+    values = {"timestamp": 0.0, **default_params().as_dict()}
+    values[name] = value
+    names = [f.name for f in fields(DcqcnParams)]
+    payload = struct.pack(
+        ">d" + "f" * len(names),
+        values["timestamp"],
+        *(float(values[n]) for n in names),
+    )
+    return HEADER.pack(len(payload) + 1, MessageType.PARAM_UPDATE) + payload
+
+
+_BAD_PARAM_FIELDS = [
+    ("k_min", math.inf),
+    ("k_min", math.nan),
+    ("k_max", -1.0),
+    ("p_max", math.inf),
+    ("p_max", math.nan),
+    ("p_max", -5.0),
+    ("rpg_ai_rate", math.inf),
+    ("rpg_ai_rate", math.nan),
+    ("rpg_ai_rate", -5.0),
+    ("timestamp", math.nan),
+    ("timestamp", -1.0),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +113,17 @@ class TestDecodeErrors:
         frame = HEADER.pack(10, MessageType.SWITCH_REPORT) + b"\x00" * 9
         with pytest.raises(PayloadError):
             decode_message(frame)
+
+    @pytest.mark.parametrize("name,value", _BAD_PARAM_FIELDS)
+    def test_non_finite_or_negative_param_update_raises_payload_error(
+        self, name, value
+    ):
+        with pytest.raises(PayloadError, match=name):
+            decode_message(_param_update_frame(name, value))
+
+    def test_zero_knobs_still_decode(self):
+        update = decode_message(_param_update_frame("k_min", 0.0))
+        assert update.params.k_min == 0
 
     def test_all_errors_are_protocol_and_value_errors(self):
         for exc_type in (
@@ -241,6 +283,17 @@ class TestServerHardening:
             return count
 
         assert run(scenario()) == 1
+
+    def test_non_finite_param_update_counted_as_protocol_error(self):
+        async def scenario():
+            server, port = await _started_server()
+            await _raw_send(port, _param_update_frame("k_min", math.inf))
+            await _settle(server)
+            counts = (server.protocol_errors, server.messages_received)
+            await server.close()
+            return counts
+
+        assert run(scenario()) == (1, 0)
 
     def test_malformed_connection_does_not_poison_server(self):
         """A bad client is dropped; a good one still gets through."""
