@@ -18,8 +18,8 @@ Bit-identity contract (the bench gate):
 * **Weights** are fractional (PE likelihood ``cum/tau``), so float
   addition is *not* associative and a tiered sum would drift from the
   flat merge.  Per-agent weight lanes are therefore carried to the
-  global tier untouched and reduced there with a sequential Python
-  float loop in canonical agent order (:func:`_ordered_sum`) — the
+  global tier untouched and reduced there left to right in canonical
+  agent order (:func:`~repro.simulator.ordered.ordered_sum`) — the
   exact operand sequence ``merge_distributions`` performs.
 
 Dedup invariant (TOS-bit analogue): every flow is measured at exactly
@@ -47,6 +47,7 @@ from repro.monitor.fsd import (
     FlowSizeDistribution,
     merge_distributions,
 )
+from repro.simulator.ordered import ordered_sum
 
 _DIGEST_STRUCT = struct.Struct("<" + "d" * (2 + HISTOGRAM_BUCKETS))
 
@@ -66,17 +67,6 @@ def fsd_digest(fsd: FlowSizeDistribution) -> str:
         fsd.elephant_weight, fsd.mice_weight, *fsd.histogram
     )
     return hashlib.sha256(payload).hexdigest()
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """Sequential float sum in array order — merge_distributions' order."""
-    # Must stay a plain left-to-right add: builtin sum() is Neumaier-
-    # compensated from CPython 3.12 and np.sum adds pairwise, so either
-    # would change fsd_digest — the first only on newer interpreters.
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
 
 
 @dataclass
@@ -168,8 +158,8 @@ class HierarchicalAggregator:
         # Fractional weights: sequential canonical-order sum at the
         # global tier only (see module docstring).
         global_fsd = FlowSizeDistribution(
-            elephant_weight=_ordered_sum(self._elephant),
-            mice_weight=_ordered_sum(self._mice),
+            elephant_weight=ordered_sum(self._elephant.tolist()),
+            mice_weight=ordered_sum(self._mice.tolist()),
             histogram=tuple(float(v) for v in global_hist),
         )
         tenant_fsds = []
@@ -177,8 +167,8 @@ class HierarchicalAggregator:
             tenant_hist = np.sum(self._hist[index], axis=0)
             tenant_fsds.append(
                 FlowSizeDistribution(
-                    elephant_weight=_ordered_sum(self._elephant[index]),
-                    mice_weight=_ordered_sum(self._mice[index]),
+                    elephant_weight=ordered_sum(self._elephant[index].tolist()),
+                    mice_weight=ordered_sum(self._mice[index].tolist()),
                     histogram=tuple(float(v) for v in tenant_hist),
                 )
             )

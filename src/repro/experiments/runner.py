@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from repro.simulator.flow import FlowRecord
 from repro.simulator.network import Network
+from repro.simulator.ordered import ordered_sum
 from repro.simulator.packet import freelist_occupancy
 from repro.simulator.stats import IntervalStats
 from repro.simulator.units import ms
@@ -40,7 +41,7 @@ class ExperimentResult:
 
     def mean_utility(self, skip: int = 0) -> float:
         values = self.utilities[skip:]
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
     def interval_series(self, attr: str) -> List[float]:
         """Time series of one IntervalStats attribute (e.g. for Fig 8)."""

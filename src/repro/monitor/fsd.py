@@ -33,6 +33,7 @@ from repro.monitor.states import (
     FlowStateEntry,
     TernaryState,
 )
+from repro.simulator.ordered import ordered_sum
 from repro.simulator.units import mb
 
 #: Number of log2 size buckets in the histogram (1 B .. ~1 GB).
@@ -284,7 +285,7 @@ def kl_divergence(
     """``KL(R_t || R_{t-1})`` over the size histograms (≥ 0)."""
     p = current.normalized_histogram(epsilon)
     q = previous.normalized_histogram(epsilon)
-    return sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
+    return ordered_sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
 
 
 def merge_distributions(

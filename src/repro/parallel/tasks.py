@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple
 
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.flow import FlowRecord
+from repro.simulator.ordered import ordered_sum
 from repro.simulator.stats import IntervalStats
 from repro.simulator.units import mb, ms
 from repro.telemetry import trace
@@ -138,7 +139,7 @@ class EvalResult:
 
     def mean_utility(self, skip: int = 0) -> float:
         values = self.utilities[skip:]
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
     def cache_payload(self) -> dict:
         """The JSON-safe slice of the result worth persisting."""
@@ -303,7 +304,7 @@ def evaluate_task(task: EvalTask) -> EvalResult:
     wall = time.perf_counter() - t0
     _EVALS.inc()
     utilities = list(result.utilities)
-    utility_value = sum(utilities) / len(utilities) if utilities else 0.0
+    utility_value = ordered_sum(utilities) / len(utilities) if utilities else 0.0
     return EvalResult(
         index=task.index,
         seed=task.seed,

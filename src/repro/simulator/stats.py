@@ -5,7 +5,9 @@ interval ``λ_MI`` (Section III-C):
 
 * ``O_TP`` — mean bandwidth utilization of *active* host uplinks;
 * ``O_RTT`` — mean Swift-style normalized RTT (base path delay divided
-  by measured RTT, clipped to 1);
+  by measured RTT, clipped to 1).  The base delay is a fabric constant
+  per hop class (:attr:`~repro.simulator.topology.ClosSpec.base_rtts`),
+  looked up by the switch hops each probe carries back;
 * ``O_PFC`` — ``1 − mean fraction of the interval devices spent
   PFC-paused``.
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+
+from repro.simulator.ordered import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.network import Network
@@ -39,7 +43,9 @@ class IntervalStats:
     pause_fraction: float         # mean paused fraction across devices
     active_uplinks: int
     total_tx_bytes: int           # across host uplinks
-    flow_bytes: Dict[int, int] = field(default_factory=dict)  # oracle FSD
+    # Oracle FSD: bytes per flow id.  The stats object owns this dict —
+    # the collector hands its interval table over and starts a new one.
+    flow_bytes: Dict[int, int] = field(default_factory=dict)
     dropped_packets: int = 0
     # Flows that completed during this interval.  Deliberately absent
     # from snapshot() (and therefore from traces, persistence, and the
@@ -82,7 +88,9 @@ class StatsCollector:
         self._uplink_tx_base: List[int] = self._uplink_tx_now()
         self._pause_base: List[float] = self._pause_now()
         self._drops_base = self._drops_now()
-        self._rtt_samples: List[Tuple[int, int, float, int]] = []
+        # O_RTT's base path delay by hop class, read once per fabric.
+        self._base_rtts = network.spec.base_rtts
+        self._rtt_samples: List[Tuple[float, int]] = []
         self._flow_bytes: Dict[int, int] = {}
         self._completed_flows = 0
         self.history: List[IntervalStats] = []
@@ -90,7 +98,8 @@ class StatsCollector:
     # -- feeds from the network ----------------------------------------
 
     def record_rtt(self, src: int, dst: int, rtt: float, hops: int) -> None:
-        self._rtt_samples.append((src, dst, rtt, hops))
+        # ``hops`` is the probe's switch-hop count, i.e. its hop class.
+        self._rtt_samples.append((rtt, hops))
 
     def record_flow_bytes(self, flow_id: int, payload: int) -> None:
         self._flow_bytes[flow_id] = self._flow_bytes.get(flow_id, 0) + payload
@@ -144,23 +153,25 @@ class StatsCollector:
             if delta > 0 and host.egress is not None:
                 capacity = host.egress.link.rate_bps * duration / 8.0
                 utils.append(min(delta / capacity, 1.0))
-        throughput_util = sum(utils) / len(utils) if utils else 0.0
+        throughput_util = ordered_sum(utils) / len(utils) if utils else 0.0
 
         gammas: List[float] = []
         rtts: List[float] = []
-        for src, dst, rtt, hops in self._rtt_samples:
-            base_rtt = self.network.spec.base_rtt(src, dst)
+        base_rtts = self._base_rtts
+        for rtt, hops in self._rtt_samples:
             if rtt > 0:
-                gammas.append(min(base_rtt / rtt, 1.0))
+                gammas.append(min(base_rtts[hops] / rtt, 1.0))
                 rtts.append(rtt)
-        norm_rtt = sum(gammas) / len(gammas) if gammas else 1.0
-        mean_rtt = sum(rtts) / len(rtts) if rtts else 0.0
+        norm_rtt = ordered_sum(gammas) / len(gammas) if gammas else 1.0
+        mean_rtt = ordered_sum(rtts) / len(rtts) if rtts else 0.0
 
         pause_fracs = [
             max(cur - base, 0.0) / duration
             for base, cur in zip(self._pause_base, pause_now)
         ]
-        pause_fraction = sum(pause_fracs) / len(pause_fracs) if pause_fracs else 0.0
+        pause_fraction = (
+            ordered_sum(pause_fracs) / len(pause_fracs) if pause_fracs else 0.0
+        )
 
         stats = IntervalStats(
             t_start=self._interval_start,
@@ -173,7 +184,7 @@ class StatsCollector:
             pause_fraction=pause_fraction,
             active_uplinks=len(utils),
             total_tx_bytes=total_tx,
-            flow_bytes=dict(self._flow_bytes),
+            flow_bytes=self._flow_bytes,
             dropped_packets=drops_now - self._drops_base,
             completed_flows=self._completed_flows,
         )

@@ -14,9 +14,11 @@ Host ids are dense integers ``0 .. n_hosts-1`` laid out ToR-major, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import Dict, List
 
-from repro.simulator.units import gbps, us
+from repro.simulator.ordered import ordered_sum
+from repro.simulator.units import CONTROL_PACKET_BYTES, gbps, us
 
 
 @dataclass(frozen=True)
@@ -66,28 +68,40 @@ class ClosSpec:
 
     def path_hops(self, src: int, dst: int) -> int:
         """Switch hops on the forwarding path between two hosts."""
+        src_tor, dst_tor = self.tor_of(src), self.tor_of(dst)
         if src == dst:
             return 0
-        if self.tor_of(src) == self.tor_of(dst):
+        if src_tor == dst_tor:
             return 1  # ToR only
         return 3  # ToR -> spine -> ToR
 
-    def base_rtt(self, src: int, dst: int, probe_wire_bytes: int = 64) -> float:
-        """Zero-queue round-trip time between two hosts.
+    @cached_property
+    def base_rtts(self) -> Dict[int, float]:
+        """Zero-queue round-trip time by hop class (a fabric constant).
 
-        Propagation on every traversed link in both directions plus the
-        probe's serialization on each forward link.  This is the
-        normalization denominator used for ``O_RTT`` (the paper's
-        Swift-style *base path delay*, taken round-trip).
+        Propagation on every traversed link in both directions plus a
+        probe's serialization on each forward link, doubled for the
+        same-size ack.  The forward path starts on the source's host
+        link and ends on the destination's; only the links in between
+        run at the uplink rate.  This is the normalization denominator
+        used for ``O_RTT`` (the paper's Swift-style *base path delay*,
+        taken round-trip), keyed by the hop count a probe carries.
         """
-        hops = self.path_hops(src, dst)
-        links_one_way = hops + 1
-        prop = 2.0 * links_one_way * self.prop_delay_s
-        # Forward serialization of the probe at each hop; the ack is
-        # the same size so double it.
-        rates = [self.host_rate_bps] + [self.uplink_rate_bps] * hops
-        ser = sum(probe_wire_bytes * 8.0 / r for r in rates[:links_one_way])
-        return prop + 2.0 * ser
+        bits = CONTROL_PACKET_BYTES * 8.0
+        base = {}
+        for hops in (0, 1, 3):  # loopback, same ToR, via a spine
+            links_one_way = hops + 1
+            prop = 2.0 * links_one_way * self.prop_delay_s
+            rates = [self.host_rate_bps]
+            if hops:
+                rates += [self.uplink_rate_bps] * (hops - 1) + [self.host_rate_bps]
+            ser = ordered_sum(bits / rate for rate in rates)
+            base[hops] = prop + 2.0 * ser
+        return base
+
+    def base_rtt(self, src: int, dst: int) -> float:
+        """Zero-queue round-trip time between two hosts (see :attr:`base_rtts`)."""
+        return self.base_rtts[self.path_hops(src, dst)]
 
 
 # Canonical topologies from the paper -------------------------------------

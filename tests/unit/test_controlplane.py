@@ -29,13 +29,13 @@ from repro.controlplane import (
     fsd_digest,
 )
 from repro.controlplane.aggregate import (
-    _ordered_sum,
     flat_agent_fsds,
     flat_tenant_fsds,
 )
 from repro.controlplane.shards import shard_columns
 from repro.controlplane.traffic import flow_columns
 from repro.monitor.fsd import FlowSizeDistribution, merge_distributions
+from repro.simulator.ordered import ordered_sum
 
 
 def small_topology(**overrides):
@@ -319,9 +319,9 @@ class TestHierarchicalAggregation:
         )
         _, elephant, mice = collect_rows(topo, traffic, 0)
         flat = merge_distributions(flat_agent_fsds(topo, traffic, 0))
-        assert _ordered_sum(elephant) == flat.elephant_weight
-        assert _ordered_sum(mice) == flat.mice_weight
-        assert _ordered_sum(elephant) != math.fsum(elephant)
+        assert ordered_sum(elephant.tolist()) == flat.elephant_weight
+        assert ordered_sum(mice.tolist()) == flat.mice_weight
+        assert ordered_sum(elephant.tolist()) != math.fsum(elephant)
 
 
 # ---------------------------------------------------------------------------

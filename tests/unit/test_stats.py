@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scenarios import make_network
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.topology import ClosSpec
 from repro.simulator.units import mb, ms
+from repro.tuning.parameters import default_params
+from repro.tuning.search import StaticTuner
+from repro.workloads import AllToAllOnce
 
 
 @pytest.fixture
@@ -53,6 +58,40 @@ def test_oracle_resets_between_intervals(net):
     net.run_until(ms(10.0))
     stats = net.stats.end_interval()
     assert stats.flow_bytes == {}
+
+
+def test_intervals_own_distinct_flow_byte_tables(net):
+    net.add_flow(0, 2, mb(4.0), 0.0)
+    net.run_until(ms(1.0))
+    first = net.stats.end_interval()
+    first.flow_bytes[-1] = 7
+    net.run_until(ms(2.0))
+    second = net.stats.end_interval()
+    assert second.flow_bytes and second.flow_bytes is not first.flow_bytes
+    assert -1 not in second.flow_bytes
+    second.flow_bytes.clear()
+    assert first.flow_bytes[-1] == 7 and len(first.flow_bytes) > 1
+
+
+def test_interval_close_reads_base_rtt_per_hop_class_not_per_sample(monkeypatch):
+    """O_RTT's base delay is a fabric constant: probes never walk the topology."""
+    calls = []
+    path_hops = ClosSpec.path_hops
+
+    def counting_path_hops(self, src, dst):
+        hops = path_hops(self, src, dst)
+        calls.append(hops)
+        return hops
+
+    monkeypatch.setattr(ClosSpec, "path_hops", counting_path_hops)
+    network = make_network("medium", seed=1)
+    AllToAllOnce(n_workers=16, flow_size=mb(2.0)).install(network)
+    result = ExperimentRunner(
+        network, StaticTuner(default_params(), "default")
+    ).run(0.02)
+    samples = sum(stats.rtt_samples for stats in result.intervals)
+    assert len(result.intervals) == 20 and samples > 1000
+    assert all(calls.count(hops) <= 1 for hops in set(calls)), len(calls)
 
 
 def test_rtt_samples_collected_under_traffic(net):
