@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-cold perf perf-ab report figures clean
+.PHONY: test lint perf perf-ab report figures clean
 
 # Tier-1 suite (the gate every PR must keep green).
 test:
@@ -10,14 +10,10 @@ test:
 # Repo-specific static analysis (tools/replint): determinism, wall-clock,
 # telemetry-schema sync, env registry, fork safety, silent excepts, plus
 # the whole-program passes (layering DAG, determinism taint, fork
-# reachability, contract sync).  Incremental by default — per-file AST
-# facts cache under .repro_cache/replint/ and wall time prints to
-# stderr; `make lint-cold` forces a full re-analysis.
+# reachability, contract sync).  Every run parses the whole tree; wall
+# time prints to stderr.
 lint:
 	$(PYTHON) -m tools.replint src
-
-lint-cold:
-	$(PYTHON) -m tools.replint src --no-cache
 
 # The repo benchmark (BENCHMARK.json): four workloads, end-to-end and
 # per-layer metrics, ~4 min.  See benchmarks/perf/README.md.

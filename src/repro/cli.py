@@ -48,12 +48,17 @@ from repro.experiments.fct import FctStats
 from repro.telemetry.tables import format_table
 from repro.experiments.scenarios import SCHEME_FACTORIES, SPECS, make_tuner
 from repro.parallel import EvalTask, ScenarioSpec, SweepExecutor
+from repro.parallel.tasks import scheduled_interval_count
 from repro.simulator.units import ms
 from repro.telemetry import recorder, trace
 from repro.telemetry.log import echo, get_logger
 from repro.tuning.eval_cache import EvalCache, default_cache
 
 _log = get_logger("cli")
+
+#: Leading monitor intervals ``run``/``compare`` leave out of the mean
+#: utility while the tuner settles.
+_WARMUP_INTERVALS = 5
 
 
 def _positive_int(value: str) -> int:
@@ -176,10 +181,18 @@ def cmd_run(args) -> int:
     task = EvalTask(scenario=spec, seed=args.seed, scheme=args.scheme)
     result = executor.map([task])[0]
     fabric = SPECS[args.scale]
+    intervals = scheduled_interval_count(spec)
+    if intervals > _WARMUP_INTERVALS:
+        utility = f"{result.mean_utility(skip=_WARMUP_INTERVALS):.4f}"
+    else:
+        utility = (
+            f"n/a ({intervals} intervals, all in the "
+            f"{_WARMUP_INTERVALS}-interval warm-up)"
+        )
     echo(f"scheme          : {make_tuner(args.scheme).name}")
     echo(f"fabric          : {args.scale} ({fabric.n_hosts} hosts)")
     echo(f"flows completed : {len(result.records)} / {result.n_flows_total}")
-    echo(f"mean utility    : {result.mean_utility(skip=5):.4f}")
+    echo(f"mean utility    : {utility}")
     echo(f"param dispatches: {result.dispatches}")
     echo(f"dropped packets : {result.dropped_packets}")
     if result.records:
@@ -196,6 +209,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        _log.error("no schemes given")
+        return 2
     unknown = [s for s in schemes if s not in SCHEME_FACTORIES]
     if unknown:
         _log.error("unknown schemes: %s", ", ".join(unknown))
@@ -208,9 +224,14 @@ def cmd_compare(args) -> int:
     ]
     results = executor.map(tasks)
     fabric = SPECS[args.scale]
+    scored = scheduled_interval_count(spec) > _WARMUP_INTERVALS
     rows = []
     for scheme, result in zip(schemes, results):
-        row = [make_tuner(scheme).name, f"{result.mean_utility(skip=5):.4f}"]
+        utility = (
+            f"{result.mean_utility(skip=_WARMUP_INTERVALS):.4f}"
+            if scored else "-"
+        )
+        row = [make_tuner(scheme).name, utility]
         if result.records:
             stats = FctStats.compute(scheme, result.records, fabric)
             row.append(f"{stats.overall_avg:.2f}")
@@ -230,7 +251,6 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     from repro.parallel.sweeps import offline_grid_search_parallel
-    from repro.parallel.tasks import scheduled_interval_count
     from repro.tuning.fidelity import SurrogateScreen
     from repro.tuning.grid import DEFAULT_GRID
 

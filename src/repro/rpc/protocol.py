@@ -22,9 +22,10 @@ gRPC-over-TCP without the codegen.
 Malformed input raises typed :class:`ProtocolError` subclasses —
 truncated frames, header/payload length mismatches, oversized length
 prefixes, unknown type tags and undersized payloads (or a parameter
-update carrying a non-finite or negative value) each have their own
-class, so transports can account for them individually instead of
-swallowing a generic ``ValueError``.
+update carrying a non-finite or negative value, or a setting
+:meth:`DcqcnParams.validate` rejects) each have their own class, so
+transports can account for them individually instead of swallowing a
+generic ``ValueError``.
 """
 
 from __future__ import annotations
@@ -193,7 +194,15 @@ class ParamUpdate:
         # Integral knobs round-trip through float32; restore them.
         for name in ("rpg_byte_reset", "rpg_threshold", "k_min", "k_max"):
             raw[name] = int(round(raw[name]))
-        return cls(timestamp, DcqcnParams.from_dict(raw))
+        params = DcqcnParams.from_dict(raw)
+        # Decoding hands agents exactly the settings the simulator
+        # accepts: an inconsistent one (k_min >= k_max, p_max > 1, ...)
+        # is malformed input, not a retune.
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise PayloadError(f"PARAM_UPDATE carries {exc}") from exc
+        return cls(timestamp, params)
 
 
 @dataclass

@@ -53,6 +53,41 @@ def test_compare_rejects_unknown_scheme(capsys):
     assert "unknown schemes" in capsys.readouterr().err
 
 
+def test_compare_rejects_an_empty_scheme_list(capsys):
+    code = main(["compare", "--schemes", ",", "--scale", "small"])
+    assert code == 2
+    assert "no schemes given" in capsys.readouterr().err
+
+
+# 4 ms at the default 1 ms interval: 4 monitor intervals, all inside
+# the 5-interval warm-up that run/compare leave out of the mean.
+_WARMUP_ONLY = [
+    "--scale", "small", "--duration", "0.004", "--jobs", "1", "--no-cache",
+]
+
+
+def test_run_with_only_warmup_intervals_prints_no_utility(capsys):
+    assert main(["run", "--scheme", "default"] + _WARMUP_ONLY) == 0
+    out = capsys.readouterr().out
+    assert (
+        "mean utility    : n/a (4 intervals, all in the 5-interval warm-up)"
+        in out
+    )
+    assert "0.0000" not in out
+
+
+def test_compare_with_only_warmup_intervals_prints_dashes(capsys):
+    argv = ["compare", "--schemes", "default,expert"] + _WARMUP_ONLY
+    assert main(argv) == 0
+    rows = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("Default", "Expert"))
+    ]
+    assert len(rows) == 2
+    for row in rows:
+        assert row.split("|")[1].strip() == "-"
+
+
 def test_run_with_jobs_flag_matches_default(capsys):
     argv = [
         "run", "--scheme", "default", "--workload", "hadoop",

@@ -1,14 +1,11 @@
 """replint: per-check fixtures, suppression paths, and the self-run gate.
 
 Each check gets a positive fixture (seeded violation detected), a
-negative fixture (idiomatic code passes), and the suppression
-mechanisms are exercised end to end (per-line pragma, file pragma,
-committed baseline).  The whole-program passes (RL008-RL011) get
-multi-file fixture packages, and the incremental cache is pinned to
-byte-identical cold/warm output with single-SCC re-evaluation.  The
-final tests are the actual repo gate: ``src/`` lints clean against
-the committed (empty) baseline, and the telemetry emit sites
-round-trip exactly against the schema catalog.
+negative fixture (idiomatic code passes), and both pragma forms (per
+line, per file) are exercised end to end.  The whole-program passes
+(RL008-RL011) get multi-file fixture packages.  The final tests are
+the actual repo gate: ``src/`` lints with zero findings, and the
+telemetry emit sites round-trip exactly against the schema catalog.
 """
 
 from __future__ import annotations
@@ -20,18 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from tools.replint.cache import FactsCache, analyzer_version
 from tools.replint.checks import default_checks
 from tools.replint.checks.telemetry import (
     extract_catalog,
     extract_emit_sites,
 )
-from tools.replint.core import (
-    load_baseline,
-    run_replint,
-    write_baseline,
-)
-from tools.replint.reporters import render_json, render_sarif, render_text
+from tools.replint.core import run_replint
+from tools.replint.reporters import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -46,15 +38,13 @@ SPAN_ATTRS = {
 """
 
 
-def lint(tmp_path, files, **kwargs):
+def lint(tmp_path, files):
     """Write ``{relpath: source}`` under ``tmp_path`` and lint it."""
     for relpath, source in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_replint(
-        [tmp_path], default_checks(), root=tmp_path, **kwargs
-    )
+    return run_replint([tmp_path], default_checks(), root=tmp_path)
 
 
 def checks_of(result):
@@ -775,93 +765,7 @@ def test_rl011_in_sync_artifacts_pass(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache: warm == cold byte-for-byte, one edit == one SCC
-# ---------------------------------------------------------------------------
-
-CACHE_PROJECT = {
-    "src/repro/simulator/c.py": """
-        def base():
-            return 1
-    """,
-    "src/repro/simulator/b.py": """
-        from repro.simulator.c import base
-
-        def mid():
-            return base() + 1
-    """,
-    "src/repro/tuning/a.py": """
-        from repro.simulator.b import mid
-
-        def top():
-            return mid() + 1
-    """,
-    "src/repro/core/d.py": """
-        import os
-
-        def jobs():
-            return os.getenv("REPRO_JOBS")
-    """,
-}
-
-
-def test_incremental_cache_is_correct_and_scc_scoped(tmp_path):
-    for relpath, source in CACHE_PROJECT.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    cache = FactsCache(tmp_path / "cache", analyzer_version(b"fixture"))
-
-    def run(use_cache=True):
-        return run_replint(
-            [tmp_path / "src"],
-            default_checks(),
-            root=tmp_path,
-            cache=cache if use_cache else None,
-        )
-
-    cold = run()
-    assert cold.stats["files_parsed"] == 4
-    assert checks_of(cold) == ["RL004"]
-
-    warm = run()
-    assert warm.stats["files_parsed"] == 0
-    assert warm.stats["files_cached"] == 4
-    assert warm.stats["sccs_evaluated"] == 0
-    assert warm.stats["sccs_reused"] == 4
-    # The acceptance bar: warm output is byte-identical to cold.
-    assert render_json(warm) == render_json(cold)
-    assert render_text(warm) == render_text(cold)
-
-    # Comment-only edit of the leaf module: only its SCC re-evaluates
-    # (dependents' taint signatures see unchanged successor summaries).
-    leaf = tmp_path / "src" / "repro" / "simulator" / "c.py"
-    leaf.write_text(leaf.read_text() + "\n# touched\n")
-    third = run()
-    assert third.stats["files_parsed"] == 1
-    assert third.stats["files_cached"] == 3
-    assert third.stats["sccs_evaluated"] == 1
-    assert third.stats["sccs_reused"] == 3
-    assert render_json(third) == render_json(run(use_cache=False))
-
-
-def test_cache_invalidated_by_analyzer_version(tmp_path):
-    target = tmp_path / "src" / "repro" / "core" / "foo.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("X = 1\n")
-    first = run_replint(
-        [tmp_path / "src"], default_checks(), root=tmp_path,
-        cache=FactsCache(tmp_path / "cache", analyzer_version(b"v1")),
-    )
-    assert first.stats["files_parsed"] == 1
-    second = run_replint(
-        [tmp_path / "src"], default_checks(), root=tmp_path,
-        cache=FactsCache(tmp_path / "cache", analyzer_version(b"v2")),
-    )
-    assert second.stats["files_parsed"] == 1  # different version: re-parse
-
-
-# ---------------------------------------------------------------------------
-# Suppression: pragma and baseline
+# Suppression: pragmas
 # ---------------------------------------------------------------------------
 
 
@@ -938,98 +842,6 @@ def test_file_pragma_leaves_other_checks_armed(tmp_path):
     assert checks_of(result) == ["RL006"]
 
 
-def test_baseline_duplicate_keys_stable_under_reordering(tmp_path):
-    # Two identical findings share a message; their #N occurrence keys
-    # must be assigned in total-sort order so reordering the source
-    # (which permutes line numbers) cannot rotate them out of the
-    # baseline.
-    files = {
-        "src/repro/core/foo.py": """
-            import os
-
-            def a():
-                return os.getenv("REPRO_JOBS")
-
-            def b():
-                return os.getenv("REPRO_JOBS")
-        """,
-    }
-    first = lint(tmp_path, files)
-    assert len(first.findings) == 2
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-
-    files["src/repro/core/foo.py"] = """
-        import os
-
-        # moved: b now precedes a
-        def b():
-            return os.getenv("REPRO_JOBS")
-
-        def a():
-            return os.getenv("REPRO_JOBS")
-    """
-    moved = lint(tmp_path, files, baseline=load_baseline(baseline_path))
-    assert moved.findings == []
-    assert len(moved.baselined) == 2
-
-
-def test_baseline_grandfathers_existing_findings(tmp_path):
-    files = {
-        "src/repro/core/foo.py": """
-            import os
-
-            def a():
-                return os.getenv("REPRO_JOBS")
-        """,
-    }
-    first = lint(tmp_path, files)
-    assert len(first.findings) == 1 and first.exit_code == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    second = lint(tmp_path, files, baseline=load_baseline(baseline_path))
-    assert second.findings == []
-    assert len(second.baselined) == 1
-    assert second.exit_code == 0
-
-    # A *new* violation still fails even with the baseline loaded.
-    files["src/repro/core/foo.py"] = """
-        import os
-
-        def a():
-            return os.getenv("REPRO_JOBS")
-
-        def b():
-            return os.getenv("REPRO_TRACE")
-    """
-    third = lint(tmp_path, files, baseline=load_baseline(baseline_path))
-    assert len(third.findings) == 1
-    assert third.exit_code == 1
-
-
-def test_baseline_keys_are_line_number_free(tmp_path):
-    files = {
-        "src/repro/core/foo.py": """
-            import os
-
-            def a():
-                return os.getenv("REPRO_JOBS")
-        """,
-    }
-    first = lint(tmp_path, files)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-
-    # Shift the finding down two lines: still baselined.
-    files["src/repro/core/foo.py"] = "# pad\n# pad\n" + textwrap.dedent(
-        files["src/repro/core/foo.py"]
-    )
-    moved = lint(tmp_path, files, baseline=load_baseline(baseline_path))
-    assert moved.findings == []
-    assert len(moved.baselined) == 1
-
-
 # ---------------------------------------------------------------------------
 # Reporters and CLI
 # ---------------------------------------------------------------------------
@@ -1046,12 +858,11 @@ def test_json_reporter_shape(tmp_path):
     })
     payload = json.loads(render_json(result))
     assert payload["version"] == 1
-    assert payload["counts"] == {"new": 1, "baselined": 0}
+    assert payload["counts"] == {"new": 1}
     assert payload["exit_code"] == 1
     [finding] = payload["findings"]
     assert finding["check"] == "RL004"
     assert finding["path"] == "src/repro/core/foo.py"
-    assert finding["baselined"] is False
     assert {c["id"] for c in payload["checks"]} == {
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
         "RL008", "RL009", "RL010", "RL011", "RL012",
@@ -1071,49 +882,6 @@ def test_text_reporter_mentions_location_and_summary(tmp_path):
     assert "src/repro/core/foo.py:" in text
     assert "RL004" in text
     assert "1 finding(s)" in text
-
-
-def test_sarif_reporter_shape(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/core/foo.py": """
-            import os
-
-            def a():
-                return os.getenv("REPRO_JOBS")
-        """,
-    })
-    payload = json.loads(render_sarif(result))
-    assert payload["version"] == "2.1.0"
-    [run] = payload["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "replint"
-    assert {"RL001", "RL008", "RL009", "RL010", "RL011"} <= {
-        rule["id"] for rule in driver["rules"]
-    }
-    [entry] = run["results"]
-    assert entry["ruleId"] == "RL004"
-    assert entry["level"] == "error"
-    location = entry["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/repro/core/foo.py"
-    assert location["region"]["startLine"] >= 1
-
-
-def test_sarif_baselined_findings_are_notes(tmp_path):
-    files = {
-        "src/repro/core/foo.py": """
-            import os
-
-            def a():
-                return os.getenv("REPRO_JOBS")
-        """,
-    }
-    first = lint(tmp_path, files)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    second = lint(tmp_path, files, baseline=load_baseline(baseline_path))
-    payload = json.loads(render_sarif(second))
-    [entry] = payload["runs"][0]["results"]
-    assert entry["level"] == "note"
 
 
 def test_parse_error_is_reported_and_fails(tmp_path):
@@ -1139,8 +907,8 @@ def test_cli_main_list_checks_and_disable(tmp_path, capsys, monkeypatch):
     target.parent.mkdir(parents=True)
     target.write_text("import os\nVALUE = os.getenv('REPRO_JOBS')\n")
     monkeypatch.chdir(tmp_path)
-    assert main([str(target), "--no-baseline"]) == 1
-    assert main([str(target), "--no-baseline", "--disable", "RL004"]) == 0
+    assert main([str(target)]) == 1
+    assert main([str(target), "--disable", "RL004"]) == 0
 
 
 def test_cli_main_json_output_file(tmp_path, capsys, monkeypatch):
@@ -1152,8 +920,7 @@ def test_cli_main_json_output_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "replint.json"
     assert main(
-        [str(target), "--no-baseline", "--format", "json",
-         "--output", str(report)]
+        [str(target), "--format", "json", "--output", str(report)]
     ) == 0
     payload = json.loads(report.read_text())
     assert payload["exit_code"] == 0
@@ -1166,19 +933,9 @@ def test_cli_main_json_output_file(tmp_path, capsys, monkeypatch):
 
 
 def test_self_run_over_src_is_clean():
-    baseline = load_baseline(
-        REPO_ROOT / "tools" / "replint" / "baseline.json"
-    )
-    result = run_replint(
-        [REPO_ROOT / "src"],
-        default_checks(),
-        baseline=baseline,
-        root=REPO_ROOT,
-    )
+    result = run_replint([REPO_ROOT / "src"], default_checks(), root=REPO_ROOT)
     assert result.parse_errors == []
     assert result.findings == [], [f.format() for f in result.findings]
-    # Acceptance: the committed baseline stays near-empty.
-    assert len(result.baselined) <= 5
 
 
 def test_telemetry_catalog_round_trip():

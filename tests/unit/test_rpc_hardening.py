@@ -42,10 +42,9 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def _param_update_frame(name: str, value: float) -> bytes:
-    """A well-framed ``PARAM_UPDATE`` whose field ``name`` is ``value``."""
-    values = {"timestamp": 0.0, **default_params().as_dict()}
-    values[name] = value
+def _param_update_frame(**overrides: float) -> bytes:
+    """A well-framed ``PARAM_UPDATE``: default params plus ``overrides``."""
+    values = {"timestamp": 0.0, **default_params().as_dict(), **overrides}
     names = [f.name for f in fields(DcqcnParams)]
     payload = struct.pack(
         ">d" + "f" * len(names),
@@ -119,11 +118,37 @@ class TestDecodeErrors:
         self, name, value
     ):
         with pytest.raises(PayloadError, match=name):
-            decode_message(_param_update_frame(name, value))
+            decode_message(_param_update_frame(**{name: value}))
 
     def test_zero_knobs_still_decode(self):
-        update = decode_message(_param_update_frame("k_min", 0.0))
+        update = decode_message(_param_update_frame(k_min=0.0))
         assert update.params.k_min == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k_min": 50000, "k_max": 50000},
+            {"p_max": 3.0},
+            {"dce_tcp_g": 2.0},
+        ],
+        ids=["k_min==k_max", "p_max>1", "dce_tcp_g>1"],
+    )
+    def test_param_update_the_simulator_rejects_raises_payload_error(
+        self, overrides
+    ):
+        # Finite and non-negative, so only DcqcnParams.validate()
+        # catches these; decoding must not hand them to an agent.
+        with pytest.raises(PayloadError):
+            decode_message(_param_update_frame(**overrides))
+
+    def test_default_param_update_round_trip_unchanged(self):
+        params = default_params()
+        update = decode_message(encode_message(ParamUpdate(1.5, params)))
+        assert update.timestamp == 1.5
+        for name, value in params.as_dict().items():
+            assert getattr(update.params, name) == pytest.approx(
+                value, rel=1e-6
+            )
 
     def test_all_errors_are_protocol_and_value_errors(self):
         for exc_type in (
@@ -287,7 +312,7 @@ class TestServerHardening:
     def test_non_finite_param_update_counted_as_protocol_error(self):
         async def scenario():
             server, port = await _started_server()
-            await _raw_send(port, _param_update_frame("k_min", math.inf))
+            await _raw_send(port, _param_update_frame(k_min=math.inf))
             await _settle(server)
             counts = (server.protocol_errors, server.messages_received)
             await server.close()

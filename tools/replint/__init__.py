@@ -9,27 +9,15 @@ checks them.  ``replint`` is that tool: a small, stdlib-``ast``-only
 lint suite whose checks encode *this repo's* rules, run on every
 commit via ``make lint`` and the CI ``lint`` job.
 
-Checks (see :mod:`tools.replint.checks`):
-
-========  ==================================================================
-RL001     unseeded-rng — module-level ``random.*`` / ``np.random.*`` calls
-          in deterministic packages (RNG must flow from a seeded generator)
-RL002     wall-clock — ``time.time``/``perf_counter``/``datetime.now`` and
-          friends outside the timing-shim allowlist
-RL003     telemetry-sync — ``trace.event``/``trace.span`` names and attr
-          dict keys diffed against the ``telemetry/schema.py`` catalog
-RL004     env-registry — direct ``os.environ``/``os.getenv`` access
-          anywhere but the central ``repro/env.py`` registry
-RL005     fork-safety — unpicklable callables reaching pool submissions
-          and module-level mutable state in worker-imported modules
-RL006     silent-except — ``except Exception``/bare ``except`` that only
-          ``pass``es
-========  ==================================================================
+The twelve checks (RL001-RL012) live in :mod:`tools.replint.checks`;
+``python -m tools.replint --list-checks`` prints the catalog.  Every
+run parses every file and runs every check.
 
 Suppression: a per-line pragma ``# replint: disable=RL001`` (comma
-lists and ``disable=all`` accepted) silences findings on that line; a
-committed baseline file (``tools/replint/baseline.json``) grandfathers
-known findings without hiding new ones.
+lists and ``disable=all`` accepted) silences findings on that line,
+and ``# replint: disable-file=RL001`` silences a check for the whole
+file.  Pragmas are the only escape hatch, so every excused finding
+carries its rationale at the site.
 
 Run ``python -m tools.replint src`` (or ``make lint``).
 """
@@ -39,7 +27,6 @@ from tools.replint.core import (  # noqa: F401
     FileContext,
     Finding,
     LintResult,
-    load_baseline,
     run_replint,
 )
 

@@ -4,19 +4,13 @@
 
     python -m tools.replint src                   # lint, text report
     python -m tools.replint src --format json     # machine-readable
-    python -m tools.replint src --format sarif    # code-scanning upload
-    python -m tools.replint src --write-baseline  # grandfather findings
-    python -m tools.replint src --no-cache        # force a cold run
+    python -m tools.replint src --disable RL005   # skip one check
     python -m tools.replint --list-checks
 
-Exit codes: 0 clean (every finding baselined or suppressed), 1 any
-new finding or unparsable file, 2 usage error.
-
-Runs are incremental by default: per-file AST facts are cached under
-``.repro_cache/replint/`` keyed by content hash and analyzer version,
-and whole-program passes re-run only on changed SCCs.  Wall time and
-cache counters print to *stderr* so stdout reports stay byte-identical
-between cold and warm runs.
+Every run parses every file and runs every check.  Exit codes: 0 clean
+(every finding suppressed by a pragma), 1 any finding or unparsable
+file, 2 usage error.  Wall time prints to *stderr*, so stdout reports
+are byte-identical between runs over the same tree.
 """
 
 from __future__ import annotations
@@ -27,13 +21,9 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from tools.replint.cache import DEFAULT_CACHE_DIR, FactsCache, analyzer_version
 from tools.replint.checks import default_checks
-from tools.replint.config import DEFAULT_CONFIG_PATH
-from tools.replint.core import load_baseline, run_replint, write_baseline
-from tools.replint.reporters import render_json, render_sarif, render_text
-
-DEFAULT_BASELINE = Path(__file__).parent / "baseline.json"
+from tools.replint.core import run_replint
+from tools.replint.reporters import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
@@ -56,34 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report to PATH (used by CI for artifacts)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", default=str(DEFAULT_BASELINE),
-        help="baseline file of grandfathered findings "
-        "(default: tools/replint/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--disable", action="append", default=[], metavar="CHECK",
         help="disable a check id (repeatable), e.g. --disable RL005",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the incremental facts cache (force a cold run)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=str(DEFAULT_CACHE_DIR),
-        help="incremental cache directory "
-        "(default: .repro_cache/replint)",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also list baselined findings in the text report",
     )
     parser.add_argument(
         "--list-checks", action="store_true",
@@ -101,53 +65,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{check.id}  {check.name:18s} {check.description}")
         return 0
 
-    baseline_path = None if args.no_baseline else Path(args.baseline)
-    try:
-        baseline = load_baseline(baseline_path)
-    except (ValueError, OSError) as exc:
-        print(f"replint: {exc}", file=sys.stderr)
-        return 2
-
-    cache = None
-    if not args.no_cache:
-        try:
-            config_bytes = DEFAULT_CONFIG_PATH.read_bytes()
-        except OSError:
-            config_bytes = b""
-        cache = FactsCache(
-            Path(args.cache_dir), analyzer_version(config_bytes)
-        )
-
     started = time.perf_counter()
-    result = run_replint(
-        [Path(p) for p in args.paths], checks, baseline=baseline, cache=cache
-    )
+    result = run_replint([Path(p) for p in args.paths], checks)
     elapsed = time.perf_counter() - started
 
-    if args.write_baseline:
-        findings = result.findings + result.baselined
-        write_baseline(Path(args.baseline), findings)
-        print(
-            f"replint: wrote {len(findings)} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    if args.format == "json":
-        report = render_json(result)
-    elif args.format == "sarif":
-        report = render_sarif(result)
-    else:
-        report = render_text(result, verbose=args.verbose)
+    render = render_json if args.format == "json" else render_text
+    report = render(result)
     print(report)
     if args.output:
         Path(args.output).write_text(report + "\n")
-    stats = result.stats
     print(
-        f"replint: {elapsed:.3f}s wall "
-        f"(parsed {stats.get('files_parsed', 0)}, "
-        f"cached {stats.get('files_cached', 0)} files; "
-        f"graph SCCs evaluated {stats.get('sccs_evaluated', 0)}, "
-        f"reused {stats.get('sccs_reused', 0)})",
+        f"replint: {elapsed:.3f}s wall ({result.files_scanned} files)",
         file=sys.stderr,
     )
     return result.exit_code

@@ -5,8 +5,8 @@ simulation output streams; they only replay if every random draw flows
 from a task seed and no simulated-path value ever depends on the host
 clock.  These two checks make both rules static.
 
-Both are pure per-file rules: ``extract`` computes the finding sites
-once (cached by content hash), ``file_findings`` replays them.
+Both are pure per-file rules: ``extract`` computes the finding sites,
+``file_findings`` applies the allowlist and reports them.
 """
 
 from __future__ import annotations
@@ -162,9 +162,7 @@ class WallClockCheck(Check):
 
     def file_findings(self, relpath: str, facts) -> Iterable[Finding]:
         # The allowlist is applied at report time, not extract time, so
-        # cached facts stay valid if the allowlist changes (the
-        # analyzer-version stamp rotates the cache anyway — this just
-        # keeps extract a pure function of the file).
+        # extract stays a pure function of the file.
         if path_matches(relpath, self.allowlist):
             return
         for line, message in facts or ():

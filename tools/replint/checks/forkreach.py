@@ -13,17 +13,15 @@ flags, inside that closure:
   runtime-mutated state observe whichever process mutated last.
 
 State workers touch *by design* (the telemetry registry reset at
-worker startup, the warm-fabric cache, the packet free-list) is
-sanctioned in ``layers.toml`` with a rationale next to each entry.
+worker startup, the packet free-list) is sanctioned in
+``layers.toml`` with a rationale next to each entry.
 
-The closure is global — any file edit can change it — so the result is
-cached under a whole-tree signature; the pass itself is one BFS over
-already-extracted facts.
+The pass itself is one BFS over already-extracted facts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from tools.replint.config import ReplintConfig, load_config
 from tools.replint.core import Check, Finding, ProjectIndex
@@ -46,30 +44,7 @@ class ForkReachabilityCheck(Check):
             self._config = load_config()
         return self._config
 
-    def finalize(self, project: ProjectIndex) -> Iterable[Finding]:
-        signature = project.global_signature("rl010")
-        if project.cache is not None:
-            cached = project.cache.get_pass(self.id, signature)
-            if cached is not None:
-                return [
-                    Finding(check, path, line, message)
-                    for check, path, line, message in cached["findings"]
-                ]
-        findings = self._compute(project)
-        if project.cache is not None:
-            project.cache.put_pass(
-                self.id,
-                signature,
-                {
-                    "findings": [
-                        [f.check, f.path, f.line, f.message]
-                        for f in findings
-                    ]
-                },
-            )
-        return findings
-
-    def _compute(self, project: ProjectIndex) -> List[Finding]:
+    def finalize(self, project: ProjectIndex) -> List[Finding]:
         config = self.config
         graph = project.graph
 

@@ -13,9 +13,8 @@ own layer or any *lower* layer.  Two finding families:
   precisely how a cycle is broken at import time, so only eager cycles
   can deadlock module init).
 
-The pass itself is a trivial scan over resolved module edges, so it
-re-runs every time; all the cost lives in the per-file facts the
-cache already skips.
+The pass itself is a trivial scan over resolved module edges; all the
+cost lives in the per-file fact extraction.
 """
 
 from __future__ import annotations

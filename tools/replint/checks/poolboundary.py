@@ -1,7 +1,7 @@
 """RL007 pool-boundary: all process-fabric construction in one place.
 
 The parallel fabric owns worker lifecycle (fork-time registry reset,
-env-fingerprint respawn, teardown).  A shared-memory segment is a
+lazy respawn of dead workers, teardown).  A shared-memory segment is a
 parent-owned OS resource that needs an exactly-once unlink and starts
 ``multiprocessing``'s resource tracker, so the fabric uses none.  A stray
 ``ProcessPoolExecutor`` or ``shared_memory.SharedMemory`` constructed

@@ -19,7 +19,7 @@ tracks how nondeterministic values travel:
 
 Analysis is two-tier:
 
-1. **Extraction** (per file, cached): for every function an
+1. **Extraction** (per file): for every function an
    intra-procedural fixpoint computes each local's taint value —
    ``(tainted, deps)`` where deps name callee returns (``c:<dotted>``)
    and own parameters (``p:<index>``) whose taint would propagate.
@@ -28,21 +28,16 @@ Analysis is two-tier:
    Files in ``[taint].strict_packages`` additionally get *structural*
    findings for any set-order iteration — those packages feed digests
    by construction, so no flow proof is required.
-2. **Finalize** (whole program, per-SCC cached): a fixpoint over the
-   call graph resolves ``c:`` deps to project functions, propagates
-   return taint and param-to-sink summaries across module boundaries,
-   and emits findings where a resolved-tainted value meets a sink.
-   Each SCC's result is cached under a signature of its member file
-   hashes plus its direct successors' exported summaries, so a
-   one-file edit re-evaluates only that SCC and the dependents whose
-   inputs actually changed.
+2. **Finalize** (whole program, one SCC at a time, dependencies
+   first): a fixpoint over the call graph resolves ``c:`` deps to
+   project functions, propagates return taint and param-to-sink
+   summaries across module boundaries, and emits findings where a
+   resolved-tainted value meets a sink.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from tools.replint.config import ReplintConfig, load_config
@@ -512,7 +507,6 @@ class DeterminismTaintCheck(Check):
 
     def finalize(self, project: ProjectIndex) -> Iterable[Finding]:
         graph = project.graph
-        successors = graph.scc_successors()
         ret: Dict[str, bool] = {}
         sink_params: Dict[str, List[int]] = {}
         findings: List[Finding] = []
@@ -522,62 +516,10 @@ class DeterminismTaintCheck(Check):
             facts = project.facts(self.id, relpath) or {}
             return facts.get("fns", {})
 
-        def exported(scc_index: int) -> Dict:
-            out = {}
-            for mod in graph.sccs[scc_index]:
-                for qual in fn_facts(mod):
-                    fq = f"{mod}.{qual}"
-                    out[fq] = [ret.get(fq, False), sink_params.get(fq, [])]
-            return out
-
-        for scc_index, members in enumerate(graph.sccs):
-            signature_src = json.dumps(
-                {
-                    "members": [
-                        [m, project.content_hash(graph.modules[m][0])]
-                        for m in members
-                    ],
-                    "deps": [
-                        exported(s) for s in sorted(successors[scc_index])
-                    ],
-                },
-                sort_keys=True,
+        for members in graph.sccs:
+            findings.extend(
+                self._evaluate_scc(graph, members, fn_facts, ret, sink_params)
             )
-            signature = hashlib.sha256(signature_src.encode()).hexdigest()
-            cached = (
-                project.cache.get_pass(self.id, signature)
-                if project.cache is not None
-                else None
-            )
-            if cached is not None:
-                project.stats["sccs_reused"] = (
-                    project.stats.get("sccs_reused", 0) + 1
-                )
-                for fq, (r, sp) in cached["summaries"].items():
-                    ret[fq] = r
-                    sink_params[fq] = sp
-                for check, path, line, message in cached["findings"]:
-                    findings.append(Finding(check, path, line, message))
-                continue
-            project.stats["sccs_evaluated"] = (
-                project.stats.get("sccs_evaluated", 0) + 1
-            )
-            scc_findings = self._evaluate_scc(
-                graph, members, fn_facts, ret, sink_params
-            )
-            findings.extend(scc_findings)
-            if project.cache is not None:
-                project.cache.put_pass(
-                    self.id,
-                    signature,
-                    {
-                        "summaries": exported(scc_index),
-                        "findings": [
-                            [f.check, f.path, f.line, f.message]
-                            for f in scc_findings
-                        ],
-                    },
-                )
         return findings
 
     def _evaluate_scc(

@@ -4,15 +4,13 @@ The graph-powered checks (RL008 layering, RL009 determinism taint,
 RL010 fork reachability, RL011 contract sync) are data-driven: the
 layer DAG, taint vocabulary, fork entry points and artifact paths all
 live in ``tools/replint/layers.toml`` so the enforced architecture is
-reviewable without reading analyzer code.  The file's content hash is
-folded into the analyzer version stamp, so editing it invalidates the
-incremental cache (see :mod:`tools.replint.cache`).
+reviewable without reading analyzer code.
 """
 
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -45,9 +43,6 @@ class ReplintConfig:
     readme_table_end: str
     build_files: Tuple[str, ...]
     flag_allowlist: Tuple[str, ...]
-    # provenance
-    source_path: str = field(default="", compare=False)
-    source_bytes: bytes = field(default=b"", compare=False, repr=False)
 
     def layer_index(self, name: str) -> int:
         return self.layer_order.index(name)
@@ -79,8 +74,7 @@ class ReplintConfig:
 
 
 def load_config(path: Path = DEFAULT_CONFIG_PATH) -> ReplintConfig:
-    raw_bytes = Path(path).read_bytes()
-    data = tomllib.loads(raw_bytes.decode())
+    data = tomllib.loads(Path(path).read_bytes().decode())
     layers = data.get("layers", {})
     taint = data.get("taint", {})
     fork = data.get("forkreach", {})
@@ -118,6 +112,4 @@ def load_config(path: Path = DEFAULT_CONFIG_PATH) -> ReplintConfig:
         readme_table_end=contracts.get("readme_table_end", "env-table:end -->"),
         build_files=tuple(contracts.get("build_files", ())),
         flag_allowlist=tuple(contracts.get("flag_allowlist", ())),
-        source_path=str(path),
-        source_bytes=raw_bytes,
     )

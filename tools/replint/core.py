@@ -1,34 +1,29 @@
-"""replint framework: findings, pragmas, baseline, check protocol, runner.
+"""replint framework: findings, pragmas, check protocol, runner.
 
 Design goals, in order:
 
-1. **Zero dependencies** — stdlib ``ast`` + ``json`` only, so the lint
-   gate runs anywhere the repo's tests run (and in CI before any
-   install step beyond the checkout).
-2. **Facts, then findings** — a check splits into a pure per-file
-   :meth:`Check.extract` (AST -> JSON-serializable facts, the unit the
-   incremental cache persists) and cheap :meth:`Check.file_findings` /
-   :meth:`Check.finalize` passes that derive findings from facts.  A
-   warm run touches no AST at all: unchanged files replay their cached
-   facts, and whole-program passes re-evaluate only the
-   strongly-connected components whose inputs changed.
+1. **Zero dependencies** — stdlib ``ast`` only, so the lint gate runs
+   anywhere the repo's tests run (and in CI before any install step
+   beyond the checkout).
+2. **One way to run** — every lint parses every file and runs every
+   check.  A check splits into a pure per-file :meth:`Check.extract`
+   (AST -> facts) and :meth:`Check.file_findings` /
+   :meth:`Check.finalize` passes that derive findings from facts; the
+   whole-program passes (RL008-RL011) need every file's facts before
+   they can finalise.
 3. **Escape hatches that leave a paper trail** — a per-line pragma
-   (``# replint: disable=RL001``), a file-level pragma
-   (``# replint: disable-file=RL009``) for generated or fixture files,
-   and a committed baseline for grandfathered findings.  Baseline keys
-   deliberately exclude line numbers so unrelated edits above a
-   grandfathered finding don't churn the file.
+   (``# replint: disable=RL001``) or a file-level pragma
+   (``# replint: disable-file=RL009``), each at the site it excuses,
+   are the only suppressions.
 
 Everything user-visible is deterministically ordered: findings sort on
-the total key ``(path, line, check, message)``, so cold and warm runs
-— and runs on different machines — produce byte-identical reports.
+the total key ``(path, line, check, message)``, so runs on different
+machines produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,11 +58,6 @@ class Finding:
     message: str
 
     @property
-    def baseline_key(self) -> str:
-        """Line-number-free identity used by the baseline file."""
-        return f"{self.path}::{self.check}::{self.message}"
-
-    @property
     def sort_key(self):
         """Total order: ties on (path, line, check) break on message,
         so report order never depends on check evaluation order."""
@@ -75,6 +65,10 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.check} {self.message}"
+
+
+def _disabled_ids(match: re.Match) -> Set[str]:
+    return {name.strip().lower() for name in match.group(1).split(",")}
 
 
 class FileContext:
@@ -86,61 +80,24 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
-        self._pragmas: Optional[Dict[int, Set[str]]] = None
-        self._file_disables: Optional[Set[str]] = None
-
-    @property
-    def pragmas(self) -> Dict[int, Set[str]]:
-        """lineno -> set of lowercased check ids disabled on that line."""
-        if self._pragmas is None:
-            table: Dict[int, Set[str]] = {}
-            for lineno, line in enumerate(self.lines, start=1):
-                match = _PRAGMA_RE.search(line)
-                if match is None:
-                    continue
-                table[lineno] = {
-                    name.strip().lower()
-                    for name in match.group(1).split(",")
-                }
-            self._pragmas = table
-        return self._pragmas
-
-    @property
-    def file_disables(self) -> Set[str]:
-        """Lowercased check ids disabled for the whole file."""
-        if self._file_disables is None:
-            disabled: Set[str] = set()
-            for line in self.lines:
-                match = _FILE_PRAGMA_RE.search(line)
-                if match:
-                    disabled.update(
-                        name.strip().lower()
-                        for name in match.group(1).split(",")
-                    )
-            self._file_disables = disabled
-        return self._file_disables
-
-    def suppressed(self, check_id: str, line: int) -> bool:
-        wanted = check_id.lower()
-        if _ALL in self.file_disables or wanted in self.file_disables:
-            return True
-        disabled = self.pragmas.get(line)
-        if not disabled:
-            return False
-        return _ALL in disabled or wanted in disabled
+        #: lineno -> lowercased check ids disabled on that line.
+        self.pragmas: Dict[int, Set[str]] = {}
+        #: Lowercased check ids disabled for the whole file.
+        self.file_disables: Set[str] = set()
+        for lineno, line in enumerate(self.lines, start=1):
+            match = _PRAGMA_RE.search(line)
+            if match is not None:
+                self.pragmas[lineno] = _disabled_ids(match)
+            match = _FILE_PRAGMA_RE.search(line)
+            if match is not None:
+                self.file_disables |= _disabled_ids(match)
 
 
 @dataclass
 class FileRecord:
-    """Everything the runner keeps per file — and what the cache stores.
-
-    A record is a pure function of (relpath, content, analyzer
-    version); re-running a check against a cached record is guaranteed
-    to reproduce the cold-run findings.
-    """
+    """Everything the runner keeps per file once its AST is gone."""
 
     relpath: str
-    content_hash: str
     pragmas: Dict[int, Set[str]]
     file_disables: Set[str]
     graph: Dict
@@ -155,50 +112,16 @@ class FileRecord:
             return False
         return _ALL in disabled or wanted in disabled
 
-    def to_json(self) -> Dict:
-        return {
-            "relpath": self.relpath,
-            "content_hash": self.content_hash,
-            "pragmas": {
-                str(line): sorted(ids) for line, ids in self.pragmas.items()
-            },
-            "file_disables": sorted(self.file_disables),
-            "graph": self.graph,
-            "facts": self.facts,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict) -> "FileRecord":
-        return cls(
-            relpath=data["relpath"],
-            content_hash=data["content_hash"],
-            pragmas={
-                int(line): set(ids)
-                for line, ids in data["pragmas"].items()
-            },
-            file_disables=set(data["file_disables"]),
-            graph=data["graph"],
-            facts=data["facts"],
-        )
-
 
 class ProjectIndex:
     """Whole-program view handed to every check's ``finalize``."""
 
-    def __init__(
-        self,
-        records: Sequence[FileRecord],
-        root: Path,
-        cache=None,
-        stats: Optional[Dict[str, int]] = None,
-    ):
+    def __init__(self, records: Sequence[FileRecord], root: Path):
         self.records = list(records)
         self.by_path: Dict[str, FileRecord] = {
             r.relpath: r for r in self.records
         }
         self.root = Path(root)
-        self.cache = cache
-        self.stats = stats if stats is not None else {}
         self._graph: Optional[ProjectGraph] = None
 
     @property
@@ -209,22 +132,9 @@ class ProjectIndex:
             )
         return self._graph
 
-    def content_hash(self, relpath: str) -> str:
-        record = self.by_path.get(relpath)
-        return record.content_hash if record else ""
-
     def facts(self, check_id: str, relpath: str):
         record = self.by_path.get(relpath)
         return record.facts.get(check_id) if record else None
-
-    def global_signature(self, extra: str = "") -> str:
-        """Signature over every record — key for whole-tree passes."""
-        digest = hashlib.sha256()
-        for record in sorted(self.records, key=lambda r: r.relpath):
-            digest.update(record.relpath.encode())
-            digest.update(record.content_hash.encode())
-        digest.update(extra.encode())
-        return digest.hexdigest()
 
 
 class Check:
@@ -233,13 +143,12 @@ class Check:
     Subclasses set ``id`` / ``name`` / ``description`` and implement
     some subset of:
 
-    * :meth:`extract` — pure per-file AST -> facts (JSON-serializable;
-      cached by content hash, so it must not read anything but the
-      given :class:`FileContext`);
+    * :meth:`extract` — pure per-file AST -> facts (it must not read
+      anything but the given :class:`FileContext`);
     * :meth:`file_findings` — findings derivable from one file's facts
       alone;
     * :meth:`finalize` — whole-program findings from the
-      :class:`ProjectIndex` (graph, all files' facts, pass cache).
+      :class:`ProjectIndex` (graph, all files' facts).
 
     ``start`` resets per-run state so a check instance can be reused
     across runs (the test suite does).
@@ -276,67 +185,14 @@ class Check:
 class LintResult:
     """Everything a reporter needs."""
 
-    findings: List[Finding] = field(default_factory=list)  # new, unbaselined
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)  # unsuppressed
     parse_errors: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     checks: List[Check] = field(default_factory=list)
-    #: Incremental-run counters: files_parsed / files_cached /
-    #: sccs_evaluated / sccs_reused.  Excluded from reports so cold and
-    #: warm runs render byte-identically.
-    stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
         return 1 if (self.findings or self.parse_errors) else 0
-
-    def all_findings(self) -> List[Finding]:
-        return sorted(
-            self.findings + self.baselined + self.parse_errors,
-            key=lambda f: f.sort_key,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Baseline file
-# ---------------------------------------------------------------------------
-
-
-def occurrence_keys(findings: Sequence[Finding]) -> List[str]:
-    """Baseline keys for ``findings``, disambiguating duplicates.
-
-    Keys are line-number-free so edits above a grandfathered finding
-    don't churn the baseline; identical (path, check, message) triples
-    are numbered (``...#2``, ``...#3``) in total sort order — *not*
-    input order — so the n-th duplicate always maps to the same key
-    even when an unrelated finding lands between two copies.
-    """
-    order = sorted(range(len(findings)), key=lambda i: findings[i].sort_key)
-    counts: Dict[str, int] = {}
-    keys: List[str] = [""] * len(findings)
-    for i in order:
-        base = findings[i].baseline_key
-        n = counts.get(base, 0) + 1
-        counts[base] = n
-        keys[i] = base if n == 1 else f"{base}#{n}"
-    return keys
-
-
-def load_baseline(path: Optional[Path]) -> Set[str]:
-    """Baseline keys from ``path``; missing file means empty baseline."""
-    if path is None or not Path(path).exists():
-        return set()
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError(f"malformed baseline file: {path}")
-    return set(data["findings"])
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    ordered = sorted(findings, key=lambda f: f.sort_key)
-    keys = sorted(occurrence_keys(ordered))
-    payload = {"version": 1, "findings": keys}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +231,6 @@ def _build_record(
     ctx = FileContext(path, relpath, source)
     return FileRecord(
         relpath=relpath,
-        content_hash=hashlib.sha256(source.encode()).hexdigest(),
         pragmas=ctx.pragmas,
         file_disables=ctx.file_disables,
         graph=extract_file_facts(relpath, ctx.tree),
@@ -386,28 +241,16 @@ def _build_record(
 def run_replint(
     paths: Sequence[Path],
     checks: Sequence[Check],
-    baseline: Optional[Set[str]] = None,
     root: Optional[Path] = None,
-    cache=None,
 ) -> LintResult:
     """Run ``checks`` over every Python file under ``paths``.
 
-    ``root`` anchors repo-relative paths in findings and baseline keys
-    (defaults to the current working directory — i.e. the repo root
-    when invoked via ``make lint`` / ``python -m tools.replint``).
-    ``cache`` is an optional :class:`tools.replint.cache.FactsCache`;
-    with it, unchanged files skip parsing entirely and graph passes
-    re-run only on changed SCCs.
+    ``root`` anchors repo-relative paths in findings (defaults to the
+    current working directory — i.e. the repo root when invoked via
+    ``make lint`` / ``python -m tools.replint``).
     """
     root = Path(root) if root is not None else Path.cwd()
-    baseline = baseline or set()
-    stats = {
-        "files_parsed": 0,
-        "files_cached": 0,
-        "sccs_evaluated": 0,
-        "sccs_reused": 0,
-    }
-    result = LintResult(checks=list(checks), stats=stats)
+    result = LintResult(checks=list(checks))
 
     for check in checks:
         check.start()
@@ -416,38 +259,17 @@ def run_replint(
     for path in iter_python_files(paths):
         relpath = _relpath(path, root)
         try:
-            source = path.read_text()
-        except (UnicodeDecodeError, OSError) as exc:
-            result.parse_errors.append(
-                Finding("PARSE", relpath, 0, f"cannot analyze: {exc}")
+            records.append(
+                _build_record(path, relpath, path.read_text(), checks)
             )
-            continue
-        content_hash = hashlib.sha256(source.encode()).hexdigest()
-        record: Optional[FileRecord] = None
-        if cache is not None:
-            cached = cache.get_file(relpath, content_hash)
-            if cached is not None:
-                record = FileRecord.from_json(cached)
-                if any(c.id not in record.facts for c in checks):
-                    record = None  # suite changed: re-extract
-        if record is None:
-            try:
-                record = _build_record(path, relpath, source, checks)
-            except SyntaxError as exc:
-                line = getattr(exc, "lineno", 0) or 0
-                result.parse_errors.append(
-                    Finding("PARSE", relpath, line, f"cannot analyze: {exc}")
-                )
-                continue
-            stats["files_parsed"] += 1
-            if cache is not None:
-                cache.put_file(relpath, content_hash, record.to_json())
-        else:
-            stats["files_cached"] += 1
-        records.append(record)
+        except (UnicodeDecodeError, OSError, SyntaxError) as exc:
+            line = getattr(exc, "lineno", 0) or 0
+            result.parse_errors.append(
+                Finding("PARSE", relpath, line, f"cannot analyze: {exc}")
+            )
     result.files_scanned = len(records)
 
-    project = ProjectIndex(records, root=root, cache=cache, stats=stats)
+    project = ProjectIndex(records, root=root)
 
     raw: List[Finding] = []
     for check in checks:
@@ -459,17 +281,10 @@ def run_replint(
             )
         raw.extend(check.finalize(project))
 
-    kept: List[Finding] = []
     for finding in sorted(raw, key=lambda f: f.sort_key):
         record = project.by_path.get(finding.path)
-        if record is not None and record.suppressed(
+        if record is None or not record.suppressed(
             finding.check, finding.line
         ):
-            continue
-        kept.append(finding)
-    for finding, key in zip(kept, occurrence_keys(kept)):
-        if key in baseline:
-            result.baselined.append(finding)
-        else:
             result.findings.append(finding)
     return result

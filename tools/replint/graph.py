@@ -1,20 +1,19 @@
 """Whole-program import/call graph over the ``repro`` package.
 
 This is the substrate the graph-powered checks share.  It is built in
-two phases so the incremental cache can skip re-parsing:
+two phases, so the AST is needed only while its file is extracted:
 
 1. **Per-file extraction** (:func:`extract_file_facts`) — a pure
-   function of one file's AST producing a JSON-serializable facts
-   dict: module name, import edges (with lazy/type-only flags), the
-   def table (functions, methods, classes), best-effort dotted call
-   sites per definition, bare attribute-call names (for duck-typed
-   linking), and module-global read/write/mutation sites.  These facts
-   are what the cache persists, keyed by content hash.
+   function of one file's AST producing a plain facts dict: module
+   name, import edges (with lazy/type-only flags), the def table
+   (functions, methods, classes), best-effort dotted call sites per
+   definition, bare attribute-call names (for duck-typed linking),
+   and module-global read/write/mutation sites.
 
 2. **Project assembly** (:class:`ProjectGraph`) — joins every file's
    facts into module-level import edges, symbol tables, a resolved
-   call graph, and the SCC condensation (Tarjan) that both the
-   layering pass and the incremental scheduler key on.
+   call graph, and the SCC condensation (Tarjan) that the layering
+   pass and the taint propagation order key on.
 
 Resolution is deliberately best-effort: Python's dynamism means a
 sound-and-complete call graph is unreachable, so each consumer picks
@@ -261,7 +260,7 @@ def module_level_mutables(tree: ast.Module) -> Dict[str, int]:
 
 
 def extract_file_facts(relpath: str, tree: ast.Module) -> Dict:
-    """The per-file graph facts persisted by the incremental cache."""
+    """The per-file graph facts :class:`ProjectGraph` joins."""
     module = module_name(relpath)
     mutables = module_level_mutables(tree)
     visitor = _FactsVisitor(module or "", set(mutables))
@@ -359,7 +358,6 @@ class ProjectGraph:
         self._symbols: Dict[str, Dict[str, str]] = {}
         self._edges: Optional[List[Dict]] = None
         self._sccs: Optional[List[List[str]]] = None
-        self._scc_of: Dict[str, int] = {}
         self._methods_by_name: Optional[Dict[str, List[str]]] = None
 
     # -- import edges -----------------------------------------------------
@@ -514,28 +512,7 @@ class ProjectGraph:
                     continue
                 adjacency[edge["src"]].append(edge["dst"])
             self._sccs = strongly_connected(sorted(self.modules), adjacency)
-            self._scc_of = {
-                m: i for i, comp in enumerate(self._sccs) for m in comp
-            }
         return self._sccs
-
-    def scc_of(self, mod: str) -> int:
-        self.sccs  # builds the index
-        return self._scc_of[mod]
-
-    def scc_successors(self) -> Dict[int, Set[int]]:
-        """SCC index -> set of SCC indices it imports (no self loops)."""
-        self.sccs
-        successors: Dict[int, Set[int]] = {
-            i: set() for i in range(len(self._sccs or []))
-        }
-        for edge in self.import_edges:
-            if edge["typeonly"]:
-                continue
-            a, b = self._scc_of[edge["src"]], self._scc_of[edge["dst"]]
-            if a != b:
-                successors[a].add(b)
-        return successors
 
     def eager_cycles(self) -> List[List[str]]:
         """Import cycles in the eager subgraph (lazy + type-only edges

@@ -1,58 +1,30 @@
-"""Text, JSON and SARIF renderings of a :class:`~tools.replint.core.LintResult`.
+"""Text and JSON renderings of a :class:`~tools.replint.core.LintResult`.
 
-Reports deliberately exclude run statistics and timing: a warm
-(cache-served) run must render byte-identically to the cold run it
-mirrors, which is exactly what the CI equivalence step diffs.  Timing
-goes to stderr in the CLI instead.
+Reports deliberately exclude timing, so two runs over the same tree
+render byte-identically; the CLI prints wall time to stderr instead.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
 
 from tools.replint.core import LintResult
 
-#: SARIF 2.1.0 — the GitHub code-scanning ingestion format.
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
-
-def render_text(result: LintResult, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one line per finding, then a summary."""
-    lines = []
-    for finding in result.parse_errors:
-        lines.append(finding.format())
-    for finding in result.findings:
-        lines.append(finding.format())
-    if verbose:
-        for finding in result.baselined:
-            lines.append(f"{finding.format()} [baselined]")
+    lines = [f.format() for f in result.parse_errors + result.findings]
     total = len(result.findings) + len(result.parse_errors)
-    summary = (
+    lines.append(
         f"replint: {result.files_scanned} files, "
-        f"{len(result.checks)} checks, "
-        f"{total} finding(s), {len(result.baselined)} baselined"
+        f"{len(result.checks)} checks, {total} finding(s)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def render_json(result: LintResult) -> str:
     """Machine-readable report (the CI artifact)."""
-    def encode(finding, baselined: bool) -> Dict:
-        return {
-            "check": finding.check,
-            "path": finding.path,
-            "line": finding.line,
-            "message": finding.message,
-            "baselined": baselined,
-            "key": finding.baseline_key,
-        }
-
+    findings = result.parse_errors + result.findings
     payload = {
         "version": 1,
         "files_scanned": result.files_scanned,
@@ -64,88 +36,16 @@ def render_json(result: LintResult) -> str:
             }
             for check in result.checks
         ],
-        "findings": (
-            [encode(f, False) for f in result.parse_errors]
-            + [encode(f, False) for f in result.findings]
-            + [encode(f, True) for f in result.baselined]
-        ),
-        "counts": {
-            "new": len(result.findings) + len(result.parse_errors),
-            "baselined": len(result.baselined),
-        },
-        "exit_code": result.exit_code,
-    }
-    return json.dumps(payload, indent=2)
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report (GitHub code-scanning / IDE ingestion).
-
-    New findings and parse errors are ``error`` level; baselined
-    findings are shipped as ``note`` so the history stays visible
-    without failing the scan.
-    """
-    rules: List[Dict] = [
-        {
-            "id": check.id,
-            "name": check.name,
-            "shortDescription": {"text": check.description},
-        }
-        for check in result.checks
-    ]
-    rule_ids = {rule["id"] for rule in rules}
-
-    def sarif_result(finding, level: str) -> Dict:
-        entry: Dict = {
-            "ruleId": finding.check,
-            "level": level,
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {"startLine": max(1, finding.line)},
-                    }
-                }
-            ],
-        }
-        return entry
-
-    results: List[Dict] = []
-    for finding in result.parse_errors:
-        results.append(sarif_result(finding, "error"))
-        if finding.check not in rule_ids:
-            rule_ids.add(finding.check)
-            rules.append(
-                {
-                    "id": finding.check,
-                    "name": "parse-error",
-                    "shortDescription": {"text": "file could not be parsed"},
-                }
-            )
-    for finding in result.findings:
-        results.append(sarif_result(finding, "error"))
-    for finding in result.baselined:
-        results.append(sarif_result(finding, "note"))
-
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
+        "findings": [
             {
-                "tool": {
-                    "driver": {
-                        "name": "replint",
-                        "informationUri": "tools/replint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
+                "check": f.check,
+                "path": f.path,
+                "line": f.line,
+                "message": f.message,
             }
+            for f in findings
         ],
+        "counts": {"new": len(findings)},
+        "exit_code": result.exit_code,
     }
     return json.dumps(payload, indent=2)
