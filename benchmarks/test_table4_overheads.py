@@ -54,8 +54,9 @@ def _loaded_agent() -> SwitchAgent:
     agent = SwitchAgent(net.tors[0], tau=kb(100.0))
     rng = random.Random(5)
     for _ in range(5):
-        interval = {fid: rng.randrange(1, 200_000) for fid in range(200)}
-        agent.classifier.update(interval)
+        for fid in range(200):
+            agent.sketch.insert(fid, rng.randrange(1, 200_000))
+        agent.collect(0.001)
     return agent
 
 

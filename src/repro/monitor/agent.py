@@ -7,7 +7,9 @@ into a local flow-size distribution for the controller:
 * :class:`SwitchAgent` — the full Paraleon pipeline: Elastic Sketch in
   the data plane, read-and-reset each interval, sliding-window ternary
   state update in the control plane (Keypoint 2), TOS-dedup insertion
-  (Keypoint 1, enforced by the switch datapath).
+  (Keypoint 1, enforced by the switch datapath).  An
+  :class:`AgentStack` runs N of them as one table, which is how
+  :class:`~repro.monitor.aggregate.FsdAggregator` collects them.
 * :class:`NaiveSketchAgent` — ablation: same sketch, but the naive
   single-interval elephant rule and no control-plane state.
 * :class:`NetFlowAgent` — commodity baseline: 1:100 sampling with an
@@ -17,7 +19,7 @@ into a local flow-size distribution for the controller:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.monitor.fsd import FlowSizeDistribution
 from repro.monitor.states import (
@@ -27,7 +29,7 @@ from repro.monitor.states import (
 from repro.telemetry import trace
 from repro.simulator.switch import Switch
 from repro.simulator.units import mb
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
 from repro.sketch.netflow import NetFlowConfig, NetFlowMonitor
 
 @dataclass
@@ -73,12 +75,16 @@ class SwitchAgent:
     The whole interval runs columnar: the switch buffers observations
     and flushes them through the sketch's batch kernel, the sketch is
     read and reset as flat arrays, flow states advance with masked
-    numpy ops, and the FSD is
-    summed by the same kernel the scalar reference pieces
-    (``ElasticSketch.read_and_reset`` → ``SlidingWindowClassifier`` →
-    ``FlowSizeDistribution.from_entries``) use, so reports and run
-    digests are bit-identical to that reference
+    numpy ops, and the FSD is summed by the same kernel the scalar
+    reference pieces (``ElasticSketch.read_and_reset`` →
+    ``SlidingWindowClassifier`` → ``FlowSizeDistribution.from_entries``)
+    use, so reports and run digests are bit-identical to that reference
     (``test_reports_bit_identical_across_modes``).
+
+    The agent is always a member of an :class:`AgentStack` — alone
+    until an :class:`~repro.monitor.aggregate.FsdAggregator` stacks it
+    with its peers — and :meth:`collect` is that stack's pass with one
+    member.
     """
 
     def __init__(
@@ -94,30 +100,92 @@ class SwitchAgent:
             sketch_config
             or ElasticSketchConfig(seed=switch.switch_id)
         )
-        self.classifier = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
+        self.classifier = ColumnarSlidingWindowClassifier(
+            tau=tau, delta=delta, key_span=self.sketch.config.heavy_buckets
+        )
         self.tau = tau
         switch.measurement = self.sketch
         switch.dedup_marking = dedup_marking
         switch.enable_batched_observation()
         self.reports_made = 0
+        self._group = 0
+        self._stack = AgentStack([self])
+
+    def stack_key(self) -> Tuple:
+        """Agents with equal keys can share one :class:`AgentStack`."""
+        config = self.sketch.config
+        return (
+            config.heavy_buckets,
+            config.light_depth,
+            config.light_width,
+            self.tau,
+            self.classifier.delta,
+        )
 
     def collect(self, now: float) -> LocalReport:
         """One monitor interval: read+reset sketch, update states."""
-        self.reports_made += 1
-        self.switch.flush_observations()
-        flow_ids, interval_vals = self.sketch.read_and_reset_arrays()
-        self.classifier.update_arrays(flow_ids, interval_vals)
-        ids, cum, codes = self.classifier.snapshot_columns()
-        fsd = FlowSizeDistribution.from_columns(ids, cum, codes, tau=self.tau)
-        total_bytes = int(interval_vals.sum()) if interval_vals.size else 0
-        return _trace_report(
-            LocalReport(
-                switch_name=self.switch.name,
-                fsd=fsd,
-                tracked_flows=len(self.classifier),
-                interval_bytes=total_bytes,
+        stack = self._stack
+        if len(stack.agents) > 1:
+            raise RuntimeError(
+                f"{self.switch.name} is collected with its "
+                f"{len(stack.agents) - 1} peers by AgentStack.collect()"
             )
+        return stack.collect(now)[0]
+
+
+class AgentStack:
+    """N :class:`SwitchAgent` s collected as one table.
+
+    Construction moves the agents' sketch registers into one
+    :class:`~repro.sketch.elastic.ElasticStack` and their flow tables
+    into one bucket-keyed classifier, group ``i`` for ``agents[i]``;
+    every agent's ``classifier`` becomes that shared table.  Per-switch
+    inserts are untouched.  :meth:`collect` then closes the interval
+    for all N with one read-and-reset, one classifier pass and one FSD
+    pass, and returns the reports each agent would have made alone.
+    """
+
+    def __init__(self, agents: Sequence[SwitchAgent]):
+        self.agents: List[SwitchAgent] = list(agents)
+        if not self.agents:
+            raise ValueError("need at least one agent")
+        if len({agent.stack_key() for agent in self.agents}) != 1:
+            raise ValueError("stacked agents differ in sketch shape, tau or delta")
+        self.tau = self.agents[0].tau
+        self.sketches = ElasticStack([agent.sketch for agent in self.agents])
+        self.classifier = ColumnarSlidingWindowClassifier.stacked(
+            [(agent.classifier, agent._group) for agent in self.agents]
         )
+        for group, agent in enumerate(self.agents):
+            agent.classifier = self.classifier
+            agent._group = group
+            agent._stack = self
+
+    def collect(self, now: float) -> List[LocalReport]:
+        """One monitor interval for every member, in member order."""
+        if any(agent._stack is not self for agent in self.agents):
+            raise RuntimeError("an agent of this stack has joined another stack")
+        for agent in self.agents:
+            agent.reports_made += 1
+            agent.switch.flush_observations()
+        keys, ids, vals, ends = self.sketches.read_and_reset(0, len(self.agents))
+        flow_ids, cum, codes, rows = self.classifier.advance(keys, ids, vals, ends)
+        fsds = FlowSizeDistribution.from_groups(flow_ids, cum, codes, rows, tau=self.tau)
+        reports = []
+        lo = row_lo = 0
+        for agent, fsd, hi, row_hi in zip(self.agents, fsds, ends.tolist(), rows.tolist()):
+            reports.append(
+                _trace_report(
+                    LocalReport(
+                        switch_name=agent.switch.name,
+                        fsd=fsd,
+                        tracked_flows=row_hi - row_lo,
+                        interval_bytes=int(vals[lo:hi].sum()),
+                    )
+                )
+            )
+            lo, row_lo = hi, row_hi
+        return reports
 
 
 class NaiveSketchAgent:

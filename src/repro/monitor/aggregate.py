@@ -10,9 +10,9 @@ controller's compute and the switch→controller transfer small
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.monitor.agent import LocalReport
+from repro.monitor.agent import AgentStack, LocalReport
 from repro.monitor.fsd import (
     FlowSizeDistribution,
     kl_divergence,
@@ -22,12 +22,38 @@ from repro.telemetry import trace
 
 
 class FsdAggregator:
-    """Collects local reports and maintains the network-wide FSD."""
+    """Collects local reports and maintains the network-wide FSD.
+
+    Agents with the stacked hook (``stack_key``: the
+    :class:`~repro.monitor.agent.SwitchAgent`) are collected in one
+    :class:`~repro.monitor.agent.AgentStack` pass per shape, every
+    other agent through its own ``collect``; reports stay in agent
+    order either way.
+    """
 
     def __init__(self, agents: Sequence[object]):
         if not agents:
             raise ValueError("need at least one monitoring agent")
         self.agents = list(agents)
+        switches = [getattr(agent, "switch", None) for agent in self.agents]
+        if len({id(agent) for agent in self.agents}) < len(self.agents):
+            raise ValueError("an agent appears twice; its reports would count twice")
+        placed = [s for s in switches if s is not None]
+        if len({id(s) for s in placed}) < len(placed):
+            raise ValueError("two agents monitor one switch")
+        groups: Dict[Tuple, List[int]] = {}
+        self._solo: List[int] = []
+        for i, agent in enumerate(self.agents):
+            stack_key = getattr(agent, "stack_key", None)
+            if stack_key is None:
+                self._solo.append(i)
+            else:
+                groups.setdefault(stack_key(), []).append(i)
+        #: ``(stack, positions of its members in agents)`` per shape.
+        self.stacks = [
+            (AgentStack([self.agents[i] for i in members]), members)
+            for members in groups.values()
+        ]
         self.current: Optional[FlowSizeDistribution] = None
         self.previous: Optional[FlowSizeDistribution] = None
         self.last_reports: List[LocalReport] = []
@@ -35,7 +61,13 @@ class FsdAggregator:
 
     def collect(self, now: float) -> FlowSizeDistribution:
         """One monitor interval: gather and merge all local FSDs."""
-        self.last_reports = [agent.collect(now) for agent in self.agents]
+        reports: List[Optional[LocalReport]] = [None] * len(self.agents)
+        for stack, members in self.stacks:
+            for i, report in zip(members, stack.collect(now)):
+                reports[i] = report
+        for i in self._solo:
+            reports[i] = self.agents[i].collect(now)
+        self.last_reports = reports
         merged = merge_distributions(report.fsd for report in self.last_reports)
         self.previous = self.current
         self.current = merged

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -131,38 +131,66 @@ class FlowSizeDistribution:
     ) -> "FlowSizeDistribution":
         """Build from columnar classifier output (tracking order).
 
-        This is the single summation kernel for both monitoring modes:
-        :meth:`from_entries` funnels through it too, so the scalar and
-        batched pipelines reduce the same operand sequence with the same
-        ``np.sum`` and produce bit-identical weights — a precondition
-        for the cross-mode run-digest gate.
+        The one-group case of :meth:`from_groups`.  :meth:`from_entries`
+        funnels through it too, so the scalar and batched pipelines
+        reduce the same operand sequence with the same reduction and
+        produce bit-identical weights — a precondition for the
+        cross-mode run-digest gate.
+        """
+        ids = np.asarray(flow_ids, dtype=np.int64)
+        return cls.from_groups(ids, cumulative_bytes, state_codes, [ids.size], tau)[0]
+
+    @classmethod
+    def from_groups(
+        cls,
+        flow_ids: np.ndarray,
+        cumulative_bytes: np.ndarray,
+        state_codes: np.ndarray,
+        ends: np.ndarray,
+        tau: int = mb(1.0),
+    ) -> "List[FlowSizeDistribution]":
+        """One distribution per contiguous row group ending at ``ends``.
+
+        The single summation kernel for every monitoring path: one
+        likelihood, log2 and ``bincount`` pass over all rows, then each
+        group's weights are a pairwise ``np.add.reduce`` (``np.sum``'s
+        kernel) over its own contiguous slice — the same operands in the
+        same order as summing that group alone, so every group's weights
+        are bit-identical to a one-group call.
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
         cum = np.asarray(cumulative_bytes, dtype=np.int64)
         codes = np.asarray(state_codes)
-        if ids.size == 0:
-            return cls()
+        ends = np.asarray(ends, dtype=np.int64)
         likelihood = np.where(
             codes == CODE_ELEPHANT,
             1.0,
             np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, cum / tau)),
         )
         # log2 bucketing, vectorized twin of _bucket_index (both lean on
-        # the platform libm log2, so the truncations agree bit-for-bit).
-        buckets = np.zeros(ids.size, dtype=np.int64)
-        positive = cum >= 1
-        if positive.any():
-            buckets[positive] = np.minimum(
-                np.log2(cum[positive].astype(np.float64)).astype(np.int64),
-                HISTOGRAM_BUCKETS - 1,
-            )
-        histogram = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS).astype(float)
-        return cls(
-            elephant_weight=float(np.sum(likelihood)),
-            mice_weight=float(np.sum(1.0 - likelihood)),
-            histogram=tuple(histogram.tolist()),
-            flow_states=FlowStates(ids, codes),
+        # the platform libm log2, so the truncations agree bit-for-bit);
+        # sizes below 1 B land in bucket 0 as log2(1).
+        buckets = np.minimum(
+            np.log2(np.maximum(cum, 1).astype(np.float64)).astype(np.int64),
+            HISTOGRAM_BUCKETS - 1,
         )
+        starts = np.concatenate(([0], ends[:-1]))
+        buckets += np.repeat(np.arange(ends.size) * HISTOGRAM_BUCKETS, ends - starts)
+        histograms = np.bincount(
+            buckets, minlength=ends.size * HISTOGRAM_BUCKETS
+        ).astype(float).reshape(ends.size, HISTOGRAM_BUCKETS)
+        mice = 1.0 - likelihood
+        out = []
+        for lo, hi, histogram in zip(starts.tolist(), ends.tolist(), histograms.tolist()):
+            out.append(
+                cls(
+                    elephant_weight=float(np.add.reduce(likelihood[lo:hi])),
+                    mice_weight=float(np.add.reduce(mice[lo:hi])),
+                    histogram=tuple(histogram),
+                    flow_states=FlowStates(ids[lo:hi], codes[lo:hi]),
+                )
+            )
+        return out
 
     @classmethod
     def from_entries(

@@ -31,9 +31,10 @@ matching the paper's description.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Mapping, Tuple
+from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +55,15 @@ STATE_OF_CODE = {
     CODE_ELEPHANT: TernaryState.ELEPHANT,
 }
 CODE_OF_STATE = {state: code for code, state in STATE_OF_CODE.items()}
+
+
+def _check_knobs(tau: float, delta: int) -> None:
+    # A NaN or infinite tau never makes an elephant, so the monitor
+    # would report a quietly different FSD.
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
 
 
 @dataclass
@@ -86,10 +96,7 @@ class SlidingWindowClassifier:
     """
 
     def __init__(self, tau: int = mb(1.0), delta: int = 3):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
+        _check_knobs(tau, delta)
         self.tau = tau
         self.delta = delta
         self.flows: Dict[int, FlowStateEntry] = {}
@@ -160,110 +167,222 @@ class SlidingWindowClassifier:
 class ColumnarSlidingWindowClassifier:
     """Struct-of-arrays twin of :class:`SlidingWindowClassifier`.
 
-    Holds the flow table as parallel numpy columns (id, Φ, streaks,
-    state code, sliding window) whose row order *is* the tracking
-    order: admitted flows are appended, expired ones compressed out.
-    A monitor interval is then a fixed sequence of array ops with no
-    per-flow Python: tracked ids are found with one ``searchsorted``
-    over an argsort of the table, and new flows are admitted as one
-    masked append in input order.  Semantics are exactly the scalar
-    classifier's: same admission rule (new flows only when they moved
-    bytes this interval, in mapping order), same streak and expiry
-    arithmetic, same ``Φ ≥ τ`` / ``active ≥ δ`` transitions.  Because
-    rows iterate in the order the scalar ``flows`` dict does, downstream
-    float reductions (FSD weights) see identical operand sequences and
-    produce bit-identical results.
+    Holds the flow table as one int64 block whose rows are the columns
+    (key, id, Φ, streaks, the δ-slot sliding window) plus an int8 state
+    column, split into **groups** — one per agent when
+    :class:`~repro.monitor.agent.AgentStack` runs N ToRs' tables as one
+    — each group's rows contiguous and in that group's own tracking
+    order: admitted flows join the end of their group, expired ones are
+    compressed out.
+
+    Every row carries a **key**, unique within an interval's input and
+    fixed for its flow: the global heavy-part bucket ``group·B +
+    bucket`` when the input is a stacked sketch read (``key_span=B``),
+    or a number handed out at first sight by the mapping wrappers
+    :meth:`update` / :meth:`update_arrays` (``key_span=None``).  A
+    scratch array indexed by key then finds each tracked row's input
+    with two gathers (key → input position, flow id confirms: a
+    bucket's resident may have changed), and one ``take`` over the
+    block compacts every column after expiry and admission.  A monitor
+    interval is a fixed sequence of array ops with no per-flow Python.
+
+    Semantics are exactly the scalar classifier's per group: same
+    admission rule (new flows only when they moved bytes, in input
+    order), same streak and expiry arithmetic, same ``Φ ≥ τ`` /
+    ``active ≥ δ`` transitions.  Because a group's rows iterate in the
+    order the scalar ``flows`` dict does, downstream float reductions
+    (FSD weights) see identical operand sequences and produce
+    bit-identical results.
     """
 
-    #: Per-row columns, extended together on admission and compressed
-    #: together on expiry.
-    _COLUMNS = ("_flow_id", "_cum", "_active", "_idle", "_seen", "_state", "_window")
+    #: Rows of the int64 block; the window ring takes the δ rows from
+    #: ``_WINDOW`` on.
+    _KEY, _FLOW, _CUM, _ACTIVE, _IDLE, _SEEN, _WINDOW = range(7)
 
-    def __init__(self, tau: int = mb(1.0), delta: int = 3):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
+    def __init__(
+        self, tau: int = mb(1.0), delta: int = 3, key_span: Optional[int] = None
+    ):
+        _check_knobs(tau, delta)
+        if key_span is not None and key_span < 1:
+            raise ValueError("key_span must be >= 1")
         self.tau = tau
         self.delta = delta
+        #: Keys per group when fed from sketch buckets; ``None`` for a
+        #: table keyed at first sight by the mapping wrappers.
+        self.key_span = key_span
         self.expired_total = 0
-        self._flow_id = np.zeros(0, dtype=np.int64)
-        self._cum = np.zeros(0, dtype=np.int64)
-        self._active = np.zeros(0, dtype=np.int64)
-        self._idle = np.zeros(0, dtype=np.int64)
-        self._seen = np.zeros(0, dtype=np.int64)
+        self._rows = np.zeros((self._WINDOW + delta, 0), dtype=np.int64)
         self._state = np.zeros(0, dtype=np.int8)
-        # Sliding windows share one ring: every tracked row advances
-        # every interval, so the newest byte count of every row sits
-        # in column ``_slot``.
-        self._window = np.zeros((0, delta), dtype=np.int64)
+        # Every tracked row advances every interval, so the newest byte
+        # count of every row sits in window slot ``_slot``.
         self._slot = delta - 1
+        #: Row end of each group.
+        self._ends = np.zeros(1, dtype=np.int64)
+        self._key_of: Optional[Dict[int, int]] = {} if key_span is None else None
+        # Input position of each key during an interval, -1 at rest.
+        self._where = np.full(key_span or 0, -1, dtype=np.int64)
+
+    @classmethod
+    def stacked(
+        cls, parts: Sequence[Tuple["ColumnarSlidingWindowClassifier", int]]
+    ) -> "ColumnarSlidingWindowClassifier":
+        """One table whose group ``i`` is group ``g`` of ``parts[i] =
+        (classifier, g)``, state carried over.
+
+        Every part must be bucket-keyed with one ``key_span`` and
+        share τ and δ; a row's key moves to its new group's range.
+        """
+        first = parts[0][0]
+        span = first.key_span
+        if span is None or any(
+            (c.key_span, c.tau, c.delta) != (span, first.tau, first.delta)
+            for c, _ in parts
+        ):
+            raise ValueError("stacked classifiers need one key_span, tau and delta")
+        table = cls(first.tau, first.delta, key_span=span)
+        blocks, states = [], []
+        for group, (part, g) in enumerate(parts):
+            rows = slice(int(part._ends[g - 1]) if g else 0, int(part._ends[g]))
+            block = part._rows[:, rows].copy()
+            block[cls._KEY] = block[cls._KEY] % span + group * span
+            # Align the part's window ring with the new table's slot.
+            block[cls._WINDOW:] = np.roll(
+                block[cls._WINDOW:], table._slot - part._slot, axis=0
+            )
+            blocks.append(block)
+            states.append(part._state[rows])
+        table._rows = np.concatenate(blocks, axis=1)
+        table._state = np.concatenate(states)
+        table._ends = np.cumsum([b.shape[1] for b in blocks], dtype=np.int64)
+        # A table several parts share counts its expiries once.
+        table.expired_total = sum(
+            {id(c): c.expired_total for c, _ in parts}.values()
+        )
+        table._where = np.full(len(parts) * span, -1, dtype=np.int64)
+        return table
 
     # -- interval update -------------------------------------------------
 
+    def advance(
+        self,
+        keys: np.ndarray,
+        flow_ids: np.ndarray,
+        interval_bytes: np.ndarray,
+        ends: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance one monitor interval for every group at once.
+
+        The input is grouped like the table: group ``g``'s rows end at
+        ``ends[g]``.  ``keys`` are unique and fixed per flow (see the
+        class docstring), ``flow_ids`` unique within a group, and
+        ``interval_bytes`` this interval's byte counts; flows absent
+        from the input transmitted nothing.  Returns the table's
+        ``(flow_ids, cumulative_bytes, state_codes, row_ends)``.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        ids = np.asarray(flow_ids, dtype=np.int64)
+        vals = np.asarray(interval_bytes, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        if ends.size != self._ends.size:
+            raise ValueError(
+                f"input has {ends.size} groups, the table {self._ends.size}"
+            )
+        rows = self._rows
+        tracked = rows.shape[1]
+        n = ids.size
+
+        # Each tracked row's input: its key finds it, its flow id
+        # confirms it; a miss points at a zero past the input.
+        where = self._where
+        where[keys] = np.arange(n)
+        at = where[rows[self._KEY]]
+        where[keys] = -1
+        hit = at >= 0
+        if n:
+            hit &= ids[at] == rows[self._FLOW]
+        at = np.where(hit, at, n)
+        nb = np.concatenate((vals, [0]))[at]
+        # Admission takes new movers in input order, as the scalar
+        # classifier's dict walk does; zero-byte strangers get no row.
+        claimed = np.zeros(n + 1, dtype=bool)
+        claimed[at] = True
+        admit = np.flatnonzero(~claimed[:n] & (vals > 0))
+        fresh = admit.size
+        if tracked + fresh == 0:
+            return rows[self._FLOW], rows[self._CUM], self._state, self._ends
+
+        # A new block every interval, so the columns a snapshot handed
+        # out stay valid after later intervals.
+        admitted_rows = np.zeros((rows.shape[0], fresh), dtype=np.int64)
+        admitted_rows[self._KEY] = keys[admit]
+        admitted_rows[self._FLOW] = ids[admit]
+        rows = np.concatenate((rows, admitted_rows), axis=1)
+        nb = np.concatenate((nb, vals[admit]))
+        self._slot = (self._slot + 1) % self.delta
+        rows[self._SEEN] += 1
+        rows[self._CUM] += nb
+        rows[self._WINDOW + self._slot] = nb
+        moved = nb > 0
+        active, idle = rows[self._ACTIVE], rows[self._IDLE]
+        active += 1
+        active *= moved
+        idle += 1
+        idle *= ~moved
+
+        # Each group keeps its surviving rows, then its admissions.
+        survivors = np.flatnonzero(idle[:tracked] < self.delta)
+        kept_ends = np.searchsorted(survivors, np.concatenate(([0], self._ends)))
+        fresh_ends = np.searchsorted(admit, np.concatenate(([0], ends)))
+        self._ends = kept_ends[1:] + fresh_ends[1:]
+        expired = tracked - survivors.size
+        # With one group, admissions already sit at the end.
+        if expired or (fresh and ends.size > 1):
+            take = np.empty(survivors.size + fresh, dtype=np.int64)
+            take[
+                np.arange(survivors.size) + np.repeat(fresh_ends[:-1], np.diff(kept_ends))
+            ] = survivors
+            take[
+                np.arange(fresh) + np.repeat(kept_ends[1:], np.diff(fresh_ends))
+            ] = tracked + np.arange(fresh)
+            rows = np.take(rows, take, axis=1)
+            self.expired_total += expired
+        self._rows = rows
+        # Codes rank M (0) < PE (1) < E (2), so a row's state is the
+        # larger of the two rules' codes.
+        self._state = np.maximum(
+            (rows[self._ACTIVE] >= self.delta).view(np.int8),
+            (rows[self._CUM] >= self.tau).view(np.int8) * np.int8(CODE_ELEPHANT),
+        )
+        return rows[self._FLOW], rows[self._CUM], self._state, self._ends
+
+    def _first_sight_keys(self, ids: np.ndarray) -> np.ndarray:
+        key_of = self._key_of
+        if key_of is None:
+            raise ValueError(
+                "this flow table is keyed by sketch bucket; it advances "
+                "through its agent's collect()"
+            )
+        keys = np.fromiter(
+            (key_of.setdefault(f, len(key_of)) for f in ids.tolist()),
+            dtype=np.int64,
+            count=ids.size,
+        )
+        if self._where.size < len(key_of):
+            self._where = np.full(2 * len(key_of), -1, dtype=np.int64)
+        return keys
+
     def update_arrays(self, flow_ids: np.ndarray, interval_bytes: np.ndarray) -> None:
-        """Advance one monitor interval from columnar sketch output.
+        """Advance one monitor interval of a single-group table.
 
         ``flow_ids`` must be unique (a sketch read yields each flow at
         most once); ``interval_bytes`` are this interval's byte counts.
-        Flows absent from ``flow_ids`` transmitted nothing.
+        Keys are handed out at first sight.
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
-        vals = np.asarray(interval_bytes, dtype=np.int64)
-        table = self._flow_id
-        tracked = table.size
-
-        # Which input flows already hold a row, and which one.
-        row = np.zeros(ids.size, dtype=np.int64)
-        found = np.zeros(ids.size, dtype=bool)
-        if tracked and ids.size:
-            # (searchsorted's own ``sorter=`` is several times slower
-            # than searching a sorted copy.)
-            sorter = np.argsort(table)
-            slot = np.searchsorted(table[sorter], ids)
-            row = sorter[np.minimum(slot, tracked - 1)]
-            found = table[row] == ids
-        # Admission appends new movers in input order, as the scalar
-        # classifier's dict walk does; zero-byte strangers get no row.
-        admit = ~found & (vals > 0)
-        fresh = int(np.count_nonzero(admit))
-        if tracked + fresh == 0:
-            return
-        if fresh:
-            for name in self._COLUMNS:
-                column = getattr(self, name)
-                blank = np.zeros((fresh,) + column.shape[1:], dtype=column.dtype)
-                setattr(self, name, np.concatenate((column, blank)))
-            self._flow_id[tracked:] = ids[admit]
-
-        nb = np.zeros(tracked + fresh, dtype=np.int64)
-        nb[row[found]] = vals[found]
-        nb[tracked:] = vals[admit]
-        # Columns are replaced, never written in place, so the arrays a
-        # snapshot handed out stay valid after later intervals.
-        self._seen = self._seen + 1
-        self._cum = self._cum + nb
-        self._slot = (self._slot + 1) % self.delta
-        self._window[:, self._slot] = nb
-
-        was_active = nb > 0
-        self._active = np.where(was_active, self._active + 1, 0)
-        self._idle = np.where(was_active, 0, self._idle + 1)
-        self._state = np.where(
-            self._cum >= self.tau,
-            CODE_ELEPHANT,
-            np.where(self._active >= self.delta, CODE_PE, CODE_MICE),
-        ).astype(np.int8)
-
-        expiring = self._idle >= self.delta
-        if expiring.any():
-            keep = ~expiring
-            for name in self._COLUMNS:
-                setattr(self, name, getattr(self, name)[keep])
-            self.expired_total += int(np.count_nonzero(expiring))
+        self.advance(self._first_sight_keys(ids), ids, interval_bytes, [ids.size])
 
     def update(self, interval_bytes: Mapping[int, int]) -> None:
-        """Mapping-based convenience wrapper (tests / ablations)."""
+        """Mapping-based :meth:`update_arrays` (tests / ablations)."""
         ids = np.fromiter(interval_bytes.keys(), dtype=np.int64, count=len(interval_bytes))
         vals = np.fromiter(interval_bytes.values(), dtype=np.int64, count=len(interval_bytes))
         self.update_arrays(ids, vals)
@@ -271,30 +390,32 @@ class ColumnarSlidingWindowClassifier:
     # -- snapshots -------------------------------------------------------
 
     def snapshot_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flow_ids, cumulative_bytes, state_codes) in tracking order.
+        """(flow_ids, cumulative_bytes, state_codes), groups in order,
+        each in tracking order.
 
-        The table's own columns, not copies: :meth:`update_arrays`
-        replaces them rather than writing into them.
+        The table's own columns, not copies: :meth:`advance` builds a
+        new table rather than writing into them.
         """
-        return self._flow_id, self._cum, self._state
+        return self._rows[self._FLOW], self._rows[self._CUM], self._state
 
     def entries(self) -> Dict[int, FlowStateEntry]:
-        """Materialize scalar-style entries (test / ablation path only)."""
+        """Materialize scalar-style entries of every group (test /
+        ablation path only)."""
         out: Dict[int, FlowStateEntry] = {}
-        for row in range(self._flow_id.size):
-            seen = int(self._seen[row])
+        for row, column in enumerate(self._rows.T.tolist()):
+            seen = column[self._SEEN]
             length = min(seen, self.delta)
-            window: Deque[int] = deque()
-            for i in range(length):
-                slot = (self._slot - length + 1 + i) % self.delta
-                window.append(int(self._window[row, slot]))
-            out[int(self._flow_id[row])] = FlowStateEntry(
-                flow_id=int(self._flow_id[row]),
+            window: Deque[int] = deque(
+                column[self._WINDOW + (self._slot - length + 1 + i) % self.delta]
+                for i in range(length)
+            )
+            out[column[self._FLOW]] = FlowStateEntry(
+                flow_id=column[self._FLOW],
                 state=STATE_OF_CODE[int(self._state[row])],
-                cumulative_bytes=int(self._cum[row]),
+                cumulative_bytes=column[self._CUM],
                 window=window,
-                active_streak=int(self._active[row]),
-                idle_streak=int(self._idle[row]),
+                active_streak=column[self._ACTIVE],
+                idle_streak=column[self._IDLE],
                 intervals_seen=seen,
             )
         return out
@@ -314,15 +435,16 @@ class ColumnarSlidingWindowClassifier:
         likelihood = np.where(
             codes == CODE_ELEPHANT,
             1.0,
-            np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, self._cum / self.tau)),
+            np.where(
+                codes == CODE_MICE, 0.0, np.minimum(1.0, self._rows[self._CUM] / self.tau)
+            ),
         )
         # Sequential sum in tracking order — bit-identical to the scalar
         # classifier's generator sum over the same operand sequence.
         return float(sum(likelihood.tolist()))
 
     def __len__(self) -> int:
-        return self._flow_id.size
-
+        return self._rows.shape[1]
 
 
 class SingleIntervalClassifier:

@@ -14,13 +14,47 @@ ints, and the batched kernels (:meth:`CountMinSketch.insert_batch` /
 :func:`~repro.sketch.hashing.hash32_array` and scatter-add with
 ``np.add.at``.  Integer addition commutes exactly, so a batch insert is
 bit-identical to inserting its packets one at a time in any order.
+
+A sketch's table may be a view: :meth:`CountMinSketch.bind` moves the
+counters into one ``(depth, width)`` slice of a stacked ``(N, depth,
+width)`` table, and :func:`query_stacked` answers for keys spread over
+all N sketches at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.hashing import hash32_array, hash_family, hash_family_seeds
+from repro.sketch.hashing import hash32_mixed, hash_family, hash_family_seeds, mix_seed
+
+
+def as_int64(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing non-integer input.
+
+    A plain ``astype`` truncates 1.5 to 1 and turns NaN into INT64_MIN,
+    so a float batch would be counted silently wrong.
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array, got {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
+def query_stacked(
+    tables: np.ndarray, mixed: np.ndarray, which: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Row-wise-minimum estimates of ``keys[i]`` in sketch ``which[i]``.
+
+    ``tables`` is a stacked ``(N, depth, width)`` counter table and
+    ``mixed`` the ``(N, depth)`` row seeds of its sketches, put through
+    :func:`~repro.sketch.hashing.mix_seed`.  Every row of every sketch
+    is hashed in one call.
+    """
+    depth, width = tables.shape[1:]
+    rows = np.arange(depth)[:, None]
+    per_row = np.broadcast_to(keys, (depth, keys.size))
+    idx = hash32_mixed(per_row, mixed[which, rows]) % width
+    return tables[which, rows, idx].min(axis=0)
 
 
 class CountMinSketch:
@@ -32,12 +66,28 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self._seeds = hash_family_seeds(depth, seed=seed ^ 0xC0117E)
+        #: The rows' seeds, mixed once (:func:`query_stacked`).
+        self.mixed_seeds = mix_seed(np.array([s & 0xFFFFFFFF for s in self._seeds]))
         self._hashes = hash_family(depth, seed=seed ^ 0xC0117E)
         self._table = np.zeros((depth, width), dtype=np.int64)
         # Pair each row view with its hash once; the scalar insert loop
         # then walks a prebuilt list instead of zipping per call.
         self._lanes = list(zip(self._table, self._hashes))
         self.total_inserted = 0
+
+    def bind(self, table: np.ndarray) -> None:
+        """Move the counters into ``table`` and count there from now on.
+
+        ``table`` is a ``(depth, width)`` int64 array, typically one
+        slice of a stacked ``(N, depth, width)`` table.
+        """
+        if table.shape != self._table.shape or table.dtype != np.int64:
+            raise ValueError(
+                f"need a {self._table.shape} int64 table, got {table.shape} {table.dtype}"
+            )
+        table[...] = self._table
+        self._table = table
+        self._lanes = list(zip(table, self._hashes))
 
     def insert(self, key: int, value: int = 1) -> None:
         if value < 0:
@@ -54,14 +104,14 @@ class CountMinSketch:
         insert(k, v)`` — counter addition is commutative and exact in
         int64, so the final table state is order-independent.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        keys = as_int64(keys, "keys")
+        values = as_int64(values, "values")
         if keys.size == 0:
             return
         if values.min() < 0:
             raise ValueError("value must be >= 0")
-        for d, seed in enumerate(self._seeds):
-            idx = hash32_array(keys, seed) % self.width
+        for d, mixed in enumerate(self.mixed_seeds):
+            idx = hash32_mixed(keys, mixed) % self.width
             np.add.at(self._table[d], idx, values)
         self.total_inserted += int(values.sum())
 
@@ -74,12 +124,9 @@ class CountMinSketch:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        estimate = None
-        for d, seed in enumerate(self._seeds):
-            idx = hash32_array(keys, seed) % self.width
-            lane = self._table[d][idx]
-            estimate = lane if estimate is None else np.minimum(estimate, lane)
-        return estimate
+        return query_stacked(
+            self._table[None], self.mixed_seeds[None], np.zeros(keys.size, np.intp), keys
+        )
 
     def reset(self) -> None:
         self._table.fill(0)

@@ -47,16 +47,29 @@ calls; the Light Part takes all spills as one batch because count-min
 addition commutes exactly.  Hypothesis property tests drive random,
 ostracism-heavy and deep-chain streams through both and assert state
 equality.
+
+Storage: every sketch belongs to an :class:`ElasticStack`, the
+registers of N same-shape sketches in one table — Heavy Part columns of
+``N·B`` rows (sketch ``i`` owns rows ``[i·B, (i+1)·B)``) and one ``(N,
+depth, width)`` Light Part table.  A sketch only *views* its slice, so
+the kernels above run per switch unchanged, while one
+:meth:`ElasticStack.read_and_reset` serves any contiguous run of
+members: one ``flatnonzero`` over the Heavy Part, one Light-Part query
+for every flagged resident with each row's own sketch seeds, five
+fills.  A lone sketch is a stack of one, and its own
+:meth:`ElasticSketch.read_and_reset_arrays` is that pass over its one
+slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sketch.cm import CountMinSketch
+from repro.sketch.cm import CountMinSketch, as_int64, query_stacked
 from repro.sketch.hashing import hash32, hash32_array
 from repro.telemetry.registry import get_registry
 
@@ -93,8 +106,10 @@ class ElasticSketchConfig:
             raise ValueError("heavy_buckets must be >= 1")
         if self.light_width < 1 or self.light_depth < 1:
             raise ValueError("light part dimensions must be >= 1")
-        if self.ostracism_lambda <= 0:
-            raise ValueError("ostracism_lambda must be positive")
+        if not (math.isfinite(self.ostracism_lambda) and self.ostracism_lambda > 0):
+            raise ValueError(
+                f"ostracism_lambda must be finite and positive, got {self.ostracism_lambda}"
+            )
 
 
 class ElasticSketch:
@@ -130,6 +145,22 @@ class ElasticSketch:
         #: by :meth:`read_and_reset`.
         self.last_interval_evictions = 0
         self.total_bytes = 0
+        ElasticStack([self])
+
+    def _bind(self, stack: "ElasticStack", slot: int) -> None:
+        """Move this sketch's registers into ``stack``'s slice ``slot``."""
+        lo, hi = slot * self._n_buckets, (slot + 1) * self._n_buckets
+        for name, column in (
+            ("_flow_id", stack.flow_id),
+            ("_pos", stack.pos),
+            ("_neg", stack.neg),
+            ("_flag", stack.flag),
+        ):
+            view = column[lo:hi]
+            view[...] = getattr(self, name)
+            setattr(self, name, view)
+        self._light.bind(stack.light[slot])
+        self._stack, self._slot = stack, slot
 
     # ------------------------------------------------------------------
     # Data plane
@@ -189,8 +220,8 @@ class ElasticSketch:
         arrival order.  See the module docstring for the round kernel;
         ``repro_sketch_batch_rounds_total`` counts its rounds.
         """
-        ids = np.asarray(flow_ids, dtype=np.int64)
-        vals = np.asarray(nbytes, dtype=np.int64)
+        ids = as_int64(flow_ids, "flow_ids")
+        vals = as_int64(nbytes, "nbytes")
         if ids.shape != vals.shape:
             raise ValueError(
                 f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
@@ -316,12 +347,7 @@ class ElasticSketch:
         hashes to exactly one bucket so the ids are distinct; the
         values match :meth:`read_heavy` entry-for-entry.
         """
-        occupied = np.flatnonzero(self._flow_id >= 0)
-        ids = self._flow_id[occupied]
-        estimates = self._pos[occupied].copy()
-        flagged = self._flag[occupied]
-        if flagged.any():
-            estimates[flagged] += self._light.query_batch(ids[flagged])
+        _, ids, estimates, _ = self._stack.read(self._slot, self._slot + 1)
         return ids, estimates
 
     def read_heavy(self) -> Dict[int, int]:
@@ -352,13 +378,7 @@ class ElasticSketch:
         ``interval_evictions`` restarts so each interval reports only
         its own ostracism activity.
         """
-        self._flow_id.fill(-1)
-        self._pos.fill(0)
-        self._neg.fill(0)
-        self._flag.fill(False)
-        self._light.reset()
-        self.total_bytes = 0
-        self.interval_evictions = 0
+        self._stack.reset(self._slot, self._slot + 1)
 
     def read_and_reset(self) -> Dict[int, int]:
         """Atomic read-then-clear, as the control-plane agent does.
@@ -366,16 +386,12 @@ class ElasticSketch:
         Also latches :attr:`last_interval_evictions` so per-interval
         eviction reporting survives the clear.
         """
-        result = self.read_heavy()
-        self.last_interval_evictions = self.interval_evictions
-        self.reset()
-        return result
+        ids, estimates = self.read_and_reset_arrays()
+        return dict(zip(ids.tolist(), estimates.tolist()))
 
     def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Array-form :meth:`read_and_reset` (the batched agent path)."""
-        ids, estimates = self.read_heavy_arrays()
-        self.last_interval_evictions = self.interval_evictions
-        self.reset()
+        _, ids, estimates, _ = self._stack.read_and_reset(self._slot, self._slot + 1)
         return ids, estimates
 
     def memory_bytes(self) -> int:
@@ -388,3 +404,85 @@ class ElasticSketch:
             f"ElasticSketch(heavy={self._n_buckets}, "
             f"light={self._light.width}x{self._light.depth})"
         )
+
+
+class ElasticStack:
+    """The registers of N same-shape Elastic Sketches in one table.
+
+    Construction moves each sketch's current registers into its slice
+    (sketch ``i`` of the list is slot ``i``) and rebinds the sketch to
+    view it; the sketches' own inserts then write straight into the
+    stack.  Sketches must agree on ``heavy_buckets`` and the Light Part
+    shape; seeds and λ may differ.
+    """
+
+    def __init__(self, sketches: Sequence[ElasticSketch]):
+        self.sketches: List[ElasticSketch] = list(sketches)
+        if not self.sketches:
+            raise ValueError("need at least one sketch")
+        shapes = {
+            (s.config.heavy_buckets, s.config.light_depth, s.config.light_width)
+            for s in self.sketches
+        }
+        if len(shapes) != 1:
+            raise ValueError(f"stacked sketches differ in shape: {sorted(shapes)}")
+        (buckets, depth, width), = shapes
+        n = len(self.sketches)
+        self.n_buckets = buckets
+        self.flow_id = np.full(n * buckets, -1, dtype=np.int64)
+        self.pos = np.zeros(n * buckets, dtype=np.int64)
+        self.neg = np.zeros(n * buckets, dtype=np.int64)
+        self.flag = np.zeros(n * buckets, dtype=bool)
+        self.light = np.zeros((n, depth, width), dtype=np.int64)
+        self.light_mixed = np.stack([s._light.mixed_seeds for s in self.sketches])
+        for slot, sketch in enumerate(self.sketches):
+            sketch._bind(self, slot)
+
+    def read(
+        self, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, flow_ids, estimates, ends)`` of members ``[lo, hi)``.
+
+        One row per occupied bucket in key order, where a row's key is
+        its bucket offset by ``(member - lo)·B``: unique within a read
+        and fixed for a flow.  Member ``lo + i``'s rows end at
+        ``ends[i]``.  A flagged resident's estimate adds its own
+        sketch's Light-Part count.
+        """
+        rows = slice(lo * self.n_buckets, hi * self.n_buckets)
+        residents = self.flow_id[rows]
+        keys = np.flatnonzero(residents >= 0)
+        ids = residents[keys]
+        estimates = self.pos[rows][keys]
+        flagged = np.flatnonzero(self.flag[rows][keys])
+        if flagged.size:
+            which = lo + keys[flagged] // self.n_buckets
+            estimates[flagged] += query_stacked(
+                self.light, self.light_mixed, which, ids[flagged]
+            )
+        ends = np.searchsorted(keys, np.arange(1, hi - lo + 1) * self.n_buckets)
+        return keys, ids, estimates, ends
+
+    def reset(self, lo: int, hi: int) -> None:
+        """Clear the registers of members ``[lo, hi)``."""
+        rows = slice(lo * self.n_buckets, hi * self.n_buckets)
+        self.flow_id[rows].fill(-1)
+        self.pos[rows].fill(0)
+        self.neg[rows].fill(0)
+        self.flag[rows].fill(False)
+        self.light[lo:hi].fill(0)
+        for sketch in self.sketches[lo:hi]:
+            sketch.total_bytes = 0
+            sketch.interval_evictions = 0
+            sketch._light.total_inserted = 0
+
+    def read_and_reset(
+        self, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`read` then :meth:`reset`, latching each member's
+        ``last_interval_evictions`` in between."""
+        result = self.read(lo, hi)
+        for sketch in self.sketches[lo:hi]:
+            sketch.last_interval_evictions = sketch.interval_evictions
+        self.reset(lo, hi)
+        return result

@@ -14,6 +14,9 @@ Two forms are exposed over the same function family:
   vector of keys.  ``hash32_array(keys, s)[i] == hash32(keys[i], s)``
   bit-for-bit (a property test enforces it), which is what lets the
   batched sketch kernels be digest-identical to sequential insertion.
+  ``seed`` may also be a per-key vector, and :func:`mix_seed` /
+  :func:`hash32_mixed` split off the seed's own mixing so a sketch
+  does it once rather than per call.
 
 :func:`hash_family_seeds` is the single source of truth for how a
 family of ``count`` independent functions derives its per-row seeds;
@@ -49,17 +52,8 @@ def hash32(key: int, seed: int = 0) -> int:
     return _fmix32(key ^ _fmix32(seed * 0x9E3779B9 + 0x165667B1))
 
 
-def hash32_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized :func:`hash32` over a vector of non-negative keys.
-
-    Returns an int64 array (values fit in 32 bits, int64 keeps the
-    downstream ``% width`` arithmetic in the sketch kernels signed and
-    overflow-free).  Element-wise bit-identical to the scalar function.
-    """
-    derived = np.uint64(_fmix32(seed * 0x9E3779B9 + 0x165667B1))
-    # In place on one fresh uint64 copy: no temporary per step.
-    h = np.asarray(keys).astype(np.uint64)
-    h ^= derived
+def _fmix32_array(h: np.ndarray) -> np.ndarray:
+    """:func:`_fmix32` in place over a uint64 vector."""
     h &= _U64_MASK32
     h ^= h >> np.uint64(16)
     h *= np.uint64(0x85EBCA6B)
@@ -68,7 +62,43 @@ def hash32_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     h *= np.uint64(0xC2B2AE35)
     h &= _U64_MASK32
     h ^= h >> np.uint64(16)
-    return h.astype(np.int64)
+    return h
+
+
+def mix_seed(seed) -> np.ndarray:
+    """A seed's own finalizer round inside :func:`hash32`, as uint64.
+
+    ``seed`` is one seed or a vector of them.  Only a seed's low 32
+    bits reach the hash, and wrap-around uint64 arithmetic keeps them,
+    so the vector form is element-wise the scalar one.  Sketches mix
+    their seeds once and hash with :func:`hash32_mixed`.
+    """
+    if np.ndim(seed):
+        mixed = np.asarray(seed).astype(np.uint64)
+        mixed *= np.uint64(0x9E3779B9)
+        mixed += np.uint64(0x165667B1)
+        return _fmix32_array(mixed)
+    return np.uint64(_fmix32(int(seed) * 0x9E3779B9 + 0x165667B1))
+
+
+def hash32_mixed(keys: np.ndarray, mixed) -> np.ndarray:
+    """:func:`hash32_array` under seeds already put through
+    :func:`mix_seed`: one for all keys, or one per key."""
+    # In place on one fresh uint64 copy: no temporary per step.
+    h = np.asarray(keys).astype(np.uint64)
+    h ^= mixed
+    return _fmix32_array(h).astype(np.int64)
+
+
+def hash32_array(keys: np.ndarray, seed=0) -> np.ndarray:
+    """Vectorized :func:`hash32` over a vector of non-negative keys.
+
+    ``seed`` is one seed for every key, or a vector of per-key seeds.
+    Returns an int64 array (values fit in 32 bits, int64 keeps the
+    downstream ``% width`` arithmetic in the sketch kernels signed and
+    overflow-free).  Element-wise bit-identical to the scalar function.
+    """
+    return hash32_mixed(keys, mix_seed(seed))
 
 
 def hash_family_seeds(count: int, seed: int = 0) -> List[int]:

@@ -1,0 +1,203 @@
+"""Stacked collection: one AgentStack pass ≡ N independent agents.
+
+``FsdAggregator`` collects its ``SwitchAgent`` s through one
+``AgentStack``: their sketch registers share one table, their flow
+tables one bucket-keyed classifier, and one FSD pass serves all N.
+These tests drive the same packets through that stack, through N lone
+agents, and through the per-packet scalar reference (``ElasticSketch``
++ ``SlidingWindowClassifier`` + ``from_entries``), and require every
+report field and every sketch's eviction counters to be bit-equal.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.monitor.agent import AgentStack, LocalReport, SwitchAgent
+from repro.monitor.aggregate import FsdAggregator
+from repro.monitor.fsd import FlowSizeDistribution
+from repro.monitor.states import SlidingWindowClassifier
+from repro.simulator.dcqcn import DcqcnParams
+from repro.simulator.engine import Simulator
+from repro.simulator.switch import Switch, SwitchConfig
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+
+TAU = 4_000
+DELTA = 2
+
+
+def _switches(n):
+    sim = Simulator()
+    return [
+        Switch(sim, i, f"tor{i}", SwitchConfig(), DcqcnParams(), seed=i)
+        for i in range(n)
+    ]
+
+
+def _observe(switch, flow_id, nbytes):
+    # The switch's own ingress hook, fed a bare packet.
+    switch._observe(SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False))
+
+
+class _ScalarAgent:
+    """The per-packet reference: scalar inserts, dict classifier."""
+
+    def __init__(self, switch, config):
+        self.switch = switch
+        self.sketch = ElasticSketch(config)
+        self.classifier = SlidingWindowClassifier(tau=TAU, delta=DELTA)
+        switch.measurement = self.sketch
+
+    def collect(self, now):
+        interval_bytes = self.sketch.read_and_reset()
+        self.classifier.update(interval_bytes)
+        return LocalReport(
+            switch_name=self.switch.name,
+            fsd=FlowSizeDistribution.from_entries(self.classifier.flows.values(), tau=TAU),
+            tracked_flows=len(self.classifier),
+            interval_bytes=sum(interval_bytes.values()),
+        )
+
+
+def _configs(n, shared_seed, lam):
+    """Per-switch sketch configs: one shared object (``sketch_config=``
+    handed to every agent) or distinct seeds, always a contested heavy
+    part."""
+    def config(seed):
+        return ElasticSketchConfig(
+            heavy_buckets=8, light_width=16, light_depth=2, ostracism_lambda=lam, seed=seed
+        )
+
+    if shared_seed is not None:
+        return [config(shared_seed)] * n
+    return [config(i) for i in range(n)]
+
+
+def _observed(reports, agents):
+    """Every report's fields, then every sketch's eviction counters."""
+    return [
+        (
+            r.switch_name, r.tracked_flows, r.interval_bytes,
+            r.fsd.elephant_weight, r.fsd.mice_weight, r.fsd.histogram,
+            list(r.fsd.flow_states.items()),
+        )
+        for r in reports
+    ] + [(a.sketch.evictions, a.sketch.last_interval_evictions) for a in agents]
+
+
+def _run(stream, n, shared_seed, lam, mode):
+    """:func:`_observed` for every interval of ``stream``."""
+    switches = _switches(n)
+    configs = _configs(n, shared_seed, lam)
+    if mode == "scalar":
+        agents = [_ScalarAgent(s, c) for s, c in zip(switches, configs)]
+    else:
+        agents = [
+            SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
+            for s, c in zip(switches, configs)
+        ]
+        for s in switches:
+            s.enable_batched_observation(capacity=8)   # mid-interval flushes
+    aggregator = FsdAggregator(agents) if mode == "stacked" else None
+    out = []
+    for t, interval in enumerate(stream):
+        for agent_index, flow_id, nbytes in interval:
+            _observe(switches[agent_index % n], flow_id, nbytes)
+        if aggregator is not None:
+            aggregator.collect(t * 1e-3)
+            reports = aggregator.last_reports
+        else:
+            reports = [agent.collect(t * 1e-3) for agent in agents]
+        out.append(_observed(reports, agents))
+    return out
+
+
+# Packets as (agent, flow, bytes) over few flows and few buckets, so
+# ostracism, light-part spills and flagged residents are common; empty
+# and sparse intervals let flows expire and come back.
+_packet = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=1_500),
+)
+_streams = st.lists(st.lists(_packet, max_size=60), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    stream=_streams,
+    n=st.sampled_from([1, 2, 4]),
+    shared_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**20)),
+    lam=st.sampled_from([0.5, 1.0, 8.0]),
+)
+def test_stacked_collection_equals_independent_agents(stream, n, shared_seed, lam):
+    stacked = _run(stream, n, shared_seed, lam, "stacked")
+    assert stacked == _run(stream, n, shared_seed, lam, "alone")
+    assert stacked == _run(stream, n, shared_seed, lam, "scalar")
+
+
+def test_stack_carries_state_collected_alone():
+    """Agents collected alone for a while, then stacked, continue
+    exactly as if they had stayed alone (registers, windows, keys)."""
+    stream = [
+        [(a, f, 700 + 37 * f) for a in range(3) for f in range(a, 12, 1 + t % 3)]
+        for t in range(10)
+    ]
+    alone = _run(stream, 3, None, 1.0, "alone")
+    switches = _switches(3)
+    agents = [
+        SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
+        for s, c in zip(switches, _configs(3, None, 1.0))
+    ]
+    for s in switches:
+        s.enable_batched_observation(capacity=8)
+    got = []
+    aggregator = None
+    for t, interval in enumerate(stream):
+        for agent_index, flow_id, nbytes in interval:
+            _observe(switches[agent_index], flow_id, nbytes)
+        if t == 4:
+            aggregator = FsdAggregator(agents)   # mid-interval: buffered packets move too
+        if aggregator is None:
+            reports = [agent.collect(t * 1e-3) for agent in agents]
+        else:
+            aggregator.collect(t * 1e-3)
+            reports = aggregator.last_reports
+        got.append(_observed(reports, agents))
+    assert got == alone
+    # A stacked agent is collected by its stack, not alone.
+    with pytest.raises(RuntimeError, match="peers"):
+        agents[0].collect(1.0)
+    # Stacking again moves the agents; the old stack refuses to run.
+    old = aggregator.stacks[0][0]
+    AgentStack(agents)
+    with pytest.raises(RuntimeError, match="another stack"):
+        old.collect(1.0)
+
+
+def test_aggregator_rejects_repeated_agents_and_shared_switches():
+    a, b = (SwitchAgent(s, tau=TAU) for s in _switches(2))
+    with pytest.raises(ValueError, match="twice"):
+        FsdAggregator([a, a])
+    twin = SwitchAgent(a.switch, tau=TAU)
+    with pytest.raises(ValueError, match="one switch"):
+        FsdAggregator([a, b, twin])
+
+
+def test_mixed_shapes_form_separate_stacks_in_agent_order():
+    switches = _switches(3)
+    agents = [
+        SwitchAgent(switches[0], tau=TAU),
+        SwitchAgent(switches[1], tau=2 * TAU),
+        SwitchAgent(switches[2], tau=TAU),
+    ]
+    aggregator = FsdAggregator(agents)
+    assert sorted(len(stack.agents) for stack, _ in aggregator.stacks) == [1, 2]
+    for f in range(5):
+        _observe(switches[f % 3], f, 3_000)
+    aggregator.collect(0.0)
+    assert [r.switch_name for r in aggregator.last_reports] == ["tor0", "tor1", "tor2"]
+    assert [r.interval_bytes for r in aggregator.last_reports] == [6_000, 6_000, 3_000]

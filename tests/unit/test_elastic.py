@@ -25,6 +25,13 @@ def test_config_validation():
         ElasticSketchConfig(ostracism_lambda=0.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_lambda(lam):
+    # A NaN or infinite lambda would never ostracize a resident.
+    with pytest.raises(ValueError, match="ostracism_lambda"):
+        ElasticSketchConfig(ostracism_lambda=lam)
+
+
 def test_insert_query_single_flow():
     sketch = make_sketch()
     sketch.insert(7, 1000)

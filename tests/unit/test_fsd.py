@@ -271,3 +271,35 @@ def test_merge_accepts_generator_and_empty_input():
     empty = merge_distributions([])
     assert empty.histogram == tuple([0.0] * HISTOGRAM_BUCKETS)
     assert empty.total_flows == 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=700), min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_from_groups_equals_each_group_alone(sizes, seed):
+    """Every group's FSD is bit-identical to a one-group call on a copy
+    of its rows, whatever the slice's length and offset."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    ids = rng.integers(0, 2**40, n)
+    cum = rng.integers(0, 3 * MB, n)
+    codes = rng.integers(0, 3, n).astype(np.int8)
+    ends = np.cumsum(sizes)
+    groups = FlowSizeDistribution.from_groups(ids, cum, codes, ends, tau=MB)
+    lo = 0
+    for hi, got in zip(ends.tolist(), groups):
+        alone = FlowSizeDistribution.from_columns(
+            ids[lo:hi].copy(), cum[lo:hi].copy(), codes[lo:hi].copy(), tau=MB
+        )
+        assert got.elephant_weight == alone.elephant_weight
+        assert got.mice_weight == alone.mice_weight
+        assert got.histogram == alone.histogram
+        assert got.flow_states == alone.flow_states
+        likelihood = np.where(
+            codes[lo:hi] == 2, 1.0, np.where(codes[lo:hi] == 0, 0.0, np.minimum(1.0, cum[lo:hi] / MB))
+        )
+        assert got.elephant_weight == float(np.sum(likelihood.copy()))
+        assert got.mice_weight == float(np.sum(1.0 - likelihood))
+        lo = hi

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sketch.cm import CountMinSketch
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
 from repro.sketch.hashing import hash32, hash32_array
 from repro.telemetry.registry import get_registry
 
@@ -59,6 +59,28 @@ def test_hash32_array_matches_scalar(keys, seed):
     vector = hash32_array(np.asarray(keys, dtype=np.int64), seed)
     scalar = [hash32(k, seed) for k in keys]
     assert vector.tolist() == scalar
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**62),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_hash32_array_per_key_seeds_match_scalar(pairs):
+    """A seed vector hashes key ``i`` under seed ``i``, element-wise
+    equal to scalar ``hash32`` (negative seeds wrap the same way)."""
+    keys = np.asarray([k for k, _ in pairs], dtype=np.int64)
+    seeds = np.asarray([s for _, s in pairs], dtype=np.int64)
+    expected = [hash32(k, s) for k, s in pairs]
+    assert hash32_array(keys, seeds).tolist() == expected
+    masked = np.asarray([s & 0xFFFFFFFF for _, s in pairs], dtype=np.uint64)
+    assert hash32_array(keys, masked).tolist() == expected
 
 
 # -- count-min --------------------------------------------------------------
@@ -227,6 +249,55 @@ def test_elastic_batch_read_arrays_match_dict():
     assert dict(zip(array_ids.tolist(), array_estimates.tolist())) == sketch.read_heavy()
 
 
+def test_stacked_sketches_behave_as_alone():
+    """Members of one ElasticStack insert, query and read exactly as
+    unstacked twins; a member's own read-and-reset clears only its
+    slice, and the stack's read serves every member at once."""
+    def config(seed):
+        return ElasticSketchConfig(
+            heavy_buckets=8, light_width=32, ostracism_lambda=1.0, seed=seed
+        )
+
+    stacked = [ElasticSketch(config(seed)) for seed in (3, 4, 5)]
+    alone = [ElasticSketch(config(seed)) for seed in (3, 4, 5)]
+    rng = np.random.default_rng(11)
+    batches = [
+        (rng.integers(0, 40, size=300), rng.integers(1, 3000, size=300))
+        for _ in stacked
+    ]
+    # Registers already in a sketch move into the stack with it.
+    for sketch, twin, (ids, vals) in zip(stacked, alone, batches):
+        sketch.insert_batch(ids[:100], vals[:100])
+        twin.insert_batch(ids[:100], vals[:100])
+    stack = ElasticStack(stacked)
+    for sketch, twin, (ids, vals) in zip(stacked, alone, batches):
+        sketch.insert_batch(ids[100:], vals[100:])
+        twin.insert_batch(ids[100:], vals[100:])
+    for sketch, twin in zip(stacked, alone):
+        assert sketch.read_heavy() == twin.read_heavy()
+        assert sketch.unattributed_bytes() == twin.unattributed_bytes()
+        assert [sketch.query(f) for f in range(40)] == [twin.query(f) for f in range(40)]
+
+    middle = stacked[1].read_and_reset_arrays()
+    twin_middle = alone[1].read_and_reset_arrays()
+    assert [a.tolist() for a in middle] == [a.tolist() for a in twin_middle]
+    assert stacked[1].read_heavy() == {}
+    assert stacked[1].last_interval_evictions == alone[1].last_interval_evictions
+    keys, ids, estimates, ends = stack.read_and_reset(0, 3)
+    assert ends.tolist()[1] == ends.tolist()[0]   # the middle slice is empty
+    lo = 0
+    for member, (hi, twin) in enumerate(zip(ends.tolist(), alone)):
+        if member != 1:
+            twin_ids, twin_estimates = twin.read_and_reset_arrays()
+            assert ids[lo:hi].tolist() == twin_ids.tolist()
+            assert estimates[lo:hi].tolist() == twin_estimates.tolist()
+            assert (keys[lo:hi] // 8 == member).all()
+        lo = hi
+    assert all(s.read_heavy() == {} and s.total_bytes == 0 for s in stacked)
+    with pytest.raises(ValueError, match="shape"):
+        ElasticStack([ElasticSketch(config(1)), ElasticSketch(ElasticSketchConfig())])
+
+
 def test_elastic_batch_rejects_bad_input():
     sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=4))
     with pytest.raises(ValueError):
@@ -238,6 +309,37 @@ def test_elastic_batch_rejects_bad_input():
     # Empty batches are a no-op, not an error.
     sketch.insert_batch(np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
     assert sketch.total_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "flow_ids, nbytes, name",
+    [
+        ([7], [1.5], "nbytes"),
+        ([7], [float("nan")], "nbytes"),
+        ([7.9], [2], "flow_ids"),
+        ([7], [True], "nbytes"),
+    ],
+)
+def test_elastic_batch_rejects_non_integer_arrays(flow_ids, nbytes, name):
+    sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=4))
+    with pytest.raises(ValueError, match=f"{name} must be an integer array"):
+        sketch.insert_batch(np.asarray(flow_ids), np.asarray(nbytes))
+    assert sketch.total_bytes == 0
+    assert sketch.read_heavy() == {}
+
+
+@pytest.mark.parametrize(
+    "keys, values, name",
+    [([7.9], [2], "keys"), ([7], [2.7], "values"), ([7], [float("nan")], "values")],
+)
+def test_cm_batch_rejects_non_integer_arrays(keys, values, name):
+    cm = CountMinSketch(width=64, depth=2, seed=1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer array, got float64"):
+        cm.insert_batch(np.asarray(keys), np.asarray(values))
+    assert cm.total_inserted == 0
+    # Unsigned and narrow integer arrays are integers all the same.
+    cm.insert_batch(np.asarray([7], dtype=np.uint16), np.asarray([2], dtype=np.int8))
+    assert cm.query(7) == 2
 
 
 def test_eviction_counters_split_interval_from_lifetime():

@@ -180,3 +180,45 @@ def test_columnar_validation():
         ColumnarSlidingWindowClassifier(tau=0)
     with pytest.raises(ValueError):
         ColumnarSlidingWindowClassifier(delta=0)
+
+
+@pytest.mark.parametrize(
+    "cls", [SlidingWindowClassifier, ColumnarSlidingWindowClassifier]
+)
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+def test_classifiers_reject_non_finite_tau(cls, tau):
+    # A NaN tau never makes an elephant; an infinite one never does either.
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        cls(tau=tau)
+
+
+def test_bucket_keyed_table_refuses_mapping_updates():
+    """A table keyed by sketch bucket cannot take first-sight keys: the
+    same flow would get two rows."""
+    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=2, key_span=8)
+    with pytest.raises(ValueError, match="keyed by sketch bucket"):
+        columnar.update({1: 100})
+    with pytest.raises(ValueError, match="key_span"):
+        ColumnarSlidingWindowClassifier(key_span=0)
+
+
+def test_groups_keep_their_own_tracking_order():
+    """Two bucket-keyed groups advance together: each group's rows stay
+    contiguous, survivors first, then admissions in input order; a
+    bucket whose resident changed does not carry the old flow's row."""
+    columnar = ColumnarSlidingWindowClassifier(tau=10_000, delta=2, key_span=4)
+    both = ColumnarSlidingWindowClassifier.stacked([(columnar, 0), (columnar, 0)])
+    # keys: group 0 owns 0..3, group 1 owns 4..7.
+    both.advance([1, 2, 5], [10, 20, 50], [100, 100, 100], [2, 3])
+    ids, _, _, ends = both.advance([1, 4, 6], [11, 40, 60], [5, 5, 5], [1, 3])
+    # Flow 11 took bucket 1 from flow 10, which keeps its row and idles.
+    assert ids.tolist() == [10, 20, 11, 50, 40, 60]
+    assert ends.tolist() == [3, 6]
+    ids, cum, _, ends = both.advance([], [], [], [0, 0])
+    assert ids.tolist() == [11, 40, 60]   # 10, 20, 50 idle for delta=2
+    assert cum.tolist() == [5, 5, 5]
+    assert ends.tolist() == [1, 3]
+    assert both.expired_total == 3
+    with pytest.raises(ValueError, match="groups"):
+        both.advance([], [], [], [0])
+
