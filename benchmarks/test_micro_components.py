@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.monitor.fsd import FlowSizeDistribution, kl_divergence
-from repro.monitor.states import SlidingWindowClassifier
+from repro.monitor.states import ColumnarSlidingWindowClassifier
 from repro.simulator.engine import Simulator
 from repro.simulator.units import kb
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
@@ -39,24 +41,25 @@ def test_micro_elastic_sketch_read_and_reset(benchmark):
         sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=512))
         for _ in range(500):
             sketch.insert(rng.randrange(400), rng.randrange(64, 4096))
-        return sketch.read_and_reset()
+        return sketch.read_and_reset_arrays()
 
-    result = benchmark(cycle)
-    assert result
+    ids, _ = benchmark(cycle)
+    assert ids.size
 
 
 def test_micro_sliding_window_update(benchmark):
-    classifier = SlidingWindowClassifier(tau=kb(100.0), delta=3)
+    classifier = ColumnarSlidingWindowClassifier(tau=kb(100.0), delta=3)
     rng = random.Random(2)
+    ids = np.arange(300, dtype=np.int64)
     intervals = [
-        {fid: rng.randrange(0, 50_000) for fid in range(300)}
+        np.array([rng.randrange(0, 50_000) for _ in range(300)], dtype=np.int64)
         for _ in range(16)
     ]
     index = {"i": 0}
 
     def update():
         i = index["i"] = (index["i"] + 1) % 16
-        classifier.update(intervals[i])
+        classifier.update_arrays(ids, intervals[i])
 
     benchmark(update)
 

@@ -16,8 +16,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.monitor.states import check_knobs
 from repro.simulator.units import mb, ms
 from repro.tuning.annealing import AnnealingSchedule
 from repro.tuning.utility import DEFAULT_WEIGHTS, UtilityWeights
@@ -46,13 +48,14 @@ class ParaleonConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if self.monitor_interval <= 0:
-            raise ValueError("monitor_interval must be positive")
+        check_knobs(self.tau, self.delta)
+        # ``nan < 0`` is False, so each bound is stated the way a NaN
+        # fails: a NaN theta would never trigger.
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
+        if not (math.isfinite(self.monitor_interval) and self.monitor_interval > 0):
+            raise ValueError(
+                f"monitor_interval must be finite and positive, got {self.monitor_interval}"
+            )
         if not 0.5 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0.5, 1]")

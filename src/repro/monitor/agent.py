@@ -14,6 +14,11 @@ into a local flow-size distribution for the controller:
   single-interval elephant rule and no control-plane state.
 * :class:`NetFlowAgent` — commodity baseline: 1:100 sampling with an
   O(seconds) export interval.
+
+The three differ only in what they measure and how they classify.  All
+of them take packets through the switch's observation buffer, flush it
+before they read, and build their FSDs with the one columnar kernel
+(:meth:`~repro.monitor.fsd.FlowSizeDistribution.from_groups`).
 """
 
 from __future__ import annotations
@@ -21,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.monitor.fsd import FlowSizeDistribution
-from repro.monitor.states import (
-    ColumnarSlidingWindowClassifier,
-    SingleIntervalClassifier,
-)
+from repro.monitor.states import ColumnarSlidingWindowClassifier
 from repro.telemetry import trace
 from repro.simulator.switch import Switch
 from repro.simulator.units import mb
@@ -75,11 +79,9 @@ class SwitchAgent:
     The whole interval runs columnar: the switch buffers observations
     and flushes them through the sketch's batch kernel, the sketch is
     read and reset as flat arrays, flow states advance with masked
-    numpy ops, and the FSD is summed by the same kernel the scalar
-    reference pieces (``ElasticSketch.read_and_reset`` →
-    ``SlidingWindowClassifier`` → ``FlowSizeDistribution.from_entries``)
-    use, so reports and run digests are bit-identical to that reference
-    (``test_reports_bit_identical_across_modes``).
+    numpy ops, and one kernel sums the FSD.  Reports and run digests
+    are bit-identical to the per-packet, per-flow reference pipeline in
+    ``tests/scalar_monitor.py`` (``test_reports_bit_identical_across_modes``).
 
     The agent is always a member of an :class:`AgentStack` — alone
     until an :class:`~repro.monitor.aggregate.FsdAggregator` stacks it
@@ -106,7 +108,6 @@ class SwitchAgent:
         self.tau = tau
         switch.measurement = self.sketch
         switch.dedup_marking = dedup_marking
-        switch.enable_batched_observation()
         self.reports_made = 0
         self._group = 0
         self._stack = AgentStack([self])
@@ -202,25 +203,21 @@ class NaiveSketchAgent:
         self.sketch = ElasticSketch(
             sketch_config or ElasticSketchConfig(seed=switch.switch_id)
         )
-        self.classifier = SingleIntervalClassifier(tau=tau)
         self.tau = tau
         switch.measurement = self.sketch
         switch.dedup_marking = dedup_marking
         self.reports_made = 0
 
     def collect(self, now: float) -> LocalReport:
-        interval_bytes = self.sketch.read_and_reset()
-        self.classifier.update(interval_bytes)
-        fsd = FlowSizeDistribution.from_entries(
-            self.classifier.flows.values(), tau=self.tau
-        )
+        self.switch.flush_observations()
+        ids, sizes = self.sketch.read_and_reset_arrays()
         self.reports_made += 1
         return _trace_report(
             LocalReport(
                 switch_name=self.switch.name,
-                fsd=fsd,
-                tracked_flows=len(self.classifier),
-                interval_bytes=sum(interval_bytes.values()),
+                fsd=FlowSizeDistribution.from_size_columns(ids, sizes, tau=self.tau),
+                tracked_flows=int(np.count_nonzero(sizes > 0)),
+                interval_bytes=int(sizes.sum()),
             )
         )
 
@@ -246,6 +243,7 @@ class NetFlowAgent:
         self.reports_made = 0
 
     def collect(self, now: float) -> LocalReport:
+        self.switch.flush_observations()
         sizes = self.monitor.maybe_export(now)
         fsd = FlowSizeDistribution.from_sizes(sizes, tau=self.tau)
         self.reports_made += 1

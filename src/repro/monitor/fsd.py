@@ -30,20 +30,14 @@ from repro.monitor.states import (
     CODE_MICE,
     CODE_OF_STATE,
     STATE_OF_CODE,
-    FlowStateEntry,
     TernaryState,
+    check_knobs,
 )
 from repro.simulator.ordered import ordered_sum
 from repro.simulator.units import mb
 
 #: Number of log2 size buckets in the histogram (1 B .. ~1 GB).
 HISTOGRAM_BUCKETS = 31
-
-
-def _bucket_index(nbytes: int) -> int:
-    if nbytes < 1:
-        return 0
-    return min(int(math.log2(nbytes)), HISTOGRAM_BUCKETS - 1)
 
 
 class FlowStates(Mapping):
@@ -131,11 +125,7 @@ class FlowSizeDistribution:
     ) -> "FlowSizeDistribution":
         """Build from columnar classifier output (tracking order).
 
-        The one-group case of :meth:`from_groups`.  :meth:`from_entries`
-        funnels through it too, so the scalar and batched pipelines
-        reduce the same operand sequence with the same reduction and
-        produce bit-identical weights — a precondition for the
-        cross-mode run-digest gate.
+        The one-group case of :meth:`from_groups`.
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
         return cls.from_groups(ids, cumulative_bytes, state_codes, [ids.size], tau)[0]
@@ -151,7 +141,7 @@ class FlowSizeDistribution:
     ) -> "List[FlowSizeDistribution]":
         """One distribution per contiguous row group ending at ``ends``.
 
-        The single summation kernel for every monitoring path: one
+        The single summation kernel for every monitor arm: one
         likelihood, log2 and ``bincount`` pass over all rows, then each
         group's weights are a pairwise ``np.add.reduce`` (``np.sum``'s
         kernel) over its own contiguous slice — the same operands in the
@@ -167,9 +157,8 @@ class FlowSizeDistribution:
             1.0,
             np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, cum / tau)),
         )
-        # log2 bucketing, vectorized twin of _bucket_index (both lean on
-        # the platform libm log2, so the truncations agree bit-for-bit);
-        # sizes below 1 B land in bucket 0 as log2(1).
+        # Bucket ``floor(log2(bytes))``, capped at the last; sizes
+        # below 1 B land in bucket 0 as log2(1).
         buckets = np.minimum(
             np.log2(np.maximum(cum, 1).astype(np.float64)).astype(np.int64),
             HISTOGRAM_BUCKETS - 1,
@@ -193,46 +182,34 @@ class FlowSizeDistribution:
         return out
 
     @classmethod
-    def from_entries(
-        cls, entries: Iterable[FlowStateEntry], tau: int = mb(1.0)
-    ) -> "FlowSizeDistribution":
-        entries = list(entries)
-        ids = np.fromiter(
-            (e.flow_id for e in entries), dtype=np.int64, count=len(entries)
-        )
-        cum = np.fromiter(
-            (e.cumulative_bytes for e in entries), dtype=np.int64, count=len(entries)
-        )
-        codes = np.fromiter(
-            (CODE_OF_STATE[e.state] for e in entries), dtype=np.int8, count=len(entries)
-        )
-        return cls.from_columns(ids, cum, codes, tau=tau)
-
-    @classmethod
     def from_sizes(
         cls, sizes: Mapping[int, int], tau: int = mb(1.0)
     ) -> "FlowSizeDistribution":
-        """Build from exact per-flow sizes (ground truth / NetFlow)."""
-        histogram = [0.0] * HISTOGRAM_BUCKETS
-        elephant = 0.0
-        mice = 0.0
-        states: Dict[int, TernaryState] = {}
-        for flow_id, size in sizes.items():
-            if size <= 0:
-                continue
-            if size >= tau:
-                elephant += 1.0
-                states[flow_id] = TernaryState.ELEPHANT
-            else:
-                mice += 1.0
-                states[flow_id] = TernaryState.MICE
-            histogram[_bucket_index(size)] += 1.0
-        return cls(
-            elephant_weight=elephant,
-            mice_weight=mice,
-            histogram=tuple(histogram),
-            flow_states=states,
+        """:meth:`from_size_columns` over a flow id → bytes mapping
+        (ground truth, NetFlow exports), in mapping order."""
+        return cls.from_size_columns(
+            np.fromiter(sizes.keys(), dtype=np.int64, count=len(sizes)),
+            np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes)),
+            tau,
         )
+
+    @classmethod
+    def from_size_columns(
+        cls, flow_ids: np.ndarray, sizes: np.ndarray, tau: int = mb(1.0)
+    ) -> "FlowSizeDistribution":
+        """The single-interval rule: a flow is E iff its bytes reach
+        ``τ``, M otherwise; flows with no bytes are dropped.
+
+        Exact for ground-truth sizes; on one interval's sketch read it is
+        the naive Elastic Sketch classification Keypoint 2 criticises.
+        """
+        check_knobs(tau)
+        ids = np.asarray(flow_ids, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        moved = sizes > 0
+        ids, sizes = ids[moved], sizes[moved]
+        codes = (sizes >= tau).view(np.int8) * np.int8(CODE_ELEPHANT)
+        return cls.from_columns(ids, sizes, codes, tau)
 
     # -- summaries ---------------------------------------------------------
 

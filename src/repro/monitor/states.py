@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
+import numbers
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,115 +56,26 @@ STATE_OF_CODE = {
 CODE_OF_STATE = {state: code for code, state in STATE_OF_CODE.items()}
 
 
-def _check_knobs(tau: float, delta: int) -> None:
-    # A NaN or infinite tau never makes an elephant, so the monitor
-    # would report a quietly different FSD.
+def check_knobs(tau: float, delta: int = 1) -> None:
+    """Raise ``ValueError`` unless ``τ`` is finite and positive and ``δ``
+    an integer >= 1.
+
+    A NaN or infinite τ never makes an elephant, and ``nan <= 0`` is
+    False, so a plain bound check would let the monitor report a
+    quietly different FSD.
+    """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-
-
-@dataclass
-class FlowStateEntry:
-    """Tracked per-flow monitoring state."""
-
-    flow_id: int
-    state: TernaryState
-    cumulative_bytes: int                   # Φ(f)
-    window: Deque[int] = field(default_factory=deque)
-    active_streak: int = 0                  # consecutive active intervals
-    idle_streak: int = 0                    # consecutive silent intervals
-    intervals_seen: int = 0
-
-    def elephant_likelihood(self, tau: int) -> float:
-        """Estimated probability this flow ends up an elephant."""
-        if self.state is TernaryState.ELEPHANT:
-            return 1.0
-        if self.state is TernaryState.MICE:
-            return 0.0
-        return min(1.0, self.cumulative_bytes / tau)
-
-
-class SlidingWindowClassifier:
-    """Per-switch control-plane flow state tracker.
-
-    Call :meth:`update` once per monitor interval with the byte counts
-    read (and reset) from the local sketch; it returns the current
-    state table.  ``τ`` defaults to 1 MB and ``δ`` to 3, per Table III.
-    """
-
-    def __init__(self, tau: int = mb(1.0), delta: int = 3):
-        _check_knobs(tau, delta)
-        self.tau = tau
-        self.delta = delta
-        self.flows: Dict[int, FlowStateEntry] = {}
-        self.expired_total = 0
-
-    def update(self, interval_bytes: Mapping[int, int]) -> Dict[int, FlowStateEntry]:
-        """Advance one monitor interval.
-
-        ``interval_bytes`` maps flow id -> bytes observed this interval
-        (flows absent from the mapping transmitted nothing).
-        """
-        # New flows enter tracking.
-        for flow_id in interval_bytes:
-            if flow_id not in self.flows and interval_bytes[flow_id] > 0:
-                self.flows[flow_id] = FlowStateEntry(
-                    flow_id=flow_id,
-                    state=TernaryState.MICE,
-                    cumulative_bytes=0,
-                )
-
-        expired = []
-        for flow_id, entry in self.flows.items():
-            nbytes = int(interval_bytes.get(flow_id, 0))
-            entry.intervals_seen += 1
-            entry.cumulative_bytes += nbytes
-            entry.window.append(nbytes)
-            if len(entry.window) > self.delta:
-                entry.window.popleft()
-            if nbytes > 0:
-                entry.active_streak += 1
-                entry.idle_streak = 0
-            else:
-                entry.active_streak = 0
-                entry.idle_streak += 1
-                if entry.idle_streak >= self.delta:
-                    expired.append(flow_id)
-                    continue
-            entry.state = self._classify(entry)
-
-        for flow_id in expired:
-            del self.flows[flow_id]
-        self.expired_total += len(expired)
-        return self.flows
-
-    def _classify(self, entry: FlowStateEntry) -> TernaryState:
-        if entry.cumulative_bytes >= self.tau:
-            return TernaryState.ELEPHANT
-        if entry.active_streak >= self.delta:
-            return TernaryState.POTENTIAL_ELEPHANT
-        return TernaryState.MICE
-
-    # -- summaries -------------------------------------------------------
-
-    def state_counts(self) -> Dict[TernaryState, int]:
-        counts = {state: 0 for state in TernaryState}
-        for entry in self.flows.values():
-            counts[entry.state] += 1
-        return counts
-
-    def elephant_weight(self) -> float:
-        """Expected number of elephants among tracked flows."""
-        return sum(e.elephant_likelihood(self.tau) for e in self.flows.values())
-
-    def __len__(self) -> int:
-        return len(self.flows)
+    if not (isinstance(delta, numbers.Integral) and delta >= 1):
+        raise ValueError(f"delta must be an integer >= 1, got {delta}")
 
 
 class ColumnarSlidingWindowClassifier:
-    """Struct-of-arrays twin of :class:`SlidingWindowClassifier`.
+    """Per-switch control-plane flow state tracker, struct-of-arrays.
+
+    Advance it once per monitor interval with the byte counts read (and
+    reset) from the local sketch.  ``τ`` defaults to 1 MB and ``δ`` to
+    3, per Table III.
 
     Holds the flow table as one int64 block whose rows are the columns
     (key, id, Φ, streaks, the δ-slot sliding window) plus an int8 state
@@ -178,21 +88,21 @@ class ColumnarSlidingWindowClassifier:
     Every row carries a **key**, unique within an interval's input and
     fixed for its flow: the global heavy-part bucket ``group·B +
     bucket`` when the input is a stacked sketch read (``key_span=B``),
-    or a number handed out at first sight by the mapping wrappers
-    :meth:`update` / :meth:`update_arrays` (``key_span=None``).  A
+    or a number handed out at first sight by :meth:`update_arrays`
+    (``key_span=None``).  A
     scratch array indexed by key then finds each tracked row's input
     with two gathers (key → input position, flow id confirms: a
     bucket's resident may have changed), and one ``take`` over the
     block compacts every column after expiry and admission.  A monitor
     interval is a fixed sequence of array ops with no per-flow Python.
 
-    Semantics are exactly the scalar classifier's per group: same
-    admission rule (new flows only when they moved bytes, in input
-    order), same streak and expiry arithmetic, same ``Φ ≥ τ`` /
-    ``active ≥ δ`` transitions.  Because a group's rows iterate in the
-    order the scalar ``flows`` dict does, downstream float reductions
-    (FSD weights) see identical operand sequences and produce
-    bit-identical results.
+    Per group, the semantics are exactly those of the one-flow-at-a-time
+    reference classifier in ``tests/scalar_monitor.py``: new flows are
+    admitted only when they moved bytes, in input order; the same streak
+    and expiry arithmetic; the same ``Φ ≥ τ`` / ``active ≥ δ``
+    transitions.  A group's rows iterate in the order the reference's
+    ``flows`` dict does, so downstream float reductions (FSD weights)
+    see identical operand sequences and produce bit-identical results.
     """
 
     #: Rows of the int64 block; the window ring takes the δ rows from
@@ -202,13 +112,13 @@ class ColumnarSlidingWindowClassifier:
     def __init__(
         self, tau: int = mb(1.0), delta: int = 3, key_span: Optional[int] = None
     ):
-        _check_knobs(tau, delta)
+        check_knobs(tau, delta)
         if key_span is not None and key_span < 1:
             raise ValueError("key_span must be >= 1")
         self.tau = tau
         self.delta = delta
         #: Keys per group when fed from sketch buckets; ``None`` for a
-        #: table keyed at first sight by the mapping wrappers.
+        #: table keyed at first sight by :meth:`update_arrays`.
         self.key_span = key_span
         self.expired_total = 0
         self._rows = np.zeros((self._WINDOW + delta, 0), dtype=np.int64)
@@ -302,7 +212,7 @@ class ColumnarSlidingWindowClassifier:
             hit &= ids[at] == rows[self._FLOW]
         at = np.where(hit, at, n)
         nb = np.concatenate((vals, [0]))[at]
-        # Admission takes new movers in input order, as the scalar
+        # Admission takes new movers in input order, as the reference
         # classifier's dict walk does; zero-byte strangers get no row.
         claimed = np.zeros(n + 1, dtype=bool)
         claimed[at] = True
@@ -381,12 +291,6 @@ class ColumnarSlidingWindowClassifier:
         ids = np.asarray(flow_ids, dtype=np.int64)
         self.advance(self._first_sight_keys(ids), ids, interval_bytes, [ids.size])
 
-    def update(self, interval_bytes: Mapping[int, int]) -> None:
-        """Mapping-based :meth:`update_arrays` (tests / ablations)."""
-        ids = np.fromiter(interval_bytes.keys(), dtype=np.int64, count=len(interval_bytes))
-        vals = np.fromiter(interval_bytes.values(), dtype=np.int64, count=len(interval_bytes))
-        self.update_arrays(ids, vals)
-
     # -- snapshots -------------------------------------------------------
 
     def snapshot_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,94 +302,8 @@ class ColumnarSlidingWindowClassifier:
         """
         return self._rows[self._FLOW], self._rows[self._CUM], self._state
 
-    def entries(self) -> Dict[int, FlowStateEntry]:
-        """Materialize scalar-style entries of every group (test /
-        ablation path only)."""
-        out: Dict[int, FlowStateEntry] = {}
-        for row, column in enumerate(self._rows.T.tolist()):
-            seen = column[self._SEEN]
-            length = min(seen, self.delta)
-            window: Deque[int] = deque(
-                column[self._WINDOW + (self._slot - length + 1 + i) % self.delta]
-                for i in range(length)
-            )
-            out[column[self._FLOW]] = FlowStateEntry(
-                flow_id=column[self._FLOW],
-                state=STATE_OF_CODE[int(self._state[row])],
-                cumulative_bytes=column[self._CUM],
-                window=window,
-                active_streak=column[self._ACTIVE],
-                idle_streak=column[self._IDLE],
-                intervals_seen=seen,
-            )
-        return out
-
     @property
-    def flows(self) -> Dict[int, FlowStateEntry]:
-        return self.entries()
-
-    def state_counts(self) -> Dict[TernaryState, int]:
-        return {
-            state: int(np.count_nonzero(self._state == code))
-            for code, state in STATE_OF_CODE.items()
-        }
-
-    def elephant_weight(self) -> float:
-        codes = self._state
-        likelihood = np.where(
-            codes == CODE_ELEPHANT,
-            1.0,
-            np.where(
-                codes == CODE_MICE, 0.0, np.minimum(1.0, self._rows[self._CUM] / self.tau)
-            ),
-        )
-        # Sequential sum in tracking order — bit-identical to the scalar
-        # classifier's generator sum over the same operand sequence.
-        return float(sum(likelihood.tolist()))
-
-    def __len__(self) -> int:
-        return self._rows.shape[1]
-
-
-class SingleIntervalClassifier:
-    """The naive Elastic Sketch classification rule (ablation arm).
-
-    A flow is an elephant iff it moved ``τ`` bytes *within one monitor
-    interval* — exactly the behaviour Keypoint 2 criticises.  Exposes
-    the same surface as :class:`SlidingWindowClassifier` so agents can
-    swap one for the other.
-    """
-
-    def __init__(self, tau: int = mb(1.0), delta: int = 3):
-        self.tau = tau
-        self.delta = delta  # unused; kept for interface parity
-        self.flows: Dict[int, FlowStateEntry] = {}
-
-    def update(self, interval_bytes: Mapping[int, int]) -> Dict[int, FlowStateEntry]:
-        self.flows = {}
-        for flow_id, nbytes in interval_bytes.items():
-            if nbytes <= 0:
-                continue
-            state = (
-                TernaryState.ELEPHANT if nbytes >= self.tau else TernaryState.MICE
-            )
-            self.flows[flow_id] = FlowStateEntry(
-                flow_id=flow_id,
-                state=state,
-                cumulative_bytes=int(nbytes),
-                active_streak=1,
-                intervals_seen=1,
-            )
-        return self.flows
-
-    def state_counts(self) -> Dict[TernaryState, int]:
-        counts = {state: 0 for state in TernaryState}
-        for entry in self.flows.values():
-            counts[entry.state] += 1
-        return counts
-
-    def elephant_weight(self) -> float:
-        return sum(e.elephant_likelihood(self.tau) for e in self.flows.values())
-
-    def __len__(self) -> int:
-        return len(self.flows)
+    def nbytes(self) -> int:
+        """Bytes the table holds: its int64 block plus its int8 state
+        column."""
+        return self._rows.nbytes + self._state.nbytes

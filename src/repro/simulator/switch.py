@@ -17,10 +17,16 @@ Buffering follows the commodity shared-buffer model:
   sane headroom prevents this; tests assert losslessness).
 
 Paraleon's measurement hook is the ``measurement`` attribute: when set
-(typically only on ToR switches), every data packet is offered to it on
+(typically only on ToR switches), every data packet is observed on
 ingress.  With ``dedup_marking`` enabled the switch honours the
-TOS-bit protocol (Keypoint 1): insert only unmarked packets and mark
-them, so each packet lands in exactly one sketch network-wide.
+TOS-bit protocol (Keypoint 1): observe only unmarked packets and mark
+them, so each packet lands in exactly one sketch network-wide.  An
+observation is one ``(flow_id, wire_bytes)`` pair appended to the
+switch's buffer; the buffer drains, in arrival order, through the
+measurement point's ``observe_batch`` when it holds
+``OBS_BUFFER_CAPACITY`` packets and whenever an agent reads
+(:meth:`Switch.flush_observations`).  That is the only observation
+path, whatever the measurement point.
 """
 
 from __future__ import annotations
@@ -39,17 +45,20 @@ from repro.simulator.units import mb
 
 _DATA = PacketKind.DATA  # module constant: enum member lookup is slow
 
-#: Default observation buffer flush threshold (packets). 4096 packets is
-#: ~6 MB of 1500 B traffic — far more than one 1 ms monitor interval
-#: moves through a scaled-down ToR, so in steady state the buffer
-#: flushes once per interval at ``SwitchAgent.collect()``.
+#: Observation buffer flush threshold (packets), read when a switch is
+#: built.  4096 packets is ~6 MB of 1500 B traffic — far more than one
+#: 1 ms monitor interval moves through a scaled-down ToR, so in steady
+#: state the buffer flushes once per interval, when the agent reads.
 OBS_BUFFER_CAPACITY = 4096
 
 
 class MeasurementPoint(Protocol):
     """Anything that can observe packets at a switch (e.g. a sketch)."""
 
-    def observe(self, flow_id: int, wire_bytes: int) -> None:  # pragma: no cover
+    def observe_batch(
+        self, flow_ids: np.ndarray, wire_bytes: np.ndarray
+    ) -> None:  # pragma: no cover
+        """Take aligned int64 columns of packets in arrival order."""
         ...
 
 
@@ -102,17 +111,16 @@ class Switch:
         self.measurement: Optional[MeasurementPoint] = None
         self.dedup_marking = True
 
-        # Batched observation buffer (off until an agent enables it):
-        # two append-only columns accumulating (flow_id, wire_bytes)
-        # per data packet, flushed into ``measurement.observe_batch``
-        # when the capacity threshold is hit or at collect().  Plain
-        # lists beat preallocated ndarrays here: a list append is a
-        # fraction of a numpy item-store, and the flush converts the
-        # whole column in one C pass.
+        # Observation buffer: two append-only columns accumulating
+        # (flow_id, wire_bytes) per observed data packet, flushed into
+        # ``measurement.observe_batch`` when the capacity threshold is
+        # hit or when an agent reads.  Plain lists beat preallocated
+        # ndarrays here: a list append is a fraction of a numpy
+        # item-store, and the flush converts the whole column in one
+        # C pass.
         self._obs_flow: List[int] = []
         self._obs_bytes: List[int] = []
-        self._obs_capacity = 0
-        self._obs_batched = False
+        self._obs_capacity = OBS_BUFFER_CAPACITY
         self.obs_flushes = 0
 
         # Counters.
@@ -200,44 +208,17 @@ class Switch:
             if packet.sketch_marked:
                 return
             packet.sketch_marked = True
-        if self._obs_batched:
-            # Append to the buffer; the sketch sees the packets in this
-            # exact order at the next flush, so batched state is
-            # bit-identical to per-packet insertion.
-            buffered = self._obs_flow
-            buffered.append(packet.flow_id)
-            self._obs_bytes.append(packet.wire_size)
-            if len(buffered) >= self._obs_capacity:
-                self.flush_observations()
-        else:
-            self.measurement.observe(packet.flow_id, packet.wire_size)
+        # The measurement point sees the packets in this exact order at
+        # the next flush.
+        buffered = self._obs_flow
+        buffered.append(packet.flow_id)
+        self._obs_bytes.append(packet.wire_size)
+        if len(buffered) >= self._obs_capacity:
+            self.flush_observations()
 
     # ------------------------------------------------------------------
-    # Batched observation buffer (Paraleon agents opt in)
+    # Observation buffer
     # ------------------------------------------------------------------
-
-    def enable_batched_observation(
-        self, capacity: int = OBS_BUFFER_CAPACITY
-    ) -> None:
-        """Buffer data-packet observations and flush them in batches.
-
-        Requires a ``measurement`` that implements ``observe_batch``
-        (e.g. :class:`~repro.sketch.elastic.ElasticSketch`); scalar
-        monitors such as NetFlow keep the per-packet ``observe`` path.
-        """
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if self.measurement is None or not hasattr(
-            self.measurement, "observe_batch"
-        ):
-            raise ValueError(
-                "batched observation needs a measurement point with "
-                "observe_batch()"
-            )
-        self._obs_capacity = capacity
-        self._obs_flow.clear()
-        self._obs_bytes.clear()
-        self._obs_batched = True
 
     @property
     def obs_buffered(self) -> int:
@@ -248,8 +229,8 @@ class Switch:
         """Drain the observation buffer into the measurement point.
 
         Returns the number of packets flushed.  Agents call this right
-        before reading the sketch so the register state at read time is
-        identical to the scalar per-packet path.
+        before they read, so the measurement point has seen every
+        packet of the interval, in arrival order.
         """
         n = len(self._obs_flow)
         if n == 0:

@@ -14,16 +14,18 @@ It splits traffic between:
   colliding (mice) traffic.
 
 ``query`` combines both parts and never undercounts a flow that is
-resident in the Heavy Part.  The switch control-plane agent
-periodically calls :meth:`read_heavy` + :meth:`reset` (Section III-B),
-which is exactly the register read-and-clear cycle the paper performs
-on the Tofino.
+resident in the Heavy Part.  Once per monitor interval the switch
+control-plane agent calls :meth:`ElasticSketch.read_and_reset_arrays`
+(or, for a whole :class:`ElasticStack`, :meth:`ElasticStack.read_and_reset`)
+— the register read-and-clear cycle the paper performs on the Tofino
+(Section III-B).
 
 Layout: the Heavy Part is **columnar** — four parallel numpy arrays
 (``flow_id``, ``vote+``, ``vote-``, ``flag``) instead of an array of
 bucket objects.  The per-packet scalar :meth:`insert` indexes the
-columns directly; the batched :meth:`insert_batch` used by the switch
-observation buffer is one order-exact array kernel with no per-packet
+columns directly and defines the bucket rule; the switch observation
+buffer flushes into :meth:`insert_batch` (the measurement point's
+``observe_batch``), one order-exact array kernel with no per-packet
 Python:
 
 1. a stable sort groups the batch by bucket, arrival order kept inside
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,7 +144,7 @@ class ElasticSketch:
         #: Evictions since the last :meth:`reset` (per monitor interval).
         self.interval_evictions = 0
         #: ``interval_evictions`` of the interval most recently closed
-        #: by :meth:`read_and_reset`.
+        #: by :meth:`read_and_reset_arrays`.
         self.last_interval_evictions = 0
         self.total_bytes = 0
         ElasticStack([self])
@@ -209,9 +211,6 @@ class ElasticSketch:
             self.interval_evictions += 1
         else:
             self._light.insert(flow_id, nbytes)
-
-    # ``observe`` is the MeasurementPoint interface used by switches.
-    observe = insert
 
     def insert_batch(self, flow_ids: np.ndarray, nbytes: np.ndarray) -> None:
         """Insert a packet batch, bit-identical to sequential inserts.
@@ -344,25 +343,17 @@ class ElasticSketch:
         """``(flow_ids, estimates)`` for all Heavy Part residents.
 
         Bucket-index order, one row per occupied bucket.  Every flow
-        hashes to exactly one bucket so the ids are distinct; the
-        values match :meth:`read_heavy` entry-for-entry.
+        hashes to exactly one bucket so the ids are distinct; a flagged
+        resident's estimate adds its Light-Part count.
         """
         _, ids, estimates, _ = self._stack.read(self._slot, self._slot + 1)
         return ids, estimates
 
-    def read_heavy(self) -> Dict[int, int]:
-        """Per-flow byte estimates for all Heavy Part residents."""
-        ids, estimates = self.read_heavy_arrays()
-        result: Dict[int, int] = {}
-        for flow_id, estimate in zip(ids.tolist(), estimates.tolist()):
-            result[flow_id] = result.get(flow_id, 0) + estimate
-        return result
-
     def unattributed_bytes(self) -> int:
         """Bytes in the Light Part not claimed by a flagged resident.
 
-        A coarse residual used only for diagnostics — per-flow accuracy
-        experiments work off :meth:`read_heavy`.
+        A coarse residual used only for diagnostics — per-flow estimates
+        come from :meth:`read_heavy_arrays`.
         """
         flagged = (self._flow_id >= 0) & self._flag
         claimed = int(
@@ -380,17 +371,13 @@ class ElasticSketch:
         """
         self._stack.reset(self._slot, self._slot + 1)
 
-    def read_and_reset(self) -> Dict[int, int]:
-        """Atomic read-then-clear, as the control-plane agent does.
+    def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`read_heavy_arrays` then :meth:`reset`, atomically, as
+        the control-plane agent does.
 
         Also latches :attr:`last_interval_evictions` so per-interval
         eviction reporting survives the clear.
         """
-        ids, estimates = self.read_and_reset_arrays()
-        return dict(zip(ids.tolist(), estimates.tolist()))
-
-    def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-form :meth:`read_and_reset` (the batched agent path)."""
         _, ids, estimates, _ = self._stack.read_and_reset(self._slot, self._slot + 1)
         return ids, estimates
 

@@ -15,9 +15,13 @@ from that design and both show up in Fig. 10/11:
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Dict
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,10 +33,15 @@ class NetFlowConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sampling_rate < 1:
-            raise ValueError("sampling_rate must be >= 1")
-        if self.export_interval <= 0:
-            raise ValueError("export_interval must be positive")
+        # A fractional rate would construct and then fail randrange() on
+        # the first packet; a NaN or infinite interval never exports.
+        rate = self.sampling_rate
+        if not (isinstance(rate, numbers.Integral) and rate >= 1):
+            raise ValueError(f"sampling_rate must be an integer >= 1, got {rate}")
+        if not (math.isfinite(self.export_interval) and self.export_interval > 0):
+            raise ValueError(
+                f"export_interval must be finite and positive, got {self.export_interval}"
+            )
 
 
 class NetFlowMonitor:
@@ -47,14 +56,21 @@ class NetFlowMonitor:
         self.packets_seen = 0
         self.packets_sampled = 0
 
-    def observe(self, flow_id: int, wire_bytes: int) -> None:
-        """Data-plane hook: sample 1:N packets, scale bytes up by N."""
-        self.packets_seen += 1
-        if self._rng.randrange(self.config.sampling_rate) != 0:
-            return
-        self.packets_sampled += 1
-        scaled = wire_bytes * self.config.sampling_rate
-        self._cache[flow_id] = self._cache.get(flow_id, 0) + scaled
+    def observe_batch(self, flow_ids: np.ndarray, wire_bytes: np.ndarray) -> None:
+        """Data-plane hook: sample 1:N packets, scale bytes up by N.
+
+        One sampling draw per packet in arrival order, so a batch makes
+        the same draws as the packets one at a time.
+        """
+        rate = self.config.sampling_rate
+        draw = self._rng.randrange
+        cache = self._cache
+        ids = flow_ids.tolist()
+        self.packets_seen += len(ids)
+        for flow_id, nbytes in zip(ids, wire_bytes.tolist()):
+            if draw(rate) == 0:
+                self.packets_sampled += 1
+                cache[flow_id] = cache.get(flow_id, 0) + nbytes * rate
 
     def maybe_export(self, now: float) -> Dict[int, int]:
         """Export the flow cache if the export interval elapsed.
@@ -68,12 +84,6 @@ class NetFlowMonitor:
             self._cache = {}
             self._last_export_time = now
         return self._last_export
-
-    def read_and_reset(self) -> Dict[int, int]:
-        """Force an export now (used by unit tests)."""
-        result = dict(self._cache)
-        self._cache = {}
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

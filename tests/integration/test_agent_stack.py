@@ -4,9 +4,10 @@
 ``AgentStack``: their sketch registers share one table, their flow
 tables one bucket-keyed classifier, and one FSD pass serves all N.
 These tests drive the same packets through that stack, through N lone
-agents, and through the per-packet scalar reference (``ElasticSketch``
-+ ``SlidingWindowClassifier`` + ``from_entries``), and require every
-report field and every sketch's eviction counters to be bit-equal.
+agents, and through the per-packet scalar reference agent of
+``tests/scalar_monitor.py``, and require every report field and every
+sketch's eviction counters to be bit-equal.  Every switch here flushes
+its observation buffer every 8 packets, so flushes land mid-interval.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.monitor.agent import AgentStack, LocalReport, SwitchAgent
+from repro.monitor.agent import AgentStack, SwitchAgent
 from repro.monitor.aggregate import FsdAggregator
-from repro.monitor.fsd import FlowSizeDistribution
-from repro.monitor.states import SlidingWindowClassifier
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.switch import Switch, SwitchConfig
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.elastic import ElasticSketchConfig
+from tests.scalar_monitor import ScalarReferenceAgent
 
 TAU = 4_000
 DELTA = 2
@@ -31,35 +31,18 @@ DELTA = 2
 
 def _switches(n):
     sim = Simulator()
-    return [
-        Switch(sim, i, f"tor{i}", SwitchConfig(), DcqcnParams(), seed=i)
-        for i in range(n)
-    ]
+    with pytest.MonkeyPatch.context() as patch:
+        # Read at construction: these switches flush every 8 packets.
+        patch.setattr("repro.simulator.switch.OBS_BUFFER_CAPACITY", 8)
+        return [
+            Switch(sim, i, f"tor{i}", SwitchConfig(), DcqcnParams(), seed=i)
+            for i in range(n)
+        ]
 
 
 def _observe(switch, flow_id, nbytes):
     # The switch's own ingress hook, fed a bare packet.
     switch._observe(SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False))
-
-
-class _ScalarAgent:
-    """The per-packet reference: scalar inserts, dict classifier."""
-
-    def __init__(self, switch, config):
-        self.switch = switch
-        self.sketch = ElasticSketch(config)
-        self.classifier = SlidingWindowClassifier(tau=TAU, delta=DELTA)
-        switch.measurement = self.sketch
-
-    def collect(self, now):
-        interval_bytes = self.sketch.read_and_reset()
-        self.classifier.update(interval_bytes)
-        return LocalReport(
-            switch_name=self.switch.name,
-            fsd=FlowSizeDistribution.from_entries(self.classifier.flows.values(), tau=TAU),
-            tracked_flows=len(self.classifier),
-            interval_bytes=sum(interval_bytes.values()),
-        )
 
 
 def _configs(n, shared_seed, lam):
@@ -92,15 +75,11 @@ def _run(stream, n, shared_seed, lam, mode):
     """:func:`_observed` for every interval of ``stream``."""
     switches = _switches(n)
     configs = _configs(n, shared_seed, lam)
-    if mode == "scalar":
-        agents = [_ScalarAgent(s, c) for s, c in zip(switches, configs)]
-    else:
-        agents = [
-            SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
-            for s, c in zip(switches, configs)
-        ]
-        for s in switches:
-            s.enable_batched_observation(capacity=8)   # mid-interval flushes
+    agent_cls = ScalarReferenceAgent if mode == "scalar" else SwitchAgent
+    agents = [
+        agent_cls(s, sketch_config=c, tau=TAU, delta=DELTA)
+        for s, c in zip(switches, configs)
+    ]
     aggregator = FsdAggregator(agents) if mode == "stacked" else None
     out = []
     for t, interval in enumerate(stream):
@@ -152,8 +131,6 @@ def test_stack_carries_state_collected_alone():
         SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
         for s, c in zip(switches, _configs(3, None, 1.0))
     ]
-    for s in switches:
-        s.enable_batched_observation(capacity=8)
     got = []
     aggregator = None
     for t, interval in enumerate(stream):

@@ -1,62 +1,30 @@
 """Cross-mode identity: columnar monitoring == the scalar reference.
 
 The columnar data plane is an *optimization*, not a remodel: with the
-same scenario, ``SwitchAgent`` and a per-packet reference assembled
-here from the public scalar pieces must produce bit-identical
-per-interval reports and, end-to-end through the tuning loop,
-identical run digests.  These tests are the gate for that claim.
+same scenario, ``SwitchAgent`` and the per-packet reference agent of
+``tests/scalar_monitor.py`` must produce bit-identical per-interval
+reports and, end-to-end through the tuning loop, identical run digests.
+These tests are the gate for that claim.  The two ablation agents are
+pinned here too: their report streams are recorded values.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.monitor.agent import LocalReport, SwitchAgent
-from repro.monitor.fsd import FlowSizeDistribution
-from repro.monitor.states import SlidingWindowClassifier
+from repro.monitor.agent import NaiveSketchAgent, NetFlowAgent, SwitchAgent
 from repro.parallel.tasks import EvalTask, ScenarioSpec, evaluate_task
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.units import kb, mb, ms
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.netflow import NetFlowConfig
+from tests.scalar_monitor import ScalarReferenceAgent
 
 TAU = kb(100.0)
 
 
-class ScalarReferenceAgent:
-    """The Fig. 3 pipeline one packet and one dict entry at a time.
-
-    Same constructor as :class:`SwitchAgent`; the switch keeps its
-    per-packet ``observe`` path (no observation buffer).
-    """
-
-    def __init__(self, switch, sketch_config=None, tau=mb(1.0), delta=3,
-                 dedup_marking=True):
-        self.switch = switch
-        self.sketch = ElasticSketch(
-            sketch_config or ElasticSketchConfig(seed=switch.switch_id)
-        )
-        self.classifier = SlidingWindowClassifier(tau=tau, delta=delta)
-        self.tau = tau
-        switch.measurement = self.sketch
-        switch.dedup_marking = dedup_marking
-
-    def collect(self, now):
-        interval_bytes = self.sketch.read_and_reset()
-        self.classifier.update(interval_bytes)
-        fsd = FlowSizeDistribution.from_entries(
-            self.classifier.flows.values(), tau=self.tau
-        )
-        return LocalReport(
-            switch_name=self.switch.name,
-            fsd=fsd,
-            tracked_flows=len(self.classifier),
-            interval_bytes=sum(interval_bytes.values()),
-        )
-
-
-def _reports_for(small_spec, agent_cls):
+def _reports_for(small_spec, make_agent):
     net = Network(NetworkConfig(spec=small_spec, seed=21))
-    agents = [agent_cls(t, tau=TAU) for t in net.tors]
+    agents = [make_agent(t) for t in net.tors]
     net.add_flow(0, 4, mb(2.0), 0.0)
     net.add_flow(1, 5, kb(30.0), 0.0)
     net.add_flow(2, 6, mb(1.0), ms(2.0))
@@ -69,8 +37,8 @@ def _reports_for(small_spec, agent_cls):
 
 
 def test_reports_bit_identical_across_modes(small_spec):
-    scalar = _reports_for(small_spec, ScalarReferenceAgent)
-    batched = _reports_for(small_spec, SwitchAgent)
+    scalar = _reports_for(small_spec, lambda t: ScalarReferenceAgent(t, tau=TAU))
+    batched = _reports_for(small_spec, lambda t: SwitchAgent(t, tau=TAU))
     for interval_scalar, interval_batched in zip(scalar, batched):
         for a, b in zip(interval_scalar, interval_batched):
             assert b.switch_name == a.switch_name
@@ -82,6 +50,54 @@ def test_reports_bit_identical_across_modes(small_spec):
             assert b.fsd.mice_weight == a.fsd.mice_weight
             assert b.fsd.histogram == a.fsd.histogram
             assert b.fsd.flow_states == a.fsd.flow_states
+
+
+_IDLE = (0.0, 0.0, {}, 0, 0)
+
+#: Per-interval report streams of the two ablation agents on the
+#: scenario of ``_reports_for``, recorded at commit 0ed5f06: per
+#: interval, per ToR, ``(elephant_weight, mice_weight, {bucket: count}
+#: of the non-empty histogram buckets, tracked_flows, interval_bytes)``.
+ABLATION_REPORT_PINS = {
+    "naive-sketch": [
+        [(1.0, 1.0, {14: 1.0, 20: 1.0}, 2, 1273468), _IDLE],
+        [(1.0, 0.0, {19: 1.0}, 1, 788028), _IDLE],
+        [(1.0, 0.0, {19: 1.0}, 1, 1015500), _IDLE],
+    ] + [[_IDLE, _IDLE]] * 5,
+    "netflow": [
+        [(1.0, 0.0, {20: 1.0}, 1, 1137360), (1.0, 0.0, {20: 1.0}, 1, 1299840)],
+        [(1.0, 0.0, {19: 1.0}, 1, 609300), (1.0, 0.0, {19: 1.0}, 1, 649920)],
+        [(1.0, 0.0, {19: 1.0}, 1, 974880), (1.0, 0.0, {19: 1.0}, 1, 731160)],
+    ] + [[_IDLE, _IDLE]] * 5,
+}
+
+ABLATION_AGENTS = {
+    "naive-sketch": lambda t: NaiveSketchAgent(t, tau=TAU),
+    "netflow": lambda t: NetFlowAgent(
+        t,
+        config=NetFlowConfig(export_interval=1e-3, sampling_rate=10, seed=t.switch_id),
+        tau=TAU,
+    ),
+}
+
+
+@pytest.mark.parametrize("arm", list(ABLATION_REPORT_PINS))
+def test_ablation_agent_reports_match_recorded(small_spec, arm):
+    reports = _reports_for(small_spec, ABLATION_AGENTS[arm])
+    assert [
+        [
+            (
+                r.fsd.elephant_weight,
+                r.fsd.mice_weight,
+                {b: n for b, n in enumerate(r.fsd.histogram) if n},
+                r.tracked_flows,
+                r.interval_bytes,
+            )
+            for r in interval
+        ]
+        for interval in reports
+    ] == ABLATION_REPORT_PINS[arm]
+    assert all(len(r.fsd.histogram) == 31 for interval in reports for r in interval)
 
 
 def test_run_digests_identical_across_modes(monkeypatch):
@@ -122,22 +138,13 @@ def test_observation_buffer_flushes_at_collect(small_spec):
     assert tor.obs_flushes >= 1
 
 
-def test_small_capacity_forces_mid_interval_flushes(small_spec):
+def test_small_capacity_forces_mid_interval_flushes(small_spec, monkeypatch):
+    # The capacity is read when a switch is built.
+    monkeypatch.setattr("repro.simulator.switch.OBS_BUFFER_CAPACITY", 8)
     net = Network(NetworkConfig(spec=small_spec, seed=3))
     agents = [SwitchAgent(t, tau=TAU) for t in net.tors]
-    for agent in agents:
-        agent.switch.enable_batched_observation(capacity=8)
     net.add_flow(0, 4, mb(1.0), 0.0)
     net.run_until(ms(2.0))
     flushed = sum(a.switch.obs_flushes for a in agents)
-    assert flushed > 0  # the tiny ring had to drain before any collect
-
-
-def test_batched_observation_requires_batch_capable_measurement(small_spec):
-    net = Network(NetworkConfig(spec=small_spec, seed=3))
-    tor = net.tors[0]
-    tor.measurement = None
-    with pytest.raises(ValueError):
-        tor.enable_batched_observation()
-    with pytest.raises(ValueError):
-        SwitchAgent(tor, tau=TAU).switch.enable_batched_observation(capacity=0)
+    assert flushed > 0  # the tiny buffer had to drain before any collect
+    assert all(a.switch.obs_buffered < 8 for a in agents)

@@ -15,6 +15,11 @@ The control-plane pins at the bottom do the same for the `cp-day`
 workload of the repo benchmark: values recorded at commit 2f0cd24,
 before collection became one range kernel.
 
+The influx pins run that scenario under each of the three monitor
+arms of Fig. 10, so the two ablation agents are pinned end to end too:
+values recorded at commit 0ed5f06, before they moved onto the columnar
+FSD kernel and the switch observation buffer.
+
 The batched-SA pins in between fix the offline SA driver
 (``batched_anneal``) at three fidelities: values recorded at commit
 02c573c, before it and the control plane's per-tenant retunes shared
@@ -109,11 +114,11 @@ def test_all_to_all_matches_recorded_digests(flow_size):
     assert _all_to_all(flow_size) == ALL_TO_ALL_PINS[flow_size]
 
 
-def test_paraleon_influx_matches_recorded_digests():
-    network = make_network("small", seed=1)
-    install_influx(network, influx_start=0.003, influx_duration=0.003)
-    result = ExperimentRunner(network, make_tuner("paraleon")).run(0.008)
-    assert _pins(network, result) == {
+#: scheme -> pins of the influx scenario, one per Fig. 10 monitor arm:
+#: the sliding-window sketch pipeline, the naive single-interval
+#: Elastic Sketch and 1:100 NetFlow (recorded at commit 0ed5f06).
+INFLUX_PINS = {
+    "paraleon": {
         "fct": "a1f94bc05979f2239e46f14a9c2d24b4d3b0996cd4e8e32eec196730968bd493",
         "interval": "4055b58b445e49ae74f68c4af1d0268df6c79bd0bd53df7e20438677dda12448",
         "hops": 33169,
@@ -121,7 +126,34 @@ def test_paraleon_influx_matches_recorded_digests():
         "pfc": 8,
         "dropped": 0,
         "flows": 36,
-    }
+    },
+    "paraleon-naive-sketch": {
+        "fct": "028aa82cd507869fc11a6532679ab3293e42d0f22650608d088fb806a8af4964",
+        "interval": "03b12d1a76489bc6b2493e97c8a8044414b9e4b99dea5f464f9f3464b39ea455",
+        "hops": 31921,
+        "ecn": 775,
+        "pfc": 8,
+        "dropped": 0,
+        "flows": 35,
+    },
+    "paraleon-netflow": {
+        "fct": "5bcbef249c2e2d0c964b7adb64cc43e1de6c9e1a3a855b5e69a7ae982f5d445f",
+        "interval": "4746855ef213b462d4bac0e2fbad336ac4f34663e7ae5b7273a8fd6f3a74e559",
+        "hops": 34358,
+        "ecn": 1180,
+        "pfc": 9,
+        "dropped": 0,
+        "flows": 35,
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", list(INFLUX_PINS))
+def test_paraleon_influx_matches_recorded_digests(scheme):
+    network = make_network("small", seed=1)
+    install_influx(network, influx_start=0.003, influx_duration=0.003)
+    result = ExperimentRunner(network, make_tuner(scheme)).run(0.008)
+    assert _pins(network, result) == INFLUX_PINS[scheme]
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,20 @@ def test_table_iii_defaults():
         {"monitor_interval": 0.0},
         {"eta": 0.3},
         {"eta": 1.2},
+        # ``nan <= 0`` is False: non-finite knobs must fail on their own.
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+        {"theta": float("nan")},
+        {"theta": float("inf")},
+        {"monitor_interval": float("nan")},
+        {"monitor_interval": float("inf")},
+        {"delta": float("nan")},
+        {"delta": 2.5},
     ],
 )
 def test_invalid_config_rejected(overrides):
-    with pytest.raises(ValueError):
+    (field,) = overrides
+    with pytest.raises(ValueError, match=field):
         ParaleonConfig(**overrides)
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from tests.scalar_monitor import read_and_reset, read_heavy
 
 
 def make_sketch(**kwargs) -> ElasticSketch:
@@ -49,7 +51,7 @@ def test_read_heavy_contains_resident_flows():
     sketch = make_sketch()
     sketch.insert(1, 100)
     sketch.insert(2, 200)
-    heavy = sketch.read_heavy()
+    heavy = read_heavy(sketch)
     assert heavy[1] == 100
     assert heavy[2] == 200
 
@@ -57,10 +59,10 @@ def test_read_heavy_contains_resident_flows():
 def test_read_and_reset_clears_state():
     sketch = make_sketch()
     sketch.insert(1, 100)
-    result = sketch.read_and_reset()
+    result = read_and_reset(sketch)
     assert result == {1: 100}
     assert sketch.query(1) == 0
-    assert sketch.read_heavy() == {}
+    assert read_heavy(sketch) == {}
     assert sketch.total_bytes == 0
 
 
@@ -73,7 +75,7 @@ def test_ostracism_evicts_weak_resident():
     sketch.insert(2, 150)       # vote- 250 >= 2*100: eviction
     assert sketch.evictions == 1
     # New resident is flow 2, flagged (earlier bytes are in the light part).
-    heavy = sketch.read_heavy()
+    heavy = read_heavy(sketch)
     assert 2 in heavy
     assert heavy[2] >= 150 + 100   # vote+ after eviction + light recall
     # Evicted flow 1 is still queryable via the light part.
@@ -92,7 +94,7 @@ def test_byte_conservation_across_parts():
         total += nbytes
     assert sketch.total_bytes == total
     # Per-flow estimates must cover at least the heavy residents' truth.
-    heavy = sketch.read_heavy()
+    heavy = read_heavy(sketch)
     assert sum(heavy.values()) <= total * 2  # light-part overcount bounded
 
 
@@ -102,9 +104,11 @@ def test_memory_accounting():
 
 
 def test_observe_alias_matches_measurement_interface():
+    # A switch's observation buffer drains into ``observe_batch``.
     sketch = make_sketch()
-    sketch.observe(3, 999)
-    assert sketch.query(3) == 999
+    sketch.observe_batch(np.array([3, 4, 3]), np.array([999, 5, 1]))
+    assert sketch.query(3) == 1000
+    assert sketch.query(4) == 5
 
 
 @settings(deadline=None, max_examples=30)
@@ -167,6 +171,6 @@ def test_flagged_resident_recalls_light_bytes():
     sketch.insert(1, 100)
     sketch.insert(2, 100)   # ratio 1 >= 1: immediate eviction
     sketch.insert(2, 50)
-    heavy = sketch.read_heavy()
+    heavy = read_heavy(sketch)
     # Flow 2 is resident and flagged; its light-part prefix is added.
     assert heavy[2] >= 150

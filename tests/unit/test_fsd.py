@@ -15,7 +15,8 @@ from repro.monitor.fsd import (
     kl_divergence,
     merge_distributions,
 )
-from repro.monitor.states import FlowStateEntry, TernaryState
+from repro.monitor.states import TernaryState
+from tests.scalar_monitor import FlowStateEntry, from_entries, fsd_from_sizes
 
 MB = 1_000_000
 
@@ -25,7 +26,7 @@ def entry(flow_id, state, cumulative):
 
 
 def test_from_entries_weights():
-    fsd = FlowSizeDistribution.from_entries(
+    fsd = from_entries(
         [
             entry(1, TernaryState.ELEPHANT, 2 * MB),
             entry(2, TernaryState.MICE, 1000),
@@ -43,6 +44,38 @@ def test_from_sizes():
     assert fsd.elephant_weight == 1.0
     assert fsd.mice_weight == 1.0  # zero-size flow skipped
     assert fsd.flow_states[1] is TernaryState.ELEPHANT
+
+
+# Sizes around every power of two, where floor(log2) changes bucket,
+# plus zero and negative sizes, which the rule drops.
+_boundary_sizes = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda k: 2**k),
+    st.integers(min_value=1, max_value=40).map(lambda k: 2**k - 1),
+    st.integers(min_value=-5, max_value=2**40),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    sizes=st.dictionaries(st.integers(min_value=0, max_value=2**40), _boundary_sizes, max_size=40),
+    tau=st.one_of(st.integers(min_value=1, max_value=2**40), _boundary_sizes.filter(lambda t: t > 0)),
+)
+def test_from_sizes_matches_the_scalar_loop(sizes, tau):
+    """The columnar single-interval rule equals the flow-by-flow loop:
+    weights, histogram, and flow states in order, bit for bit."""
+    got = FlowSizeDistribution.from_sizes(sizes, tau=tau)
+    want = fsd_from_sizes(sizes, tau=tau)
+    assert got.elephant_weight == want.elephant_weight
+    assert got.mice_weight == want.mice_weight
+    assert got.histogram == want.histogram
+    assert list(got.flow_states.items()) == list(want.flow_states.items())
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0, -1.0])
+def test_from_sizes_rejects_bad_tau(tau):
+    # A NaN tau would call every flow a mouse.
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        FlowSizeDistribution.from_sizes({1: 10**9}, tau=tau)
 
 
 def test_dominant_mice():
@@ -94,7 +127,7 @@ def test_kl_detects_influx():
 
 
 def test_classification_accuracy():
-    fsd = FlowSizeDistribution.from_entries(
+    fsd = from_entries(
         [
             entry(1, TernaryState.ELEPHANT, 2 * MB),
             entry(2, TernaryState.MICE, 500),

@@ -17,6 +17,7 @@ from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
 from repro.sketch.hashing import hash32, hash32_array
 from repro.telemetry.registry import get_registry
+from tests.scalar_monitor import read_heavy
 
 
 def elastic_state(sketch: ElasticSketch) -> tuple:
@@ -156,7 +157,7 @@ def _run_both(stream, chunk_sizes, **config):
 def test_elastic_insert_batch_equals_sequential(stream, chunk_sizes):
     sequential, batched = _run_both(stream, chunk_sizes)
     assert elastic_state(batched) == elastic_state(sequential)
-    assert batched.read_heavy() == sequential.read_heavy()
+    assert read_heavy(batched) == read_heavy(sequential)
 
 
 @settings(deadline=None, max_examples=60)
@@ -180,7 +181,7 @@ def test_elastic_batch_ostracism_adversarial(stream, chunk_sizes):
     )
     assert elastic_state(batched) == elastic_state(sequential)
     assert batched.evictions == sequential.evictions
-    assert batched.read_heavy() == sequential.read_heavy()
+    assert read_heavy(batched) == read_heavy(sequential)
 
 
 @settings(deadline=None, max_examples=40)
@@ -236,7 +237,7 @@ def test_elastic_batch_zero_vote_resident_and_exact_threshold():
     # at vote- 1080 >= 8 * 10; flow 3 falls to flow 5 at vote- 5 + 643,
     # exactly 8 * 81.
     assert sequential.evictions == 2
-    assert batched.read_heavy() == sequential.read_heavy()
+    assert read_heavy(batched) == read_heavy(sequential)
 
 
 def test_elastic_batch_read_arrays_match_dict():
@@ -246,7 +247,9 @@ def test_elastic_batch_read_arrays_match_dict():
     vals = rng.integers(1, 3000, size=400).astype(np.int64)
     sketch.insert_batch(ids, vals)
     array_ids, array_estimates = sketch.read_heavy_arrays()
-    assert dict(zip(array_ids.tolist(), array_estimates.tolist())) == sketch.read_heavy()
+    # One row per resident, each the scalar query's estimate.
+    assert len(set(array_ids.tolist())) == array_ids.size
+    assert read_heavy(sketch) == {f: sketch.query(f) for f in array_ids.tolist()}
 
 
 def test_stacked_sketches_behave_as_alone():
@@ -274,14 +277,14 @@ def test_stacked_sketches_behave_as_alone():
         sketch.insert_batch(ids[100:], vals[100:])
         twin.insert_batch(ids[100:], vals[100:])
     for sketch, twin in zip(stacked, alone):
-        assert sketch.read_heavy() == twin.read_heavy()
+        assert read_heavy(sketch) == read_heavy(twin)
         assert sketch.unattributed_bytes() == twin.unattributed_bytes()
         assert [sketch.query(f) for f in range(40)] == [twin.query(f) for f in range(40)]
 
     middle = stacked[1].read_and_reset_arrays()
     twin_middle = alone[1].read_and_reset_arrays()
     assert [a.tolist() for a in middle] == [a.tolist() for a in twin_middle]
-    assert stacked[1].read_heavy() == {}
+    assert read_heavy(stacked[1]) == {}
     assert stacked[1].last_interval_evictions == alone[1].last_interval_evictions
     keys, ids, estimates, ends = stack.read_and_reset(0, 3)
     assert ends.tolist()[1] == ends.tolist()[0]   # the middle slice is empty
@@ -293,7 +296,7 @@ def test_stacked_sketches_behave_as_alone():
             assert estimates[lo:hi].tolist() == twin_estimates.tolist()
             assert (keys[lo:hi] // 8 == member).all()
         lo = hi
-    assert all(s.read_heavy() == {} and s.total_bytes == 0 for s in stacked)
+    assert all(read_heavy(s) == {} and s.total_bytes == 0 for s in stacked)
     with pytest.raises(ValueError, match="shape"):
         ElasticStack([ElasticSketch(config(1)), ElasticSketch(ElasticSketchConfig())])
 
@@ -325,7 +328,7 @@ def test_elastic_batch_rejects_non_integer_arrays(flow_ids, nbytes, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer array"):
         sketch.insert_batch(np.asarray(flow_ids), np.asarray(nbytes))
     assert sketch.total_bytes == 0
-    assert sketch.read_heavy() == {}
+    assert read_heavy(sketch) == {}
 
 
 @pytest.mark.parametrize(
@@ -351,7 +354,7 @@ def test_eviction_counters_split_interval_from_lifetime():
     assert sketch.evictions == 1
     assert sketch.interval_evictions == 1
 
-    sketch.read_and_reset()
+    sketch.read_and_reset_arrays()
     # The interval counter restarts; the lifetime total and the latched
     # last-interval value survive the register clear.
     assert sketch.interval_evictions == 0
@@ -362,6 +365,6 @@ def test_eviction_counters_split_interval_from_lifetime():
     sketch.insert(4, 100)  # evicts flow 3
     assert sketch.interval_evictions == 1
     assert sketch.evictions == 2
-    sketch.read_and_reset()
+    sketch.read_and_reset_arrays()
     assert sketch.last_interval_evictions == 1
     assert sketch.evictions == 2

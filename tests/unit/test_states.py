@@ -3,6 +3,11 @@
 The core scenarios mirror Fig. 4 of the paper exactly (δ=3, τ=1MB):
 f1 crosses τ in one interval, f2 crawls through PE into E, f3 becomes
 PE but goes silent and never reaches E.
+
+Every rule case runs on the shipped columnar table and on the scalar
+oracle at once: :class:`Lockstep` feeds both the same intervals, and
+each read checks that they agree before the case checks the rule on the
+columnar table's state.
 """
 
 from __future__ import annotations
@@ -10,25 +15,60 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.monitor.states import (
-    SingleIntervalClassifier,
-    SlidingWindowClassifier,
-    TernaryState,
-)
+from repro.monitor.fsd import FlowSizeDistribution
+from repro.monitor.states import ColumnarSlidingWindowClassifier, TernaryState
+from tests.scalar_monitor import ColumnarView, SlidingWindowClassifier, assert_same_table
 
 MB = 1_000_000
 
 
+class Lockstep:
+    """The oracle and the shipped columnar table, advanced together."""
+
+    def __init__(self, tau: int = MB, delta: int = 3):
+        self.oracle = SlidingWindowClassifier(tau=tau, delta=delta)
+        self.columnar = ColumnarView(tau=tau, delta=delta)
+        self.tau = tau
+
+    def update(self, interval_bytes) -> None:
+        self.oracle.update(interval_bytes)
+        self.columnar.update(interval_bytes)
+
+    def _agreed(self) -> ColumnarView:
+        assert_same_table(self.oracle, self.columnar)
+        return self.columnar
+
+    @property
+    def flows(self):
+        return self._agreed().flows
+
+    @property
+    def expired_total(self) -> int:
+        return self._agreed().expired_total
+
+    def state_counts(self):
+        return self._agreed().state_counts()
+
+    def elephant_weight(self) -> float:
+        return self._agreed().elephant_weight()
+
+
 @pytest.fixture
-def clf() -> SlidingWindowClassifier:
-    return SlidingWindowClassifier(tau=MB, delta=3)
+def clf() -> Lockstep:
+    return Lockstep(tau=MB, delta=3)
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        SlidingWindowClassifier(tau=0)
-    with pytest.raises(ValueError):
-        SlidingWindowClassifier(delta=0)
+    for cls in (SlidingWindowClassifier, ColumnarSlidingWindowClassifier):
+        with pytest.raises(ValueError):
+            cls(tau=0)
+        with pytest.raises(ValueError):
+            cls(delta=0)
+        # A fractional or NaN window has no meaning.
+        with pytest.raises(ValueError, match="delta"):
+            cls(delta=2.5)
+        with pytest.raises(ValueError, match="delta"):
+            cls(delta=float("nan"))
 
 
 def test_f1_elephant_in_one_interval(clf):
@@ -93,11 +133,11 @@ def test_congested_elephant_not_misidentified(clf):
 
 
 def test_naive_classifier_misidentifies_the_same_flow():
-    """The same crawling elephant is plain MICE to the naive rule."""
-    naive = SingleIntervalClassifier(tau=MB)
+    """The same crawling elephant is plain MICE to the naive
+    single-interval rule, interval after interval."""
     for _ in range(10):
-        naive.update({5: 300_000})
-        assert naive.flows[5].state is TernaryState.MICE
+        naive = FlowSizeDistribution.from_sizes({5: 300_000}, tau=MB)
+        assert naive.flow_states[5] is TernaryState.MICE
 
 
 def test_pe_likelihood_refines_toward_one(clf):
@@ -144,7 +184,7 @@ def test_transitions_are_legal(series):
     (activity break), E->E.  E never goes back to PE or M while
     tracked.
     """
-    clf = SlidingWindowClassifier(tau=MB, delta=3)
+    clf = Lockstep(tau=MB, delta=3)
     last = None
     for nbytes in series:
         clf.update({1: nbytes})
@@ -173,7 +213,7 @@ def test_transitions_are_legal(series):
 def test_cumulative_bytes_match_inputs(series):
     """Property: Φ(f) equals the sum of that flow's interval bytes
     while it remains tracked."""
-    clf = SlidingWindowClassifier(tau=MB, delta=3)
+    clf = Lockstep(tau=MB, delta=3)
     totals = {}
     for interval in series:
         clf.update(interval)

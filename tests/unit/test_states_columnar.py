@@ -1,10 +1,10 @@
 """Columnar classifier equivalence with the scalar sliding window.
 
-``ColumnarSlidingWindowClassifier`` must replicate
+``ColumnarSlidingWindowClassifier`` must replicate the scalar oracle's
 ``SlidingWindowClassifier`` exactly — same admissions, transitions,
 expiries, windows and (bit-identical) float summaries — over arbitrary
-interval sequences, because the batched monitoring pipeline feeds run
-digests that are compared against the scalar mode's.
+interval sequences, because the monitor's reports and the run digests
+built on them are compared against the oracle's.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.monitor.fsd import FlowSizeDistribution
-from repro.monitor.states import (
-    ColumnarSlidingWindowClassifier,
+from repro.monitor.states import ColumnarSlidingWindowClassifier
+from tests.scalar_monitor import (
+    ColumnarView,
     SlidingWindowClassifier,
+    assert_same_table,
+    from_entries,
 )
 
 # Interval sequences over a small id space with many zero-byte entries,
@@ -41,35 +44,16 @@ def _as_mapping(pairs):
     return mapping
 
 
-def _assert_equivalent(scalar, columnar):
-    scalar_entries = scalar.flows
-    columnar_entries = columnar.entries()
-    assert list(columnar_entries) == list(scalar_entries)
-    for flow_id, expected in scalar_entries.items():
-        got = columnar_entries[flow_id]
-        assert got.state is expected.state
-        assert got.cumulative_bytes == expected.cumulative_bytes
-        assert list(got.window) == list(expected.window)
-        assert got.active_streak == expected.active_streak
-        assert got.idle_streak == expected.idle_streak
-        assert got.intervals_seen == expected.intervals_seen
-    assert len(columnar) == len(scalar)
-    assert columnar.expired_total == scalar.expired_total
-    assert columnar.state_counts() == scalar.state_counts()
-    # Bit-identical, not approximately equal: same operand order, same ops.
-    assert columnar.elephant_weight() == scalar.elephant_weight()
-
-
 @settings(deadline=None, max_examples=60)
 @given(intervals=_intervals, tau=st.integers(min_value=1_000, max_value=1_000_000))
 def test_columnar_matches_scalar_over_random_intervals(intervals, tau):
     scalar = SlidingWindowClassifier(tau=tau, delta=3)
-    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=3)
+    columnar = ColumnarView(tau=tau, delta=3)
     for pairs in intervals:
         mapping = _as_mapping(pairs)
         scalar.update(mapping)
         columnar.update(mapping)
-        _assert_equivalent(scalar, columnar)
+        assert_same_table(scalar, columnar)
 
 
 @settings(deadline=None, max_examples=40)
@@ -80,12 +64,12 @@ def test_columnar_matches_scalar_over_random_intervals(intervals, tau):
 def test_columnar_fsd_bit_identical(intervals, delta):
     tau = 100_000
     scalar = SlidingWindowClassifier(tau=tau, delta=delta)
-    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
+    columnar = ColumnarView(tau=tau, delta=delta)
     for pairs in intervals:
         mapping = _as_mapping(pairs)
         scalar.update(mapping)
         columnar.update(mapping)
-        via_entries = FlowSizeDistribution.from_entries(
+        via_entries = from_entries(
             scalar.flows.values(), tau=tau
         )
         via_columns = FlowSizeDistribution.from_columns(
@@ -115,17 +99,17 @@ def test_columnar_fsd_bit_identical(intervals, delta):
 def test_columnar_matches_scalar_with_bulk_wide_ids(intervals, delta):
     tau = 1_000_000
     scalar = SlidingWindowClassifier(tau=tau, delta=delta)
-    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=delta)
+    columnar = ColumnarView(tau=tau, delta=delta)
     for mapping in intervals:
         scalar.update(mapping)
         columnar.update(mapping)
-        _assert_equivalent(scalar, columnar)
+        assert_same_table(scalar, columnar)
 
 
 def test_snapshot_survives_later_intervals():
     """``snapshot_columns`` hands out the table's own arrays; later
     intervals must replace them, not write into them."""
-    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=2)
+    columnar = ColumnarView(tau=1_000, delta=2)
     columnar.update({1: 100, 2: 2_000})
     ids, cum, codes = columnar.snapshot_columns()
     frozen = (ids.tolist(), cum.tolist(), codes.tolist())
@@ -141,18 +125,18 @@ def test_histogram_bucketing_boundaries():
     tau = 1 << 40  # keep everything PE/M so cumulative bytes drive buckets
     sizes = [1, 2, 3, 4, 7, 8, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, (1 << 30) + 5]
     scalar = SlidingWindowClassifier(tau=tau, delta=3)
-    columnar = ColumnarSlidingWindowClassifier(tau=tau, delta=3)
+    columnar = ColumnarView(tau=tau, delta=3)
     mapping = {i: size for i, size in enumerate(sizes)}
     scalar.update(mapping)
     columnar.update(mapping)
-    a = FlowSizeDistribution.from_entries(scalar.flows.values(), tau=tau)
+    a = from_entries(scalar.flows.values(), tau=tau)
     b = FlowSizeDistribution.from_columns(*columnar.snapshot_columns(), tau=tau)
     assert a.histogram == b.histogram
 
 
 def test_expired_flow_reenters_at_end_of_tracking_order():
     scalar = SlidingWindowClassifier(tau=10_000, delta=2)
-    columnar = ColumnarSlidingWindowClassifier(tau=10_000, delta=2)
+    columnar = ColumnarView(tau=10_000, delta=2)
     for clf in (scalar, columnar):
         clf.update({1: 100, 2: 100})
         clf.update({2: 100})   # flow 1 idle
@@ -160,18 +144,18 @@ def test_expired_flow_reenters_at_end_of_tracking_order():
         clf.update({1: 50, 2: 100})  # flow 1 re-enters after flow 2
     assert list(scalar.flows) == [2, 1]
     assert list(columnar.entries()) == [2, 1]
-    _assert_equivalent(scalar, columnar)
+    assert_same_table(scalar, columnar)
     assert scalar.expired_total == columnar.expired_total == 1
 
 
 def test_columnar_growth_preserves_state():
-    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=3)
+    columnar = ColumnarView(tau=1_000, delta=3)
     scalar = SlidingWindowClassifier(tau=1_000, delta=3)
     for interval in range(4):
         mapping = {flow: 10 * (flow + 1) for flow in range(interval + 2)}
         columnar.update(mapping)
         scalar.update(mapping)
-        _assert_equivalent(scalar, columnar)
+        assert_same_table(scalar, columnar)
     assert len(columnar) == 5
 
 
@@ -195,7 +179,7 @@ def test_classifiers_reject_non_finite_tau(cls, tau):
 def test_bucket_keyed_table_refuses_mapping_updates():
     """A table keyed by sketch bucket cannot take first-sight keys: the
     same flow would get two rows."""
-    columnar = ColumnarSlidingWindowClassifier(tau=1_000, delta=2, key_span=8)
+    columnar = ColumnarView(tau=1_000, delta=2, key_span=8)
     with pytest.raises(ValueError, match="keyed by sketch bucket"):
         columnar.update({1: 100})
     with pytest.raises(ValueError, match="key_span"):

@@ -25,8 +25,8 @@ class RecordingSketch:
     def __init__(self):
         self.seen = []
 
-    def observe(self, flow_id, wire_bytes):
-        self.seen.append((flow_id, wire_bytes))
+    def observe_batch(self, flow_ids, wire_bytes):
+        self.seen.extend(zip(flow_ids.tolist(), wire_bytes.tolist()))
 
 
 def make_switch(sim, n_ports=2, **config_kwargs):
@@ -181,11 +181,14 @@ def test_measurement_hook_with_dedup(sim):
     pkt = data_packet(3, 0, 9, payload=100, seq=0, last=False)
     switch.receive(pkt, 0)
     assert pkt.sketch_marked
+    assert sketch.seen == []   # buffered until the agent reads
+    assert switch.flush_observations() == 1
     assert sketch.seen == [(3, pkt.wire_size)]
     # A marked packet is not inserted again.
     pkt2 = data_packet(3, 0, 9, payload=100, seq=100, last=False)
     pkt2.sketch_marked = True
     switch.receive(pkt2, 0)
+    assert switch.flush_observations() == 0
     assert len(sketch.seen) == 1
 
 
@@ -198,6 +201,7 @@ def test_measurement_hook_without_dedup(sim):
     pkt = data_packet(3, 0, 9, payload=100, seq=0, last=False)
     pkt.sketch_marked = True  # already measured upstream
     switch.receive(pkt, 0)
+    switch.flush_observations()
     assert len(sketch.seen) == 1  # inserted anyway (overlap!)
 
 
