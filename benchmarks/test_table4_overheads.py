@@ -16,6 +16,7 @@ single-shot experiment runs.
 from __future__ import annotations
 
 import random
+from typing import List
 
 from conftest import emit
 
@@ -31,6 +32,7 @@ from repro.rpc import (
     message_wire_size,
 )
 from repro.simulator.network import Network, NetworkConfig
+from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.stats import IntervalStats
 from repro.simulator.topology import ClosSpec
 from repro.simulator.units import kb, mb, ms
@@ -46,39 +48,64 @@ def _interval_stats(t: float) -> IntervalStats:
     )
 
 
+def _packets(rng: random.Random, flows: range, max_bytes: int) -> List[Packet]:
+    """One data packet per flow, of a random payload size."""
+    return [
+        Packet(PacketKind.DATA, fid, 0, 1, payload=rng.randrange(1, max_bytes))
+        for fid in flows
+    ]
+
+
+def _observe(agent: SwitchAgent, packets: List[Packet]) -> None:
+    """The switch's ingress hook: each packet joins its observation buffer."""
+    for packet in packets:
+        agent.switch._observe(packet)
+
+
+def _quartiles(stats) -> str:
+    """``median [q1, q3]`` of a benchmark's rounds, in microseconds."""
+    return f"{stats.median * 1e6:.1f} us [{stats.q1 * 1e6:.1f}, {stats.q3 * 1e6:.1f}]"
+
+
 def _loaded_agent() -> SwitchAgent:
     """A switch agent tracking a realistic number of flows."""
     net = Network(NetworkConfig(spec=ClosSpec(n_tor=2, n_spine=1, hosts_per_tor=2)))
     agent = SwitchAgent(net.tors[0], tau=kb(100.0))
     rng = random.Random(5)
     for _ in range(5):
-        for fid in range(200):
-            agent.sketch.insert(fid, rng.randrange(1, 200_000))
+        _observe(agent, _packets(rng, range(200), 200_000))
         agent.collect(0.001)
     return agent
 
 
 def test_table4_switch_agent_update_cost(benchmark):
+    """One interval of the switch agent: 100 packets through the
+    switch's observation buffer, then the agent's collect, which drains
+    the buffer into the sketch and updates the flow states.  Building
+    the packets is the simulator's work and stays outside the timing."""
     agent = _loaded_agent()
     rng = random.Random(6)
 
-    def one_interval():
-        for fid in range(0, 200, 2):
-            agent.sketch.insert(fid, rng.randrange(1, 50_000))
+    def one_interval(packets):
+        _observe(agent, packets)
         agent.collect(0.001)
 
-    benchmark(one_interval)
-    mean = benchmark.stats.stats.mean
+    benchmark.pedantic(
+        one_interval,
+        setup=lambda: ((_packets(rng, range(0, 200, 2), 50_000),), {}),
+        rounds=200,
+    )
+    stats = benchmark.stats.stats
     emit(
         "table4_switch_agent",
-        f"Switch control-plane update: {mean * 1e6:.1f} us per 1 ms "
-        f"monitor interval = {mean / ms(1.0) * 100:.2f}% of one core "
+        f"Switch control-plane update: {_quartiles(stats)} per 1 ms "
+        f"monitor interval = {stats.median / ms(1.0) * 100:.2f}% of one core "
         f"(paper: 20.3% CPU)",
     )
     # One update fits inside a monitor interval (~0.5 ms on an idle
     # core; the generous bound keeps the check meaningful even when
     # the benchmark suite shares the machine with other work).
-    assert mean < 4 * ms(1.0)
+    assert stats.mean < 4 * ms(1.0)
 
 
 class _PrecomputedAgent:
@@ -89,8 +116,7 @@ class _PrecomputedAgent:
         self._reports = []
         rng = random.Random(9)
         for _ in range(count):
-            for fid in range(0, 200, 2):
-                source.sketch.insert(fid, rng.randrange(1, 50_000))
+            _observe(source, _packets(rng, range(0, 200, 2), 50_000))
             self._reports.append(source.collect(0.001))
         self._i = 0
 
@@ -118,14 +144,14 @@ def test_table4_controller_interval_cost(benchmark):
         controller.on_interval(_interval_stats(clock["t"]))
 
     benchmark(one_interval)
-    mean = benchmark.stats.stats.mean
+    stats = benchmark.stats.stats
     emit(
         "table4_controller",
         f"Centralized controller interval (KL + SA + dispatch): "
-        f"{mean * 1e6:.1f} us per 1 ms interval = "
-        f"{mean / ms(1.0) * 100:.2f}% of one core (paper: 3.2% CPU)",
+        f"{_quartiles(stats)} per 1 ms interval = "
+        f"{stats.median / ms(1.0) * 100:.2f}% of one core (paper: 3.2% CPU)",
     )
-    assert mean < ms(1.0)  # ~60 us on an idle core
+    assert stats.mean < ms(1.0)  # ~60 us on an idle core
 
 
 def test_table4_memory_and_transfer(benchmark):

@@ -119,6 +119,7 @@ class SwitchAgent:
             config.heavy_buckets,
             config.light_depth,
             config.light_width,
+            config.ostracism_lambda,
             self.tau,
             self.classifier.delta,
         )
@@ -140,10 +141,12 @@ class AgentStack:
     Construction moves the agents' sketch registers into one
     :class:`~repro.sketch.elastic.ElasticStack` and their flow tables
     into one bucket-keyed classifier, group ``i`` for ``agents[i]``;
-    every agent's ``classifier`` becomes that shared table.  Per-switch
-    inserts are untouched.  :meth:`collect` then closes the interval
-    for all N with one read-and-reset, one classifier pass and one FSD
-    pass, and returns the reports each agent would have made alone.
+    every agent's ``classifier`` becomes that shared table.  A switch
+    whose buffer fills mid-interval still flushes into its own sketch.
+    :meth:`collect` then closes the interval for all N with one insert
+    of every member switch's buffered packets, one read-and-reset, one
+    classifier pass and one FSD pass, and returns the reports each
+    agent would have made alone.
     """
 
     def __init__(self, agents: Sequence[SwitchAgent]):
@@ -166,9 +169,13 @@ class AgentStack:
         """One monitor interval for every member, in member order."""
         if any(agent._stack is not self for agent in self.agents):
             raise RuntimeError("an agent of this stack has joined another stack")
-        for agent in self.agents:
+        chunks = []
+        for slot, agent in enumerate(self.agents):
             agent.reports_made += 1
-            agent.switch.flush_observations()
+            buffered = agent.switch.take_observations()
+            if buffered is not None:
+                chunks.append((slot, *buffered))
+        self.sketches.insert(chunks)
         keys, ids, vals, ends = self.sketches.read_and_reset(0, len(self.agents))
         flow_ids, cum, codes, rows = self.classifier.advance(keys, ids, vals, ends)
         fsds = FlowSizeDistribution.from_groups(flow_ids, cum, codes, rows, tau=self.tau)

@@ -26,7 +26,7 @@ class FsdAggregator:
 
     Agents with the stacked hook (``stack_key``: the
     :class:`~repro.monitor.agent.SwitchAgent`) are collected in one
-    :class:`~repro.monitor.agent.AgentStack` pass per shape, every
+    :class:`~repro.monitor.agent.AgentStack` pass per key, every
     other agent through its own ``collect``; reports stay in agent
     order either way.
     """

@@ -24,9 +24,12 @@ them, so each packet lands in exactly one sketch network-wide.  An
 observation is one ``(flow_id, wire_bytes)`` pair appended to the
 switch's buffer; the buffer drains, in arrival order, through the
 measurement point's ``observe_batch`` when it holds
-``OBS_BUFFER_CAPACITY`` packets and whenever an agent reads
-(:meth:`Switch.flush_observations`).  That is the only observation
-path, whatever the measurement point.
+``OBS_BUFFER_CAPACITY`` packets, and whenever an agent reads.  A lone
+agent reads through :meth:`Switch.flush_observations`; a
+:class:`~repro.monitor.agent.AgentStack` takes every member switch's
+buffer (:meth:`Switch.take_observations`) and inserts them all with
+one call of the stacked sketch kernel.  Either way the buffer is the
+only observation path, whatever the measurement point.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class Switch:
         # Observation buffer: two append-only columns accumulating
         # (flow_id, wire_bytes) per observed data packet, flushed into
         # ``measurement.observe_batch`` when the capacity threshold is
-        # hit or when an agent reads.  Plain lists beat preallocated
+        # hit, and drained when an agent reads (an ``AgentStack`` takes
+        # it for its one stacked insert).  Plain lists beat preallocated
         # ndarrays here: a list append is a fraction of a numpy
         # item-store, and the flush converts the whole column in one
         # C pass.
@@ -225,6 +229,22 @@ class Switch:
         """Observations currently waiting in the batch buffer."""
         return len(self._obs_flow)
 
+    def take_observations(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Empty the observation buffer and return it as ``(flow_ids,
+        wire_bytes)`` int64 arrays in arrival order (``None`` if empty).
+
+        The caller must hand them to this switch's measurement point
+        before it reads; :meth:`flush_observations` does exactly that.
+        """
+        if not self._obs_flow:
+            return None
+        flows = np.asarray(self._obs_flow, dtype=np.int64)
+        nbytes = np.asarray(self._obs_bytes, dtype=np.int64)
+        self._obs_flow.clear()
+        self._obs_bytes.clear()
+        self.obs_flushes += 1
+        return flows, nbytes
+
     def flush_observations(self) -> int:
         """Drain the observation buffer into the measurement point.
 
@@ -232,16 +252,11 @@ class Switch:
         before they read, so the measurement point has seen every
         packet of the interval, in arrival order.
         """
-        n = len(self._obs_flow)
-        if n == 0:
+        taken = self.take_observations()
+        if taken is None:
             return 0
-        flows = np.asarray(self._obs_flow, dtype=np.int64)
-        nbytes = np.asarray(self._obs_bytes, dtype=np.int64)
-        self._obs_flow.clear()
-        self._obs_bytes.clear()
-        self.measurement.observe_batch(flows, nbytes)
-        self.obs_flushes += 1
-        return n
+        self.measurement.observe_batch(*taken)
+        return taken[0].size
 
     def _drop(self, packet: Packet) -> None:
         self.dropped_packets += 1

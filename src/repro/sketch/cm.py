@@ -9,23 +9,32 @@ The counters live in one contiguous ``(depth, width)`` int64 ndarray —
 the same flat-register layout the Tofino data plane uses — which gives
 three things at once: the per-interval ``reset`` is a single C-level
 fill, the scalar per-packet ``insert`` indexes row views without boxing
-ints, and the batched kernels (:meth:`CountMinSketch.insert_batch` /
-:meth:`CountMinSketch.query_batch`) hash whole packet vectors with
-:func:`~repro.sketch.hashing.hash32_array` and scatter-add with
-``np.add.at``.  Integer addition commutes exactly, so a batch insert is
-bit-identical to inserting its packets one at a time in any order.
+ints, and the batched kernels hash every row of every key in one
+uint32-lane call (:func:`~repro.sketch.hashing.hash32_mixed` under a
+``(depth, 1)`` column of row seeds) and scatter-add with one
+``np.add.at`` over the flattened table.  Integer addition commutes
+exactly, so a batch insert is bit-identical to inserting its packets
+one at a time in any order.
 
 A sketch's table may be a view: :meth:`CountMinSketch.bind` moves the
 counters into one ``(depth, width)`` slice of a stacked ``(N, depth,
-width)`` table, and :func:`query_stacked` answers for keys spread over
-all N sketches at once.
+width)`` table, and :func:`insert_stacked` / :func:`query_stacked` add
+and answer for keys spread over all N sketches at once; a lone
+sketch's :meth:`~CountMinSketch.insert_batch` and
+:meth:`~CountMinSketch.query_batch` are their one-sketch case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.hashing import hash32_mixed, hash_family, hash_family_seeds, mix_seed
+from repro.sketch.hashing import (
+    hash32_mixed,
+    hash_family,
+    hash_family_seeds,
+    mix_seed,
+    mod32,
+)
 
 
 def as_int64(values: np.ndarray, name: str) -> np.ndarray:
@@ -40,21 +49,42 @@ def as_int64(values: np.ndarray, name: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def query_stacked(
-    tables: np.ndarray, mixed: np.ndarray, which: np.ndarray, keys: np.ndarray
+def _cells(
+    tables: np.ndarray, mixed: np.ndarray, which, keys: np.ndarray
 ) -> np.ndarray:
-    """Row-wise-minimum estimates of ``keys[i]`` in sketch ``which[i]``.
-
-    ``tables`` is a stacked ``(N, depth, width)`` counter table and
-    ``mixed`` the ``(N, depth)`` row seeds of its sketches, put through
-    :func:`~repro.sketch.hashing.mix_seed`.  Every row of every sketch
-    is hashed in one call.
-    """
+    """Flat ``(depth, n)`` cell indices of ``keys[i]`` in sketch
+    ``which[i]`` (or all in sketch ``which``) of a contiguous stacked
+    table; row ``d`` hashes under ``mixed[which, d]``."""
     depth, width = tables.shape[1:]
     rows = np.arange(depth)[:, None]
-    per_row = np.broadcast_to(keys, (depth, keys.size))
-    idx = hash32_mixed(per_row, mixed[which, rows]) % width
-    return tables[which, rows, idx].min(axis=0)
+    return (which * depth + rows) * width + mod32(
+        hash32_mixed(keys, mixed[which, rows]), width
+    )
+
+
+def insert_stacked(
+    tables: np.ndarray, mixed: np.ndarray, which, keys: np.ndarray, values: np.ndarray
+) -> None:
+    """Add ``values[i]`` for ``keys[i]`` into sketch ``which[i]``.
+
+    ``tables`` is a C-contiguous stacked ``(N, depth, width)`` counter
+    table and ``mixed`` the ``(N, depth)`` row seeds of its sketches,
+    put through :func:`~repro.sketch.hashing.mix_seed`; ``which`` may
+    be one index for every key.  Every row of every key is hashed in
+    one call and added with one scatter over the flattened table.
+    """
+    cells = _cells(tables, mixed, which, keys)
+    # One value per cell, spelled out: ``np.add.at`` with a 2-D index
+    # and a 1-D value vector reads past the values (numpy 2.4).
+    np.add.at(tables.reshape(-1), cells.ravel(), np.concatenate((values,) * len(cells)))
+
+
+def query_stacked(
+    tables: np.ndarray, mixed: np.ndarray, which, keys: np.ndarray
+) -> np.ndarray:
+    """Row-wise-minimum estimates of ``keys[i]`` in sketch ``which[i]``,
+    over the same stacked table as :func:`insert_stacked`."""
+    return tables.reshape(-1)[_cells(tables, mixed, which, keys)].min(axis=0)
 
 
 class CountMinSketch:
@@ -66,7 +96,7 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self._seeds = hash_family_seeds(depth, seed=seed ^ 0xC0117E)
-        #: The rows' seeds, mixed once (:func:`query_stacked`).
+        #: The rows' seeds, mixed once (:func:`insert_stacked`).
         self.mixed_seeds = mix_seed(np.array([s & 0xFFFFFFFF for s in self._seeds]))
         self._hashes = hash_family(depth, seed=seed ^ 0xC0117E)
         self._table = np.zeros((depth, width), dtype=np.int64)
@@ -78,12 +108,17 @@ class CountMinSketch:
     def bind(self, table: np.ndarray) -> None:
         """Move the counters into ``table`` and count there from now on.
 
-        ``table`` is a ``(depth, width)`` int64 array, typically one
-        slice of a stacked ``(N, depth, width)`` table.
+        ``table`` is a C-contiguous ``(depth, width)`` int64 array,
+        typically one slice of a stacked ``(N, depth, width)`` table.
         """
-        if table.shape != self._table.shape or table.dtype != np.int64:
+        if (
+            table.shape != self._table.shape
+            or table.dtype != np.int64
+            or not table.flags.c_contiguous
+        ):
             raise ValueError(
-                f"need a {self._table.shape} int64 table, got {table.shape} {table.dtype}"
+                f"need a contiguous {self._table.shape} int64 table, "
+                f"got {table.shape} {table.dtype}"
             )
         table[...] = self._table
         self._table = table
@@ -110,9 +145,7 @@ class CountMinSketch:
             return
         if values.min() < 0:
             raise ValueError("value must be >= 0")
-        for d, mixed in enumerate(self.mixed_seeds):
-            idx = hash32_mixed(keys, mixed) % self.width
-            np.add.at(self._table[d], idx, values)
+        insert_stacked(self._table[None], self.mixed_seeds[None], 0, keys, values)
         self.total_inserted += int(values.sum())
 
     def query(self, key: int) -> int:
@@ -124,9 +157,7 @@ class CountMinSketch:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        return query_stacked(
-            self._table[None], self.mixed_seeds[None], np.zeros(keys.size, np.intp), keys
-        )
+        return query_stacked(self._table[None], self.mixed_seeds[None], 0, keys)
 
     def reset(self) -> None:
         self._table.fill(0)

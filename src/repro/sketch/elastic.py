@@ -13,84 +13,106 @@ It splits traffic between:
 * a **Light Part** — a count-min sketch absorbing ostracized and
   colliding (mice) traffic.
 
-``query`` combines both parts and never undercounts a flow that is
-resident in the Heavy Part.  Once per monitor interval the switch
-control-plane agent calls :meth:`ElasticSketch.read_and_reset_arrays`
-(or, for a whole :class:`ElasticStack`, :meth:`ElasticStack.read_and_reset`)
-— the register read-and-clear cycle the paper performs on the Tofino
+A flagged resident's estimate adds its Light-Part count, so a flow
+resident in the Heavy Part is never undercounted.  Once per monitor
+interval the switch control-plane agent reads and clears the registers
+— :meth:`ElasticStack.read_and_reset` for a whole stack,
+:meth:`ElasticSketch.read_and_reset_arrays` for one sketch — the
+register read-and-clear cycle the paper performs on the Tofino
 (Section III-B).
 
-Layout: the Heavy Part is **columnar** — four parallel numpy arrays
-(``flow_id``, ``vote+``, ``vote-``, ``flag``) instead of an array of
-bucket objects.  The per-packet scalar :meth:`insert` indexes the
-columns directly and defines the bucket rule; the switch observation
-buffer flushes into :meth:`insert_batch` (the measurement point's
-``observe_batch``), one order-exact array kernel with no per-packet
-Python:
+Storage: every sketch belongs to an :class:`ElasticStack`, the
+registers of N same-shape sketches in one table — Heavy Part columns
+(``flow_id``, ``vote+``, ``vote-``, ``flag``) of ``N·B`` rows (sketch
+``i`` owns rows ``[i·B, (i+1)·B)``) and one ``(N, depth, width)`` Light
+Part table.  A sketch only *views* its slice, and a lone sketch is a
+stack of one.
 
-1. a stable sort groups the batch by bucket, arrival order kept inside
-   each group, and an empty bucket seats the first packet aimed at it;
+The per-packet scalar :meth:`ElasticSketch.insert` indexes the columns
+directly and defines the bucket rule.  Every batch goes through one
+order-exact array kernel, :meth:`ElasticStack.insert`, which takes
+``(member, flow_ids, nbytes)`` chunks and keys each packet by
+``member·B + bucket``; a sketch's own
+:meth:`~ElasticSketch.insert_batch` (its ``observe_batch``) is the
+one-member call, and :class:`~repro.monitor.agent.AgentStack` drains
+every member switch's observation buffer into one call.  With no
+per-packet Python:
+
+1. bucket hashes run in uint32 lanes, and a stable radix sort on the
+   narrow key dtype groups the batch by key, arrival order kept inside
+   each group.  An empty bucket is seated with the first packet aimed
+   at it and zero votes, so that packet is simply the first resident
+   hit of round 1, which reads the sorted columns as they are;
 2. a **round** advances every bucket at once to its first ostracism:
    one prefix sum over the round's packets, rebased per bucket onto
    its registers, gives the running ``vote+``/``vote-`` after each
    packet, so the scalar test ``vote- >= λ·vote+`` is evaluated for
-   every colliding packet in one vectorized compare.  Colliders
-   before a bucket's stop spill to the Light Part; at the stop the
-   resident spills and the challenger is seated, flag raised;
+   every colliding packet in one vectorized compare (a stack's members
+   share one λ).  Colliders before a
+   bucket's stop spill to the Light Part; at the stop the resident
+   spills and the challenger is seated, flag raised;
 3. the packets behind each stop form the next round, so a batch takes
    at most one round more than the longest ostracism chain in any one
    bucket (``repro_sketch_batch_rounds_total``) — one or two on the
-   ``monitor-stream`` workload.
+   ``monitor-stream`` workload;
+4. every round's spills reach the Light Part at the end in one
+   scatter: each spilled key is hashed under all ``depth`` row seeds
+   of its own member in one call and added with one ``np.add.at``
+   over the flattened ``(N·depth·width)`` table, because count-min
+   addition commutes exactly.
 
 Integer prefix sums are exact and the comparison is the scalar rule's
 own ``int64 >= float64`` test, so every register, eviction count and
-Light-Part counter is bit-identical to sequential :meth:`insert`
-calls; the Light Part takes all spills as one batch because count-min
-addition commutes exactly.  Hypothesis property tests drive random,
-ostracism-heavy and deep-chain streams through both and assert state
-equality.
+Light-Part counter is bit-identical to sequential :meth:`insert` calls
+on lone sketches.  Hypothesis property tests drive random,
+ostracism-heavy, deep-chain and multi-member streams through both and
+assert state equality.
 
-Storage: every sketch belongs to an :class:`ElasticStack`, the
-registers of N same-shape sketches in one table — Heavy Part columns of
-``N·B`` rows (sketch ``i`` owns rows ``[i·B, (i+1)·B)``) and one ``(N,
-depth, width)`` Light Part table.  A sketch only *views* its slice, so
-the kernels above run per switch unchanged, while one
-:meth:`ElasticStack.read_and_reset` serves any contiguous run of
+One :meth:`ElasticStack.read_and_reset` serves any contiguous run of
 members: one ``flatnonzero`` over the Heavy Part, one Light-Part query
 for every flagged resident with each row's own sketch seeds, five
-fills.  A lone sketch is a stack of one, and its own
-:meth:`ElasticSketch.read_and_reset_arrays` is that pass over its one
-slice.
+fills.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sketch.cm import CountMinSketch, as_int64, query_stacked
-from repro.sketch.hashing import hash32, hash32_array
+from repro.sketch.cm import CountMinSketch, as_int64, insert_stacked, query_stacked
+from repro.sketch.hashing import hash32, hash32_mixed, mix_seed, mod32
 from repro.telemetry.registry import get_registry
 
 _BATCH_PACKETS = get_registry().counter(
     "repro_sketch_batch_packets_total",
-    "Packets inserted through ElasticSketch.insert_batch",
+    "Packets inserted through the ElasticStack.insert kernel",
 )
 _BATCH_ROUNDS = get_registry().counter(
     "repro_sketch_batch_rounds_total",
-    "Rounds run by the ElasticSketch.insert_batch kernel",
+    "Rounds run by the ElasticStack.insert kernel",
 )
 
 
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Positions where each run of equal keys starts in a grouped array."""
-    change = np.empty(keys.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    return np.flatnonzero(change)
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal keys."""
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head
+
+
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, last)`` position of each run of equal keys in a grouped array."""
+    n = keys.size
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
+    edges = edge.nonzero()[0]
+    return edges[:-1], edges[1:] - 1
 
 
 @dataclass(frozen=True)
@@ -130,18 +152,14 @@ class ElasticSketch:
             self.config.light_depth,
             seed=self.config.seed ^ 0x119447,
         )
-        self._seed = self.config.seed
         # Hot-path caches for the per-packet insert: bucket count, the
         # pre-xored bucket hash seed, and the ostracism threshold.
         self._n_buckets = n
         self._bucket_seed = self.config.seed ^ 0x4EA71
         self._lambda = self.config.ostracism_lambda
-        # Narrowest dtype holding a bucket index: numpy's stable argsort
-        # is a radix sort for 8/16-bit keys.
-        self._bucket_dtype = np.min_scalar_type(n - 1)
         #: Lifetime eviction count (diagnostics; survives resets).
         self.evictions = 0
-        #: Evictions since the last :meth:`reset` (per monitor interval).
+        #: Evictions since the last register clear (per monitor interval).
         self.interval_evictions = 0
         #: ``interval_evictions`` of the interval most recently closed
         #: by :meth:`read_and_reset_arrays`.
@@ -216,167 +234,27 @@ class ElasticSketch:
         """Insert a packet batch, bit-identical to sequential inserts.
 
         ``flow_ids`` / ``nbytes`` are positionally aligned vectors in
-        arrival order.  See the module docstring for the round kernel;
-        ``repro_sketch_batch_rounds_total`` counts its rounds.
+        arrival order: the one-member call of :meth:`ElasticStack.insert`.
         """
-        ids = as_int64(flow_ids, "flow_ids")
-        vals = as_int64(nbytes, "nbytes")
-        if ids.shape != vals.shape:
-            raise ValueError(
-                f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
-            )
-        if ids.size == 0:
-            return
-        if vals.min() < 0:
-            raise ValueError("nbytes must be >= 0")
-        if ids.min() < 0:
-            raise ValueError("flow_id must be >= 0")
-        self.total_bytes += int(vals.sum())
-        _BATCH_PACKETS.inc(ids.size)
-
-        # Group the batch by bucket, arrival order kept inside each
-        # group (a stable radix sort on the narrow bucket dtype).
-        bucket = hash32_array(ids, self._bucket_seed) % self._n_buckets
-        order = np.argsort(bucket.astype(self._bucket_dtype), kind="stable")
-        bucket, ids, vals = bucket[order], ids[order], vals[order]
-        fids, pos, neg, flag = self._flow_id, self._pos, self._neg, self._flag
-
-        # An empty bucket seats the first packet aimed at it.
-        heads = _starts(bucket)
-        seated = heads[fids[bucket[heads]] < 0]
-        into = bucket[seated]
-        fids[into] = ids[seated]
-        pos[into] = vals[seated]
-        neg[into] = 0
-        flag[into] = False
-        live = np.ones(ids.size, dtype=bool)
-        live[seated] = False
-        live = np.flatnonzero(live)
-
-        lam = self._lambda
-        # Per-bucket scratch: each round's prefix-sum rebase and stop.
-        base_up = np.empty(self._n_buckets, dtype=np.int64)
-        base_down = np.empty(self._n_buckets, dtype=np.int64)
-        stop = np.empty(self._n_buckets, dtype=np.int64)
-        spill_keys = []
-        spill_vals = []
-        evicted = 0
-        rounds = 0
-        while live.size:
-            # One round: every bucket with packets left runs up to (and
-            # including) its first ostracism, all buckets at once.
-            rounds += 1
-            b = bucket[live]
-            f = ids[live]
-            v = vals[live]
-            hit = f == fids[b]
-            up = v * hit
-            # Running vote+/vote- after each packet: one prefix sum over
-            # the round, rebased per bucket onto its registers.
-            up_sum = np.cumsum(up)
-            down_sum = np.cumsum(v) - up_sum
-            first = _starts(b)
-            bf = b[first]
-            base_up[bf] = pos[bf] - up_sum[first] + up[first]
-            base_down[bf] = neg[bf] - down_sum[first] + (v[first] - up[first])
-            # Only a colliding packet can ostracize; test just those.
-            miss = np.flatnonzero(~hit)
-            bm = b[miss]
-            vote_up = up_sum[miss] + base_up[bm]
-            vote_down = down_sum[miss] + base_down[bm]
-            at = np.flatnonzero((vote_up > 0) & (vote_down >= lam * vote_up))
-            at = at[_starts(bm[at])]   # the first per bucket
-
-            # Each bucket stops at its first ostracism (or runs out);
-            # colliders before the stop spill to the Light Part.
-            evict = bm[at]
-            stop[bf] = live.size
-            stop[evict] = miss[at]
-            spill = miss[miss < stop[bm]]
-            spill_keys.append(f[spill])
-            spill_vals.append(v[spill])
-            last = np.append(first[1:], live.size) - 1
-            pos[bf] = up_sum[last] + base_up[bf]
-            neg[bf] = down_sum[last] + base_down[bf]
-            if not at.size:
-                break
-            # Ostracism: the resident's vote+ spills to the Light Part
-            # and the challenger takes the bucket with its flag raised.
-            spill_keys.append(fids[evict])
-            spill_vals.append(vote_up[at])
-            fids[evict] = f[miss[at]]
-            pos[evict] = v[miss[at]]
-            neg[evict] = 0
-            flag[evict] = True
-            evicted += at.size
-            live = live[np.arange(live.size) > stop[b]]
-
-        self.evictions += evicted
-        self.interval_evictions += evicted
-        _BATCH_ROUNDS.inc(rounds)
-        if spill_keys:
-            # Count-min addition commutes exactly, so the Light Part
-            # takes every round's spill as one batch.
-            self._light.insert_batch(
-                np.concatenate(spill_keys), np.concatenate(spill_vals)
-            )
+        self._stack.insert(((self._slot, flow_ids, nbytes),))
 
     # ``observe_batch`` is the batched MeasurementPoint interface the
     # switch observation buffer flushes into.
     observe_batch = insert_batch
 
-    def query(self, flow_id: int) -> int:
-        """Estimated bytes for ``flow_id`` since the last reset."""
-        index = hash32(flow_id, self._bucket_seed) % self._n_buckets
-        if self._flow_id[index] == flow_id:
-            estimate = int(self._pos[index])
-            if self._flag[index]:
-                estimate += self._light.query(flow_id)
-            return estimate
-        return self._light.query(flow_id)
-
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
 
-    def read_heavy_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(flow_ids, estimates)`` for all Heavy Part residents.
+    def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flow_ids, estimates)`` of every Heavy Part resident, then
+        clear the registers, atomically, as the control-plane agent does.
 
         Bucket-index order, one row per occupied bucket.  Every flow
         hashes to exactly one bucket so the ids are distinct; a flagged
-        resident's estimate adds its Light-Part count.
-        """
-        _, ids, estimates, _ = self._stack.read(self._slot, self._slot + 1)
-        return ids, estimates
-
-    def unattributed_bytes(self) -> int:
-        """Bytes in the Light Part not claimed by a flagged resident.
-
-        A coarse residual used only for diagnostics — per-flow estimates
-        come from :meth:`read_heavy_arrays`.
-        """
-        flagged = (self._flow_id >= 0) & self._flag
-        claimed = int(
-            self._light.query_batch(self._flow_id[flagged]).sum()
-        ) if flagged.any() else 0
-        return max(self._light.total_inserted - claimed, 0)
-
-    def reset(self) -> None:
-        """Clear per-interval state (the register reset).
-
-        ``evictions`` (the lifetime total) deliberately survives —
-        diagnostics accumulate it across a whole run — while
-        ``interval_evictions`` restarts so each interval reports only
-        its own ostracism activity.
-        """
-        self._stack.reset(self._slot, self._slot + 1)
-
-    def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`read_heavy_arrays` then :meth:`reset`, atomically, as
-        the control-plane agent does.
-
-        Also latches :attr:`last_interval_evictions` so per-interval
-        eviction reporting survives the clear.
+        resident's estimate adds its Light-Part count.  ``evictions``
+        (the lifetime total) survives the clear; ``interval_evictions``
+        is latched into :attr:`last_interval_evictions` and restarts.
         """
         _, ids, estimates, _ = self._stack.read_and_reset(self._slot, self._slot + 1)
         return ids, estimates
@@ -398,9 +276,9 @@ class ElasticStack:
 
     Construction moves each sketch's current registers into its slice
     (sketch ``i`` of the list is slot ``i``) and rebinds the sketch to
-    view it; the sketches' own inserts then write straight into the
-    stack.  Sketches must agree on ``heavy_buckets`` and the Light Part
-    shape; seeds and λ may differ.
+    view it.  Sketches must agree on ``heavy_buckets``, the Light Part
+    shape and λ; seeds may differ.  :meth:`insert` is the one batch
+    kernel of every member (see the module docstring).
     """
 
     def __init__(self, sketches: Sequence[ElasticSketch]):
@@ -408,12 +286,17 @@ class ElasticStack:
         if not self.sketches:
             raise ValueError("need at least one sketch")
         shapes = {
-            (s.config.heavy_buckets, s.config.light_depth, s.config.light_width)
+            (
+                s.config.heavy_buckets,
+                s.config.light_depth,
+                s.config.light_width,
+                s.config.ostracism_lambda,
+            )
             for s in self.sketches
         }
         if len(shapes) != 1:
-            raise ValueError(f"stacked sketches differ in shape: {sorted(shapes)}")
-        (buckets, depth, width), = shapes
+            raise ValueError(f"stacked sketches differ in shape or λ: {sorted(shapes)}")
+        (buckets, depth, width, lam), = shapes
         n = len(self.sketches)
         self.n_buckets = buckets
         self.flow_id = np.full(n * buckets, -1, dtype=np.int64)
@@ -421,9 +304,176 @@ class ElasticStack:
         self.neg = np.zeros(n * buckets, dtype=np.int64)
         self.flag = np.zeros(n * buckets, dtype=bool)
         self.light = np.zeros((n, depth, width), dtype=np.int64)
+        self.lam = lam
+        # Per-member hash seeds, mixed once.
         self.light_mixed = np.stack([s._light.mixed_seeds for s in self.sketches])
+        self.bucket_mixed = np.array(
+            [mix_seed(s._bucket_seed) for s in self.sketches], dtype=np.uint32
+        )
         for slot, sketch in enumerate(self.sketches):
             sketch._bind(self, slot)
+
+    def insert(self, chunks: Iterable[Tuple[int, np.ndarray, np.ndarray]]) -> None:
+        """Insert ``(slot, flow_ids, nbytes)`` chunks, each into member
+        ``slot``, bit-identical to sequential :meth:`ElasticSketch.insert`.
+
+        Each chunk's vectors are positionally aligned and in arrival
+        order; a member named by several chunks takes them in the order
+        given.  Every input is checked before any register changes.
+        See the module docstring for the kernel;
+        ``repro_sketch_batch_rounds_total`` counts its rounds.
+        """
+        slots, id_parts, val_parts = [], [], []
+        for slot, flow_ids, nbytes in chunks:
+            ids = as_int64(flow_ids, "flow_ids")
+            vals = as_int64(nbytes, "nbytes")
+            if ids.shape != vals.shape:
+                raise ValueError(
+                    f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
+                )
+            if ids.size:
+                slots.append(slot)
+                id_parts.append(ids)
+                val_parts.append(vals)
+        if not slots:
+            return
+        if len(slots) == 1:
+            ids, vals = id_parts[0], val_parts[0]
+        else:
+            ids, vals = np.concatenate(id_parts), np.concatenate(val_parts)
+        if vals.min() < 0:
+            raise ValueError("nbytes must be >= 0")
+        if ids.min() < 0:
+            raise ValueError("flow_id must be >= 0")
+        lo, hi = min(slots), max(slots) + 1
+        if lo < 0 or hi > len(self.sketches):
+            raise ValueError(f"slots {slots} outside [0, {len(self.sketches)})")
+        _BATCH_PACKETS.inc(ids.size)
+        n_buckets = self.n_buckets
+        one = hi - lo == 1
+        if one:
+            # One member: scalar seed and counters.
+            self.sketches[lo].total_bytes += int(vals.sum())
+            key = mod32(hash32_mixed(ids, self.bucket_mixed[lo]), n_buckets)
+        else:
+            sizes = [part.size for part in id_parts]
+            starts = list(accumulate(sizes[:-1], initial=0))
+            for slot, total in zip(slots, np.add.reduceat(vals, starts).tolist()):
+                self.sketches[slot].total_bytes += total
+            member = np.repeat(np.asarray(slots, dtype=np.intp) - lo, sizes)
+            key = mod32(hash32_mixed(ids, self.bucket_mixed[lo + member]), n_buckets)
+            key += (member * n_buckets).astype(np.uint32)
+        # Group the batch by key, arrival order kept inside each group:
+        # a stable radix sort on the narrowest key dtype.  Keys then
+        # index as intp, which numpy's fancy indexing needs no cast for.
+        key = key.astype(np.min_scalar_type((hi - lo) * n_buckets - 1))
+        order = np.argsort(key, kind="stable")
+        key = key[order].astype(np.intp)
+        ids, vals = ids[order], vals[order]
+        rows = slice(lo * n_buckets, hi * n_buckets)
+        fids, pos = self.flow_id[rows], self.pos[rows]
+        neg, flag = self.neg[rows], self.flag[rows]
+
+        # Seat an empty bucket's first packet with zero votes (only a
+        # register clear empties a bucket, so its votes and flag are
+        # already zero): round 1 then counts it as a resident hit.
+        first, last = _runs(key)
+        heads = first[fids[key[first]] < 0]
+        fids[key[heads]] = ids[heads]
+
+        # Per-key work arrays: each round's prefix-sum rebase and stop.
+        base_up = np.empty(fids.size, dtype=np.int64)
+        base_down = np.empty(fids.size, dtype=np.int64)
+        stop = np.empty(fids.size, dtype=np.intp)
+        spill_rows, spill_keys, spill_vals, evicted = [], [], [], []
+        rounds = 0
+        b, f, v = key, ids, vals
+        while True:
+            # One round: every bucket with packets left runs up to (and
+            # including) its first ostracism, all buckets at once.
+            rounds += 1
+            n = b.size
+            hit = f == fids[b]
+            # Running vote+/vote- before each packet (entry i sums the
+            # round's packets ahead of i) and after it (entry i + 1):
+            # one prefix sum over the round, rebased per bucket onto its
+            # registers.
+            before_up = np.zeros(n + 1, dtype=np.int64)
+            before_down = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(v * hit, out=before_up[1:])
+            np.cumsum(v, out=before_down[1:])
+            before_down -= before_up
+            up_sum, down_sum = before_up[1:], before_down[1:]
+            if rounds > 1:
+                first, last = _runs(b)
+            bf = b[first]
+            base_up[bf] = pos[bf] - before_up[first]
+            base_down[bf] = neg[bf] - before_down[first]
+            # Only a colliding packet can ostracize; test just those.
+            miss = (~hit).nonzero()[0]
+            bm = b[miss]
+            vote_up = up_sum[miss] + base_up[bm]
+            vote_down = down_sum[miss] + base_down[bm]
+            at = ((vote_up > 0) & (vote_down >= self.lam * vote_up)).nonzero()[0]
+            at = at[_heads(bm[at])]   # the first per bucket
+
+            # Each bucket stops at its first ostracism (or runs out);
+            # colliders before the stop spill to the Light Part.
+            evict = bm[at]
+            stop[bf] = n
+            stop[evict] = miss[at]
+            spill = miss[miss < stop[bm]]
+            spill_rows.append(b[spill])
+            spill_keys.append(f[spill])
+            spill_vals.append(v[spill])
+            pos[bf] = up_sum[last] + base_up[bf]
+            neg[bf] = down_sum[last] + base_down[bf]
+            if not at.size:
+                break
+            # Ostracism: the resident's vote+ spills to the Light Part
+            # and the challenger takes the bucket with its flag raised.
+            spill_rows.append(evict)
+            spill_keys.append(fids[evict])
+            spill_vals.append(vote_up[at])
+            fids[evict] = f[miss[at]]
+            pos[evict] = v[miss[at]]
+            neg[evict] = 0
+            flag[evict] = True
+            evicted.append(evict)
+            behind = (np.arange(n) > stop[b]).nonzero()[0]
+            if not behind.size:
+                break
+            b, f, v = b[behind], f[behind], v[behind]
+        _BATCH_ROUNDS.inc(rounds)
+
+        if evicted:
+            if one:
+                counts = [sum(e.size for e in evicted)]
+            else:
+                counts = np.bincount(
+                    np.concatenate(evicted) // n_buckets, minlength=hi - lo
+                ).tolist()
+            for sketch, count in zip(self.sketches[lo:hi], counts):
+                sketch.evictions += count
+                sketch.interval_evictions += count
+        keys = np.concatenate(spill_keys)
+        if not keys.size:
+            return
+        # Count-min addition commutes exactly, so the Light Part takes
+        # every round's spill as one scatter.
+        vals = np.concatenate(spill_vals)
+        light = self.light[lo:hi]
+        mixed = self.light_mixed[lo:hi]
+        if one:
+            insert_stacked(light, mixed, 0, keys, vals)
+            self.sketches[lo]._light.total_inserted += int(vals.sum())
+        else:
+            which = np.concatenate(spill_rows) // n_buckets
+            insert_stacked(light, mixed, which, keys, vals)
+            totals = np.zeros(hi - lo, dtype=np.int64)
+            np.add.at(totals, which, vals)
+            for sketch, total in zip(self.sketches[lo:hi], totals.tolist()):
+                sketch._light.total_inserted += total
 
     def read(
         self, lo: int, hi: int

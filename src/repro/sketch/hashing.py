@@ -18,6 +18,16 @@ Two forms are exposed over the same function family:
   :func:`hash32_mixed` split off the seed's own mixing so a sketch
   does it once rather than per call.
 
+The vector form runs in **uint32 lanes**.  fmix32 only ever sees the
+low 32 bits of ``key ^ mixed_seed``, and its two multiplies are
+defined mod 2³², which is exactly how uint32 arithmetic wraps: a key
+is cast to uint32 once (dropping bits the scalar function masks off
+anyway) and every step after that needs no mask.  Every array kernel
+of the sketches — count-min insert and query, the Elastic Sketch round
+kernel, the stacked Light-Part reads — hashes through
+:func:`hash32_mixed`, the one vector hash path, and reduces a hash to
+a bucket or counter index with :func:`mod32`.
+
 :func:`hash_family_seeds` is the single source of truth for how a
 family of ``count`` independent functions derives its per-row seeds;
 both the scalar closures and the array kernels consume it so the two
@@ -31,7 +41,8 @@ from typing import Callable, List
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_U64_MASK32 = np.uint64(_MASK32)
+_M1 = np.uint32(0x85EBCA6B)
+_M2 = np.uint32(0xC2B2AE35)
 
 
 def _fmix32(h: int) -> int:
@@ -53,50 +64,62 @@ def hash32(key: int, seed: int = 0) -> int:
 
 
 def _fmix32_array(h: np.ndarray) -> np.ndarray:
-    """:func:`_fmix32` in place over a uint64 vector."""
-    h &= _U64_MASK32
-    h ^= h >> np.uint64(16)
-    h *= np.uint64(0x85EBCA6B)
-    h &= _U64_MASK32
-    h ^= h >> np.uint64(13)
-    h *= np.uint64(0xC2B2AE35)
-    h &= _U64_MASK32
-    h ^= h >> np.uint64(16)
+    """:func:`_fmix32` in place over a uint32 array (products wrap mod 2³²)."""
+    h ^= h >> 16
+    h *= _M1
+    h ^= h >> 13
+    h *= _M2
+    h ^= h >> 16
     return h
 
 
 def mix_seed(seed) -> np.ndarray:
-    """A seed's own finalizer round inside :func:`hash32`, as uint64.
+    """A seed's own finalizer round inside :func:`hash32`, as uint32.
 
     ``seed`` is one seed or a vector of them.  Only a seed's low 32
-    bits reach the hash, and wrap-around uint64 arithmetic keeps them,
-    so the vector form is element-wise the scalar one.  Sketches mix
+    bits reach the hash, and uint32 arithmetic keeps exactly those, so
+    the vector form is element-wise the scalar one.  Sketches mix
     their seeds once and hash with :func:`hash32_mixed`.
     """
     if np.ndim(seed):
-        mixed = np.asarray(seed).astype(np.uint64)
-        mixed *= np.uint64(0x9E3779B9)
-        mixed += np.uint64(0x165667B1)
+        mixed = np.asarray(seed).astype(np.uint32)
+        mixed *= np.uint32(0x9E3779B9)
+        mixed += np.uint32(0x165667B1)
         return _fmix32_array(mixed)
-    return np.uint64(_fmix32(int(seed) * 0x9E3779B9 + 0x165667B1))
+    return np.uint32(_fmix32(int(seed) * 0x9E3779B9 + 0x165667B1))
 
 
 def hash32_mixed(keys: np.ndarray, mixed) -> np.ndarray:
     """:func:`hash32_array` under seeds already put through
-    :func:`mix_seed`: one for all keys, or one per key."""
-    # In place on one fresh uint64 copy: no temporary per step.
-    h = np.asarray(keys).astype(np.uint64)
-    h ^= mixed
-    return _fmix32_array(h).astype(np.int64)
+    :func:`mix_seed`, as uint32.
+
+    ``mixed`` is one seed for all keys, one per key, or any array that
+    broadcasts against ``keys`` — a ``(depth, 1)`` column hashes every
+    key under every row's seed in one call.
+    """
+    h = np.asarray(keys).astype(np.uint32) ^ mixed
+    return _fmix32_array(h)
+
+
+def mod32(h: np.ndarray, n: int) -> np.ndarray:
+    """``h % n`` for a uint32 hash array and a positive ``n``.
+
+    numpy divides an integer array by a scalar with a precomputed
+    multiplier but computes ``%`` with a hardware divide per element,
+    so ``h - (h // n)·n`` is the same value two to three times faster.
+    """
+    n = np.uint32(n)
+    q = h // n
+    q *= n
+    return np.subtract(h, q, out=q)
 
 
 def hash32_array(keys: np.ndarray, seed=0) -> np.ndarray:
     """Vectorized :func:`hash32` over a vector of non-negative keys.
 
     ``seed`` is one seed for every key, or a vector of per-key seeds.
-    Returns an int64 array (values fit in 32 bits, int64 keeps the
-    downstream ``% width`` arithmetic in the sketch kernels signed and
-    overflow-free).  Element-wise bit-identical to the scalar function.
+    Returns a uint32 array, element-wise bit-identical to the scalar
+    function.
     """
     return hash32_mixed(keys, mix_seed(seed))
 

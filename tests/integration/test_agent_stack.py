@@ -2,12 +2,14 @@
 
 ``FsdAggregator`` collects its ``SwitchAgent`` s through one
 ``AgentStack``: their sketch registers share one table, their flow
-tables one bucket-keyed classifier, and one FSD pass serves all N.
+tables one bucket-keyed classifier, every member switch's buffered
+packets go through one stacked insert, and one FSD pass serves all N.
 These tests drive the same packets through that stack, through N lone
 agents, and through the per-packet scalar reference agent of
 ``tests/scalar_monitor.py``, and require every report field and every
 sketch's eviction counters to be bit-equal.  Every switch here flushes
-its observation buffer every 8 packets, so flushes land mid-interval.
+its observation buffer every 8 packets, so flushes land mid-interval
+and the rest of each interval rides the stacked insert.
 """
 
 from __future__ import annotations
@@ -48,15 +50,18 @@ def _observe(switch, flow_id, nbytes):
 def _configs(n, shared_seed, lam):
     """Per-switch sketch configs: one shared object (``sketch_config=``
     handed to every agent) or distinct seeds, always a contested heavy
-    part."""
-    def config(seed):
+    part.  ``lam`` is one λ for every switch, or one per switch
+    (switches of unequal λ form separate stacks)."""
+    def config(seed, lam):
         return ElasticSketchConfig(
             heavy_buckets=8, light_width=16, light_depth=2, ostracism_lambda=lam, seed=seed
         )
 
-    if shared_seed is not None:
-        return [config(shared_seed)] * n
-    return [config(i) for i in range(n)]
+    if shared_seed is not None and not isinstance(lam, list):
+        return [config(shared_seed, lam)] * n
+    lams = lam if isinstance(lam, list) else [lam] * n
+    seeds = [i if shared_seed is None else shared_seed for i in range(n)]
+    return [config(seed, lam) for seed, lam in zip(seeds, lams)]
 
 
 def _observed(reports, agents):
@@ -96,13 +101,15 @@ def _run(stream, n, shared_seed, lam, mode):
 
 # Packets as (agent, flow, bytes) over few flows and few buckets, so
 # ostracism, light-part spills and flagged residents are common; empty
-# and sparse intervals let flows expire and come back.
+# and sparse intervals let flows expire and come back, and zero-byte
+# packets seat residents that cannot be ostracized.
 _packet = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=40),
-    st.integers(min_value=1, max_value=1_500),
+    st.integers(min_value=0, max_value=1_500),
 )
 _streams = st.lists(st.lists(_packet, max_size=60), min_size=1, max_size=12)
+_lambdas = st.sampled_from([0.5, 1.0, 8.0])
 
 
 @settings(deadline=None, max_examples=100)
@@ -110,7 +117,7 @@ _streams = st.lists(st.lists(_packet, max_size=60), min_size=1, max_size=12)
     stream=_streams,
     n=st.sampled_from([1, 2, 4]),
     shared_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**20)),
-    lam=st.sampled_from([0.5, 1.0, 8.0]),
+    lam=st.one_of(_lambdas, st.lists(_lambdas, min_size=4, max_size=4)),
 )
 def test_stacked_collection_equals_independent_agents(stream, n, shared_seed, lam):
     stacked = _run(stream, n, shared_seed, lam, "stacked")
@@ -173,6 +180,13 @@ def test_mixed_shapes_form_separate_stacks_in_agent_order():
     ]
     aggregator = FsdAggregator(agents)
     assert sorted(len(stack.agents) for stack, _ in aggregator.stacks) == [1, 2]
+    # Sketches of unequal λ never share a stack either.
+    lams = [
+        SwitchAgent(s, sketch_config=ElasticSketchConfig(ostracism_lambda=lam), tau=TAU)
+        for s, lam in zip(_switches(3), (1.0, 2.0, 1.0))
+    ]
+    grouped = FsdAggregator(lams).stacks
+    assert sorted(members for _, members in grouped) == [[0, 2], [1]]
     for f in range(5):
         _observe(switches[f % 3], f, 3_000)
     aggregator.collect(0.0)

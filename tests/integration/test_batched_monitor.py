@@ -16,6 +16,7 @@ from repro.monitor.agent import NaiveSketchAgent, NetFlowAgent, SwitchAgent
 from repro.parallel.tasks import EvalTask, ScenarioSpec, evaluate_task
 from repro.simulator.network import Network, NetworkConfig
 from repro.simulator.units import kb, mb, ms
+from repro.sketch.elastic import ElasticSketchConfig
 from repro.sketch.netflow import NetFlowConfig
 from tests.scalar_monitor import ScalarReferenceAgent
 
@@ -36,20 +37,69 @@ def _reports_for(small_spec, make_agent):
     return reports
 
 
+def _contested_reports_for(small_spec, agent_cls):
+    """Twelve intervals of four long flows under ToR 0, whose Heavy Part
+    has one bucket.  A flow that loses the bucket reads 0 bytes, so
+    flow 0 is silent for more than δ intervals, expires, and is
+    re-admitted when it wins the bucket back."""
+    net = Network(NetworkConfig(spec=small_spec, seed=21))
+    agents = [
+        agent_cls(
+            t,
+            sketch_config=ElasticSketchConfig(heavy_buckets=1, seed=t.switch_id),
+            tau=TAU,
+        )
+        for t in net.tors
+    ]
+    for host in range(4):
+        net.add_flow(host, host + 4, mb(3.0), ms(0.5) * host)
+    reports = []
+    for _ in range(12):
+        net.run_until(net.sim.now + ms(1.0))
+        net.stats.end_interval()
+        reports.append([agent.collect(net.sim.now) for agent in agents])
+    return reports
+
+
+def _readmitted(reports, tor):
+    """Flow ids ToR ``tor`` stopped tracking and later tracked again."""
+    readmitted, seen, gone = set(), set(), set()
+    for interval in reports:
+        tracked = set(interval[tor].fsd.flow_states)
+        readmitted |= tracked & gone
+        gone = (gone | seen) - tracked
+        seen |= tracked
+    return readmitted
+
+
 def test_reports_bit_identical_across_modes(small_spec):
-    scalar = _reports_for(small_spec, lambda t: ScalarReferenceAgent(t, tau=TAU))
-    batched = _reports_for(small_spec, lambda t: SwitchAgent(t, tau=TAU))
-    for interval_scalar, interval_batched in zip(scalar, batched):
-        for a, b in zip(interval_scalar, interval_batched):
-            assert b.switch_name == a.switch_name
-            assert b.tracked_flows == a.tracked_flows
-            assert b.interval_bytes == a.interval_bytes
-            # Float equality is exact, not approximate: both modes sum
-            # the same operands in the same order with the same kernel.
-            assert b.fsd.elephant_weight == a.fsd.elephant_weight
-            assert b.fsd.mice_weight == a.fsd.mice_weight
-            assert b.fsd.histogram == a.fsd.histogram
-            assert b.fsd.flow_states == a.fsd.flow_states
+    scenarios = [
+        (
+            _reports_for(small_spec, lambda t: ScalarReferenceAgent(t, tau=TAU)),
+            _reports_for(small_spec, lambda t: SwitchAgent(t, tau=TAU)),
+        ),
+        (
+            _contested_reports_for(small_spec, ScalarReferenceAgent),
+            _contested_reports_for(small_spec, SwitchAgent),
+        ),
+    ]
+    for scalar, batched in scenarios:
+        assert len(batched) == len(scalar)
+        for interval_scalar, interval_batched in zip(scalar, batched):
+            for a, b in zip(interval_scalar, interval_batched):
+                assert b.switch_name == a.switch_name
+                assert b.tracked_flows == a.tracked_flows
+                assert b.interval_bytes == a.interval_bytes
+                # Float equality is exact, not approximate: both modes sum
+                # the same operands in the same order with the same kernel.
+                assert b.fsd.elephant_weight == a.fsd.elephant_weight
+                assert b.fsd.mice_weight == a.fsd.mice_weight
+                assert b.fsd.histogram == a.fsd.histogram
+                assert b.fsd.flow_states == a.fsd.flow_states
+    # The contested scenario compares what the first one never reaches:
+    # traffic to the last interval and a flow re-admitted after expiry.
+    assert batched[-1][0].interval_bytes > 0
+    assert _readmitted(batched, 0)
 
 
 _IDLE = (0.0, 0.0, {}, 0, 0)

@@ -9,6 +9,8 @@ shipped path to it bit for bit:
 
 * :class:`PerPacketSketch` — a measurement point whose ``observe_batch``
   inserts packet by packet through the scalar ``ElasticSketch.insert``;
+* :func:`query`, :func:`read_heavy_arrays` and :func:`unattributed_bytes`
+  — one sketch's per-flow estimate, resident read and Light-Part residue;
 * :func:`read_heavy`, :func:`read_and_reset`, :func:`netflow_read_and_reset`
   — the dict forms of the sketch and NetFlow reads;
 * :class:`FlowStateEntry` and :class:`SlidingWindowClassifier` — the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Mapping
+from typing import Deque, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from repro.monitor.states import (
 )
 from repro.simulator.units import mb
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.hashing import hash32
 from repro.sketch.netflow import NetFlowMonitor
 
 # ---------------------------------------------------------------------------
@@ -61,9 +64,36 @@ class PerPacketSketch:
             self.sketch.insert(flow_id, nbytes)
 
 
+def query(sketch: ElasticSketch, flow_id: int) -> int:
+    """Estimated bytes of ``flow_id`` since the last register clear: its
+    Heavy-Part votes if resident (plus its Light-Part count when
+    flagged), else its Light-Part count."""
+    index = hash32(flow_id, sketch._bucket_seed) % sketch._n_buckets
+    if sketch._flow_id[index] == flow_id:
+        estimate = int(sketch._pos[index])
+        if sketch._flag[index]:
+            estimate += sketch._light.query(flow_id)
+        return estimate
+    return sketch._light.query(flow_id)
+
+
+def read_heavy_arrays(sketch: ElasticSketch) -> Tuple[np.ndarray, np.ndarray]:
+    """``(flow_ids, estimates)`` of every Heavy Part resident, in bucket
+    order, without clearing: the stack's read of this one member."""
+    _, ids, estimates, _ = sketch._stack.read(sketch._slot, sketch._slot + 1)
+    return ids, estimates
+
+
+def unattributed_bytes(sketch: ElasticSketch) -> int:
+    """Bytes in the Light Part not claimed by a flagged resident."""
+    flagged = sketch._flow_id[(sketch._flow_id >= 0) & sketch._flag]
+    claimed = sum(sketch._light.query(flow_id) for flow_id in flagged.tolist())
+    return max(sketch._light.total_inserted - claimed, 0)
+
+
 def read_heavy(sketch: ElasticSketch) -> Dict[int, int]:
     """Per-flow byte estimates for all Heavy Part residents."""
-    ids, estimates = sketch.read_heavy_arrays()
+    ids, estimates = read_heavy_arrays(sketch)
     return dict(zip(ids.tolist(), estimates.tolist()))
 
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
-from repro.sketch.hashing import hash32, hash32_array
+from repro.sketch.hashing import hash32, hash32_array, mod32
 from repro.telemetry.registry import get_registry
-from tests.scalar_monitor import read_heavy
+from tests.scalar_monitor import query, read_heavy, read_heavy_arrays, unattributed_bytes
 
 
 def elastic_state(sketch: ElasticSketch) -> tuple:
@@ -53,10 +53,12 @@ def chunked(items, sizes):
 
 @settings(deadline=None, max_examples=50)
 @given(
-    keys=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=64),
-    seed=st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    keys=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=64),
+    seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
 )
 def test_hash32_array_matches_scalar(keys, seed):
+    """The uint32 lanes drop every key and seed bit above 32, which
+    the scalar finalizer masks off too."""
     vector = hash32_array(np.asarray(keys, dtype=np.int64), seed)
     scalar = [hash32(k, seed) for k in keys]
     assert vector.tolist() == scalar
@@ -82,6 +84,15 @@ def test_hash32_array_per_key_seeds_match_scalar(pairs):
     assert hash32_array(keys, seeds).tolist() == expected
     masked = np.asarray([s & 0xFFFFFFFF for _, s in pairs], dtype=np.uint64)
     assert hash32_array(keys, masked).tolist() == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    hashes=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=64),
+    n=st.integers(min_value=1, max_value=2**32 - 1),
+)
+def test_mod32_is_the_remainder(hashes, n):
+    assert mod32(np.asarray(hashes, dtype=np.uint32), n).tolist() == [h % n for h in hashes]
 
 
 # -- count-min --------------------------------------------------------------
@@ -246,10 +257,10 @@ def test_elastic_batch_read_arrays_match_dict():
     ids = rng.integers(0, 50, size=400).astype(np.int64)
     vals = rng.integers(1, 3000, size=400).astype(np.int64)
     sketch.insert_batch(ids, vals)
-    array_ids, array_estimates = sketch.read_heavy_arrays()
+    array_ids, array_estimates = read_heavy_arrays(sketch)
     # One row per resident, each the scalar query's estimate.
     assert len(set(array_ids.tolist())) == array_ids.size
-    assert read_heavy(sketch) == {f: sketch.query(f) for f in array_ids.tolist()}
+    assert read_heavy(sketch) == {f: query(sketch, f) for f in array_ids.tolist()}
 
 
 def test_stacked_sketches_behave_as_alone():
@@ -278,8 +289,8 @@ def test_stacked_sketches_behave_as_alone():
         twin.insert_batch(ids[100:], vals[100:])
     for sketch, twin in zip(stacked, alone):
         assert read_heavy(sketch) == read_heavy(twin)
-        assert sketch.unattributed_bytes() == twin.unattributed_bytes()
-        assert [sketch.query(f) for f in range(40)] == [twin.query(f) for f in range(40)]
+        assert unattributed_bytes(sketch) == unattributed_bytes(twin)
+        assert [query(sketch, f) for f in range(40)] == [query(twin, f) for f in range(40)]
 
     middle = stacked[1].read_and_reset_arrays()
     twin_middle = alone[1].read_and_reset_arrays()
@@ -299,6 +310,98 @@ def test_stacked_sketches_behave_as_alone():
     assert all(read_heavy(s) == {} and s.total_bytes == 0 for s in stacked)
     with pytest.raises(ValueError, match="shape"):
         ElasticStack([ElasticSketch(config(1)), ElasticSketch(ElasticSketchConfig())])
+    other_lambda = ElasticSketchConfig(
+        heavy_buckets=8, light_width=32, ostracism_lambda=2.0, seed=1
+    )
+    with pytest.raises(ValueError, match="λ"):
+        ElasticStack([ElasticSketch(config(1)), ElasticSketch(other_lambda)])
+
+
+# Per member: (flow, bytes) packets over few flows, zero-byte packets
+# included; a member may see no packets at all.
+_member_stream = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=3_000),
+    ),
+    max_size=80,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    streams=st.lists(_member_stream, min_size=1, max_size=4),
+    lam=st.sampled_from([0.5, 1.0, 8.0]),
+    shared_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**40)),
+    shape=st.sampled_from([(1, 16), (3, 13), (8, 16)]),
+    split=st.booleans(),
+)
+def test_stack_insert_equals_lone_and_scalar_sketches(
+    streams, lam, shared_seed, shape, split
+):
+    """One ``ElasticStack.insert`` of N members' chunks leaves every
+    member exactly as N lone sketches fed the same batches and as the
+    per-packet scalar insert.  Each member first flushes every full 8
+    packets alone, as a capacity-8 switch buffer does mid-interval;
+    its remainder rides the one stacked call, as one chunk or split in
+    two at both ends of the chunk list."""
+    buckets, width = shape
+
+    def config(member):
+        return ElasticSketchConfig(
+            heavy_buckets=buckets,
+            light_width=width,
+            light_depth=2,
+            ostracism_lambda=lam,
+            seed=member if shared_seed is None else shared_seed,
+        )
+
+    n = len(streams)
+    stacked = [ElasticSketch(config(i)) for i in range(n)]
+    stack = ElasticStack(stacked)
+    lone = [ElasticSketch(config(i)) for i in range(n)]
+    scalar = [ElasticSketch(config(i)) for i in range(n)]
+    head, tail = [], []
+    for i, stream in enumerate(streams):
+        ids = np.asarray([f for f, _ in stream], dtype=np.int64)
+        vals = np.asarray([v for _, v in stream], dtype=np.int64)
+        flushed = ids.size // 8 * 8
+        for lo in range(0, flushed, 8):
+            stacked[i].insert_batch(ids[lo : lo + 8], vals[lo : lo + 8])
+            lone[i].insert_batch(ids[lo : lo + 8], vals[lo : lo + 8])
+        lone[i].insert_batch(ids[flushed:], vals[flushed:])
+        cut = (flushed + ids.size) // 2 if split else ids.size
+        head.append((i, ids[flushed:cut], vals[flushed:cut]))
+        tail.append((i, ids[cut:], vals[cut:]))
+        for flow, nbytes in stream:
+            scalar[i].insert(flow, nbytes)
+    stack.insert(head + tail[::-1])
+    for got, alone, reference in zip(stacked, lone, scalar):
+        assert elastic_state(got) == elastic_state(alone) == elastic_state(reference)
+        assert read_heavy(got) == read_heavy(reference)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, [3], [-1]), "nbytes"),
+        ((1, [-3], [1]), "flow_id"),
+        ((1, [3, 4], [1]), "shape"),
+        ((2, [3], [1]), "outside"),
+        ((-1, [3], [1]), "outside"),
+    ],
+)
+def test_stack_insert_checks_every_chunk_first(bad, message):
+    """A bad chunk anywhere in one call, or a slot outside the stack,
+    raises before any member's registers or counters change."""
+    sketches = [ElasticSketch(ElasticSketchConfig(heavy_buckets=4, seed=s)) for s in (1, 2)]
+    stack = ElasticStack(sketches)
+    slot, ids, vals = bad
+    good = (0, np.array([1, 2]), np.array([10, 20]))
+    with pytest.raises(ValueError, match=message):
+        stack.insert([good, (slot, np.array(ids), np.array(vals))])
+    assert all(s.total_bytes == 0 and read_heavy(s) == {} for s in sketches)
+    assert not stack.light.any()
 
 
 def test_elastic_batch_rejects_bad_input():
