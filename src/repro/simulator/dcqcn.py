@@ -32,7 +32,7 @@ tuner can swap one object per device and affect all three roles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.simulator.engine import Simulator
 from repro.simulator.units import kb, mbps, us
@@ -40,7 +40,7 @@ from repro.simulator.units import kb, mbps, us
 _DISARMED = float("inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcqcnParams:
     """Full DCQCN parameter set (RNIC and switch sides).
 
@@ -48,6 +48,10 @@ class DcqcnParams:
     this simulator's 10 Gbps reference fabric; see
     ``repro.tuning.parameters`` for the tuning space, the expert
     setting (Table I of the paper), and the scale-down rationale.
+
+    Frozen: a device's knobs change only by swapping the whole object
+    (:meth:`copy`), which lets a reaction point's lazy timers catch up
+    under the knobs they expired under (:class:`DcqcnRp`).
     """
 
     # --- Rate increase (RP) ---
@@ -81,6 +85,8 @@ class DcqcnParams:
             raise ValueError("increase rates must be positive")
         if self.rpg_time_reset <= 0 or self.rpg_byte_reset <= 0:
             raise ValueError("increase timer/byte counter must be positive")
+        if not self.dce_tcp_rtt > 0:
+            raise ValueError("alpha timer (dce_tcp_rtt) must be positive")
         if self.rpg_threshold < 1:
             raise ValueError("rpg_threshold must be >= 1")
         if not 0.0 < self.dce_tcp_g <= 1.0:
@@ -119,6 +125,19 @@ class DcqcnRp:
     callable returning the host's current :class:`DcqcnParams`) so that
     a controller dispatching new parameters affects live QPs
     immediately, as on real RNICs.
+
+    Both timers are *lazy*: a timer is a float deadline (``inf`` =
+    disarmed) and posts no engine event.  Whenever the QP is observed —
+    a CNP, a transmitted packet, ``stop()``, a read of ``rc``/``rt``/
+    ``alpha``/``increase_events`` — :meth:`catch_up` first applies every
+    expiry with ``deadline <= sim.now``, oldest first, with the float
+    operations an eagerly dispatched tick would have used.  A tick at
+    exactly ``now`` therefore applies before the observer; DESIGN.md
+    §16 shows that is also where ``(time, seq)`` order put it.  Whoever
+    swaps the object ``params_ref`` returns must call :meth:`catch_up`
+    first, so that earlier expiries apply under the old knobs
+    (:class:`~repro.simulator.host.Host` does so in its ``params``
+    setter).
     """
 
     def __init__(
@@ -126,17 +145,15 @@ class DcqcnRp:
         sim: Simulator,
         line_rate_bps: float,
         params_ref: Callable[[], DcqcnParams],
-        on_rate_change: Optional[Callable[[], None]] = None,
     ):
         self.sim = sim
         self.line_rate = line_rate_bps
         self.params_ref = params_ref
-        self.on_rate_change = on_rate_change
 
         params = params_ref()
-        self.rc = line_rate_bps          # current rate
-        self.rt = line_rate_bps          # target rate
-        self.alpha = params.initial_alpha
+        self._rc = line_rate_bps         # current rate
+        self._rt = line_rate_bps         # target rate
+        self._alpha = params.initial_alpha
 
         self._byte_counter = 0
         self._byte_stage = 0
@@ -145,10 +162,6 @@ class DcqcnRp:
         self._last_cut_time = -float("inf")
         self._cnp_seen_since_alpha_timer = False
 
-        # Timer deadlines (inf = disarmed).  A tick acts only when the
-        # clock equals its deadline, so stopping or re-arming cancels
-        # nothing: the superseded tick fires as a no-op.  Ticks of QPs
-        # that share an exact deadline ride one engine event.
         self._alpha_deadline = _DISARMED
         self._increase_deadline = _DISARMED
         self._active = False
@@ -156,23 +169,84 @@ class DcqcnRp:
         # Counters for diagnostics / tests.
         self.cnps_received = 0
         self.rate_cuts = 0
-        self.increase_events = 0
+        self._increase_events = 0
+
+    # ------------------------------------------------------------------
+    # Timer-driven state, caught up to sim.now on every read
+    # ------------------------------------------------------------------
+
+    @property
+    def rc(self) -> float:
+        """Current sending rate (bps)."""
+        self.catch_up()
+        return self._rc
+
+    @rc.setter
+    def rc(self, value: float) -> None:
+        self.catch_up()
+        self._rc = value
+
+    @property
+    def rt(self) -> float:
+        """Target rate (bps)."""
+        self.catch_up()
+        return self._rt
+
+    @property
+    def alpha(self) -> float:
+        """Congestion estimate in ``(0, 1]``."""
+        self.catch_up()
+        return self._alpha
+
+    @property
+    def increase_events(self) -> int:
+        """Rate-increase events so far (byte and timer stages)."""
+        self.catch_up()
+        return self._increase_events
+
+    def catch_up(self) -> None:
+        """Apply every timer expiry due by ``sim.now``, oldest first."""
+        now = self.sim.now
+        deadline = self._alpha_deadline
+        if deadline <= now:
+            params = self.params_ref()
+            period = params.dce_tcp_rtt
+            if self._cnp_seen_since_alpha_timer:
+                self._cnp_seen_since_alpha_timer = False
+                deadline += period
+            alpha = self._alpha
+            while deadline <= now:
+                alpha = (1.0 - params.dce_tcp_g) * alpha
+                deadline += period
+            self._alpha = alpha
+            self._alpha_deadline = deadline
+        deadline = self._increase_deadline
+        if deadline <= now:
+            params = self.params_ref()
+            period = params.rpg_time_reset
+            while deadline <= now:
+                self._time_stage += 1
+                self._increase_event(params)
+                deadline += period
+            self._increase_deadline = deadline
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Activate timers when the QP begins transmitting."""
+        """Arm the timers when the QP begins transmitting."""
         if self._active:
             return
         self._active = True
         params = self.params_ref()
-        self._arm_alpha_timer(params)
-        self._arm_increase_timer(params)
+        now = self.sim.now
+        self._alpha_deadline = now + params.dce_tcp_rtt
+        self._increase_deadline = now + params.rpg_time_reset
 
     def stop(self) -> None:
-        """Disarm timers when the flow finishes."""
+        """Disarm the timers when the flow finishes."""
+        self.catch_up()
         self._active = False
         self._alpha_deadline = self._increase_deadline = _DISARMED
 
@@ -195,9 +269,10 @@ class DcqcnRp:
         """React to a congestion notification packet."""
         if not self._active:
             return
+        self.catch_up()
         params = self.params_ref()
         g = params.dce_tcp_g
-        self.alpha = (1.0 - g) * self.alpha + g
+        self._alpha = (1.0 - g) * self._alpha + g
         self._cnp_seen_since_alpha_timer = True
         self.cnps_received += 1
 
@@ -207,81 +282,52 @@ class DcqcnRp:
             self._last_cut_time = now
 
     def _cut_rate(self, params: DcqcnParams) -> None:
-        self.rt = self.rc
-        factor = max(1.0 - self.alpha / 2.0, 1.0 - params.min_dec_fac)
-        self.rc = max(self.rc * factor, params.rpg_min_rate)
+        self._rt = self._rc
+        factor = max(1.0 - self._alpha / 2.0, 1.0 - params.min_dec_fac)
+        self._rc = max(self._rc * factor, params.rpg_min_rate)
         self.rate_cuts += 1
-        # A cut resets the whole increase state machine.
+        # A cut resets the whole increase state machine, timer included.
         self._byte_counter = 0
         self._byte_stage = 0
         self._time_stage = 0
         self._increase_iter = 0
-        self._arm_increase_timer(params)
-        if self.on_rate_change is not None:
-            self.on_rate_change()
-
-    # ------------------------------------------------------------------
-    # Alpha decay timer
-    # ------------------------------------------------------------------
-
-    def _arm_alpha_timer(self, params: DcqcnParams) -> None:
-        sim = self.sim
-        self._alpha_deadline = deadline = sim.now + params.dce_tcp_rtt
-        sim.coalesce_at(deadline, self._alpha_tick)
-
-    def _alpha_tick(self) -> None:
-        if self.sim.now != self._alpha_deadline:
-            return
-        params = self.params_ref()
-        if not self._cnp_seen_since_alpha_timer:
-            self.alpha = (1.0 - params.dce_tcp_g) * self.alpha
-        self._cnp_seen_since_alpha_timer = False
-        self._arm_alpha_timer(params)
+        self._increase_deadline = self.sim.now + params.rpg_time_reset
 
     # ------------------------------------------------------------------
     # Rate increase: byte counter and timer stages
     # ------------------------------------------------------------------
 
-    def on_packet_sent(self, wire_bytes: int) -> None:
-        """Account transmitted bytes toward the increase byte counter."""
+    def on_packet_sent(self, wire_bytes: int) -> float:
+        """Account transmitted bytes toward the increase byte counter.
+
+        Returns the sending rate to pace the QP's next packet from, so
+        the host's per-packet path reads it without a property call.
+        """
         if not self._active:
-            return
+            return self._rc
+        self.catch_up()
         self._byte_counter += wire_bytes
         params = self.params_ref()
         while self._byte_counter >= params.rpg_byte_reset:
             self._byte_counter -= params.rpg_byte_reset
             self._byte_stage += 1
             self._increase_event(params)
-
-    def _arm_increase_timer(self, params: DcqcnParams) -> None:
-        sim = self.sim
-        self._increase_deadline = deadline = sim.now + params.rpg_time_reset
-        sim.coalesce_at(deadline, self._increase_tick)
-
-    def _increase_tick(self) -> None:
-        if self.sim.now != self._increase_deadline:
-            return
-        params = self.params_ref()
-        self._time_stage += 1
-        self._increase_event(params)
-        self._arm_increase_timer(params)
+        return self._rc
 
     def _increase_event(self, params: DcqcnParams) -> None:
         """One fast-recovery / additive / hyper increase step."""
-        self.increase_events += 1
+        self._increase_events += 1
         threshold = params.rpg_threshold
         if max(self._byte_stage, self._time_stage) < threshold:
             pass  # fast recovery: rt unchanged
         elif min(self._byte_stage, self._time_stage) < threshold:
-            self.rt += params.rpg_ai_rate
+            self._rt += params.rpg_ai_rate
         else:
             self._increase_iter += 1
-            self.rt += self._increase_iter * params.rpg_hai_rate
-        self.rt = min(self.rt, self.line_rate)
-        self.rc = min((self.rc + self.rt) / 2.0, self.line_rate)
-        self.rc = max(self.rc, params.rpg_min_rate)
-        if self.on_rate_change is not None:
-            self.on_rate_change()
+            self._rt += self._increase_iter * params.rpg_hai_rate
+        self._rt = min(self._rt, self.line_rate)
+        self._rc = min((self._rc + self._rt) / 2.0, self.line_rate)
+        self._rc = max(self._rc, params.rpg_min_rate)
 
 
 def ecn_mark_probability(queue_bytes: int, params: DcqcnParams) -> float:

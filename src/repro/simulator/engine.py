@@ -14,22 +14,21 @@ Ordering contract
 
 Every scheduling call — :meth:`Simulator.schedule`, :meth:`~Simulator.at`,
 :meth:`~Simulator.post`, :meth:`~Simulator.post_at` — draws the next
-sequence number, and events dispatch in strict ``(time, seq)`` order.
-That total order is what every ``fct_digest``/``interval_digest`` pins,
-so the four calls differ only in what they hand back:
+sequence number, and every event dispatches in strict ``(time, seq)``
+order, with no exception.  That total order is what every
+``fct_digest``/``interval_digest`` pins, so the four calls differ only
+in what they hand back:
 
 * ``schedule``/``at`` return an :class:`EventHandle` for events that
   something may cancel (the host wake timer).
 * ``post``/``post_at`` are fire-and-forget: same ordering, no handle,
   no way to cancel.  A caller that may lose interest guards inside the
-  callback instead (see the deadline guards in
-  :class:`~repro.simulator.dcqcn.DcqcnRp`).
-* :meth:`~Simulator.coalesce_at` lets callbacks that share an *exact*
-  float deadline ride one heap entry, created by (and ordered as) the
-  first of them; members run in arrival order.  A member therefore
-  runs no later than it would have on its own entry, ahead only of
-  events with the identical timestamp scheduled in between — sound
-  for callbacks that commute with those (DESIGN.md, engine section).
+  callback instead.
+
+State that changes on a fixed clock but is read only at a few points
+need not be an event at all: :class:`~repro.simulator.dcqcn.DcqcnRp`
+keeps its timers as deadlines and catches them up when the QP is
+observed (DESIGN.md, engine section).
 
 Performance notes
 -----------------
@@ -40,7 +39,7 @@ Sifts inside :func:`heapq.heappush`/``heappop`` compare C-level
 compared), and the dispatch loop unpacks the popped tuple straight
 into the call — no per-event object, no attribute chasing.  Only the
 cancellable calls allocate an :class:`EventHandle`; on the packet
-path (two link events per hop, PFC signals, RP timers) nothing does.
+path (two link events per hop, PFC signals) nothing does.
 
 Cancellation stays lazy (O(1)): the entry is skipped when popped, the
 engine counts cancelled entries still parked in the heap and compacts
@@ -58,7 +57,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
 #: Compact the heap once more than this many cancelled entries are
 #: parked in it *and* they outnumber the live ones (>50% cancelled).
@@ -124,8 +123,6 @@ class Simulator:
         self._heap: list = []
         self._seq = itertools.count()
         self._next_seq = self._seq.__next__
-        # Pending coalesce_at() deadlines: exact time -> callbacks.
-        self._batches: Dict[float, List[Callable[[], Any]]] = {}
         self._events_dispatched = 0
         self._cancelled = 0
         self._compactions = 0
@@ -182,28 +179,6 @@ class Simulator:
                 f"cannot schedule at {time!r}, which is before now={self.now!r}"
             )
         _heappush(self._heap, (time, self._next_seq(), fn, args, None))
-
-    def coalesce_at(self, time: float, fn: Callable[[], Any]) -> None:
-        """Run ``fn()`` at ``time`` on a heap entry shared by deadline.
-
-        The first callback posted for an exact ``time`` creates the
-        entry (and fixes its place in the ``(time, seq)`` order); later
-        ones for the same float join it and run after it, in arrival
-        order.  Not cancellable.  See the module docstring for what
-        that does to ordering.
-        """
-        batch = self._batches.get(time)
-        if batch is None:
-            self._batches[time] = [fn]
-            self.post_at(time, self._run_batch, time)
-        else:
-            batch.append(fn)
-
-    def _run_batch(self, time: float) -> None:
-        # Popped first: a callback re-arming for this same instant
-        # starts a fresh batch behind everything already scheduled.
-        for fn in self._batches.pop(time):
-            fn()
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Like :meth:`post`, returning a handle that can cancel the event."""

@@ -10,7 +10,9 @@ Roles implemented here:
 
 * **RP** (sender): one :class:`~repro.simulator.dcqcn.DcqcnRp` per QP;
   pacing interval is ``wire_bits / rc`` measured from the start of each
-  transmission.
+  transmission.  QPs waiting for the wire sit in a heap keyed by
+  ``(next_allowed, admission order)``: the earliest pacing deadline
+  goes next, ties to the oldest QP.
 * **NP** (receiver): on an ECN-marked data packet, send a CNP back to
   the sender, at most once per ``min_time_between_cnps`` per flow.
 * **Prober**: emits small PROBE packets that ride the *data* class (so
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.simulator.dcqcn import DcqcnParams, DcqcnRp
 from repro.simulator.engine import EventHandle, Simulator
@@ -37,7 +40,6 @@ _CNP = PacketKind.CNP
 _PROBE = PacketKind.PROBE
 _PROBE_ACK = PacketKind.PROBE_ACK
 _ACK = PacketKind.ACK
-_INF = float("inf")
 
 
 @dataclass
@@ -52,14 +54,18 @@ class HostConfig:
 
 
 class SenderQp:
-    """Sender-side queue pair: a flow plus its DCQCN reaction point."""
+    """Sender-side queue pair: a flow plus its DCQCN reaction point.
 
-    __slots__ = ("flow", "rp", "next_allowed")
+    ``order`` is the QP's admission number on its host's egress, the
+    tie-break between equal pacing deadlines.
+    """
 
-    def __init__(self, flow: Flow, rp: DcqcnRp, now: float):
+    __slots__ = ("flow", "rp", "order")
+
+    def __init__(self, flow: Flow, rp: DcqcnRp):
         self.flow = flow
         self.rp = rp
-        self.next_allowed = now
+        self.order = 0
 
 
 class HostEgress:
@@ -75,9 +81,11 @@ class HostEgress:
         self.pause = PauseState(sim)
         self.control: Deque[Packet] = deque()
         self.qps: Dict[int, SenderQp] = {}
+        # (next_allowed, order, qp) for every QP not on the wire.
+        self._pacing: List[Tuple[float, int, SenderQp]] = []
+        self._admitted = 0
         self.busy = False
         self._wake: Optional[EventHandle] = None
-        self._on_sender_done: Optional[Callable[[SenderQp], None]] = None
         # Data-plane bytes only (excludes CNPs/probes); feeds O_TP.
         self.data_tx_bytes = 0
 
@@ -88,7 +96,11 @@ class HostEgress:
         self.kick()
 
     def add_qp(self, qp: SenderQp) -> None:
+        """Admit ``qp``; it may send at once."""
+        qp.order = self._admitted
+        self._admitted += 1
         self.qps[qp.flow.flow_id] = qp
+        _heappush(self._pacing, (self.sim.now, qp.order, qp))
         self.kick()
 
     def set_paused(self, paused: bool) -> None:
@@ -108,18 +120,14 @@ class HostEgress:
         elif self.pause.paused:
             return
         else:
-            # Earliest pacing deadline; ties go to the oldest QP.  (A
-            # plain loop: min(..., key=attrgetter) measures 2x slower.)
-            earliest = _INF
-            for candidate in self.qps.values():
-                if candidate.next_allowed < earliest:
-                    earliest = candidate.next_allowed
-                    qp = candidate
-            if qp is None:
+            pacing = self._pacing
+            if not pacing:
                 return
+            earliest = pacing[0][0]
             if earliest > self.sim.now:
                 self._schedule_wake(earliest)
                 return
+            qp = _heappop(pacing)[2]
             packet = self._build_data(qp)
         self.busy = True
         self._post(
@@ -163,14 +171,15 @@ class HostEgress:
         self._post(link.prop_delay, self._dst_receive, packet, link.dst_port)
         if qp is not None:
             self.data_tx_bytes += size
-            qp.rp.on_packet_sent(size)
-            # Pace from the start of this transmission at the current rate.
-            qp.next_allowed = start + size * 8.0 / qp.rp.rc
+            rate = qp.rp.on_packet_sent(size)
             if packet.last:  # the flow has nothing left to send
                 qp.rp.stop()
                 self.qps.pop(qp.flow.flow_id, None)
-                if self._on_sender_done is not None:
-                    self._on_sender_done(qp)
+            else:
+                # Pace from the start of this transmission at the current rate.
+                _heappush(
+                    self._pacing, (start + size * 8.0 / rate, qp.order, qp)
+                )
         self.busy = False
         self.kick()
 
@@ -193,7 +202,7 @@ class Host:
         self.sim = sim
         self.host_id = host_id
         self.name = name
-        self.params = params
+        self._params = params
         self.config = config or HostConfig()
         self.config.validate()
         self.cc_mode = cc_mode
@@ -214,6 +223,19 @@ class Host:
         self.rx_data_packets = 0
         self.cnps_sent = 0
         self.probes_sent = 0
+
+    @property
+    def params(self) -> DcqcnParams:
+        """The DCQCN knobs this RNIC's NP and every DCQCN QP read."""
+        return self._params
+
+    @params.setter
+    def params(self, params: DcqcnParams) -> None:
+        # Timer expiries up to now apply under the knobs in force then.
+        if self.egress is not None:
+            for qp in self.egress.qps.values():
+                qp.rp.catch_up()
+        self._params = params
 
     # ------------------------------------------------------------------
     # Wiring
@@ -245,9 +267,9 @@ class Host:
             swift_params = self.swift_params or SwiftParams()
             rp = SwiftCc(self.sim, self.line_rate, lambda: swift_params)
         else:
-            rp = DcqcnRp(self.sim, self.line_rate, lambda: self.params)
+            rp = DcqcnRp(self.sim, self.line_rate, lambda: self._params)
         rp.start()
-        qp = SenderQp(flow, rp, self.sim.now)
+        qp = SenderQp(flow, rp)
         self.egress.add_qp(qp)
         return qp
 
@@ -312,7 +334,7 @@ class Host:
         """NP role: per-flow CNP pacing at ``min_time_between_cnps``."""
         now = self.sim.now
         last = self._np_last_cnp.get(packet.flow_id)
-        if last is not None and now - last < self.params.min_time_between_cnps:
+        if last is not None and now - last < self._params.min_time_between_cnps:
             return
         self._np_last_cnp[packet.flow_id] = now
         self.cnps_sent += 1

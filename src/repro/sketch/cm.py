@@ -103,7 +103,6 @@ class CountMinSketch:
         # Pair each row view with its hash once; the scalar insert loop
         # then walks a prebuilt list instead of zipping per call.
         self._lanes = list(zip(self._table, self._hashes))
-        self.total_inserted = 0
 
     def bind(self, table: np.ndarray) -> None:
         """Move the counters into ``table`` and count there from now on.
@@ -130,7 +129,6 @@ class CountMinSketch:
         width = self.width
         for row, h in self._lanes:
             row[h(key) % width] += value
-        self.total_inserted += value
 
     def insert_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Add many ``(key, value)`` pairs in one vectorized pass.
@@ -146,7 +144,6 @@ class CountMinSketch:
         if values.min() < 0:
             raise ValueError("value must be >= 0")
         insert_stacked(self._table[None], self.mixed_seeds[None], 0, keys, values)
-        self.total_inserted += int(values.sum())
 
     def query(self, key: int) -> int:
         width = self.width
@@ -161,7 +158,6 @@ class CountMinSketch:
 
     def reset(self) -> None:
         self._table.fill(0)
-        self.total_inserted = 0
 
     def memory_bytes(self, counter_bytes: int = 4) -> int:
         """Modeled SRAM footprint (Table IV style accounting).

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -159,12 +158,6 @@ class ElasticSketch:
         self._lambda = self.config.ostracism_lambda
         #: Lifetime eviction count (diagnostics; survives resets).
         self.evictions = 0
-        #: Evictions since the last register clear (per monitor interval).
-        self.interval_evictions = 0
-        #: ``interval_evictions`` of the interval most recently closed
-        #: by :meth:`read_and_reset_arrays`.
-        self.last_interval_evictions = 0
-        self.total_bytes = 0
         ElasticStack([self])
 
     def _bind(self, stack: "ElasticStack", slot: int) -> None:
@@ -196,7 +189,6 @@ class ElasticSketch:
             raise ValueError("nbytes must be >= 0")
         if flow_id < 0:
             raise ValueError("flow_id must be >= 0")
-        self.total_bytes += nbytes
         index = hash32(flow_id, self._bucket_seed) % self._n_buckets
         fids = self._flow_id
         pos = self._pos
@@ -226,7 +218,6 @@ class ElasticSketch:
             neg[index] = 0
             self._flag[index] = True
             self.evictions += 1
-            self.interval_evictions += 1
         else:
             self._light.insert(flow_id, nbytes)
 
@@ -253,8 +244,7 @@ class ElasticSketch:
         Bucket-index order, one row per occupied bucket.  Every flow
         hashes to exactly one bucket so the ids are distinct; a flagged
         resident's estimate adds its Light-Part count.  ``evictions``
-        (the lifetime total) survives the clear; ``interval_evictions``
-        is latched into :attr:`last_interval_evictions` and restarts.
+        (the lifetime total) survives the clear.
         """
         _, ids, estimates, _ = self._stack.read_and_reset(self._slot, self._slot + 1)
         return ids, estimates
@@ -352,14 +342,10 @@ class ElasticStack:
         n_buckets = self.n_buckets
         one = hi - lo == 1
         if one:
-            # One member: scalar seed and counters.
-            self.sketches[lo].total_bytes += int(vals.sum())
+            # One member: a scalar seed.
             key = mod32(hash32_mixed(ids, self.bucket_mixed[lo]), n_buckets)
         else:
             sizes = [part.size for part in id_parts]
-            starts = list(accumulate(sizes[:-1], initial=0))
-            for slot, total in zip(slots, np.add.reduceat(vals, starts).tolist()):
-                self.sketches[slot].total_bytes += total
             member = np.repeat(np.asarray(slots, dtype=np.intp) - lo, sizes)
             key = mod32(hash32_mixed(ids, self.bucket_mixed[lo + member]), n_buckets)
             key += (member * n_buckets).astype(np.uint32)
@@ -455,25 +441,16 @@ class ElasticStack:
                 ).tolist()
             for sketch, count in zip(self.sketches[lo:hi], counts):
                 sketch.evictions += count
-                sketch.interval_evictions += count
         keys = np.concatenate(spill_keys)
         if not keys.size:
             return
         # Count-min addition commutes exactly, so the Light Part takes
         # every round's spill as one scatter.
-        vals = np.concatenate(spill_vals)
-        light = self.light[lo:hi]
-        mixed = self.light_mixed[lo:hi]
-        if one:
-            insert_stacked(light, mixed, 0, keys, vals)
-            self.sketches[lo]._light.total_inserted += int(vals.sum())
-        else:
-            which = np.concatenate(spill_rows) // n_buckets
-            insert_stacked(light, mixed, which, keys, vals)
-            totals = np.zeros(hi - lo, dtype=np.int64)
-            np.add.at(totals, which, vals)
-            for sketch, total in zip(self.sketches[lo:hi], totals.tolist()):
-                sketch._light.total_inserted += total
+        which = 0 if one else np.concatenate(spill_rows) // n_buckets
+        insert_stacked(
+            self.light[lo:hi], self.light_mixed[lo:hi], which, keys,
+            np.concatenate(spill_vals),
+        )
 
     def read(
         self, lo: int, hi: int
@@ -508,18 +485,11 @@ class ElasticStack:
         self.neg[rows].fill(0)
         self.flag[rows].fill(False)
         self.light[lo:hi].fill(0)
-        for sketch in self.sketches[lo:hi]:
-            sketch.total_bytes = 0
-            sketch.interval_evictions = 0
-            sketch._light.total_inserted = 0
 
     def read_and_reset(
         self, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`read` then :meth:`reset`, latching each member's
-        ``last_interval_evictions`` in between."""
+        """:meth:`read` then :meth:`reset`."""
         result = self.read(lo, hi)
-        for sketch in self.sketches[lo:hi]:
-            sketch.last_interval_evictions = sketch.interval_evictions
         self.reset(lo, hi)
         return result

@@ -20,6 +20,11 @@ arms of Fig. 10, so the two ablation agents are pinned end to end too:
 values recorded at commit 0ed5f06, before they moved onto the columnar
 FSD kernel and the switch observation buffer.
 
+The flight-recorder pins fix the per-interval QP rows (rate, alpha,
+CNP counts) that ``make report`` plots: values recorded at commit
+e206590, before the DCQCN reaction point's timers became lazy, so a
+row that read stale timer state would move them.
+
 The batched-SA pins in between fix the offline SA driver
 (``batched_anneal``) at three fidelities: values recorded at commit
 02c573c, before it and the control plane's per-tenant retunes shared
@@ -51,12 +56,15 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import install_influx, make_network, make_tuner
 from repro.parallel import ScenarioSpec, SweepExecutor
 from repro.parallel.sa import batched_anneal
-from repro.parallel.tasks import fct_digest, interval_digest
-from repro.simulator.units import mb
+from repro.parallel.tasks import EvalTask, evaluate_task, fct_digest, interval_digest
+from repro.simulator import host as host_module
+from repro.simulator.units import mb, us
+from repro.telemetry import recorder
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
-from repro.tuning.parameters import default_params, default_space
+from repro.tuning.parameters import default_params, default_space, expert_params
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
+from tests.eager_rp import EagerDcqcnRp
 
 
 def _pins(network, result) -> dict:
@@ -114,6 +122,14 @@ def test_all_to_all_matches_recorded_digests(flow_size):
     assert _all_to_all(flow_size) == ALL_TO_ALL_PINS[flow_size]
 
 
+@pytest.mark.parametrize("flow_size", sorted(ALL_TO_ALL_PINS))
+def test_eager_reference_rp_matches_the_same_pins(flow_size, monkeypatch):
+    """The per-tick reference RP, one event per timer tick, lands on
+    the pins the lazy RP holds."""
+    monkeypatch.setattr(host_module, "DcqcnRp", EagerDcqcnRp)
+    assert _all_to_all(flow_size) == ALL_TO_ALL_PINS[flow_size]
+
+
 #: scheme -> pins of the influx scenario, one per Fig. 10 monitor arm:
 #: the sliding-window sketch pipeline, the naive single-interval
 #: Elastic Sketch and 1:100 NetFlow (recorded at commit 0ed5f06).
@@ -154,6 +170,100 @@ def test_paraleon_influx_matches_recorded_digests(scheme):
     install_influx(network, influx_start=0.003, influx_duration=0.003)
     result = ExperimentRunner(network, make_tuner(scheme)).run(0.008)
     assert _pins(network, result) == INFLUX_PINS[scheme]
+
+
+# ---------------------------------------------------------------------------
+# Flight recorder: the QP rows behind the report's rate/alpha plot
+# ---------------------------------------------------------------------------
+
+
+def _qp_rows_digest(recording) -> str:
+    return hashlib.sha256(repr(sorted(recording["qp"].items())).encode()).hexdigest()
+
+
+#: scenario -> digest of the recording's ``qp`` rows (n, rate_mean,
+#: rate_min, alpha_mean, alpha_max, cnps per interval).
+QP_ROW_PINS = {
+    # `make report`: run --scheme paraleon --scale small --duration 0.02.
+    "report": "2c80157f4c38df17876f5eb5d65fbb47caac6a9d41629711aabf3440a1a0d11d",
+    # The influx pin's scenario: seven mid-run parameter dispatches.
+    "influx": "604a7108e3657fe4bb98334d53b86aa4826ef277607a2ebc467a6940c5dd715b",
+}
+
+
+def _recorded_qp_rows(scenario: str) -> str:
+    recorder.configure(None)
+    try:
+        if scenario == "report":
+            spec = ScenarioSpec(
+                workload="hadoop", scale="small", duration=0.02, seed=1,
+                workload_seed=1,
+            )
+            recording = evaluate_task(
+                EvalTask(scenario=spec, seed=1, scheme="paraleon")
+            ).recording
+        else:
+            network = make_network("small", seed=1)
+            install_influx(network, influx_start=0.003, influx_duration=0.003)
+            recording = ExperimentRunner(network, make_tuner("paraleon")).run(
+                0.008
+            ).recording
+    finally:
+        recorder.disable()
+    return _qp_rows_digest(recording)
+
+
+@pytest.mark.parametrize("scenario", list(QP_ROW_PINS))
+def test_recorded_qp_rows_match_recorded(scenario):
+    assert _recorded_qp_rows(scenario) == QP_ROW_PINS[scenario]
+
+
+#: The expert setting with the knobs the RP timers read changed too.
+_SWAPPED = expert_params().copy(
+    dce_tcp_g=1.0 / 16, rpg_time_reset=us(100.0), rpg_threshold=2
+)
+
+
+def _swap_at_a_tick(assign) -> dict:
+    """Run the influx scenario, swap to :data:`_SWAPPED` at the exact
+    instant a QP's increase timer expires, and run on."""
+    network = make_network("small", seed=1)
+    install_influx(network, influx_start=0.003, influx_duration=0.003)
+    network.run_until(0.002)
+    qp = next(qp for host in network.hosts for qp in host.egress.qps.values())
+    qp.rp.catch_up()
+    tick = qp.rp._increase_deadline
+    network.run_until(tick)
+    # Nothing reads a QP between the clock and the swap: the knob
+    # writer alone must catch them up.
+    if assign is not None:
+        assign(network, _SWAPPED)
+    network.run_until(0.006)
+    return {
+        "tick": tick,
+        "end": network.qp_sample(),
+        "fct": fct_digest(network.records),
+        "hops": sum(host.egress.link.tx_packets for host in network.hosts),
+        "ecn": network.total_ecn_marked(),
+    }
+
+
+def _assign_each_device(network, params) -> None:
+    for host in network.hosts:
+        host.params = params.copy()
+    for switch in network.switches:
+        switch.params = params.copy()
+
+
+def test_host_params_assignment_at_a_tick_matches_set_all_params(monkeypatch):
+    """Any writer of ``Host.params`` catches the QPs up first: a swap
+    at a timer's expiry instant through the attribute, through
+    ``set_all_params`` and under the per-tick reference RP agree."""
+    by_network = _swap_at_a_tick(lambda net, params: net.set_all_params(params))
+    assert _swap_at_a_tick(_assign_each_device) == by_network
+    assert _swap_at_a_tick(None) != by_network          # the swap mattered
+    monkeypatch.setattr(host_module, "DcqcnRp", EagerDcqcnRp)
+    assert _swap_at_a_tick(_assign_each_device) == by_network
 
 
 # ---------------------------------------------------------------------------

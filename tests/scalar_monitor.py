@@ -11,6 +11,8 @@ shipped path to it bit for bit:
   inserts packet by packet through the scalar ``ElasticSketch.insert``;
 * :func:`query`, :func:`read_heavy_arrays` and :func:`unattributed_bytes`
   — one sketch's per-flow estimate, resident read and Light-Part residue;
+* :func:`light_bytes` and :func:`stored_bytes` — the bytes a count-min
+  and an Elastic Sketch hold, read off their registers;
 * :func:`read_heavy`, :func:`read_and_reset`, :func:`netflow_read_and_reset`
   — the dict forms of the sketch and NetFlow reads;
 * :class:`FlowStateEntry` and :class:`SlidingWindowClassifier` — the
@@ -44,6 +46,7 @@ from repro.monitor.states import (
     check_knobs,
 )
 from repro.simulator.units import mb
+from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from repro.sketch.hashing import hash32
 from repro.sketch.netflow import NetFlowMonitor
@@ -84,11 +87,32 @@ def read_heavy_arrays(sketch: ElasticSketch) -> Tuple[np.ndarray, np.ndarray]:
     return ids, estimates
 
 
+def light_bytes(cm: CountMinSketch) -> int:
+    """Bytes inserted into ``cm`` since its last clear.
+
+    Every insert adds its value to exactly one cell of each row, so
+    each row sums to the same total; this asserts that and returns it.
+    """
+    rows = cm._table.sum(axis=1).tolist()
+    assert len(set(rows)) == 1, f"count-min rows disagree: {rows}"
+    return rows[0]
+
+
+def stored_bytes(sketch: ElasticSketch) -> int:
+    """Bytes inserted into ``sketch`` since its last register clear.
+
+    Each inserted byte sits in exactly one place: its resident's
+    ``vote+``, or the Light Part (a collider's bytes, or an ostracized
+    resident's ``vote+``).  ``vote-`` only re-counts colliders' bytes.
+    """
+    return int(sketch._pos.sum()) + light_bytes(sketch._light)
+
+
 def unattributed_bytes(sketch: ElasticSketch) -> int:
     """Bytes in the Light Part not claimed by a flagged resident."""
     flagged = sketch._flow_id[(sketch._flow_id >= 0) & sketch._flag]
     claimed = sum(sketch._light.query(flow_id) for flow_id in flagged.tolist())
-    return max(sketch._light.total_inserted - claimed, 0)
+    return max(light_bytes(sketch._light) - claimed, 0)
 
 
 def read_heavy(sketch: ElasticSketch) -> Dict[int, int]:

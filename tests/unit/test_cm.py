@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sketch.cm import CountMinSketch
+from tests.scalar_monitor import light_bytes
 
 
 def test_validation():
@@ -34,14 +35,14 @@ def test_reset():
     cm.insert(1, 10)
     cm.reset()
     assert cm.query(1) == 0
-    assert cm.total_inserted == 0
+    assert light_bytes(cm) == 0
 
 
 def test_total_inserted():
     cm = CountMinSketch(64, depth=2, seed=1)
     cm.insert(1, 10)
     cm.insert(2, 20)
-    assert cm.total_inserted == 30
+    assert light_bytes(cm) == 30
 
 
 def test_memory_accounting():

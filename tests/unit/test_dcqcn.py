@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulator.dcqcn import DcqcnParams, DcqcnRp, ecn_mark_probability
 from repro.simulator.engine import Simulator
-from repro.simulator.units import gbps, kb, mbps, us
+from repro.simulator.units import gbps, kb, mbps, ms, us
+from tests.eager_rp import EagerDcqcnRp
 
 LINE = gbps(10.0)
 
@@ -39,6 +40,7 @@ def test_default_params_valid():
         {"p_max": 1.5},
         {"min_time_between_cnps": -1.0},
         {"rpg_time_reset": 0.0},
+        {"dce_tcp_rtt": 0.0},
     ],
 )
 def test_invalid_params_rejected(overrides):
@@ -257,17 +259,18 @@ def test_self_rearming_ticks_leave_no_phantom_cancellations(sim, params):
     assert sim.pending_events == 0
 
 
-def test_timers_with_a_shared_deadline_share_one_event(sim, params):
+def test_rp_timers_post_no_engine_events(sim, params):
     rps = [make_rp(sim, params) for _ in range(16)]
     for rp in rps:
         rp.start()
-    # 16 QPs x 2 timers, but only two distinct deadlines.
-    assert sim.pending_events == 2
+    assert sim.pending_events == 0
     for rp in rps:
         rp.on_cnp()
     sim.run_until(params.dce_tcp_rtt * 3.5)
     assert len({rp.alpha for rp in rps}) == 1          # all ticked alike
-    assert sim.events_dispatched == 3                   # one per deadline
+    assert rps[0].alpha < rps[0].params_ref().initial_alpha
+    assert sim.events_dispatched == 0
+    assert sim.pending_events == 0
 
 
 def test_rate_cut_supersedes_the_pending_increase_tick(sim, params):
@@ -328,3 +331,93 @@ def test_rp_invariants_under_arbitrary_event_sequences(events):
         assert params.rpg_min_rate <= rp.rc <= LINE
         assert 0.0 < rp.alpha <= 1.0
         assert rp.rt <= LINE
+
+
+# ---------------------------------------------------------------------------
+# Lazy timers against the eager per-tick reference
+# ---------------------------------------------------------------------------
+
+#: Knob swaps over the tuning space's ranges of the timer-driven knobs;
+#: 55 us (= dce_tcp_rtt) makes both timers of a QP expire together.
+_SWAPS = st.fixed_dictionaries(
+    {
+        "dce_tcp_g": st.sampled_from([1.0 / 1024, 1.0 / 256, 1.0 / 16])
+        | st.floats(1.0 / 1024, 1.0 / 16),
+        "rpg_time_reset": st.sampled_from([us(50), us(55), us(300), us(1200)])
+        | st.floats(us(50), us(1200)),
+        "rpg_threshold": st.integers(1, 10),
+        "rpg_ai_rate": st.floats(mbps(10), mbps(500)),
+        "rpg_hai_rate": st.floats(mbps(50), mbps(2000)),
+    }
+)
+
+_RP_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["start", "stop", "cnp"]), st.none()),
+        st.tuples(st.just("sent"), st.integers(1, 40_000)),
+        st.tuples(st.just("swap"), _SWAPS),
+        st.tuples(st.just("run"), st.floats(0.0, ms(2.0))),
+        st.tuples(st.just("deadline"), st.sampled_from(["alpha", "increase"])),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _observed(rp):
+    """Every timer-driven field; the public reads come first and catch
+    a lazy QP up, so the private ones after them are as of ``now``."""
+    return (
+        rp.rc, rp.rt, rp.alpha, rp.increase_events,
+        rp._byte_counter, rp._byte_stage, rp._time_stage, rp._increase_iter,
+        rp._cnp_seen_since_alpha_timer, rp._alpha_deadline,
+        rp._increase_deadline, rp.cnps_received, rp.rate_cuts, rp.active,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(ops=_RP_OPS)
+def test_lazy_timers_match_the_eager_reference(ops):
+    """Property: whatever interleaving of start/stop, CNPs, sent bytes,
+    knob swaps and clock advances (also to the exact instant a timer
+    expires), the lazy RP — whether read after every step or only at
+    the end — is bit-equal to one that runs every tick as an event, and
+    ``rc in [rpg_min_rate, line]``, ``alpha in (0, 1]`` hold throughout.
+    """
+    current = [DcqcnParams()]
+    eager_sim, lazy_sim = Simulator(), Simulator()
+    eager = EagerDcqcnRp(eager_sim, LINE, lambda: current[0])
+    read = DcqcnRp(lazy_sim, LINE, lambda: current[0])     # read every step
+    quiet = DcqcnRp(lazy_sim, LINE, lambda: current[0])    # read at the end
+    rps = (eager, read, quiet)
+    for kind, arg in ops:
+        if kind == "start":
+            for rp in rps:
+                rp.start()
+        elif kind == "stop":
+            for rp in rps:
+                rp.stop()
+        elif kind == "cnp":
+            for rp in rps:
+                rp.on_cnp()
+        elif kind == "sent":
+            for rp in rps:
+                rp.on_packet_sent(arg)
+        elif kind == "swap":
+            read.catch_up()                   # what Host.params' setter does
+            quiet.catch_up()
+            current[0] = current[0].copy(**arg)
+        else:
+            if kind == "run":
+                end = eager_sim.now + arg
+            else:
+                end = getattr(eager, f"_{arg}_deadline")
+                if end == float("inf"):
+                    continue
+            eager_sim.run_until(end)
+            lazy_sim.run_until(end)
+        assert _observed(read) == _observed(eager)
+        assert current[0].rpg_min_rate <= read.rc <= LINE
+        assert 0.0 < read.alpha <= 1.0
+        assert lazy_sim.pending_events == 0
+    assert _observed(quiet) == _observed(eager)

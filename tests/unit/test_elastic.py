@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
-from tests.scalar_monitor import query, read_and_reset, read_heavy, unattributed_bytes
+from tests.scalar_monitor import (
+    query,
+    read_and_reset,
+    read_heavy,
+    stored_bytes,
+    unattributed_bytes,
+)
 
 
 def make_sketch(**kwargs) -> ElasticSketch:
@@ -63,7 +69,7 @@ def test_read_and_reset_clears_state():
     assert result == {1: 100}
     assert query(sketch, 1) == 0
     assert read_heavy(sketch) == {}
-    assert sketch.total_bytes == 0
+    assert stored_bytes(sketch) == 0
 
 
 def test_ostracism_evicts_weak_resident():
@@ -92,7 +98,7 @@ def test_byte_conservation_across_parts():
         nbytes = rng.randrange(1, 2000)
         sketch.insert(flow, nbytes)
         total += nbytes
-    assert sketch.total_bytes == total
+    assert stored_bytes(sketch) == total
     # Per-flow estimates must cover at least the heavy residents' truth.
     heavy = read_heavy(sketch)
     assert sum(heavy.values()) <= total * 2  # light-part overcount bounded
@@ -154,7 +160,7 @@ def test_total_bytes_invariant(inserts):
     for flow, nbytes in inserts:
         sketch.insert(flow, nbytes)
         total += nbytes
-    assert sketch.total_bytes == total
+    assert stored_bytes(sketch) == total
 
 
 def test_unattributed_bytes_tracks_light_part_residue():

@@ -367,7 +367,7 @@ def test_run_matches_run_until_under_cancellation(delays, cancel_mod):
 
 
 # ---------------------------------------------------------------------------
-# Handle-free events, coalesced deadlines, detached handles
+# Handle-free events, detached handles
 # ---------------------------------------------------------------------------
 
 
@@ -388,35 +388,6 @@ def test_post_rejects_the_past(sim):
         sim.post(-1e-9, lambda: None)
     with pytest.raises(SimulationError):
         sim.post_at(0.5, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.coalesce_at(0.5, lambda: None)
-
-
-def test_coalesce_at_shares_one_event_per_exact_deadline(sim):
-    fired = []
-    sim.coalesce_at(1.0, lambda: fired.append("a"))
-    sim.post_at(1.0, fired.append, "between")
-    sim.coalesce_at(1.0, lambda: fired.append("b"))   # joins a's entry
-    sim.coalesce_at(2.0, lambda: fired.append("c"))
-    assert sim.pending_events == 3
-    sim.run()
-    # b rides a's entry, so it runs ahead of the same-time event that
-    # was scheduled before it; members keep their arrival order.
-    assert fired == ["a", "b", "between", "c"]
-    assert sim.events_dispatched == 3
-
-
-def test_coalesce_at_rearm_for_same_instant_starts_a_new_batch(sim):
-    fired = []
-
-    def first():
-        fired.append("first")
-        sim.coalesce_at(1.0, lambda: fired.append("again"))
-
-    sim.coalesce_at(1.0, first)
-    sim.post_at(1.0, fired.append, "other")
-    sim.run()
-    assert fired == ["first", "other", "again"]
 
 
 def test_late_cancel_of_a_fired_handle_is_a_noop(sim):
@@ -452,31 +423,23 @@ class _ReferenceCalendar:
     def __init__(self):
         self.now = 0.0
         self.seq = 0
-        self.entries = []     # (time, seq, key); key: tag or ("batch", time)
-        self.batches = {}     # time -> [tag, ...]
+        self.entries = []     # (time, seq, tag)
 
-    def push(self, time, key):
-        self.entries.append((time, self.seq, key))
+    def push(self, time, tag):
+        self.entries.append((time, self.seq, tag))
         self.seq += 1
-
-    def coalesce(self, time, tag):
-        if time in self.batches:
-            self.batches[time].append(tag)
-        else:
-            self.batches[time] = [tag]
-            self.push(time, ("batch", time))
 
     def cancel(self, tag):
         self.entries = [e for e in self.entries if e[2] != tag]
 
     def pop_due(self, end_time):
-        """Tags run by the next entry due by ``end_time`` (None if none)."""
+        """Tag of the next entry due by ``end_time`` (None if none)."""
         if not self.entries or min(self.entries)[0] > end_time:
             return None
         entry = min(self.entries)
         self.entries.remove(entry)
-        self.now, _, key = entry
-        return self.batches.pop(key[1]) if isinstance(key, tuple) else [key]
+        self.now, _, tag = entry
+        return tag
 
 
 _TIMES = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
@@ -484,7 +447,7 @@ _TIMES = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
 _OPS = st.lists(
     st.one_of(
         st.tuples(
-            st.sampled_from(["schedule", "at", "post", "post_at", "coalesce"]),
+            st.sampled_from(["schedule", "at", "post", "post_at"]),
             _TIMES,
         ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
@@ -531,7 +494,7 @@ def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
             fired.append((sim.now, tag))
             invariant()
             if not nested and tag % 3 == 0:
-                add("schedule" if tag % 2 else "coalesce", sim.now + 0.25, True)
+                add("schedule" if tag % 2 else "post_at", sim.now + 0.25, True)
             if tag % 4 == 0:
                 cancel(tag)
 
@@ -541,15 +504,10 @@ def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
             handles[tag] = sim.at(time, fn)
         elif kind == "post":
             sim.post(delay, fn)
-        elif kind == "post_at":
-            sim.post_at(time, fn)
         else:
-            sim.coalesce_at(time, fn)
+            sim.post_at(time, fn)
         if ref is not None:
-            if kind == "coalesce":
-                ref.coalesce(time, tag)
-            else:
-                ref.push(sim.now + delay if kind in ("schedule", "post") else time, tag)
+            ref.push(sim.now + delay if kind in ("schedule", "post") else time, tag)
 
     def cancel(index):
         if handles:
@@ -562,12 +520,12 @@ def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
         while max_events != 0:
             # Popped before the engine steps, so a nested cancel of the
             # event now firing finds nothing pending in the oracle either.
-            due = ref.pop_due(end_time)
-            if due is None:
+            tag = ref.pop_due(end_time)
+            if tag is None:
                 break
             start = len(fired)
             assert sim.step() is True
-            assert fired[start:] == [(ref.now, tag) for tag in due]
+            assert fired[start:] == [(ref.now, tag)]
             max_events -= 1
 
     engine_module._COMPACT_MIN_CANCELLED, saved = (
@@ -608,7 +566,7 @@ def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
 
 @given(ops=_OPS)
 def test_dispatch_matches_sorted_list_model(ops):
-    """Property: whatever mix of schedule/at/post/post_at/coalesce_at,
+    """Property: whatever mix of schedule/at/post/post_at,
     cancel (early and late), step and run_until a program makes — also
     from inside callbacks — the engine dispatches exactly what a sorted
     ``(time, seq)`` list would, and ``cancelled_pending`` always equals

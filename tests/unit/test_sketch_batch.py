@@ -17,7 +17,14 @@ from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
 from repro.sketch.hashing import hash32, hash32_array, mod32
 from repro.telemetry.registry import get_registry
-from tests.scalar_monitor import query, read_heavy, read_heavy_arrays, unattributed_bytes
+from tests.scalar_monitor import (
+    light_bytes,
+    query,
+    read_heavy,
+    read_heavy_arrays,
+    stored_bytes,
+    unattributed_bytes,
+)
 
 
 def elastic_state(sketch: ElasticSketch) -> tuple:
@@ -28,10 +35,8 @@ def elastic_state(sketch: ElasticSketch) -> tuple:
         sketch._neg.tolist(),
         sketch._flag.tolist(),
         sketch._light._table.tolist(),
-        sketch._light.total_inserted,
-        sketch.total_bytes,
+        stored_bytes(sketch),
         sketch.evictions,
-        sketch.interval_evictions,
     )
 
 
@@ -120,7 +125,7 @@ def test_cm_insert_batch_equals_sequential(inserts, chunk_sizes):
         vals = np.asarray([v for _, v in chunk], dtype=np.int64)
         batched.insert_batch(keys, vals)
     assert batched._table.tolist() == sequential._table.tolist()
-    assert batched.total_inserted == sequential.total_inserted
+    assert light_bytes(batched) == sum(value for _, value in inserts)
     probe = np.asarray(sorted({k for k, _ in inserts}), dtype=np.int64)
     assert batched.query_batch(probe).tolist() == [
         sequential.query(int(k)) for k in probe
@@ -296,7 +301,7 @@ def test_stacked_sketches_behave_as_alone():
     twin_middle = alone[1].read_and_reset_arrays()
     assert [a.tolist() for a in middle] == [a.tolist() for a in twin_middle]
     assert read_heavy(stacked[1]) == {}
-    assert stacked[1].last_interval_evictions == alone[1].last_interval_evictions
+    assert stacked[1].evictions == alone[1].evictions
     keys, ids, estimates, ends = stack.read_and_reset(0, 3)
     assert ends.tolist()[1] == ends.tolist()[0]   # the middle slice is empty
     lo = 0
@@ -307,7 +312,7 @@ def test_stacked_sketches_behave_as_alone():
             assert estimates[lo:hi].tolist() == twin_estimates.tolist()
             assert (keys[lo:hi] // 8 == member).all()
         lo = hi
-    assert all(read_heavy(s) == {} and s.total_bytes == 0 for s in stacked)
+    assert all(read_heavy(s) == {} and stored_bytes(s) == 0 for s in stacked)
     with pytest.raises(ValueError, match="shape"):
         ElasticStack([ElasticSketch(config(1)), ElasticSketch(ElasticSketchConfig())])
     other_lambda = ElasticSketchConfig(
@@ -376,9 +381,10 @@ def test_stack_insert_equals_lone_and_scalar_sketches(
         for flow, nbytes in stream:
             scalar[i].insert(flow, nbytes)
     stack.insert(head + tail[::-1])
-    for got, alone, reference in zip(stacked, lone, scalar):
+    for got, alone, reference, stream in zip(stacked, lone, scalar, streams):
         assert elastic_state(got) == elastic_state(alone) == elastic_state(reference)
         assert read_heavy(got) == read_heavy(reference)
+        assert stored_bytes(got) == sum(nbytes for _, nbytes in stream)
 
 
 @pytest.mark.parametrize(
@@ -400,7 +406,7 @@ def test_stack_insert_checks_every_chunk_first(bad, message):
     good = (0, np.array([1, 2]), np.array([10, 20]))
     with pytest.raises(ValueError, match=message):
         stack.insert([good, (slot, np.array(ids), np.array(vals))])
-    assert all(s.total_bytes == 0 and read_heavy(s) == {} for s in sketches)
+    assert all(stored_bytes(s) == 0 and read_heavy(s) == {} for s in sketches)
     assert not stack.light.any()
 
 
@@ -414,7 +420,7 @@ def test_elastic_batch_rejects_bad_input():
         sketch.insert_batch(np.asarray([1, 2]), np.asarray([1, 2, 3]))
     # Empty batches are a no-op, not an error.
     sketch.insert_batch(np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
-    assert sketch.total_bytes == 0
+    assert stored_bytes(sketch) == 0
 
 
 @pytest.mark.parametrize(
@@ -430,7 +436,7 @@ def test_elastic_batch_rejects_non_integer_arrays(flow_ids, nbytes, name):
     sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=4))
     with pytest.raises(ValueError, match=f"{name} must be an integer array"):
         sketch.insert_batch(np.asarray(flow_ids), np.asarray(nbytes))
-    assert sketch.total_bytes == 0
+    assert stored_bytes(sketch) == 0
     assert read_heavy(sketch) == {}
 
 
@@ -442,32 +448,29 @@ def test_cm_batch_rejects_non_integer_arrays(keys, values, name):
     cm = CountMinSketch(width=64, depth=2, seed=1)
     with pytest.raises(ValueError, match=f"{name} must be an integer array, got float64"):
         cm.insert_batch(np.asarray(keys), np.asarray(values))
-    assert cm.total_inserted == 0
+    assert light_bytes(cm) == 0
     # Unsigned and narrow integer arrays are integers all the same.
     cm.insert_batch(np.asarray([7], dtype=np.uint16), np.asarray([2], dtype=np.int8))
     assert cm.query(7) == 2
 
 
 def test_eviction_counters_split_interval_from_lifetime():
+    """``evictions`` is a lifetime count that survives the register
+    clear; an interval's evictions are its increment between reads."""
     sketch = ElasticSketch(
         ElasticSketchConfig(heavy_buckets=1, ostracism_lambda=1.0)
     )
     sketch.insert(1, 100)
     sketch.insert(2, 100)  # evicts flow 1
     assert sketch.evictions == 1
-    assert sketch.interval_evictions == 1
 
-    sketch.read_and_reset_arrays()
-    # The interval counter restarts; the lifetime total and the latched
-    # last-interval value survive the register clear.
-    assert sketch.interval_evictions == 0
-    assert sketch.last_interval_evictions == 1
-    assert sketch.evictions == 1
+    ids, _ = sketch.read_and_reset_arrays()
+    assert ids.tolist() == [2]
+    assert sketch.evictions == 1           # survives the clear
+    assert stored_bytes(sketch) == 0
 
     sketch.insert(3, 100)
     sketch.insert(4, 100)  # evicts flow 3
-    assert sketch.interval_evictions == 1
-    assert sketch.evictions == 2
+    assert sketch.evictions - 1 == 1       # this interval's one eviction
     sketch.read_and_reset_arrays()
-    assert sketch.last_interval_evictions == 1
     assert sketch.evictions == 2
