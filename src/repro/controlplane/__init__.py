@@ -21,7 +21,7 @@ from repro.controlplane.service import (
     ControlPlaneService,
     run_day_in_the_life,
 )
-from repro.controlplane.shards import RangeCollector, ShardBatch
+from repro.controlplane.shards import RangeBatch, RangeCollector
 from repro.controlplane.tenants import TenantTrigger, TenantTriggerBank
 from repro.controlplane.topology import ShardTopology
 from repro.controlplane.traffic import TenantProfile, TrafficConfig, TrafficShift
@@ -33,8 +33,8 @@ __all__ = [
     "DedupViolation",
     "HierarchicalAggregator",
     "MultiplexedTuner",
+    "RangeBatch",
     "RangeCollector",
-    "ShardBatch",
     "ShardTopology",
     "TenantProfile",
     "TenantRetune",

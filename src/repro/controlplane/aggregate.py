@@ -7,23 +7,29 @@ Python object per report: a 31-float histogram tuple, two weight
 floats and a per-flow state dict each.  At 1000+ agents that walk *is*
 the control-plane hot path.  The :class:`HierarchicalAggregator`
 replaces it with one preallocated ``(n_agents, 31)`` histogram matrix
-plus weight/tracked lanes; shards write rows, and the three tiers
-reduce with ``np.add.reduceat`` over contiguous rack/pod ranges.
+plus weight/tracked lanes; each collector's
+:class:`~repro.controlplane.shards.RangeBatch` writes its rows with one
+slice per lane, and the tiers reduce with ``np.add.reduceat`` over
+contiguous rack/pod ranges.
 
 Bit-identity contract (the bench gate):
 
 * **Size-bucket counts** are small integers stored in float64 — sums are
   exact at every tier, so rack → pod → global reduceat equals the flat
-  one-shot column sum bit-for-bit regardless of grouping.
+  one-shot column sum bit-for-bit regardless of grouping, and a
+  tenant's histogram is the sum of its racks' rows (tenancy is per
+  rack).
 * **Weights** are fractional (PE likelihood ``cum/tau``), so float
   addition is *not* associative and a tiered sum would drift from the
   flat merge.  Per-agent weight lanes are therefore carried to the
-  global tier untouched and reduced there left to right in canonical
-  agent order (:func:`~repro.simulator.ordered.ordered_sum`) — the
-  exact operand sequence ``merge_distributions`` performs.
+  global tier untouched and folded there left to right from ``0.0`` in
+  canonical agent order — the exact operand sequence
+  ``merge_distributions`` performs.  Every lane, global and per tenant,
+  is one row of a single :func:`ordered_row_sums` call, which equals
+  :func:`~repro.simulator.ordered.ordered_sum` of each row bit for bit.
 
 Dedup invariant (TOS-bit analogue): every flow is measured at exactly
-one agent, expressed here as disjoint per-shard flow-id ranges, and
+one agent, expressed here as disjoint per-shard flow-id claims, and
 tracked-flow counts are conserved across tiers.  :meth:`
 HierarchicalAggregator.verify_dedup` checks both and raises
 :class:`DedupViolation` on overlap — merged FSDs are only meaningful
@@ -39,7 +45,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.controlplane.shards import ShardBatch, shard_columns
+from repro.controlplane.shards import RangeBatch, shard_columns
 from repro.controlplane.topology import ShardTopology
 from repro.controlplane.traffic import TrafficConfig
 from repro.monitor.fsd import (
@@ -47,13 +53,28 @@ from repro.monitor.fsd import (
     FlowSizeDistribution,
     merge_distributions,
 )
-from repro.simulator.ordered import ordered_sum
 
 _DIGEST_STRUCT = struct.Struct("<" + "d" * (2 + HISTOGRAM_BUCKETS))
 
 
 class DedupViolation(ValueError):
     """Two aggregation inputs claim the same flow (TOS dedup broken)."""
+
+
+def ordered_row_sums(rows) -> np.ndarray:
+    """:func:`~repro.simulator.ordered.ordered_sum` of every row, bit for bit.
+
+    Folds the last axis as ``0.0 + r0 + r1 + ...`` strictly left to
+    right: ``np.add.accumulate`` is a running sum, one add per element
+    in order, where ``np.sum`` would add pairwise.  The leading ``+0.0``
+    column is ``ordered_sum``'s start value (it turns a lone ``-0.0``
+    into ``+0.0``); a fold that starts at ``+0.0`` never reaches
+    ``-0.0``, so trailing ``+0.0`` padding leaves a row's sum unchanged.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    folded = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    folded[..., 1:] = rows
+    return np.add.accumulate(folded, axis=-1)[..., -1]
 
 
 def fsd_digest(fsd: FlowSizeDistribution) -> str:
@@ -89,34 +110,50 @@ class HierarchicalAggregator:
         self.topology = topology
         n = topology.n_agents
         self._hist = np.zeros((n, HISTOGRAM_BUCKETS))
-        self._elephant = np.zeros(n)
-        self._mice = np.zeros(n)
+        # Both weight lanes and one +0.0 pad slot in a single vector,
+        # so one gather lays out every fold (see _fold_index).
+        self._lanes = np.zeros(2 * n + 1)
+        self._elephant = self._lanes[:n]
+        self._mice = self._lanes[n : 2 * n]
         self._tracked = np.zeros(n, dtype=np.int64)
         self._filled = np.zeros(n, dtype=bool)
-        self._ranges: List[Tuple[int, int, int]] = []  # (lo, hi, shard)
+        self._batches: List[RangeBatch] = []
         self._interval = -1
         self._rack_starts = topology.rack_starts()
         self._pod_starts = topology.pod_starts()
-        self._tenant_index = [
+        # Fold rows, tenant-major: (global, tenant 0, ...) × (elephant,
+        # mice), each its agents in canonical order, padded at the end
+        # with the +0.0 slot up to the global row's n agents.
+        n_groups = 1 + topology.n_tenants
+        self._fold_index = np.full((n_groups, 2, n), 2 * n)
+        groups = [np.arange(n)] + [
             topology.tenant_agent_index(t) for t in range(topology.n_tenants)
         ]
+        for row, agents in zip(self._fold_index, groups):
+            row[0, : agents.size] = agents
+            row[1, : agents.size] = n + agents
 
     def begin_interval(self, interval: int) -> None:
+        # The lanes are not zeroed: aggregate() refuses to run until
+        # every row has been written again this interval.
         self._interval = interval
-        self._hist[:] = 0.0
-        self._elephant[:] = 0.0
-        self._mice[:] = 0.0
-        self._tracked[:] = 0
         self._filled[:] = False
-        self._ranges = []
+        self._batches = []
 
-    def ingest(self, batch: ShardBatch) -> None:
-        """Write one shard's per-agent rows into the tier matrix."""
+    def ingest(self, batch: RangeBatch) -> None:
+        """Write one collector's rows into the tier matrix."""
         if batch.interval != self._interval:
             raise ValueError(
                 f"batch interval {batch.interval} != current {self._interval}"
             )
         lo, hi = batch.agent_lo, batch.agent_hi
+        # The claims chain lo -> ... -> hi: each starts where the last ended.
+        if not np.array_equal(
+            np.append(lo, batch.shard_agent_hi), np.append(batch.shard_agent_lo, hi)
+        ):
+            raise DedupViolation(
+                f"the shard claims of agents [{lo}, {hi}) do not tile them"
+            )
         if self._filled[lo:hi].any():
             raise DedupViolation(
                 f"agents [{lo}, {hi}) reported twice in interval "
@@ -127,19 +164,25 @@ class HierarchicalAggregator:
         self._mice[lo:hi] = batch.mice
         self._tracked[lo:hi] = batch.tracked
         self._filled[lo:hi] = True
-        self._ranges.append((batch.flow_id_lo, batch.flow_id_hi, batch.shard_id))
+        self._batches.append(batch)
 
     def verify_dedup(self) -> None:
-        """Disjoint flow-id ranges across shards, or DedupViolation."""
-        spans = sorted(self._ranges)
-        for (a_lo, a_hi, a_shard), (b_lo, b_hi, b_shard) in zip(
-            spans, spans[1:]
-        ):
-            if b_lo < a_hi:
-                raise DedupViolation(
-                    f"flow-id ranges of shards {a_shard} and {b_shard} "
-                    f"overlap: [{a_lo}, {a_hi}) vs [{b_lo}, {b_hi})"
-                )
+        """Disjoint flow-id claims across shards, or DedupViolation."""
+        if not self._batches:
+            return
+        lo, hi, shard = (
+            np.concatenate([getattr(b, lane) for b in self._batches])
+            for lane in ("flow_id_lo", "flow_id_hi", "shard_ids")
+        )
+        order = np.lexsort((shard, hi, lo))
+        lo, hi, shard = lo[order], hi[order], shard[order]
+        overlap = np.flatnonzero(lo[1:] < hi[:-1])
+        if overlap.size:
+            a, b = overlap[0], overlap[0] + 1
+            raise DedupViolation(
+                f"flow-id ranges of shards {shard[a]} and {shard[b]} "
+                f"overlap: [{lo[a]}, {hi[a]}) vs [{lo[b]}, {hi[b]})"
+            )
 
     def aggregate(self) -> AggregationResult:
         """Reduce the filled matrix through all three tiers."""
@@ -152,26 +195,23 @@ class HierarchicalAggregator:
         # Integer-count histograms: exact at every tier, any grouping.
         rack_hist = np.add.reduceat(self._hist, self._rack_starts, axis=0)
         pod_hist = np.add.reduceat(rack_hist, self._pod_starts, axis=0)
-        global_hist = np.add.reduceat(
-            pod_hist, np.array([0]), axis=0
-        )[0]
-        # Fractional weights: sequential canonical-order sum at the
-        # global tier only (see module docstring).
-        global_fsd = FlowSizeDistribution(
-            elephant_weight=ordered_sum(self._elephant.tolist()),
-            mice_weight=ordered_sum(self._mice.tolist()),
-            histogram=tuple(float(v) for v in global_hist),
-        )
-        tenant_fsds = []
-        for index in self._tenant_index:
-            tenant_hist = np.sum(self._hist[index], axis=0)
-            tenant_fsds.append(
-                FlowSizeDistribution(
-                    elephant_weight=ordered_sum(self._elephant[index].tolist()),
-                    mice_weight=ordered_sum(self._mice[index].tolist()),
-                    histogram=tuple(float(v) for v in tenant_hist),
-                )
+        global_hist = pod_hist.sum(axis=0)
+        n_tenants = self.topology.n_tenants
+        hists = [global_hist] + [
+            rack_hist[tenant::n_tenants].sum(axis=0)
+            for tenant in range(n_tenants)
+        ]
+        # Fractional weights: every lane folded left to right in
+        # canonical agent order (see module docstring).
+        weights = ordered_row_sums(self._lanes[self._fold_index]).tolist()
+        global_fsd, *tenant_fsds = (
+            FlowSizeDistribution(
+                elephant_weight=elephant,
+                mice_weight=mice,
+                histogram=tuple(hist.tolist()),
             )
+            for (elephant, mice), hist in zip(weights, hists)
+        )
         tracked = int(self._tracked.sum())
         # Tier conservation: the global histogram mass must equal the
         # tracked-flow count (each flow lands in exactly one bucket of

@@ -6,8 +6,8 @@ intervals over ``n_shards × agents_per_shard`` ToR agents:
 1. **Collect** — one vectorised pass of the run's
    :class:`~repro.controlplane.shards.RangeCollector` (built once, at
    the start of the run) over every agent yields one columnar batch
-   per shard.
-2. **Aggregate** — the batches reduce rack → pod → global through the
+   carrying every shard's dedup claim.
+2. **Aggregate** — the batch reduces rack → pod → global through the
    :class:`~repro.controlplane.aggregate.HierarchicalAggregator`, with
    the dedup invariant verified and the global FSD digest recorded.
 3. **Account** — message bytes per tier (paper Table IV): every agent
@@ -248,10 +248,9 @@ class ControlPlaneService:
             # of what collection costs, and is traced as such.
             collector = RangeCollector(topo, config.traffic)
             for interval in range(config.intervals):
-                batches = collector.collect(interval)
+                batch = collector.collect(interval)
                 self.aggregator.begin_interval(interval)
-                for batch in batches:
-                    self.aggregator.ingest(batch)
+                self.aggregator.ingest(batch)
                 agg: AggregationResult = self.aggregator.aggregate()
 
                 agent_rack = topo.n_agents * switch_size

@@ -61,6 +61,14 @@ class ShardTopology:
                 f"{self.n_racks} racks do not fill whole pods of "
                 f"{self.racks_per_pod}"
             )
+        if self.n_tenants > self.n_racks:
+            # Tenancy is per rack: a tenant beyond the rack count would
+            # own no agent, so its FSD stays empty and no shift of its
+            # traffic could ever fire a trigger.
+            raise ValueError(
+                f"n_tenants {self.n_tenants} exceeds the {self.n_racks} "
+                f"racks; a tenant must own at least one rack"
+            )
 
     # -- sizes ---------------------------------------------------------
 

@@ -40,6 +40,7 @@ leaves only the threshold compares and selects to the interval.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -95,6 +96,10 @@ def _class_size(u_size: np.ndarray, tau: int, code: int) -> np.ndarray:
     return 64 + (u_size * (tau // 16)).astype(np.int64)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TenantProfile:
     """One tenant's traffic mix."""
@@ -130,6 +135,25 @@ class TrafficConfig:
         TenantProfile(0.12, 0.12),
     )
     shifts: Tuple[TrafficShift, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.flows_per_agent) or self.flows_per_agent < 1:
+            raise ValueError(
+                f"flows_per_agent must be a positive integer, got "
+                f"{self.flows_per_agent!r}"
+            )
+        if not self.profiles:
+            raise ValueError("profiles must hold at least one TenantProfile")
+        # Mice are [64, 64 + tau//16) bytes, PE flows [tau/2, tau) and
+        # elephants [tau, 16·tau) (_class_size): a tau that lets the
+        # mice reach the PE range would mislabel sizes, and tau <= 0
+        # divides by zero or inverts the ranges.
+        if not _is_int(self.tau) or 64 + max(self.tau // 16, 1) > self.tau // 2:
+            raise ValueError(
+                f"tau must be an integer byte count that keeps mice "
+                f"[64, 64 + tau//16) below PE flows [tau/2, tau), got "
+                f"{self.tau!r}"
+            )
 
     def profile_at(self, tenant: int, interval: int) -> TenantProfile:
         """The profile ``tenant`` runs during ``interval`` (shifts applied)."""

@@ -23,7 +23,8 @@ FSD kernel and the switch observation buffer.
 The flight-recorder pins fix the per-interval QP rows (rate, alpha,
 CNP counts) that ``make report`` plots: values recorded at commit
 e206590, before the DCQCN reaction point's timers became lazy, so a
-row that read stale timer state would move them.
+row that read stale timer state would move them (the ``report-influx``
+pin, ``make report``'s scenario since, at commit fec9009).
 
 The batched-SA pins in between fix the offline SA driver
 (``batched_anneal``) at three fidelities: values recorded at commit
@@ -58,6 +59,7 @@ from repro.parallel import ScenarioSpec, SweepExecutor
 from repro.parallel.sa import batched_anneal
 from repro.parallel.tasks import EvalTask, evaluate_task, fct_digest, interval_digest
 from repro.simulator import host as host_module
+from repro.simulator.topology import SPECS
 from repro.simulator.units import mb, us
 from repro.telemetry import recorder
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
@@ -184,38 +186,62 @@ def _qp_rows_digest(recording) -> str:
 #: scenario -> digest of the recording's ``qp`` rows (n, rate_mean,
 #: rate_min, alpha_mean, alpha_max, cnps per interval).
 QP_ROW_PINS = {
-    # `make report`: run --scheme paraleon --scale small --duration 0.02.
+    # run --scheme paraleon --scale small --duration 0.02 on the default
+    # hadoop (load 0.3) workload, which `make report` recorded until it
+    # moved to influx: 0-2 active QPs, below line rate in 3 of 20
+    # intervals, so the rate/alpha plot had little to show.
     "report": "2c80157f4c38df17876f5eb5d65fbb47caac6a9d41629711aabf3440a1a0d11d",
+    # `make report`: the same run on --workload influx (recorded at
+    # commit fec9009).
+    "report-influx": "ae73395ff35f7db2d538af591c8039cd97fb9a5488aac73ee2beb95d592ae90e",
     # The influx pin's scenario: seven mid-run parameter dispatches.
     "influx": "604a7108e3657fe4bb98334d53b86aa4826ef277607a2ebc467a6940c5dd715b",
 }
 
+#: QP_ROW_PINS scenario -> workload of its ``repro run`` command line.
+_RUN_WORKLOADS = {"report": "hadoop", "report-influx": "influx"}
 
-def _recorded_qp_rows(scenario: str) -> str:
+
+def _recording(scenario: str) -> dict:
     recorder.configure(None)
     try:
-        if scenario == "report":
+        if scenario in _RUN_WORKLOADS:
             spec = ScenarioSpec(
-                workload="hadoop", scale="small", duration=0.02, seed=1,
-                workload_seed=1,
+                workload=_RUN_WORKLOADS[scenario], scale="small",
+                duration=0.02, seed=1, workload_seed=1,
             )
-            recording = evaluate_task(
+            return evaluate_task(
                 EvalTask(scenario=spec, seed=1, scheme="paraleon")
             ).recording
-        else:
-            network = make_network("small", seed=1)
-            install_influx(network, influx_start=0.003, influx_duration=0.003)
-            recording = ExperimentRunner(network, make_tuner("paraleon")).run(
-                0.008
-            ).recording
+        network = make_network("small", seed=1)
+        install_influx(network, influx_start=0.003, influx_duration=0.003)
+        return ExperimentRunner(network, make_tuner("paraleon")).run(
+            0.008
+        ).recording
     finally:
         recorder.disable()
-    return _qp_rows_digest(recording)
 
 
 @pytest.mark.parametrize("scenario", list(QP_ROW_PINS))
 def test_recorded_qp_rows_match_recorded(scenario):
-    assert _recorded_qp_rows(scenario) == QP_ROW_PINS[scenario]
+    assert _qp_rows_digest(_recording(scenario)) == QP_ROW_PINS[scenario]
+
+
+def intervals_below_line_rate(recording) -> int:
+    """Intervals in which some active QP sends below the host line rate."""
+    qp = recording["qp"]
+    line = SPECS["small"].host_rate_bps
+    return sum(
+        n > 0 and rate_min < line for n, rate_min in zip(qp["n"], qp["rate_min"])
+    )
+
+
+def test_report_scenario_keeps_a_qp_below_line_rate():
+    """`make report`'s rate/alpha plot needs DCQCN at work: an active QP
+    below line rate in at least half the recorded intervals (the hadoop
+    scenario it replaced has one in 3 of 20)."""
+    recording = _recording("report-influx")
+    assert 2 * intervals_below_line_rate(recording) >= len(recording["qp"]["n"])
 
 
 #: The expert setting with the knobs the RP timers read changed too.
@@ -391,8 +417,7 @@ def test_cp_day_interval_digests_match_recorded(seed):
     digests = []
     for interval in (0, 8):
         aggregator.begin_interval(interval)
-        for batch in collector.collect(interval):
-            aggregator.ingest(batch)
+        aggregator.ingest(collector.collect(interval))
         digests.append(aggregator.aggregate().digest[:16])
     assert tuple(digests) == CP_DAY_INTERVAL_PINS[seed]
 

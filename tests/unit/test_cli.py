@@ -220,6 +220,8 @@ def test_repro_trace_is_the_default_of_trace(tmp_path, monkeypatch):
         ["--theta", "nan"],
         ["--theta", "inf"],
         ["--theta", "-0.01"],
+        # One rack of 64 agents: tenant 1 would own nothing.
+        ["--agents-per-rack", "64", "--racks-per-pod", "1", "--tenants", "2"],
     ],
 )
 def test_controlplane_rejects_a_shift_that_cannot_happen(flags, capsys):
