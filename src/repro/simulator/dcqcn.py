@@ -305,7 +305,9 @@ class DcqcnRp:
         """
         if not self._active:
             return self._rc
-        self.catch_up()
+        now = self.sim.now
+        if self._alpha_deadline <= now or self._increase_deadline <= now:
+            self.catch_up()
         self._byte_counter += wire_bytes
         params = self.params_ref()
         while self._byte_counter >= params.rpg_byte_reset:

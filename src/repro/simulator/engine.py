@@ -25,6 +25,25 @@ in what they hand back:
   no way to cancel.  A caller that may lose interest guards inside the
   callback instead.
 
+The packet path has a fifth way in, the heap itself.  The two events
+of a packet-hop (last bit leaves the egress, first bit reaches the far
+end) are pushed by the egress ports as
+``heappush(sim.heap, (time, sim.next_seq(), fn, args, None))``:
+
+* ``heap`` is the calendar, a list that is only ever mutated in place,
+  so a port may bind it once;
+* ``next_seq`` draws the next sequence number, the same counter every
+  scheduling call draws from;
+* an entry is ``(time, seq, fn, args, None)`` with ``time >= now``;
+  the last field is ``None`` because nothing cancels a hop.
+
+A direct push is exactly the entry ``post_at`` would have made, minus
+its check that ``time`` is not in the past.  The pushers take their
+delays from a :class:`~repro.simulator.link.Link`, which accepts only
+a finite rate > 0 and a finite propagation delay >= 0, so every
+``time`` they compute is ``>= now``.  Every other caller goes through
+the four checked calls.
+
 State that changes on a fixed clock but is read only at a few points
 need not be an event at all: :class:`~repro.simulator.dcqcn.DcqcnRp`
 keeps its timers as deadlines and catches them up when the QP is
@@ -39,7 +58,8 @@ Sifts inside :func:`heapq.heappush`/``heappop`` compare C-level
 compared), and the dispatch loop unpacks the popped tuple straight
 into the call — no per-event object, no attribute chasing.  Only the
 cancellable calls allocate an :class:`EventHandle`; on the packet
-path (two link events per hop, PFC signals) nothing does.
+path (two link events per hop, PFC signals) nothing does, and the hop
+events skip the scheduling call's Python frame too (see above).
 
 Cancellation stays lazy (O(1)): the entry is skipped when popped, the
 engine counts cancelled entries still parked in the heap and compacts
@@ -114,15 +134,17 @@ class Simulator:
         sim.run_until(1.0)
 
     ``now`` is the current simulated time in seconds; read it freely,
-    only the engine writes it.
+    only the engine writes it.  ``heap`` and ``next_seq`` are the
+    calendar and its sequence counter, public for the packet path's
+    direct pushes only (module docstring).
     """
 
     def __init__(self) -> None:
         self.now = 0.0
         # Heap of (time, seq, fn, args, handle|None) — see module docstring.
-        self._heap: list = []
+        self.heap: list = []
         self._seq = itertools.count()
-        self._next_seq = self._seq.__next__
+        self.next_seq = self._seq.__next__
         self._events_dispatched = 0
         self._cancelled = 0
         self._compactions = 0
@@ -136,7 +158,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Events still in the heap, including lazily cancelled ones."""
-        return len(self._heap)
+        return len(self.heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -157,7 +179,7 @@ class Simulator:
         """
         return {
             "events_dispatched": self._events_dispatched,
-            "heap_size": len(self._heap),
+            "heap_size": len(self.heap),
             "cancelled_pending": self._cancelled,
             "compactions": self._compactions,
         }
@@ -170,7 +192,7 @@ class Simulator:
         """Run ``fn(*args)`` ``delay`` seconds from now; not cancellable."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        _heappush(self._heap, (self.now + delay, self._next_seq(), fn, args, None))
+        _heappush(self.heap, (self.now + delay, self.next_seq(), fn, args, None))
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute ``time``; not cancellable."""
@@ -178,7 +200,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before now={self.now!r}"
             )
-        _heappush(self._heap, (time, self._next_seq(), fn, args, None))
+        _heappush(self.heap, (time, self.next_seq(), fn, args, None))
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Like :meth:`post`, returning a handle that can cancel the event."""
@@ -196,7 +218,7 @@ class Simulator:
 
     def _push_handle(self, time: float, fn: Callable[..., Any], args: tuple) -> EventHandle:
         handle = EventHandle(time, self)
-        _heappush(self._heap, (time, self._next_seq(), fn, args, handle))
+        _heappush(self.heap, (time, self.next_seq(), fn, args, handle))
         # Cancelled entries only come from handles, and whoever cancels
         # re-arms through here, so this is the one push that checks.
         if self._cancelled > _COMPACT_MIN_CANCELLED:
@@ -209,7 +231,7 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        heap = self._heap
+        heap = self.heap
         while heap and heap[0][4] is not None and heap[0][4].cancelled:
             _heappop(heap)
             self._cancelled -= 1
@@ -249,10 +271,10 @@ class Simulator:
         """
         limit = -1 if max_events is None else max_events
         dispatched = 0
-        # Hot loop: bind everything to locals.  ``self._heap`` is only
+        # Hot loop: bind everything to locals.  ``self.heap`` is only
         # ever mutated in place (push/pop/compact), so the local alias
         # stays valid across callbacks that schedule or cancel.
-        heap = self._heap
+        heap = self.heap
         pop = _heappop
         was_running, self._running = self._running, True
         try:
@@ -279,7 +301,7 @@ class Simulator:
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap in place once cancelled entries dominate."""
-        heap = self._heap
+        heap = self.heap
         if self._cancelled * 2 < len(heap):
             return
         # In-place so aliases held by a running dispatch loop stay live.

@@ -22,17 +22,29 @@ Roles implemented here:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.simulator.dcqcn import DcqcnParams, DcqcnRp
 from repro.simulator.engine import EventHandle, Simulator
 from repro.simulator.flow import Flow
 from repro.simulator.link import Link, PauseState
-from repro.simulator.packet import Packet, PacketKind, data_packet, cnp_packet
-from repro.simulator.units import DEFAULT_MTU
+from repro.simulator.packet import (
+    FREE_LIST,
+    FREE_LIST_MAX,
+    INITIAL_TTL,
+    Packet,
+    PacketKind,
+    cnp_packet,
+    next_packet_id,
+)
+from repro.simulator.units import DEFAULT_MTU, HEADER_BYTES
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simulator.stats import StatsCollector
 
 # Module constants: enum member lookup is slow on the per-packet path.
 _DATA = PacketKind.DATA
@@ -42,15 +54,16 @@ _PROBE_ACK = PacketKind.PROBE_ACK
 _ACK = PacketKind.ACK
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostConfig:
-    """Per-host NIC configuration."""
+    """Per-host NIC configuration (frozen: the egress copies ``mtu``
+    when the uplink is attached)."""
 
     mtu: int = DEFAULT_MTU
 
     def validate(self) -> None:
-        if self.mtu <= 0:
-            raise ValueError("mtu must be positive")
+        if not (math.isfinite(self.mtu) and self.mtu > 0):
+            raise ValueError(f"HostConfig.mtu must be finite and > 0, got {self.mtu!r}")
 
 
 class SenderQp:
@@ -75,9 +88,15 @@ class HostEgress:
         self.sim = sim
         self.link = link
         self.mtu = mtu
-        # Bound once for the per-packet serialization loop.
-        self._post = sim.post
+        # Bound once for the two heap pushes per packet (the engine's
+        # direct-push contract) and this port's own finish callback.
+        self._heap = sim.heap
+        self._next_seq = sim.next_seq
+        self._sec_per_byte = link.sec_per_byte
+        self._prop_delay = link.prop_delay
         self._dst_receive = link.dst.receive
+        self._dst_port = link.dst_port
+        self._kick = self.kick
         self.pause = PauseState(sim)
         self.control: Deque[Packet] = deque()
         self.qps: Dict[int, SenderQp] = {}
@@ -110,13 +129,48 @@ class HostEgress:
 
     # -- scheduling ----------------------------------------------------
 
-    def kick(self) -> None:
-        """Try to start a transmission if the serializer is idle."""
-        if self.busy:
+    def kick(
+        self,
+        done: Optional[Packet] = None,
+        qp: Optional[SenderQp] = None,
+        start: float = 0.0,
+    ) -> None:
+        """Finish ``done``, then start the next transmission if any.
+
+        ``done`` is the packet whose last bit just left, ``qp`` the QP
+        that sent it (None for control) and ``start`` the time its
+        first bit went out: this method is the serialization-finish
+        event it pushes for every packet.  Called with nothing, it is a
+        kick: start a transmission if the serializer is idle.  The next
+        data packet is built here, from the free-list when it can be.
+        """
+        now = self.sim.now
+        if done is not None:
+            link = self.link
+            size = done.wire_size
+            link.tx_bytes += size
+            link.tx_packets += 1
+            _heappush(self._heap, (
+                now + self._prop_delay, self._next_seq(),
+                self._dst_receive, (done, self._dst_port), None,
+            ))
+            if qp is not None:
+                self.data_tx_bytes += size
+                rate = qp.rp.on_packet_sent(size)
+                if done.last:  # the flow has nothing left to send
+                    qp.rp.stop()
+                    self.qps.pop(qp.flow.flow_id, None)
+                else:
+                    # Pace from the start of this transmission at the current rate.
+                    _heappush(
+                        self._pacing, (start + size * 8.0 / rate, qp.order, qp)
+                    )
+            self.busy = False
+        elif self.busy:
             return
-        qp: Optional[SenderQp] = None
         if self.control:
             packet = self.control.popleft()
+            qp = None
         elif self.pause.paused:
             return
         else:
@@ -124,16 +178,44 @@ class HostEgress:
             if not pacing:
                 return
             earliest = pacing[0][0]
-            if earliest > self.sim.now:
+            if earliest > now:
                 self._schedule_wake(earliest)
                 return
             qp = _heappop(pacing)[2]
-            packet = self._build_data(qp)
+            flow = qp.flow
+            seq = flow.bytes_sent
+            remaining = flow.size - seq
+            payload = min(self.mtu, remaining)
+            if FREE_LIST:
+                packet = FREE_LIST.pop()
+                packet.pkt_id = next_packet_id()
+                packet.kind = _DATA
+                packet.is_control = False
+                packet.flow_id = flow.flow_id
+                packet.src = flow.src
+                packet.dst = flow.dst
+                packet.seq = seq
+                packet.payload = payload
+                packet.wire_size = payload + HEADER_BYTES
+                packet.ecn = False
+                packet.sketch_marked = False
+                packet.ttl = INITIAL_TTL
+                packet.last = payload == remaining
+                packet.ingress_port = -1
+                packet.probe_hops = 0
+                packet.pooled = False
+            else:
+                packet = Packet(
+                    _DATA, flow.flow_id, flow.src, flow.dst,
+                    payload=payload, seq=seq, last=payload == remaining,
+                )
+            packet.sent_at = now  # echoed by Swift-style ACKs
+            flow.bytes_sent = seq + payload
         self.busy = True
-        self._post(
-            packet.wire_size * self.link.sec_per_byte,
-            self._finish, packet, qp, self.sim.now,
-        )
+        _heappush(self._heap, (
+            now + packet.wire_size * self._sec_per_byte, self._next_seq(),
+            self._kick, (packet, qp, now), None,
+        ))
 
     def _schedule_wake(self, at_time: float) -> None:
         if self._wake is not None:
@@ -144,43 +226,6 @@ class HostEgress:
 
     def _wake_fired(self) -> None:
         self._wake = None
-        self.kick()
-
-    def _build_data(self, qp: SenderQp) -> Packet:
-        flow = qp.flow
-        remaining = flow.remaining_to_send
-        payload = min(self.mtu, remaining)
-        packet = data_packet(
-            flow.flow_id,
-            flow.src,
-            flow.dst,
-            payload=payload,
-            seq=flow.bytes_sent,
-            last=(payload == remaining),
-        )
-        packet.sent_at = self.sim.now  # echoed by Swift-style ACKs
-        flow.bytes_sent += payload
-        return packet
-
-    def _finish(self, packet: Packet, qp: Optional[SenderQp], start: float) -> None:
-        """Last bit on the wire: count, propagate, pace the QP, go on."""
-        link = self.link
-        size = packet.wire_size
-        link.tx_bytes += size
-        link.tx_packets += 1
-        self._post(link.prop_delay, self._dst_receive, packet, link.dst_port)
-        if qp is not None:
-            self.data_tx_bytes += size
-            rate = qp.rp.on_packet_sent(size)
-            if packet.last:  # the flow has nothing left to send
-                qp.rp.stop()
-                self.qps.pop(qp.flow.flow_id, None)
-            else:
-                # Pace from the start of this transmission at the current rate.
-                _heappush(
-                    self._pacing, (start + size * 8.0 / rate, qp.order, qp)
-                )
-        self.busy = False
         self.kick()
 
 
@@ -214,8 +259,13 @@ class Host:
         # Notification Point state: flow id -> last CNP emission time.
         self._np_last_cnp: Dict[int, float] = {}
 
-        # Callbacks wired by the Network.
-        self.on_data: Optional[Callable[[Packet], None]] = None
+        # Delivery bookkeeping, wired by the Network (:meth:`track_flows`):
+        # flow id -> Flow for the flows this host may receive, the stats
+        # collector whose open interval delivered bytes are booked to,
+        # and who to tell when a flow's last byte is in.
+        self._flows: Dict[int, Flow] = {}
+        self._stats: Optional["StatsCollector"] = None
+        self._on_flow_done: Optional[Callable[[Flow], None]] = None
         self.on_rtt_sample: Optional[Callable[[int, int, float, int], None]] = None
 
         # Counters.
@@ -248,6 +298,23 @@ class Host:
         self.egress = HostEgress(self.sim, link, self.config.mtu)
         self.line_rate = link.rate_bps
         return 0
+
+    def track_flows(
+        self,
+        flows: Dict[int, Flow],
+        stats: "StatsCollector",
+        on_flow_done: Callable[[Flow], None],
+    ) -> None:
+        """Book delivered data against ``flows`` (read live, not copied).
+
+        Each delivered data packet adds its payload to its flow's
+        ``bytes_received`` and to ``stats.flow_bytes`` (the open
+        interval's oracle table); ``on_flow_done(flow)`` runs once, when
+        a flow has received all of its bytes.
+        """
+        self._flows = flows
+        self._stats = stats
+        self._on_flow_done = on_flow_done
 
     # ------------------------------------------------------------------
     # Sending
@@ -288,20 +355,35 @@ class Host:
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
+        """Deliver ``packet``.
+
+        A data packet is one frame unless it needs a CNP or ACK or
+        completes its flow: count it, book its payload to its flow and
+        to the interval's oracle table, and hand the packet back to the
+        free-list (the destination host is its final consumer).
+        """
         kind = packet.kind
         if kind == _DATA:
-            self.rx_bytes += packet.payload
+            payload = packet.payload
+            flow_id = packet.flow_id
+            self.rx_bytes += payload
             self.rx_data_packets += 1
             if self.cc_mode == "swift":
                 self._send_ack(packet)
             elif packet.ecn:
                 self._maybe_send_cnp(packet)
             if packet.last:
-                self._np_last_cnp.pop(packet.flow_id, None)
-            if self.on_data is not None:
-                self.on_data(packet)
-            # The destination host is the packet's final consumer.
-            packet.release()
+                self._np_last_cnp.pop(flow_id, None)
+            flow = self._flows.get(flow_id)
+            if flow is not None:
+                flow.bytes_received += payload
+                table = self._stats.flow_bytes
+                table[flow_id] = table.get(flow_id, 0) + payload
+                if flow.finish_time is None and flow.bytes_received >= flow.size:
+                    self._on_flow_done(flow)
+            if not packet.pooled and len(FREE_LIST) < FREE_LIST_MAX:
+                packet.pooled = True
+                FREE_LIST.append(packet)
         elif kind == _CNP:
             self._receive_cnp(packet)
         elif kind == _PROBE:

@@ -11,6 +11,11 @@ structure that serializes packets onto the link one at a time:
   :mod:`repro.simulator.host`) but reuse :class:`Link` for delivery and
   the shared pause bookkeeping in :class:`PauseState`.
 
+Both egresses push a packet's two events (serialization finish, then
+arrival one ``prop_delay`` later) straight onto the engine's heap, per
+the direct-push contract in :mod:`repro.simulator.engine`; the
+:class:`Link` checks here are what keep those times from going back.
+
 Packets of the same flow traverse a given link in FIFO order within
 their priority level; the simulator never reorders same-priority
 packets on a link.
@@ -18,7 +23,9 @@ packets on a link.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.simulator.engine import Simulator
@@ -32,7 +39,7 @@ class Link:
     """Unidirectional link descriptor and transfer counters.
 
     The egress on the sending side owns the serialization loop and,
-    when a packet's last bit leaves, counts it here and posts its
+    when a packet's last bit leaves, counts it here and pushes its
     arrival at ``dst`` one ``prop_delay`` later.
     """
 
@@ -59,10 +66,17 @@ class Link:
         rate_bps: float,
         prop_delay: float,
     ):
-        if rate_bps <= 0:
-            raise ValueError(f"link rate must be positive, got {rate_bps!r}")
-        if prop_delay < 0:
-            raise ValueError(f"propagation delay must be >= 0, got {prop_delay!r}")
+        # The egresses push event times computed from these two without
+        # the engine's past-time check, so a NaN, an infinity or a
+        # negative delay must stop here.
+        if not (math.isfinite(rate_bps) and rate_bps > 0):
+            raise ValueError(
+                f"Link rate_bps must be finite and > 0, got {rate_bps!r}"
+            )
+        if not (math.isfinite(prop_delay) and prop_delay >= 0):
+            raise ValueError(
+                f"Link prop_delay must be finite and >= 0, got {prop_delay!r}"
+            )
         self.sim = sim
         self.name = name
         self.src = src
@@ -121,7 +135,10 @@ class QueuedEgress:
 
     The owning switch supplies ``on_dequeue`` for shared-buffer and PFC
     accounting.  Control packets are never paused; data packets are
-    held while ``pause.paused`` is set.
+    held while ``pause.paused`` is set.  :class:`~repro.simulator.
+    switch.Switch` appends to the two queues itself (its ``receive``
+    is one frame); :meth:`enqueue` is the same step for a port used on
+    its own.
     """
 
     def __init__(
@@ -140,10 +157,16 @@ class QueuedEgress:
         self.pause = PauseState(sim)
         # Running maxima/counters for stats.
         self.max_data_queue_bytes = 0
-        # Bound once: the serialization loop posts two events per
-        # packet through this port, and ``link.dst`` never changes.
-        self._post = sim.post
+        # Bound once for the two heap pushes per packet: the calendar
+        # and its counter (the engine's direct-push contract), the far
+        # end of the wire, and this port's own finish callback.
+        self._heap = sim.heap
+        self._next_seq = sim.next_seq
+        self._sec_per_byte = link.sec_per_byte
+        self._prop_delay = link.prop_delay
         self._dst_receive = link.dst.receive
+        self._dst_port = link.dst_port
+        self._transmit = self.transmit
 
     # -- queue state -------------------------------------------------
 
@@ -161,40 +184,49 @@ class QueuedEgress:
             if self.data_queue_bytes > self.max_data_queue_bytes:
                 self.max_data_queue_bytes = self.data_queue_bytes
         if not self.busy:
-            self._start_next()
+            self.transmit()
 
     # -- PFC ----------------------------------------------------------
 
     def set_paused(self, paused: bool) -> None:
         changed = self.pause.set_paused(paused)
         if changed and not paused and not self.busy:
-            self._start_next()
+            self.transmit()
 
     # -- serialization loop -------------------------------------------
 
-    def _start_next(self) -> None:
+    def transmit(self, done: Optional[Packet] = None) -> None:
+        """Finish ``done``, then put the next queued packet on the wire.
+
+        ``done`` is the packet whose last bit just left: this method is
+        the serialization-finish event it pushes for every packet.
+        Called with nothing, it kicks an idle port.  The pushes keep
+        this order — ``done``'s arrival, then whatever ``on_dequeue``
+        signals (PFC), then the next finish — because it fixes their
+        ``seq`` tie-break.
+        """
+        now = self.sim.now
+        heap = self._heap
+        if done is not None:
+            link = self.link
+            link.tx_bytes += done.wire_size
+            link.tx_packets += 1
+            _heappush(heap, (
+                now + self._prop_delay, self._next_seq(),
+                self._dst_receive, (done, self._dst_port), None,
+            ))
+            if self.on_dequeue is not None:
+                self.on_dequeue(done)
         if self.control_queue:
             packet = self.control_queue.popleft()
         elif self.data_queue and not self.pause.paused:
             packet = self.data_queue.popleft()
             self.data_queue_bytes -= packet.wire_size
         else:
+            self.busy = False
             return
         self.busy = True
-        self._post(packet.wire_size * self.link.sec_per_byte, self._finish, packet)
-
-    def _finish(self, packet: Packet) -> None:
-        """Last bit on the wire: count, propagate, free buffer, go on.
-
-        The three scheduling steps keep this order — arrival event,
-        then whatever ``on_dequeue`` signals (PFC), then the next
-        serialization — because it fixes their ``seq`` tie-break.
-        """
-        link = self.link
-        link.tx_bytes += packet.wire_size
-        link.tx_packets += 1
-        self._post(link.prop_delay, self._dst_receive, packet, link.dst_port)
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet)
-        self.busy = False
-        self._start_next()
+        _heappush(heap, (
+            now + packet.wire_size * self._sec_per_byte, self._next_seq(),
+            self._transmit, (packet,), None,
+        ))

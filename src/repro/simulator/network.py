@@ -11,6 +11,7 @@ is configured by its :class:`NetworkConfig` alone.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Union
@@ -51,13 +52,33 @@ class NetworkConfig:
     cc: str = "dcqcn"
     swift_params: object = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ValueError, naming the field, on a fabric that cannot run.
+
+        A zero or NaN ``probe_interval`` would re-post the probe tick
+        at the same instant forever; the spec validates itself when
+        built, the switch and DCQCN settings here.
+        """
+        if not (math.isfinite(self.probe_interval) and self.probe_interval > 0):
+            raise ValueError(
+                f"NetworkConfig.probe_interval must be finite and > 0, "
+                f"got {self.probe_interval!r}"
+            )
+        if not (math.isfinite(self.mtu) and self.mtu > 0):
+            raise ValueError(f"NetworkConfig.mtu must be finite and > 0, got {self.mtu!r}")
+        self.switch.validate()
+        self.params.validate()
+
 
 class Network:
     """A running simulated RDMA fabric."""
 
     def __init__(self, config: Optional[NetworkConfig] = None):
         self.config = config or NetworkConfig()
-        self.config.params.validate()
+        self.config.validate()  # again: a config's fields may be reassigned
         self.spec = self.config.spec
         self.topology = ClosTopology(self.spec)
         self.sim = Simulator()
@@ -80,7 +101,7 @@ class Network:
 
         self.stats = StatsCollector(self)
         for host in self.hosts:
-            host.on_data = self._on_data
+            host.track_flows(self.flows, self.stats, self._flow_done)
             host.on_rtt_sample = self.stats.record_rtt
 
         if self.config.probing_enabled:
@@ -226,19 +247,14 @@ class Network:
         """Register a completion callback (used by ON-OFF workloads)."""
         self._completion_callbacks.append(callback)
 
-    def _on_data(self, packet: Packet) -> None:
-        flow = self.flows.get(packet.flow_id)
-        if flow is None:
-            return
-        flow.bytes_received += packet.payload
-        self.stats.record_flow_bytes(packet.flow_id, packet.payload)
-        if flow.finish_time is None and flow.bytes_received >= flow.size:
-            flow.finish_time = self.sim.now
-            self.active_flows.pop(flow.flow_id, None)
-            self.records.append(FlowRecord.from_flow(flow))
-            self.stats.record_flow_complete()
-            for callback in self._completion_callbacks:
-                callback(flow)
+    def _flow_done(self, flow: Flow) -> None:
+        """The destination host has received all of ``flow``'s bytes."""
+        flow.finish_time = self.sim.now
+        self.active_flows.pop(flow.flow_id, None)
+        self.records.append(FlowRecord.from_flow(flow))
+        self.stats.record_flow_complete()
+        for callback in self._completion_callbacks:
+            callback(flow)
 
     # ------------------------------------------------------------------
     # Parameter dispatch (what the controller does over gRPC in the paper)

@@ -23,16 +23,19 @@ INITIAL_TTL = 64
 #: Free-list of recycled Packet objects.  A packet-level simulator
 #: allocates and discards one object per packet per flow; recycling
 #: them cuts a measurable slice of allocator work out of the hot path.
-#: The pool only ever yields a packet whose every field has been
-#: re-initialised, so recycled packets are indistinguishable from fresh
-#: ones (including a fresh ``pkt_id``).
-_FREELIST: list = []
-_FREELIST_MAX = 8192
+#: Packets go in through :meth:`Packet.release` (written out in
+#: :meth:`~repro.simulator.host.Host.receive` for delivered data) and
+#: come out only as data packets that
+#: :meth:`~repro.simulator.host.HostEgress.kick` re-initialises field
+#: by field, with a fresh ``pkt_id``, so a recycled packet is
+#: indistinguishable from a fresh one.
+FREE_LIST: list = []
+FREE_LIST_MAX = 8192
 
 
 def freelist_occupancy() -> int:
     """Packets currently parked in the free-list (``engine.interval``)."""
-    return len(_FREELIST)
+    return len(FREE_LIST)
 
 
 class PacketKind(IntEnum):
@@ -51,7 +54,8 @@ _DATA = PacketKind.DATA
 _CNP = PacketKind.CNP
 _CONTROL_KINDS = (PacketKind.CNP, PacketKind.PROBE_ACK, PacketKind.ACK)
 
-_packet_ids = itertools.count()
+#: Draws the next ``pkt_id``.
+next_packet_id = itertools.count().__next__
 
 
 class Packet:
@@ -103,7 +107,7 @@ class Packet:
         "last",
         "ingress_port",
         "probe_hops",
-        "_pooled",
+        "pooled",
     )
 
     def __init__(
@@ -117,7 +121,7 @@ class Packet:
         sent_at: float = 0.0,
         last: bool = False,
     ):
-        self.pkt_id = next(_packet_ids)
+        self.pkt_id = next_packet_id()
         self.kind = kind
         self.is_control = kind in _CONTROL_KINDS
         self.flow_id = flow_id
@@ -140,19 +144,20 @@ class Packet:
         # Forward-path hop count copied into a PROBE_ACK so the prober
         # can compute the Swift-style base path delay.
         self.probe_hops = 0
-        self._pooled = False
+        # Parked in the free-list (set on release, cleared on reuse).
+        self.pooled = False
 
     def release(self) -> None:
         """Return this packet to the free-list.
 
         Only the device that finally consumes a packet (the destination
         host, or a switch dropping it) may call this; after release the
-        object can be handed out again by :func:`data_packet` with all
-        fields re-initialised.  Idempotent.
+        object can be handed out again as a data packet with all fields
+        re-initialised.  Idempotent.
         """
-        if not self._pooled and len(_FREELIST) < _FREELIST_MAX:
-            self._pooled = True
-            _FREELIST.append(self)
+        if not self.pooled and len(FREE_LIST) < FREE_LIST_MAX:
+            self.pooled = True
+            FREE_LIST.append(self)
 
     def hops_taken(self) -> int:
         """Switch hops traversed so far (TTL decrements)."""
@@ -168,27 +173,7 @@ class Packet:
 def data_packet(
     flow_id: int, src: int, dst: int, payload: int, seq: int, last: bool
 ) -> Packet:
-    """Convenience constructor for a DATA packet (free-list backed)."""
-    if _FREELIST:
-        packet = _FREELIST.pop()
-        packet.pkt_id = next(_packet_ids)
-        packet.kind = _DATA
-        packet.is_control = False
-        packet.flow_id = flow_id
-        packet.src = src
-        packet.dst = dst
-        packet.seq = seq
-        packet.payload = payload
-        packet.wire_size = payload + HEADER_BYTES
-        packet.ecn = False
-        packet.sketch_marked = False
-        packet.ttl = INITIAL_TTL
-        packet.sent_at = 0.0
-        packet.last = last
-        packet.ingress_port = -1
-        packet.probe_hops = 0
-        packet._pooled = False
-        return packet
+    """Convenience constructor for a fresh DATA packet."""
     return Packet(_DATA, flow_id, src, dst, payload=payload, seq=seq, last=last)
 
 

@@ -91,7 +91,10 @@ class StatsCollector:
         # O_RTT's base path delay by hop class, read once per fabric.
         self._base_rtts = network.spec.base_rtts
         self._rtt_samples: List[Tuple[float, int]] = []
-        self._flow_bytes: Dict[int, int] = {}
+        # The open interval's oracle table, flow id -> payload bytes
+        # delivered; the destination hosts add to it as packets land
+        # (``Host.receive``), and ``end_interval`` hands it over.
+        self.flow_bytes: Dict[int, int] = {}
         self._completed_flows = 0
         self.history: List[IntervalStats] = []
 
@@ -100,9 +103,6 @@ class StatsCollector:
     def record_rtt(self, src: int, dst: int, rtt: float, hops: int) -> None:
         # ``hops`` is the probe's switch-hop count, i.e. its hop class.
         self._rtt_samples.append((rtt, hops))
-
-    def record_flow_bytes(self, flow_id: int, payload: int) -> None:
-        self._flow_bytes[flow_id] = self._flow_bytes.get(flow_id, 0) + payload
 
     def record_flow_complete(self) -> None:
         self._completed_flows += 1
@@ -184,7 +184,7 @@ class StatsCollector:
             pause_fraction=pause_fraction,
             active_uplinks=len(utils),
             total_tx_bytes=total_tx,
-            flow_bytes=self._flow_bytes,
+            flow_bytes=self.flow_bytes,
             dropped_packets=drops_now - self._drops_base,
             completed_flows=self._completed_flows,
         )
@@ -196,6 +196,6 @@ class StatsCollector:
         self._pause_base = pause_now
         self._drops_base = drops_now
         self._rtt_samples = []
-        self._flow_bytes = {}
+        self.flow_bytes = {}
         self._completed_flows = 0
         return stats

@@ -34,6 +34,7 @@ only observation path, whatever the measurement point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
@@ -65,9 +66,14 @@ class MeasurementPoint(Protocol):
         ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchConfig:
-    """Static switch provisioning (not tuned at runtime)."""
+    """Static switch provisioning (not tuned at runtime).
+
+    Frozen: a switch reads it once, when it is built, and one
+    ``NetworkConfig.switch`` object is shared by every switch of a
+    fabric.
+    """
 
     buffer_bytes: int = mb(2.0)
     pfc_enabled: bool = True
@@ -75,10 +81,14 @@ class SwitchConfig:
     ecn_enabled: bool = True
 
     def validate(self) -> None:
-        if self.buffer_bytes <= 0:
-            raise ValueError("buffer_bytes must be positive")
-        if self.pfc_alpha <= 0:
-            raise ValueError("pfc_alpha must be positive")
+        # NaN compares false both ways: a NaN buffer never drops and
+        # a NaN alpha never pauses, so finiteness is checked first.
+        for name in ("buffer_bytes", "pfc_alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"SwitchConfig.{name} must be finite and > 0, got {value!r}"
+                )
 
 
 class Switch:
@@ -100,16 +110,25 @@ class Switch:
         self.config = config
         self.params = params
         self._rng = random.Random((seed << 16) ^ switch_id ^ 0x5A17C4)
+        # Provisioning, read once (``SwitchConfig`` is frozen).
+        self._buffer_bytes = config.buffer_bytes
+        self._pfc_enabled = config.pfc_enabled
+        self._pfc_alpha = config.pfc_alpha
+        self._ecn_enabled = config.ecn_enabled
 
         self.egress: List[QueuedEgress] = []
-        # Per-port forwarding: dst host id -> list of candidate egress ports.
-        self.forward_table: Dict[int, List[int]] = {}
-        # Reverse wiring for PFC: ingress port -> (peer egress, prop delay).
-        self.ingress_peer: Dict[int, Tuple[object, float]] = {}
+        # Forwarding: dst host id -> the egress ports toward it (the
+        # ECMP candidates, in port order).
+        self.routes: Dict[int, Tuple[QueuedEgress, ...]] = {}
 
+        # Per-port state, indexed by port (a port's ingress index is its
+        # egress index): bytes buffered that entered on it, whether its
+        # upstream peer is XOFFed, and that peer — ``(egress, prop
+        # delay)``, None until wired.
         self.occupied_bytes = 0
-        self.ingress_bytes: Dict[int, int] = {}
-        self._upstream_paused: Dict[int, bool] = {}
+        self.ingress_bytes: List[int] = []
+        self._upstream_paused: List[bool] = []
+        self.ingress_peer: List[Optional[Tuple[object, float]]] = []
 
         self.measurement: Optional[MeasurementPoint] = None
         self.dedup_marking = True
@@ -142,9 +161,10 @@ class Switch:
     def attach_link(self, link: Link) -> int:
         """Add an egress link; returns the new port index."""
         port = len(self.egress)
-        self.egress.append(QueuedEgress(self.sim, link, self._account))
-        self.ingress_bytes[port] = 0
-        self._upstream_paused[port] = False
+        self.egress.append(QueuedEgress(self.sim, link, self.dequeued))
+        self.ingress_bytes.append(0)
+        self._upstream_paused.append(False)
+        self.ingress_peer.append(None)
         return port
 
     def set_ingress_peer(self, port: int, peer_egress: object, prop_delay: float) -> None:
@@ -154,14 +174,20 @@ class Switch:
     def set_forwarding(self, dst_host: int, ports: List[int]) -> None:
         if not ports:
             raise ValueError(f"no egress ports toward host {dst_host}")
-        self.forward_table[dst_host] = list(ports)
+        self.routes[dst_host] = tuple(self.egress[port] for port in ports)
 
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Ingress processing: measure, route, admit, mark, enqueue, PFC."""
+        """Ingress: measure, route, admit, mark, enqueue, charge, PFC.
+
+        The egress enqueue and the buffer charge are written out here,
+        so a packet that finds its egress busy costs this one frame plus
+        the DT check; only an idle egress, an ECN coin above ``k_min``
+        and a full observation buffer call out further.
+        """
         self.rx_packets += 1
         packet.ttl -= 1
         if packet.ttl <= 0:
@@ -172,29 +198,29 @@ class Switch:
         if is_data and self.measurement is not None:
             self._observe(packet)
 
-        ports = self.forward_table.get(packet.dst)
-        if ports is None:
+        routes = self.routes.get(packet.dst)
+        if routes is None:
             raise KeyError(
                 f"{self.name}: no route to host {packet.dst} "
                 f"(packet {packet!r})"
             )
-        if len(ports) == 1:
-            egress = self.egress[ports[0]]
+        if len(routes) == 1:
+            egress = routes[0]
         else:
             # ECMP: deterministic per-flow hash so a flow never reorders.
             h = (packet.flow_id * 2654435761 + packet.src * 40503 + packet.dst) & 0xFFFFFFFF
-            egress = self.egress[ports[h % len(ports)]]
+            egress = routes[h % len(routes)]
 
         # Shared-buffer admission.
-        config = self.config
         size = packet.wire_size
-        if self.occupied_bytes + size > config.buffer_bytes:
+        occupied = self.occupied_bytes + size
+        if occupied > self._buffer_bytes:
             self._drop(packet)
             return
         packet.ingress_port = in_port
 
         # ECN marking against the egress data-queue depth (CP role).
-        if is_data and config.ecn_enabled:
+        if is_data and self._ecn_enabled:
             depth = egress.data_queue_bytes
             params = self.params
             if depth > params.k_min:  # at or below k_min the curve is 0
@@ -204,8 +230,24 @@ class Switch:
                     self.ecn_marked_packets += 1
             self.data_packets_forwarded += 1
 
-        egress.enqueue(packet)
-        self._account(packet, 1)
+        # Enqueue (control above data) and kick an idle egress.
+        if packet.is_control:
+            egress.control_queue.append(packet)
+        else:
+            egress.data_queue.append(packet)
+            depth = egress.data_queue_bytes + size
+            egress.data_queue_bytes = depth
+            if depth > egress.max_data_queue_bytes:
+                egress.max_data_queue_bytes = depth
+        if not egress.busy:
+            egress.transmit()
+
+        # Charge the shared buffer and the ingress port.
+        self.occupied_bytes = occupied
+        buffered = self.ingress_bytes[in_port] + size
+        self.ingress_bytes[in_port] = buffered
+        if self._pfc_enabled:
+            self._pfc_check(in_port, buffered)
 
     def _observe(self, packet: Packet) -> None:
         if self.dedup_marking:
@@ -267,25 +309,34 @@ class Switch:
     # Buffer accounting and PFC (per-ingress-port dynamic threshold)
     # ------------------------------------------------------------------
 
-    def _account(self, packet: Packet, sign: int = -1) -> None:
-        """Charge or release a packet's bytes, then run the PFC check.
+    def dequeued(self, packet: Packet) -> None:
+        """Egress dequeue callback: the packet's last bit has left.
 
-        ``sign=+1`` on admission; the default ``-1`` is the egress
-        dequeue callback (serialization finished).  Either way the
-        packet's ingress port is then held against the dynamic
-        threshold: XOFF its upstream peer above ``pfc_alpha x free
-        buffer``, XON once it is back under half of that.
+        Releases its bytes from the shared buffer and from the ingress
+        port it was charged to on admission, then runs the DT check.
         """
-        delta = sign * packet.wire_size
+        size = packet.wire_size
         port = packet.ingress_port
-        self.occupied_bytes += delta
-        self.ingress_bytes[port] = buffered = self.ingress_bytes[port] + delta
-        config = self.config
-        peer = self.ingress_peer.get(port)
-        if peer is None or not config.pfc_enabled:
+        self.occupied_bytes -= size
+        buffered = self.ingress_bytes[port] - size
+        self.ingress_bytes[port] = buffered
+        if self._pfc_enabled:
+            self._pfc_check(port, buffered)
+
+    def _pfc_check(self, port: int, buffered: int) -> None:
+        """The dynamic-threshold PFC rule for one ingress port.
+
+        Runs after every charge (:meth:`receive`) and release
+        (:meth:`dequeued`) of ``port``'s bytes: XOFF its upstream peer
+        when ``buffered`` exceeds ``pfc_alpha x free buffer``, XON once
+        it is back under half of that.  An over-full buffer floors the
+        threshold at 0.
+        """
+        peer = self.ingress_peer[port]
+        if peer is None:
             return
-        free = config.buffer_bytes - self.occupied_bytes
-        threshold = config.pfc_alpha * free if free > 0 else 0.0
+        free = self._buffer_bytes - self.occupied_bytes
+        threshold = self._pfc_alpha * free if free > 0 else 0.0
         if self._upstream_paused[port]:
             if buffered <= threshold / 2.0:
                 self._send_pfc(peer, port, paused=False)

@@ -13,6 +13,8 @@ Host ids are dense integers ``0 .. n_hosts-1`` laid out ToR-major, so
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List
@@ -33,12 +35,21 @@ class ClosSpec:
     prop_delay_s: float = us(5.0)
 
     def __post_init__(self) -> None:
-        if self.n_tor < 1 or self.n_spine < 1 or self.hosts_per_tor < 1:
-            raise ValueError("topology dimensions must be >= 1")
-        if self.host_rate_bps <= 0 or self.uplink_rate_bps <= 0:
-            raise ValueError("link rates must be positive")
-        if self.prop_delay_s < 0:
-            raise ValueError("propagation delay must be >= 0")
+        # NaN compares false both ways, so each check is written to
+        # pass only on a good value: a NaN rate or delay would
+        # otherwise build a fabric whose events never come due.
+        for name in ("n_tor", "n_spine", "hosts_per_tor"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"ClosSpec.{name} must be an int >= 1, got {value!r}")
+        for name in ("host_rate_bps", "uplink_rate_bps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"ClosSpec.{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.prop_delay_s) and self.prop_delay_s >= 0):
+            raise ValueError(
+                f"ClosSpec.prop_delay_s must be finite and >= 0, got {self.prop_delay_s!r}"
+            )
 
     @property
     def n_hosts(self) -> int:

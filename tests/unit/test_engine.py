@@ -460,7 +460,7 @@ _OPS = st.lists(
 
 
 def _cancelled_in_heap(sim):
-    return sum(1 for e in sim._heap if e[4] is not None and e[4].cancelled)
+    return sum(1 for e in sim.heap if e[4] is not None and e[4].cancelled)
 
 
 def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.simulator.dcqcn import DcqcnParams
@@ -184,13 +186,22 @@ def test_probe_and_ack_roundtrip(rig):
 
 def test_data_receipt_counted(rig):
     sim, host, wire = rig
-    received = []
-    host.on_data = received.append
-    pkt = data_packet(7, 3, 0, payload=1000, seq=0, last=True)
-    host.receive(pkt, 0)
+    flow = Flow(7, 3, 0, 1500, 0.0)
+    stats = SimpleNamespace(flow_bytes={})
+    done = []
+    host.track_flows({7: flow}, stats, done.append)
+    host.receive(data_packet(7, 3, 0, payload=1000, seq=0, last=False), 0)
     assert host.rx_bytes == 1000
     assert host.rx_data_packets == 1
-    assert received == [pkt]
+    assert flow.bytes_received == 1000
+    assert stats.flow_bytes == {7: 1000}
+    assert done == []
+    host.receive(data_packet(7, 3, 0, payload=500, seq=1000, last=True), 0)
+    assert stats.flow_bytes == {7: 1500}
+    assert done == [flow]  # told once, when the last byte is in
+    host.receive(data_packet(8, 3, 0, payload=100, seq=0, last=True), 0)
+    assert host.rx_bytes == 1600  # an untracked flow is counted, not booked
+    assert stats.flow_bytes == {7: 1500}
 
 
 def test_invalid_host_config():

@@ -42,17 +42,17 @@ def test_forwarding_tables_complete(net):
     """Every switch can route to every host."""
     for switch in net.switches:
         for host_id in range(net.spec.n_hosts):
-            assert host_id in switch.forward_table
-            assert switch.forward_table[host_id]
+            assert host_id in switch.routes
+            assert switch.routes[host_id]
 
 
 def test_tor_local_hosts_have_single_port(net):
     tor0 = net.tors[0]
     for host_id in net.spec.hosts_of_tor(0):
-        assert len(tor0.forward_table[host_id]) == 1
+        assert len(tor0.routes[host_id]) == 1
     # Remote hosts: ECMP over both spines.
     for host_id in net.spec.hosts_of_tor(1):
-        assert len(tor0.forward_table[host_id]) == 2
+        assert len(tor0.routes[host_id]) == 2
 
 
 def test_pfc_peering_is_symmetric(net):
@@ -60,7 +60,7 @@ def test_pfc_peering_is_symmetric(net):
     the peer's link really points back at this switch."""
     for switch in net.switches:
         for port in range(len(switch.egress)):
-            assert port in switch.ingress_peer
+            assert switch.ingress_peer[port] is not None
             peer_egress, delay = switch.ingress_peer[port]
             assert delay == net.spec.prop_delay_s
             # The paused egress sends into this switch on this port.

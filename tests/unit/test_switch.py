@@ -126,6 +126,31 @@ def test_buffer_overflow_drops(sim):
     assert len(sinks[1].arrivals) + switch.dropped_packets == 10
 
 
+def test_receive_enqueues_like_the_port_itself(sim):
+    """``receive`` writes the egress enqueue out in place; the port's
+    own ``enqueue`` is the reference it must match, idle kick included."""
+    switch, _ = make_switch(sim, buffer_bytes=mb(10.0), pfc_enabled=False)
+    switch.set_forwarding(9, [1])
+    port = switch.egress[1]
+    reference = QueuedEgress(sim, Link(sim, "ref", None, Sink(sim), 0, 8e9, 1e-6))
+
+    def packets():
+        yield data_packet(1, 0, 9, payload=938, seq=0, last=False)
+        yield Packet(PacketKind.CNP, 1, 0, 9)
+        for seq in range(1, 4):
+            yield data_packet(1, 0, 9, payload=500 * seq, seq=seq, last=False)
+        yield Packet(PacketKind.PROBE, -1, 0, 9)
+
+    for via_switch, via_port in zip(packets(), packets()):
+        switch.receive(via_switch, 0)
+        reference.enqueue(via_port)
+        assert port.busy == reference.busy
+        assert port.data_queue_bytes == reference.data_queue_bytes
+        assert port.max_data_queue_bytes == reference.max_data_queue_bytes
+        assert [p.seq for p in port.data_queue] == [p.seq for p in reference.data_queue]
+        assert len(port.control_queue) == len(reference.control_queue)
+
+
 def test_buffer_accounting_returns_to_zero(sim):
     switch, _ = make_switch(sim)
     switch.set_forwarding(9, [1])
@@ -263,7 +288,7 @@ def test_dt_threshold_floors_at_zero_when_overfull(sim):
     switch.occupied_bytes = kb(200.0)  # over-full: threshold is 0, not < 0
     switch.ingress_bytes[0] = packet.wire_size
     switch._upstream_paused[0] = True
-    switch._account(packet)            # dequeue: port 0 drains to 0 bytes
+    switch.dequeued(packet)            # dequeue: port 0 drains to 0 bytes
     assert not switch._upstream_paused[0]  # 0 buffered <= 0/2: XON
 
 
