@@ -18,7 +18,7 @@ into a local flow-size distribution for the controller:
 The three differ only in what they measure and how they classify.  All
 of them take packets through the switch's observation buffer, flush it
 before they read, and build their FSDs with the one columnar kernel
-(:meth:`~repro.monitor.fsd.FlowSizeDistribution.from_groups`).
+(:func:`~repro.monitor.fsd.group_distributions`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.monitor.fsd import FlowSizeDistribution
+from repro.monitor.fsd import FlowSizeDistribution, group_distributions
 from repro.monitor.states import ColumnarSlidingWindowClassifier
 from repro.telemetry import trace
 from repro.simulator.switch import Switch
@@ -167,33 +167,55 @@ class AgentStack:
 
     def collect(self, now: float) -> List[LocalReport]:
         """One monitor interval for every member, in member order."""
-        if any(agent._stack is not self for agent in self.agents):
-            raise RuntimeError("an agent of this stack has joined another stack")
-        chunks = []
+        return self.collect_merged(now)[0]
+
+    def collect_merged(
+        self, now: float
+    ) -> Tuple[List[LocalReport], FlowSizeDistribution]:
+        """:meth:`collect`, plus the merge of every member's FSD from
+        the same pass: bit for bit what
+        :func:`~repro.monitor.fsd.merge_distributions` makes of the
+        reports, with the stack's own flow-state columns."""
+        for agent in self.agents:
+            if agent._stack is not self:
+                raise RuntimeError("an agent of this stack has joined another stack")
+        # Every member switch's buffer, as one batch.
+        flows, nbytes, runs = [], [], []
         for slot, agent in enumerate(self.agents):
             agent.reports_made += 1
             buffered = agent.switch.take_observations()
             if buffered is not None:
-                chunks.append((slot, *buffered))
-        self.sketches.insert(chunks)
-        keys, ids, vals, ends = self.sketches.read_and_reset(0, len(self.agents))
+                flows += buffered[0]
+                nbytes += buffered[1]
+                runs.append((slot, len(buffered[0])))
+        count = len(flows)
+        keys, ids, vals, ends = self.sketches.close_interval(
+            np.fromiter(flows, dtype=np.int64, count=count),
+            np.fromiter(nbytes, dtype=np.int64, count=count),
+            runs,
+        )
         flow_ids, cum, codes, rows = self.classifier.advance(keys, ids, vals, ends)
-        fsds = FlowSizeDistribution.from_groups(flow_ids, cum, codes, rows, tau=self.tau)
+        fsds, merged = group_distributions(flow_ids, cum, codes, rows, tau=self.tau)
+        # Every member's interval bytes from one exact integer prefix
+        # sum: the running total through each member's last row.
+        through = np.zeros(vals.size + 1, dtype=np.int64)
+        vals.cumsum(out=through[1:])
         reports = []
-        lo = row_lo = 0
-        for agent, fsd, hi, row_hi in zip(self.agents, fsds, ends.tolist(), rows.tolist()):
-            reports.append(
-                _trace_report(
-                    LocalReport(
-                        switch_name=agent.switch.name,
-                        fsd=fsd,
-                        tracked_flows=row_hi - row_lo,
-                        interval_bytes=int(vals[lo:hi].sum()),
-                    )
-                )
+        bytes_lo = row_lo = 0
+        for agent, fsd, bytes_hi, row_hi in zip(
+            self.agents, fsds, through[ends].tolist(), rows.tolist()
+        ):
+            report = LocalReport(
+                switch_name=agent.switch.name,
+                fsd=fsd,
+                tracked_flows=row_hi - row_lo,
+                interval_bytes=bytes_hi - bytes_lo,
             )
-            lo, row_lo = hi, row_hi
-        return reports
+            if trace.active:
+                _trace_report(report)
+            reports.append(report)
+            bytes_lo, row_lo = bytes_hi, row_hi
+        return reports, merged
 
 
 class NaiveSketchAgent:

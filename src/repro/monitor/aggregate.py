@@ -28,7 +28,9 @@ class FsdAggregator:
     :class:`~repro.monitor.agent.SwitchAgent`) are collected in one
     :class:`~repro.monitor.agent.AgentStack` pass per key, every
     other agent through its own ``collect``; reports stay in agent
-    order either way.
+    order either way.  When one stack holds every agent, its pass also
+    yields the merged FSD; otherwise ``merge_distributions`` merges
+    the reports.
     """
 
     def __init__(self, agents: Sequence[object]):
@@ -54,6 +56,11 @@ class FsdAggregator:
             (AgentStack([self.agents[i] for i in members]), members)
             for members in groups.values()
         ]
+        # One stack of every agent (in agent order) yields the merged
+        # FSD from its own pass; any other mix merges the reports.
+        self._one_stack: Optional[AgentStack] = None
+        if len(self.stacks) == 1 and not self._solo:
+            self._one_stack = self.stacks[0][0]
         self.current: Optional[FlowSizeDistribution] = None
         self.previous: Optional[FlowSizeDistribution] = None
         self.last_reports: List[LocalReport] = []
@@ -61,14 +68,17 @@ class FsdAggregator:
 
     def collect(self, now: float) -> FlowSizeDistribution:
         """One monitor interval: gather and merge all local FSDs."""
-        reports: List[Optional[LocalReport]] = [None] * len(self.agents)
-        for stack, members in self.stacks:
-            for i, report in zip(members, stack.collect(now)):
-                reports[i] = report
-        for i in self._solo:
-            reports[i] = self.agents[i].collect(now)
+        if self._one_stack is not None:
+            reports, merged = self._one_stack.collect_merged(now)
+        else:
+            reports: List[Optional[LocalReport]] = [None] * len(self.agents)
+            for stack, members in self.stacks:
+                for i, report in zip(members, stack.collect(now)):
+                    reports[i] = report
+            for i in self._solo:
+                reports[i] = self.agents[i].collect(now)
+            merged = merge_distributions(report.fsd for report in reports)
         self.last_reports = reports
-        merged = merge_distributions(report.fsd for report in self.last_reports)
         self.previous = self.current
         self.current = merged
         self.collections += 1

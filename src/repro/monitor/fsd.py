@@ -125,61 +125,10 @@ class FlowSizeDistribution:
     ) -> "FlowSizeDistribution":
         """Build from columnar classifier output (tracking order).
 
-        The one-group case of :meth:`from_groups`.
+        The one-group case of :func:`group_distributions`.
         """
         ids = np.asarray(flow_ids, dtype=np.int64)
-        return cls.from_groups(ids, cumulative_bytes, state_codes, [ids.size], tau)[0]
-
-    @classmethod
-    def from_groups(
-        cls,
-        flow_ids: np.ndarray,
-        cumulative_bytes: np.ndarray,
-        state_codes: np.ndarray,
-        ends: np.ndarray,
-        tau: int = mb(1.0),
-    ) -> "List[FlowSizeDistribution]":
-        """One distribution per contiguous row group ending at ``ends``.
-
-        The single summation kernel for every monitor arm: one
-        likelihood, log2 and ``bincount`` pass over all rows, then each
-        group's weights are a pairwise ``np.add.reduce`` (``np.sum``'s
-        kernel) over its own contiguous slice — the same operands in the
-        same order as summing that group alone, so every group's weights
-        are bit-identical to a one-group call.
-        """
-        ids = np.asarray(flow_ids, dtype=np.int64)
-        cum = np.asarray(cumulative_bytes, dtype=np.int64)
-        codes = np.asarray(state_codes)
-        ends = np.asarray(ends, dtype=np.int64)
-        likelihood = np.where(
-            codes == CODE_ELEPHANT,
-            1.0,
-            np.where(codes == CODE_MICE, 0.0, np.minimum(1.0, cum / tau)),
-        )
-        # Bucket ``floor(log2(bytes))``, capped at the last; sizes
-        # below 1 B land in bucket 0 as log2(1).
-        buckets = np.minimum(
-            np.log2(np.maximum(cum, 1).astype(np.float64)).astype(np.int64),
-            HISTOGRAM_BUCKETS - 1,
-        )
-        starts = np.concatenate(([0], ends[:-1]))
-        buckets += np.repeat(np.arange(ends.size) * HISTOGRAM_BUCKETS, ends - starts)
-        histograms = np.bincount(
-            buckets, minlength=ends.size * HISTOGRAM_BUCKETS
-        ).astype(float).reshape(ends.size, HISTOGRAM_BUCKETS)
-        mice = 1.0 - likelihood
-        out = []
-        for lo, hi, histogram in zip(starts.tolist(), ends.tolist(), histograms.tolist()):
-            out.append(
-                cls(
-                    elephant_weight=float(np.add.reduce(likelihood[lo:hi])),
-                    mice_weight=float(np.add.reduce(mice[lo:hi])),
-                    histogram=tuple(histogram),
-                    flow_states=FlowStates(ids[lo:hi], codes[lo:hi]),
-                )
-            )
-        return out
+        return group_distributions(ids, cumulative_bytes, state_codes, [ids.size], tau)[0][0]
 
     @classmethod
     def from_sizes(
@@ -241,10 +190,8 @@ class FlowSizeDistribution:
         if total <= 0:
             result = tuple([1.0 / n] * n)
         else:
-            result = tuple(
-                (value + epsilon) / (total + epsilon * n)
-                for value in self.histogram
-            )
+            denominator = total + epsilon * n
+            result = tuple([(value + epsilon) / denominator for value in self.histogram])
         self._norm_cache = (self.histogram, epsilon, result)
         return result
 
@@ -290,7 +237,87 @@ def kl_divergence(
     """``KL(R_t || R_{t-1})`` over the size histograms (≥ 0)."""
     p = current.normalized_histogram(epsilon)
     q = previous.normalized_histogram(epsilon)
-    return ordered_sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
+    return ordered_sum([pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0])
+
+
+def group_distributions(
+    flow_ids: np.ndarray,
+    cumulative_bytes: np.ndarray,
+    state_codes: np.ndarray,
+    ends: np.ndarray,
+    tau: int = mb(1.0),
+) -> "Tuple[List[FlowSizeDistribution], FlowSizeDistribution]":
+    """Every contiguous row group's distribution (group ``g`` ends at
+    ``ends[g]``) and the merge of them all, from one pass.
+
+    The single summation kernel for every monitor arm.  One likelihood
+    column and one bucketing cover all rows, and one ``bincount`` the
+    histograms.  A group's two weights are one pairwise
+    ``np.add.reduce`` over its own contiguous slice of the
+    ``(likelihood, 1 - likelihood)`` rows — ``np.sum``'s kernel on the
+    same operands in the same order as that group alone, so every group
+    is bit-identical to a one-group call.  The merge is what
+    :func:`merge_distributions` makes of the groups, bit for bit: the
+    weights folded left to right in group order, the histogram the
+    exact count over all rows (their column sum), and the flow states
+    the input columns themselves, not a concatenation of their slices.
+    """
+    ids = np.asarray(flow_ids, dtype=np.int64)
+    cum = np.asarray(cumulative_bytes, dtype=np.int64)
+    codes = np.asarray(state_codes)
+    bounds = np.asarray(ends).tolist()
+    # Row 0 the likelihood of becoming an elephant (E 1, M 0, PE
+    # min(1, Φ/τ)), row 1 its complement.
+    weights = np.empty((2, ids.size))
+    likelihood = weights[0]
+    np.minimum(cum / tau, 1.0, out=likelihood)
+    likelihood[codes == CODE_MICE] = 0.0
+    likelihood[codes == CODE_ELEPHANT] = 1.0
+    weights[1] = 1.0 - likelihood
+    # Bucket floor(log2(bytes)), capped at the last; sizes below 1 B
+    # land in bucket 0 as 1 B.  frexp's exponent of ``bytes | 1`` is
+    # floor(log2) + 1, exact below 2**53 (setting bit 0 never moves the
+    # top bit), and anything larger is capped anyway.
+    buckets = np.frexp(cum | 1)[1]
+    buckets -= 1
+    np.minimum(buckets, HISTOGRAM_BUCKETS - 1, out=buckets)
+    merged_counts = counts = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS)
+    if len(bounds) > 1:
+        sizes = []
+        lo = 0
+        for hi in bounds:
+            sizes.append(hi - lo)
+            lo = hi
+        buckets += (np.arange(len(bounds)) * HISTOGRAM_BUCKETS).repeat(sizes)
+        counts = np.bincount(buckets, minlength=len(bounds) * HISTOGRAM_BUCKETS)
+    histograms = counts.astype(np.float64)
+    histograms.shape = (len(bounds), HISTOGRAM_BUCKETS)
+    groups = []
+    elephant = mice = 0.0
+    lo = 0
+    for hi, histogram in zip(bounds, histograms.tolist()):
+        e, m = np.add.reduce(weights[:, lo:hi], 1).tolist()
+        groups.append(
+            FlowSizeDistribution(
+                elephant_weight=e,
+                mice_weight=m,
+                histogram=tuple(histogram),
+                flow_states=FlowStates(ids[lo:hi], codes[lo:hi]),
+            )
+        )
+        elephant += e
+        mice += m
+        lo = hi
+    merged = FlowSizeDistribution(
+        elephant_weight=elephant,
+        mice_weight=mice,
+        histogram=(
+            groups[0].histogram if len(groups) == 1
+            else tuple(merged_counts.astype(np.float64).tolist())
+        ),
+        flow_states=FlowStates(ids, codes),
+    )
+    return groups, merged
 
 
 def merge_distributions(
@@ -318,11 +345,11 @@ def merge_distributions(
         )
         # Bucket counts are small integers in float form, so the
         # vectorized column sum is exact and order-independent.
-        summed = np.sum(
-            np.asarray([part.histogram for part in parts], dtype=float),
-            axis=0,
+        histogram = tuple(
+            np.add.reduce(
+                np.asarray([part.histogram for part in parts], dtype=float), axis=0
+            ).tolist()
         )
-        histogram = tuple(float(v) for v in summed)
     else:
         histogram = tuple([0.0] * HISTOGRAM_BUCKETS)
     return FlowSizeDistribution(

@@ -92,9 +92,11 @@ class ColumnarSlidingWindowClassifier:
     (``key_span=None``).  A
     scratch array indexed by key then finds each tracked row's input
     with two gathers (key → input position, flow id confirms: a
-    bucket's resident may have changed), and one ``take`` over the
-    block compacts every column after expiry and admission.  A monitor
-    interval is a fixed sequence of array ops with no per-flow Python.
+    bucket's resident may have changed), and the next table is one
+    gather over ``[zero column | old table]``: survivors from their own
+    columns, admissions from the zero column, every column at once.  A
+    monitor interval is a fixed sequence of array ops with no per-flow
+    Python.
 
     Per group, the semantics are exactly those of the one-flow-at-a-time
     reference classifier in ``tests/scalar_monitor.py``: new flows are
@@ -121,7 +123,10 @@ class ColumnarSlidingWindowClassifier:
         #: table keyed at first sight by :meth:`update_arrays`.
         self.key_span = key_span
         self.expired_total = 0
-        self._rows = np.zeros((self._WINDOW + delta, 0), dtype=np.int64)
+        # The table is ``_block`` minus its first column, which is all
+        # zeros: the column every admission is gathered from.
+        self._block = np.zeros((self._WINDOW + delta, 1), dtype=np.int64)
+        self._rows = self._block[:, 1:]
         self._state = np.zeros(0, dtype=np.int8)
         # Every tracked row advances every interval, so the newest byte
         # count of every row sits in window slot ``_slot``.
@@ -161,7 +166,8 @@ class ColumnarSlidingWindowClassifier:
             )
             blocks.append(block)
             states.append(part._state[rows])
-        table._rows = np.concatenate(blocks, axis=1)
+        table._block = np.concatenate([table._block] + blocks, axis=1)
+        table._rows = table._block[:, 1:]
         table._state = np.concatenate(states)
         table._ends = np.cumsum([b.shape[1] for b in blocks], dtype=np.int64)
         # A table several parts share counts its expiries once.
@@ -202,67 +208,75 @@ class ColumnarSlidingWindowClassifier:
         n = ids.size
 
         # Each tracked row's input: its key finds it, its flow id
-        # confirms it; a miss points at a zero past the input.
+        # confirms it.  Admission takes the other movers in input order,
+        # as the reference classifier's dict walk does; zero-byte
+        # strangers get no row.
         where = self._where
         where[keys] = np.arange(n)
         at = where[rows[self._KEY]]
         where[keys] = -1
-        hit = at >= 0
+        movers = vals > 0
         if n:
-            hit &= ids[at] == rows[self._FLOW]
-        at = np.where(hit, at, n)
-        nb = np.concatenate((vals, [0]))[at]
-        # Admission takes new movers in input order, as the reference
-        # classifier's dict walk does; zero-byte strangers get no row.
-        claimed = np.zeros(n + 1, dtype=bool)
-        claimed[at] = True
-        admit = np.flatnonzero(~claimed[:n] & (vals > 0))
+            hit = (at >= 0) & (ids[at] == rows[self._FLOW])
+            nb = vals[at]
+            nb *= hit
+            movers[at[hit]] = False
+        else:
+            nb = rows[self._CUM] * 0
+        admit = movers.nonzero()[0]
         fresh = admit.size
         if tracked + fresh == 0:
             return rows[self._FLOW], rows[self._CUM], self._state, self._ends
 
-        # A new block every interval, so the columns a snapshot handed
-        # out stay valid after later intervals.
-        admitted_rows = np.zeros((rows.shape[0], fresh), dtype=np.int64)
-        admitted_rows[self._KEY] = keys[admit]
-        admitted_rows[self._FLOW] = ids[admit]
-        rows = np.concatenate((rows, admitted_rows), axis=1)
-        nb = np.concatenate((nb, vals[admit]))
-        self._slot = (self._slot + 1) % self.delta
+        # A row expires after δ idle intervals; each group keeps its
+        # survivors, then its admissions.
+        survivors = ((nb > 0) | (rows[self._IDLE] < self.delta - 1)).nonzero()[0]
+        admitted_keys = keys[admit]
+        kept = survivors.size
+        kept_through = survivors.searchsorted(self._ends)
+        fresh_through = admit.searchsorted(ends)
+        self._ends = kept_through + fresh_through
+        self.expired_total += tracked - kept
+        if ends.size == 1:
+            kept_at, fresh_at = slice(0, kept), slice(kept, kept + fresh)
+        else:
+            # Survivors move up by the admissions of the groups before
+            # theirs, admissions by the survivors up to their own group.
+            span = self.key_span
+            group = rows[self._KEY][survivors] // span
+            kept_at = np.arange(kept) + fresh_through[group - 1] * (group > 0)
+            fresh_at = np.arange(fresh) + kept_through[admitted_keys // span]
+
+        # The next table is one gather over [zero column | old table]:
+        # survivors from their own columns, admissions from the zero
+        # column, into a new block every interval, so the columns a
+        # snapshot handed out stay valid.  This interval's bytes ride
+        # along in the old table's oldest window slot, which the new
+        # table overwrites and no snapshot reads.
+        slot = (self._slot + 1) % self.delta
+        block = self._block
+        block[self._WINDOW + slot, 1:] = nb
+        source = np.zeros(kept + fresh + 1, dtype=np.intp)
+        source[1:][kept_at] = survivors + 1
+        block = block.take(source, axis=1)
+        rows = block[:, 1:]
+        nb = rows[self._WINDOW + slot]
+        rows[self._KEY, fresh_at] = admitted_keys
+        rows[self._FLOW, fresh_at] = ids[admit]
+        nb[fresh_at] = vals[admit]
         rows[self._SEEN] += 1
         rows[self._CUM] += nb
-        rows[self._WINDOW + self._slot] = nb
         moved = nb > 0
         active, idle = rows[self._ACTIVE], rows[self._IDLE]
         active += 1
         active *= moved
         idle += 1
         idle *= ~moved
-
-        # Each group keeps its surviving rows, then its admissions.
-        survivors = np.flatnonzero(idle[:tracked] < self.delta)
-        kept_ends = np.searchsorted(survivors, np.concatenate(([0], self._ends)))
-        fresh_ends = np.searchsorted(admit, np.concatenate(([0], ends)))
-        self._ends = kept_ends[1:] + fresh_ends[1:]
-        expired = tracked - survivors.size
-        # With one group, admissions already sit at the end.
-        if expired or (fresh and ends.size > 1):
-            take = np.empty(survivors.size + fresh, dtype=np.int64)
-            take[
-                np.arange(survivors.size) + np.repeat(fresh_ends[:-1], np.diff(kept_ends))
-            ] = survivors
-            take[
-                np.arange(fresh) + np.repeat(kept_ends[1:], np.diff(fresh_ends))
-            ] = tracked + np.arange(fresh)
-            rows = np.take(rows, take, axis=1)
-            self.expired_total += expired
-        self._rows = rows
+        self._block, self._rows, self._slot = block, rows, slot
         # Codes rank M (0) < PE (1) < E (2), so a row's state is the
         # larger of the two rules' codes.
-        self._state = np.maximum(
-            (rows[self._ACTIVE] >= self.delta).view(np.int8),
-            (rows[self._CUM] >= self.tau).view(np.int8) * np.int8(CODE_ELEPHANT),
-        )
+        state = (rows[self._CUM] >= self.tau) * np.int8(CODE_ELEPHANT)
+        self._state = np.maximum(state, active >= self.delta, out=state)
         return rows[self._FLOW], rows[self._CUM], self._state, self._ends
 
     def _first_sight_keys(self, ids: np.ndarray) -> np.ndarray:

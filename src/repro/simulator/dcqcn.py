@@ -32,7 +32,6 @@ tuner can swap one object per device and affect all three roles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
 
 from repro.simulator.engine import Simulator
 from repro.simulator.units import kb, mbps, us
@@ -121,10 +120,10 @@ class DcqcnParams:
 class DcqcnRp:
     """Reaction Point state for one sender QP.
 
-    The QP reads its knobs through ``params_ref`` (a zero-argument
-    callable returning the host's current :class:`DcqcnParams`) so that
-    a controller dispatching new parameters affects live QPs
-    immediately, as on real RNICs.
+    The QP holds its knobs, a :class:`DcqcnParams`; the host hands
+    every live QP the new object when a controller dispatches one
+    (:class:`~repro.simulator.host.Host`'s ``params`` setter), so new
+    parameters affect live QPs immediately, as on real RNICs.
 
     Both timers are *lazy*: a timer is a float deadline (``inf`` =
     disarmed) and posts no engine event.  Whenever the QP is observed —
@@ -133,24 +132,21 @@ class DcqcnRp:
     expiry with ``deadline <= sim.now``, oldest first, with the float
     operations an eagerly dispatched tick would have used.  A tick at
     exactly ``now`` therefore applies before the observer; DESIGN.md
-    §16 shows that is also where ``(time, seq)`` order put it.  Whoever
-    swaps the object ``params_ref`` returns must call :meth:`catch_up`
-    first, so that earlier expiries apply under the old knobs
-    (:class:`~repro.simulator.host.Host` does so in its ``params``
-    setter).
+    §16 shows that is also where ``(time, seq)`` order put it.  The
+    ``params`` setter catches up before it stores the new knobs, so
+    that earlier expiries apply under the old ones.
     """
 
     def __init__(
         self,
         sim: Simulator,
         line_rate_bps: float,
-        params_ref: Callable[[], DcqcnParams],
+        params: DcqcnParams,
     ):
         self.sim = sim
         self.line_rate = line_rate_bps
-        self.params_ref = params_ref
+        self._params = params
 
-        params = params_ref()
         self._rc = line_rate_bps         # current rate
         self._rt = line_rate_bps         # target rate
         self._alpha = params.initial_alpha
@@ -170,6 +166,17 @@ class DcqcnRp:
         self.cnps_received = 0
         self.rate_cuts = 0
         self._increase_events = 0
+
+    @property
+    def params(self) -> DcqcnParams:
+        """The knobs this QP runs under."""
+        return self._params
+
+    @params.setter
+    def params(self, params: DcqcnParams) -> None:
+        # Timer expiries up to now apply under the knobs in force then.
+        self.catch_up()
+        self._params = params
 
     # ------------------------------------------------------------------
     # Timer-driven state, caught up to sim.now on every read
@@ -209,7 +216,7 @@ class DcqcnRp:
         now = self.sim.now
         deadline = self._alpha_deadline
         if deadline <= now:
-            params = self.params_ref()
+            params = self._params
             period = params.dce_tcp_rtt
             if self._cnp_seen_since_alpha_timer:
                 self._cnp_seen_since_alpha_timer = False
@@ -222,7 +229,7 @@ class DcqcnRp:
             self._alpha_deadline = deadline
         deadline = self._increase_deadline
         if deadline <= now:
-            params = self.params_ref()
+            params = self._params
             period = params.rpg_time_reset
             while deadline <= now:
                 self._time_stage += 1
@@ -239,7 +246,7 @@ class DcqcnRp:
         if self._active:
             return
         self._active = True
-        params = self.params_ref()
+        params = self._params
         now = self.sim.now
         self._alpha_deadline = now + params.dce_tcp_rtt
         self._increase_deadline = now + params.rpg_time_reset
@@ -270,7 +277,7 @@ class DcqcnRp:
         if not self._active:
             return
         self.catch_up()
-        params = self.params_ref()
+        params = self._params
         g = params.dce_tcp_g
         self._alpha = (1.0 - g) * self._alpha + g
         self._cnp_seen_since_alpha_timer = True
@@ -309,7 +316,7 @@ class DcqcnRp:
         if self._alpha_deadline <= now or self._increase_deadline <= now:
             self.catch_up()
         self._byte_counter += wire_bytes
-        params = self.params_ref()
+        params = self._params
         while self._byte_counter >= params.rpg_byte_reset:
             self._byte_counter -= params.rpg_byte_reset
             self._byte_stage += 1

@@ -29,7 +29,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.simulator.dcqcn import DcqcnParams, DcqcnRp
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow
 from repro.simulator.link import Link, PauseState
 from repro.simulator.packet import (
@@ -104,7 +104,11 @@ class HostEgress:
         self._pacing: List[Tuple[float, int, SenderQp]] = []
         self._admitted = 0
         self.busy = False
-        self._wake: Optional[EventHandle] = None
+        # The pending pacing wake: its time (inf when none) and the token
+        # its engine entry carries.  A wake superseded by an earlier one
+        # still fires, and finds its token stale.
+        self._wake_at = math.inf
+        self._wake_token = 0
         # Data-plane bytes only (excludes CNPs/probes); feeds O_TP.
         self.data_tx_bytes = 0
 
@@ -218,14 +222,18 @@ class HostEgress:
         ))
 
     def _schedule_wake(self, at_time: float) -> None:
-        if self._wake is not None:
-            if self._wake.time <= at_time:
-                return  # an earlier (or equal) wake is already pending
-            self._wake.cancel()
-        self._wake = self.sim.at(at_time, self._wake_fired)
+        if self._wake_at <= at_time:
+            return  # an earlier (or equal) wake is already pending
+        self._wake_at = at_time
+        self._wake_token += 1
+        self.sim.post_at(at_time, self._wake_fired, self._wake_token)
 
-    def _wake_fired(self) -> None:
-        self._wake = None
+    def _wake_fired(self, token: int) -> None:
+        # The token, not the time: a stale entry due at the same instant
+        # as the live one must not fire in its place.
+        if token != self._wake_token:
+            return
+        self._wake_at = math.inf
         self.kick()
 
 
@@ -281,10 +289,11 @@ class Host:
 
     @params.setter
     def params(self, params: DcqcnParams) -> None:
-        # Timer expiries up to now apply under the knobs in force then.
-        if self.egress is not None:
+        # Each DCQCN QP catches its timers up under the old knobs as it
+        # takes the new ones (DcqcnRp.params).
+        if self.egress is not None and self.cc_mode == "dcqcn":
             for qp in self.egress.qps.values():
-                qp.rp.catch_up()
+                qp.rp.params = params
         self._params = params
 
     # ------------------------------------------------------------------
@@ -334,7 +343,7 @@ class Host:
             swift_params = self.swift_params or SwiftParams()
             rp = SwiftCc(self.sim, self.line_rate, lambda: swift_params)
         else:
-            rp = DcqcnRp(self.sim, self.line_rate, lambda: self._params)
+            rp = DcqcnRp(self.sim, self.line_rate, self._params)
         rp.start()
         qp = SenderQp(flow, rp)
         self.egress.add_qp(qp)

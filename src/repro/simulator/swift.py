@@ -14,8 +14,8 @@ reaction point so the fabric can run delay-based CC end to end:
   ``max_mdf`` and applied at most once per RTT.
 
 The per-QP surface matches :class:`~repro.simulator.dcqcn.DcqcnRp`
-(``rc``, ``start``/``stop``, ``catch_up``, ``on_packet_sent``,
-``on_cnp``, ``on_ack``), so hosts can run either controller via
+(``rc``, ``start``/``stop``, ``on_packet_sent``, ``on_cnp``,
+``on_ack``), so hosts can run either controller via
 ``NetworkConfig.cc``.  Swift ignores CNPs (ECN plays no role).
 """
 
@@ -93,9 +93,6 @@ class SwiftCc:
     @property
     def active(self) -> bool:
         return self._active
-
-    def catch_up(self) -> None:
-        """Swift has no timers to catch up; kept for interface parity."""
 
     def on_packet_sent(self, wire_bytes: int) -> float:
         """Swift needs no byte counter; returns the rate to pace from."""

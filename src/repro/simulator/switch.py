@@ -271,19 +271,17 @@ class Switch:
         """Observations currently waiting in the batch buffer."""
         return len(self._obs_flow)
 
-    def take_observations(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def take_observations(self) -> Optional[Tuple[List[int], List[int]]]:
         """Empty the observation buffer and return it as ``(flow_ids,
-        wire_bytes)`` int64 arrays in arrival order (``None`` if empty).
+        wire_bytes)`` lists in arrival order (``None`` if empty).
 
         The caller must hand them to this switch's measurement point
         before it reads; :meth:`flush_observations` does exactly that.
         """
-        if not self._obs_flow:
+        flows, nbytes = self._obs_flow, self._obs_bytes
+        if not flows:
             return None
-        flows = np.asarray(self._obs_flow, dtype=np.int64)
-        nbytes = np.asarray(self._obs_bytes, dtype=np.int64)
-        self._obs_flow.clear()
-        self._obs_bytes.clear()
+        self._obs_flow, self._obs_bytes = [], []
         self.obs_flushes += 1
         return flows, nbytes
 
@@ -297,8 +295,13 @@ class Switch:
         taken = self.take_observations()
         if taken is None:
             return 0
-        self.measurement.observe_batch(*taken)
-        return taken[0].size
+        flows, nbytes = taken
+        count = len(flows)
+        self.measurement.observe_batch(
+            np.fromiter(flows, dtype=np.int64, count=count),
+            np.fromiter(nbytes, dtype=np.int64, count=count),
+        )
+        return count
 
     def _drop(self, packet: Packet) -> None:
         self.dropped_packets += 1

@@ -30,48 +30,58 @@ stack of one.
 
 The per-packet scalar :meth:`ElasticSketch.insert` indexes the columns
 directly and defines the bucket rule.  Every batch goes through one
-order-exact array kernel, :meth:`ElasticStack.insert`, which takes
-``(member, flow_ids, nbytes)`` chunks and keys each packet by
-``member·B + bucket``; a sketch's own
+order-exact array kernel for any number of a stack's members, keyed
+by ``member·B + bucket``: :meth:`ElasticStack.insert` takes
+``(member, flow_ids, nbytes)`` chunks, and
+:meth:`ElasticStack.close_interval` takes one batch with ``(member,
+count)`` runs, then reads and resets every member — how
+:class:`~repro.monitor.agent.AgentStack` closes an interval with every
+member switch's buffered packets.  A sketch's own
 :meth:`~ElasticSketch.insert_batch` (its ``observe_batch``) is the
-one-member call, and :class:`~repro.monitor.agent.AgentStack` drains
-every member switch's observation buffer into one call.  With no
-per-packet Python:
+one-member call.  A batch is checked once (integer vectors of one
+shape, no negative id or byte count, members inside the stack) before
+any register changes.  With no per-packet Python:
 
-1. bucket hashes run in uint32 lanes, and a stable radix sort on the
-   narrow key dtype groups the batch by key, arrival order kept inside
-   each group.  An empty bucket is seated with the first packet aimed
-   at it and zero votes, so that packet is simply the first resident
-   hit of round 1, which reads the sorted columns as they are;
+1. bucket hashes run in uint32 lanes (a power-of-two bucket count is
+   a mask), and a stable radix sort on the narrow key dtype groups the
+   batch by key, arrival order kept inside each group.  An empty
+   bucket is seated with the first packet aimed at it and zero votes,
+   so that packet is simply the first resident hit of round 1, which
+   reads the sorted columns as they are;
 2. a **round** advances every bucket at once to its first ostracism:
    one prefix sum over the round's packets, rebased per bucket onto
    its registers, gives the running ``vote+``/``vote-`` after each
    packet, so the scalar test ``vote- >= λ·vote+`` is evaluated for
    every colliding packet in one vectorized compare (a stack's members
-   share one λ).  Colliders before a
-   bucket's stop spill to the Light Part; at the stop the resident
-   spills and the challenger is seated, flag raised;
+   share one λ).  Colliders before a bucket's stop spill to the Light
+   Part; at the stop the resident spills and the challenger is seated,
+   flag raised.  A round with no colliding packet is one ``reduceat``
+   of each bucket's bytes onto its ``vote+``, and one whose colliders
+   ostracize nobody spills them all and ends, with no stop or eviction
+   bookkeeping;
 3. the packets behind each stop form the next round, so a batch takes
    at most one round more than the longest ostracism chain in any one
-   bucket (``repro_sketch_batch_rounds_total``) — one or two on the
-   ``monitor-stream`` workload;
+   bucket (``repro_sketch_batch_rounds_total``);
 4. every round's spills reach the Light Part at the end in one
    scatter: each spilled key is hashed under all ``depth`` row seeds
    of its own member in one call and added with one ``np.add.at``
    over the flattened ``(N·depth·width)`` table, because count-min
-   addition commutes exactly.
+   addition commutes exactly.  :meth:`ElasticStack.close_interval`
+   skips the scatter unless a touched member holds a flagged resident:
+   flagged residents are the only readers of a Light-Part count, and
+   the clear that follows would wipe it unread.
 
 Integer prefix sums are exact and the comparison is the scalar rule's
 own ``int64 >= float64`` test, so every register, eviction count and
 Light-Part counter is bit-identical to sequential :meth:`insert` calls
 on lone sketches.  Hypothesis property tests drive random,
 ostracism-heavy, deep-chain and multi-member streams through both and
-assert state equality.
+assert state equality; fixed two-member cases pin each early exit.
 
 One :meth:`ElasticStack.read_and_reset` serves any contiguous run of
-members: one ``flatnonzero`` over the Heavy Part, one Light-Part query
-for every flagged resident with each row's own sketch seeds, five
-fills.
+members: one ``nonzero`` over the Heavy Part, one Light-Part query
+for every flagged resident with each row's own sketch seeds, then a
+clear of just the occupied buckets and one Light-Part fill.
 """
 
 from __future__ import annotations
@@ -96,6 +106,17 @@ _BATCH_ROUNDS = get_registry().counter(
 )
 
 
+def _batch(flow_ids: np.ndarray, nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(flow_ids, nbytes)`` as int64 vectors of one shape, or
+    ``ValueError``."""
+    ids, vals = as_int64(flow_ids, "flow_ids"), as_int64(nbytes, "nbytes")
+    if ids.shape != vals.shape:
+        raise ValueError(
+            f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
+        )
+    return ids, vals
+
+
 def _heads(keys: np.ndarray) -> np.ndarray:
     """Mask of the first element of each run of equal keys."""
     head = np.empty(keys.size, dtype=bool)
@@ -105,13 +126,14 @@ def _heads(keys: np.ndarray) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(first, last)`` position of each run of equal keys in a grouped array."""
+    """``(first, end)`` of each run of equal keys in a grouped array:
+    its first position and one past its last."""
     n = keys.size
     edge = np.empty(n + 1, dtype=bool)
     edge[0] = edge[n] = True
     np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
     edges = edge.nonzero()[0]
-    return edges[:-1], edges[1:] - 1
+    return edges[:-1], edges[1:]
 
 
 @dataclass(frozen=True)
@@ -267,8 +289,9 @@ class ElasticStack:
     Construction moves each sketch's current registers into its slice
     (sketch ``i`` of the list is slot ``i``) and rebinds the sketch to
     view it.  Sketches must agree on ``heavy_buckets``, the Light Part
-    shape and λ; seeds may differ.  :meth:`insert` is the one batch
-    kernel of every member (see the module docstring).
+    shape and λ; seeds may differ.  :meth:`insert` and
+    :meth:`close_interval` run the one batch kernel of every member
+    (see the module docstring).
     """
 
     def __init__(self, sketches: Sequence[ElasticSketch]):
@@ -300,6 +323,8 @@ class ElasticStack:
         self.bucket_mixed = np.array(
             [mix_seed(s._bucket_seed) for s in self.sketches], dtype=np.uint32
         )
+        # Row end of each member, for splitting a read by member.
+        self._member_ends = np.arange(1, n + 1) * buckets
         for slot, sketch in enumerate(self.sketches):
             sketch._bind(self, slot)
 
@@ -313,16 +338,12 @@ class ElasticStack:
         See the module docstring for the kernel;
         ``repro_sketch_batch_rounds_total`` counts its rounds.
         """
-        slots, id_parts, val_parts = [], [], []
+        slots, sizes, id_parts, val_parts = [], [], [], []
         for slot, flow_ids, nbytes in chunks:
-            ids = as_int64(flow_ids, "flow_ids")
-            vals = as_int64(nbytes, "nbytes")
-            if ids.shape != vals.shape:
-                raise ValueError(
-                    f"flow_ids and nbytes differ in shape: {ids.shape} vs {vals.shape}"
-                )
+            ids, vals = _batch(flow_ids, nbytes)
             if ids.size:
                 slots.append(slot)
+                sizes.append(ids.size)
                 id_parts.append(ids)
                 val_parts.append(vals)
         if not slots:
@@ -331,11 +352,59 @@ class ElasticStack:
             ids, vals = id_parts[0], val_parts[0]
         else:
             ids, vals = np.concatenate(id_parts), np.concatenate(val_parts)
-        if vals.min() < 0:
+        self._insert(ids, vals, slots, sizes, True)
+
+    def close_interval(
+        self, flow_ids: np.ndarray, nbytes: np.ndarray, runs: Sequence[Tuple[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Insert the interval's last packets, then :meth:`read_and_reset`
+        every member.
+
+        ``flow_ids``/``nbytes`` are one batch, checked once: for each
+        ``(slot, count)`` of ``runs`` in order, member ``slot`` takes the
+        next ``count`` packets, as :meth:`insert` with one chunk per run.
+        The Light Part takes the insert's spills only if a member they
+        reach holds a flagged resident, the only reader of a Light-Part
+        count before the clear; otherwise the clear would wipe them
+        unread.  Every read, register and counter is as for the two
+        calls.
+        """
+        ids, vals = _batch(flow_ids, nbytes)
+        slots, sizes = [], []
+        total = 0
+        for slot, count in runs:
+            if count:
+                slots.append(slot)
+                sizes.append(count)
+                total += count
+        if total != ids.size:
+            raise ValueError(f"runs cover {total} packets, the batch has {ids.size}")
+        if slots:
+            self._insert(ids, vals, slots, sizes, False)
+        return self.read_and_reset(0, len(self.sketches))
+
+    def _insert(
+        self,
+        ids: np.ndarray,
+        vals: np.ndarray,
+        slots: List[int],
+        sizes: List[int],
+        keep_light: bool,
+    ) -> None:
+        """The kernel: member ``slots[i]`` takes the next ``sizes[i]``
+        packets of the int64 batch; the Light Part takes the spills
+        only with ``keep_light`` or a flagged resident among the
+        touched members (:meth:`close_interval`)."""
+        if len(slots) == 1:
+            lo = hi = slots[0]
+        else:
+            lo, hi = min(slots), max(slots)
+        hi += 1
+        # Checked with the compare and nonzero the kernel runs anyway.
+        if (vals < 0).nonzero()[0].size:
             raise ValueError("nbytes must be >= 0")
-        if ids.min() < 0:
+        if (ids < 0).nonzero()[0].size:
             raise ValueError("flow_id must be >= 0")
-        lo, hi = min(slots), max(slots) + 1
         if lo < 0 or hi > len(self.sketches):
             raise ValueError(f"slots {slots} outside [0, {len(self.sketches)})")
         _BATCH_PACKETS.inc(ids.size)
@@ -345,15 +414,20 @@ class ElasticStack:
             # One member: a scalar seed.
             key = mod32(hash32_mixed(ids, self.bucket_mixed[lo]), n_buckets)
         else:
-            sizes = [part.size for part in id_parts]
-            member = np.repeat(np.asarray(slots, dtype=np.intp) - lo, sizes)
-            key = mod32(hash32_mixed(ids, self.bucket_mixed[lo + member]), n_buckets)
-            key += (member * n_buckets).astype(np.uint32)
+            member = np.array(slots, dtype=np.intp).repeat(sizes)
+            key = mod32(hash32_mixed(ids, self.bucket_mixed[member]), n_buckets)
+            if lo:
+                member -= lo
+            member *= n_buckets
+            key = key + member
         # Group the batch by key, arrival order kept inside each group:
         # a stable radix sort on the narrowest key dtype.  Keys then
         # index as intp, which numpy's fancy indexing needs no cast for.
-        key = key.astype(np.min_scalar_type((hi - lo) * n_buckets - 1))
-        order = np.argsort(key, kind="stable")
+        span = (hi - lo) * n_buckets
+        key = key.astype(
+            np.uint8 if span <= 1 << 8 else np.uint16 if span <= 1 << 16 else np.uint32
+        )
+        order = key.argsort(kind="stable")
         key = key[order].astype(np.intp)
         ids, vals = ids[order], vals[order]
         rows = slice(lo * n_buckets, hi * n_buckets)
@@ -363,44 +437,56 @@ class ElasticStack:
         # Seat an empty bucket's first packet with zero votes (only a
         # register clear empties a bucket, so its votes and flag are
         # already zero): round 1 then counts it as a resident hit.
-        first, last = _runs(key)
+        first, end = _runs(key)
         heads = first[fids[key[first]] < 0]
         fids[key[heads]] = ids[heads]
 
-        # Per-key work arrays: each round's prefix-sum rebase and stop.
-        base_up = np.empty(fids.size, dtype=np.int64)
-        base_down = np.empty(fids.size, dtype=np.int64)
-        stop = np.empty(fids.size, dtype=np.intp)
-        spill_rows, spill_keys, spill_vals, evicted = [], [], [], []
+        # Per-key work rows (each round's prefix-sum rebase and stop),
+        # allocated by the first round that has a collider.
+        scratch = None
+        spills, evicted = [], []
         rounds = 0
         b, f, v = key, ids, vals
         while True:
             # One round: every bucket with packets left runs up to (and
             # including) its first ostracism, all buckets at once.
             rounds += 1
-            n = b.size
-            hit = f == fids[b]
-            # Running vote+/vote- before each packet (entry i sums the
-            # round's packets ahead of i) and after it (entry i + 1):
-            # one prefix sum over the round, rebased per bucket onto its
-            # registers.
-            before_up = np.zeros(n + 1, dtype=np.int64)
-            before_down = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(v * hit, out=before_up[1:])
-            np.cumsum(v, out=before_down[1:])
-            before_down -= before_up
-            up_sum, down_sum = before_up[1:], before_down[1:]
             if rounds > 1:
-                first, last = _runs(b)
+                first, end = _runs(b)
             bf = b[first]
-            base_up[bf] = pos[bf] - before_up[first]
-            base_down[bf] = neg[bf] - before_down[first]
-            # Only a colliding packet can ostracize; test just those.
-            miss = (~hit).nonzero()[0]
+            # Only a colliding packet can ostracize or spill.
+            miss = (f != fids[b]).nonzero()[0]
+            if not miss.size:
+                # Every packet hits its resident: vote+ grows by the run.
+                pos[bf] += np.add.reduceat(v, first)
+                break
+            # Running vote+ (row 0) and vote- (row 1) before each packet
+            # (entry i sums the round's packets ahead of i) and after it
+            # (entry i + 1): one prefix sum over the round, rebased per
+            # bucket onto its registers.
+            n = b.size
+            after = miss + 1
+            votes = np.zeros((2, n + 1), dtype=np.int64)
+            up, down = votes[0], votes[1]
+            up[1:] = v
+            up[after] = 0
+            down[after] = v[miss]
+            np.add.accumulate(votes, axis=1, out=votes)
+            if scratch is None:
+                scratch = np.empty((3, fids.size), dtype=np.int64)
+                base_up, base_down, stop = scratch[0], scratch[1], scratch[2]
+            base_up[bf] = pos[bf] - up[first]
+            base_down[bf] = neg[bf] - down[first]
+            pos[bf] = up[end] + base_up[bf]
+            neg[bf] = down[end] + base_down[bf]
             bm = b[miss]
-            vote_up = up_sum[miss] + base_up[bm]
-            vote_down = down_sum[miss] + base_down[bm]
+            vote_up = up[after] + base_up[bm]
+            vote_down = down[after] + base_down[bm]
             at = ((vote_up > 0) & (vote_down >= self.lam * vote_up)).nonzero()[0]
+            if not at.size:
+                # No ostracism: every collider spills to the Light Part.
+                spills.append((bm, f[miss], v[miss]))
+                break
             at = at[_heads(bm[at])]   # the first per bucket
 
             # Each bucket stops at its first ostracism (or runs out);
@@ -409,18 +495,10 @@ class ElasticStack:
             stop[bf] = n
             stop[evict] = miss[at]
             spill = miss[miss < stop[bm]]
-            spill_rows.append(b[spill])
-            spill_keys.append(f[spill])
-            spill_vals.append(v[spill])
-            pos[bf] = up_sum[last] + base_up[bf]
-            neg[bf] = down_sum[last] + base_down[bf]
-            if not at.size:
-                break
+            spills.append((b[spill], f[spill], v[spill]))
             # Ostracism: the resident's vote+ spills to the Light Part
             # and the challenger takes the bucket with its flag raised.
-            spill_rows.append(evict)
-            spill_keys.append(fids[evict])
-            spill_vals.append(vote_up[at])
+            spills.append((evict, fids[evict], vote_up[at]))
             fids[evict] = f[miss[at]]
             pos[evict] = v[miss[at]]
             neg[evict] = 0
@@ -434,22 +512,29 @@ class ElasticStack:
 
         if evicted:
             if one:
-                counts = [sum(e.size for e in evicted)]
+                count = 0
+                for evict in evicted:
+                    count += evict.size
+                self.sketches[lo].evictions += count
             else:
                 counts = np.bincount(
                     np.concatenate(evicted) // n_buckets, minlength=hi - lo
                 ).tolist()
-            for sketch, count in zip(self.sketches[lo:hi], counts):
-                sketch.evictions += count
-        keys = np.concatenate(spill_keys)
-        if not keys.size:
+                for sketch, count in zip(self.sketches[lo:hi], counts):
+                    sketch.evictions += count
+        if not spills or not (
+            keep_light or self.flag[lo * n_buckets : hi * n_buckets].nonzero()[0].size
+        ):
             return
+        if len(spills) == 1:
+            spill_rows, keys, values = spills[0]
+        else:
+            spill_rows, keys, values = [np.concatenate(part) for part in zip(*spills)]
         # Count-min addition commutes exactly, so the Light Part takes
         # every round's spill as one scatter.
-        which = 0 if one else np.concatenate(spill_rows) // n_buckets
         insert_stacked(
-            self.light[lo:hi], self.light_mixed[lo:hi], which, keys,
-            np.concatenate(spill_vals),
+            self.light[lo:hi], self.light_mixed[lo:hi],
+            0 if one else spill_rows // n_buckets, keys, values,
         )
 
     def read(
@@ -465,31 +550,33 @@ class ElasticStack:
         """
         rows = slice(lo * self.n_buckets, hi * self.n_buckets)
         residents = self.flow_id[rows]
-        keys = np.flatnonzero(residents >= 0)
+        keys = (residents >= 0).nonzero()[0]
         ids = residents[keys]
         estimates = self.pos[rows][keys]
-        flagged = np.flatnonzero(self.flag[rows][keys])
+        flagged = self.flag[rows][keys].nonzero()[0]
         if flagged.size:
             which = lo + keys[flagged] // self.n_buckets
             estimates[flagged] += query_stacked(
                 self.light, self.light_mixed, which, ids[flagged]
             )
-        ends = np.searchsorted(keys, np.arange(1, hi - lo + 1) * self.n_buckets)
+        ends = keys.searchsorted(self._member_ends[: hi - lo])
         return keys, ids, estimates, ends
-
-    def reset(self, lo: int, hi: int) -> None:
-        """Clear the registers of members ``[lo, hi)``."""
-        rows = slice(lo * self.n_buckets, hi * self.n_buckets)
-        self.flow_id[rows].fill(-1)
-        self.pos[rows].fill(0)
-        self.neg[rows].fill(0)
-        self.flag[rows].fill(False)
-        self.light[lo:hi].fill(0)
 
     def read_and_reset(
         self, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`read` then :meth:`reset`."""
+        """:meth:`read`, then clear the registers of members ``[lo, hi)``.
+
+        Only the occupied buckets are cleared, by the keys just read:
+        an empty bucket's votes and flag are already zero.  The Light
+        Part takes one fill.
+        """
         result = self.read(lo, hi)
-        self.reset(lo, hi)
+        keys = result[0]
+        rows = slice(lo * self.n_buckets, hi * self.n_buckets)
+        self.flow_id[rows][keys] = -1
+        self.pos[rows][keys] = 0
+        self.neg[rows][keys] = 0
+        self.flag[rows][keys] = False
+        self.light[lo:hi].fill(0)
         return result

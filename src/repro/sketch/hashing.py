@@ -97,17 +97,21 @@ def hash32_mixed(keys: np.ndarray, mixed) -> np.ndarray:
     broadcasts against ``keys`` — a ``(depth, 1)`` column hashes every
     key under every row's seed in one call.
     """
-    h = np.asarray(keys).astype(np.uint32) ^ mixed
+    # The int64 → uint32 cast keeps a key's low 32 bits, as astype does.
+    h = np.bitwise_xor(keys, mixed, dtype=np.uint32, casting="unsafe")
     return _fmix32_array(h)
 
 
 def mod32(h: np.ndarray, n: int) -> np.ndarray:
     """``h % n`` for a uint32 hash array and a positive ``n``.
 
-    numpy divides an integer array by a scalar with a precomputed
-    multiplier but computes ``%`` with a hardware divide per element,
-    so ``h - (h // n)·n`` is the same value two to three times faster.
+    A power of two is a mask.  Otherwise: numpy divides an integer
+    array by a scalar with a precomputed multiplier but computes ``%``
+    with a hardware divide per element, so ``h - (h // n)·n`` is the
+    same value two to three times faster.
     """
+    if n & (n - 1) == 0:
+        return h & np.uint32(n - 1)
     n = np.uint32(n)
     q = h // n
     q *= n

@@ -6,8 +6,7 @@ expiry is its own engine event (one ``post_at`` entry per tick), and a
 tick acts only if the clock still equals its timer's deadline, so a
 superseded tick (after ``stop()`` or a rate cut's re-arm) fires as a
 no-op.  Because a tick runs when it is due, a parameter swap needs no
-hook: whatever ``params_ref`` returns when a tick fires is what it
-uses.
+catch-up: whatever ``params`` holds when a tick fires is what it uses.
 
 The shipped :class:`~repro.simulator.dcqcn.DcqcnRp` must agree with it
 bit for bit on every observable (``rc``, ``rt``, ``alpha``, the stage
@@ -17,8 +16,6 @@ counters, ``increase_events``) after any interleaving of operations —
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
@@ -33,13 +30,12 @@ class EagerDcqcnRp:
         self,
         sim: Simulator,
         line_rate_bps: float,
-        params_ref: Callable[[], DcqcnParams],
+        params: DcqcnParams,
     ):
         self.sim = sim
         self.line_rate = line_rate_bps
-        self.params_ref = params_ref
+        self.params = params
 
-        params = params_ref()
         self.rc = line_rate_bps
         self.rt = line_rate_bps
         self.alpha = params.initial_alpha
@@ -68,7 +64,7 @@ class EagerDcqcnRp:
         if self._active:
             return
         self._active = True
-        params = self.params_ref()
+        params = self.params
         self._arm_alpha_timer(params)
         self._arm_increase_timer(params)
 
@@ -86,7 +82,7 @@ class EagerDcqcnRp:
     def on_cnp(self) -> None:
         if not self._active:
             return
-        params = self.params_ref()
+        params = self.params
         g = params.dce_tcp_g
         self.alpha = (1.0 - g) * self.alpha + g
         self._cnp_seen_since_alpha_timer = True
@@ -100,7 +96,7 @@ class EagerDcqcnRp:
         if not self._active:
             return self.rc
         self._byte_counter += wire_bytes
-        params = self.params_ref()
+        params = self.params
         while self._byte_counter >= params.rpg_byte_reset:
             self._byte_counter -= params.rpg_byte_reset
             self._byte_stage += 1
@@ -127,7 +123,7 @@ class EagerDcqcnRp:
     def _alpha_tick(self) -> None:
         if self.sim.now != self._alpha_deadline:
             return
-        params = self.params_ref()
+        params = self.params
         if not self._cnp_seen_since_alpha_timer:
             self.alpha = (1.0 - params.dce_tcp_g) * self.alpha
         self._cnp_seen_since_alpha_timer = False
@@ -140,7 +136,7 @@ class EagerDcqcnRp:
     def _increase_tick(self) -> None:
         if self.sim.now != self._increase_deadline:
             return
-        params = self.params_ref()
+        params = self.params
         self._time_stage += 1
         self._increase_event(params)
         self._arm_increase_timer(params)

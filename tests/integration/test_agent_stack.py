@@ -21,21 +21,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.monitor.agent import AgentStack, SwitchAgent
 from repro.monitor.aggregate import FsdAggregator
+from repro.monitor.fsd import merge_distributions
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.switch import Switch, SwitchConfig
-from repro.sketch.elastic import ElasticSketchConfig
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.hashing import hash32
 from tests.scalar_monitor import ScalarReferenceAgent
 
 TAU = 4_000
 DELTA = 2
 
 
-def _switches(n):
+def _switches(n, capacity=8):
     sim = Simulator()
     with pytest.MonkeyPatch.context() as patch:
-        # Read at construction: these switches flush every 8 packets.
-        patch.setattr("repro.simulator.switch.OBS_BUFFER_CAPACITY", 8)
+        # Read at construction: these switches flush every ``capacity``
+        # packets.
+        patch.setattr("repro.simulator.switch.OBS_BUFFER_CAPACITY", capacity)
         return [
             Switch(sim, i, f"tor{i}", SwitchConfig(), DcqcnParams(), seed=i)
             for i in range(n)
@@ -78,9 +81,9 @@ def _observed(reports, agents):
     ] + [a.sketch.evictions for a in agents]
 
 
-def _run(stream, n, shared_seed, lam, mode):
+def _run(stream, n, shared_seed, lam, mode, capacity=8):
     """:func:`_observed` for every interval of ``stream``."""
-    switches = _switches(n)
+    switches = _switches(n, capacity)
     configs = _configs(n, shared_seed, lam)
     agent_cls = ScalarReferenceAgent if mode == "scalar" else SwitchAgent
     agents = [
@@ -125,6 +128,80 @@ def test_stacked_collection_equals_independent_agents(stream, n, shared_seed, la
     stacked = _run(stream, n, shared_seed, lam, "stacked")
     assert stacked == _run(stream, n, shared_seed, lam, "alone")
     assert stacked == _run(stream, n, shared_seed, lam, "scalar")
+
+
+@settings(deadline=None, max_examples=60)
+@given(stream=_streams, n=st.sampled_from([1, 2, 4]), lam=_lambdas)
+def test_stack_merge_is_merge_distributions_of_its_reports(stream, n, lam):
+    """The merged FSD a stack's own pass yields is bit for bit what
+    ``merge_distributions`` makes of its reports: weights folded left to
+    right in agent order, histogram, and flow states in order."""
+    switches = _switches(n)
+    agents = [
+        SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
+        for s, c in zip(switches, _configs(n, None, lam))
+    ]
+    aggregator = FsdAggregator(agents)
+    for t, interval in enumerate(stream):
+        for agent_index, flow_id, nbytes in interval:
+            _observe(switches[agent_index % n], flow_id, nbytes)
+        merged = aggregator.collect(t * 1e-3)
+        reference = merge_distributions(r.fsd for r in aggregator.last_reports)
+        assert merged is aggregator.current
+        assert merged.elephant_weight == reference.elephant_weight
+        assert merged.mice_weight == reference.mice_weight
+        assert merged.histogram == reference.histogram
+        assert all(type(v) is float for v in merged.histogram)
+        assert list(merged.flow_states.items()) == list(reference.flow_states.items())
+
+
+def _flows_in_buckets(seed):
+    """Flow ids 0..999 by the heavy bucket they hash to under ``seed``."""
+    probe = ElasticSketch(_configs(1, seed, 1.0)[0])
+    by_bucket = {}
+    for flow in range(1000):
+        by_bucket.setdefault(hash32(flow, probe._bucket_seed) % 8, []).append(flow)
+    return by_bucket
+
+
+def _edge_stream(case):
+    """Three intervals of ``(agent, flow, bytes)`` for two agents whose
+    sketches share seed 5."""
+    by_bucket = _flows_in_buckets(5)
+    if case == "no colliders":
+        # One flow per bucket on each agent, several packets each.
+        flows = [by_bucket[b][0] for b in range(8)]
+        interval = [(i % 2, flows[i % 8], 500 + 13 * i) for i in range(48)]
+        return [interval, interval[:20], interval]
+    if case == "deep chain":
+        # Every packet after the first is a new flow in the same bucket
+        # with more bytes than the resident: each one ostracizes it.
+        chain = [(a, flow, 100 * (i + 1)) for a in (0, 1) for i, flow in enumerate(by_bucket[3][:10])]
+        return [chain, chain[::-1], chain]
+    if case == "one flow":
+        interval = [(0, 7, 1_000)] * 200 + [(1, 9, 300)] * 50
+        return [interval, interval, []]
+    if case == "empty member":
+        interval = [(0, f % 30, 700 + f) for f in range(90)]
+        return [interval, interval[::2], interval]
+    assert case == "zero bytes"
+    interval = [(a, f % 25, 0 if a == 0 or f % 2 else 900) for a in (0, 1) for f in range(60)]
+    return [interval, interval, interval[:10]]
+
+
+@pytest.mark.parametrize("capacity", [8, 4096])
+@pytest.mark.parametrize(
+    "case", ["no colliders", "deep chain", "one flow", "empty member", "zero bytes"]
+)
+def test_stacked_collection_edge_cases_equal_independent_agents(case, capacity):
+    """Two stacked agents report bit-identically to lone agents and to
+    the per-packet scalar reference on the inputs the kernel takes its
+    early exits on, with every packet riding the stacked close
+    (capacity 4096) or most flushed mid-interval (capacity 8)."""
+    stream = _edge_stream(case)
+    stacked = _run(stream, 2, 5, 1.0, "stacked", capacity)
+    assert stacked == _run(stream, 2, 5, 1.0, "alone", capacity)
+    assert stacked == _run(stream, 2, 5, 1.0, "scalar", capacity)
 
 
 def test_stack_carries_state_collected_alone():

@@ -78,7 +78,7 @@ def test_set_all_params_takes_effect_live(small_network):
     assert small_network.switches[0].params.k_max == new_params.k_max
     # The in-flight QP picks the new parameters up immediately.
     qp = small_network.hosts[0].egress.qps[flow.flow_id]
-    assert qp.rp.params_ref().rpg_ai_rate == new_params.rpg_ai_rate
+    assert qp.rp.params.rpg_ai_rate == new_params.rpg_ai_rate
 
 
 def test_per_switch_ecn_override(small_network):

@@ -12,9 +12,12 @@ frame in the common case; on top of that the switch releases and
 charges the buffer (``dequeued`` and the DT check), the sending QP's
 reaction point counts its bytes, and ECN coins, CNPs, wake timers and
 the runner's per-interval work add the rest.  At the commit before
-the hop went one-frame-per-event this read 11.14; the budget below is
-the merged code's 5.90 with no room for a frame per switch hop (0.6)
-or per host packet (0.34) to come back.  CPython 3.12 inlines
+the hop went one-frame-per-event this read 11.14, and 5.90 before the
+reaction point held its knobs (no ``params_ref`` call per packet) and
+the host's pacing wake became an uncancellable ``post_at`` (no
+``EventHandle``); the budget below is the merged code's 5.36 with no
+room for a frame per switch hop (0.6), per host packet (0.34) or
+either of those two to come back.  CPython 3.12 inlines
 comprehensions, which only lowers the count.
 """
 
@@ -31,7 +34,7 @@ from repro.tuning.parameters import default_params
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
 
-FRAMES_PER_HOP_BUDGET = 5.95
+FRAMES_PER_HOP_BUDGET = 5.40
 
 
 def _count_frames():

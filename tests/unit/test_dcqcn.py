@@ -14,7 +14,7 @@ LINE = gbps(10.0)
 
 
 def make_rp(sim, params):
-    return DcqcnRp(sim, LINE, lambda: params)
+    return DcqcnRp(sim, LINE, params)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def test_rp_timers_post_no_engine_events(sim, params):
         rp.on_cnp()
     sim.run_until(params.dce_tcp_rtt * 3.5)
     assert len({rp.alpha for rp in rps}) == 1          # all ticked alike
-    assert rps[0].alpha < rps[0].params_ref().initial_alpha
+    assert rps[0].alpha < rps[0].params.initial_alpha
     assert sim.events_dispatched == 0
     assert sim.pending_events == 0
 
@@ -319,7 +319,7 @@ def test_rp_invariants_under_arbitrary_event_sequences(events):
     """Property: rate in [floor, line], alpha in (0, 1], rt >= floor."""
     sim = Simulator()
     params = DcqcnParams()
-    rp = DcqcnRp(sim, LINE, lambda: params)
+    rp = DcqcnRp(sim, LINE, params)
     rp.start()
     for event in events:
         if event == "cnp":
@@ -386,9 +386,9 @@ def test_lazy_timers_match_the_eager_reference(ops):
     """
     current = [DcqcnParams()]
     eager_sim, lazy_sim = Simulator(), Simulator()
-    eager = EagerDcqcnRp(eager_sim, LINE, lambda: current[0])
-    read = DcqcnRp(lazy_sim, LINE, lambda: current[0])     # read every step
-    quiet = DcqcnRp(lazy_sim, LINE, lambda: current[0])    # read at the end
+    eager = EagerDcqcnRp(eager_sim, LINE, current[0])
+    read = DcqcnRp(lazy_sim, LINE, current[0])     # read every step
+    quiet = DcqcnRp(lazy_sim, LINE, current[0])    # read at the end
     rps = (eager, read, quiet)
     for kind, arg in ops:
         if kind == "start":
@@ -404,9 +404,9 @@ def test_lazy_timers_match_the_eager_reference(ops):
             for rp in rps:
                 rp.on_packet_sent(arg)
         elif kind == "swap":
-            read.catch_up()                   # what Host.params' setter does
-            quiet.catch_up()
             current[0] = current[0].copy(**arg)
+            for rp in rps:                    # what Host.params' setter does
+                rp.params = current[0]
         else:
             if kind == "run":
                 end = eager_sim.now + arg

@@ -12,6 +12,7 @@ from repro.monitor.fsd import (
     FlowSizeDistribution,
     FlowStates,
     HISTOGRAM_BUCKETS,
+    group_distributions,
     kl_divergence,
     merge_distributions,
 )
@@ -46,11 +47,12 @@ def test_from_sizes():
     assert fsd.flow_states[1] is TernaryState.ELEPHANT
 
 
-# Sizes around every power of two, where floor(log2) changes bucket,
-# plus zero and negative sizes, which the rule drops.
+# Sizes around every power of two an int64 holds, where floor(log2)
+# changes bucket (past 2**53 a float rounds them; every bucket past 30
+# is capped), plus zero and negative sizes, which the rule drops.
 _boundary_sizes = st.one_of(
-    st.integers(min_value=0, max_value=40).map(lambda k: 2**k),
-    st.integers(min_value=1, max_value=40).map(lambda k: 2**k - 1),
+    st.integers(min_value=0, max_value=62).map(lambda k: 2**k),
+    st.integers(min_value=1, max_value=63).map(lambda k: 2**k - 1),
     st.integers(min_value=-5, max_value=2**40),
 )
 
@@ -320,7 +322,7 @@ def test_from_groups_equals_each_group_alone(sizes, seed):
     cum = rng.integers(0, 3 * MB, n)
     codes = rng.integers(0, 3, n).astype(np.int8)
     ends = np.cumsum(sizes)
-    groups = FlowSizeDistribution.from_groups(ids, cum, codes, ends, tau=MB)
+    groups, merged = group_distributions(ids, cum, codes, ends, tau=MB)
     lo = 0
     for hi, got in zip(ends.tolist(), groups):
         alone = FlowSizeDistribution.from_columns(
@@ -336,3 +338,9 @@ def test_from_groups_equals_each_group_alone(sizes, seed):
         assert got.elephant_weight == float(np.sum(likelihood.copy()))
         assert got.mice_weight == float(np.sum(1.0 - likelihood))
         lo = hi
+    # The merge from the same pass is merge_distributions' bit for bit.
+    reference = merge_distributions(groups)
+    assert merged.elephant_weight == reference.elephant_weight
+    assert merged.mice_weight == reference.mice_weight
+    assert merged.histogram == reference.histogram
+    assert list(merged.flow_states.items()) == list(reference.flow_states.items())

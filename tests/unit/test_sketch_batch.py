@@ -474,3 +474,124 @@ def test_eviction_counters_split_interval_from_lifetime():
     assert sketch.evictions - 1 == 1       # this interval's one eviction
     sketch.read_and_reset_arrays()
     assert sketch.evictions == 2
+
+
+# -- two-member edge cases: the kernel's early exits ------------------------
+
+_EDGE_CONFIG = dict(heavy_buckets=16, light_width=32, light_depth=2, ostracism_lambda=1.0)
+
+
+def _flows_in_buckets(seed):
+    """Flow ids 0..4095 by the heavy bucket they hash to under ``seed``."""
+    probe = ElasticSketch(ElasticSketchConfig(seed=seed, **_EDGE_CONFIG))
+    by_bucket = {}
+    for flow in range(4096):
+        by_bucket.setdefault(hash32(flow, probe._bucket_seed) % 16, []).append(flow)
+    return by_bucket
+
+
+def _edge_streams(case, seed):
+    """``(flow, bytes)`` packets in arrival order for members hashing
+    under seeds ``seed`` and ``seed + 1``."""
+    buckets = [_flows_in_buckets(seed), _flows_in_buckets(seed + 1)]
+    rng = np.random.default_rng(seed)
+    if case == "no colliders":
+        # One flow per bucket, many packets each, interleaved.
+        flows = [[by_bucket[b][0] for b in range(0, 16, 2)] for by_bucket in buckets]
+        return [
+            [(flows[0][i % 8], int(rng.integers(1, 1500))) for i in range(64)],
+            [(flows[1][(i * 3) % 8], int(rng.integers(1, 1500))) for i in range(40)],
+        ]
+    if case == "deep chain":
+        # Every packet after the first is a new flow in the same bucket
+        # with at least the resident's bytes: each one ostracizes it.
+        return [
+            [(flow, 100 * (i + 1)) for i, flow in enumerate(buckets[0][5][:12])],
+            [(flow, 2**i) for i, flow in enumerate(buckets[1][9][:12])],
+        ]
+    if case == "one flow":
+        return [[(7, 1000)] * 300, [(9, int(v)) for v in rng.integers(0, 1500, 200)]]
+    packets = list(zip(rng.integers(0, 60, 120).tolist(), rng.integers(0, 1500, 120).tolist()))
+    if case == "empty member":
+        return [packets, []]
+    assert case == "zero bytes"
+    return [
+        [(flow, 0) for flow, _ in packets],
+        [(flow, nbytes if i % 2 else 0) for i, (flow, nbytes) in enumerate(packets)],
+    ]
+
+
+_EDGE_CASES = ["no colliders", "deep chain", "one flow", "empty member", "zero bytes"]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_stack_insert_edge_cases_equal_lone_and_scalar_sketches(case, seed):
+    """Two members through one ``ElasticStack.insert`` end exactly as
+    two lone sketches and the per-packet scalar insert, on the inputs
+    the kernel takes its early exits on: no colliding packet (no spill,
+    no Light-Part insert), a chain in which every packet ostracizes the
+    one before, one flow's many packets, a member with no packets, and
+    zero-byte packets."""
+    streams = _edge_streams(case, seed)
+    stacked = [ElasticSketch(ElasticSketchConfig(seed=seed + i, **_EDGE_CONFIG)) for i in range(2)]
+    stack = ElasticStack(stacked)
+    lone = [ElasticSketch(ElasticSketchConfig(seed=seed + i, **_EDGE_CONFIG)) for i in range(2)]
+    scalar = [ElasticSketch(ElasticSketchConfig(seed=seed + i, **_EDGE_CONFIG)) for i in range(2)]
+    chunks = []
+    for i, stream in enumerate(streams):
+        ids = np.asarray([f for f, _ in stream], dtype=np.int64)
+        vals = np.asarray([v for _, v in stream], dtype=np.int64)
+        chunks.append((i, ids, vals))
+        lone[i].insert_batch(ids, vals)
+        for flow, nbytes in stream:
+            scalar[i].insert(flow, nbytes)
+    stack.insert(chunks)
+    for got, alone, reference, stream in zip(stacked, lone, scalar, streams):
+        assert elastic_state(got) == elastic_state(alone) == elastic_state(reference)
+        assert stored_bytes(got) == sum(nbytes for _, nbytes in stream)
+    if case == "deep chain":
+        assert [s.evictions for s in scalar] == [11, 11]
+    if case == "no colliders":
+        assert not stack.light.any()
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_close_interval_equals_insert_then_read_and_reset(case):
+    """``close_interval`` reads and leaves every register exactly as
+    ``insert`` followed by ``read_and_reset`` does, whether or not a
+    flagged resident (here left by an earlier insert) needs the spills
+    it may skip."""
+    streams = _edge_streams(case, 3)
+    early = _edge_streams("deep chain", 3)
+
+    def run(close):
+        sketches = [ElasticSketch(ElasticSketchConfig(seed=3 + i, **_EDGE_CONFIG)) for i in range(2)]
+        stack = ElasticStack(sketches)
+        reads = []
+        for prefix in ([], early):
+            stack.insert(
+                [(i, np.asarray([f for f, _ in p], dtype=np.int64),
+                  np.asarray([v for _, v in p], dtype=np.int64)) for i, p in enumerate(prefix)]
+            )
+            if close:
+                read = stack.close_interval(
+                    np.asarray([f for s in streams for f, _ in s], dtype=np.int64),
+                    np.asarray([v for s in streams for _, v in s], dtype=np.int64),
+                    [(i, len(s)) for i, s in enumerate(streams)],
+                )
+            else:
+                stack.insert(
+                    [
+                        (i, np.asarray([f for f, _ in s], dtype=np.int64),
+                         np.asarray([v for _, v in s], dtype=np.int64))
+                        for i, s in enumerate(streams)
+                    ]
+                )
+                read = stack.read_and_reset(0, 2)
+            reads.append([a.tolist() for a in read])
+            assert all(read_heavy(s) == {} and stored_bytes(s) == 0 for s in sketches)
+            assert not stack.light.any() and not stack.neg.any() and not stack.flag.any()
+        return reads, [s.evictions for s in sketches]
+
+    assert run(True) == run(False)
