@@ -96,9 +96,9 @@ def test_micro_event_engine_throughput(benchmark):
         def tick():
             count["n"] += 1
             if count["n"] < 10_000:
-                sim.schedule(1e-6, tick)
+                sim.post(1e-6, tick)
 
-        sim.schedule(1e-6, tick)
+        sim.post(1e-6, tick)
         sim.run()
         return count["n"]
 

@@ -108,8 +108,6 @@ class ExperimentRunner:
                         "utility": measured,
                         "events": engine["events_dispatched"] - events_base,
                         "heap": engine["heap_size"],
-                        "cancelled": engine["cancelled_pending"],
-                        "compactions": engine["compactions"],
                         "freelist": freelist_occupancy(),
                     },
                 )

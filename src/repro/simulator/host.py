@@ -156,7 +156,7 @@ class HostEgress:
             link.tx_packets += 1
             _heappush(self._heap, (
                 now + self._prop_delay, self._next_seq(),
-                self._dst_receive, (done, self._dst_port), None,
+                self._dst_receive, (done, self._dst_port),
             ))
             if qp is not None:
                 self.data_tx_bytes += size
@@ -218,7 +218,7 @@ class HostEgress:
         self.busy = True
         _heappush(self._heap, (
             now + packet.wire_size * self._sec_per_byte, self._next_seq(),
-            self._kick, (packet, qp, now), None,
+            self._kick, (packet, qp, now),
         ))
 
     def _schedule_wake(self, at_time: float) -> None:

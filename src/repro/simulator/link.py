@@ -213,7 +213,7 @@ class QueuedEgress:
             link.tx_packets += 1
             _heappush(heap, (
                 now + self._prop_delay, self._next_seq(),
-                self._dst_receive, (done, self._dst_port), None,
+                self._dst_receive, (done, self._dst_port),
             ))
             if self.on_dequeue is not None:
                 self.on_dequeue(done)
@@ -228,5 +228,5 @@ class QueuedEgress:
         self.busy = True
         _heappush(heap, (
             now + packet.wire_size * self._sec_per_byte, self._next_seq(),
-            self._transmit, (packet,), None,
+            self._transmit, (packet,),
         ))

@@ -46,7 +46,7 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     # engine / runner: one per monitor interval
     "engine.interval": (
         "t_end", "events", "utility", "throughput_util", "norm_rtt",
-        "pfc_ok", "heap", "cancelled", "compactions", "freelist",
+        "pfc_ok", "heap", "freelist",
     ),
     # monitor plane
     "monitor.report": (

@@ -15,7 +15,7 @@ the runner's per-interval work add the rest.  At the commit before
 the hop went one-frame-per-event this read 11.14, and 5.90 before the
 reaction point held its knobs (no ``params_ref`` call per packet) and
 the host's pacing wake became an uncancellable ``post_at`` (no
-``EventHandle``); the budget below is the merged code's 5.36 with no
+handle object per wake); the budget below is the merged code's 5.36 with no
 room for a frame per switch hop (0.6), per host packet (0.34) or
 either of those two to come back.  CPython 3.12 inlines
 comprehensions, which only lowers the count.

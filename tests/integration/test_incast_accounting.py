@@ -41,7 +41,7 @@ def _on_the_wire(network, egress):
     one pending serialization-finish event it pushed."""
     return sum(
         args[0].wire_size
-        for _, _, fn, args, _ in network.sim.heap
+        for _, _, fn, args in network.sim.heap
         if fn == egress.transmit
     )
 

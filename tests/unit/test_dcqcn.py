@@ -243,22 +243,6 @@ def test_stop_cancels_timers(sim, params):
     assert rp.cnps_received == 0
 
 
-def test_self_rearming_ticks_leave_no_phantom_cancellations(sim, params):
-    """Regression: re-arming used to cancel the handle that had just
-    fired, so 50 alpha ticks left ``cancelled_pending == 49`` on an
-    otherwise clean heap and every later schedule() ran a pointless
-    compaction check (369 heap rebuilds per all-to-all run).
-    """
-    rp = make_rp(sim, params)
-    rp.start()
-    sim.run_until(params.dce_tcp_rtt * 50.5)
-    assert sim.cancelled_pending == 0
-    assert sim.compactions == 0
-    rp.stop()
-    sim.run()
-    assert sim.pending_events == 0
-
-
 def test_rp_timers_post_no_engine_events(sim, params):
     rps = [make_rp(sim, params) for _ in range(16)]
     for rp in rps:

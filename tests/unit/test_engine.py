@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from heapq import heappush
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simulator.engine import (
-    _COMPACT_MIN_CANCELLED,
-    SimulationError,
-    Simulator,
-)
+from repro.simulator.engine import SimulationError, Simulator
 
 
 def test_time_starts_at_zero(sim):
@@ -19,8 +19,8 @@ def test_time_starts_at_zero(sim):
 
 def test_schedule_and_run_until(sim):
     fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(0.5, fired.append, "b")
+    sim.post(1.0, fired.append, "a")
+    sim.post(0.5, fired.append, "b")
     sim.run_until(2.0)
     assert fired == ["b", "a"]
     assert sim.now == 2.0
@@ -34,7 +34,7 @@ def test_run_until_advances_clock_even_without_events(sim):
 def test_same_time_events_dispatch_fifo(sim):
     fired = []
     for tag in range(5):
-        sim.at(1.0, fired.append, tag)
+        sim.post_at(1.0, fired.append, tag)
     sim.run_until(1.0)
     assert fired == [0, 1, 2, 3, 4]
 
@@ -44,22 +44,22 @@ def test_events_scheduled_during_dispatch_run_in_order(sim):
 
     def outer():
         fired.append("outer")
-        sim.schedule(0.0, fired.append, "inner")
+        sim.post(0.0, fired.append, "inner")
 
-    sim.schedule(1.0, outer)
+    sim.post(1.0, outer)
     sim.run_until(1.0)
     assert fired == ["outer", "inner"]
 
 
 def test_negative_delay_rejected(sim):
     with pytest.raises(SimulationError):
-        sim.schedule(-1e-9, lambda: None)
+        sim.post(-1e-9, lambda: None)
 
 
 def test_scheduling_in_the_past_rejected(sim):
     sim.run_until(1.0)
     with pytest.raises(SimulationError):
-        sim.at(0.5, lambda: None)
+        sim.post_at(0.5, lambda: None)
 
 
 def test_run_until_backwards_rejected(sim):
@@ -68,25 +68,31 @@ def test_run_until_backwards_rejected(sim):
         sim.run_until(0.5)
 
 
-def test_cancelled_events_do_not_fire(sim):
+def test_non_finite_times_rejected(sim):
+    """Regression: ``post(nan)`` used to enter the heap and break its
+    order, so a later ``run_until(0.3)`` dispatched nothing although an
+    event was due at 0.2; and ``run_until(nan)`` drained the whole heap
+    instead of raising.
+    """
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    sim.run_until(2.0)
-    assert fired == []
-    assert sim.events_dispatched == 0
-
-
-def test_cancel_is_idempotent(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled
+    sim.post(0.2, fired.append, "due")
+    sim.post(0.5, fired.append, "later")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SimulationError):
+            sim.post(bad, fired.append, "bad")
+        with pytest.raises(SimulationError):
+            sim.post_at(bad, fired.append, "bad")
+    with pytest.raises(SimulationError):
+        sim.run_until(math.nan)
+    assert sim.pending_events == 2
+    assert sim.run_until(0.3) == 1
+    assert fired == ["due"]
+    assert sim.now == 0.3
 
 
 def test_run_until_boundary_inclusive(sim):
     fired = []
-    sim.at(1.0, fired.append, "edge")
+    sim.post_at(1.0, fired.append, "edge")
     sim.run_until(1.0)
     assert fired == ["edge"]
 
@@ -97,8 +103,8 @@ def test_step_returns_false_when_empty(sim):
 
 def test_step_executes_single_event(sim):
     fired = []
-    sim.schedule(0.25, fired.append, 1)
-    sim.schedule(0.75, fired.append, 2)
+    sim.post(0.25, fired.append, 1)
+    sim.post(0.75, fired.append, 2)
     assert sim.step() is True
     assert fired == [1]
     assert sim.now == 0.25
@@ -107,7 +113,7 @@ def test_step_executes_single_event(sim):
 def test_run_drains_heap(sim):
     fired = []
     for i in range(10):
-        sim.schedule(i * 0.1, fired.append, i)
+        sim.post(i * 0.1, fired.append, i)
     count = sim.run()
     assert count == 10
     assert fired == list(range(10))
@@ -115,20 +121,9 @@ def test_run_drains_heap(sim):
 
 def test_run_respects_max_events(sim):
     for i in range(10):
-        sim.schedule(i * 0.1, lambda: None)
+        sim.post(i * 0.1, lambda: None)
     assert sim.run(max_events=3) == 3
     assert sim.pending_events == 7
-
-
-def test_peek_time_skips_cancelled(sim):
-    h1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h1.cancel()
-    assert sim.peek_time() == pytest.approx(2.0)
-
-
-def test_peek_time_empty(sim):
-    assert sim.peek_time() is None
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50))
@@ -137,105 +132,24 @@ def test_dispatch_order_is_nondecreasing(delays):
     sim = Simulator()
     observed = []
     for delay in delays:
-        sim.schedule(delay, lambda: observed.append(sim.now))
+        sim.post(delay, lambda: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
 
 
-@given(
-    delays=st.lists(
-        st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=30
-    ),
-    cancel_index=st.integers(min_value=0, max_value=29),
-)
-def test_cancellation_only_removes_target(delays, cancel_index):
-    sim = Simulator()
-    fired = []
-    handles = [
-        sim.schedule(delay, fired.append, i) for i, delay in enumerate(delays)
-    ]
-    cancel_index %= len(handles)
-    handles[cancel_index].cancel()
-    sim.run()
-    assert cancel_index not in fired
-    assert len(fired) == len(delays) - 1
-
-
 # ---------------------------------------------------------------------------
-# Heap compaction (lazy-cancellation memory bound)
-# ---------------------------------------------------------------------------
-
-
-def test_compaction_shrinks_pending_events(sim):
-    """Cancelling most of a large heap must reclaim the entries well
-    before their scheduled times arrive (the seed engine kept them all).
-    """
-    handles = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(1000)]
-    assert sim.pending_events == 1000
-    for handle in handles[:-1]:
-        handle.cancel()
-    # Compaction triggers on the next schedule once cancelled entries
-    # are both numerous (>64) and the majority of the heap.
-    sim.schedule(2.0, lambda: None)
-    assert sim.pending_events == 2
-    assert sim.cancelled_pending == 0
-
-
-def test_compaction_preserves_dispatch_order(sim):
-    fired = []
-    keep = []
-    for i in range(500):
-        h = sim.schedule(1.0 + (i % 7) * 0.1, fired.append, i)
-        if i % 5 == 0:
-            keep.append((i, h))
-        else:
-            h.cancel()
-    sim.schedule(3.0, fired.append, "last")  # triggers compaction
-    sim.run_until(4.0)
-    expected = [i for i, _ in sorted(
-        keep, key=lambda pair: (1.0 + (pair[0] % 7) * 0.1, pair[0])
-    )] + ["last"]
-    assert fired == expected
-
-
-def test_cancelled_pending_counter_tracks_heap(sim):
-    h1 = sim.schedule(1.0, lambda: None)
-    h2 = sim.schedule(2.0, lambda: None)
-    assert sim.cancelled_pending == 0
-    h1.cancel()
-    h2.cancel()
-    assert sim.cancelled_pending == 2
-    sim.run_until(3.0)
-    assert sim.cancelled_pending == 0
-    assert sim.pending_events == 0
-
-
-def test_memory_stays_bounded_under_cancel_rearm_churn(sim):
-    """The host egress wake-timer pattern: cancel + re-arm forever.
-
-    With lazy cancellation alone the heap grows by one dead entry per
-    iteration; compaction must keep it within a constant factor.
-    """
-    timer = sim.schedule(1.0, lambda: None)
-    for _ in range(10_000):
-        timer.cancel()
-        timer = sim.schedule(1.0, lambda: None)
-    assert sim.pending_events <= 2 * _COMPACT_MIN_CANCELLED + 2
-
-
-# ---------------------------------------------------------------------------
-# Property: ordering survives interleaved cancellation / re-scheduling
+# Property: ordering survives interleaved re-posting with guarded callbacks
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def _op_sequences(draw):
-    """Interleaved schedule / cancel / reschedule operation scripts."""
+    """Interleaved post / drop / repost operation scripts."""
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["schedule", "cancel", "reschedule"]))
+        kind = draw(st.sampled_from(["post", "drop", "repost"]))
         delay = draw(
             st.floats(min_value=0.0, max_value=5.0).map(lambda x: round(x, 2))
         )
@@ -246,88 +160,56 @@ def _op_sequences(draw):
 
 @given(ops=_op_sequences())
 def test_dispatch_nondecreasing_fifo_under_churn(ops):
-    """Property (engine contract): whatever mix of scheduling,
-    cancellation and re-scheduling happens, dispatched events are
-    non-decreasing in time, FIFO among equal times (by schedule seq),
-    and cancelled events never fire.
+    """Property (engine contract): nothing cancels an event, so a caller
+    that loses interest guards inside the callback (as the host's pacing
+    wake does with its token).  Whatever mix of posting, dropping and
+    re-posting happens, events dispatch non-decreasing in time, FIFO
+    among equal times (by post order), and exactly the events still
+    wanted act.
     """
     sim = Simulator()
-    fired = []  # (time, seq) at dispatch
-    live = {}   # tag -> (handle, seq)
+    fired = []   # (time, seq) of the events that acted
+    live = {}    # target -> seq of its wanted event
+    wanted = set()
     seqs = {}
 
     def fire(seq):
-        fired.append((sim.now, seq))
+        if seq in wanted:
+            fired.append((sim.now, seq))
 
     next_seq = 0
-    expected_live = set()
     for kind, delay, target in ops:
-        if kind == "cancel" and target in live:
-            handle, seq = live.pop(target)
-            handle.cancel()
-            expected_live.discard(seq)
-            continue
-        if kind == "reschedule" and target in live:
-            handle, seq = live.pop(target)
-            handle.cancel()
-            expected_live.discard(seq)
+        if kind in ("drop", "repost") and target in live:
+            wanted.discard(live.pop(target))
+            if kind == "drop":
+                continue
         seq = next_seq
         next_seq += 1
-        handle = sim.schedule(delay, fire, seq)
-        live[target] = (handle, seq)
+        sim.post(delay, fire, seq)
+        live[target] = seq
         seqs[seq] = sim.now + delay
-        expected_live.add(seq)
+        wanted.add(seq)
 
-    sim.run()
+    assert sim.run() == next_seq   # every post dispatches, wanted or not
 
     times = [t for t, _ in fired]
     assert times == sorted(times), "dispatch must be non-decreasing in time"
-    # FIFO among ties: for equal times, schedule order (seq) decides.
     for (t1, s1), (t2, s2) in zip(fired, fired[1:]):
         if t1 == t2:
             assert s1 < s2, "same-time events must dispatch FIFO"
-    assert {s for _, s in fired} == expected_live
+    assert {s for _, s in fired} == wanted
     for t, s in fired:
-        assert t == pytest.approx(seqs[s])
+        assert t == seqs[s]
 
 
 # ---------------------------------------------------------------------------
-# run(): cancelled-entry bookkeeping and compaction on the drain path
+# run() and run_until() bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def test_run_decrements_cancelled_counter(sim):
-    handles = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(10)]
-    for handle in handles[:7]:
-        handle.cancel()
-    assert sim.cancelled_pending == 7
-    dispatched = sim.run()
-    assert dispatched == 3
-    assert sim.cancelled_pending == 0
-    assert sim.pending_events == 0
-
-
-def test_run_compacts_cancelled_backlog(sim):
-    """Draining via run() must compact a cancel-dominated heap instead
-    of popping dead entries one at a time (the seed's step() loop never
-    compacted on this path).
-    """
-    live = []
-    handles = [
-        sim.schedule(10.0 + i * 1e-6, live.append, i) for i in range(1000)
-    ]
-    for handle in handles[:-1]:
-        handle.cancel()
-    sim.run(max_events=1)
-    assert live == [999]
-    assert sim.cancelled_pending == 0
-    assert sim.pending_events == 0
-    assert sim.compactions >= 1
 
 
 def test_run_and_run_until_agree_on_events_dispatched(sim):
     for i in range(20):
-        sim.schedule(0.1 * (i + 1), lambda: None)
+        sim.post(0.1 * (i + 1), lambda: None)
     sim.run_until(1.0)
     base = sim.events_dispatched
     sim.run()
@@ -340,20 +222,16 @@ def test_run_and_run_until_agree_on_events_dispatched(sim):
         min_size=1,
         max_size=60,
     ),
-    cancel_mod=st.integers(min_value=2, max_value=5),
 )
-def test_run_matches_run_until_under_cancellation(delays, cancel_mod):
-    """Property: run() and run_until(∞) dispatch the identical event
-    sequence with identical bookkeeping, whatever mix of cancellations
-    is parked in the heap.
+def test_run_matches_run_until(delays):
+    """Property: run() and run_until(past the last event) dispatch the
+    identical event sequence with identical bookkeeping.
     """
     def build():
         s = Simulator()
         fired = []
         for i, delay in enumerate(delays):
-            h = s.schedule(delay, fired.append, i)
-            if i % cancel_mod == 0:
-                h.cancel()
+            s.post(delay, fired.append, i)
         return s, fired
 
     sim_a, fired_a = build()
@@ -361,25 +239,26 @@ def test_run_matches_run_until_under_cancellation(delays, cancel_mod):
     sim_a.run()
     sim_b.run_until(10.0)
     assert fired_a == fired_b
-    assert sim_a.events_dispatched == sim_b.events_dispatched
-    assert sim_a.cancelled_pending == sim_b.cancelled_pending == 0
+    assert sim_a.events_dispatched == sim_b.events_dispatched == len(delays)
     assert sim_a.pending_events == sim_b.pending_events == 0
 
 
 # ---------------------------------------------------------------------------
-# Handle-free events, detached handles
+# The three ways in: post, post_at and the packet path's direct push
 # ---------------------------------------------------------------------------
 
 
-def test_post_and_schedule_share_one_fifo_order(sim):
-    """post/post_at/schedule/at all draw from the same seq counter."""
+def test_post_post_at_and_direct_push_share_one_fifo_order(sim):
+    """post/post_at and a direct heap push all draw from the same seq
+    counter, and every entry is ``(time, seq, fn, args)``."""
     fired = []
     sim.post(1.0, fired.append, "post")
-    sim.schedule(1.0, fired.append, "schedule")
+    heappush(sim.heap, (1.0, sim.next_seq(), fired.append, ("push",)))
     sim.post_at(1.0, fired.append, "post_at")
-    sim.at(1.0, fired.append, "at")
+    assert [len(entry) for entry in sim.heap] == [4, 4, 4]
+    assert sorted(entry[1] for entry in sim.heap) == [0, 1, 2]
     sim.run()
-    assert fired == ["post", "schedule", "post_at", "at"]
+    assert fired == ["post", "push", "post_at"]
 
 
 def test_post_rejects_the_past(sim):
@@ -388,30 +267,6 @@ def test_post_rejects_the_past(sim):
         sim.post(-1e-9, lambda: None)
     with pytest.raises(SimulationError):
         sim.post_at(0.5, lambda: None)
-
-
-def test_late_cancel_of_a_fired_handle_is_a_noop(sim):
-    """Regression: a self-re-arming timer that cancels the handle that
-    just fired (the old ``DcqcnRp._arm_*_timer`` pattern) used to bump
-    ``cancelled_pending`` once per tick for an entry no longer in the
-    heap — 50 ticks left 49 phantom cancellations on an empty heap and
-    sent every later ``schedule()`` into a pointless compaction check.
-    """
-    state = {"handle": None, "ticks": 0}
-
-    def tick():
-        state["ticks"] += 1
-        state["handle"].cancel()          # already fired: must not count
-        if state["ticks"] < 50:
-            state["handle"] = sim.schedule(1e-6, tick)
-
-    state["handle"] = sim.schedule(1e-6, tick)
-    sim.run()
-    assert state["ticks"] == 50
-    assert sim.pending_events == 0
-    assert sim.cancelled_pending == 0
-    assert sim.compactions == 0
-    assert not state["handle"].cancelled
 
 
 # -- model-based property test ----------------------------------------------
@@ -429,9 +284,6 @@ class _ReferenceCalendar:
         self.entries.append((time, self.seq, tag))
         self.seq += 1
 
-    def cancel(self, tag):
-        self.entries = [e for e in self.entries if e[2] != tag]
-
     def pop_due(self, end_time):
         """Tag of the next entry due by ``end_time`` (None if none)."""
         if not self.entries or min(self.entries)[0] > end_time:
@@ -442,15 +294,13 @@ class _ReferenceCalendar:
         return tag
 
 
+_KINDS = ("post", "post_at", "push")
+
 _TIMES = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(
-            st.sampled_from(["schedule", "at", "post", "post_at"]),
-            _TIMES,
-        ),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.sampled_from(_KINDS), _TIMES),
         st.tuples(st.just("run_until"), _TIMES),
         st.tuples(st.just("step"), st.just(0.0)),
     ),
@@ -459,67 +309,44 @@ _OPS = st.lists(
 )
 
 
-def _cancelled_in_heap(sim):
-    return sum(1 for e in sim.heap if e[4] is not None and e[4].cancelled)
-
-
-def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
+def _execute(ops, drain):
     """Run an op program; returns the ``(time, tag)`` dispatch sequence.
 
     ``drain="oracle"`` single-steps the engine in lock-step with the
     sorted-list oracle and checks every dispatch against it; the other
     drains (``step``/``run``/``run_until``) use the engine natively.
-    Every third event re-arms itself once when it fires and every
-    fourth cancels some handle (late, if that one already fired), so
-    scheduling and cancellation also happen mid-dispatch.  The
-    ``cancelled_pending`` invariant is asserted after every op and
-    inside every callback.
+    Every other event adds one more when it fires, through each of the
+    three ways in by turn, so events also enter mid-dispatch.  A direct
+    push is the packet path's ``heappush(sim.heap, (time,
+    sim.next_seq(), fn, args))``.
     """
-    from repro.simulator import engine as engine_module
-
     sim = Simulator()
     ref = _ReferenceCalendar() if drain == "oracle" else None
-    fired, handles = [], {}
-    tags = iter(range(10_000))
-
-    def invariant():
-        assert sim.cancelled_pending == _cancelled_in_heap(sim)
+    fired = []
+    tags = itertools.count()
 
     def add(kind, time, nested=False):
         tag = next(tags)
-        time = max(time, sim.now)
-        delay = time - sim.now
+        delay = max(time, sim.now) - sim.now
 
-        def fn():
+        def fn(*args):
+            assert args == (tag,)
             fired.append((sim.now, tag))
-            invariant()
-            if not nested and tag % 3 == 0:
-                add("schedule" if tag % 2 else "post_at", sim.now + 0.25, True)
-            if tag % 4 == 0:
-                cancel(tag)
+            if not nested and tag % 2 == 0:
+                add(_KINDS[tag // 2 % 3], sim.now + 0.25 * (tag % 3), True)
 
-        if kind == "schedule":
-            handles[tag] = sim.schedule(delay, fn)
-        elif kind == "at":
-            handles[tag] = sim.at(time, fn)
-        elif kind == "post":
-            sim.post(delay, fn)
+        when = sim.now + delay
+        if kind == "post":
+            sim.post(delay, fn, tag)
+        elif kind == "post_at":
+            sim.post_at(when, fn, tag)
         else:
-            sim.post_at(time, fn)
+            heappush(sim.heap, (when, sim.next_seq(), fn, (tag,)))
         if ref is not None:
-            ref.push(sim.now + delay if kind in ("schedule", "post") else time, tag)
-
-    def cancel(index):
-        if handles:
-            tag = sorted(handles)[index % len(handles)]
-            handles[tag].cancel()
-            if ref is not None:
-                ref.cancel(tag)
+            ref.push(when, tag)
 
     def lockstep(end_time, max_events=-1):
         while max_events != 0:
-            # Popped before the engine steps, so a nested cancel of the
-            # event now firing finds nothing pending in the oracle either.
             tag = ref.pop_due(end_time)
             if tag is None:
                 break
@@ -528,56 +355,44 @@ def _execute(ops, drain, compact_min=_COMPACT_MIN_CANCELLED):
             assert fired[start:] == [(ref.now, tag)]
             max_events -= 1
 
-    engine_module._COMPACT_MIN_CANCELLED, saved = (
-        compact_min, engine_module._COMPACT_MIN_CANCELLED,
-    )
-    try:
-        for kind, arg in ops:
-            if kind == "cancel":
-                cancel(arg)
-            elif kind == "run_until":
-                end = max(arg, sim.now)
-                if ref is not None:
-                    lockstep(end)
-                    assert sim.run_until(end) == 0   # nothing else was due
-                else:
-                    sim.run_until(end)
-            elif kind == "step":
-                lockstep(float("inf"), 1) if ref is not None else sim.step()
+    for kind, arg in ops:
+        if kind == "run_until":
+            end = max(arg, sim.now)
+            if ref is not None:
+                lockstep(end)
+                assert sim.run_until(end) == 0   # nothing else was due
             else:
-                add(kind, arg)
-            invariant()
-        if drain == "oracle":
-            lockstep(float("inf"))
-            assert sim.step() is False
-        elif drain == "step":
-            while sim.step():
-                invariant()
-        elif drain == "run":
-            sim.run()
+                sim.run_until(end)
+        elif kind == "step":
+            lockstep(float("inf"), 1) if ref is not None else sim.step()
         else:
-            sim.run_until(1e9)
-    finally:
-        engine_module._COMPACT_MIN_CANCELLED = saved
+            add(kind, arg)
+    if drain == "oracle":
+        lockstep(float("inf"))
+        assert sim.step() is False
+    elif drain == "step":
+        while sim.step():
+            pass
+    elif drain == "run":
+        sim.run()
+    else:
+        sim.run_until(1e9)
     assert sim.pending_events == 0
-    assert sim.cancelled_pending == 0
+    assert sim.events_dispatched == len(fired)
     return fired
 
 
 @given(ops=_OPS)
 def test_dispatch_matches_sorted_list_model(ops):
-    """Property: whatever mix of schedule/at/post/post_at,
-    cancel (early and late), step and run_until a program makes — also
-    from inside callbacks — the engine dispatches exactly what a sorted
-    ``(time, seq)`` list would, and ``cancelled_pending`` always equals
-    the number of cancelled entries actually parked in the heap.
+    """Property: whatever mix of post, post_at, direct push, step and
+    run_until a program makes — also from inside callbacks — the engine
+    dispatches exactly what a sorted ``(time, seq)`` list would.
     """
     _execute(ops, "oracle")
 
 
 @given(ops=_OPS)
-def test_step_run_run_until_agree_with_and_without_compaction(ops):
+def test_step_run_run_until_agree(ops):
     reference = _execute(ops, "oracle")
     for drain in ("step", "run", "run_until"):
-        for compact_min in (0, _COMPACT_MIN_CANCELLED):
-            assert _execute(ops, drain, compact_min) == reference
+        assert _execute(ops, drain) == reference

@@ -375,66 +375,6 @@ def test_rl007_allows_fabric_inside_parallel_and_threads_anywhere(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RL012 discarded-handle
-# ---------------------------------------------------------------------------
-
-
-def test_rl012_flags_discarded_handles_and_aliases_in_simulator(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/simulator/port.py": """
-            class Port:
-                def __init__(self, sim, network):
-                    self.sim = sim
-                    self.network = network
-                    self._schedule = sim.schedule
-
-                def start(self, packet):
-                    self.sim.schedule(1e-6, self.finish, packet)
-                    self.network.sim.at(2.0, self.finish, packet)
-
-                def finish(self, packet):
-                    pass
-        """,
-    })
-    assert checks_of(result) == ["RL012"] * 3
-    messages = [f.message for f in result.findings]
-    assert "bound to an alias" in messages[0]
-    assert "use sim.post()" in messages[1]
-    assert "use sim.post_at()" in messages[2]
-
-
-def test_rl012_allows_kept_handles_post_and_other_packages(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/simulator/timer.py": """
-            import numpy as np
-
-            class Timer:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self._post = sim.post
-                    self._wake = None
-
-                def arm(self, when, table, idx):
-                    self._wake = self.sim.at(when, self.fire)
-                    self.sim.post(1e-6, self.fire)
-                    self.sim.post_at(when, self.fire)
-                    np.add.at(table, idx, 1)      # ufunc.at is not ours
-                    return self.sim.schedule(1e-6, self.fire)
-
-                def fire(self):
-                    pass
-        """,
-        # Outside the simulator package the hot-path argument does not
-        # apply (workloads schedule a handful of events per run).
-        "src/repro/workloads/burst.py": """
-            def install(network, start):
-                network.sim.at(start, print)
-        """,
-    })
-    assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
 # RL008 layering (whole-program: architecture DAG from layers.toml)
 # ---------------------------------------------------------------------------
 
@@ -865,7 +805,7 @@ def test_json_reporter_shape(tmp_path):
     assert finding["path"] == "src/repro/core/foo.py"
     assert {c["id"] for c in payload["checks"]} == {
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL010", "RL011",
     }
 
 
@@ -901,7 +841,7 @@ def test_cli_main_list_checks_and_disable(tmp_path, capsys, monkeypatch):
     assert "RL009" in out and "determinism-taint" in out
     assert "RL010" in out and "fork-reachability" in out
     assert "RL011" in out and "contract-sync" in out
-    assert "RL012" in out and "discarded-handle" in out
+    assert "RL012" not in out
 
     target = tmp_path / "src" / "repro" / "core" / "foo.py"
     target.parent.mkdir(parents=True)

@@ -146,7 +146,7 @@ def test_swift_ack_path_wired(small_spec):
     flow = net.add_flow(0, 4, kb(400.0), 0.0)
     qp_holder = {}
     # Capture the QP before the flow finishes.
-    net.sim.schedule(1e-4, lambda: qp_holder.update(
+    net.sim.post(1e-4, lambda: qp_holder.update(
         qp=net.hosts[0].egress.qps.get(flow.flow_id)))
     net.run_until(ms(20.0))
     assert flow.completed

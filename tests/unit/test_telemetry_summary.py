@@ -36,13 +36,11 @@ def _sample_records():
         _rec("engine.interval", ts=0.1,
              attrs={"t_end": 0.001, "events": 100, "utility": 0.5,
                     "throughput_util": 0.9, "norm_rtt": 1.1,
-                    "pfc_ok": True, "heap": 10, "cancelled": 0,
-                    "compactions": 0, "freelist": 0}),
+                    "pfc_ok": True, "heap": 10, "freelist": 0}),
         _rec("engine.interval", ts=0.2,
              attrs={"t_end": 0.002, "events": 90, "utility": 0.6,
                     "throughput_util": 0.9, "norm_rtt": 1.0,
-                    "pfc_ok": True, "heap": 12, "cancelled": 1,
-                    "compactions": 0, "freelist": 4}),
+                    "pfc_ok": True, "heap": 12, "freelist": 4}),
         _rec("controller.kl", ts=0.21,
              attrs={"t": 0.002, "kl": 0.4, "theta": 0.18,
                     "triggered": True, "tuning_active": False,

@@ -9,7 +9,7 @@ checks them.  ``replint`` is that tool: a small, stdlib-``ast``-only
 lint suite whose checks encode *this repo's* rules, run on every
 commit via ``make lint`` and the CI ``lint`` job.
 
-The twelve checks (RL001-RL012) live in :mod:`tools.replint.checks`;
+The eleven checks (RL001-RL011) live in :mod:`tools.replint.checks`;
 ``python -m tools.replint --list-checks`` prints the catalog.  Every
 run parses every file and runs every check.
 

@@ -9,7 +9,6 @@ from tools.replint.checks.determinism import UnseededRngCheck, WallClockCheck
 from tools.replint.checks.envreg import EnvRegistryCheck
 from tools.replint.checks.forkreach import ForkReachabilityCheck
 from tools.replint.checks.forksafety import ForkSafetyCheck
-from tools.replint.checks.handles import DiscardedHandleCheck
 from tools.replint.checks.hygiene import SilentExceptCheck
 from tools.replint.checks.layering import LayeringCheck
 from tools.replint.checks.poolboundary import PoolBoundaryCheck
@@ -30,7 +29,6 @@ __all__ = [
     "DeterminismTaintCheck",
     "ForkReachabilityCheck",
     "ContractSyncCheck",
-    "DiscardedHandleCheck",
     "default_checks",
 ]
 
@@ -56,7 +54,6 @@ def default_checks(
         DeterminismTaintCheck(config=config),
         ForkReachabilityCheck(config=config),
         ContractSyncCheck(config=config),
-        DiscardedHandleCheck(),
     ]
     if disable:
         off = {d.strip().upper() for d in disable}
