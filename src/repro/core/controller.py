@@ -98,8 +98,10 @@ class ParaleonController:
             )
 
         if self._awaiting_feedback:
+            # The breakdown only feeds the ``sa.step`` trace record.
             self.annealer.feedback(
-                measured_utility, terms=utility_components(stats)
+                measured_utility,
+                terms=utility_components(stats) if trace.active else None,
             )
             self._awaiting_feedback = False
 

@@ -31,7 +31,8 @@ tuner can swap one object per device and affect all three roles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from repro.simulator.engine import Simulator
 from repro.simulator.units import kb, mbps, us
@@ -110,11 +111,16 @@ class DcqcnParams:
         return replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_PARAM_FIELDS, _read_param_fields(self)))
 
     @classmethod
     def from_dict(cls, values: dict) -> "DcqcnParams":
         return cls(**values)
+
+
+# Field names in declaration order, and one C-level read of them all.
+_PARAM_FIELDS = tuple(f.name for f in fields(DcqcnParams))
+_read_param_fields = attrgetter(*_PARAM_FIELDS)
 
 
 class DcqcnRp:

@@ -461,11 +461,6 @@ class Host:
     # Introspection
     # ------------------------------------------------------------------
 
-    def total_paused_time(self) -> float:
-        if self.egress is None:
-            return 0.0
-        return self.egress.pause.paused_time_until_now()
-
     def active_qp_count(self) -> int:
         return 0 if self.egress is None else len(self.egress.qps)
 

@@ -101,12 +101,12 @@ class PauseState:
     utility function.
     """
 
-    __slots__ = ("sim", "paused", "_paused_since", "total_paused_time", "pause_events")
+    __slots__ = ("sim", "paused", "paused_since", "total_paused_time", "pause_events")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.paused = False
-        self._paused_since = 0.0
+        self.paused_since = 0.0
         self.total_paused_time = 0.0
         self.pause_events = 0
 
@@ -115,10 +115,10 @@ class PauseState:
         if paused == self.paused:
             return False
         if paused:
-            self._paused_since = self.sim.now
+            self.paused_since = self.sim.now
             self.pause_events += 1
         else:
-            self.total_paused_time += self.sim.now - self._paused_since
+            self.total_paused_time += self.sim.now - self.paused_since
         self.paused = paused
         return True
 
@@ -126,7 +126,7 @@ class PauseState:
         """Cumulative paused time including any in-progress pause."""
         total = self.total_paused_time
         if self.paused:
-            total += self.sim.now - self._paused_since
+            total += self.sim.now - self.paused_since
         return total
 
 

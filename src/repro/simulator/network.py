@@ -119,7 +119,7 @@ class Network:
                     self.sim,
                     h,
                     topo.host_name(h),
-                    cfg.params.copy(),
+                    cfg.params,
                     HostConfig(mtu=cfg.mtu),
                     cc_mode=cfg.cc,
                     swift_params=cfg.swift_params,
@@ -131,7 +131,7 @@ class Network:
                 topo.tor_switch_id(t),
                 topo.tor_name(t),
                 cfg.switch,
-                cfg.params.copy(),
+                cfg.params,
                 seed=cfg.seed,
             )
             self.switches.append(switch)
@@ -142,7 +142,7 @@ class Network:
                 topo.spine_switch_id(s),
                 topo.spine_name(s),
                 cfg.switch,
-                cfg.params.copy(),
+                cfg.params,
                 seed=cfg.seed,
             )
             self.switches.append(switch)
@@ -261,12 +261,12 @@ class Network:
     # ------------------------------------------------------------------
 
     def set_all_params(self, params: DcqcnParams) -> None:
-        """Apply a full DCQCN setting to every RNIC and switch."""
+        """Apply a full DCQCN setting (frozen, so shared) to every device."""
         params.validate()
         for host in self.hosts:
-            host.params = params.copy()
+            host.params = params
         for switch in self.switches:
-            switch.params = params.copy()
+            switch.params = params
 
     def set_switch_ecn(
         self, switch: Switch, k_min: int, k_max: int, p_max: float

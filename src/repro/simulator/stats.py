@@ -85,8 +85,19 @@ class StatsCollector:
     def __init__(self, network: "Network"):
         self.network = network
         self._interval_start = network.sim.now
+        # The fabric is wired before its collector is built, so every
+        # counter an interval reads is resolved here once: each host
+        # uplink with its line rate (a host without one sends nothing),
+        # each device's egress pause states (hosts, then switches).
+        self._uplinks = [host.egress for host in network.hosts if host.egress]
+        self._uplink_rates = [egress.link.rate_bps for egress in self._uplinks]
+        self._pause_states = [
+            (host.egress.pause,) if host.egress is not None else ()
+            for host in network.hosts
+        ] + [tuple(egress.pause for egress in s.egress) for s in network.switches]
+        self._switches = network.switches
         self._uplink_tx_base: List[int] = self._uplink_tx_now()
-        self._pause_base: List[float] = self._pause_now()
+        self._pause_base: List[float] = self._pause_now(self._interval_start)
         self._drops_base = self._drops_now()
         # O_RTT's base path delay by hop class, read once per fabric.
         self._base_rtts = network.spec.base_rtts
@@ -112,18 +123,24 @@ class StatsCollector:
     def _uplink_tx_now(self) -> List[int]:
         # Data bytes only: control chatter (CNPs, probe acks) must not
         # make an idle uplink look "active" to O_TP.
-        return [
-            host.egress.data_tx_bytes if host.egress else 0
-            for host in self.network.hosts
-        ]
+        return [egress.data_tx_bytes for egress in self._uplinks]
 
-    def _pause_now(self) -> List[float]:
-        values = [h.total_paused_time() for h in self.network.hosts]
-        values.extend(s.total_paused_time() for s in self.network.switches)
-        return values
+    def _pause_now(self, now: float) -> List[float]:
+        # Each device's ``paused_time_until_now`` over its ports, added
+        # left to right from 0.0 as ``Switch.total_paused_time`` does.
+        totals = [0.0] * len(self._pause_states)
+        for i, states in enumerate(self._pause_states):
+            total = 0.0
+            for pause in states:
+                if pause.paused:
+                    total += pause.total_paused_time + (now - pause.paused_since)
+                else:
+                    total += pause.total_paused_time
+            totals[i] = total
+        return totals
 
     def _drops_now(self) -> int:
-        return sum(s.dropped_packets for s in self.network.switches)
+        return sum([s.dropped_packets for s in self._switches])
 
     def snapshot(self) -> Optional[dict]:
         """The most recently closed interval as a plain dict.
@@ -142,45 +159,47 @@ class StatsCollector:
             raise ValueError("end_interval called with zero-length interval")
 
         tx_now = self._uplink_tx_now()
-        pause_now = self._pause_now()
+        pause_now = self._pause_now(now)
         drops_now = self._drops_now()
 
-        utils: List[float] = []
-        total_tx = 0
-        for host, base, cur in zip(self.network.hosts, self._uplink_tx_base, tx_now):
-            delta = cur - base
-            total_tx += delta
-            if delta > 0 and host.egress is not None:
-                capacity = host.egress.link.rate_bps * duration / 8.0
-                utils.append(min(delta / capacity, 1.0))
+        # Each lane is one comprehension; ``min``/``max`` against a
+        # constant are spelled as the conditional they evaluate to.
+        total_tx = sum(tx_now) - sum(self._uplink_tx_base)
+        utils = [
+            1.0 if (util := delta / (rate * duration / 8.0)) > 1.0 else util
+            for rate, base, cur in zip(self._uplink_rates, self._uplink_tx_base, tx_now)
+            if (delta := cur - base) > 0
+        ]
         throughput_util = ordered_sum(utils) / len(utils) if utils else 0.0
 
-        gammas: List[float] = []
-        rtts: List[float] = []
         base_rtts = self._base_rtts
-        for rtt, hops in self._rtt_samples:
-            if rtt > 0:
-                gammas.append(min(base_rtts[hops] / rtt, 1.0))
-                rtts.append(rtt)
+        samples = self._rtt_samples
+        gammas = [
+            1.0 if (gamma := base_rtts[hops] / rtt) > 1.0 else gamma
+            for rtt, hops in samples
+            if rtt > 0
+        ]
+        rtts = [rtt for rtt, _ in samples if rtt > 0]
         norm_rtt = ordered_sum(gammas) / len(gammas) if gammas else 1.0
         mean_rtt = ordered_sum(rtts) / len(rtts) if rtts else 0.0
 
         pause_fracs = [
-            max(cur - base, 0.0) / duration
+            (0.0 if (paused := cur - base) < 0.0 else paused) / duration
             for base, cur in zip(self._pause_base, pause_now)
         ]
         pause_fraction = (
             ordered_sum(pause_fracs) / len(pause_fracs) if pause_fracs else 0.0
         )
+        pfc_ok = 1.0 - pause_fraction
 
         stats = IntervalStats(
             t_start=self._interval_start,
             t_end=now,
             throughput_util=throughput_util,
             norm_rtt=norm_rtt,
-            pfc_ok=max(0.0, 1.0 - pause_fraction),
+            pfc_ok=pfc_ok if pfc_ok > 0.0 else 0.0,
             mean_rtt=mean_rtt,
-            rtt_samples=len(self._rtt_samples),
+            rtt_samples=len(samples),
             pause_fraction=pause_fraction,
             active_uplinks=len(utils),
             total_tx_bytes=total_tx,

@@ -44,6 +44,7 @@ import numpy as np
 from repro.simulator.dcqcn import DcqcnParams, ecn_mark_probability
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link, QueuedEgress
+from repro.simulator.ordered import ordered_sum
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.units import mb
 
@@ -361,7 +362,7 @@ class Switch:
 
     def total_paused_time(self) -> float:
         """Cumulative time this switch's egress ports spent PFC-paused."""
-        return sum(e.pause.paused_time_until_now() for e in self.egress)
+        return ordered_sum(e.pause.paused_time_until_now() for e in self.egress)
 
     def queue_bytes(self, port: int) -> int:
         return self.egress[port].data_queue_bytes

@@ -134,7 +134,7 @@ def default_anchor_params(base: Optional[DcqcnParams] = None) -> List[DcqcnParam
     """
     base = base or DcqcnParams()
     return [
-        base.copy(),
+        base,
         # Expert-ish static setting: deeper marking, calmer cuts.
         base.copy(k_min=40_000, k_max=160_000, p_max=0.05),
         # Aggressive marking.

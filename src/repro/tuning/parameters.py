@@ -67,10 +67,14 @@ class ParameterSpec:
             raise ValueError(f"{self.name}: step must be positive")
 
     def clamp(self, value: float) -> float:
-        value = min(max(value, self.low), self.high)
+        # min(max(value, low), high) as the conditionals it evaluates.
+        low, high = self.low, self.high
+        value = low if low > value else value
+        value = high if high < value else value
         if self.integral:
             value = int(round(value))
-            value = int(min(max(value, self.low), self.high))
+            value = low if low > value else value
+            value = int(high if high < value else value)
         return value
 
     def move(self, value: float, toward_throughput: bool, scale: float) -> float:
@@ -133,7 +137,10 @@ class ParameterSpace:
         values = params.as_dict()
         for name, spec in self.specs.items():
             values[name] = spec.clamp(values[name])
-        # Keep the marking ramp non-degenerate: at least one MTU apart.
+        return self._with_ramp(values)
+
+    def _with_ramp(self, values: dict) -> DcqcnParams:
+        """``values`` as params, ``k_min`` kept one MTU below ``k_max``."""
         if values["k_min"] >= values["k_max"]:
             values["k_min"] = int(
                 max(self.specs["k_min"].low, values["k_max"] - kb(8))
@@ -152,7 +159,8 @@ class ParameterSpace:
         Each parameter independently goes in the throughput-friendly
         direction with probability ``tp_probability`` (the paper's
         ``min(µ, η)`` guided-randomness rule when guided, 0.5 when
-        naive), with step ``s_p × rand(*step_scale_range)``.
+        naive), with step ``s_p × rand(*step_scale_range)``.  Each move
+        lands clamped, so only the ramp repair is left to do.
         """
         if not 0.0 <= tp_probability <= 1.0:
             raise ValueError("tp_probability must be in [0, 1]")
@@ -162,8 +170,7 @@ class ParameterSpace:
             toward_tp = rng.random() < tp_probability
             scale = rng.uniform(low, high)
             values[name] = spec.move(values[name], toward_tp, scale)
-        candidate = DcqcnParams.from_dict(values)
-        return self.clamp(candidate)
+        return self._with_ramp(values)
 
     def random_point(self, rng: random.Random, base: DcqcnParams) -> DcqcnParams:
         """Uniform random setting (used by tests and random-restart)."""

@@ -54,29 +54,29 @@ StatsLike = Union[IntervalStats, Mapping]
 
 def utility(stats: StatsLike, weights: UtilityWeights = DEFAULT_WEIGHTS) -> float:
     """Evaluate Equation (1) for one monitor interval."""
-    if isinstance(stats, Mapping):
+    if isinstance(stats, IntervalStats):
         return (
-            weights.w_tp * stats["throughput_util"]
-            + weights.w_rtt * stats["norm_rtt"]
-            + weights.w_pfc * stats["pfc_ok"]
+            weights.w_tp * stats.throughput_util
+            + weights.w_rtt * stats.norm_rtt
+            + weights.w_pfc * stats.pfc_ok
         )
     return (
-        weights.w_tp * stats.throughput_util
-        + weights.w_rtt * stats.norm_rtt
-        + weights.w_pfc * stats.pfc_ok
+        weights.w_tp * stats["throughput_util"]
+        + weights.w_rtt * stats["norm_rtt"]
+        + weights.w_pfc * stats["pfc_ok"]
     )
 
 
 def utility_components(stats: StatsLike) -> dict:
     """The three objective terms, for logging and ablation output."""
-    if isinstance(stats, Mapping):
+    if isinstance(stats, IntervalStats):
         return {
-            "O_TP": stats["throughput_util"],
-            "O_RTT": stats["norm_rtt"],
-            "O_PFC": stats["pfc_ok"],
+            "O_TP": stats.throughput_util,
+            "O_RTT": stats.norm_rtt,
+            "O_PFC": stats.pfc_ok,
         }
     return {
-        "O_TP": stats.throughput_util,
-        "O_RTT": stats.norm_rtt,
-        "O_PFC": stats.pfc_ok,
+        "O_TP": stats["throughput_util"],
+        "O_RTT": stats["norm_rtt"],
+        "O_PFC": stats["pfc_ok"],
     }

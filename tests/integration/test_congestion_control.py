@@ -81,6 +81,22 @@ def test_set_all_params_takes_effect_live(small_network):
     assert qp.rp.params.rpg_ai_rate == new_params.rpg_ai_rate
 
 
+def test_set_all_params_hands_every_device_the_same_object(small_network):
+    """Frozen knobs are shared, never copied: at build and on dispatch."""
+    built = small_network.config.params
+    assert all(d.params is built for d in small_network.hosts + small_network.switches)
+    for src, dst in ((0, 4), (1, 5), (6, 2)):
+        small_network.add_flow(src, dst, mb(5.0), 0.0)
+    small_network.run_until(ms(1.0))
+    new_params = expert_params()
+    small_network.set_all_params(new_params)
+    qps = [qp for host in small_network.hosts for qp in host.egress.qps.values()]
+    assert len(qps) == 3
+    assert all(qp.rp.params is new_params for qp in qps)
+    assert all(h.params is new_params for h in small_network.hosts)
+    assert all(s.params is new_params for s in small_network.switches)
+
+
 def test_per_switch_ecn_override(small_network):
     tor = small_network.tors[0]
     small_network.set_switch_ecn(tor, kb(10.0), kb(50.0), 0.9)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -405,3 +407,12 @@ def test_lazy_timers_match_the_eager_reference(ops):
         assert 0.0 < read.alpha <= 1.0
         assert lazy_sim.pending_events == 0
     assert _observed(quiet) == _observed(eager)
+
+
+def test_as_dict_reads_every_field_in_declaration_order():
+    params = DcqcnParams(rpg_ai_rate=1.5e7, k_min=12_345, p_max=0.25)
+    assert params.as_dict() == {
+        f.name: getattr(params, f.name) for f in dataclasses.fields(DcqcnParams)
+    }
+    assert list(params.as_dict()) == [f.name for f in dataclasses.fields(DcqcnParams)]
+    assert DcqcnParams.from_dict(params.as_dict()) == params

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator.dcqcn import DcqcnParams
+from repro.simulator.units import kb
 from repro.tuning.parameters import (
     Direction,
     ParameterSpace,
@@ -16,6 +17,7 @@ from repro.tuning.parameters import (
     default_space,
     expert_params,
 )
+from tests.loop_close import min_max_clamp, two_clamp_mutate
 
 
 def test_spec_validation():
@@ -160,3 +162,65 @@ def test_random_point_valid(seed):
     space = default_space()
     point = space.random_point(random.Random(seed), default_params())
     point.validate()
+
+
+# -- the one-clamp proposal against its reference (tests/loop_close.py) --
+
+
+def _assert_same_proposal(space, params, seed, tp_prob, scale_range):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = space.mutate(params, rng, tp_prob, scale_range)
+    want = two_clamp_mutate(space, params, ref_rng, tp_prob, scale_range)
+    got_d, want_d = got.as_dict(), want.as_dict()
+    assert list(got_d) == list(want_d)
+    for name in want_d:
+        assert (type(got_d[name]), repr(got_d[name])) == (
+            type(want_d[name]), repr(want_d[name])
+        ), name
+    assert rng.getstate() == ref_rng.getstate()  # same draws, same order
+    return got
+
+
+def test_mutate_repairs_a_degenerate_ramp_like_the_reference():
+    space = default_space()
+    start = default_params().copy(k_min=kb(400.0), k_max=kb(60.0))
+    got = _assert_same_proposal(space, start, 0, 0.5, (0.5, 1.0))
+    # k_min cannot move below 380 KB nor k_max above 160 KB in one step.
+    assert got.k_min == int(max(space.specs["k_min"].low, got.k_max - kb(8.0)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    tp_prob=st.floats(min_value=0.0, max_value=1.0),
+    scale_range=st.tuples(
+        st.floats(min_value=0.0, max_value=30.0),
+        st.floats(min_value=0.0, max_value=30.0),
+    ),
+    k_min=st.integers(min_value=kb(8.0), max_value=kb(400.0)),
+    k_max=st.integers(min_value=kb(60.0), max_value=kb(2000.0)),
+    start_seed=st.integers(min_value=0, max_value=1000),
+)
+def test_mutate_equals_two_clamp_reference(
+    seed, tp_prob, scale_range, k_min, k_max, start_seed
+):
+    """Any start (a degenerate ramp included), any guidance, any step
+    range (wide ones pin knobs at their bounds): the same proposal."""
+    space = default_space()
+    start = space.random_point(random.Random(start_seed), default_params())
+    start = start.copy(k_min=k_min, k_max=k_max)
+    _assert_same_proposal(space, start, seed, tp_prob, scale_range)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    index=st.integers(min_value=0, max_value=len(default_space()) - 1),
+    value=st.one_of(
+        st.floats(allow_nan=False),
+        st.integers(min_value=-(10**7), max_value=10**7),
+    ),
+)
+def test_spec_clamp_equals_min_max(index, value):
+    spec = list(default_space().specs.values())[index]
+    got, want = spec.clamp(value), min_max_clamp(spec, value)
+    assert (type(got), repr(got)) == (type(want), repr(want))

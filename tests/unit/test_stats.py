@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import make_network
 from repro.simulator.network import Network, NetworkConfig
+from repro.simulator.switch import SwitchConfig
 from repro.simulator.topology import ClosSpec
-from repro.simulator.units import mb, ms
+from repro.simulator.units import kb, mb, ms
 from repro.tuning.parameters import default_params
 from repro.tuning.search import StaticTuner
 from repro.workloads import AllToAllOnce
+from tests.loop_close import CLOSE_FIELDS, LoopStatsCollector
 
 
 @pytest.fixture
@@ -136,3 +139,76 @@ def test_pfc_ok_reflects_pauses(net):
     stats = net.stats.end_interval()
     assert stats.pause_fraction > 0.0
     assert stats.pfc_ok < 1.0
+
+
+# -- the close against its loop reference (tests/loop_close.py) ---------
+
+
+def _pfc_fabric(seed: int) -> Network:
+    """4 hosts, a 60 KB shared buffer: a 3-to-1 incast pauses ports."""
+    spec = ClosSpec(n_tor=2, n_spine=1, hosts_per_tor=2)
+    return Network(
+        NetworkConfig(
+            spec=spec, seed=seed, switch=SwitchConfig(buffer_bytes=kb(60.0))
+        )
+    )
+
+
+def _paused_now(net: Network) -> bool:
+    egresses = [h.egress for h in net.hosts] + [e for s in net.switches for e in s.egress]
+    return any(egress.pause.paused for egress in egresses)
+
+
+def _assert_same_close(stats, reference: dict) -> None:
+    for name in CLOSE_FIELDS:
+        got, want = getattr(stats, name), reference[name]
+        assert (type(got), repr(got)) == (type(want), repr(want)), name
+
+
+def _close_both(net: Network, ref: LoopStatsCollector, bad_rtts=()) -> None:
+    for rtt in bad_rtts:
+        # rtt <= 0 never counts; a tiny rtt clips O_RTT's term at 1.
+        net.hosts[0].on_rtt_sample(0, 3, rtt, 3)
+    _assert_same_close(net.stats.end_interval(), ref.end_interval())
+
+
+def test_close_equals_loop_reference_across_paused_boundaries():
+    net = _pfc_fabric(seed=5)
+    ref = LoopStatsCollector(net)
+    for src in (0, 1, 3):
+        net.add_flow(src, 2, mb(1.0), 0.0)
+    paused_at_close = 0
+    for i in range(1, 16):
+        net.run_until(i * 0.2e-3)
+        paused_at_close += _paused_now(net)
+        _close_both(net, ref, bad_rtts=(0.0, -1e-6, 1e-12)[: i % 4])
+    assert paused_at_close >= 3
+    pauses = [s.pause_fraction for s in net.stats.history]
+    assert max(pauses) > 0.0 and min(s.active_uplinks for s in net.stats.history) < 4
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    flows=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(1, 400), st.integers(0, 8)
+        ),
+        max_size=5,
+    ),
+    steps=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    bad_rtts=st.lists(
+        st.sampled_from([0.0, -0.0, -1e-6, 1e-12, 5e-6]), max_size=4
+    ),
+)
+def test_close_equals_loop_reference_on_seeded_fabrics(seed, flows, steps, bad_rtts):
+    """Random flows, interval lengths and injected samples: every field
+    of every close matches the loop reference bit for bit."""
+    net = _pfc_fabric(seed)
+    ref = LoopStatsCollector(net)
+    for src, dst, kbytes, start in flows:
+        if src != dst:
+            net.add_flow(src, dst, kb(kbytes), start * 0.1e-3)
+    for i, step in enumerate(steps):
+        net.run_until(net.sim.now + step * 0.1e-3)
+        _close_both(net, ref, bad_rtts=bad_rtts if i % 2 else ())

@@ -301,3 +301,13 @@ def test_total_paused_time_aggregates_ports(sim):
     switch.egress[0].set_paused(False)
     switch.egress[2].set_paused(False)
     assert switch.total_paused_time() == pytest.approx(1.0)
+
+
+def test_total_paused_time_adds_ports_left_to_right(sim):
+    """The fold reaches O_PFC and the interval digest, so it must read
+    the same on every interpreter: builtin ``sum`` reads 0.6 here from
+    CPython 3.12 (compensated), plain left-to-right addition 0.6000000000000001."""
+    switch, _ = make_switch(sim, n_ports=3)
+    for egress, paused in zip(switch.egress, (0.1, 0.2, 0.3)):
+        egress.pause.total_paused_time = paused
+    assert repr(switch.total_paused_time()) == "0.6000000000000001"

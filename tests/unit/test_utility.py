@@ -76,3 +76,11 @@ def test_components():
     stats = make_stats(tp=0.4, rtt=0.7, pfc=0.95)
     parts = utility_components(stats)
     assert parts == {"O_TP": 0.4, "O_RTT": 0.7, "O_PFC": 0.95}
+
+
+def test_snapshot_and_live_stats_evaluate_alike():
+    """Both shapes of an interval give the same Equation (1), bit for bit."""
+    stats = make_stats(tp=0.1, rtt=0.7, pfc=0.3)
+    for weights in (DEFAULT_WEIGHTS, THROUGHPUT_SENSITIVE_WEIGHTS):
+        assert repr(utility(stats.snapshot(), weights)) == repr(utility(stats, weights))
+    assert utility_components(stats.snapshot()) == utility_components(stats)
