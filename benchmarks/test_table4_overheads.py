@@ -57,9 +57,15 @@ def _packets(rng: random.Random, flows: range, max_bytes: int) -> List[Packet]:
 
 
 def _observe(agent: SwitchAgent, packets: List[Packet]) -> None:
-    """The switch's ingress hook: each packet joins its observation buffer."""
+    """What ``Switch.receive`` does with each unmarked data packet at a
+    monitored switch: append it to the observation buffer and flush a
+    full buffer into the sketch."""
+    switch = agent.switch
     for packet in packets:
-        agent.switch._observe(packet)
+        switch._obs_flow.append(packet.flow_id)
+        switch._obs_bytes.append(packet.wire_size)
+        if len(switch._obs_flow) >= switch._obs_capacity:
+            switch.flush_observations()
 
 
 def _quartiles(stats) -> str:

@@ -39,7 +39,6 @@ from repro.simulator.packet import (
     Packet,
     PacketKind,
     cnp_packet,
-    next_packet_id,
 )
 from repro.simulator.units import DEFAULT_MTU, HEADER_BYTES
 
@@ -183,16 +182,19 @@ class HostEgress:
                 return
             earliest = pacing[0][0]
             if earliest > now:
-                self._schedule_wake(earliest)
+                # Arm a wake unless an earlier (or equal) one is pending.
+                if earliest < self._wake_at:
+                    self._wake_at = earliest
+                    self._wake_token += 1
+                    self.sim.post_at(earliest, self._wake_fired, self._wake_token)
                 return
             qp = _heappop(pacing)[2]
             flow = qp.flow
             seq = flow.bytes_sent
             remaining = flow.size - seq
-            payload = min(self.mtu, remaining)
+            payload = remaining if remaining < self.mtu else self.mtu
             if FREE_LIST:
                 packet = FREE_LIST.pop()
-                packet.pkt_id = next_packet_id()
                 packet.kind = _DATA
                 packet.is_control = False
                 packet.flow_id = flow.flow_id
@@ -220,13 +222,6 @@ class HostEgress:
             now + packet.wire_size * self._sec_per_byte, self._next_seq(),
             self._kick, (packet, qp, now),
         ))
-
-    def _schedule_wake(self, at_time: float) -> None:
-        if self._wake_at <= at_time:
-            return  # an earlier (or equal) wake is already pending
-        self._wake_at = at_time
-        self._wake_token += 1
-        self.sim.post_at(at_time, self._wake_fired, self._wake_token)
 
     def _wake_fired(self, token: int) -> None:
         # The token, not the time: a stale entry due at the same instant
@@ -259,6 +254,8 @@ class Host:
         self.config = config or HostConfig()
         self.config.validate()
         self.cc_mode = cc_mode
+        # Read per delivered packet: Swift's NP acks every data packet.
+        self._acks_data = cc_mode == "swift"
         self.swift_params = swift_params
 
         self.egress: Optional[HostEgress] = None
@@ -277,8 +274,6 @@ class Host:
         self.on_rtt_sample: Optional[Callable[[int, int, float, int], None]] = None
 
         # Counters.
-        self.rx_bytes = 0
-        self.rx_data_packets = 0
         self.cnps_sent = 0
         self.probes_sent = 0
 
@@ -367,17 +362,15 @@ class Host:
         """Deliver ``packet``.
 
         A data packet is one frame unless it needs a CNP or ACK or
-        completes its flow: count it, book its payload to its flow and
-        to the interval's oracle table, and hand the packet back to the
+        completes its flow: book its payload to its flow and to the
+        interval's oracle table, and hand the packet back to the
         free-list (the destination host is its final consumer).
         """
         kind = packet.kind
         if kind == _DATA:
             payload = packet.payload
             flow_id = packet.flow_id
-            self.rx_bytes += payload
-            self.rx_data_packets += 1
-            if self.cc_mode == "swift":
+            if self._acks_data:
                 self._send_ack(packet)
             elif packet.ecn:
                 self._maybe_send_cnp(packet)

@@ -1,20 +1,22 @@
-"""Links and egress ports.
+"""Links and PFC pause bookkeeping.
 
 A :class:`Link` is a unidirectional wire between two devices with a
 fixed rate and propagation delay.  The *sending* side owns an egress
 structure that serializes packets onto the link one at a time:
 
-* :class:`QueuedEgress` — used by switches: a two-level strict-priority
-  queue (control above data) with PFC pause on the data level and a
-  dequeue callback so the owning switch can run buffer accounting.
-* Hosts implement their own pull-based egress (see
-  :mod:`repro.simulator.host`) but reuse :class:`Link` for delivery and
-  the shared pause bookkeeping in :class:`PauseState`.
+* :class:`~repro.simulator.switch.SwitchEgress` — a switch port: a
+  two-level strict-priority queue (control above data) with PFC pause
+  on the data level, which releases each finished packet from its
+  switch's shared buffer.
+* :class:`~repro.simulator.host.HostEgress` — the host's pull-based
+  uplink serializer.
 
-Both egresses push a packet's two events (serialization finish, then
-arrival one ``prop_delay`` later) straight onto the engine's heap, per
-the direct-push contract in :mod:`repro.simulator.engine`; the
-:class:`Link` checks here are what keep those times from going back.
+Both share the pause bookkeeping in :class:`PauseState`, count each
+finished packet on the :class:`Link` and push a packet's two events
+(serialization finish, then arrival one ``prop_delay`` later) straight
+onto the engine's heap, per the direct-push contract in
+:mod:`repro.simulator.engine`; the :class:`Link` checks here are what
+keep those times from going back.
 
 Packets of the same flow traverse a given link in FIFO order within
 their priority level; the simulator never reorders same-priority
@@ -24,12 +26,9 @@ packets on a link.
 from __future__ import annotations
 
 import math
-from collections import deque
-from heapq import heappush as _heappush
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.simulator.engine import Simulator
-from repro.simulator.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.network import Device
@@ -128,105 +127,3 @@ class PauseState:
         if self.paused:
             total += self.sim.now - self.paused_since
         return total
-
-
-class QueuedEgress:
-    """Egress port with strict-priority control/data queues (switches).
-
-    The owning switch supplies ``on_dequeue`` for shared-buffer and PFC
-    accounting.  Control packets are never paused; data packets are
-    held while ``pause.paused`` is set.  :class:`~repro.simulator.
-    switch.Switch` appends to the two queues itself (its ``receive``
-    is one frame); :meth:`enqueue` is the same step for a port used on
-    its own.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        on_dequeue: Optional[Callable[[Packet], None]] = None,
-    ):
-        self.sim = sim
-        self.link = link
-        self.on_dequeue = on_dequeue
-        self.control_queue: deque[Packet] = deque()
-        self.data_queue: deque[Packet] = deque()
-        self.data_queue_bytes = 0
-        self.busy = False
-        self.pause = PauseState(sim)
-        # Running maxima/counters for stats.
-        self.max_data_queue_bytes = 0
-        # Bound once for the two heap pushes per packet: the calendar
-        # and its counter (the engine's direct-push contract), the far
-        # end of the wire, and this port's own finish callback.
-        self._heap = sim.heap
-        self._next_seq = sim.next_seq
-        self._sec_per_byte = link.sec_per_byte
-        self._prop_delay = link.prop_delay
-        self._dst_receive = link.dst.receive
-        self._dst_port = link.dst_port
-        self._transmit = self.transmit
-
-    # -- queue state -------------------------------------------------
-
-    @property
-    def queued_bytes(self) -> int:
-        return self.data_queue_bytes + sum(p.wire_size for p in self.control_queue)
-
-    def enqueue(self, packet: Packet) -> None:
-        """Queue a packet and kick the serializer if idle."""
-        if packet.is_control:
-            self.control_queue.append(packet)
-        else:
-            self.data_queue.append(packet)
-            self.data_queue_bytes += packet.wire_size
-            if self.data_queue_bytes > self.max_data_queue_bytes:
-                self.max_data_queue_bytes = self.data_queue_bytes
-        if not self.busy:
-            self.transmit()
-
-    # -- PFC ----------------------------------------------------------
-
-    def set_paused(self, paused: bool) -> None:
-        changed = self.pause.set_paused(paused)
-        if changed and not paused and not self.busy:
-            self.transmit()
-
-    # -- serialization loop -------------------------------------------
-
-    def transmit(self, done: Optional[Packet] = None) -> None:
-        """Finish ``done``, then put the next queued packet on the wire.
-
-        ``done`` is the packet whose last bit just left: this method is
-        the serialization-finish event it pushes for every packet.
-        Called with nothing, it kicks an idle port.  The pushes keep
-        this order — ``done``'s arrival, then whatever ``on_dequeue``
-        signals (PFC), then the next finish — because it fixes their
-        ``seq`` tie-break.
-        """
-        now = self.sim.now
-        heap = self._heap
-        if done is not None:
-            link = self.link
-            link.tx_bytes += done.wire_size
-            link.tx_packets += 1
-            _heappush(heap, (
-                now + self._prop_delay, self._next_seq(),
-                self._dst_receive, (done, self._dst_port),
-            ))
-            if self.on_dequeue is not None:
-                self.on_dequeue(done)
-        if self.control_queue:
-            packet = self.control_queue.popleft()
-        elif self.data_queue and not self.pause.paused:
-            packet = self.data_queue.popleft()
-            self.data_queue_bytes -= packet.wire_size
-        else:
-            self.busy = False
-            return
-        self.busy = True
-        _heappush(heap, (
-            now + packet.wire_size * self._sec_per_byte, self._next_seq(),
-            self._transmit, (packet,),
-        ))

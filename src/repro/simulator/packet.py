@@ -13,7 +13,6 @@ path (DESIGN.md, Keypoint 1).
 
 from __future__ import annotations
 
-import itertools
 from enum import IntEnum
 
 from repro.simulator.units import CONTROL_PACKET_BYTES, HEADER_BYTES
@@ -27,8 +26,8 @@ INITIAL_TTL = 64
 #: :meth:`~repro.simulator.host.Host.receive` for delivered data) and
 #: come out only as data packets that
 #: :meth:`~repro.simulator.host.HostEgress.kick` re-initialises field
-#: by field, with a fresh ``pkt_id``, so a recycled packet is
-#: indistinguishable from a fresh one.
+#: by field, so a recycled packet is indistinguishable from a fresh
+#: one.
 FREE_LIST: list = []
 FREE_LIST_MAX = 8192
 
@@ -53,9 +52,6 @@ class PacketKind(IntEnum):
 _DATA = PacketKind.DATA
 _CNP = PacketKind.CNP
 _CONTROL_KINDS = (PacketKind.CNP, PacketKind.PROBE_ACK, PacketKind.ACK)
-
-#: Draws the next ``pkt_id``.
-next_packet_id = itertools.count().__next__
 
 
 class Packet:
@@ -91,7 +87,6 @@ class Packet:
     """
 
     __slots__ = (
-        "pkt_id",
         "kind",
         "is_control",
         "flow_id",
@@ -121,7 +116,6 @@ class Packet:
         sent_at: float = 0.0,
         last: bool = False,
     ):
-        self.pkt_id = next_packet_id()
         self.kind = kind
         self.is_control = kind in _CONTROL_KINDS
         self.flow_id = flow_id

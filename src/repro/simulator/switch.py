@@ -16,6 +16,12 @@ Buffering follows the commodity shared-buffer model:
 * Packets that would overflow the shared buffer are dropped (PFC with
   sane headroom prevents this; tests assert losslessness).
 
+A packet charges the buffer in :meth:`Switch.receive` and releases it
+in :meth:`SwitchEgress.transmit` when its last bit leaves; each of the
+two event bodies runs the DT rule itself, so neither calls out unless a
+PFC signal is due.  ``tests/reference_switch.py`` keeps the rule out of
+line, once, as the oracle both copies are held to.
+
 Paraleon's measurement hook is the ``measurement`` attribute: when set
 (typically only on ToR switches), every data packet is observed on
 ingress.  With ``dedup_marking`` enabled the switch honours the
@@ -36,14 +42,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple
+from heapq import heappush as _heappush
+from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.simulator.dcqcn import DcqcnParams, ecn_mark_probability
 from repro.simulator.engine import Simulator
-from repro.simulator.link import Link, QueuedEgress
+from repro.simulator.link import Link, PauseState
 from repro.simulator.ordered import ordered_sum
 from repro.simulator.packet import Packet, PacketKind
 from repro.simulator.units import mb
@@ -92,6 +100,101 @@ class SwitchConfig:
                 )
 
 
+class SwitchEgress:
+    """A switch's egress port: strict-priority control/data queues.
+
+    Only :meth:`Switch.attach_link` builds one.  Control packets are
+    never paused; data packets are held while ``pause.paused`` is set.
+    :meth:`Switch.receive` appends to the two queues itself and kicks
+    an idle port; :meth:`transmit` serializes and releases.
+    """
+
+    def __init__(self, switch: "Switch", link: Link):
+        sim = switch.sim
+        self.sim = sim
+        self.link = link
+        self.switch = switch
+        self.control_queue: Deque[Packet] = deque()
+        self.data_queue: Deque[Packet] = deque()
+        self.data_queue_bytes = 0
+        self.busy = False
+        self.pause = PauseState(sim)
+        # Bound once for the two heap pushes per packet: the calendar
+        # and its counter (the engine's direct-push contract), the far
+        # end of the wire, and this port's own finish callback.
+        self._heap = sim.heap
+        self._next_seq = sim.next_seq
+        self._sec_per_byte = link.sec_per_byte
+        self._prop_delay = link.prop_delay
+        self._dst_receive = link.dst.receive
+        self._dst_port = link.dst_port
+        self._transmit = self.transmit
+
+    @property
+    def queued_bytes(self) -> int:
+        return self.data_queue_bytes + sum(p.wire_size for p in self.control_queue)
+
+    def set_paused(self, paused: bool) -> None:
+        changed = self.pause.set_paused(paused)
+        if changed and not paused and not self.busy:
+            self.transmit()
+
+    def transmit(self, done: Optional[Packet] = None) -> None:
+        """Finish ``done``, then put the next queued packet on the wire.
+
+        ``done`` is the packet whose last bit just left: this method is
+        the serialization-finish event it pushes for every packet.  It
+        counts ``done`` on the link, pushes its arrival, releases its
+        bytes from the switch's shared buffer and from the ingress port
+        it was charged to, runs the DT rule (:class:`Switch`) for that
+        port and starts the next serialization.  The pushes keep this
+        order — the arrival, then any PFC signal, then the next finish
+        — because it fixes their ``seq`` tie-break.  Called with
+        nothing, it kicks an idle port.
+        """
+        now = self.sim.now
+        heap = self._heap
+        if done is not None:
+            size = done.wire_size
+            link = self.link
+            link.tx_bytes += size
+            link.tx_packets += 1
+            _heappush(heap, (
+                now + self._prop_delay, self._next_seq(),
+                self._dst_receive, (done, self._dst_port),
+            ))
+            switch = self.switch
+            port = done.ingress_port
+            occupied = switch.occupied_bytes - size
+            switch.occupied_bytes = occupied
+            ingress = switch.ingress_bytes
+            buffered = ingress[port] - size
+            ingress[port] = buffered
+            if switch._pfc_enabled:
+                peer = switch.ingress_peer[port]
+                if peer is not None:
+                    free = switch._buffer_bytes - occupied
+                    threshold = switch._pfc_alpha * free if free > 0 else 0.0
+                    if switch._upstream_paused[port]:
+                        if buffered <= threshold / 2.0:
+                            switch._send_pfc(peer, port, False)
+                    elif buffered > threshold:
+                        switch._send_pfc(peer, port, True)
+        if self.control_queue:
+            packet = self.control_queue.popleft()
+        elif self.data_queue and not self.pause.paused:
+            packet = self.data_queue.popleft()
+            self.data_queue_bytes -= packet.wire_size
+        else:
+            self.busy = False
+            return
+        self.busy = True
+        _heappush(heap, (
+            now + packet.wire_size * self._sec_per_byte, self._next_seq(),
+            self._transmit, (packet,),
+        ))
+
+
 class Switch:
     """An output-queued shared-buffer switch."""
 
@@ -117,10 +220,10 @@ class Switch:
         self._pfc_alpha = config.pfc_alpha
         self._ecn_enabled = config.ecn_enabled
 
-        self.egress: List[QueuedEgress] = []
+        self.egress: List[SwitchEgress] = []
         # Forwarding: dst host id -> the egress ports toward it (the
         # ECMP candidates, in port order).
-        self.routes: Dict[int, Tuple[QueuedEgress, ...]] = {}
+        self.routes: Dict[int, Tuple[SwitchEgress, ...]] = {}
 
         # Per-port state, indexed by port (a port's ingress index is its
         # egress index): bytes buffered that entered on it, whether its
@@ -148,7 +251,6 @@ class Switch:
         self.obs_flushes = 0
 
         # Counters.
-        self.rx_packets = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
         self.ecn_marked_packets = 0
@@ -162,7 +264,7 @@ class Switch:
     def attach_link(self, link: Link) -> int:
         """Add an egress link; returns the new port index."""
         port = len(self.egress)
-        self.egress.append(QueuedEgress(self.sim, link, self.dequeued))
+        self.egress.append(SwitchEgress(self, link))
         self.ingress_bytes.append(0)
         self._upstream_paused.append(False)
         self.ingress_peer.append(None)
@@ -184,20 +286,30 @@ class Switch:
     def receive(self, packet: Packet, in_port: int) -> None:
         """Ingress: measure, route, admit, mark, enqueue, charge, PFC.
 
-        The egress enqueue and the buffer charge are written out here,
-        so a packet that finds its egress busy costs this one frame plus
-        the DT check; only an idle egress, an ECN coin above ``k_min``
-        and a full observation buffer call out further.
+        The observation, the egress enqueue, the buffer charge and the
+        DT rule are written out here, so a packet that finds its egress
+        busy costs this one frame; only an idle egress, an ECN coin
+        above ``k_min``, a full observation buffer and a due PFC signal
+        call out.
         """
-        self.rx_packets += 1
         packet.ttl -= 1
         if packet.ttl <= 0:
             self._drop(packet)
             return
 
         is_data = packet.kind == _DATA
-        if is_data and self.measurement is not None:
-            self._observe(packet)
+        if is_data and self.measurement is not None and not (
+            self.dedup_marking and packet.sketch_marked
+        ):
+            if self.dedup_marking:
+                packet.sketch_marked = True
+            # The measurement point sees the packets in this exact
+            # order at the next flush.
+            observed = self._obs_flow
+            observed.append(packet.flow_id)
+            self._obs_bytes.append(packet.wire_size)
+            if len(observed) >= self._obs_capacity:
+                self.flush_observations()
 
         routes = self.routes.get(packet.dst)
         if routes is None:
@@ -236,32 +348,27 @@ class Switch:
             egress.control_queue.append(packet)
         else:
             egress.data_queue.append(packet)
-            depth = egress.data_queue_bytes + size
-            egress.data_queue_bytes = depth
-            if depth > egress.max_data_queue_bytes:
-                egress.max_data_queue_bytes = depth
+            egress.data_queue_bytes += size
         if not egress.busy:
             egress.transmit()
 
-        # Charge the shared buffer and the ingress port.
+        # Charge the shared buffer and the ingress port, then the DT
+        # rule for that port (the release in ``SwitchEgress.transmit``
+        # runs the same rule).
         self.occupied_bytes = occupied
-        buffered = self.ingress_bytes[in_port] + size
-        self.ingress_bytes[in_port] = buffered
+        ingress = self.ingress_bytes
+        buffered = ingress[in_port] + size
+        ingress[in_port] = buffered
         if self._pfc_enabled:
-            self._pfc_check(in_port, buffered)
-
-    def _observe(self, packet: Packet) -> None:
-        if self.dedup_marking:
-            if packet.sketch_marked:
-                return
-            packet.sketch_marked = True
-        # The measurement point sees the packets in this exact order at
-        # the next flush.
-        buffered = self._obs_flow
-        buffered.append(packet.flow_id)
-        self._obs_bytes.append(packet.wire_size)
-        if len(buffered) >= self._obs_capacity:
-            self.flush_observations()
+            peer = self.ingress_peer[in_port]
+            if peer is not None:
+                free = self._buffer_bytes - occupied
+                threshold = self._pfc_alpha * free if free > 0 else 0.0
+                if self._upstream_paused[in_port]:
+                    if buffered <= threshold / 2.0:
+                        self._send_pfc(peer, in_port, False)
+                elif buffered > threshold:
+                    self._send_pfc(peer, in_port, True)
 
     # ------------------------------------------------------------------
     # Observation buffer
@@ -310,42 +417,8 @@ class Switch:
         packet.release()
 
     # ------------------------------------------------------------------
-    # Buffer accounting and PFC (per-ingress-port dynamic threshold)
+    # PFC (per-ingress-port dynamic threshold)
     # ------------------------------------------------------------------
-
-    def dequeued(self, packet: Packet) -> None:
-        """Egress dequeue callback: the packet's last bit has left.
-
-        Releases its bytes from the shared buffer and from the ingress
-        port it was charged to on admission, then runs the DT check.
-        """
-        size = packet.wire_size
-        port = packet.ingress_port
-        self.occupied_bytes -= size
-        buffered = self.ingress_bytes[port] - size
-        self.ingress_bytes[port] = buffered
-        if self._pfc_enabled:
-            self._pfc_check(port, buffered)
-
-    def _pfc_check(self, port: int, buffered: int) -> None:
-        """The dynamic-threshold PFC rule for one ingress port.
-
-        Runs after every charge (:meth:`receive`) and release
-        (:meth:`dequeued`) of ``port``'s bytes: XOFF its upstream peer
-        when ``buffered`` exceeds ``pfc_alpha x free buffer``, XON once
-        it is back under half of that.  An over-full buffer floors the
-        threshold at 0.
-        """
-        peer = self.ingress_peer[port]
-        if peer is None:
-            return
-        free = self._buffer_bytes - self.occupied_bytes
-        threshold = self._pfc_alpha * free if free > 0 else 0.0
-        if self._upstream_paused[port]:
-            if buffered <= threshold / 2.0:
-                self._send_pfc(peer, port, paused=False)
-        elif buffered > threshold:
-            self._send_pfc(peer, port, paused=True)
 
     def _send_pfc(self, peer: Tuple[object, float], port: int, paused: bool) -> None:
         peer_egress, prop_delay = peer

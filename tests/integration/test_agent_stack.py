@@ -27,6 +27,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.switch import Switch, SwitchConfig
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from repro.sketch.hashing import hash32
+from tests.reference_switch import observe
 from tests.scalar_monitor import ScalarReferenceAgent
 
 TAU = 4_000
@@ -46,8 +47,8 @@ def _switches(n, capacity=8):
 
 
 def _observe(switch, flow_id, nbytes):
-    # The switch's own ingress hook, fed a bare packet.
-    switch._observe(SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False))
+    # The switch's ingress observation, fed a bare packet.
+    observe(switch, SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False))
 
 
 def _configs(n, shared_seed, lam):

@@ -1,9 +1,9 @@
 """Shared-buffer accounting under random incasts.
 
 A switch charges a packet's bytes to the shared buffer and to its
-ingress port in ``receive`` and releases them in ``dequeued`` when the
-packet's last bit leaves, and every charge and release runs the
-dynamic-threshold PFC check.  Hypothesis draws the incast (fan-in,
+ingress port in ``receive`` and releases them in its egress port's
+``transmit`` when the packet's last bit leaves, and every charge and
+release runs the dynamic-threshold PFC rule.  Hypothesis draws the incast (fan-in,
 flow sizes, buffer, seed) on an 8-host fabric and stops the run at
 drawn instants to hold the books against what the queues really hold.
 """

@@ -107,16 +107,21 @@ def _close_calls(monkeypatch, probe_interval):
     """Calls per ``end_interval`` over 5 ms of the des-alltoall run, and
     the RTT samples the run's intervals held."""
     counter = _Counter()
-    monkeypatch.setattr(
-        StatsCollector,
-        "end_interval",
-        counter.counted(StatsCollector.end_interval, new_interval=True),
-    )
-    config = NetworkConfig(spec=SPECS["medium"], seed=1, probe_interval=probe_interval)
-    network = Network(config)
-    AllToAllOnce(n_workers=16, flow_size=mb(2.0)).install(network)
-    runner = ExperimentRunner(network, StaticTuner(default_params(), "default"))
-    per_close = counter.run(lambda: runner.run(0.005))
+    # Undone on return: a second run must wrap the real close, not this
+    # run's wrapper (whose counter would take the second run's calls).
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            StatsCollector,
+            "end_interval",
+            counter.counted(StatsCollector.end_interval, new_interval=True),
+        )
+        config = NetworkConfig(
+            spec=SPECS["medium"], seed=1, probe_interval=probe_interval
+        )
+        network = Network(config)
+        AllToAllOnce(n_workers=16, flow_size=mb(2.0)).install(network)
+        runner = ExperimentRunner(network, StaticTuner(default_params(), "default"))
+        per_close = counter.run(lambda: runner.run(0.005))
     assert len(per_close) == 5
     return per_close, sum(stats.rtt_samples for stats in runner.intervals)
 

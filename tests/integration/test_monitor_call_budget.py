@@ -44,6 +44,7 @@ from repro.experiments.scenarios import install_influx, make_network, make_tuner
 from repro.monitor.agent import SwitchAgent
 from repro.monitor.aggregate import FsdAggregator
 from repro.sketch.elastic import ElasticSketchConfig
+from tests.reference_switch import observe
 
 INFLUX_CALLS_PER_CLOSE_BUDGET = 120
 STREAM_CALLS_PER_CLOSE_BUDGET = 170
@@ -105,9 +106,10 @@ def _two_agent_stream():
             for flow_id, nbytes in zip(
                 rng.integers(0, 200, 600).tolist(), rng.integers(64, 1500, 600).tolist()
             ):
-                # The switch's own ingress hook, fed a bare packet.
-                agent.switch._observe(
-                    SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False)
+                # The switch's ingress observation, fed a bare packet.
+                observe(
+                    agent.switch,
+                    SimpleNamespace(flow_id=flow_id, wire_size=nbytes, sketch_marked=False),
                 )
         aggregator.collect(interval * 1e-3)
     assert sum(a.sketch.evictions for a in agents) > 0

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
-from repro.simulator.link import Link, PauseState, QueuedEgress
+from repro.simulator.link import Link, PauseState
 from repro.simulator.packet import Packet, PacketKind, data_packet
+from repro.simulator.switch import Switch, SwitchConfig
 
 
 class SinkDevice:
@@ -22,11 +24,29 @@ class SinkDevice:
 
 @pytest.fixture
 def rig():
+    """One port of a one-port switch, wired to a sink."""
     sim = Simulator()
+    switch = Switch(sim, 0, "sw0", SwitchConfig(), DcqcnParams())
     sink = SinkDevice(sim)
-    link = Link(sim, "test", None, sink, dst_port=3, rate_bps=8e9, prop_delay=1e-6)
-    egress = QueuedEgress(sim, link)
-    return sim, sink, link, egress
+    link = Link(sim, "test", switch, sink, dst_port=3, rate_bps=8e9, prop_delay=1e-6)
+    switch.attach_link(link)
+    return sim, sink, link, switch.egress[0]
+
+
+def enqueue(egress, packet):
+    """Queue ``packet`` on a switch port as ``Switch.receive`` does,
+    charged to ingress port 0, and kick the port if it is idle."""
+    switch = egress.switch
+    packet.ingress_port = 0
+    switch.occupied_bytes += packet.wire_size
+    switch.ingress_bytes[0] += packet.wire_size
+    if packet.is_control:
+        egress.control_queue.append(packet)
+    else:
+        egress.data_queue.append(packet)
+        egress.data_queue_bytes += packet.wire_size
+    if not egress.busy:
+        egress.transmit()
 
 
 def _data(payload=938, flow=1, seq=0):
@@ -44,7 +64,7 @@ def test_link_validation():
 
 def test_serialization_plus_propagation_timing(rig):
     sim, sink, link, egress = rig
-    egress.enqueue(_data())
+    enqueue(egress, _data())
     sim.run()
     # 1 us serialization + 1 us propagation.
     assert sink.arrivals[0][0] == pytest.approx(2e-6)
@@ -53,8 +73,8 @@ def test_serialization_plus_propagation_timing(rig):
 
 def test_back_to_back_packets_serialize_sequentially(rig):
     sim, sink, link, egress = rig
-    egress.enqueue(_data(seq=0))
-    egress.enqueue(_data(seq=1))
+    enqueue(egress, _data(seq=0))
+    enqueue(egress, _data(seq=1))
     sim.run()
     times = [t for t, _, _ in sink.arrivals]
     assert times[0] == pytest.approx(2e-6)
@@ -64,7 +84,7 @@ def test_back_to_back_packets_serialize_sequentially(rig):
 def test_same_flow_never_reordered(rig):
     sim, sink, link, egress = rig
     for seq in range(20):
-        egress.enqueue(_data(seq=seq))
+        enqueue(egress, _data(seq=seq))
     sim.run()
     seqs = [p.seq for _, p, _ in sink.arrivals]
     assert seqs == sorted(seqs)
@@ -72,9 +92,9 @@ def test_same_flow_never_reordered(rig):
 
 def test_control_packets_preempt_queued_data(rig):
     sim, sink, link, egress = rig
-    egress.enqueue(_data(seq=0))
-    egress.enqueue(_data(seq=1))
-    egress.enqueue(Packet(PacketKind.CNP, 7, 0, 1))
+    enqueue(egress, _data(seq=0))
+    enqueue(egress, _data(seq=1))
+    enqueue(egress, Packet(PacketKind.CNP, 7, 0, 1))
     sim.run()
     kinds = [p.kind for _, p, _ in sink.arrivals]
     # First data already serializing; CNP jumps ahead of the second.
@@ -84,8 +104,8 @@ def test_control_packets_preempt_queued_data(rig):
 def test_pause_blocks_data_but_not_control(rig):
     sim, sink, link, egress = rig
     egress.set_paused(True)
-    egress.enqueue(_data())
-    egress.enqueue(Packet(PacketKind.CNP, 7, 0, 1))
+    enqueue(egress, _data())
+    enqueue(egress, Packet(PacketKind.CNP, 7, 0, 1))
     sim.run()
     kinds = [p.kind for _, p, _ in sink.arrivals]
     assert kinds == [PacketKind.CNP]
@@ -125,40 +145,28 @@ def test_queue_byte_accounting(rig):
     egress.set_paused(True)
     first = _data(seq=0)
     second = _data(seq=1)
-    egress.enqueue(first)
-    egress.enqueue(second)
+    enqueue(egress, first)
+    enqueue(egress, second)
     assert egress.data_queue_bytes == first.wire_size + second.wire_size
     egress.set_paused(False)
     sim.run()
     assert egress.data_queue_bytes == 0
 
 
-def test_max_queue_depth_tracked(rig):
-    sim, sink, link, egress = rig
-    egress.set_paused(True)
-    for seq in range(5):
-        egress.enqueue(_data(seq=seq))
-    assert egress.max_data_queue_bytes == 5 * 1000
-    egress.set_paused(False)
-    sim.run()
-    assert egress.max_data_queue_bytes == 5 * 1000
-
-
 def test_link_counters(rig):
     sim, sink, link, egress = rig
-    egress.enqueue(_data())
+    enqueue(egress, _data())
     sim.run()
     assert link.tx_packets == 1
     assert link.tx_bytes == 1000
 
 
-def test_dequeue_callback_invoked():
-    sim = Simulator()
-    sink = SinkDevice(sim)
-    link = Link(sim, "cb", None, sink, 0, 8e9, 1e-6)
-    seen = []
-    egress = QueuedEgress(sim, link, on_dequeue=seen.append)
-    pkt = _data()
-    egress.enqueue(pkt)
-    sim.run()
-    assert seen == [pkt]
+def test_buffer_released_when_the_last_bit_leaves(rig):
+    sim, sink, link, egress = rig
+    switch = egress.switch
+    enqueue(egress, _data())
+    assert switch.occupied_bytes == switch.ingress_bytes[0] == 1000
+    # The last bit leaves at 1 us; the arrival is still 1 us away.
+    sim.run_until(1.5e-6)
+    assert not sink.arrivals
+    assert switch.occupied_bytes == switch.ingress_bytes[0] == 0

@@ -40,12 +40,6 @@ def test_ttl_and_hop_count():
     assert pkt.hops_taken() == 3
 
 
-def test_packet_ids_unique():
-    a = data_packet(1, 0, 1, payload=1, seq=0, last=False)
-    b = data_packet(1, 0, 1, payload=1, seq=1, last=True)
-    assert a.pkt_id != b.pkt_id
-
-
 def test_last_flag_and_seq():
     pkt = data_packet(9, 0, 1, payload=512, seq=4096, last=True)
     assert pkt.last

@@ -355,13 +355,42 @@ def test_rl007_flags_fabric_constructors_outside_parallel(tmp_path):
     assert checks_of(result) == ["RL007", "RL007"]
 
 
+def test_rl007_flags_multiprocessing_workers_outside_parallel(tmp_path):
+    result = lint(tmp_path, {
+        "src/repro/tuning/foo.py": """
+            import multiprocessing
+
+            def fan_out(tasks):
+                with multiprocessing.Pool(2) as pool:
+                    pool.map(str, tasks)
+
+            def spawn(target):
+                worker = multiprocessing.get_context("fork").Process(
+                    target=target, daemon=True
+                )
+                worker.start()
+                return worker
+        """,
+    })
+    assert checks_of(result) == ["RL007", "RL007"]
+    assert [f.line for f in result.findings] == [5, 9]
+
+
 def test_rl007_allows_fabric_inside_parallel_and_threads_anywhere(tmp_path):
     result = lint(tmp_path, {
         "src/repro/parallel/pool.py": """
+            import multiprocessing
             from multiprocessing import shared_memory
 
             def make_slot(size):
                 return shared_memory.SharedMemory(create=True, size=size)
+
+            def spawn(target):
+                return multiprocessing.get_context("fork").Process(target=target)
+
+            def fan_out(tasks):
+                with multiprocessing.Pool(2) as pool:
+                    return pool.map(str, tasks)
         """,
         "src/repro/report/foo.py": """
             from concurrent.futures import ThreadPoolExecutor

@@ -6,10 +6,11 @@ import pytest
 
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
-from repro.simulator.link import Link, QueuedEgress
+from repro.simulator.link import Link
 from repro.simulator.packet import Packet, PacketKind, data_packet
 from repro.simulator.switch import Switch, SwitchConfig
 from repro.simulator.units import kb, mb
+from tests.reference_switch import ReferencePort
 
 
 class Sink:
@@ -39,6 +40,12 @@ def make_switch(sim, n_ports=2, **config_kwargs):
         switch.attach_link(link)
         sinks.append(sink)
     return switch, sinks
+
+
+def _upstream_port(sim):
+    """A port of another switch, to be XOFFed and XONed as a PFC peer."""
+    upstream, _ = make_switch(sim, n_ports=1)
+    return upstream.egress[0]
 
 
 def test_switch_config_validation():
@@ -127,12 +134,12 @@ def test_buffer_overflow_drops(sim):
 
 
 def test_receive_enqueues_like_the_port_itself(sim):
-    """``receive`` writes the egress enqueue out in place; the port's
-    own ``enqueue`` is the reference it must match, idle kick included."""
+    """``receive`` writes the egress enqueue out in place; the reference
+    port's own ``enqueue`` is what it must match, idle kick included."""
     switch, _ = make_switch(sim, buffer_bytes=mb(10.0), pfc_enabled=False)
     switch.set_forwarding(9, [1])
     port = switch.egress[1]
-    reference = QueuedEgress(sim, Link(sim, "ref", None, Sink(sim), 0, 8e9, 1e-6))
+    reference = ReferencePort(sim, Link(sim, "ref", None, Sink(sim), 0, 8e9, 1e-6))
 
     def packets():
         yield data_packet(1, 0, 9, payload=938, seq=0, last=False)
@@ -146,7 +153,6 @@ def test_receive_enqueues_like_the_port_itself(sim):
         reference.enqueue(via_port)
         assert port.busy == reference.busy
         assert port.data_queue_bytes == reference.data_queue_bytes
-        assert port.max_data_queue_bytes == reference.max_data_queue_bytes
         assert [p.seq for p in port.data_queue] == [p.seq for p in reference.data_queue]
         assert len(port.control_queue) == len(reference.control_queue)
 
@@ -233,9 +239,7 @@ def test_measurement_hook_without_dedup(sim):
 def test_pfc_xoff_and_xon(sim):
     switch, _ = make_switch(sim, buffer_bytes=kb(40.0), pfc_alpha=0.125)
     switch.set_forwarding(9, [1])
-    upstream = QueuedEgress(
-        sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6)
-    )
+    upstream = _upstream_port(sim)
     switch.set_ingress_peer(0, upstream, 1e-6)
     switch.egress[1].set_paused(True)  # force the queue to build
     for seq in range(6):
@@ -252,7 +256,7 @@ def test_pfc_xoff_and_xon(sim):
 def test_pfc_disabled_sends_no_pauses(sim):
     switch, _ = make_switch(sim, buffer_bytes=kb(40.0), pfc_enabled=False)
     switch.set_forwarding(9, [1])
-    upstream = QueuedEgress(sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6))
+    upstream = _upstream_port(sim)
     switch.set_ingress_peer(0, upstream, 1e-6)
     switch.egress[1].set_paused(True)
     for seq in range(6):
@@ -264,7 +268,7 @@ def _pauses_after_one_packet(sim, occupied):
     """XOFFs sent for one 1000 B arrival into a 100 KB, alpha=1/2 switch."""
     switch, _ = make_switch(sim, buffer_bytes=kb(100.0), pfc_alpha=0.5)
     switch.set_forwarding(9, [1])
-    upstream = QueuedEgress(sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6))
+    upstream = _upstream_port(sim)
     switch.set_ingress_peer(0, upstream, 1e-6)
     switch.egress[1].set_paused(True)
     switch.occupied_bytes = occupied
@@ -281,14 +285,14 @@ def test_dt_threshold_shrinks_with_occupancy(sim):
 
 def test_dt_threshold_floors_at_zero_when_overfull(sim):
     switch, _ = make_switch(sim, buffer_bytes=kb(100.0), pfc_alpha=0.5)
-    upstream = QueuedEgress(sim, Link(sim, "up", None, Sink(sim), 0, 8e9, 1e-6))
+    upstream = _upstream_port(sim)
     switch.set_ingress_peer(0, upstream, 1e-6)
     packet = data_packet(1, 0, 9, payload=938, seq=0, last=False)
     packet.ingress_port = 0
     switch.occupied_bytes = kb(200.0)  # over-full: threshold is 0, not < 0
     switch.ingress_bytes[0] = packet.wire_size
     switch._upstream_paused[0] = True
-    switch.dequeued(packet)            # dequeue: port 0 drains to 0 bytes
+    switch.egress[1].transmit(packet)  # last bit out: port 0 drains to 0 bytes
     assert not switch._upstream_paused[0]  # 0 buffered <= 0/2: XON
 
 

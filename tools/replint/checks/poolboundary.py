@@ -1,15 +1,17 @@
 """RL007 pool-boundary: all process-fabric construction in one place.
 
 The parallel fabric owns worker lifecycle (fork-time registry reset,
-lazy respawn of dead workers, teardown).  A shared-memory segment is a
+lazy respawn of dead workers, teardown): :class:`~repro.parallel.pool.
+WorkerPool` builds its workers with ``multiprocessing``'s
+``get_context(...).Process``.  A shared-memory segment is a
 parent-owned OS resource that needs an exactly-once unlink and starts
 ``multiprocessing``'s resource tracker, so the fabric uses none.  A stray
-``ProcessPoolExecutor`` or ``shared_memory.SharedMemory`` constructed
-elsewhere silently re-introduces the per-sweep spawn cost the pool
-exists to amortize — and double-counts metrics, because only
-:mod:`repro.parallel.worker` resets the forked registry.  Everything
-outside ``repro/parallel/`` must go through
-:class:`~repro.parallel.pool.WorkerPool` /
+``Process``, ``multiprocessing.Pool``, ``ProcessPoolExecutor`` or
+``shared_memory.SharedMemory`` constructed elsewhere silently
+re-introduces the per-sweep spawn cost the pool exists to amortize —
+and double-counts metrics, because only :mod:`repro.parallel.worker`
+resets the forked registry.  Everything outside ``repro/parallel/``
+must go through :class:`~repro.parallel.pool.WorkerPool` /
 :class:`~repro.parallel.executor.SweepExecutor`.
 
 ``ThreadPoolExecutor`` is deliberately not flagged: threads share the
@@ -25,7 +27,7 @@ from tools.replint.checks.forksafety import POOL_PACKAGES
 from tools.replint.core import Check, FileContext, Finding
 
 #: Constructors that create process-fabric resources.
-_FABRIC_CONSTRUCTORS = {"ProcessPoolExecutor", "SharedMemory"}
+_FABRIC_CONSTRUCTORS = {"Process", "Pool", "ProcessPoolExecutor", "SharedMemory"}
 
 
 def _constructor_name(node: ast.Call) -> str:
@@ -41,8 +43,8 @@ class PoolBoundaryCheck(Check):
     id = "RL007"
     name = "pool-boundary"
     description = (
-        "direct ProcessPoolExecutor/SharedMemory construction outside "
-        "repro/parallel/; use WorkerPool / SweepExecutor"
+        "direct Process/Pool/ProcessPoolExecutor/SharedMemory construction "
+        "outside repro/parallel/; use WorkerPool / SweepExecutor"
     )
 
     def extract(self, ctx: FileContext) -> List:
