@@ -20,27 +20,27 @@ from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from repro.tuning.parameters import default_params, default_space
 
 
+def _packets(seed: int, flows: int):
+    """One 1 024-packet batch: ``(flow_ids, nbytes)`` int64 vectors."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, flows, size=1024, dtype=np.int64),
+        rng.integers(64, 4096, size=1024, dtype=np.int64),
+    )
+
+
 def test_micro_elastic_sketch_insert(benchmark):
     sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=1024))
-    rng = random.Random(0)
-    keys = [rng.randrange(5000) for _ in range(1024)]
-    sizes = [rng.randrange(64, 4096) for _ in range(1024)]
-    index = {"i": 0}
-
-    def insert():
-        i = index["i"] = (index["i"] + 1) % 1024
-        sketch.insert(keys[i], sizes[i])
-
-    benchmark(insert)
+    flow_ids, nbytes = _packets(0, 5000)
+    benchmark(sketch.insert_batch, flow_ids, nbytes)
 
 
 def test_micro_elastic_sketch_read_and_reset(benchmark):
-    rng = random.Random(1)
+    flow_ids, nbytes = _packets(1, 400)
 
     def cycle():
         sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=512))
-        for _ in range(500):
-            sketch.insert(rng.randrange(400), rng.randrange(64, 4096))
+        sketch.insert_batch(flow_ids, nbytes)
         return sketch.read_and_reset_arrays()
 
     ids, _ = benchmark(cycle)

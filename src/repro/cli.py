@@ -130,17 +130,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="monitor interval in milliseconds (default: 1.0)",
     )
     _add_executor(parser)
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="append a structured JSONL trace of this run to PATH, "
-             "pool workers included (default: REPRO_TRACE env)",
-    )
+    _add_trace_and_profile(parser)
     parser.add_argument(
         "--record", default=None, metavar="PATH",
         help="write a flight-recorder snapshot (queue depth, DCQCN "
              "rate/alpha, PFC counters, flow FCTs) to PATH; render it "
              "with `python -m repro report`; pool workers record too "
              "and ship their snapshots back",
+    )
+
+
+def _add_trace_and_profile(parser: argparse.ArgumentParser) -> None:
+    """The telemetry flags :func:`main` reads before dispatch."""
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="append a structured JSONL trace of this run to PATH, "
+             "pool workers included (default: REPRO_TRACE env)",
     )
     parser.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -415,12 +420,10 @@ def cmd_pfc_plan(args) -> int:
 
 
 def cmd_env(args) -> int:
-    from repro import env as env_registry
-
     if args.markdown:
-        echo(env_registry.markdown_table())
+        echo(env.markdown_table())
     else:
-        echo(env_registry.format_listing())
+        echo(env.format_listing())
     return 0
 
 
@@ -623,15 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="write a report-compatible JSON snapshot of the run to PATH",
     )
-    cp_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="append a structured JSONL trace of this run to PATH, "
-             "pool workers included (default: REPRO_TRACE env)",
-    )
-    cp_parser.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="capture a cProfile of this command to PATH",
-    )
+    _add_trace_and_profile(cp_parser)
     cp_parser.set_defaults(func=cmd_controlplane)
 
     pfc_parser = sub.add_parser(

@@ -112,9 +112,9 @@ class HierarchicalAggregator:
         self._hist = np.zeros((n, HISTOGRAM_BUCKETS))
         # Both weight lanes and one +0.0 pad slot in a single vector,
         # so one gather lays out every fold (see _fold_index).
-        self._lanes = np.zeros(2 * n + 1)
-        self._elephant = self._lanes[:n]
-        self._mice = self._lanes[n : 2 * n]
+        self._weights = np.zeros(2 * n + 1)
+        self._elephant = self._weights[:n]
+        self._mice = self._weights[n : 2 * n]
         self._tracked = np.zeros(n, dtype=np.int64)
         self._filled = np.zeros(n, dtype=bool)
         self._batches: List[RangeBatch] = []
@@ -203,7 +203,7 @@ class HierarchicalAggregator:
         ]
         # Fractional weights: every lane folded left to right in
         # canonical agent order (see module docstring).
-        weights = ordered_row_sums(self._lanes[self._fold_index]).tolist()
+        weights = ordered_row_sums(self._weights[self._fold_index]).tolist()
         global_fsd, *tenant_fsds = (
             FlowSizeDistribution(
                 elephant_weight=elephant,

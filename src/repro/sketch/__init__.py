@@ -1,18 +1,16 @@
 """Sketch-based and sampling-based traffic measurement substrates."""
 
-from repro.sketch.hashing import hash32, hash32_array, hash_family, hash_family_seeds
-from repro.sketch.cm import CountMinSketch
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
+from repro.sketch.hashing import hash32_mixed, hash_family_seeds, mix_seed
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
 from repro.sketch.netflow import NetFlowMonitor, NetFlowConfig
 
 __all__ = [
-    "hash32",
-    "hash32_array",
-    "hash_family",
+    "hash32_mixed",
     "hash_family_seeds",
-    "CountMinSketch",
+    "mix_seed",
     "ElasticSketch",
     "ElasticSketchConfig",
+    "ElasticStack",
     "NetFlowMonitor",
     "NetFlowConfig",
 ]

@@ -21,18 +21,18 @@ interval the switch control-plane agent reads and clears the registers
 register read-and-clear cycle the paper performs on the Tofino
 (Section III-B).
 
-Storage: every sketch belongs to an :class:`ElasticStack`, the
-registers of N same-shape sketches in one table — Heavy Part columns
-(``flow_id``, ``vote+``, ``vote-``, ``flag``) of ``N·B`` rows (sketch
-``i`` owns rows ``[i·B, (i+1)·B)``) and one ``(N, depth, width)`` Light
-Part table.  A sketch only *views* its slice, and a lone sketch is a
-stack of one.
+Storage: sketch registers live in one place, an :class:`ElasticStack`
+— the registers of N same-shape sketches in one table: Heavy Part
+columns (``flow_id``, ``vote+``, ``vote-``, ``flag``) of ``N·B`` rows
+(sketch ``i`` owns rows ``[i·B, (i+1)·B)``) and one ``(N, depth,
+width)`` Light Part table.  An :class:`ElasticSketch` is a ``(stack,
+slot)`` handle on its slice with no registers of its own, and a lone
+sketch is a stack of one.
 
-The per-packet scalar :meth:`ElasticSketch.insert` indexes the columns
-directly and defines the bucket rule.  Every batch goes through one
-order-exact array kernel for any number of a stack's members, keyed
-by ``member·B + bucket``: :meth:`ElasticStack.insert` takes
-``(member, flow_ids, nbytes)`` chunks, and
+One kernel, :meth:`ElasticStack._insert`, is the only code that adds
+to either part.  It is order-exact for any number of a stack's
+members, keyed by ``member·B + bucket``: :meth:`ElasticStack.insert`
+takes ``(member, flow_ids, nbytes)`` chunks, and
 :meth:`ElasticStack.close_interval` takes one batch with ``(member,
 count)`` runs, then reads and resets every member — how
 :class:`~repro.monitor.agent.AgentStack` closes an interval with every
@@ -51,7 +51,7 @@ any register changes.  With no per-packet Python:
 2. a **round** advances every bucket at once to its first ostracism:
    one prefix sum over the round's packets, rebased per bucket onto
    its registers, gives the running ``vote+``/``vote-`` after each
-   packet, so the scalar test ``vote- >= λ·vote+`` is evaluated for
+   packet, so the rule's test ``vote- >= λ·vote+`` is evaluated for
    every colliding packet in one vectorized compare (a stack's members
    share one λ).  Colliders before a bucket's stop spill to the Light
    Part; at the stop the resident spills and the challenger is seated,
@@ -71,12 +71,13 @@ any register changes.  With no per-packet Python:
    flagged residents are the only readers of a Light-Part count, and
    the clear that follows would wipe it unread.
 
-Integer prefix sums are exact and the comparison is the scalar rule's
-own ``int64 >= float64`` test, so every register, eviction count and
-Light-Part counter is bit-identical to sequential :meth:`insert` calls
-on lone sketches.  Hypothesis property tests drive random,
+Integer prefix sums are exact and the comparison is the per-packet
+rule's own ``int64 >= float64`` test, so every register, eviction count
+and Light-Part counter is bit-identical to inserting the packets one
+at a time.  That per-packet rule is test code, in the scalar oracle
+``tests/scalar_monitor.py``; hypothesis property tests drive random,
 ostracism-heavy, deep-chain and multi-member streams through both and
-assert state equality; fixed two-member cases pin each early exit.
+assert state equality, and fixed two-member cases pin each early exit.
 
 One :meth:`ElasticStack.read_and_reset` serves any contiguous run of
 members: one ``nonzero`` over the Heavy Part, one Light-Part query
@@ -87,13 +88,14 @@ clear of just the occupied buckets and one Light-Part fill.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sketch.cm import CountMinSketch, as_int64, insert_stacked, query_stacked
-from repro.sketch.hashing import hash32, hash32_mixed, mix_seed, mod32
+from repro.sketch.cm import as_int64, insert_stacked, query_stacked, row_seeds
+from repro.sketch.hashing import hash32_mixed, mix_seed, mod32
 from repro.telemetry.registry import get_registry
 
 _BATCH_PACKETS = get_registry().counter(
@@ -147,6 +149,12 @@ class ElasticSketchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A float size would construct and then fail inside numpy's
+        # allocation, and a float seed at the first XOR.
+        for name in ("heavy_buckets", "light_width", "light_depth", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.heavy_buckets < 1:
             raise ValueError("heavy_buckets must be >= 1")
         if self.light_width < 1 or self.light_depth < 1:
@@ -158,106 +166,32 @@ class ElasticSketchConfig:
 
 
 class ElasticSketch:
-    """Heavy + Light measurement structure over non-negative flow ids."""
+    """Heavy + Light measurement structure over non-negative flow ids.
+
+    A handle on slot :attr:`slot` of :attr:`stack`, which holds the
+    registers; a new sketch is the one member of a stack of its own.
+    """
 
     def __init__(self, config: Optional[ElasticSketchConfig] = None):
         self.config = config or ElasticSketchConfig()
-        n = self.config.heavy_buckets
-        # Columnar Heavy Part: one row per bucket, -1 flow id = empty.
-        self._flow_id = np.full(n, -1, dtype=np.int64)
-        self._pos = np.zeros(n, dtype=np.int64)
-        self._neg = np.zeros(n, dtype=np.int64)
-        self._flag = np.zeros(n, dtype=bool)
-        self._light = CountMinSketch(
-            self.config.light_width,
-            self.config.light_depth,
-            seed=self.config.seed ^ 0x119447,
-        )
-        # Hot-path caches for the per-packet insert: bucket count, the
-        # pre-xored bucket hash seed, and the ostracism threshold.
-        self._n_buckets = n
-        self._bucket_seed = self.config.seed ^ 0x4EA71
-        self._lambda = self.config.ostracism_lambda
         #: Lifetime eviction count (diagnostics; survives resets).
         self.evictions = 0
+        self.stack: Optional[ElasticStack] = None
+        self.slot = 0
         ElasticStack([self])
 
-    def _bind(self, stack: "ElasticStack", slot: int) -> None:
-        """Move this sketch's registers into ``stack``'s slice ``slot``."""
-        lo, hi = slot * self._n_buckets, (slot + 1) * self._n_buckets
-        for name, column in (
-            ("_flow_id", stack.flow_id),
-            ("_pos", stack.pos),
-            ("_neg", stack.neg),
-            ("_flag", stack.flag),
-        ):
-            view = column[lo:hi]
-            view[...] = getattr(self, name)
-            setattr(self, name, view)
-        self._light.bind(stack.light[slot])
-        self._stack, self._slot = stack, slot
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-
-    def insert(self, flow_id: int, nbytes: int) -> None:
-        """Record ``nbytes`` of flow ``flow_id`` (one per-packet call).
-
-        The scalar bucket rule; :meth:`insert_batch` is defined as
-        equal to a sequence of these.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        if flow_id < 0:
-            raise ValueError("flow_id must be >= 0")
-        index = hash32(flow_id, self._bucket_seed) % self._n_buckets
-        fids = self._flow_id
-        pos = self._pos
-        resident = fids[index]
-
-        if resident < 0:
-            fids[index] = flow_id
-            pos[index] = nbytes
-            self._neg[index] = 0
-            self._flag[index] = False
-            return
-
-        if resident == flow_id:
-            pos[index] += nbytes
-            return
-
-        # Collision: vote against the resident.
-        neg = self._neg
-        neg[index] += nbytes
-        positive = pos[index]
-        if positive > 0 and neg[index] >= self._lambda * positive:
-            # Ostracism: flush the resident to the Light Part and seat
-            # the challenger with its flag raised.
-            self._light.insert(int(resident), int(positive))
-            fids[index] = flow_id
-            pos[index] = nbytes
-            neg[index] = 0
-            self._flag[index] = True
-            self.evictions += 1
-        else:
-            self._light.insert(flow_id, nbytes)
-
     def insert_batch(self, flow_ids: np.ndarray, nbytes: np.ndarray) -> None:
-        """Insert a packet batch, bit-identical to sequential inserts.
+        """Insert a packet batch, bit-identical to inserting its packets
+        one at a time.
 
         ``flow_ids`` / ``nbytes`` are positionally aligned vectors in
         arrival order: the one-member call of :meth:`ElasticStack.insert`.
         """
-        self._stack.insert(((self._slot, flow_ids, nbytes),))
+        self.stack.insert(((self.slot, flow_ids, nbytes),))
 
     # ``observe_batch`` is the batched MeasurementPoint interface the
     # switch observation buffer flushes into.
     observe_batch = insert_batch
-
-    # ------------------------------------------------------------------
-    # Control plane
-    # ------------------------------------------------------------------
 
     def read_and_reset_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(flow_ids, estimates)`` of every Heavy Part resident, then
@@ -268,30 +202,33 @@ class ElasticSketch:
         resident's estimate adds its Light-Part count.  ``evictions``
         (the lifetime total) survives the clear.
         """
-        _, ids, estimates, _ = self._stack.read_and_reset(self._slot, self._slot + 1)
+        _, ids, estimates, _ = self.stack.read_and_reset(self.slot, self.slot + 1)
         return ids, estimates
 
     def memory_bytes(self) -> int:
-        """SRAM footprint: heavy buckets (13 B each: 4 B flowID, 4 B
-        vote+, 4 B vote-, 1 B flag) plus light counters."""
-        return self._n_buckets * 13 + self._light.memory_bytes()
+        """Modeled SRAM footprint (Table IV style accounting): heavy
+        buckets (13 B each: 4 B flowID, 4 B vote+, 4 B vote-, 1 B flag)
+        plus 4 B light counters, the register widths of the paper's
+        Tofino deployment — not this process's int64 cells."""
+        config = self.config
+        return config.heavy_buckets * 13 + config.light_width * config.light_depth * 4
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        config = self.config
         return (
-            f"ElasticSketch(heavy={self._n_buckets}, "
-            f"light={self._light.width}x{self._light.depth})"
+            f"ElasticSketch(heavy={config.heavy_buckets}, "
+            f"light={config.light_width}x{config.light_depth})"
         )
 
 
 class ElasticStack:
     """The registers of N same-shape Elastic Sketches in one table.
 
-    Construction moves each sketch's current registers into its slice
-    (sketch ``i`` of the list is slot ``i``) and rebinds the sketch to
-    view it.  Sketches must agree on ``heavy_buckets``, the Light Part
-    shape and λ; seeds may differ.  :meth:`insert` and
-    :meth:`close_interval` run the one batch kernel of every member
-    (see the module docstring).
+    Construction makes sketch ``i`` of the list the handle of slot
+    ``i``, copying its current registers out of the stack it leaves.
+    Sketches must agree on ``heavy_buckets``, the Light Part shape and
+    λ; seeds may differ.  :meth:`insert` and :meth:`close_interval` run
+    the one batch kernel of every member (see the module docstring).
     """
 
     def __init__(self, sketches: Sequence[ElasticSketch]):
@@ -319,18 +256,24 @@ class ElasticStack:
         self.light = np.zeros((n, depth, width), dtype=np.int64)
         self.lam = lam
         # Per-member hash seeds, mixed once.
-        self.light_mixed = np.stack([s._light.mixed_seeds for s in self.sketches])
-        self.bucket_mixed = np.array(
-            [mix_seed(s._bucket_seed) for s in self.sketches], dtype=np.uint32
-        )
+        seeds = [s.config.seed for s in self.sketches]
+        self.light_mixed = np.stack([row_seeds(depth, seed ^ 0x119447) for seed in seeds])
+        self.bucket_mixed = mix_seed(np.array([(seed ^ 0x4EA71) & 0xFFFFFFFF for seed in seeds]))
         # Row end of each member, for splitting a read by member.
         self._member_ends = np.arange(1, n + 1) * buckets
         for slot, sketch in enumerate(self.sketches):
-            sketch._bind(self, slot)
+            old = sketch.stack
+            if old is not None:
+                rows = slice(sketch.slot * buckets, (sketch.slot + 1) * buckets)
+                new = slice(slot * buckets, (slot + 1) * buckets)
+                for name in ("flow_id", "pos", "neg", "flag"):
+                    getattr(self, name)[new] = getattr(old, name)[rows]
+                self.light[slot] = old.light[sketch.slot]
+            sketch.stack, sketch.slot = self, slot
 
     def insert(self, chunks: Iterable[Tuple[int, np.ndarray, np.ndarray]]) -> None:
         """Insert ``(slot, flow_ids, nbytes)`` chunks, each into member
-        ``slot``, bit-identical to sequential :meth:`ElasticSketch.insert`.
+        ``slot``, bit-identical to inserting the packets one at a time.
 
         Each chunk's vectors are positionally aligned and in arrival
         order; a member named by several chunks takes them in the order

@@ -25,10 +25,9 @@ from repro.monitor.fsd import merge_distributions
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.switch import Switch, SwitchConfig
-from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
-from repro.sketch.hashing import hash32
+from repro.sketch.elastic import ElasticSketchConfig
 from tests.reference_switch import observe
-from tests.scalar_monitor import ScalarReferenceAgent
+from tests.scalar_monitor import ScalarReferenceAgent, bucket
 
 TAU = 4_000
 DELTA = 2
@@ -158,10 +157,10 @@ def test_stack_merge_is_merge_distributions_of_its_reports(stream, n, lam):
 
 def _flows_in_buckets(seed):
     """Flow ids 0..999 by the heavy bucket they hash to under ``seed``."""
-    probe = ElasticSketch(_configs(1, seed, 1.0)[0])
+    config = _configs(1, seed, 1.0)[0]
     by_bucket = {}
     for flow in range(1000):
-        by_bucket.setdefault(hash32(flow, probe._bucket_seed) % 8, []).append(flow)
+        by_bucket.setdefault(bucket(config, flow), []).append(flow)
     return by_bucket
 
 

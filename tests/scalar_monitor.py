@@ -7,12 +7,17 @@ out of one kernel.  This module writes the same pipeline one packet,
 one dict entry and one flow object at a time, and the tests hold the
 shipped path to it bit for bit:
 
-* :class:`PerPacketSketch` — a measurement point whose ``observe_batch``
-  inserts packet by packet through the scalar ``ElasticSketch.insert``;
+* :func:`fmix32` and :func:`hash32` — the sketch hash over one Python
+  int, and :class:`CountMin` — the count-min insert and query one key
+  at a time;
+* :func:`insert_packets` — the Elastic Sketch bucket rule one packet
+  at a time, written straight into a sketch's registers
+  (:func:`registers`), and :class:`PerPacketSketch`, a measurement
+  point whose ``observe_batch`` applies it;
 * :func:`query`, :func:`read_heavy_arrays` and :func:`unattributed_bytes`
   — one sketch's per-flow estimate, resident read and Light-Part residue;
 * :func:`light_bytes` and :func:`stored_bytes` — the bytes a count-min
-  and an Elastic Sketch hold, read off their registers;
+  table and an Elastic Sketch hold, read off their registers;
 * :func:`read_heavy`, :func:`read_and_reset`, :func:`netflow_read_and_reset`
   — the dict forms of the sketch and NetFlow reads;
 * :class:`FlowStateEntry` and :class:`SlidingWindowClassifier` — the
@@ -46,14 +51,110 @@ from repro.monitor.states import (
     check_knobs,
 )
 from repro.simulator.units import mb
-from repro.sketch.cm import CountMinSketch
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
-from repro.sketch.hashing import hash32
+from repro.sketch.hashing import hash_family_seeds
 from repro.sketch.netflow import NetFlowMonitor
 
 # ---------------------------------------------------------------------------
-# Data plane
+# Data plane: the per-packet sketch rule
 # ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+
+
+def fmix32(h: int) -> int:
+    """MurmurHash3 32-bit finalizer over a Python int."""
+    h &= _MASK32
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & _MASK32
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & _MASK32
+    h ^= h >> 16
+    return h
+
+
+def hash32(key: int, seed: int = 0) -> int:
+    """``key`` hashed to 32 bits under ``seed``: the function
+    ``hash32_mixed(keys, mix_seed(seeds))`` computes in uint32 lanes."""
+    # The seed goes through the finalizer first so related seeds give
+    # unrelated hash functions.
+    return fmix32(key ^ fmix32(seed * 0x9E3779B9 + 0x165667B1))
+
+
+class CountMin:
+    """A count-min's per-key insert and query over one ``(depth,
+    width)`` table: the rule ``insert_stacked``/``query_stacked`` equal."""
+
+    def __init__(self, table: np.ndarray, seed: int):
+        self.table = table
+        self.width = table.shape[1]
+        self.seeds = hash_family_seeds(len(table), seed=seed ^ 0xC0117E)
+
+    def insert(self, key: int, value: int) -> None:
+        if value < 0:
+            raise ValueError("value must be >= 0")
+        for row, seed in zip(self.table, self.seeds):
+            row[hash32(key, seed) % self.width] += value
+
+    def query(self, key: int) -> int:
+        return int(
+            min(row[hash32(key, seed) % self.width] for row, seed in zip(self.table, self.seeds))
+        )
+
+
+def registers(sketch: ElasticSketch) -> Tuple[np.ndarray, ...]:
+    """Views of ``sketch``'s registers in its stack: the Heavy Part's
+    flow id, vote+, vote- and flag columns, and the Light Part table."""
+    stack, slot = sketch.stack, sketch.slot
+    rows = slice(slot * stack.n_buckets, (slot + 1) * stack.n_buckets)
+    return stack.flow_id[rows], stack.pos[rows], stack.neg[rows], stack.flag[rows], stack.light[slot]
+
+
+def light(sketch: ElasticSketch) -> CountMin:
+    """``sketch``'s Light Part as a per-key count-min."""
+    return CountMin(sketch.stack.light[sketch.slot], sketch.config.seed ^ 0x119447)
+
+
+def bucket(config: ElasticSketchConfig, flow_id: int) -> int:
+    """The Heavy Part bucket of ``flow_id`` in a sketch of ``config``."""
+    return hash32(flow_id, config.seed ^ 0x4EA71) % config.heavy_buckets
+
+
+def insert_packets(sketch: ElasticSketch, packets: Iterable[Tuple[int, int]]) -> None:
+    """Insert ``(flow_id, nbytes)`` packets one at a time: the Elastic
+    Sketch bucket rule, which ``ElasticStack``'s batch kernel equals."""
+    fids, pos, neg, flag, _ = registers(sketch)
+    config = sketch.config
+    cm = light(sketch)
+    for flow_id, nbytes in packets:
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        if flow_id < 0:
+            raise ValueError("flow_id must be >= 0")
+        index = bucket(config, flow_id)
+        resident = fids[index]
+        if resident < 0:
+            fids[index] = flow_id
+            pos[index] = nbytes
+            neg[index] = 0
+            flag[index] = False
+        elif resident == flow_id:
+            pos[index] += nbytes
+        else:
+            # Collision: vote against the resident.
+            neg[index] += nbytes
+            positive = pos[index]
+            if positive > 0 and neg[index] >= config.ostracism_lambda * positive:
+                # Ostracism: flush the resident to the Light Part and
+                # seat the challenger with its flag raised.
+                cm.insert(int(resident), int(positive))
+                fids[index] = flow_id
+                pos[index] = nbytes
+                neg[index] = 0
+                flag[index] = True
+                sketch.evictions += 1
+            else:
+                cm.insert(flow_id, nbytes)
 
 
 class PerPacketSketch:
@@ -63,37 +164,38 @@ class PerPacketSketch:
         self.sketch = sketch
 
     def observe_batch(self, flow_ids: np.ndarray, wire_bytes: np.ndarray) -> None:
-        for flow_id, nbytes in zip(flow_ids.tolist(), wire_bytes.tolist()):
-            self.sketch.insert(flow_id, nbytes)
+        insert_packets(self.sketch, zip(flow_ids.tolist(), wire_bytes.tolist()))
 
 
 def query(sketch: ElasticSketch, flow_id: int) -> int:
     """Estimated bytes of ``flow_id`` since the last register clear: its
     Heavy-Part votes if resident (plus its Light-Part count when
     flagged), else its Light-Part count."""
-    index = hash32(flow_id, sketch._bucket_seed) % sketch._n_buckets
-    if sketch._flow_id[index] == flow_id:
-        estimate = int(sketch._pos[index])
-        if sketch._flag[index]:
-            estimate += sketch._light.query(flow_id)
+    fids, pos, _, flag, _ = registers(sketch)
+    index = bucket(sketch.config, flow_id)
+    if fids[index] == flow_id:
+        estimate = int(pos[index])
+        if flag[index]:
+            estimate += light(sketch).query(flow_id)
         return estimate
-    return sketch._light.query(flow_id)
+    return light(sketch).query(flow_id)
 
 
 def read_heavy_arrays(sketch: ElasticSketch) -> Tuple[np.ndarray, np.ndarray]:
     """``(flow_ids, estimates)`` of every Heavy Part resident, in bucket
     order, without clearing: the stack's read of this one member."""
-    _, ids, estimates, _ = sketch._stack.read(sketch._slot, sketch._slot + 1)
+    _, ids, estimates, _ = sketch.stack.read(sketch.slot, sketch.slot + 1)
     return ids, estimates
 
 
-def light_bytes(cm: CountMinSketch) -> int:
-    """Bytes inserted into ``cm`` since its last clear.
+def light_bytes(table: np.ndarray) -> int:
+    """Bytes inserted into a count-min ``(depth, width)`` table since
+    its last clear.
 
     Every insert adds its value to exactly one cell of each row, so
     each row sums to the same total; this asserts that and returns it.
     """
-    rows = cm._table.sum(axis=1).tolist()
+    rows = table.sum(axis=1).tolist()
     assert len(set(rows)) == 1, f"count-min rows disagree: {rows}"
     return rows[0]
 
@@ -105,14 +207,16 @@ def stored_bytes(sketch: ElasticSketch) -> int:
     ``vote+``, or the Light Part (a collider's bytes, or an ostracized
     resident's ``vote+``).  ``vote-`` only re-counts colliders' bytes.
     """
-    return int(sketch._pos.sum()) + light_bytes(sketch._light)
+    _, pos, _, _, table = registers(sketch)
+    return int(pos.sum()) + light_bytes(table)
 
 
 def unattributed_bytes(sketch: ElasticSketch) -> int:
     """Bytes in the Light Part not claimed by a flagged resident."""
-    flagged = sketch._flow_id[(sketch._flow_id >= 0) & sketch._flag]
-    claimed = sum(sketch._light.query(flow_id) for flow_id in flagged.tolist())
-    return max(light_bytes(sketch._light) - claimed, 0)
+    fids, _, _, flag, table = registers(sketch)
+    cm = light(sketch)
+    claimed = sum(cm.query(flow_id) for flow_id in fids[(fids >= 0) & flag].tolist())
+    return max(light_bytes(table) - claimed, 0)
 
 
 def read_heavy(sketch: ElasticSketch) -> Dict[int, int]:

@@ -1,53 +1,83 @@
-"""Unit tests for the count-min sketch."""
+"""Unit tests for the count-min Light Part, through the shipped stacked
+kernels ``insert_stacked`` and ``query_stacked``."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch.cm import CountMinSketch
+from repro.sketch.cm import insert_stacked, query_stacked, row_seeds
+from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig
 from tests.scalar_monitor import light_bytes
 
 
+class LightPart:
+    """One count-min in the stacked layout: a ``(1, depth, width)``
+    table and its row seeds."""
+
+    def __init__(self, width: int, depth: int = 2, seed: int = 0):
+        self.tables = np.zeros((1, depth, width), dtype=np.int64)
+        self.mixed = row_seeds(depth, seed)[None]
+
+    def insert(self, *pairs) -> None:
+        """``(key, value)`` pairs in one scatter."""
+        insert_stacked(
+            self.tables, self.mixed, 0,
+            np.asarray([k for k, _ in pairs], dtype=np.int64),
+            np.asarray([v for _, v in pairs], dtype=np.int64),
+        )
+
+    def query(self, key: int) -> int:
+        return int(query_stacked(self.tables, self.mixed, 0, np.asarray([key]))[0])
+
+
 def test_validation():
+    # The Light Part's shape comes from the sketch config, and its only
+    # writer is the Elastic kernel, which refuses a negative count.
     with pytest.raises(ValueError):
-        CountMinSketch(0)
+        ElasticSketchConfig(light_width=0)
     with pytest.raises(ValueError):
-        CountMinSketch(16, depth=0)
+        ElasticSketchConfig(light_depth=0)
     with pytest.raises(ValueError):
-        CountMinSketch(16).insert(1, -5)
+        row_seeds(0, seed=1)
+    sketch = ElasticSketch(ElasticSketchConfig(light_width=16))
+    with pytest.raises(ValueError):
+        sketch.insert_batch(np.asarray([1]), np.asarray([-5]))
+    assert not sketch.stack.light.any()
 
 
 def test_exact_when_no_collisions():
-    cm = CountMinSketch(1024, depth=3, seed=1)
-    cm.insert(42, 100)
-    cm.insert(42, 50)
+    cm = LightPart(1024, depth=3, seed=1)
+    cm.insert((42, 100), (42, 50))
     assert cm.query(42) == 150
 
 
 def test_unseen_key_zero_when_empty():
-    cm = CountMinSketch(64, depth=2, seed=1)
+    cm = LightPart(64, depth=2, seed=1)
     assert cm.query(9999) == 0
 
 
 def test_reset():
-    cm = CountMinSketch(64, depth=2, seed=1)
-    cm.insert(1, 10)
-    cm.reset()
-    assert cm.query(1) == 0
-    assert light_bytes(cm) == 0
+    # The stack's register clear is the Light Part's reset.
+    sketch = ElasticSketch(ElasticSketchConfig(light_width=64, seed=1))
+    stack = sketch.stack
+    insert_stacked(stack.light, stack.light_mixed, 0, np.asarray([1]), np.asarray([10]))
+    stack.read_and_reset(0, 1)
+    assert query_stacked(stack.light, stack.light_mixed, 0, np.asarray([1])).tolist() == [0]
+    assert light_bytes(stack.light[0]) == 0
 
 
 def test_total_inserted():
-    cm = CountMinSketch(64, depth=2, seed=1)
-    cm.insert(1, 10)
-    cm.insert(2, 20)
-    assert light_bytes(cm) == 30
+    cm = LightPart(64, depth=2, seed=1)
+    cm.insert((1, 10), (2, 20))
+    assert light_bytes(cm.tables[0]) == 30
 
 
 def test_memory_accounting():
-    cm = CountMinSketch(100, depth=3)
-    assert cm.memory_bytes() == 100 * 3 * 4
+    # The modeled Light Part is 4 B per counter, beside 13 B per bucket.
+    sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=1, light_width=100, light_depth=3))
+    assert sketch.memory_bytes() - 13 == 100 * 3 * 4
 
 
 @settings(deadline=None, max_examples=50)
@@ -63,10 +93,10 @@ def test_memory_accounting():
 )
 def test_never_undercounts(inserts):
     """Property: count-min estimates are always >= the true count."""
-    cm = CountMinSketch(64, depth=2, seed=3)
+    cm = LightPart(64, depth=2, seed=3)
+    cm.insert(*inserts)
     truth = {}
     for key, value in inserts:
-        cm.insert(key, value)
         truth[key] = truth.get(key, 0) + value
     for key, true_count in truth.items():
         assert cm.query(key) >= true_count
@@ -85,10 +115,8 @@ def test_never_undercounts(inserts):
 )
 def test_estimate_bounded_by_total(inserts):
     """Property: no single estimate exceeds everything inserted."""
-    cm = CountMinSketch(32, depth=2, seed=9)
-    total = 0
-    for key, value in inserts:
-        cm.insert(key, value)
-        total += value
+    cm = LightPart(32, depth=2, seed=9)
+    cm.insert(*inserts)
+    total = sum(value for _, value in inserts)
     for key, _ in inserts:
         assert cm.query(key) <= total

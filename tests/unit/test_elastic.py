@@ -1,4 +1,9 @@
-"""Unit tests for Elastic Sketch."""
+"""Unit tests for Elastic Sketch, through the shipped batch kernel.
+
+Every packet reaches the registers through ``insert_batch``; the
+per-packet rule it must equal is ``tests/scalar_monitor.py``'s, held
+to it by ``test_sketch_batch.py``.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,14 @@ from tests.scalar_monitor import (
 )
 
 
+def insert(sketch: ElasticSketch, *packets) -> None:
+    """``(flow, bytes)`` packets into ``sketch`` as one batch."""
+    sketch.insert_batch(
+        np.asarray([f for f, _ in packets], dtype=np.int64),
+        np.asarray([v for _, v in packets], dtype=np.int64),
+    )
+
+
 def make_sketch(**kwargs) -> ElasticSketch:
     defaults = dict(heavy_buckets=256, light_width=1024, light_depth=2, seed=1)
     defaults.update(kwargs)
@@ -31,6 +44,20 @@ def test_config_validation():
         ElasticSketchConfig(light_width=0)
     with pytest.raises(ValueError):
         ElasticSketchConfig(ostracism_lambda=0.0)
+    # A float or bool size or seed is refused by name, not left to fail
+    # later inside numpy's allocation or at the seed's first XOR.
+    for field, value in [
+        ("heavy_buckets", 8.0),
+        ("light_width", 4096.0),
+        ("light_depth", 2.0),
+        ("seed", 1.5),
+        ("heavy_buckets", True),
+        ("seed", False),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ElasticSketchConfig(**{field: value})
+    # numpy integers are integers.
+    assert ElasticSketchConfig(heavy_buckets=np.int64(8), seed=np.uint32(3)).seed == 3
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
@@ -42,21 +69,19 @@ def test_config_rejects_non_finite_lambda(lam):
 
 def test_insert_query_single_flow():
     sketch = make_sketch()
-    sketch.insert(7, 1000)
-    sketch.insert(7, 500)
+    insert(sketch, (7, 1000), (7, 500))
     assert query(sketch, 7) == 1500
 
 
 def test_negative_bytes_rejected():
     sketch = make_sketch()
     with pytest.raises(ValueError):
-        sketch.insert(1, -1)
+        insert(sketch, (1, -1))
 
 
 def test_read_heavy_contains_resident_flows():
     sketch = make_sketch()
-    sketch.insert(1, 100)
-    sketch.insert(2, 200)
+    insert(sketch, (1, 100), (2, 200))
     heavy = read_heavy(sketch)
     assert heavy[1] == 100
     assert heavy[2] == 200
@@ -64,7 +89,7 @@ def test_read_heavy_contains_resident_flows():
 
 def test_read_and_reset_clears_state():
     sketch = make_sketch()
-    sketch.insert(1, 100)
+    insert(sketch, (1, 100))
     result = read_and_reset(sketch)
     assert result == {1: 100}
     assert query(sketch, 1) == 0
@@ -75,10 +100,10 @@ def test_read_and_reset_clears_state():
 def test_ostracism_evicts_weak_resident():
     # Tiny heavy part: two flows must collide.
     sketch = make_sketch(heavy_buckets=1, ostracism_lambda=2.0)
-    sketch.insert(1, 100)       # resident
-    sketch.insert(2, 100)       # vote-: ratio 1 < 2, goes to light
+    insert(sketch, (1, 100))       # resident
+    insert(sketch, (2, 100))       # vote-: ratio 1 < 2, goes to light
     assert sketch.evictions == 0
-    sketch.insert(2, 150)       # vote- 250 >= 2*100: eviction
+    insert(sketch, (2, 150))       # vote- 250 >= 2*100: eviction
     assert sketch.evictions == 1
     # New resident is flow 2, flagged (earlier bytes are in the light part).
     heavy = read_heavy(sketch)
@@ -92,12 +117,9 @@ def test_byte_conservation_across_parts():
     """Everything inserted is somewhere: heavy vote+, light, or votes."""
     sketch = make_sketch(heavy_buckets=8, ostracism_lambda=4.0)
     rng = random.Random(5)
-    total = 0
-    for _ in range(500):
-        flow = rng.randrange(40)
-        nbytes = rng.randrange(1, 2000)
-        sketch.insert(flow, nbytes)
-        total += nbytes
+    packets = [(rng.randrange(40), rng.randrange(1, 2000)) for _ in range(500)]
+    insert(sketch, *packets)
+    total = sum(nbytes for _, nbytes in packets)
     assert stored_bytes(sketch) == total
     # Per-flow estimates must cover at least the heavy residents' truth.
     heavy = read_heavy(sketch)
@@ -134,9 +156,9 @@ def test_heavy_residents_never_undercount(inserts):
     sketch = ElasticSketch(
         ElasticSketchConfig(heavy_buckets=512, light_width=2048, seed=2)
     )
+    insert(sketch, *inserts)
     truth = {}
     for flow, nbytes in inserts:
-        sketch.insert(flow, nbytes)
         truth[flow] = truth.get(flow, 0) + nbytes
     if sketch.evictions == 0:
         for flow, true_bytes in truth.items():
@@ -156,17 +178,14 @@ def test_heavy_residents_never_undercount(inserts):
 )
 def test_total_bytes_invariant(inserts):
     sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=4, seed=3))
-    total = 0
-    for flow, nbytes in inserts:
-        sketch.insert(flow, nbytes)
-        total += nbytes
-    assert stored_bytes(sketch) == total
+    insert(sketch, *inserts)
+    assert stored_bytes(sketch) == sum(nbytes for _, nbytes in inserts)
 
 
 def test_unattributed_bytes_tracks_light_part_residue():
     sketch = make_sketch(heavy_buckets=1, ostracism_lambda=100.0)
-    sketch.insert(1, 100)   # resident
-    sketch.insert(2, 500)   # collides, lambda too high to evict -> light
+    # Flow 1 is resident; flow 2 collides, lambda too high to evict.
+    insert(sketch, (1, 100), (2, 500))
     # Flow 2's bytes sit in the light part, unclaimed by any flag.
     assert unattributed_bytes(sketch) == 500
     assert query(sketch, 2) >= 500
@@ -174,9 +193,8 @@ def test_unattributed_bytes_tracks_light_part_residue():
 
 def test_flagged_resident_recalls_light_bytes():
     sketch = make_sketch(heavy_buckets=1, ostracism_lambda=1.0)
-    sketch.insert(1, 100)
-    sketch.insert(2, 100)   # ratio 1 >= 1: immediate eviction
-    sketch.insert(2, 50)
+    # Flow 2's first packet evicts flow 1 at ratio 1 >= 1.
+    insert(sketch, (1, 100), (2, 100), (2, 50))
     heavy = read_heavy(sketch)
     # Flow 2 is resident and flagged; its light-part prefix is added.
     assert heavy[2] >= 150

@@ -3,8 +3,9 @@
 The vectorized monitoring data plane rests on one claim: feeding a
 packet stream through ``insert_batch`` (in arbitrary chunkings) leaves
 every sketch register bit-identical to feeding it packet-by-packet
-through ``insert``.  These properties drive random and adversarial
-(ostracism-heavy) streams through both paths and compare full state.
+through the scalar rule of ``tests/scalar_monitor.py``.  These
+properties drive random and adversarial (ostracism-heavy) streams
+through both paths and compare full state.
 """
 
 from __future__ import annotations
@@ -13,15 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch.cm import CountMinSketch
+from repro.sketch.cm import as_int64, insert_stacked, query_stacked, row_seeds
 from repro.sketch.elastic import ElasticSketch, ElasticSketchConfig, ElasticStack
-from repro.sketch.hashing import hash32, hash32_array, mod32
+from repro.sketch.hashing import hash32_mixed, mix_seed, mod32
 from repro.telemetry.registry import get_registry
 from tests.scalar_monitor import (
+    CountMin,
+    bucket,
+    hash32,
+    insert_packets,
     light_bytes,
     query,
     read_heavy,
     read_heavy_arrays,
+    registers,
     stored_bytes,
     unattributed_bytes,
 )
@@ -30,11 +36,7 @@ from tests.scalar_monitor import (
 def elastic_state(sketch: ElasticSketch) -> tuple:
     """Every observable register of an ElasticSketch, as a comparable."""
     return (
-        sketch._flow_id.tolist(),
-        sketch._pos.tolist(),
-        sketch._neg.tolist(),
-        sketch._flag.tolist(),
-        sketch._light._table.tolist(),
+        *(column.tolist() for column in registers(sketch)),
         stored_bytes(sketch),
         sketch.evictions,
     )
@@ -61,10 +63,10 @@ def chunked(items, sizes):
     keys=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=64),
     seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
 )
-def test_hash32_array_matches_scalar(keys, seed):
+def test_hash32_mixed_matches_scalar(keys, seed):
     """The uint32 lanes drop every key and seed bit above 32, which
     the scalar finalizer masks off too."""
-    vector = hash32_array(np.asarray(keys, dtype=np.int64), seed)
+    vector = hash32_mixed(np.asarray(keys, dtype=np.int64), mix_seed(np.asarray([seed])))
     scalar = [hash32(k, seed) for k in keys]
     assert vector.tolist() == scalar
 
@@ -80,15 +82,15 @@ def test_hash32_array_matches_scalar(keys, seed):
         max_size=40,
     )
 )
-def test_hash32_array_per_key_seeds_match_scalar(pairs):
+def test_hash32_mixed_per_key_seeds_match_scalar(pairs):
     """A seed vector hashes key ``i`` under seed ``i``, element-wise
     equal to scalar ``hash32`` (negative seeds wrap the same way)."""
     keys = np.asarray([k for k, _ in pairs], dtype=np.int64)
     seeds = np.asarray([s for _, s in pairs], dtype=np.int64)
     expected = [hash32(k, s) for k, s in pairs]
-    assert hash32_array(keys, seeds).tolist() == expected
+    assert hash32_mixed(keys, mix_seed(seeds)).tolist() == expected
     masked = np.asarray([s & 0xFFFFFFFF for _, s in pairs], dtype=np.uint64)
-    assert hash32_array(keys, masked).tolist() == expected
+    assert hash32_mixed(keys, mix_seed(masked)).tolist() == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -116,29 +118,28 @@ def test_mod32_is_the_remainder(hashes, n):
     chunk_sizes=st.lists(st.integers(min_value=1, max_value=32), min_size=1, max_size=16),
 )
 def test_cm_insert_batch_equals_sequential(inserts, chunk_sizes):
-    sequential = CountMinSketch(width=64, depth=3, seed=7)
-    batched = CountMinSketch(width=64, depth=3, seed=7)
+    sequential = CountMin(np.zeros((3, 64), dtype=np.int64), seed=7)
+    batched, mixed = np.zeros((1, 3, 64), dtype=np.int64), row_seeds(3, seed=7)[None]
     for key, value in inserts:
         sequential.insert(key, value)
     for chunk in chunked(inserts, chunk_sizes):
         keys = np.asarray([k for k, _ in chunk], dtype=np.int64)
         vals = np.asarray([v for _, v in chunk], dtype=np.int64)
-        batched.insert_batch(keys, vals)
-    assert batched._table.tolist() == sequential._table.tolist()
-    assert light_bytes(batched) == sum(value for _, value in inserts)
+        insert_stacked(batched, mixed, 0, keys, vals)
+    assert batched[0].tolist() == sequential.table.tolist()
+    assert light_bytes(batched[0]) == sum(value for _, value in inserts)
     probe = np.asarray(sorted({k for k, _ in inserts}), dtype=np.int64)
-    assert batched.query_batch(probe).tolist() == [
+    assert query_stacked(batched, mixed, 0, probe).tolist() == [
         sequential.query(int(k)) for k in probe
     ]
 
 
 def test_cm_memory_models():
-    cm = CountMinSketch(width=100, depth=2)
+    sketch = ElasticSketch(ElasticSketchConfig(heavy_buckets=1, light_width=100, light_depth=2))
     # The modeled cost uses the paper's 4 B Tofino SRAM counters ...
-    assert cm.memory_bytes() == 100 * 2 * 4
-    assert cm.memory_bytes(counter_bytes=2) == 100 * 2 * 2
+    assert sketch.memory_bytes() - 13 == 100 * 2 * 4
     # ... while the process actually holds int64 cells.
-    assert cm.native_memory_bytes() == 100 * 2 * 8
+    assert sketch.stack.light[sketch.slot].nbytes == 100 * 2 * 8
 
 
 # -- elastic sketch ---------------------------------------------------------
@@ -159,8 +160,7 @@ def _run_both(stream, chunk_sizes, **config):
     defaults.update(config)
     sequential = ElasticSketch(ElasticSketchConfig(**defaults))
     batched = ElasticSketch(ElasticSketchConfig(**defaults))
-    for flow, nbytes in stream:
-        sequential.insert(flow, nbytes)
+    insert_packets(sequential, stream)
     for chunk in chunked(stream, chunk_sizes):
         ids = np.asarray([f for f, _ in chunk], dtype=np.int64)
         vals = np.asarray([v for _, v in chunk], dtype=np.int64)
@@ -232,8 +232,7 @@ def test_elastic_batch_ostracism_chain_takes_one_round_per_link():
     does."""
     stream = [(1, 100), (2, 100), (3, 100), (4, 100)]
     sequential, batched = _run_both([], [], heavy_buckets=1, ostracism_lambda=1.0)
-    for flow, nbytes in stream:
-        sequential.insert(flow, nbytes)
+    insert_packets(sequential, stream)
     before = _rounds()
     batched.insert_batch(
         np.asarray([f for f, _ in stream]), np.asarray([v for _, v in stream])
@@ -378,8 +377,7 @@ def test_stack_insert_equals_lone_and_scalar_sketches(
         cut = (flushed + ids.size) // 2 if split else ids.size
         head.append((i, ids[flushed:cut], vals[flushed:cut]))
         tail.append((i, ids[cut:], vals[cut:]))
-        for flow, nbytes in stream:
-            scalar[i].insert(flow, nbytes)
+        insert_packets(scalar[i], stream)
     stack.insert(head + tail[::-1])
     for got, alone, reference, stream in zip(stacked, lone, scalar, streams):
         assert elastic_state(got) == elastic_state(alone) == elastic_state(reference)
@@ -445,13 +443,17 @@ def test_elastic_batch_rejects_non_integer_arrays(flow_ids, nbytes, name):
     [([7.9], [2], "keys"), ([7], [2.7], "values"), ([7], [float("nan")], "values")],
 )
 def test_cm_batch_rejects_non_integer_arrays(keys, values, name):
-    cm = CountMinSketch(width=64, depth=2, seed=1)
+    table, mixed = np.zeros((1, 2, 64), dtype=np.int64), row_seeds(2, seed=1)[None]
+
+    def insert_batch(keys, values):
+        insert_stacked(table, mixed, 0, as_int64(keys, "keys"), as_int64(values, "values"))
+
     with pytest.raises(ValueError, match=f"{name} must be an integer array, got float64"):
-        cm.insert_batch(np.asarray(keys), np.asarray(values))
-    assert light_bytes(cm) == 0
+        insert_batch(np.asarray(keys), np.asarray(values))
+    assert light_bytes(table[0]) == 0
     # Unsigned and narrow integer arrays are integers all the same.
-    cm.insert_batch(np.asarray([7], dtype=np.uint16), np.asarray([2], dtype=np.int8))
-    assert cm.query(7) == 2
+    insert_batch(np.asarray([7], dtype=np.uint16), np.asarray([2], dtype=np.int8))
+    assert query_stacked(table, mixed, 0, np.asarray([7])).tolist() == [2]
 
 
 def test_eviction_counters_split_interval_from_lifetime():
@@ -460,8 +462,7 @@ def test_eviction_counters_split_interval_from_lifetime():
     sketch = ElasticSketch(
         ElasticSketchConfig(heavy_buckets=1, ostracism_lambda=1.0)
     )
-    sketch.insert(1, 100)
-    sketch.insert(2, 100)  # evicts flow 1
+    sketch.insert_batch(np.asarray([1, 2]), np.asarray([100, 100]))  # 2 evicts 1
     assert sketch.evictions == 1
 
     ids, _ = sketch.read_and_reset_arrays()
@@ -469,8 +470,7 @@ def test_eviction_counters_split_interval_from_lifetime():
     assert sketch.evictions == 1           # survives the clear
     assert stored_bytes(sketch) == 0
 
-    sketch.insert(3, 100)
-    sketch.insert(4, 100)  # evicts flow 3
+    sketch.insert_batch(np.asarray([3, 4]), np.asarray([100, 100]))  # 4 evicts 3
     assert sketch.evictions - 1 == 1       # this interval's one eviction
     sketch.read_and_reset_arrays()
     assert sketch.evictions == 2
@@ -483,10 +483,10 @@ _EDGE_CONFIG = dict(heavy_buckets=16, light_width=32, light_depth=2, ostracism_l
 
 def _flows_in_buckets(seed):
     """Flow ids 0..4095 by the heavy bucket they hash to under ``seed``."""
-    probe = ElasticSketch(ElasticSketchConfig(seed=seed, **_EDGE_CONFIG))
+    config = ElasticSketchConfig(seed=seed, **_EDGE_CONFIG)
     by_bucket = {}
     for flow in range(4096):
-        by_bucket.setdefault(hash32(flow, probe._bucket_seed) % 16, []).append(flow)
+        by_bucket.setdefault(bucket(config, flow), []).append(flow)
     return by_bucket
 
 
@@ -544,8 +544,7 @@ def test_stack_insert_edge_cases_equal_lone_and_scalar_sketches(case, seed):
         vals = np.asarray([v for _, v in stream], dtype=np.int64)
         chunks.append((i, ids, vals))
         lone[i].insert_batch(ids, vals)
-        for flow, nbytes in stream:
-            scalar[i].insert(flow, nbytes)
+        insert_packets(scalar[i], stream)
     stack.insert(chunks)
     for got, alone, reference, stream in zip(stacked, lone, scalar, streams):
         assert elastic_state(got) == elastic_state(alone) == elastic_state(reference)
