@@ -156,10 +156,21 @@ class AgentStack:
         if len({agent.stack_key() for agent in self.agents}) != 1:
             raise ValueError("stacked agents differ in sketch shape, tau or delta")
         self.tau = self.agents[0].tau
-        self.sketches = ElasticStack([agent.sketch for agent in self.agents])
-        self.classifier = ColumnarSlidingWindowClassifier.stacked(
-            [(agent.classifier, agent._group) for agent in self.agents]
-        )
+        # τ as the FSD pass divides by it: a float64 0-d operand.
+        self._tau = np.array(float(self.tau))
+        lone = self.agents[0] if len(self.agents) == 1 else None
+        if lone is not None and lone.sketch.stack.sketches == [lone.sketch]:
+            # A sketch alone in its stack already has this stack's table.
+            self.sketches = lone.sketch.stack
+        else:
+            self.sketches = ElasticStack([agent.sketch for agent in self.agents])
+        if lone is not None and lone.classifier._ends.size == 1:
+            # Likewise a one-group flow table.
+            self.classifier = lone.classifier
+        else:
+            self.classifier = ColumnarSlidingWindowClassifier.stacked(
+                [(agent.classifier, agent._group) for agent in self.agents]
+            )
         for group, agent in enumerate(self.agents):
             agent.classifier = self.classifier
             agent._group = group
@@ -194,17 +205,19 @@ class AgentStack:
             np.fromiter(nbytes, dtype=np.int64, count=count),
             runs,
         )
-        flow_ids, cum, codes, rows = self.classifier.advance(keys, ids, vals, ends)
-        fsds, merged = group_distributions(flow_ids, cum, codes, rows, tau=self.tau)
+        # The read's int64 columns and the table's own, unconverted.
+        flow_ids, cum, codes, rows = self.classifier._advance(keys, ids, vals, ends)
+        row_ends = rows.tolist()
+        fsds, merged = group_distributions(
+            flow_ids, cum, codes, row_ends, self._tau, table=True
+        )
         # Every member's interval bytes from one exact integer prefix
         # sum: the running total through each member's last row.
-        through = np.zeros(vals.size + 1, dtype=np.int64)
-        vals.cumsum(out=through[1:])
+        through = vals.cumsum().tolist()
         reports = []
         bytes_lo = row_lo = 0
-        for agent, fsd, bytes_hi, row_hi in zip(
-            self.agents, fsds, through[ends].tolist(), rows.tolist()
-        ):
+        for agent, fsd, end, row_hi in zip(self.agents, fsds, ends.tolist(), row_ends):
+            bytes_hi = through[end - 1] if end else 0
             report = LocalReport(
                 switch_name=agent.switch.name,
                 fsd=fsd,

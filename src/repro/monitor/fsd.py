@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul, truediv
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -38,6 +39,14 @@ from repro.simulator.units import mb
 
 #: Number of log2 size buckets in the histogram (1 B .. ~1 GB).
 HISTOGRAM_BUCKETS = 31
+
+# Typed 0-d operands (see :func:`~repro.sketch.hashing.uint32_operand`);
+# frexp's exponents are C ints.
+_MICE = np.array(CODE_MICE, dtype=np.int8)
+_UNIT = np.array(1.0)
+_BIT0 = np.array(1, dtype=np.int64)
+_EXPONENT_ONE = np.array(1, dtype=np.intc)
+_EXPONENT_CAP = np.array(HISTOGRAM_BUCKETS, dtype=np.intc)
 
 
 class FlowStates(Mapping):
@@ -237,6 +246,15 @@ def kl_divergence(
     """``KL(R_t || R_{t-1})`` over the size histograms (≥ 0)."""
     p = current.normalized_histogram(epsilon)
     q = previous.normalized_histogram(epsilon)
+    # With ε > 0 every bin is > 0 and the terms fold through ``map``
+    # with no bytecode per bin: libm's log, as the per-bin rule below
+    # (numpy's SIMD log may round differently, and a KL value decides a
+    # trigger), added left to right.  A normalized histogram holds a NaN
+    # only where its denominator is NaN (every bin) or infinite (every
+    # other bin 0), so its ``min`` is > 0 exactly when every bin is.
+    if 0.0 < min(p):
+        return ordered_sum(map(mul, p, map(math.log, map(truediv, p, q))))
+    # A bin that is not > 0 (ε = 0, an underflow) adds nothing.
     return ordered_sum([pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0])
 
 
@@ -246,6 +264,8 @@ def group_distributions(
     state_codes: np.ndarray,
     ends: np.ndarray,
     tau: int = mb(1.0),
+    *,
+    table: bool = False,
 ) -> "Tuple[List[FlowSizeDistribution], FlowSizeDistribution]":
     """Every contiguous row group's distribution (group ``g`` ends at
     ``ends[g]``) and the merge of them all, from one pass.
@@ -261,42 +281,71 @@ def group_distributions(
     weights folded left to right in group order, the histogram the
     exact count over all rows (their column sum), and the flow states
     the input columns themselves, not a concatenation of their slices.
+
+    ``table=True`` takes a flow table's columns as
+    :meth:`~repro.monitor.states.ColumnarSlidingWindowClassifier.advance`
+    returned them — int64 ids and bytes ``>= 0``, int8 codes that follow
+    the Fig. 3 rules on those bytes, ``ends`` a list — unconverted, and
+    ``tau`` may be a float64 0-d array (the division is the same).
+    There an elephant's ``Φ ≥ τ``, so its ``min(1, Φ/τ)`` is already 1
+    and the likelihood is that minimum capped by ``code != M``: the same
+    bits as the masked writes any other codes need.
     """
-    ids = np.asarray(flow_ids, dtype=np.int64)
-    cum = np.asarray(cumulative_bytes, dtype=np.int64)
-    codes = np.asarray(state_codes)
-    bounds = np.asarray(ends).tolist()
+    if table:
+        ids, cum, codes, bounds = flow_ids, cumulative_bytes, state_codes, ends
+    else:
+        ids = np.asarray(flow_ids, dtype=np.int64)
+        cum = np.asarray(cumulative_bytes, dtype=np.int64)
+        codes = np.asarray(state_codes)
+        bounds = np.asarray(ends).tolist()
+    n_groups = len(bounds)
     # Row 0 the likelihood of becoming an elephant (E 1, M 0, PE
     # min(1, Φ/τ)), row 1 its complement.
     weights = np.empty((2, ids.size))
     likelihood = weights[0]
-    np.minimum(cum / tau, 1.0, out=likelihood)
-    likelihood[codes == CODE_MICE] = 0.0
-    likelihood[codes == CODE_ELEPHANT] = 1.0
-    weights[1] = 1.0 - likelihood
+    if table:
+        np.minimum(cum / tau, codes != _MICE, out=likelihood)
+    else:
+        np.minimum(cum / tau, _UNIT, out=likelihood)
+        likelihood[codes == CODE_MICE] = 0.0
+        likelihood[codes == CODE_ELEPHANT] = 1.0
+    np.subtract(_UNIT, likelihood, out=weights[1])
     # Bucket floor(log2(bytes)), capped at the last; sizes below 1 B
     # land in bucket 0 as 1 B.  frexp's exponent of ``bytes | 1`` is
     # floor(log2) + 1, exact below 2**53 (setting bit 0 never moves the
-    # top bit), and anything larger is capped anyway.
-    buckets = np.frexp(cum | 1)[1]
-    buckets -= 1
-    np.minimum(buckets, HISTOGRAM_BUCKETS - 1, out=buckets)
-    merged_counts = counts = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS)
-    if len(bounds) > 1:
+    # top bit), and anything larger is capped anyway.  Group ``g``'s
+    # buckets are offset by ``g·31``, minus the 1, in one add.
+    buckets = np.frexp(cum | _BIT0)[1]
+    np.minimum(buckets, _EXPONENT_CAP, out=buckets)
+    if n_groups == 1:
+        buckets -= _EXPONENT_ONE
+    else:
         sizes = []
         lo = 0
         for hi in bounds:
             sizes.append(hi - lo)
             lo = hi
-        buckets += (np.arange(len(bounds)) * HISTOGRAM_BUCKETS).repeat(sizes)
-        counts = np.bincount(buckets, minlength=len(bounds) * HISTOGRAM_BUCKETS)
-    histograms = counts.astype(np.float64)
-    histograms.shape = (len(bounds), HISTOGRAM_BUCKETS)
+        buckets += np.arange(
+            -1, n_groups * HISTOGRAM_BUCKETS - 1, HISTOGRAM_BUCKETS
+        ).repeat(sizes)
+    # One row per group and, after them, the merge's: their exact
+    # column sum.
+    histograms = np.bincount(
+        buckets, minlength=(n_groups + 1) * HISTOGRAM_BUCKETS
+    ).astype(np.float64)
+    histograms.shape = (n_groups + 1, HISTOGRAM_BUCKETS)
+    if n_groups > 1:
+        np.add.reduce(histograms[:-1], 0, out=histograms[-1])
+    sums = np.empty((n_groups, 2))
+    lo = 0
+    for hi, out in zip(bounds, sums):
+        np.add.reduce(weights[:, lo:hi], 1, out=out)
+        lo = hi
+    histograms = histograms.tolist()
     groups = []
     elephant = mice = 0.0
     lo = 0
-    for hi, histogram in zip(bounds, histograms.tolist()):
-        e, m = np.add.reduce(weights[:, lo:hi], 1).tolist()
+    for hi, histogram, (e, m) in zip(bounds, histograms, sums.tolist()):
         groups.append(
             FlowSizeDistribution(
                 elephant_weight=e,
@@ -312,8 +361,7 @@ def group_distributions(
         elephant_weight=elephant,
         mice_weight=mice,
         histogram=(
-            groups[0].histogram if len(groups) == 1
-            else tuple(merged_counts.astype(np.float64).tolist())
+            groups[0].histogram if n_groups == 1 else tuple(histograms[-1])
         ),
         flow_states=FlowStates(ids, codes),
     )

@@ -55,6 +55,13 @@ STATE_OF_CODE = {
 }
 CODE_OF_STATE = {state: code for code, state in STATE_OF_CODE.items()}
 
+# Typed 0-d operands (see :func:`~repro.sketch.hashing.uint32_operand`).
+_ZERO = np.array(0, dtype=np.int64)
+_ONE = np.array(1, dtype=np.int64)
+_NO_ROW = np.array(-1, dtype=np.int64)
+_FALSE = np.array(False)
+_ELEPHANT = np.array(CODE_ELEPHANT, dtype=np.int8)
+
 
 def check_knobs(tau: float, delta: int = 1) -> None:
     """Raise ``ValueError`` unless ``τ`` is finite and positive and ``δ``
@@ -136,6 +143,11 @@ class ColumnarSlidingWindowClassifier:
         self._key_of: Optional[Dict[int, int]] = {} if key_span is None else None
         # Input position of each key during an interval, -1 at rest.
         self._where = np.full(key_span or 0, -1, dtype=np.int64)
+        # The knobs as typed operands of their own kinds.
+        self._tau = np.asarray(tau)
+        self._delta = np.asarray(delta)
+        self._idle_limit = np.asarray(delta - 1)
+        self._span = np.asarray(key_span or 1)
 
     @classmethod
     def stacked(
@@ -195,10 +207,19 @@ class ColumnarSlidingWindowClassifier:
         from the input transmitted nothing.  Returns the table's
         ``(flow_ids, cumulative_bytes, state_codes, row_ends)``.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        ids = np.asarray(flow_ids, dtype=np.int64)
-        vals = np.asarray(interval_bytes, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
+        return self._advance(
+            np.asarray(keys, dtype=np.int64),
+            np.asarray(flow_ids, dtype=np.int64),
+            np.asarray(interval_bytes, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64),
+        )
+
+    def _advance(
+        self, keys: np.ndarray, ids: np.ndarray, vals: np.ndarray, ends: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`advance` over int64 arrays, which it takes as they are
+        (a stacked sketch read, as :class:`~repro.monitor.agent.AgentStack`
+        hands it over)."""
         if ends.size != self._ends.size:
             raise ValueError(
                 f"input has {ends.size} groups, the table {self._ends.size}"
@@ -214,13 +235,13 @@ class ColumnarSlidingWindowClassifier:
         where = self._where
         where[keys] = np.arange(n)
         at = where[rows[self._KEY]]
-        where[keys] = -1
-        movers = vals > 0
+        where[keys] = _NO_ROW
+        movers = vals > _ZERO
         if n:
-            hit = (at >= 0) & (ids[at] == rows[self._FLOW])
+            hit = (at >= _ZERO) & (ids[at] == rows[self._FLOW])
             nb = vals[at]
             nb *= hit
-            movers[at[hit]] = False
+            movers[at[hit]] = _FALSE
         else:
             nb = rows[self._CUM] * 0
         admit = movers.nonzero()[0]
@@ -230,7 +251,7 @@ class ColumnarSlidingWindowClassifier:
 
         # A row expires after δ idle intervals; each group keeps its
         # survivors, then its admissions.
-        survivors = ((nb > 0) | (rows[self._IDLE] < self.delta - 1)).nonzero()[0]
+        survivors = ((nb > _ZERO) | (rows[self._IDLE] < self._idle_limit)).nonzero()[0]
         admitted_keys = keys[admit]
         kept = survivors.size
         kept_through = survivors.searchsorted(self._ends)
@@ -241,10 +262,14 @@ class ColumnarSlidingWindowClassifier:
             kept_at, fresh_at = slice(0, kept), slice(kept, kept + fresh)
         else:
             # Survivors move up by the admissions of the groups before
-            # theirs, admissions by the survivors up to their own group.
-            span = self.key_span
-            group = rows[self._KEY][survivors] // span
-            kept_at = np.arange(kept) + fresh_through[group - 1] * (group > 0)
+            # theirs (keys below their group's first key: the input is
+            # grouped, so those admissions come first), admissions by
+            # the survivors up to their own group.
+            span = self._span
+            kept_keys = rows[self._KEY][survivors]
+            kept_at = np.arange(kept) + admitted_keys.searchsorted(
+                kept_keys // span * span
+            )
             fresh_at = np.arange(fresh) + kept_through[admitted_keys // span]
 
         # The next table is one gather over [zero column | old table]:
@@ -257,26 +282,29 @@ class ColumnarSlidingWindowClassifier:
         block = self._block
         block[self._WINDOW + slot, 1:] = nb
         source = np.zeros(kept + fresh + 1, dtype=np.intp)
-        source[1:][kept_at] = survivors + 1
+        source[1:][kept_at] = survivors + _ONE
         block = block.take(source, axis=1)
         rows = block[:, 1:]
         nb = rows[self._WINDOW + slot]
-        rows[self._KEY, fresh_at] = admitted_keys
-        rows[self._FLOW, fresh_at] = ids[admit]
+        # Row views, then 1-D scatters: numpy's mixed int/array index is
+        # its slow general path.
+        rows[self._KEY][fresh_at] = admitted_keys
+        rows[self._FLOW][fresh_at] = ids[admit]
         nb[fresh_at] = vals[admit]
-        rows[self._SEEN] += 1
         rows[self._CUM] += nb
-        moved = nb > 0
+        # The two streaks and the interval count, adjacent rows, each
+        # one more; a move then zeroes the idle streak, a silence the
+        # active one.
+        rows[self._ACTIVE : self._SEEN + 1] += _ONE
+        moved = nb > _ZERO
         active, idle = rows[self._ACTIVE], rows[self._IDLE]
-        active += 1
         active *= moved
-        idle += 1
         idle *= ~moved
         self._block, self._rows, self._slot = block, rows, slot
         # Codes rank M (0) < PE (1) < E (2), so a row's state is the
         # larger of the two rules' codes.
-        state = (rows[self._CUM] >= self.tau) * np.int8(CODE_ELEPHANT)
-        self._state = np.maximum(state, active >= self.delta, out=state)
+        state = (rows[self._CUM] >= self._tau) * _ELEPHANT
+        self._state = np.maximum(state, active >= self._delta, out=state)
         return rows[self._FLOW], rows[self._CUM], self._state, self._ends
 
     def _first_sight_keys(self, ids: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulator.dcqcn import DcqcnParams
+from repro.simulator.ordered import ordered_sum
 from repro.simulator.topology import SPECS
 from repro.simulator.units import DEFAULT_MTU, HEADER_BYTES, mb
 
@@ -70,7 +71,7 @@ class FluidResult:
 
     def mean_utility(self, skip: int = 0) -> float:
         values = self.utilities[skip:]
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,7 @@ class FluidModel:
                     o_rtt=[float(v) for v in rtt_m[:, b]],
                     o_pfc=[float(v) for v in pfc_m[:, b]],
                     utilities=utilities,
-                    utility=sum(utilities) / len(utilities),
+                    utility=ordered_sum(utilities) / len(utilities),
                     steps=total_steps,
                 )
             )
@@ -524,11 +525,11 @@ def spearman_rank_correlation(a: Sequence[float], b: Sequence[float]) -> float:
         return out
 
     ra, rb = ranks(list(a)), ranks(list(b))
-    ma = sum(ra) / n
-    mb = sum(rb) / n
-    cov = sum((x - ma) * (y - mb) for x, y in zip(ra, rb))
-    va = math.sqrt(sum((x - ma) ** 2 for x in ra))
-    vb = math.sqrt(sum((y - mb) ** 2 for y in rb))
+    ma = ordered_sum(ra) / n
+    mb = ordered_sum(rb) / n
+    cov = ordered_sum((x - ma) * (y - mb) for x, y in zip(ra, rb))
+    va = math.sqrt(ordered_sum((x - ma) ** 2 for x in ra))
+    vb = math.sqrt(ordered_sum((y - mb) ** 2 for y in rb))
     if va == 0.0 or vb == 0.0:
         return 0.0
     return cov / (va * vb)

@@ -9,12 +9,13 @@ hypothesis).
 The counters of N sketches live in one C-contiguous ``(N, depth,
 width)`` int64 table — the flat-register layout the Tofino data plane
 uses — held by :class:`~repro.sketch.elastic.ElasticStack`, whose
-per-interval clear is one C-level fill.  :func:`insert_stacked` and
-:func:`query_stacked` add and answer for keys spread over all N
-sketches at once: every row of every key is hashed in one uint32-lane
-call (:func:`~repro.sketch.hashing.hash32_mixed` under a ``(depth,
-1)`` column of :func:`row_seeds`) and added with one ``np.add.at``
-over the flattened table.  Integer addition commutes exactly, so one
+per-interval clear fills the members written since their last one.
+:func:`insert_stacked` and :func:`query_stacked` add and answer for
+keys spread over all N sketches at once: every row of every key is
+hashed in one uint32-lane call
+(:func:`~repro.sketch.hashing.hash32_mixed` under a ``(depth, 1)``
+column of :func:`row_seeds`) and added with one ``np.add.at`` over
+the flattened table.  Integer addition commutes exactly, so one
 scatter is bit-identical to adding its keys one row at a time in any
 order — the per-key rule, which the test oracle writes out.
 """
@@ -25,6 +26,8 @@ import numpy as np
 
 from repro.sketch.hashing import hash32_mixed, hash_family_seeds, mix_seed, mod32
 
+_INT64 = np.dtype(np.int64)
+
 
 def as_int64(values: np.ndarray, name: str) -> np.ndarray:
     """``values`` as an int64 array, refusing non-integer input.
@@ -32,6 +35,8 @@ def as_int64(values: np.ndarray, name: str) -> np.ndarray:
     A plain ``astype`` truncates 1.5 to 1 and turns NaN into INT64_MIN,
     so a float batch would be counted silently wrong.
     """
+    if values.__class__ is np.ndarray and values.dtype is _INT64:
+        return values
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must be an integer array, got {array.dtype}")

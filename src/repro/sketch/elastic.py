@@ -49,9 +49,10 @@ any register changes.  With no per-packet Python:
    so that packet is simply the first resident hit of round 1, which
    reads the sorted columns as they are;
 2. a **round** advances every bucket at once to its first ostracism:
-   one prefix sum over the round's packets, rebased per bucket onto
-   its registers, gives the running ``vote+``/``vote-`` after each
-   packet, so the rule's test ``vote- >= λ·vote+`` is evaluated for
+   one prefix sum over the round's hits and misses (both vote rows at
+   once), rebased per bucket onto its registers, gives the running
+   ``vote+``/``vote-`` after each packet, so the rule's test ``vote-
+   >= λ·vote+`` is evaluated for
    every colliding packet in one vectorized compare (a stack's members
    share one λ).  Colliders before a bucket's stop spill to the Light
    Part; at the stop the resident spills and the challenger is seated,
@@ -71,6 +72,14 @@ any register changes.  With no per-packet Python:
    flagged residents are the only readers of a Light-Part count, and
    the clear that follows would wipe it unread.
 
+While no register of a stack has been written since it was last
+cleared whole (:attr:`ElasticStack.written`), every register is empty,
+so :meth:`ElasticStack.close_interval` runs the kernel on fresh
+registers of just the batch's buckets, dense in bucket order, and its
+read is those registers: it scans, writes and clears no register of
+the stack.  That is every close of a switch whose buffer did not fill
+mid-interval.
+
 Integer prefix sums are exact and the comparison is the per-packet
 rule's own ``int64 >= float64`` test, so every register, eviction count
 and Light-Part counter is bit-identical to inserting the packets one
@@ -82,7 +91,9 @@ assert state equality, and fixed two-member cases pin each early exit.
 One :meth:`ElasticStack.read_and_reset` serves any contiguous run of
 members: one ``nonzero`` over the Heavy Part, one Light-Part query
 for every flagged resident with each row's own sketch seeds, then a
-clear of just the occupied buckets and one Light-Part fill.
+clear of just the occupied buckets and a fill of just the Light Parts
+written since their last clear (:attr:`ElasticStack.light_dirty`,
+marked where the kernel's scatter writes them).
 """
 
 from __future__ import annotations
@@ -106,6 +117,13 @@ _BATCH_ROUNDS = get_registry().counter(
     "repro_sketch_batch_rounds_total",
     "Rounds run by the ElasticStack.insert kernel",
 )
+
+
+#: Typed 0-d operands (see :func:`~repro.sketch.hashing.uint32_operand`).
+_ZERO = np.array(0, dtype=np.int64)
+_ONE = np.array(1, dtype=np.int64)
+_EMPTY = np.array(-1, dtype=np.int64)
+_UNFLAGGED = np.array(False)
 
 
 def _batch(flow_ids: np.ndarray, nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -250,15 +268,33 @@ class ElasticStack:
         n = len(self.sketches)
         self.n_buckets = buckets
         self.flow_id = np.full(n * buckets, -1, dtype=np.int64)
-        self.pos = np.zeros(n * buckets, dtype=np.int64)
-        self.neg = np.zeros(n * buckets, dtype=np.int64)
+        #: vote+ (row 0) and vote- (row 1) as one table: a round rebases
+        #: both with one ``take`` per operand.
+        self.votes = np.zeros((2, n * buckets), dtype=np.int64)
+        self.pos, self.neg = self.votes
         self.flag = np.zeros(n * buckets, dtype=bool)
         self.light = np.zeros((n, depth, width), dtype=np.int64)
-        self.lam = lam
+        #: Members whose Light Part was written since its last clear:
+        #: set at its one write in :meth:`_insert`, unset by the clear
+        #: (:meth:`read_and_reset`), which fills only these.
+        self.light_dirty = np.zeros(n, dtype=bool)
+        #: Whether any register may be set: made true by the registers'
+        #: one write in :meth:`_insert`, false by a clear of the whole
+        #: stack.  While false every register is empty, Light Parts
+        #: included, and :meth:`close_interval` runs on fresh registers.
+        self.written = any(s.stack is not None and s.stack.written for s in self.sketches)
+        # λ as a typed operand of its own kind: an int λ keeps the
+        # ostracism test's products in int64, as a Python int does.
+        self.lam = np.asarray(lam)
         # Per-member hash seeds, mixed once.
         seeds = [s.config.seed for s in self.sketches]
         self.light_mixed = np.stack([row_seeds(depth, seed ^ 0x119447) for seed in seeds])
         self.bucket_mixed = mix_seed(np.array([(seed ^ 0x4EA71) & 0xFFFFFFFF for seed in seeds]))
+        # Each member's bucket seed over its first row, in uint32 lanes:
+        # a multi-member batch repeats one column per run.
+        self._seed_and_base = np.stack(
+            (self.bucket_mixed, np.arange(n, dtype=np.uint32) * np.uint32(buckets))
+        )
         # Row end of each member, for splitting a read by member.
         self._member_ends = np.arange(1, n + 1) * buckets
         for slot, sketch in enumerate(self.sketches):
@@ -266,9 +302,11 @@ class ElasticStack:
             if old is not None:
                 rows = slice(sketch.slot * buckets, (sketch.slot + 1) * buckets)
                 new = slice(slot * buckets, (slot + 1) * buckets)
-                for name in ("flow_id", "pos", "neg", "flag"):
-                    getattr(self, name)[new] = getattr(old, name)[rows]
+                self.flow_id[new] = old.flow_id[rows]
+                self.votes[:, new] = old.votes[:, rows]
+                self.flag[new] = old.flag[rows]
                 self.light[slot] = old.light[sketch.slot]
+                self.light_dirty[slot] = old.light_dirty[sketch.slot]
             sketch.stack, sketch.slot = self, slot
 
     def insert(self, chunks: Iterable[Tuple[int, np.ndarray, np.ndarray]]) -> None:
@@ -309,8 +347,11 @@ class ElasticStack:
         The Light Part takes the insert's spills only if a member they
         reach holds a flagged resident, the only reader of a Light-Part
         count before the clear; otherwise the clear would wipe them
-        unread.  Every read, register and counter is as for the two
-        calls.
+        unread.  While every register is empty (not :attr:`written`),
+        the batch's buckets are all the read holds: the kernel runs on
+        fresh registers of just those buckets and the read is those,
+        with no register written or cleared.  Every read, register and
+        counter is as for the two calls.
         """
         ids, vals = _batch(flow_ids, nbytes)
         slots, sizes = [], []
@@ -322,9 +363,17 @@ class ElasticStack:
                 total += count
         if total != ids.size:
             raise ValueError(f"runs cover {total} packets, the batch has {ids.size}")
-        if slots:
-            self._insert(ids, vals, slots, sizes, False)
-        return self.read_and_reset(0, len(self.sketches))
+        n = len(self.sketches)
+        if not slots or self.written:
+            if slots:
+                self._insert(ids, vals, slots, sizes, False)
+            return self.read_and_reset(0, n)
+        keys, ids, estimates, flags = self._insert(ids, vals, slots, sizes, False, True)
+        result = self._read_out(0, n, keys, ids, estimates, flags)
+        if flags is not None:
+            # An ostracism may have sent spills to the Light Part.
+            self._clear_light(0, n)
+        return result
 
     def _insert(
         self,
@@ -333,20 +382,30 @@ class ElasticStack:
         slots: List[int],
         sizes: List[int],
         keep_light: bool,
-    ) -> None:
+        fresh: bool = False,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The kernel: member ``slots[i]`` takes the next ``sizes[i]``
         packets of the int64 batch; the Light Part takes the spills
         only with ``keep_light`` or a flagged resident among the
-        touched members (:meth:`close_interval`)."""
+        touched members (:meth:`close_interval`).
+
+        It runs on the registers in place, by bucket.  With ``fresh``
+        (every register empty) it runs instead on fresh registers of
+        just the touched buckets, dense in bucket order, and returns
+        them — ``(keys, flow_ids, vote+, flags)``, keys offset from
+        member 0, flags ``None`` if none was raised — writing no
+        register of the stack.
+        """
         if len(slots) == 1:
             lo = hi = slots[0]
         else:
             lo, hi = min(slots), max(slots)
         hi += 1
-        # Checked with the compare and nonzero the kernel runs anyway.
-        if (vals < 0).nonzero()[0].size:
-            raise ValueError("nbytes must be >= 0")
-        if (ids < 0).nonzero()[0].size:
+        # One range test for both columns: a negative id or byte count
+        # makes their OR negative.
+        if ((ids | vals) < _ZERO).nonzero()[0].size:
+            if (vals < 0).nonzero()[0].size:
+                raise ValueError("nbytes must be >= 0")
             raise ValueError("flow_id must be >= 0")
         if lo < 0 or hi > len(self.sketches):
             raise ValueError(f"slots {slots} outside [0, {len(self.sketches)})")
@@ -357,94 +416,126 @@ class ElasticStack:
             # One member: a scalar seed.
             key = mod32(hash32_mixed(ids, self.bucket_mixed[lo]), n_buckets)
         else:
-            member = np.array(slots, dtype=np.intp).repeat(sizes)
-            key = mod32(hash32_mixed(ids, self.bucket_mixed[member]), n_buckets)
+            # Each packet's member seed and first row, one repeat.
+            seed, base = self._seed_and_base.take(slots, axis=1).repeat(sizes, axis=1)
+            key = mod32(hash32_mixed(ids, seed), n_buckets)
+            key += base
             if lo:
-                member -= lo
-            member *= n_buckets
-            key = key + member
+                key -= lo * n_buckets
         # Group the batch by key, arrival order kept inside each group:
-        # a stable radix sort on the narrowest key dtype.  Keys then
-        # index as intp, which numpy's fancy indexing needs no cast for.
+        # a stable radix sort on the narrowest key dtype.
         span = (hi - lo) * n_buckets
         key = key.astype(
             np.uint8 if span <= 1 << 8 else np.uint16 if span <= 1 << 16 else np.uint32
         )
         order = key.argsort(kind="stable")
-        key = key[order].astype(np.intp)
+        key = key[order]
         ids, vals = ids[order], vals[order]
-        rows = slice(lo * n_buckets, hi * n_buckets)
-        fids, pos = self.flow_id[rows], self.pos[rows]
-        neg, flag = self.neg[rows], self.flag[rows]
 
-        # Seat an empty bucket's first packet with zero votes (only a
-        # register clear empties a bucket, so its votes and flag are
-        # already zero): round 1 then counts it as a resident hit.
+        # Each touched bucket is one run of the sorted batch.
         first, end = _runs(key)
-        heads = first[fids[key[first]] < 0]
-        fids[key[heads]] = ids[heads]
+        rows = slice(lo * n_buckets, hi * n_buckets)
+        if fresh:
+            # Every register empty: the touched buckets' registers start
+            # fresh and dense (index i is the i-th touched bucket, and a
+            # packet's is its run's), each seated with its first packet
+            # and zero votes, so that packet is simply the first
+            # resident hit of round 1.
+            touched = key[first].astype(np.intp)
+            b = np.arange(touched.size).repeat(end - first)
+            fids = ids[first]
+            tally = np.zeros((2, touched.size), dtype=np.int64)
+            flag = None   # no flag until an ostracism raises one
+        else:
+            # In place, by bucket: the registers' one write, marked for
+            # the clear.  An empty bucket is seated likewise (only a
+            # register clear empties one, so its votes and flag are
+            # already zero).
+            self.written = True
+            b = key.astype(np.intp)
+            fids, tally, flag = self.flow_id[rows], self.votes[:, rows], self.flag[rows]
+            bf = b[first]
+            empty = fids[bf] < _ZERO
+            fids[bf[empty]] = ids[first[empty]]
+        pos, neg = tally
 
-        # Per-key work rows (each round's prefix-sum rebase and stop),
-        # allocated by the first round that has a collider.
-        scratch = None
+        # Per-bucket work rows, allocated where first needed.
+        base = stop = None
         spills, evicted = [], []
         rounds = 0
-        b, f, v = key, ids, vals
+        f, v = ids, vals
         while True:
             # One round: every bucket with packets left runs up to (and
-            # including) its first ostracism, all buckets at once.
+            # including) its first ostracism, all buckets at once.  On
+            # fresh registers round 1 holds every bucket, in order.
             rounds += 1
+            every = fresh and rounds == 1
             if rounds > 1:
                 first, end = _runs(b)
-            bf = b[first]
+                bf = b[first]
             # Only a colliding packet can ostracize or spill.
-            miss = (f != fids[b]).nonzero()[0]
+            hit = f == fids[b]
+            miss = (~hit).nonzero()[0]
             if not miss.size:
                 # Every packet hits its resident: vote+ grows by the run.
-                pos[bf] += np.add.reduceat(v, first)
+                if every:
+                    pos += np.add.reduceat(v, first)
+                else:
+                    pos[bf] += np.add.reduceat(v, first)
                 break
             # Running vote+ (row 0) and vote- (row 1) before each packet
             # (entry i sums the round's packets ahead of i) and after it
-            # (entry i + 1): one prefix sum over the round, rebased per
-            # bucket onto its registers.
+            # (entry i + 1): one prefix sum over the round's hits and
+            # misses, rebased per bucket onto its registers.
             n = b.size
-            after = miss + 1
-            votes = np.zeros((2, n + 1), dtype=np.int64)
-            up, down = votes[0], votes[1]
-            up[1:] = v
-            up[after] = 0
-            down[after] = v[miss]
-            np.add.accumulate(votes, axis=1, out=votes)
-            if scratch is None:
-                scratch = np.empty((3, fids.size), dtype=np.int64)
-                base_up, base_down, stop = scratch[0], scratch[1], scratch[2]
-            base_up[bf] = pos[bf] - up[first]
-            base_down[bf] = neg[bf] - down[first]
-            pos[bf] = up[end] + base_up[bf]
-            neg[bf] = down[end] + base_down[bf]
+            after = miss + _ONE
+            running = np.zeros((2, n + 1), dtype=np.int64)
+            up = running[0, 1:]
+            np.multiply(v, hit, out=up)
+            np.subtract(v, up, out=running[1, 1:])
+            np.add.accumulate(running, axis=1, out=running)
+            # Each bucket's registers less the round's votes ahead of
+            # its first packet, by bucket: a collider adds its own
+            # bucket's to its running votes.  Round 1 on fresh registers
+            # has one per dense bucket; any other round scatters its
+            # buckets' into a per-bucket row pair (which may be that
+            # round-1 pair).
             bm = b[miss]
-            vote_up = up[after] + base_up[bm]
-            vote_down = down[after] + base_down[bm]
-            at = ((vote_up > 0) & (vote_down >= self.lam * vote_up)).nonzero()[0]
+            if every:
+                base = tally - running.take(first, axis=1)
+                np.add(running.take(end, axis=1), base, out=tally)
+            else:
+                rebased = tally.take(bf, axis=1)
+                rebased -= running.take(first, axis=1)
+                pos[bf], neg[bf] = running.take(end, axis=1) + rebased
+                if base is None:
+                    base = np.empty((2, fids.size), dtype=np.int64)
+                base[0][bf], base[1][bf] = rebased
+            vote_up, vote_down = running.take(after, axis=1) + base.take(bm, axis=1)
+            at = ((vote_up > _ZERO) & (vote_down >= self.lam * vote_up)).nonzero()[0]
             if not at.size:
                 # No ostracism: every collider spills to the Light Part.
-                spills.append((bm, f[miss], v[miss]))
+                spills.append((bm, f, v, miss))
                 break
             at = at[_heads(bm[at])]   # the first per bucket
 
             # Each bucket stops at its first ostracism (or runs out);
             # colliders before the stop spill to the Light Part.
             evict = bm[at]
-            stop[bf] = n
+            if stop is None:
+                stop = np.empty(fids.size, dtype=np.int64)
+            stop[b[first]] = n
             stop[evict] = miss[at]
             spill = miss[miss < stop[bm]]
-            spills.append((b[spill], f[spill], v[spill]))
+            spills.append((b[spill], f, v, spill))
             # Ostracism: the resident's vote+ spills to the Light Part
             # and the challenger takes the bucket with its flag raised.
-            spills.append((evict, fids[evict], vote_up[at]))
+            spills.append((evict, fids[evict], vote_up[at], None))
             fids[evict] = f[miss[at]]
             pos[evict] = v[miss[at]]
             neg[evict] = 0
+            if flag is None:
+                flag = np.zeros(fids.size, dtype=bool)
             flag[evict] = True
             evicted.append(evict)
             behind = (np.arange(n) > stop[b]).nonzero()[0]
@@ -460,25 +551,40 @@ class ElasticStack:
                     count += evict.size
                 self.sketches[lo].evictions += count
             else:
+                gone = np.concatenate(evicted)
                 counts = np.bincount(
-                    np.concatenate(evicted) // n_buckets, minlength=hi - lo
+                    (touched[gone] if fresh else gone) // n_buckets, minlength=hi - lo
                 ).tolist()
                 for sketch, count in zip(self.sketches[lo:hi], counts):
                     sketch.evictions += count
-        if not spills or not (
-            keep_light or self.flag[lo * n_buckets : hi * n_buckets].nonzero()[0].size
-        ):
-            return
-        if len(spills) == 1:
-            spill_rows, keys, values = spills[0]
-        else:
-            spill_rows, keys, values = [np.concatenate(part) for part in zip(*spills)]
-        # Count-min addition commutes exactly, so the Light Part takes
-        # every round's spill as one scatter.
-        insert_stacked(
-            self.light[lo:hi], self.light_mixed[lo:hi],
-            0 if one else spill_rows // n_buckets, keys, values,
-        )
+        if spills and (keep_light or (evicted if fresh else flag.nonzero()[0].size)):
+            # A spill is ``(buckets, keys, values, at)``: its packets are
+            # picked out of its round's columns (``at``) only now that
+            # the Light Part takes them.
+            parts = [
+                (buckets, keys, values) if at is None else (buckets, keys[at], values[at])
+                for buckets, keys, values, at in spills
+            ]
+            if len(parts) == 1:
+                spill_rows, spill_keys, values = parts[0]
+            else:
+                spill_rows, spill_keys, values = [np.concatenate(part) for part in zip(*parts)]
+            # Count-min addition commutes exactly, so the Light Part takes
+            # every round's spill as one scatter.  Its one write, marked
+            # for the next clear.
+            if not one:
+                which = (touched[spill_rows] if fresh else spill_rows) // n_buckets
+            else:
+                which = 0
+            insert_stacked(
+                self.light[lo:hi], self.light_mixed[lo:hi], which, spill_keys, values
+            )
+            self.light_dirty[lo:hi][which] = True
+        if fresh:
+            if lo:
+                touched += lo * n_buckets
+            return touched, fids, pos, flag
+        return None
 
     def read(
         self, lo: int, hi: int
@@ -493,15 +599,30 @@ class ElasticStack:
         """
         rows = slice(lo * self.n_buckets, hi * self.n_buckets)
         residents = self.flow_id[rows]
-        keys = (residents >= 0).nonzero()[0]
-        ids = residents[keys]
-        estimates = self.pos[rows][keys]
-        flagged = self.flag[rows][keys].nonzero()[0]
-        if flagged.size:
-            which = lo + keys[flagged] // self.n_buckets
-            estimates[flagged] += query_stacked(
-                self.light, self.light_mixed, which, ids[flagged]
-            )
+        keys = (residents >= _ZERO).nonzero()[0]
+        return self._read_out(
+            lo, hi, keys, residents[keys], self.pos[rows][keys], self.flag[rows][keys]
+        )
+
+    def _read_out(
+        self,
+        lo: int,
+        hi: int,
+        keys: np.ndarray,
+        ids: np.ndarray,
+        estimates: np.ndarray,
+        flags: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`read` from the occupied buckets' keys, residents,
+        vote+ and flags (``None``: none raised): each flagged estimate
+        plus its Light-Part count (in place), and each member's row end."""
+        if flags is not None:
+            flagged = flags.nonzero()[0]
+            if flagged.size:
+                which = lo + keys[flagged] // self.n_buckets
+                estimates[flagged] += query_stacked(
+                    self.light, self.light_mixed, which, ids[flagged]
+                )
         ends = keys.searchsorted(self._member_ends[: hi - lo])
         return keys, ids, estimates, ends
 
@@ -511,15 +632,30 @@ class ElasticStack:
         """:meth:`read`, then clear the registers of members ``[lo, hi)``.
 
         Only the occupied buckets are cleared, by the keys just read:
-        an empty bucket's votes and flag are already zero.  The Light
-        Part takes one fill.
+        an empty bucket's votes and flag are already zero.  Likewise
+        only the Light Parts written since their last clear are filled
+        (:attr:`light_dirty`).
         """
         result = self.read(lo, hi)
         keys = result[0]
         rows = slice(lo * self.n_buckets, hi * self.n_buckets)
-        self.flow_id[rows][keys] = -1
-        self.pos[rows][keys] = 0
-        self.neg[rows][keys] = 0
-        self.flag[rows][keys] = False
-        self.light[lo:hi].fill(0)
+        self.flow_id[rows][keys] = _EMPTY
+        self.pos[rows][keys] = _ZERO
+        self.neg[rows][keys] = _ZERO
+        self.flag[rows][keys] = _UNFLAGGED
+        self._clear_light(lo, hi)
+        if hi - lo == len(self.sketches):
+            self.written = False
         return result
+
+    def _clear_light(self, lo: int, hi: int) -> None:
+        """Fill the Light Parts of members ``[lo, hi)`` written since
+        their last clear, and unmark them."""
+        dirty = self.light_dirty[lo:hi]
+        written = dirty.nonzero()[0]
+        if written.size:
+            if written.size == hi - lo:
+                self.light[lo:hi].fill(0)
+            else:
+                self.light[lo:hi][written] = 0
+            dirty.fill(False)

@@ -29,22 +29,39 @@ family of ``count`` independent functions derives its per-row seeds.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 import numpy as np
 
-_M1 = np.uint32(0x85EBCA6B)
-_M2 = np.uint32(0xC2B2AE35)
+
+@lru_cache(maxsize=None)
+def uint32_operand(value: int) -> np.ndarray:
+    """``value`` as a read-only 0-d uint32 array.
+
+    The operand to hand a ufunc over small arrays: with a Python int
+    or a numpy scalar the call spends about as long again promoting
+    the scalar as in its loop.  Cached, so each value is made once.
+    """
+    operand = np.array(value, dtype=np.uint32)
+    operand.setflags(write=False)
+    return operand
+
+
+_M1 = uint32_operand(0x85EBCA6B)
+_M2 = uint32_operand(0xC2B2AE35)
+_S13 = uint32_operand(13)
+_S16 = uint32_operand(16)
 
 
 def _fmix_lanes(h: np.ndarray) -> np.ndarray:
     """MurmurHash3's 32-bit finalizer in place over a uint32 array
     (products wrap mod 2³²)."""
-    h ^= h >> 16
+    h ^= h >> _S16
     h *= _M1
-    h ^= h >> 13
+    h ^= h >> _S13
     h *= _M2
-    h ^= h >> 16
+    h ^= h >> _S16
     return h
 
 
@@ -83,8 +100,8 @@ def mod32(h: np.ndarray, n: int) -> np.ndarray:
     same value two to three times faster.
     """
     if n & (n - 1) == 0:
-        return h & np.uint32(n - 1)
-    n = np.uint32(n)
+        return h & uint32_operand(n - 1)
+    n = uint32_operand(n)
     q = h // n
     q *= n
     return np.subtract(h, q, out=q)

@@ -25,7 +25,7 @@ from repro.monitor.fsd import merge_distributions
 from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.switch import Switch, SwitchConfig
-from repro.sketch.elastic import ElasticSketchConfig
+from repro.sketch.elastic import ElasticSketchConfig, ElasticStack
 from tests.reference_switch import observe
 from tests.scalar_monitor import ScalarReferenceAgent, bucket
 
@@ -271,3 +271,44 @@ def test_mixed_shapes_form_separate_stacks_in_agent_order():
     aggregator.collect(0.0)
     assert [r.switch_name for r in aggregator.last_reports] == ["tor0", "tor1", "tor2"]
     assert [r.interval_bytes for r in aggregator.last_reports] == [6_000, 6_000, 3_000]
+
+
+def test_registers_are_allocated_once_per_agent(monkeypatch):
+    """An agent's lone stack is its sketch's own stack and flow table, so
+    four agents build four ``ElasticStack`` s and their aggregator one
+    more (nine before: each lone stack copied its sketch's registers),
+    and every report is as the per-packet reference's."""
+    built = []
+    init = ElasticStack.__init__
+
+    def counted(self, sketches):
+        built.append(len(sketches))
+        init(self, sketches)
+
+    monkeypatch.setattr(ElasticStack, "__init__", counted)
+    switches = _switches(4)
+    agents = [
+        SwitchAgent(s, sketch_config=c, tau=TAU, delta=DELTA)
+        for s, c in zip(switches, _configs(4, None, 1.0))
+    ]
+    assert built == [1, 1, 1, 1]
+    for agent in agents:
+        assert agent._stack.sketches is agent.sketch.stack
+        assert agent._stack.classifier is agent.classifier
+    aggregator = FsdAggregator(agents)
+    assert built == [1, 1, 1, 1, 4]
+    # Each stack still reports bit for bit as the scalar reference.
+    stream = [
+        [(a, f, 500 + 41 * f) for a in range(4) for f in range(a, 30, 1 + t % 4)]
+        for t in range(6)
+    ]
+    monkeypatch.undo()
+    got = []
+    for t, interval in enumerate(stream):
+        for agent_index, flow_id, nbytes in interval:
+            _observe(switches[agent_index], flow_id, nbytes)
+        aggregator.collect(t * 1e-3)
+        got.append(_observed(aggregator.last_reports, agents))
+    assert got == _run(stream, 4, None, 1.0, "scalar")
+    lone = _run(stream, 4, None, 1.0, "alone")
+    assert lone == got

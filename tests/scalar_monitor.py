@@ -126,11 +126,14 @@ def insert_packets(sketch: ElasticSketch, packets: Iterable[Tuple[int, int]]) ->
     fids, pos, neg, flag, _ = registers(sketch)
     config = sketch.config
     cm = light(sketch)
+    stack, slot = sketch.stack, sketch.slot
     for flow_id, nbytes in packets:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if flow_id < 0:
             raise ValueError("flow_id must be >= 0")
+        # Every write is marked for the clear, as the stack's own are.
+        stack.written = True
         index = bucket(config, flow_id)
         resident = fids[index]
         if resident < 0:
@@ -148,6 +151,7 @@ def insert_packets(sketch: ElasticSketch, packets: Iterable[Tuple[int, int]]) ->
                 # Ostracism: flush the resident to the Light Part and
                 # seat the challenger with its flag raised.
                 cm.insert(int(resident), int(positive))
+                stack.light_dirty[slot] = True
                 fids[index] = flow_id
                 pos[index] = nbytes
                 neg[index] = 0
@@ -155,6 +159,7 @@ def insert_packets(sketch: ElasticSketch, packets: Iterable[Tuple[int, int]]) ->
                 sketch.evictions += 1
             else:
                 cm.insert(flow_id, nbytes)
+                stack.light_dirty[slot] = True
 
 
 class PerPacketSketch:

@@ -63,6 +63,9 @@ def test_reset():
     sketch = ElasticSketch(ElasticSketchConfig(light_width=64, seed=1))
     stack = sketch.stack
     insert_stacked(stack.light, stack.light_mixed, 0, np.asarray([1]), np.asarray([10]))
+    # Marked as the stack's own Light-Part write marks it: the clear
+    # fills only the members written since the last one.
+    stack.light_dirty[0] = True
     stack.read_and_reset(0, 1)
     assert query_stacked(stack.light, stack.light_mixed, 0, np.asarray([1])).tolist() == [0]
     assert light_bytes(stack.light[0]) == 0

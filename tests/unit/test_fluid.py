@@ -7,6 +7,8 @@ halving relies on (a screen that mis-ranks would discard the true
 optimum before the DES ever sees it).
 """
 
+import math
+
 import pytest
 
 from repro.parallel.tasks import EvalTask, ScenarioSpec, evaluate_task
@@ -14,10 +16,12 @@ from repro.simulator.fluid import (
     DEFAULT_DT,
     FluidCalibration,
     FluidModel,
+    FluidResult,
     fit_calibration,
     profile_for_scenario,
     spearman_rank_correlation,
 )
+from repro.simulator.ordered import ordered_sum
 from repro.tuning.fidelity import default_anchor_params
 from repro.tuning.parameters import default_params
 
@@ -116,3 +120,36 @@ def test_spearman_rank_correlation_basics():
     assert spearman_rank_correlation([5], [9]) == 1.0
     with pytest.raises(ValueError):
         spearman_rank_correlation([1, 2], [1])
+
+
+# CPython 3.12's builtin sum() is Neumaier-compensated: sum([0.1] * 10)
+# is 1.0 there and 0.9999999999999999 before.  The screen's scores, and
+# so which candidates it sends to the DES, must not depend on that.
+
+
+def test_mean_utility_adds_left_to_right():
+    result = FluidResult(
+        o_tp=[], o_rtt=[], o_pfc=[], utilities=[0.1] * 10, utility=0.0, steps=0
+    )
+    assert result.mean_utility() == 0.9999999999999999 / 10
+    assert result.mean_utility(skip=10) == 0.0
+
+
+def test_batch_utility_is_the_left_to_right_mean():
+    spec = ANCHOR_SCENARIOS[0]
+    anchors = default_anchor_params(default_params())
+    for result in FluidModel(DEFAULT_DT).evaluate_batch(spec, anchors):
+        assert result.utility == ordered_sum(result.utilities) / len(result.utilities)
+
+
+def test_spearman_sums_left_to_right():
+    # Ranks are half-integers, so every sum here is exact either way;
+    # the coefficient is the ordered fold's, on every version.
+    fluid = [0.3, 0.1, 0.2, 0.2, 0.9]
+    des = [0.5, 0.4, 0.1, 0.3, 0.8]
+    ra, rb = [3.0, 0.0, 1.5, 1.5, 4.0], [3.0, 2.0, 0.0, 1.0, 4.0]
+    ma, mb = ordered_sum(ra) / 5, ordered_sum(rb) / 5
+    cov = ordered_sum((x - ma) * (y - mb) for x, y in zip(ra, rb))
+    va = math.sqrt(ordered_sum((x - ma) ** 2 for x in ra))
+    vb = math.sqrt(ordered_sum((y - mb) ** 2 for y in rb))
+    assert spearman_rank_correlation(fluid, des) == cov / (va * vb)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.monitor.fsd import (
     kl_divergence,
     merge_distributions,
 )
-from repro.monitor.states import TernaryState
+from repro.monitor.states import ColumnarSlidingWindowClassifier, TernaryState
+from repro.simulator.ordered import ordered_sum
 from tests.scalar_monitor import FlowStateEntry, from_entries, fsd_from_sizes
 
 MB = 1_000_000
@@ -344,3 +346,75 @@ def test_from_groups_equals_each_group_alone(sizes, seed):
     assert merged.mice_weight == reference.mice_weight
     assert merged.histogram == reference.histogram
     assert list(merged.flow_states.items()) == list(reference.flow_states.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    intervals=st.lists(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=7),
+            st.tuples(st.integers(0, 30), st.integers(0, 600_000)),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    tau=st.sampled_from([1, 100_000, 1_000_000]),
+    delta=st.integers(min_value=1, max_value=3),
+)
+def test_table_columns_give_the_general_kernels_bits(intervals, tau, delta):
+    """On a flow table's own columns (two groups of bucket keys), the
+    ``table=True`` likelihood — ``min(Φ/τ, code != M)`` over a float64
+    τ — gives every group and the merge the bits of the general
+    kernel's masked writes."""
+    part = ColumnarSlidingWindowClassifier(tau=tau, delta=delta, key_span=4)
+    table = ColumnarSlidingWindowClassifier.stacked([(part, 0), (part, 0)])
+    for reads in intervals:
+        keys = sorted(reads)
+        ids, cum, codes, ends = table.advance(
+            keys,
+            [reads[k][0] for k in keys],
+            [reads[k][1] for k in keys],
+            [sum(k < 4 for k in keys), len(keys)],
+        )
+        fast = group_distributions(
+            ids, cum, codes, ends.tolist(), np.array(float(tau)), table=True
+        )
+        general = group_distributions(ids, cum, codes, ends, tau)
+        for got, expected in zip(fast[0] + [fast[1]], general[0] + [general[1]]):
+            assert got.elephant_weight == expected.elephant_weight
+            assert got.mice_weight == expected.mice_weight
+            assert got.histogram == expected.histogram
+            assert list(got.flow_states.items()) == list(expected.flow_states.items())
+
+
+def _kl_reference(current, previous, epsilon=1e-9):
+    """The per-bin rule ``kl_divergence`` folds: bins not > 0 add nothing."""
+    p = current.normalized_histogram(epsilon)
+    q = previous.normalized_histogram(epsilon)
+    return ordered_sum([pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0])
+
+
+_counts = st.lists(
+    st.integers(min_value=0, max_value=50), min_size=HISTOGRAM_BUCKETS, max_size=HISTOGRAM_BUCKETS
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(a=_counts, b=_counts, epsilon=st.sampled_from([1e-9, 1e-3, 0.0]))
+def test_kl_fold_equals_the_per_bin_rule(a, b, epsilon):
+    current = FlowSizeDistribution(histogram=tuple(float(x) for x in a))
+    previous = FlowSizeDistribution(histogram=tuple(float(x) + 1.0 for x in b))
+    assert repr(kl_divergence(current, previous, epsilon)) == repr(
+        _kl_reference(current, previous, epsilon)
+    )
+
+
+def test_kl_skips_bins_that_are_not_positive():
+    # ε = 0: empty bins are 0 and add nothing; a NaN histogram is NaN
+    # in every bin, none of which is > 0.
+    current = FlowSizeDistribution(histogram=(0.0, 3.0, 1.0) + (0.0,) * 28)
+    previous = FlowSizeDistribution(histogram=(1.0,) * 31)
+    assert kl_divergence(current, previous, 0.0) == _kl_reference(current, previous, 0.0)
+    broken = FlowSizeDistribution(histogram=(float("nan"),) * 31)
+    assert kl_divergence(broken, previous) == 0.0
