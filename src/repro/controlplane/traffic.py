@@ -3,12 +3,12 @@
 Scaling the control plane to 1000+ agents needs a traffic source that
 is (a) cheap enough to generate for a thousand ToRs per interval and
 (b) *location-independent*: the flows agent ``a`` observes in interval
-``t`` must be byte-identical whether the agent is evaluated inline, in
-shard worker 0, or recomputed by the parent after a work steal.  A
-stateful RNG cannot give (b) without careful per-agent stream
-plumbing, so flow attributes here are a **pure function** of
-``(seed, interval, flow slot)`` via a vectorized splitmix64 finalizer
-— a counter-based generator with no sequential state at all.
+``t`` must be byte-identical whichever block of agents generates them
+and in whatever order the blocks run.  A stateful RNG cannot give (b)
+without careful per-agent stream plumbing, so flow attributes here are
+a **pure function** of ``(seed, interval, flow slot)`` via a vectorized
+splitmix64 finalizer — a counter-based generator with no sequential
+state at all.
 
 Each agent owns ``flows_per_agent`` flow-id slots, disjoint from every
 other agent's (flow id = global slot + 1) — the synthetic analogue of

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.monitor.states import check_knobs
 from repro.simulator.units import mb, ms
@@ -40,8 +41,10 @@ class ParaleonConfig:
     # SA schedule (relaxed temperature).
     schedule: AnnealingSchedule = field(default_factory=AnnealingSchedule)
 
-    # Miscellaneous.
-    monitor_interval: float = ms(1.0)
+    # Miscellaneous.  λ_MI is Table III's value, not a knob: a run's
+    # interval is ``ExperimentRunner(monitor_interval=...)`` or
+    # ``ScenarioSpec.monitor_interval``, both defaulting to it.
+    monitor_interval: ClassVar[float] = ms(1.0)
     eta: float = 0.8
 
     # Reproduction-only knob: random seed for the annealer.
@@ -53,9 +56,5 @@ class ParaleonConfig:
         # fails: a NaN theta would never trigger.
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
-        if not (math.isfinite(self.monitor_interval) and self.monitor_interval > 0):
-            raise ValueError(
-                f"monitor_interval must be finite and positive, got {self.monitor_interval}"
-            )
         if not 0.5 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0.5, 1]")

@@ -23,18 +23,18 @@ Design points:
 * **Persistent process pool** — dispatch goes to the process-wide
   :func:`~repro.parallel.pool.get_shared_pool`, whose workers are
   forked once and serve every later sweep.  Results return over each
-  worker's pipe; straggler chunks are work-stolen back into the
-  parent.  See :mod:`repro.parallel.pool`.
+  worker's pipe.  See :mod:`repro.parallel.pool`.
 * **Adaptive chunking** — chunk size targets ``_TARGET_CHUNK_S`` of
   estimated work per chunk, clamped so every worker sees at least two
-  chunks (load balance and stealing need slack); with no cost
-  estimate the ``ceil(n / (jobs * 4))`` rule applies.
-* **Per-chunk retry** — a chunk that dies with its worker or never
-  reaches a pool (spawn failure) is re-evaluated *in-process at its
-  original granularity*: one ``executor.retry`` event and one
-  retried-chunks increment per failed chunk, never one giant lumped
-  chunk.  Evaluations are deterministic, so retry results are
-  identical to what the worker would have produced.
+  chunks (load balance needs slack); with no cost estimate the
+  ``ceil(n / (jobs * 4))`` rule applies.
+* **Per-chunk retry** — a chunk that dies with its worker, or never
+  reaches one (spawn failure, or every worker already dead), is
+  re-evaluated *in-process at its original granularity*: one
+  ``executor.retry`` event and one retried-chunks increment per failed
+  chunk, never one giant lumped chunk.  Evaluations are deterministic,
+  so retry results are identical to what the worker would have
+  produced.
 * **Evaluation cache** — with an :class:`~repro.tuning.eval_cache.
   EvalCache` attached, cacheable tasks (frozen params) are
   looked up before dispatch and stored after; only misses touch a
@@ -49,10 +49,11 @@ fallback wherever a pool cannot be spawned.
 from __future__ import annotations
 
 import math
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
-from repro.parallel.pool import get_shared_pool, usable_cores
+from repro.parallel.pool import get_shared_pool
 from repro.parallel.tasks import EvalResult, EvalTask, evaluate_task
 from repro.telemetry import trace
 from repro.telemetry.log import get_logger
@@ -80,10 +81,17 @@ _TARGET_CHUNK_S = 0.2
 _KEEP_RECORDINGS = 3
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, else the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit > ``REPRO_JOBS`` env > usable cores.
 
-    Every source is clamped to :func:`~repro.parallel.pool.usable_cores`:
+    Every source is clamped to :func:`usable_cores`:
     evaluation workers are CPU-bound, so oversubscribing the machine
     only adds context switching.  An effective count of 1 makes
     :meth:`SweepExecutor.map` fall back to serial in-process execution.
@@ -109,11 +117,7 @@ class SweepExecutor:
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        # Diagnostics from the last map() call.
-        self.last_cache_hits = 0
-        self.last_pool_tasks = 0
-        self.last_retried_chunks = 0
-        self.last_stolen_chunks = 0
+        # The last map() call's dispatch choice (the CLI prints it).
         self.last_strategy: Optional[str] = None
         # Per-scenario EMA of task wall seconds, feeding the policy.
         self._cost_ema: Dict[str, float] = {}
@@ -127,10 +131,6 @@ class SweepExecutor:
         the returned list always matches the input positionally.
         """
         tasks = list(tasks)
-        self.last_cache_hits = 0
-        self.last_pool_tasks = 0
-        self.last_retried_chunks = 0
-        self.last_stolen_chunks = 0
         self.last_strategy = None
         if not tasks:
             return []
@@ -143,10 +143,8 @@ class SweepExecutor:
             payload = self._cache_get(task)
             if payload is not None:
                 results[pos] = EvalResult.from_cache_payload(task, payload)
-                self.last_cache_hits += 1
             else:
                 pending.append(pos)
-        self.last_pool_tasks = len(pending)
         _POOL_TASKS.inc(len(pending))
 
         # 2. Pick inline or pool (may probe one task inline) and chunking.
@@ -263,22 +261,14 @@ class SweepExecutor:
             result.cache_payload(),
         )
 
-    def _evaluate_inline(self, task: EvalTask) -> EvalResult:
-        """In-parent evaluation; feeds the cost EMA, no cache put."""
+    def _evaluate_with_cache(self, task: EvalTask) -> EvalResult:
+        """In-parent evaluation; feeds the cost EMA and the cache."""
         result = evaluate_task(task)
         self._note_cost(task.scenario.fingerprint(), result.wall_time)
-        return result
-
-    def _evaluate_with_cache(self, task: EvalTask) -> EvalResult:
-        result = self._evaluate_inline(task)
         self._cache_put(task, result)
         return result
 
     # -- process dispatch -----------------------------------------------
-
-    def _steal_chunk(self, chunk_tasks: List[EvalTask]) -> List[EvalResult]:
-        """In-parent evaluation of a work-stolen straggler chunk."""
-        return [self._evaluate_inline(task) for task in chunk_tasks]
 
     def _run_pool(
         self,
@@ -294,21 +284,15 @@ class SweepExecutor:
         chunk_items = [(c, [tasks[pos] for pos in c]) for c in chunks]
         try:
             pool = get_shared_pool(self.jobs)
-            completed, failed, stolen = pool.run(
-                chunk_items,
-                max_workers=self.jobs,
-                steal_eval=self._steal_chunk,
-            )
+            completed, failed = pool.run(chunk_items, max_workers=self.jobs)
         except (OSError, RuntimeError, ValueError):
             # The pool never came up (fork failure, sandboxing): every
             # chunk retries below, at its original granularity.
-            completed, stolen = {}, []
+            completed = {}
             failed = [(c, "spawn") for c in chunks]
-        self.last_stolen_chunks = len(stolen)
         for chunk_id, (chunk_results, worker_metrics) in completed.items():
-            if worker_metrics is not None:
-                # Fold the worker's metric delta into this process.
-                get_registry().merge_snapshot(worker_metrics)
+            # Fold the worker's metric delta into this process.
+            get_registry().merge_snapshot(worker_metrics)
             for pos, result in zip(chunk_id, chunk_results):
                 results[pos] = result
                 self._cache_put(tasks[pos], result)
@@ -318,7 +302,6 @@ class SweepExecutor:
 
         # Retry failures deterministically in-process, chunk by chunk.
         for chunk_id, reason in failed:
-            self.last_retried_chunks += 1
             _RETRIED_CHUNKS.inc()
             _log.warning(
                 "chunk %s lost to a pool %s; re-evaluating in-process",
@@ -328,5 +311,4 @@ class SweepExecutor:
             if trace.active:
                 trace.event("executor.retry", {"positions": list(chunk_id)})
             for pos in chunk_id:
-                if pos not in results:
-                    results[pos] = self._evaluate_with_cache(tasks[pos])
+                results[pos] = self._evaluate_with_cache(tasks[pos])

@@ -1,4 +1,4 @@
-"""Persistent, core-aware worker pool.
+"""Persistent worker pool.
 
 The old executor built a fresh ``ProcessPoolExecutor`` per ``map()``
 call, so every sweep paid interpreter spawn and module import before
@@ -11,17 +11,12 @@ parallel speedup (BENCH recorded ``sweep.speedup = 1.03``).
   private duplex pipe, which carries both the tasks out and the
   results back.  Dead workers are respawned lazily at the next
   :meth:`WorkerPool.run`.
-* **Work stealing** — dispatch is parent-driven, one chunk in flight
-  per worker.  While all workers are busy, chunks are still queued
-  *and the parent has a core to run on* (fewer busy workers than
-  :func:`usable_cores`), the parent reclaims chunks from the *tail* of
-  the queue and runs them in-process (``steal_eval``), so one slow
-  candidate cannot serialize the batch behind it.  With every core
-  already running a worker a steal only oversubscribes — three
-  CPU-bound processes on two cores stretched each evaluation from ~50
-  to 80–100 ms — so the parent stays out.  Evaluations are
-  deterministic, so a stolen chunk's results are identical to what the
-  worker would have produced.
+* **One place to run a chunk** — dispatch is parent-driven, one chunk
+  in flight per worker, and a dispatched chunk runs in a pool worker
+  and nowhere else: a chunk lost with its worker, or never sent
+  because no worker is left, comes back as failed, and the executor
+  retries it in-process.  The pool never runs more evaluations at
+  once than its width.
 * **One telemetry path** — every ``("chunk", …)`` message carries the
   parent's :class:`~repro.telemetry.Session` (trace path and run id,
   recorder on/off, log level), captured once per :meth:`WorkerPool.run`;
@@ -33,8 +28,8 @@ parallel speedup (BENCH recorded ``sweep.speedup = 1.03``).
   EOF, and a worker whose parent dies exits on the parent-process
   sentinel; there is no wall-clock timeout.
 
-The pool is policy-free plumbing: chunking, retry and the
-process/inline choice live in
+The pool is policy-free plumbing: chunking, retry, the core-count
+clamp and the process/inline choice live in
 :class:`repro.parallel.executor.SweepExecutor`.
 """
 
@@ -42,41 +37,24 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.parallel.worker import _worker_main
-from repro.telemetry import trace
 from repro.telemetry.log import get_logger
 from repro.telemetry.registry import get_registry
 
 _log = get_logger("parallel.pool")
 
-_STEALS = get_registry().counter(
-    "repro_executor_steals_total",
-    "Straggler chunks reclaimed and evaluated in the parent",
-)
 _WORKER_CRASHES = get_registry().counter(
     "repro_executor_worker_crashes_total",
     "Persistent pool workers that died mid-chunk",
 )
 
-#: Seconds between result polls; doubles as the straggler threshold —
-#: a parent that has polled once without progress starts stealing.
-_POLL_S = 0.05
-
 #: Seconds to wait for a worker to exit cleanly before terminating it.
 _JOIN_S = 1.0
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: its affinity mask, else the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _Worker:
@@ -179,23 +157,18 @@ class WorkerPool:
         self,
         chunks: Sequence[Tuple[Any, Sequence]],
         max_workers: Optional[int] = None,
-        steal_eval: Optional[Callable[[list], list]] = None,
     ):
         """Dispatch ``chunks`` — ``(chunk_id, tasks)`` pairs — and collect.
 
-        Returns ``(completed, failed, stolen)``:
+        Returns ``(completed, failed)``:
 
-        * ``completed`` — ``{chunk_id: (results, metrics_snapshot)}``;
-          the snapshot is ``None`` for stolen chunks (their metrics
-          landed directly in the parent registry).
+        * ``completed`` — ``{chunk_id: (results, metrics_snapshot)}``.
         * ``failed`` — ``[(chunk_id, reason)]`` with reason ``"crash"``
+          (lost with its worker, or left queued when no worker was)
           or ``"spawn"``; the caller retries these.
-        * ``stolen`` — chunk_ids the parent reclaimed and evaluated via
-          ``steal_eval``.
 
         ``chunk_id`` is opaque to the pool but must be hashable; the
-        executor passes the tuple of task positions, which is also what
-        the ``executor.steal`` telemetry event reports.
+        executor passes the tuple of task positions.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is closed")
@@ -210,19 +183,14 @@ class WorkerPool:
         pending = deque(
             (chunk_id, list(chunk_tasks)) for chunk_id, chunk_tasks in chunks
         )
-        completed: Dict[Any, Tuple[list, Optional[dict]]] = {}
+        completed: Dict[Any, Tuple[list, dict]] = {}
         failed: List[Tuple[Any, str]] = []
-        stolen: List[Any] = []
         busy: Dict[Any, _Worker] = {}
 
         if not idle:
             # Pool never came up (fork failure, sandboxing): report
             # everything failed so the caller's retry path takes over.
-            return (
-                completed,
-                [(chunk_id, "spawn") for chunk_id, _ in pending],
-                stolen,
-            )
+            return completed, [(chunk_id, "spawn") for chunk_id, _ in pending]
 
         while pending or busy:
             while idle and pending:
@@ -241,27 +209,11 @@ class WorkerPool:
                 worker.chunk = (chunk_id, chunk_tasks)
                 busy[worker.conn] = worker
             if not busy:
-                if pending and steal_eval is not None:
-                    self._steal(pending, completed, stolen, steal_eval)
-                    continue
-                # No live workers and nothing to steal with.
-                failed.extend(
-                    (chunk_id, "crash") for chunk_id, _ in pending
-                )
-                pending.clear()
+                # Every worker is dead: what is left fails like a lost chunk.
+                failed.extend((chunk_id, "crash") for chunk_id, _ in pending)
                 break
-            ready = mp_connection.wait(list(busy), timeout=_POLL_S)
-            if not ready:
-                # Steal only onto a core no busy worker occupies.
-                if (
-                    busy
-                    and pending
-                    and steal_eval is not None
-                    and len(busy) < usable_cores()
-                ):
-                    self._steal(pending, completed, stolen, steal_eval)
-                continue
-            for conn in ready:
+            # A worker that dies mid-chunk wakes this through pipe EOF.
+            for conn in mp_connection.wait(list(busy)):
                 worker = busy.pop(conn)
                 chunk_id = worker.chunk[0]
                 try:
@@ -280,19 +232,7 @@ class WorkerPool:
                 completed[done_id] = payload
                 worker.chunk = None
                 idle.append(worker)
-        return completed, failed, stolen
-
-    def _steal(self, pending, completed, stolen, steal_eval) -> None:
-        """Reclaim the tail chunk and evaluate it in the parent."""
-        chunk_id, chunk_tasks = pending.pop()
-        _STEALS.inc()
-        if trace.active:
-            trace.event(
-                "executor.steal",
-                {"positions": list(chunk_id), "remaining": len(pending)},
-            )
-        completed[chunk_id] = (steal_eval(chunk_tasks), None)
-        stolen.append(chunk_id)
+        return completed, failed
 
 
 # Process-wide shared pool (None-initialised: per-process after fork by

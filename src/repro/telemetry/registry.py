@@ -1,8 +1,8 @@
 """Process-local counters, fork-mergeable across pool workers.
 
-Counters only, and only the nine something reads: the sketch packet
+Counters only, and only the eight something reads: the sketch packet
 and round counts, SA steps and accepts, evaluations, and the executor's
-pool tasks, retried chunks, steals and worker crashes.  Every other
+pool tasks, retried chunks and worker crashes.  Every other
 count the loop produces already lives on a result object and in the
 JSONL trace; a new metric lands here only together with its first
 reader.

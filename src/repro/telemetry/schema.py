@@ -76,7 +76,6 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     "cache.lookup": ("hit", "scenario", "seed"),
     "executor.retry": ("positions",),
     "executor.strategy": ("strategy", "tasks", "jobs", "est_cost_ms", "chunk"),
-    "executor.steal": ("positions", "remaining"),
     # the fluid screen
     "fidelity.screen": ("proposed", "kept", "survivors", "scores"),
     # flight recorder / run reports

@@ -48,9 +48,8 @@ def params() -> DcqcnParams:
 def cores(monkeypatch):
     """``cores(n)``: the process may run on ``n`` cores, as the OS tells it.
 
-    Patched at the OS call rather than at ``usable_cores`` so that both
-    its importers — ``resolve_jobs``' clamp and the pool's steal rule —
-    see the same machine.
+    Patched at the OS call that ``usable_cores`` reads, so
+    ``resolve_jobs``' clamp sees that machine wherever it is imported.
     """
 
     def pretend(n: int) -> None:

@@ -34,7 +34,6 @@ def test_table_iii_defaults():
         {"tau": 0},
         {"delta": 0},
         {"theta": -0.1},
-        {"monitor_interval": 0.0},
         {"eta": 0.3},
         {"eta": 1.2},
         # ``nan <= 0`` is False: non-finite knobs must fail on their own.
@@ -42,16 +41,23 @@ def test_table_iii_defaults():
         {"tau": float("inf")},
         {"theta": float("nan")},
         {"theta": float("inf")},
-        {"monitor_interval": float("nan")},
-        {"monitor_interval": float("inf")},
         {"delta": float("nan")},
         {"delta": 2.5},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
     ],
 )
 def test_invalid_config_rejected(overrides):
     (field,) = overrides
     with pytest.raises(ValueError, match=field):
         ParaleonConfig(**overrides)
+
+
+def test_monitor_interval_is_not_a_knob():
+    # A run's interval is the runner's: a config field nothing read
+    # would accept 2 ms and run at 1 ms.
+    with pytest.raises(TypeError, match="monitor_interval"):
+        ParaleonConfig(monitor_interval=ms(2.0))
 
 
 def test_config_frozen():

@@ -20,11 +20,16 @@ from repro.parallel import (
     resolve_jobs,
 )
 from repro.parallel.tasks import build_scenario
+from repro.telemetry.registry import get_registry
 from repro.tuning.annealing import AnnealingSchedule, ImprovedAnnealer
 from repro.tuning.eval_cache import EvalCache
 from repro.tuning.parameters import default_params, default_space
 
 TINY = ScenarioSpec(workload="hadoop", scale="small", duration=0.004)
+
+
+def _counter(name):
+    return get_registry().snapshot()["counters"].get(name, 0.0)
 
 
 def _tasks(n=3, spec=TINY):
@@ -139,11 +144,11 @@ def test_cache_serves_hits_and_fills_on_miss():
     cache = EvalCache()
     ex = SweepExecutor(jobs=1, cache=cache)
     cold = ex.map(tasks)
-    assert ex.last_cache_hits == 0
+    assert not any(r.from_cache for r in cold)
     assert len(cache) == 2
+    dispatched_before = _counter("repro_executor_pool_tasks_total")
     warm = ex.map(tasks)
-    assert ex.last_cache_hits == 2
-    assert ex.last_pool_tasks == 0
+    assert _counter("repro_executor_pool_tasks_total") == dispatched_before
     assert [r.utility for r in warm] == [r.utility for r in cold]
     assert [r.fct_digest for r in warm] == [r.fct_digest for r in cold]
     assert all(r.from_cache for r in warm)
@@ -154,9 +159,9 @@ def test_scheme_tasks_bypass_cache():
     cache = EvalCache()
     ex = SweepExecutor(jobs=1, cache=cache)
     ex.map([task])
-    ex.map([task])
+    (again,) = ex.map([task])
     assert len(cache) == 0
-    assert ex.last_cache_hits == 0
+    assert not again.from_cache
 
 
 def _broken_pool(*args, **kwargs):
@@ -180,6 +185,7 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, core
 
     monkeypatch.setattr(executor_mod, "get_shared_pool", _broken_pool)
     trace_path = tmp_path / "retry.jsonl"
+    retried_before = _counter("repro_executor_retried_chunks_total")
     trace.configure(str(trace_path))
     try:
         ex = SweepExecutor(jobs=2)
@@ -189,7 +195,8 @@ def test_failed_chunks_retry_at_original_granularity(monkeypatch, tmp_path, core
     finally:
         trace.disable()
     # One retry per original chunk: 4 chunks of one task -> 4.
-    assert ex.last_retried_chunks == 4
+    retried = _counter("repro_executor_retried_chunks_total") - retried_before
+    assert retried == 4
     assert [r.fct_digest for r in results] == [
         r.fct_digest for r in expected
     ]
@@ -263,7 +270,7 @@ def test_adaptive_chunk_targets_wall_time(monkeypatch, cores):
     ex = SweepExecutor(jobs=4)
     # Cheap tasks coalesce, but never beyond 2 chunks per worker.
     assert ex._chunk_for(100, 0.001) <= max(1, 100 // (ex.jobs * 2) + 1)
-    # Expensive tasks stay fine-grained for stealing.
+    # Expensive tasks stay fine-grained for load balance.
     assert ex._chunk_for(100, 1.0) == 1
     # No estimate: the legacy jobs*4 rule.
     assert ex._chunk_for(32, None) == max(1, -(-32 // (ex.jobs * 4)))

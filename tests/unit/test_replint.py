@@ -158,6 +158,8 @@ def test_rl003_flags_unknown_name_and_attr_drift(tmp_path):
                     "cache.lookup",
                     {"hit": True, "scenario": "fp", "seed": 1, "bogus": 2},
                 )
+                with trace.span("eval.task", {"seed": 1, "kind": "params"}):
+                    pass
         """,
     })
     messages = [f.message for f in result.findings]
@@ -176,6 +178,8 @@ def test_rl003_spread_suppresses_missing_not_extra(tmp_path):
             def probe(snapshot):
                 trace.event("cache.lookup", {**snapshot, "hit": True})
                 trace.event("cache.lookup", {**snapshot, "oops": 1})
+                with trace.span("eval.task", {"seed": 1, "kind": "params"}):
+                    pass
         """,
     })
     messages = [f.message for f in result.findings]
@@ -198,6 +202,28 @@ def test_rl003_matching_site_and_span_pass(tmp_path):
         """,
     })
     assert result.findings == []
+
+
+def test_rl003_flags_catalog_rows_no_site_emits(tmp_path):
+    # The other direction: a catalogued name nothing produces is drift
+    # too, reported at its row in the schema.
+    result = lint(tmp_path, {
+        "src/repro/telemetry/schema.py": SCHEMA_FIXTURE,
+        "src/repro/core/foo.py": """
+            from repro.telemetry import trace
+
+            def probe():
+                trace.event(
+                    "cache.lookup", {"hit": True, "scenario": "f", "seed": 0}
+                )
+        """,
+    })
+    assert [(f.check, f.path, f.line) for f in result.findings] == [
+        ("RL003", "src/repro/telemetry/schema.py", 6)
+    ]
+    assert "span 'eval.task' is catalogued but no trace.span site" in (
+        result.findings[0].message
+    )
 
 
 def test_rl003_without_schema_in_tree_is_silent(tmp_path):

@@ -2,7 +2,7 @@
 
 Everything here runs real forked workers on a tiny scenario; the
 digest-identity contract (pool == inline, bit for bit) is what makes
-crash/steal variations invisible to results.  Tests that
+crashes and retries invisible to results.  Tests that
 inject worker behaviour rely on the Linux fork start method — a forked
 child inherits monkeypatched module state — and are skipped elsewhere.
 """
@@ -29,7 +29,7 @@ from repro.parallel import (
     evaluate_task,
     get_shared_pool,
 )
-from repro.parallel import pool as pool_mod
+from repro.parallel import executor as executor_mod
 from repro.parallel import worker as worker_mod
 from repro.telemetry import recorder, trace
 from repro.telemetry.registry import get_registry
@@ -74,10 +74,6 @@ def _counter(name):
     return get_registry().snapshot()["counters"].get(name, 0.0)
 
 
-def _steal_eval(chunk_tasks):
-    return [evaluate_task(task) for task in chunk_tasks]
-
-
 # ---------------------------------------------------------------------------
 # WorkerPool basics
 # ---------------------------------------------------------------------------
@@ -88,14 +84,13 @@ def test_pool_results_match_inline_and_ship_metrics():
     inline = [evaluate_task(t) for t in tasks]
     pool = WorkerPool(2)
     try:
-        completed, failed, stolen = pool.run(_chunks(tasks, 2))
+        completed, failed = pool.run(_chunks(tasks, 2))
     finally:
         pool.close()
-    assert failed == [] and stolen == []
+    assert failed == []
     assert len(completed) == 2
     parent = os.getpid()
     for chunk_id, (results, metrics) in completed.items():
-        assert metrics is not None
         assert metrics["counters"].get("repro_evals_total") == len(chunk_id)
         for pos, result in zip(chunk_id, results):
             assert result.fct_digest == inline[pos].fct_digest
@@ -144,9 +139,9 @@ _TEARDOWN_SCRIPT = textwrap.dedent(
     inline = [evaluate_task(t) for t in tasks]
     pool = WorkerPool(1)
     pids = set(pool.worker_pids())
-    completed, failed, stolen = pool.run([((0,), tasks)])
+    completed, failed = pool.run([((0,), tasks)])
     pool.close()
-    assert pids and failed == [] and stolen == [], (pids, failed, stolen)
+    assert pids and failed == [], (pids, failed)
     ((results, _metrics),) = completed.values()
     assert [r.fct_digest for r in results] == [r.fct_digest for r in inline]
     alive = {child.pid for child in multiprocessing.active_children()}
@@ -175,49 +170,30 @@ def test_closed_pool_leaves_no_process_behind():
 
 
 # ---------------------------------------------------------------------------
-# Work stealing
+# Dispatch width
 # ---------------------------------------------------------------------------
 
 
-def _one_worker_four_chunks(monkeypatch, cores):
-    """``(completed, stolen)`` of one such run on a ``cores``-core machine."""
-    monkeypatch.setattr(pool_mod, "usable_cores", lambda: cores)
+def test_pool_runs_no_more_evaluations_than_its_width(monkeypatch, cores):
+    """Four chunks on one worker with cores to spare: every chunk runs
+    in that worker, none in the parent."""
+    cores(4)
     spec = ScenarioSpec(workload="hadoop", scale="small", duration=0.02)
     tasks = _tasks(4, spec)
+    inline = [evaluate_task(t) for t in tasks]
     pool = WorkerPool(1)
+    monkeypatch.setattr(executor_mod, "get_shared_pool", lambda jobs: pool)
     try:
-        completed, failed, stolen = pool.run(
-            _chunks(tasks, 1), steal_eval=_steal_eval
-        )
+        (worker_pid,) = pool.worker_pids()
+        ex = SweepExecutor(jobs=2)
+        # A known 1 s task: no probe, the pool, one task per chunk.
+        ex._cost_ema[spec.fingerprint()] = 1.0
+        results = ex.map(tasks)
     finally:
         pool.close()
-    assert failed == []
-    assert len(completed) == 4
-    inline = [evaluate_task(t) for t in tasks]
-    for chunk_id, (results, _metrics) in completed.items():
-        for pos, result in zip(chunk_id, results):
-            assert result.fct_digest == inline[pos].fct_digest
-    return completed, stolen
-
-
-def test_parent_steals_queued_chunks_from_one_busy_worker(monkeypatch):
-    # One worker on two cores, four chunks of a non-trivial scenario:
-    # while the worker grinds chunk 0, the parent has a core to itself
-    # and must reclaim queued chunks.
-    before = _counter("repro_executor_steals_total")
-    _, stolen = _one_worker_four_chunks(monkeypatch, cores=2)
-    assert stolen, "parent never stole despite a single busy worker"
-    assert _counter("repro_executor_steals_total") - before == len(stolen)
-
-
-def test_parent_does_not_steal_without_a_spare_core(monkeypatch):
-    # The same queue on one core: the busy worker already occupies it,
-    # so a steal would only oversubscribe.  The worker completes all four.
-    before = _counter("repro_executor_steals_total")
-    completed, stolen = _one_worker_four_chunks(monkeypatch, cores=1)
-    assert stolen == []
-    assert _counter("repro_executor_steals_total") == before
-    assert all(metrics is not None for _, metrics in completed.values())
+    assert ex.last_strategy == "process"
+    assert [r.worker_pid for r in results] == [worker_pid] * 4
+    assert [r.fct_digest for r in results] == [r.fct_digest for r in inline]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +233,7 @@ def test_crashed_worker_chunk_is_retried_with_identical_digests(
     )
     close_shared_pool()  # the next crew forks with the hook in place
     crashes_before = _counter("repro_executor_worker_crashes_total")
+    retried_before = _counter("repro_executor_retried_chunks_total")
     evals_before = _counter("repro_evals_total")
     ex = SweepExecutor(jobs=2)
     # A known 1 s task: no probe, the pool, one task per chunk.
@@ -264,7 +241,7 @@ def test_crashed_worker_chunk_is_retried_with_identical_digests(
     results = ex.map(tasks)
 
     assert (tmp_path / "boom").exists(), "crash hook never fired"
-    assert ex.last_retried_chunks >= 1
+    assert _counter("repro_executor_retried_chunks_total") > retried_before
     assert _counter("repro_executor_worker_crashes_total") > crashes_before
     assert [r.fct_digest for r in results] == [
         r.fct_digest for r in inline
@@ -279,6 +256,56 @@ def test_crashed_worker_chunk_is_retried_with_identical_digests(
     assert _counter("repro_evals_total") - evals_before == len(tasks)
 
 
+def _crash_always(chunk_id, tasks):
+    os._exit(1)
+
+
+@fork_only
+def test_chunks_outliving_every_worker_are_each_retried_once(
+    monkeypatch, tmp_path, cores
+):
+    """Every worker dies on its first chunk and chunks are still queued.
+
+    The queued chunks fail like the lost ones: each of the four is
+    retried in-process exactly once, with one ``executor.retry`` event
+    and one retried-chunks increment apiece, and nothing else runs
+    them.
+    """
+    cores(8)
+    tasks = _tasks(4)
+    inline = SweepExecutor(jobs=1).map(tasks)
+
+    monkeypatch.setattr(worker_mod, "_CRASH_HOOK", _crash_always)
+    close_shared_pool()  # the next crew forks with the hook in place
+    retried_before = _counter("repro_executor_retried_chunks_total")
+    trace_path = tmp_path / "crash.jsonl"
+    trace.configure(str(trace_path))
+    try:
+        ex = SweepExecutor(jobs=2)
+        # A known 1 s task: no probe, the pool, one task per chunk.
+        ex._cost_ema[TINY.fingerprint()] = 1.0
+        results = ex.map(tasks)
+    finally:
+        trace.disable()
+
+    records = map(json.loads, trace_path.read_text().splitlines())
+    retries = [
+        r["attrs"]["positions"]
+        for r in records
+        if r["name"] == "executor.retry"
+    ]
+    assert sorted(retries) == [[0], [1], [2], [3]]
+    retried = _counter("repro_executor_retried_chunks_total") - retried_before
+    assert retried == 4
+    assert {r.worker_pid for r in results} == {os.getpid()}
+    assert [r.fct_digest for r in results] == [
+        r.fct_digest for r in inline
+    ]
+    assert [r.interval_digest for r in results] == [
+        r.interval_digest for r in inline
+    ]
+
+
 @fork_only
 def test_pool_respawns_crashed_workers_between_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(
@@ -288,12 +315,12 @@ def test_pool_respawns_crashed_workers_between_runs(monkeypatch, tmp_path):
     pool = WorkerPool(1)
     try:
         first_pids = set(pool.worker_pids())
-        completed, failed, _ = pool.run(_chunks(tasks, 2))
+        completed, failed = pool.run(_chunks(tasks, 2))
         assert completed == {} and [reason for _, reason in failed] == [
             "crash"
         ]
         # Next run heals the crew: new pid, chunk evaluated normally.
-        completed, failed, _ = pool.run(_chunks(tasks, 2))
+        completed, failed = pool.run(_chunks(tasks, 2))
         second_pids = set(pool.worker_pids())
     finally:
         pool.close()
@@ -316,14 +343,14 @@ def test_trace_configured_after_spawn_reaches_same_workers(tmp_path):
     pool = WorkerPool(2)
     try:
         pids_before = set(pool.worker_pids())
-        completed, _, _ = pool.run(_chunks(tasks))
+        completed, _ = pool.run(_chunks(tasks))
         assert all(
             r.recording is None for rs, _ in completed.values() for r in rs
         )
         trace.configure(path, run_id="late")
         recorder.configure()
         try:
-            completed, _, _ = pool.run(_chunks(tasks))
+            completed, _ = pool.run(_chunks(tasks))
         finally:
             recorder.disable()
             trace.disable()

@@ -17,8 +17,8 @@ Two failure families the pool surface invites:
 
 RL010 (fork-reachability) is the interprocedural upgrade of the second
 family: it follows the call graph from the worker entry points instead
-of stopping at the package boundary.  RL005 stays as the fast per-file
-gate.
+of stopping at the package boundary.  RL005 keeps the package-boundary
+rule; both run in the same whole-tree pass.
 """
 
 from __future__ import annotations

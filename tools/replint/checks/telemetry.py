@@ -8,8 +8,9 @@ recorded; this check closes the loop statically: every
 tree is extracted and diffed against the catalog, so
 
 * an emit site with a name the catalog has never heard of,
-* a literal attrs dict missing a catalogued key, and
-* a literal attrs dict carrying keys the catalog does not list
+* a literal attrs dict missing a catalogued key,
+* a literal attrs dict carrying keys the catalog does not list, and
+* a catalogued name that no emit site in the tree produces
 
 are all build failures — the catalog and the instrumentation cannot
 drift apart silently in either direction.
@@ -105,13 +106,8 @@ def extract_emit_sites(tree: ast.Module, relpath: str) -> List[EmitSite]:
     return sites
 
 
-def extract_catalog(
-    tree: ast.Module,
-) -> Tuple[Optional[Dict[str, Tuple[str, ...]]],
-           Optional[Dict[str, Tuple[str, ...]]]]:
-    """``(EVENT_ATTRS, SPAN_ATTRS)`` literal-evaluated from the schema."""
-    events: Optional[Dict[str, Tuple[str, ...]]] = None
-    spans: Optional[Dict[str, Tuple[str, ...]]] = None
+def _catalog_assignments(tree: ast.Module) -> Iterable[Tuple[str, ast.expr]]:
+    """``(target name, value)`` of each module-level catalog assignment."""
     for node in tree.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
@@ -120,19 +116,42 @@ def extract_catalog(
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets, value = [node.target], node.value
         for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id not in ("EVENT_ATTRS", "SPAN_ATTRS"):
-                continue
-            try:
-                evaluated = ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                continue
-            if target.id == "EVENT_ATTRS":
-                events = {k: tuple(v) for k, v in evaluated.items()}
-            else:
-                spans = {k: tuple(v) for k, v in evaluated.items()}
+            if isinstance(target, ast.Name) and target.id in (
+                "EVENT_ATTRS", "SPAN_ATTRS"
+            ):
+                yield target.id, value
+
+
+def extract_catalog(
+    tree: ast.Module,
+) -> Tuple[Optional[Dict[str, Tuple[str, ...]]],
+           Optional[Dict[str, Tuple[str, ...]]]]:
+    """``(EVENT_ATTRS, SPAN_ATTRS)`` literal-evaluated from the schema."""
+    events: Optional[Dict[str, Tuple[str, ...]]] = None
+    spans: Optional[Dict[str, Tuple[str, ...]]] = None
+    for target, value in _catalog_assignments(tree):
+        try:
+            evaluated = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            continue
+        if target == "EVENT_ATTRS":
+            events = {k: tuple(v) for k, v in evaluated.items()}
+        else:
+            spans = {k: tuple(v) for k, v in evaluated.items()}
     return events, spans
+
+
+def _catalog_lines(tree: ast.Module) -> Dict[str, int]:
+    """``"<kind> <name>"`` -> line of that catalog row in the schema."""
+    lines: Dict[str, int] = {}
+    for target, value in _catalog_assignments(tree):
+        if not isinstance(value, ast.Dict):
+            continue
+        kind = "event" if target == "EVENT_ATTRS" else "span"
+        for key in value.keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                lines[f"{kind} {key.value}"] = key.lineno
+    return lines
 
 
 class TelemetrySyncCheck(Check):
@@ -142,15 +161,6 @@ class TelemetrySyncCheck(Check):
         "trace.event/trace.span names and attr keys must match the "
         "EVENT_ATTRS/SPAN_ATTRS catalog in repro/telemetry/schema.py"
     )
-
-    def __init__(
-        self,
-        event_catalog: Optional[Dict[str, Tuple[str, ...]]] = None,
-        span_catalog: Optional[Dict[str, Tuple[str, ...]]] = None,
-    ):
-        #: Catalogs injected for tests; otherwise discovered from the
-        #: scanned tree's schema module.
-        self._injected = (event_catalog, span_catalog)
 
     def extract(self, ctx: FileContext) -> Dict:
         facts: Dict = {}
@@ -164,6 +174,7 @@ class TelemetrySyncCheck(Check):
             facts["spans"] = (
                 {k: list(v) for k, v in spans.items()} if spans else {}
             )
+            facts["lines"] = _catalog_lines(ctx.tree)
             return facts
         if any(ctx.relpath.endswith(s) for s in _EXCLUDED_SUFFIXES):
             return facts
@@ -173,38 +184,43 @@ class TelemetrySyncCheck(Check):
         return facts
 
     def finalize(self, project: ProjectIndex) -> Iterable[Finding]:
-        events, spans = self._injected
-        schema_seen = events is not None
+        schema = None
         for record in project.records:
             facts = record.facts.get(self.id) or {}
-            if not facts.get("is_schema"):
-                continue
-            schema_seen = True
-            if not facts.get("catalog_ok"):
-                yield self.finding(
-                    record.relpath,
-                    1,
-                    "EVENT_ATTRS/SPAN_ATTRS must be literal dicts "
-                    "(statically evaluable)",
-                )
-            elif self._injected[0] is None:
-                events = {
-                    k: tuple(v) for k, v in facts.get("events", {}).items()
-                }
-                spans = {
-                    k: tuple(v) for k, v in facts.get("spans", {}).items()
-                }
-        if not schema_seen:
+            if facts.get("is_schema"):
+                schema = (record.relpath, facts)
+        if schema is None:
             # Scanned tree doesn't include the schema (e.g. a single
             # file was linted): nothing to diff against.
             return
-        events = events or {}
-        spans = spans or {}
+        schema_path, catalog = schema
+        events: Dict[str, Tuple[str, ...]] = {}
+        spans: Dict[str, Tuple[str, ...]] = {}
+        if catalog["catalog_ok"]:
+            events = {k: tuple(v) for k, v in catalog["events"].items()}
+            spans = {k: tuple(v) for k, v in catalog["spans"].items()}
+        else:
+            yield self.finding(
+                schema_path,
+                1,
+                "EVENT_ATTRS/SPAN_ATTRS must be literal dicts "
+                "(statically evaluable)",
+            )
+        emitted: Dict[str, set] = {"event": set(), "span": set()}
         for record in project.records:
             facts = record.facts.get(self.id) or {}
             for raw in facts.get("sites", ()):
                 site = EmitSite(**{**raw, "keys": tuple(raw["keys"])})
+                emitted[site.kind].add(site.name)
                 yield from self._diff_site(site, events, spans)
+        for kind, names in (("event", events), ("span", spans)):
+            for name in sorted(set(names) - emitted[kind]):
+                yield self.finding(
+                    schema_path,
+                    catalog["lines"].get(f"{kind} {name}", 1),
+                    f"{kind} {name!r} is catalogued but no trace.{kind} "
+                    "site in the tree emits it",
+                )
 
     def _diff_site(
         self,
